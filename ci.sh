@@ -17,9 +17,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== cache correctness (EXO_CHECK_CACHE=0 parity) =="
+echo "== obs / smt / analysis unit + integration tests =="
+cargo test -q -p exo-obs -p exo-smt -p exo-analysis
+
+echo "== cache correctness (cache-on/off verdict parity) =="
 cargo test -q -p exo-sched --test check_cache
-EXO_CHECK_CACHE=0 cargo test -q -p exo-sched --test check_cache
 
 echo "== check-cache bench (smoke; fails on zero cache hits) =="
 EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
@@ -43,8 +45,7 @@ echo "== fig5a bench (GFLOP/s rows for the perf gate) =="
 EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
     cargo run --release -q -p exo-bench --bin fig5a
 
-echo "== trace exports (validates Chrome JSON with the strict parser; =="
-echo "== reconciles per-operator query attribution) =="
+echo "== trace exports (fig5a SGEMM schedule; validates Chrome JSON with the strict parser) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== perf gate (BENCH_* vs bench/baselines) =="

@@ -68,7 +68,6 @@ impl<'a> Checker<'a> {
             return;
         }
         exo_obs::counter_add("analysis.bounds.obligations", 1);
-        exo_obs::attr::counter_add_by_op("analysis.bounds.obligations", 1);
         let mut ctx = LowerCtx::new();
         let hyp = self.assume_formula(&mut ctx);
         let g = ctx.lower_bool(&goal).definitely();

@@ -1,11 +1,11 @@
-//! The shared checking context: one reusable solver plus a canonical
+//! The shared checking context: one reusable solver plus the one
 //! verdict cache.
 //!
 //! Every scheduling operator is independently checked (paper §3.3), and a
 //! long schedule re-derives near-identical safety obligations after every
-//! rewrite — identical except that rewrites mint fresh [`exo_core::sym::Sym`]s,
-//! so the structurally-keyed cache inside [`exo_smt::Solver`] never sees a
-//! repeat. [`CheckCtx`] closes that gap:
+//! rewrite — identical except that rewrites mint fresh
+//! [`exo_core::sym::Sym`]s, so a structurally keyed cache would never see
+//! a repeat. [`CheckCtx`] closes that gap:
 //!
 //! * all validity/satisfiability queries funnel through one process-wide
 //!   solver instead of per-call-site `Solver::new()` throwaways;
@@ -14,12 +14,12 @@
 //!   equality, not a hash, so collisions cannot corrupt verdicts);
 //! * hit/miss/entry counters are exported through `exo-obs`
 //!   (`check.queries`, `check.cache_hits`, `check.cache_misses`,
-//!   `check.cache_entries`).
+//!   `check.cache_entries`), attributed to the active operator.
 //!
-//! The canonical layer can be disabled with `EXO_CHECK_CACHE=0` (or
-//! explicitly via [`CheckCtx::with_cache`]); verdicts are identical either
-//! way because canonical renaming is semantics-preserving — the escape
-//! hatch exists for debugging and for measuring the cache's effect.
+//! Contexts are cached by default; [`CheckCtx::with_cache`]`(false)`
+//! sends every query to the solver, for measuring the cache's effect and
+//! for the verdict-parity tests. Verdicts are identical either way
+//! because canonical renaming is semantics-preserving.
 //!
 //! The context also owns the per-statement effect-summary memo
 //! ([`EffectMemo`]) used by the dirty-region analysis in `exo-sched`.
@@ -73,20 +73,17 @@ impl EffectMemo {
         if exo_chaos::should_inject(exo_chaos::FaultSite::AnalysisCacheMiss) {
             self.misses += 1;
             exo_obs::counter_add("analysis.effect_memo.misses", 1);
-            exo_obs::attr::counter_add_by_op("analysis.effect_memo.misses", 1);
             return None;
         }
         match self.map.get(key) {
             Some(e) => {
                 self.hits += 1;
                 exo_obs::counter_add("analysis.effect_memo.hits", 1);
-                exo_obs::attr::counter_add_by_op("analysis.effect_memo.hits", 1);
                 Some(e.clone())
             }
             None => {
                 self.misses += 1;
                 exo_obs::counter_add("analysis.effect_memo.misses", 1);
-                exo_obs::attr::counter_add_by_op("analysis.effect_memo.misses", 1);
                 None
             }
         }
@@ -108,15 +105,6 @@ impl EffectMemo {
     }
 }
 
-/// Reads the `EXO_CHECK_CACHE` escape hatch: anything but `0` (or the
-/// empty string) leaves the canonical cache enabled.
-fn cache_enabled_from_env() -> bool {
-    match std::env::var("EXO_CHECK_CACHE") {
-        Ok(v) => v != "0",
-        Err(_) => true,
-    }
-}
-
 /// A checking context: one solver, one canonical verdict cache, one
 /// effect-summary memo. Usually accessed through [`SharedCheckCtx`].
 #[derive(Debug)]
@@ -135,10 +123,9 @@ pub struct CheckCtx {
 }
 
 impl CheckCtx {
-    /// Creates a context honouring the `EXO_CHECK_CACHE` environment
-    /// variable.
+    /// Creates a context with the canonical cache enabled.
     pub fn new() -> CheckCtx {
-        CheckCtx::with_cache(cache_enabled_from_env())
+        CheckCtx::with_cache(true)
     }
 
     /// Creates a context with the canonical cache explicitly on or off.
@@ -153,11 +140,6 @@ impl CheckCtx {
             effects: EffectMemo::default(),
             budget: ResourceBudget::unlimited(),
         }
-    }
-
-    /// Whether the canonical verdict cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Installs the fuel/deadline pool queries draw from (shared with the
@@ -197,9 +179,6 @@ impl CheckCtx {
     pub fn check_sat(&mut self, f: &Formula) -> Answer {
         self.queries += 1;
         exo_obs::counter_add("check.queries", 1);
-        // Attribution: `check.queries.op.*` always sums to `check.queries`
-        // (and likewise for the hit/miss counters below).
-        exo_obs::attr::counter_add_by_op("check.queries", 1);
         // Budget: one fuel unit per query. Every safety analysis funnels its
         // obligations through here, so exhausting the pool mid-fixpoint
         // degrades the remaining obligations to `Unknown` — the rewrite is
@@ -223,17 +202,13 @@ impl CheckCtx {
             if let Some(&a) = self.cache.get(&key) {
                 self.hits += 1;
                 exo_obs::counter_add("check.cache_hits", 1);
-                exo_obs::attr::counter_add_by_op("check.cache_hits", 1);
                 return a;
             }
         }
-        // Decide on the canonical form: semantics-preserving, and it makes
-        // the solver's own structural cache converge on one representative
-        // per alpha-class.
+        // Decide on the canonical form (semantics-preserving).
         let a = self.solver.check_sat(&key);
         self.misses += 1;
         exo_obs::counter_add("check.cache_misses", 1);
-        exo_obs::attr::counter_add_by_op("check.cache_misses", 1);
         if !chaos_armed {
             exo_obs::counter_add("check.cache_entries", 1);
             self.cache.insert(key, a);
@@ -273,7 +248,7 @@ impl Default for CheckCtx {
 pub struct SharedCheckCtx(Arc<Mutex<CheckCtx>>);
 
 impl SharedCheckCtx {
-    /// A fresh, private context (cache per `EXO_CHECK_CACHE`).
+    /// A fresh, private context with the canonical cache enabled.
     pub fn fresh() -> SharedCheckCtx {
         SharedCheckCtx(Arc::new(Mutex::new(CheckCtx::new())))
     }
@@ -320,11 +295,6 @@ impl SharedCheckCtx {
     /// See [`CheckCtx::solver_stats`].
     pub fn solver_stats(&self) -> SolverStats {
         self.lock().solver_stats()
-    }
-
-    /// See [`CheckCtx::cache_enabled`].
-    pub fn cache_enabled(&self) -> bool {
-        self.lock().cache_enabled()
     }
 }
 

@@ -86,13 +86,18 @@ impl FaultSite {
 
     /// Stable lowercase name, used in env parsing, counters, and reports.
     pub fn name(self) -> &'static str {
+        &self.counter()["chaos.injected.".len()..]
+    }
+
+    /// The `chaos.injected.<name>` counter each firing bumps.
+    fn counter(self) -> &'static str {
         match self {
-            FaultSite::SmtTooHard => "smt-too-hard",
-            FaultSite::AnalysisBottom => "analysis-bottom",
-            FaultSite::AnalysisCacheMiss => "analysis-cache-miss",
-            FaultSite::PatternNoMatch => "pattern-no-match",
-            FaultSite::PatternAmbiguous => "pattern-ambiguous",
-            FaultSite::InterpFuel => "interp-fuel",
+            FaultSite::SmtTooHard => "chaos.injected.smt-too-hard",
+            FaultSite::AnalysisBottom => "chaos.injected.analysis-bottom",
+            FaultSite::AnalysisCacheMiss => "chaos.injected.analysis-cache-miss",
+            FaultSite::PatternNoMatch => "chaos.injected.pattern-no-match",
+            FaultSite::PatternAmbiguous => "chaos.injected.pattern-ambiguous",
+            FaultSite::InterpFuel => "chaos.injected.interp-fuel",
         }
     }
 
@@ -300,7 +305,7 @@ fn should_inject_slow(site: FaultSite) -> bool {
     if fire {
         armed_plan.injected[site.index()] += 1;
         drop(guard);
-        exo_obs::counter_add(&format!("chaos.injected.{}", site.name()), 1);
+        exo_obs::counter_add(site.counter(), 1);
     }
     fire
 }

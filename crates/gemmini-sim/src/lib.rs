@@ -179,7 +179,6 @@ impl Simulator {
     pub fn run(mut self, trace: &[HwOp]) -> SimReport {
         let span = exo_obs::Span::enter("gemmini_sim.run");
         exo_obs::counter_add("gemmini_sim.runs", 1);
-        exo_obs::attr::counter_add_by_op("gemmini_sim.runs", 1);
         let mut truncated = false;
         for op in trace {
             if self.budget.charge(1).is_err() {

@@ -223,8 +223,7 @@ impl Machine {
                 };
                 trace_args.push((formal.name.name(), ta));
             }
-            exo_obs::counter_add(&format!("interp.instr.{}", proc.name.name()), 1);
-            exo_obs::attr::counter_add_by_op("interp.instr", 1);
+            exo_obs::counter_add("interp.instr", 1);
             self.trace.push(HwOp {
                 instr: proc.name.name(),
                 args: trace_args,
@@ -431,8 +430,7 @@ impl Machine {
             callee_env.insert(formal.name, slot);
         }
         if proc.is_instr() {
-            exo_obs::counter_add(&format!("interp.instr.{}", proc.name.name()), 1);
-            exo_obs::attr::counter_add_by_op("interp.instr", 1);
+            exo_obs::counter_add("interp.instr", 1);
             self.trace.push(HwOp {
                 instr: proc.name.name(),
                 args: trace_args,

@@ -466,7 +466,6 @@ pub fn classify_loop(
     collect_atoms(&eff, &mut Vec::new(), &mut Vec::new(), &mut atoms);
 
     exo_obs::counter_add("lint.depend.loops", 1);
-    exo_obs::attr::counter_add_by_op("lint.depend.loops", 1);
     let mut reduction_bufs: Vec<Sym> = Vec::new();
     let mut unknown = false;
     for (n1, a1) in atoms.iter().enumerate() {

@@ -1,15 +1,14 @@
 //! The active attribution context: *which scheduling operator is the
 //! system currently working for?*
 //!
-//! PR 1's flat counters answer "how many solver queries ran?"; this
-//! module answers "which operator caused them". `exo-sched` pushes an
-//! [`AttrGuard`] around every operator it runs, and every downstream
-//! cost site — solver queries, canonical-cache hits/misses, effect
-//! extraction, lint probes, simulated kernel runs — calls
-//! [`counter_add_by_op`] next to its flat counter, splitting the same
-//! total across `<name>.op.<operator>` sub-counters. By construction
-//! the attributed sub-counters of a name sum to the flat counter, so
-//! a cost table over them always reconciles against the global total.
+//! `exo-sched` pushes an [`AttrGuard`] around every operator it runs.
+//! Every counter bump — solver queries, canonical-cache hits/misses,
+//! effect extraction, lint probes, simulated kernel runs — is filed by
+//! the registry under `(counter, innermost operator)`, so one write
+//! answers both "how many solver queries ran?" and "which operator
+//! caused them". [`crate::Registry::counter`] sums a counter's rows at
+//! read time and [`crate::Registry::counter_by_op`] lists them; the two
+//! views cannot drift because they read the same records.
 //!
 //! The context is a per-thread stack (operators can nest: `fuse`
 //! re-checks through `stage_mem`'s machinery); the innermost frame
@@ -30,7 +29,7 @@ thread_local! {
 
 #[derive(Clone, Debug)]
 struct Frame {
-    op: String,
+    op: &'static str,
     target: String,
 }
 
@@ -45,10 +44,10 @@ impl AttrGuard {
     /// Pushes an attribution frame: all attributable work on this
     /// thread is tagged `op` until the guard drops (or a nested guard
     /// shadows it).
-    pub fn enter(op: impl Into<String>, target: impl Into<String>) -> AttrGuard {
+    pub fn enter(op: &'static str, target: impl Into<String>) -> AttrGuard {
         STACK.with(|s| {
             s.borrow_mut().push(Frame {
-                op: op.into(),
+                op,
                 target: target.into(),
             })
         });
@@ -58,7 +57,7 @@ impl AttrGuard {
     /// Pushes a frame only when no context is active — for drivers
     /// (lint passes, benches) that want their own label *unless* a
     /// scheduling operator is the real cause of the work.
-    pub fn fallback(op: impl Into<String>, target: impl Into<String>) -> AttrGuard {
+    pub fn fallback(op: &'static str, target: impl Into<String>) -> AttrGuard {
         let empty = STACK.with(|s| s.borrow().is_empty());
         if empty {
             AttrGuard::enter(op, target)
@@ -79,40 +78,14 @@ impl Drop for AttrGuard {
 }
 
 /// The innermost attribution frame, as `(op, target)`.
-pub fn current() -> Option<(String, String)> {
-    STACK.with(|s| s.borrow().last().map(|f| (f.op.clone(), f.target.clone())))
+pub fn current() -> Option<(&'static str, String)> {
+    STACK.with(|s| s.borrow().last().map(|f| (f.op, f.target.clone())))
 }
 
-/// The innermost operator name, or [`UNATTRIBUTED`].
-pub fn op_label() -> String {
-    STACK.with(|s| {
-        s.borrow()
-            .last()
-            .map_or_else(|| UNATTRIBUTED.to_string(), |f| f.op.clone())
-    })
-}
-
-/// Bumps the attributed sub-counter `<name>.op.<current op>`.
-///
-/// Call next to the flat `counter_add(name, …)` at the same site with
-/// the same delta; the attributed family then always sums to the flat
-/// counter.
-pub fn counter_add_by_op(name: &str, delta: u64) {
-    crate::counter_add(&format!("{name}.op.{}", op_label()), delta);
-}
-
-/// Sums the attributed family `<name>.op.*` of a flat counter —
-/// `(label, value)` pairs plus the total, for reconciliation against
-/// the flat counter itself.
-pub fn attributed_counters(registry: &crate::Registry, name: &str) -> (Vec<(String, u64)>, u64) {
-    let prefix = format!("{name}.op.");
-    let rows: Vec<(String, u64)> = registry
-        .counters()
-        .into_iter()
-        .filter_map(|(k, v)| k.strip_prefix(&prefix).map(|op| (op.to_string(), v)))
-        .collect();
-    let total = rows.iter().map(|(_, v)| v).sum();
-    (rows, total)
+/// The innermost operator name, or [`UNATTRIBUTED`] — the row a
+/// counter bump is filed under.
+pub(crate) fn current_op() -> &'static str {
+    STACK.with(|s| s.borrow().last().map_or(UNATTRIBUTED, |f| f.op))
 }
 
 #[cfg(test)]
@@ -121,15 +94,15 @@ mod tests {
 
     #[test]
     fn stack_nests_and_unwinds() {
-        assert_eq!(op_label(), UNATTRIBUTED);
+        assert_eq!(current_op(), UNATTRIBUTED);
         {
             let _a = AttrGuard::enter("split", "for i in _: _");
-            assert_eq!(current(), Some(("split".into(), "for i in _: _".into())));
+            assert_eq!(current(), Some(("split", "for i in _: _".into())));
             {
                 let _b = AttrGuard::enter("stage_mem", "A");
-                assert_eq!(op_label(), "stage_mem");
+                assert_eq!(current_op(), "stage_mem");
             }
-            assert_eq!(op_label(), "split");
+            assert_eq!(current_op(), "split");
         }
         assert_eq!(current(), None);
     }
@@ -138,11 +111,11 @@ mod tests {
     fn fallback_defers_to_an_active_operator() {
         {
             let _lint = AttrGuard::fallback("lint", "dead-alloc");
-            assert_eq!(op_label(), "lint");
+            assert_eq!(current_op(), "lint");
         }
         let _op = AttrGuard::enter("reorder", "for io in _: _");
         let _lint = AttrGuard::fallback("lint", "dead-alloc");
-        assert_eq!(op_label(), "reorder");
+        assert_eq!(current_op(), "reorder");
     }
 
     #[test]
@@ -151,15 +124,36 @@ mod tests {
         {
             let _a = AttrGuard::enter("attr_test_split", "x");
             crate::counter_add("attr_test.queries", 3);
-            counter_add_by_op("attr_test.queries", 3);
+            {
+                // nested guard: the innermost operator wins
+                let _b = AttrGuard::enter("attr_test_stage", "A");
+                crate::counter_add("attr_test.queries", 4);
+                // a fallback under an active operator is inert
+                let _lint = AttrGuard::fallback("attr_test_lint", "r");
+                crate::counter_add("attr_test.queries", 5);
+            }
+            crate::counter_add("attr_test.queries", 1);
         }
-        crate::counter_add("attr_test.queries", 2);
-        counter_add_by_op("attr_test.queries", 2);
-        let (rows, total) = attributed_counters(reg, "attr_test.queries");
-        assert_eq!(total, reg.counter("attr_test.queries"));
-        assert!(rows
-            .iter()
-            .any(|(op, v)| op == "attr_test_split" && *v == 3));
-        assert!(rows.iter().any(|(op, v)| op == UNATTRIBUTED && *v == 2));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..100 {
+                        crate::counter_add("attr_test.queries", 2);
+                    }
+                });
+            }
+        });
+        let rows = reg.counter_by_op("attr_test.queries");
+        assert_eq!(
+            rows,
+            vec![
+                ("attr_test_split", 4),
+                ("attr_test_stage", 9),
+                (UNATTRIBUTED, 1600),
+            ]
+        );
+        let total: u64 = rows.iter().map(|(_, v)| v).sum();
+        assert_eq!(reg.counter("attr_test.queries"), total);
+        assert!(reg.counters().contains(&("attr_test.queries", total)));
     }
 }

@@ -33,7 +33,7 @@ pub fn chrome_trace(spans: &[TraceSpan], dropped: u64) -> Json {
         .map(|s| {
             let mut args = Vec::new();
             if let Some((op, target)) = &s.op {
-                args.push(("op".to_string(), Json::Str(op.clone())));
+                args.push(("op".to_string(), Json::Str(op.to_string())));
                 args.push(("target".to_string(), Json::Str(target.clone())));
             }
             args.push(("span_id".to_string(), Json::uint(s.id)));
@@ -144,9 +144,11 @@ mod tests {
             parent,
             tid: 1,
             name: name.into(),
-            op: (id.is_multiple_of(2)).then(|| ("split".to_string(), "for i in _: _".to_string())),
+            op: (id.is_multiple_of(2)).then(|| ("split", "for i in _: _".to_string())),
             start_us: start,
             dur_us: dur,
+            depth: 1,
+            fields: Vec::new(),
         }
     }
 

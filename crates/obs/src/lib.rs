@@ -15,22 +15,24 @@
 //!   tree: process-unique id, parent link, thread id, recorded into a
 //!   bounded ring buffer on the registry;
 //! * [`attr`] — the active attribution context (current scheduling
-//!   operator + target) and the `<counter>.op.<operator>` attributed
-//!   counter families that always sum to their flat counter;
-//! * [`registry::Registry`] — a thread-safe global sink for counters,
-//!   log₂ histograms, structured events, and trace spans;
+//!   operator + target); every counter bump is filed under the
+//!   innermost operator, and flat totals are sums of those rows;
+//! * [`registry::Registry`] — a thread-safe global sink for attributed
+//!   counters, log₂ histograms, and the bounded trace ring that holds
+//!   every closed span and event;
 //! * [`json::Json`] — a hand-rolled JSON value (the sandbox has no
 //!   crates.io access, so serialization is std-only) with a strict
 //!   parser used to validate exported lines;
-//! * [`provenance::ProvenanceEvent`] — one applied-or-rejected
+//! * [`provenance::ProvenanceEvent`] — one applied
 //!   scheduling rewrite: operator, target, check verdict, statement
 //!   delta, query/cache-hit deltas, duration. `exo_sched::Procedure`
 //!   accumulates these into its schedule transcript, rendered with a
 //!   per-operator cost table.
 //!
-//! Sinks: [`registry::Registry::transcript`] renders a human-readable
-//! indented log; [`registry::Registry::json_lines`] exports everything
-//! as machine-readable JSON lines (one object per line), the format the
+//! Each fact is recorded once. The sinks are views over those records:
+//! [`registry::Registry::transcript`] renders a human-readable indented
+//! log; [`registry::Registry::json_lines`] exports everything as
+//! machine-readable JSON lines (one object per line), the format the
 //! `BENCH_*.json` trajectory files use; [`export`] renders the trace
 //! ring as Chrome `trace_event` JSON (`chrome://tracing`/Perfetto) or
 //! collapsed flamegraph stacks.
@@ -49,15 +51,17 @@ pub mod span;
 pub use attr::AttrGuard;
 pub use json::Json;
 pub use provenance::{per_op_costs, render_transcript, OpCost, ProvenanceEvent, Verdict};
-pub use registry::{Event, Histogram, Registry, TraceSpan};
+pub use registry::{Histogram, Registry, TraceSpan};
 pub use span::Span;
 
-/// Adds `delta` to the named global counter.
-pub fn counter_add(name: &str, delta: u64) {
+/// Adds `delta` to the named global counter, attributed to the
+/// innermost active operator (see [`attr`]).
+pub fn counter_add(name: &'static str, delta: u64) {
     Registry::global().counter_add(name, delta);
 }
 
-/// Reads the named global counter (0 if never touched).
+/// Reads the named global counter, summed over operators (0 if never
+/// touched).
 pub fn counter_get(name: &str) -> u64 {
     Registry::global().counter(name)
 }
@@ -67,7 +71,8 @@ pub fn record_hist(name: &str, value: u64) {
     Registry::global().record_hist(name, value);
 }
 
-/// Emits an instantaneous structured event to the global registry.
+/// Records an instantaneous structured event: a zero-duration record in
+/// the global trace ring.
 pub fn event(name: &str, fields: Vec<(String, Json)>) {
     Registry::global().event(name, fields);
 }

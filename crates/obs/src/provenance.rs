@@ -4,13 +4,14 @@
 //! operator applied to it, building the *schedule transcript* — the
 //! ordered story of how a naive kernel became the scheduled one, with
 //! each step's safety-check verdict and cost. Rejected rewrites leave
-//! the procedure untouched, so they appear only in the global registry,
-//! never in a procedure's own transcript.
+//! the procedure untouched, so they appear only in the global registry
+//! (as the verdict and reason on their `sched.<op>` span), never in a
+//! procedure's own transcript.
 //!
 //! Verdicts use the one shared vocabulary of
 //! [`exo_core::diag::Verdict`] — the same `name()` spelling the lint
 //! diagnostics JSON uses for severities, so machine consumers of
-//! transcript exports and lint exports read one dialect.
+//! the `sched.<op>` spans and of lint exports read one dialect.
 //!
 //! [`render_transcript`] folds a per-operator cost table under the
 //! per-rewrite listing: for each operator, how many rewrites, how many
@@ -18,12 +19,11 @@
 //! time, and the net statement delta — the attribution view of "what
 //! did my schedule cost".
 
-use crate::json::Json;
 use crate::registry::format_us;
 
 pub use exo_core::diag::Verdict;
 
-/// One applied (or rejected) scheduling rewrite.
+/// One applied scheduling rewrite.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProvenanceEvent {
     /// Operator name (`split`, `reorder`, `stage_mem`, …).
@@ -34,8 +34,7 @@ pub struct ProvenanceEvent {
     pub verdict: Verdict,
     /// Statement count before the rewrite.
     pub pre_stmts: usize,
-    /// Statement count after the rewrite (equals `pre_stmts` on
-    /// rejection).
+    /// Statement count after the rewrite.
     pub post_stmts: usize,
     /// Checking-context queries issued while the operator ran
     /// (including canonical-cache hits).
@@ -44,31 +43,6 @@ pub struct ProvenanceEvent {
     pub cache_hits: usize,
     /// Wall-clock duration of the operator.
     pub duration_us: u64,
-}
-
-impl ProvenanceEvent {
-    /// JSON form (one line of a transcript export). The `verdict` field
-    /// carries the shared [`Verdict::name`] vocabulary; the rejection
-    /// reason, when present, is a separate `reason` field.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("type".into(), Json::Str("rewrite".into())),
-            ("op".into(), Json::Str(self.op.clone())),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("verdict".into(), Json::Str(self.verdict.name().into())),
-        ];
-        if let Some(reason) = self.verdict.reason() {
-            fields.push(("reason".into(), Json::Str(reason.into())));
-        }
-        fields.extend([
-            ("pre_stmts".into(), Json::uint(self.pre_stmts as u64)),
-            ("post_stmts".into(), Json::uint(self.post_stmts as u64)),
-            ("smt_queries".into(), Json::uint(self.smt_queries as u64)),
-            ("cache_hits".into(), Json::uint(self.cache_hits as u64)),
-            ("dur_us".into(), Json::uint(self.duration_us)),
-        ]);
-        Json::obj(fields)
-    }
 }
 
 /// One row of the per-operator cost table: the aggregate cost of every
@@ -248,34 +222,5 @@ mod tests {
         assert_eq!(rows[0].op, "split");
         assert_eq!(rows[0].queries, 4);
         assert_eq!(rows[1].op, "cheap");
-    }
-
-    #[test]
-    fn provenance_json_round_trips() {
-        let e = ev("stage_mem");
-        let parsed = crate::json::Json::parse(&e.to_json().to_string()).unwrap();
-        assert_eq!(parsed.get("op").and_then(Json::as_str), Some("stage_mem"));
-        assert_eq!(
-            parsed.get("verdict").and_then(Json::as_str),
-            Some("accepted")
-        );
-        assert_eq!(parsed.get("reason"), None);
-        assert_eq!(parsed.get("smt_queries").and_then(Json::as_int), Some(2));
-        assert_eq!(parsed.get("cache_hits").and_then(Json::as_int), Some(1));
-    }
-
-    #[test]
-    fn rejected_events_carry_the_reason_separately() {
-        let mut e = ev("split");
-        e.verdict = Verdict::Rejected("no match".into());
-        let parsed = crate::json::Json::parse(&e.to_json().to_string()).unwrap();
-        assert_eq!(
-            parsed.get("verdict").and_then(Json::as_str),
-            Some("rejected")
-        );
-        assert_eq!(
-            parsed.get("reason").and_then(Json::as_str),
-            Some("no match")
-        );
     }
 }

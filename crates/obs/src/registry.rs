@@ -1,12 +1,18 @@
-//! The global metrics registry: counters, log₂ histograms, and
-//! structured events behind one mutex.
+//! The global metrics registry: attributed counters, log₂ histograms,
+//! and the bounded trace ring behind one mutex.
+//!
+//! Each fact is stored once. A counter bump is one record keyed by
+//! `(counter, innermost attribution operator)`; flat totals are sums
+//! computed at read time. A closed span or an instantaneous event is
+//! one [`TraceSpan`] in the ring; the transcript, the JSON lines and
+//! the trace exporters all read that ring.
 //!
 //! Instrumentation sites are hot paths (every solver query, every
 //! interpreted `@instr` call), so the API is deliberately coarse: one
-//! short critical section per record, no allocation when the name
-//! already exists, and a process-wide kill switch
-//! ([`Registry::set_enabled`]) that reduces every call to one atomic
-//! load.
+//! short critical section per record, no allocation for a counter bump
+//! (names and operators are `&'static str`), and a process-wide kill
+//! switch ([`Registry::set_enabled`]) that reduces every call to one
+//! atomic load.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,14 +20,15 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::json::Json;
 
-/// Default capacity of the trace ring buffer (closed spans retained for
-/// export). At ~100 bytes per span this bounds trace memory at a few
-/// megabytes; older spans are evicted first and counted in
+/// Default capacity of the trace ring buffer (closed spans and events
+/// retained for export). At a few hundred bytes per record (the struct
+/// plus its name, target and fields) this bounds trace memory at a few
+/// tens of megabytes; older records are evicted first and counted in
 /// [`Registry::dropped_traces`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// One closed span in the causal trace tree (the ring-buffer record the
-/// Chrome-trace and flamegraph exporters consume).
+/// One closed span (or instantaneous event, with zero duration) in the
+/// causal trace tree: the ring-buffer record every sink reads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpan {
     /// Process-unique span id.
@@ -33,11 +40,32 @@ pub struct TraceSpan {
     /// Dotted span name, e.g. `sched.split`.
     pub name: String,
     /// Attribution context at entry: `(operator, target)`.
-    pub op: Option<(String, String)>,
+    pub op: Option<(&'static str, String)>,
     /// Start offset from the process trace epoch, µs.
     pub start_us: u64,
-    /// Wall-clock duration, µs.
+    /// Wall-clock duration, µs (0 for an event).
     pub dur_us: u64,
+    /// Span-nesting depth on its thread, counting the record itself
+    /// (a root span has depth 1).
+    pub depth: usize,
+    /// Structured payload.
+    pub fields: Vec<(String, Json)>,
+}
+
+impl TraceSpan {
+    /// The JSON-lines form: `{"type":"span","seq",…}` with the fields
+    /// inlined. `seq` is the record's position in close order.
+    fn to_json(&self, seq: u64) -> Json {
+        let mut fields = vec![
+            ("type".into(), Json::Str("span".into())),
+            ("seq".into(), Json::uint(seq)),
+            ("name".into(), Json::Str(self.name.clone())),
+            ("depth".into(), Json::uint(self.depth as u64)),
+            ("dur_us".into(), Json::uint(self.dur_us)),
+        ];
+        fields.extend(self.fields.iter().cloned());
+        Json::Obj(fields)
+    }
 }
 
 /// A fixed-bin log₂ histogram (bin `i` holds values in `[2^(i-1), 2^i)`,
@@ -125,53 +153,13 @@ impl Histogram {
     }
 }
 
-/// One recorded event (instantaneous, or a closed span when
-/// `duration_us` is set).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Event {
-    /// Global sequence number (emission order).
-    pub seq: u64,
-    /// Dotted event name, e.g. `sched.split` or `smt.query`.
-    pub name: String,
-    /// Span-nesting depth of the emitting thread at emission time.
-    pub depth: usize,
-    /// Structured payload.
-    pub fields: Vec<(String, Json)>,
-    /// Wall-clock duration for span events.
-    pub duration_us: Option<u64>,
-}
-
-impl Event {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (
-                "type".into(),
-                Json::Str(
-                    if self.duration_us.is_some() {
-                        "span"
-                    } else {
-                        "event"
-                    }
-                    .into(),
-                ),
-            ),
-            ("seq".into(), Json::uint(self.seq)),
-            ("name".into(), Json::Str(self.name.clone())),
-            ("depth".into(), Json::uint(self.depth as u64)),
-        ];
-        if let Some(us) = self.duration_us {
-            fields.push(("dur_us".into(), Json::uint(us)));
-        }
-        fields.extend(self.fields.iter().cloned());
-        Json::Obj(fields)
-    }
-}
+/// One counter's per-operator rows.
+type OpRows = BTreeMap<&'static str, u64>;
 
 struct Inner {
-    counters: BTreeMap<String, u64>,
+    /// Counter name → operator → value.
+    counters: BTreeMap<&'static str, OpRows>,
     hists: BTreeMap<String, Histogram>,
-    events: Vec<Event>,
-    seq: u64,
     traces: VecDeque<TraceSpan>,
     trace_capacity: usize,
     dropped_traces: u64,
@@ -182,8 +170,6 @@ impl Default for Inner {
         Inner {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
-            events: Vec::new(),
-            seq: 0,
             traces: VecDeque::new(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             dropped_traces: 0,
@@ -191,7 +177,7 @@ impl Default for Inner {
     }
 }
 
-/// Thread-safe sink for counters, histograms, and events.
+/// Thread-safe sink for counters, histograms, and trace records.
 pub struct Registry {
     inner: Mutex<Inner>,
     enabled: AtomicBool,
@@ -233,45 +219,46 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Adds `delta` to a counter.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    /// Adds `delta` to a counter, filed under the calling thread's
+    /// innermost attribution operator (see [`crate::attr`]).
+    pub fn counter_add(&self, name: &'static str, delta: u64) {
         if !self.enabled() {
             return;
         }
+        let op = crate::attr::current_op();
         let mut inner = self.lock();
-        match inner.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                inner.counters.insert(name.to_string(), delta);
-            }
-        }
+        let v = inner
+            .counters
+            .entry(name)
+            .or_default()
+            .entry(op)
+            .or_insert(0);
+        *v = v.saturating_add(delta);
     }
 
-    /// Reads a counter (0 if never touched).
+    /// Reads a counter: the sum of its per-operator rows (0 if never
+    /// touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.lock().counters.get(name).map_or(0, total)
     }
 
-    /// Snapshot of all counters, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
+    /// A counter's per-operator rows, sorted by operator. Bumps made
+    /// outside any attribution context appear as
+    /// [`crate::attr::UNATTRIBUTED`].
+    pub fn counter_by_op(&self, name: &str) -> Vec<(&'static str, u64)> {
+        self.lock()
+            .counters
+            .get(name)
+            .map(|rows| rows.iter().map(|(&op, &v)| (op, v)).collect())
+            .unwrap_or_default()
+    }
+
+    /// Snapshot of all counters (summed over operators), sorted by name.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
         self.lock()
             .counters
             .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// Snapshot of all counters under a dotted prefix (e.g.
-    /// `interp.instr` collects the per-instruction execution counts).
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.lock()
-            .counters
-            .iter()
-            .filter(|(k, _)| {
-                k.strip_prefix(prefix)
-                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
-            })
-            .map(|(k, &v)| (k.clone(), v))
+            .map(|(&name, rows)| (name, total(rows)))
             .collect()
     }
 
@@ -296,40 +283,16 @@ impl Registry {
         self.lock().hists.get(name).cloned()
     }
 
-    /// Emits an instantaneous event.
+    /// Records an instantaneous event: a zero-duration leaf under the
+    /// calling thread's innermost open span.
     pub fn event(&self, name: &str, fields: Vec<(String, Json)>) {
-        self.record_event(name, fields, None);
-    }
-
-    pub(crate) fn record_event(
-        &self,
-        name: &str,
-        fields: Vec<(String, Json)>,
-        duration_us: Option<u64>,
-    ) {
-        if !self.enabled() {
-            return;
+        if self.enabled() {
+            self.record_trace(crate::span::instant(name, fields));
         }
-        let depth = crate::span::current_depth();
-        let mut inner = self.lock();
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.events.push(Event {
-            seq,
-            name: name.to_string(),
-            depth,
-            fields,
-            duration_us,
-        });
     }
 
-    /// Snapshot of recorded events in emission order.
-    pub fn events(&self) -> Vec<Event> {
-        self.lock().events.clone()
-    }
-
-    /// Records one closed span into the bounded trace ring buffer,
-    /// evicting the oldest span when full.
+    /// Records one closed span (or event) into the bounded trace ring
+    /// buffer, evicting the oldest record when full.
     pub fn record_trace(&self, span: TraceSpan) {
         if !self.enabled() {
             return;
@@ -367,7 +330,7 @@ impl Registry {
         self.lock().dropped_traces
     }
 
-    /// Drops all recorded state (events, counters, histograms, traces).
+    /// Drops all recorded state (counters, histograms, traces).
     /// The trace-ring capacity survives.
     pub fn clear(&self) {
         let mut inner = self.lock();
@@ -378,26 +341,34 @@ impl Registry {
         };
     }
 
-    /// Renders a human-readable indented transcript of all events,
-    /// followed by counter and histogram summaries.
+    /// Renders a human-readable indented transcript of the retained
+    /// trace records (in close order), followed by counter and
+    /// histogram summaries.
     pub fn transcript(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
-        for ev in &inner.events {
-            out.push_str(&"  ".repeat(ev.depth));
-            out.push_str(&ev.name);
-            if let Some(us) = ev.duration_us {
-                out.push_str(&format!(" [{}]", format_us(us)));
-            }
-            for (k, v) in &ev.fields {
+        for t in &inner.traces {
+            out.push_str(&"  ".repeat(t.depth));
+            out.push_str(&t.name);
+            out.push_str(&format!(" [{}]", format_us(t.dur_us)));
+            for (k, v) in &t.fields {
                 out.push_str(&format!(" {k}={v}"));
             }
             out.push('\n');
         }
         if !inner.counters.is_empty() {
             out.push_str("counters:\n");
-            for (k, v) in &inner.counters {
-                out.push_str(&format!("  {k} = {v}\n"));
+            for (name, rows) in &inner.counters {
+                out.push_str(&format!("  {name} = {}", total(rows)));
+                let rows: Vec<String> = rows
+                    .iter()
+                    .filter(|(&op, _)| op != crate::attr::UNATTRIBUTED)
+                    .map(|(op, v)| format!("{op} {v}"))
+                    .collect();
+                if !rows.is_empty() {
+                    out.push_str(&format!(" ({})", rows.join(", ")));
+                }
+                out.push('\n');
             }
         }
         for (name, h) in &inner.hists {
@@ -411,21 +382,27 @@ impl Registry {
         out
     }
 
-    /// Exports everything as JSON lines: one object per event, then one
-    /// per counter, then one per histogram.
+    /// Exports everything as JSON lines: one object per retained trace
+    /// record, then one per counter (its total plus a `by_op` object),
+    /// then one per histogram.
     pub fn json_lines(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
-        for ev in &inner.events {
-            out.push_str(&ev.to_json().to_string());
+        for (i, t) in inner.traces.iter().enumerate() {
+            out.push_str(&t.to_json(inner.dropped_traces + i as u64).to_string());
             out.push('\n');
         }
-        for (name, &value) in &inner.counters {
+        for (&name, rows) in &inner.counters {
+            let by_op = rows
+                .iter()
+                .map(|(&op, &v)| (op.to_string(), Json::uint(v)))
+                .collect();
             out.push_str(
                 &Json::obj(vec![
                     ("type".into(), Json::Str("counter".into())),
-                    ("name".into(), Json::Str(name.clone())),
-                    ("value".into(), Json::uint(value)),
+                    ("name".into(), Json::Str(name.into())),
+                    ("value".into(), Json::uint(total(rows))),
+                    ("by_op".into(), Json::Obj(by_op)),
                 ])
                 .to_string(),
             );
@@ -442,6 +419,11 @@ impl Registry {
     pub fn write_json_lines(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.json_lines())
     }
+}
+
+/// A counter's total: the sum of its per-operator rows.
+fn total(rows: &OpRows) -> u64 {
+    rows.values().fold(0, |a, &v| a.saturating_add(v))
 }
 
 /// Formats a microsecond duration for humans (`412µs`, `3.2ms`, `1.7s`).
@@ -476,15 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_queries_do_not_match_partial_segments() {
-        let reg = Registry::new();
-        reg.counter_add("interp.instr.mvin", 2);
-        reg.counter_add("interp.instrumented", 5);
-        let got = reg.counters_with_prefix("interp.instr");
-        assert_eq!(got, vec![("interp.instr.mvin".to_string(), 2)]);
-    }
-
-    #[test]
     fn histogram_bins_and_stats() {
         let mut h = Histogram::default();
         for v in [0, 1, 1, 2, 3, 1000] {
@@ -505,8 +478,22 @@ mod tests {
         reg.event("e", vec![]);
         reg.record_hist("h", 3);
         assert_eq!(reg.counter("x"), 0);
-        assert!(reg.events().is_empty());
+        assert!(reg.traces().is_empty());
         assert!(reg.histogram("h").is_none());
+    }
+
+    fn record(id: u64) -> TraceSpan {
+        TraceSpan {
+            id,
+            parent: None,
+            tid: 1,
+            name: format!("s{id}"),
+            op: None,
+            start_us: id,
+            dur_us: 1,
+            depth: 1,
+            fields: vec![("k".into(), Json::uint(id))],
+        }
     }
 
     #[test]
@@ -514,15 +501,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_capacity(3);
         for id in 1..=5u64 {
-            reg.record_trace(TraceSpan {
-                id,
-                parent: None,
-                tid: 1,
-                name: format!("s{id}"),
-                op: None,
-                start_us: id,
-                dur_us: 1,
-            });
+            reg.record_trace(record(id));
         }
         let kept: Vec<u64> = reg.traces().iter().map(|t| t.id).collect();
         assert_eq!(kept, vec![3, 4, 5]);
@@ -531,17 +510,16 @@ mod tests {
         assert!(reg.traces().is_empty());
         // capacity survives a clear
         for id in 1..=4u64 {
-            reg.record_trace(TraceSpan {
-                id,
-                parent: None,
-                tid: 1,
-                name: "s".into(),
-                op: None,
-                start_us: 0,
-                dur_us: 0,
-            });
+            reg.record_trace(record(id));
         }
         assert_eq!(reg.traces().len(), 3);
+        // sinks read the ring: `seq` continues past the evicted record
+        let dump = reg.json_lines();
+        let first = Json::parse(dump.lines().next().unwrap()).unwrap();
+        assert_eq!(first.get("type").and_then(Json::as_str), Some("span"));
+        assert_eq!(first.get("seq").and_then(Json::as_int), Some(1));
+        assert_eq!(first.get("k").and_then(Json::as_int), Some(2));
+        assert_eq!(reg.transcript().lines().count(), 3);
     }
 
     #[test]
@@ -564,6 +542,16 @@ mod tests {
         }
         let ev = Json::parse(lines[0]).unwrap();
         assert_eq!(ev.get("name").and_then(Json::as_str), Some("sim.run"));
+        assert_eq!(ev.get("dur_us").and_then(Json::as_int), Some(0));
         assert_eq!(ev.get("cycles").and_then(Json::as_int), Some(1234));
+        let counter = Json::parse(lines[1]).unwrap();
+        assert_eq!(counter.get("value").and_then(Json::as_int), Some(17));
+        assert_eq!(
+            counter
+                .get("by_op")
+                .and_then(|o| o.get(crate::attr::UNATTRIBUTED))
+                .and_then(Json::as_int),
+            Some(17)
+        );
     }
 }

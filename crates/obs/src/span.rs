@@ -3,14 +3,12 @@
 //! `Span::enter("sched.split")` assigns the span a process-unique id,
 //! links it to the calling thread's innermost open span (its *parent*),
 //! and bumps the thread's depth; when the guard drops, the span is
-//! recorded on the global registry twice: as a transcript [`Event`]
-//! (as before), and as a [`TraceSpan`] in the bounded trace ring
-//! buffer — id, parent id, thread id, start offset, duration, and the
-//! attribution context active at entry. The ring buffer is what the
-//! Chrome-trace and flamegraph exporters consume (see
-//! [`crate::export`]).
-//!
-//! [`Event`]: crate::registry::Event
+//! recorded once, as a [`TraceSpan`] in the global registry's bounded
+//! trace ring — id, parent id, thread id, depth, start offset,
+//! duration, fields, and the attribution context active at entry.
+//! Instantaneous events ([`crate::event`]) are zero-duration records in
+//! the same ring. The transcript, the JSON lines, and the Chrome-trace
+//! and flamegraph exporters (see [`crate::export`]) all read it.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +38,11 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// Microseconds since the trace epoch.
+fn now_us() -> u64 {
+    u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// The calling thread's current span-nesting depth.
 pub fn current_depth() -> usize {
     OPEN.with(|o| o.borrow().len())
@@ -60,7 +63,7 @@ pub struct Span {
     name: String,
     fields: Vec<(String, Json)>,
     /// Attribution context at entry (operator, target), if any.
-    op: Option<(String, String)>,
+    op: Option<(&'static str, String)>,
     start_us: u64,
     start: Instant,
 }
@@ -69,7 +72,7 @@ impl Span {
     /// Opens a span: assigns it a fresh id, parents it under the
     /// thread's innermost open span, and increases the nesting depth.
     pub fn enter(name: impl Into<String>) -> Span {
-        let start_us = u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX);
+        let start_us = now_us();
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = OPEN.with(|o| {
             let mut o = o.borrow_mut();
@@ -118,18 +121,17 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let dur = self.elapsed_us();
-        let registry = Registry::global();
         // record at the depth *inside* the span, then pop
-        registry.record_event(&self.name, std::mem::take(&mut self.fields), Some(dur));
-        registry.record_trace(TraceSpan {
+        Registry::global().record_trace(TraceSpan {
             id: self.id,
             parent: self.parent,
             tid: self.tid,
             name: std::mem::take(&mut self.name),
             op: self.op.take(),
             start_us: self.start_us,
-            dur_us: dur,
+            dur_us: self.elapsed_us(),
+            depth: current_depth(),
+            fields: std::mem::take(&mut self.fields),
         });
         OPEN.with(|o| {
             let mut o = o.borrow_mut();
@@ -141,6 +143,22 @@ impl Drop for Span {
                 o.retain(|&x| x != self.id);
             }
         });
+    }
+}
+
+/// An instantaneous event: a zero-duration leaf record under the
+/// calling thread's innermost open span.
+pub(crate) fn instant(name: &str, fields: Vec<(String, Json)>) -> TraceSpan {
+    TraceSpan {
+        id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+        parent: OPEN.with(|o| o.borrow().last().copied()),
+        tid: current_tid(),
+        name: name.to_string(),
+        op: crate::attr::current(),
+        start_us: now_us(),
+        dur_us: 0,
+        depth: current_depth() + 1,
+        fields,
     }
 }
 
@@ -161,26 +179,24 @@ mod tests {
             }
             crate::event("test_span.note", vec![]);
         }
-        let events: Vec<_> = reg
-            .events()
+        let records: Vec<_> = reg
+            .traces()
             .into_iter()
-            .filter(|e| e.name.starts_with("test_span."))
+            .filter(|t| t.name.starts_with("test_span."))
             .collect();
-        assert_eq!(events.len(), 3, "{events:?}");
-        // inner closes first, at depth 2; the note fires at depth 1;
-        // outer closes last at depth 1
-        assert_eq!(events[0].name, "test_span.inner");
-        assert_eq!(events[0].depth, 2);
-        assert_eq!(
-            events[0].fields,
-            vec![("k".to_string(), Json::Str("v".into()))]
-        );
-        assert_eq!(events[1].name, "test_span.note");
-        assert_eq!(events[1].depth, 1);
-        assert!(events[1].duration_us.is_none());
-        assert_eq!(events[2].name, "test_span.outer");
-        assert_eq!(events[2].depth, 1);
-        assert!(events[2].duration_us.is_some());
+        assert_eq!(records.len(), 3, "{records:?}");
+        // inner closes first, at depth 2; the note is a zero-duration
+        // child of outer, also at depth 2; outer closes last at depth 1
+        let (inner, note, outer) = (&records[0], &records[1], &records[2]);
+        assert_eq!(inner.name, "test_span.inner");
+        assert_eq!(inner.depth, 2);
+        assert_eq!(inner.fields, vec![("k".to_string(), Json::Str("v".into()))]);
+        assert_eq!(note.name, "test_span.note");
+        assert_eq!(note.depth, 2);
+        assert_eq!(note.dur_us, 0);
+        assert_eq!(note.parent, Some(outer.id));
+        assert_eq!(outer.name, "test_span.outer");
+        assert_eq!(outer.depth, 1);
         assert_eq!(current_depth(), 0);
     }
 

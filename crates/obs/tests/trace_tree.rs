@@ -3,10 +3,14 @@
 //! adoption), carry distinct thread ids, and record the attribution
 //! context active at `enter` time. This is the property the Chrome and
 //! flamegraph exporters rely on — a parent link crossing threads would
-//! render nonsense stacks.
+//! render nonsense stacks. The same workers bump counters under nested,
+//! fallback and missing attribution contexts: every bump is one record
+//! filed under the innermost operator, and a counter's total is the sum
+//! of its per-operator rows.
 
 use std::thread;
 
+use exo_obs::attr::UNATTRIBUTED;
 use exo_obs::{AttrGuard, Registry, Span, TraceSpan};
 
 const THREADS: usize = 8;
@@ -22,17 +26,28 @@ fn concurrent_span_nesting_keeps_parent_links_within_threads() {
     let handles: Vec<_> = (0..THREADS)
         .map(|i| {
             thread::spawn(move || {
-                let _attr = AttrGuard::enter("tt_op", format!("worker-{i}"));
+                let attr = AttrGuard::enter("tt_op", format!("worker-{i}"));
                 let outer = Span::enter(format!("tt.outer.{i}"));
                 {
                     let mid = Span::enter(format!("tt.mid.{i}"));
                     {
                         let _leaf = Span::enter(format!("tt.leaf.{i}"));
-                        exo_obs::attr::counter_add_by_op("tt.work", 1);
+                        exo_obs::counter_add("tt.work", 1);
+                        // nested operator: the innermost frame wins
+                        let _inner = AttrGuard::enter("tt_inner", "nested");
+                        exo_obs::counter_add("tt.work", 10);
+                        // a fallback under an active operator is inert
+                        let _lint = AttrGuard::fallback("tt_lint", "rule");
+                        exo_obs::counter_add("tt.work", 100);
                     }
                     drop(mid);
                 }
                 drop(outer);
+                drop(attr);
+                // no context: unattributed, and a fallback claims it
+                exo_obs::counter_add("tt.work", 1_000);
+                let _lint = AttrGuard::fallback("tt_lint", "rule");
+                exo_obs::counter_add("tt.work", 10_000);
             })
         })
         .collect();
@@ -77,10 +92,21 @@ fn concurrent_span_nesting_keeps_parent_links_within_threads() {
     }
     assert_eq!(tids.len(), THREADS, "each worker should get its own tid");
 
-    // the attributed counter family sums to the flat total even when
-    // bumped from many threads at once
+    // one record per bump, filed under the innermost operator; the
+    // total is the sum of the rows even when bumped from many threads
     let reg = Registry::global();
-    let (by_op, total) = exo_obs::attr::attributed_counters(reg, "tt.work");
-    assert_eq!(total, THREADS as u64);
-    assert!(by_op.iter().all(|(op, _)| op == "tt_op"), "{by_op:?}");
+    let n = THREADS as u64;
+    let by_op = reg.counter_by_op("tt.work");
+    assert_eq!(
+        by_op,
+        vec![
+            ("tt_inner", 110 * n),
+            ("tt_lint", 10_000 * n),
+            ("tt_op", n),
+            (UNATTRIBUTED, 1_000 * n),
+        ]
+    );
+    let total: u64 = by_op.iter().map(|&(_, v)| v).sum();
+    assert_eq!(reg.counter("tt.work"), total);
+    assert_eq!(exo_obs::counter_get("tt.work"), 11_111 * n);
 }

@@ -158,8 +158,8 @@ impl SchedState {
         }
     }
 
-    /// State with a private (non-process-wide) checking context, honouring
-    /// `EXO_CHECK_CACHE`. Useful for measuring cache behaviour.
+    /// State with a private (non-process-wide), cached checking context.
+    /// Useful for measuring cache behaviour.
     pub fn isolated() -> SchedState {
         SchedState::with_check(SharedCheckCtx::fresh())
     }
@@ -431,12 +431,13 @@ impl Procedure {
     ///
     /// Captures the statement-count delta, solver-query delta, and
     /// wall-clock duration of `f`; on success the event is appended to
-    /// the derived procedure's transcript, on rejection it is logged to
-    /// the global registry only (the procedure is unchanged). Every
+    /// the derived procedure's transcript. Either way the verdict (and a
+    /// rejection's reason) is recorded on the operator's `sched.<op>`
+    /// span; a rejected rewrite leaves the procedure unchanged. Every
     /// public operator routes through here.
     pub(crate) fn instrumented(
         &self,
-        op: &str,
+        op: &'static str,
         target: impl Into<String>,
         f: impl FnOnce() -> Result<Procedure, SchedError>,
     ) -> Result<Procedure, SchedError> {
@@ -451,7 +452,7 @@ impl Procedure {
         // probes, simulated runs — is tagged with (op, target), and the
         // operator's span parents theirs in the trace tree.
         let _attr = exo_obs::AttrGuard::enter(op, &target);
-        let span = exo_obs::Span::enter(format!("sched.{op}"))
+        let mut span = exo_obs::Span::enter(format!("sched.{op}"))
             .with_field("target", exo_obs::Json::Str(target.clone()));
         let start = Instant::now();
         // One fuel unit per operator; an exhausted budget rejects the
@@ -475,48 +476,33 @@ impl Procedure {
         };
         let duration_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let post_check = lock_state(&self.state).check.stats();
-        let smt_queries = post_check.queries.saturating_sub(pre_check.queries);
-        let cache_hits = post_check.hits.saturating_sub(pre_check.hits);
-        drop(span);
-        exo_obs::counter_add(&format!("sched.op.{op}"), 1);
+        exo_obs::counter_add("sched.ops", 1);
         exo_obs::record_hist("sched.op_us", duration_us);
-        match result {
-            Ok(mut derived) => {
-                derived.transcript.push(ProvenanceEvent {
-                    op: op.to_string(),
-                    target,
-                    verdict: Verdict::Accepted,
-                    pre_stmts,
-                    post_stmts: derived.stmt_count(),
-                    smt_queries,
-                    cache_hits,
-                    duration_us,
-                });
-                Ok(derived)
-            }
+        let result = result.map_err(|e| e.in_op(op, &target));
+        let verdict = match &result {
+            Ok(_) => Verdict::Accepted,
             Err(e) => {
-                let e = e.in_op(op, &target);
                 exo_obs::counter_add("sched.rejected", 1);
-                let rejected = ProvenanceEvent {
-                    op: op.to_string(),
-                    target,
-                    verdict: Verdict::Rejected(e.message.clone()),
-                    pre_stmts,
-                    post_stmts: pre_stmts,
-                    smt_queries,
-                    cache_hits,
-                    duration_us,
-                };
-                exo_obs::event(
-                    &format!("sched.rejected.{op}"),
-                    match rejected.to_json() {
-                        exo_obs::Json::Obj(fields) => fields,
-                        _ => Vec::new(),
-                    },
-                );
-                Err(e)
+                Verdict::Rejected(e.message.clone())
             }
+        };
+        span.field("verdict", exo_obs::Json::Str(verdict.name().into()));
+        if let Some(reason) = verdict.reason() {
+            span.field("reason", exo_obs::Json::Str(reason.into()));
         }
+        drop(span);
+        let mut derived = result?;
+        derived.transcript.push(ProvenanceEvent {
+            op: op.to_string(),
+            target,
+            verdict,
+            pre_stmts,
+            post_stmts: derived.stmt_count(),
+            smt_queries: post_check.queries.saturating_sub(pre_check.queries),
+            cache_hits: post_check.hits.saturating_sub(pre_check.hits),
+            duration_us,
+        });
+        Ok(derived)
     }
 
     /// Best-effort rendering of a caught panic payload (`panic!` with a
@@ -631,5 +617,33 @@ mod tests {
         assert!(r.transcript_text().contains("1. split("));
         // the original handle is untouched
         assert!(p.transcript().is_empty());
+    }
+
+    #[test]
+    fn rejection_is_recorded_on_the_operator_span() {
+        let p = simple();
+        let err = p
+            .split("for zz_span_test in _: _", 4, "a", "b")
+            .unwrap_err();
+        let traces = exo_obs::Registry::global().traces();
+        let span = traces
+            .iter()
+            .rev()
+            .find(|t| {
+                t.name == "sched.split"
+                    && t.fields.iter().any(|(k, v)| {
+                        k == "target" && v.as_str().is_some_and(|s| s.contains("zz_span_test"))
+                    })
+            })
+            .expect("rejected split recorded its span");
+        let field = |key: &str| span.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(
+            field("verdict").and_then(exo_obs::Json::as_str),
+            Some("rejected")
+        );
+        assert_eq!(
+            field("reason").and_then(exo_obs::Json::as_str),
+            Some(err.message.as_str())
+        );
     }
 }

@@ -15,8 +15,8 @@
 //! `p.split("for i in _: _", 4, "io", "ii")`. Safety obligations are
 //! discharged through the state's [`exo_analysis::SharedCheckCtx`] —
 //! by default the process-wide context, so obligations proved while
-//! scheduling one kernel are cache hits on the next (disable with
-//! `EXO_CHECK_CACHE=0`).
+//! scheduling one kernel are cache hits on the next (a private
+//! context, cached or not, comes from `SharedCheckCtx::with_cache`).
 //!
 //! Operators that pollute configuration state (e.g.
 //! [`Procedure::configwrite_at`]) record the polluted fields in the

@@ -1,7 +1,6 @@
 //! Configuration-state scheduling operators (paper §2.4, Fig. 2):
-//! inserting configuration writes (`configwrite_after` /
-//! `configwrite_before`), `bind_config`, `reorder_stmts`, and deletion of
-//! redundant configuration writes.
+//! inserting configuration writes (`configwrite_at`), `bind_config`,
+//! `reorder_stmts`, and deletion of redundant configuration writes.
 //!
 //! Inserting a configuration write is always locally safe but only
 //! preserves equivalence *modulo* the written field (§5.7 "new config
@@ -68,32 +67,6 @@ impl Procedure {
             ),
             || self.configwrite_at_impl(&stmt_pat, config, field, value, pos == Position::Before),
         )
-    }
-
-    /// Inserts `config.field = value` immediately after the matched
-    /// statement.
-    #[deprecated(since = "0.2.0", note = "use `configwrite_at` with `Position::After`")]
-    pub fn configwrite_after(
-        &self,
-        stmt_pat: impl Into<Pattern>,
-        config: Sym,
-        field: Sym,
-        value: Expr,
-    ) -> Result<Procedure, SchedError> {
-        self.configwrite_at(stmt_pat, Position::After, config, field, value)
-    }
-
-    /// Inserts `config.field = value` immediately before the matched
-    /// statement.
-    #[deprecated(since = "0.2.0", note = "use `configwrite_at` with `Position::Before`")]
-    pub fn configwrite_before(
-        &self,
-        stmt_pat: impl Into<Pattern>,
-        config: Sym,
-        field: Sym,
-        value: Expr,
-    ) -> Result<Procedure, SchedError> {
-        self.configwrite_at(stmt_pat, Position::Before, config, field, value)
     }
 
     fn configwrite_at_impl(

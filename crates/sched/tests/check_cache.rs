@@ -1,8 +1,8 @@
 //! Cache-correctness suite for the memoized checking engine: every
 //! scheduling operator must reach the same verdict — accepted with the
 //! same output, or rejected with the same message — whether the
-//! canonical-formula verdict cache is on or off (`EXO_CHECK_CACHE=0`
-//! parity), and cached verdicts must never leak across semantically
+//! canonical-formula verdict cache is on or off
+//! (`SharedCheckCtx::with_cache` parity), and cached verdicts must never leak across semantically
 //! different obligations (invalidation).
 
 use std::sync::{Arc, Mutex};
@@ -180,11 +180,11 @@ fn run_battery(state: &StateRef) -> Verdicts {
     let field = Sym::new("s");
     let cp = Procedure::with_state(fill_loop(8, 8), Arc::clone(state));
     push(
-        "configwrite_after",
+        "configwrite_at(After)",
         cp.configwrite_at("for i in _: _", Position::After, cfg, field, Expr::int(64)),
     );
     push(
-        "configwrite_before",
+        "configwrite_at(Before)",
         cp.configwrite_at("for i in _: _", Position::Before, cfg, field, Expr::int(64)),
     );
 
@@ -313,41 +313,4 @@ fn dependence_queries_hit_canonical_cache_across_runs() {
         after.hits > before.hits,
         "parallelize after classification produced no cache hits: {after:?}"
     );
-}
-
-/// `EXO_CHECK_CACHE=0` is honored at context construction time.
-#[test]
-fn env_escape_hatch_disables_cache() {
-    std::env::set_var("EXO_CHECK_CACHE", "0");
-    let off = SchedState::isolated();
-    std::env::remove_var("EXO_CHECK_CACHE");
-    let on = SchedState::isolated();
-    assert!(!off.check.cache_enabled());
-    assert!(on.check.cache_enabled());
-}
-
-/// The deprecated `configwrite_after`/`configwrite_before` wrappers are
-/// exact aliases of `configwrite_at`.
-#[test]
-#[allow(deprecated)]
-fn deprecated_configwrite_wrappers_match_configwrite_at() {
-    let cfg = Sym::new("Cfg");
-    let field = Sym::new("s");
-    let p = Procedure::new(fill_loop(8, 8));
-
-    let after_new = p
-        .configwrite_at("for i in _: _", Position::After, cfg, field, Expr::int(64))
-        .unwrap();
-    let after_old = p
-        .configwrite_after("for i in _: _", cfg, field, Expr::int(64))
-        .unwrap();
-    assert_eq!(after_new.show(), after_old.show());
-
-    let before_new = p
-        .configwrite_at("for i in _: _", Position::Before, cfg, field, Expr::int(64))
-        .unwrap();
-    let before_old = p
-        .configwrite_before("for i in _: _", cfg, field, Expr::int(64))
-        .unwrap();
-    assert_eq!(before_new.show(), before_old.show());
 }

@@ -227,7 +227,7 @@ fn config_write_workflow_of_section_2_4() {
     b.end_for().end_for();
     let p = Procedure::new(b.finish());
 
-    // configwrite_before: materialize ConfigLoad.src_stride = stride(src, 0)
+    // configwrite_at(Before): materialize ConfigLoad.src_stride = stride(src, 0)
     let with_cfg = p
         .configwrite_at(
             "for i in _: _",

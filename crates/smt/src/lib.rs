@@ -10,7 +10,7 @@
 //! * [`linear`] — canonical linear expressions over ℤ;
 //! * [`formula`] — first-order formulas with quantifiers;
 //! * [`qe`] — Cooper-style quantifier elimination;
-//! * [`solver`] — cached validity/satisfiability checking with a work
+//! * [`solver`] — validity/satisfiability checking with a work
 //!   limit that fails safe ([`solver::Answer::Unknown`]);
 //! * [`canon`] — alpha-normalization of formulas onto a stable symbol
 //!   pool, the key function behind the cross-rewrite verdict cache in

@@ -1,13 +1,14 @@
 //! The solver façade used by the analyses.
 //!
-//! Wraps [`crate::qe`] with free-variable closure, result caching, and
-//! query statistics (the paper §3.3 notes that keeping solver cost low is
-//! essential as scheduling complicates procedures; the cache plus the
-//! provenance "simplest equivalent definition" optimization in
-//! `exo-sched` are the two levers).
+//! Wraps [`crate::qe`] with free-variable closure and query statistics.
+//! Every query is decided; memoization lives one layer up, in
+//! `exo-analysis`'s `CheckCtx`, which keys verdicts on the canonical
+//! (alpha-normalized) formula. Paper §3.3 notes that keeping solver
+//! cost low is essential as scheduling complicates procedures; that
+//! verdict cache plus the provenance "simplest equivalent definition"
+//! optimization in `exo-sched` are the two levers.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use crate::formula::Formula;
@@ -34,9 +35,10 @@ impl Answer {
 /// Counters describing solver activity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SolverStats {
-    /// Queries answered (including cache hits).
+    /// Queries answered.
     pub queries: usize,
-    /// Cache hits.
+    /// Always 0: the solver has no cache (verdicts are memoized by
+    /// `exo-analysis`'s `CheckCtx`). Kept so existing readers compile.
     pub cache_hits: usize,
     /// Queries that exceeded the work limit.
     pub gave_up: usize,
@@ -46,11 +48,11 @@ pub struct SolverStats {
     pub yes: usize,
     /// Queries answered `No`.
     pub no: usize,
-    /// Total wall-clock time spent deciding (cache misses only), µs.
+    /// Total wall-clock time spent deciding, µs.
     pub time_us: u64,
 }
 
-/// A Presburger-arithmetic solver with caching.
+/// A Presburger-arithmetic solver.
 ///
 /// # Examples
 ///
@@ -68,7 +70,6 @@ pub struct SolverStats {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    cache: HashMap<Formula, Answer>,
     stats: SolverStats,
     max_size: usize,
 }
@@ -83,7 +84,6 @@ impl Solver {
     /// Creates a solver with the default work limit.
     pub fn new() -> Solver {
         Solver {
-            cache: HashMap::new(),
             stats: SolverStats::default(),
             max_size: 5_000_000,
         }
@@ -97,18 +97,6 @@ impl Solver {
         }
     }
 
-    /// The process-wide shared solver.
-    ///
-    /// Tests and tools that only need *some* solver should lock this one
-    /// instead of constructing throwaways — queries then accumulate in a
-    /// single cache. Scheduling goes further and routes through
-    /// `exo-analysis`'s `CheckCtx`, which canonicalizes formulas before
-    /// consulting its own shared solver.
-    pub fn shared() -> &'static Mutex<Solver> {
-        static SHARED: OnceLock<Mutex<Solver>> = OnceLock::new();
-        SHARED.get_or_init(|| Mutex::new(Solver::new()))
-    }
-
     /// Returns activity counters.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -119,24 +107,13 @@ impl Solver {
     pub fn check_sat(&mut self, f: &Formula) -> Answer {
         self.stats.queries += 1;
         exo_obs::counter_add("smt.queries", 1);
-        // Attribution: split the same total by the scheduling operator
-        // (or lint pass) that caused the query — `smt.queries.op.*`
-        // always sums to `smt.queries`.
-        exo_obs::attr::counter_add_by_op("smt.queries", 1);
-        // Chaos injection: pretend QE blew its budget. Answered *before* any
-        // cache interaction so the injected verdict can never contaminate
-        // later clean queries; `Unknown` is always a sound (conservative)
-        // answer, so injection can only turn accepts into rejects.
+        // Chaos injection: pretend QE blew its budget. `Unknown` is always
+        // a sound (conservative) answer, so injection can only turn
+        // accepts into rejects.
         if exo_chaos::should_inject(exo_chaos::FaultSite::SmtTooHard) {
             self.stats.gave_up += 1;
             exo_obs::counter_add("smt.answer.unknown", 1);
             return Answer::Unknown;
-        }
-        if let Some(&a) = self.cache.get(f) {
-            self.stats.cache_hits += 1;
-            exo_obs::counter_add("smt.cache_hits", 1);
-            exo_obs::attr::counter_add_by_op("smt.cache_hits", 1);
-            return a;
         }
         exo_obs::record_hist("smt.formula_size", f.size() as u64);
         let mut span = exo_obs::Span::enter("smt.decide");
@@ -176,7 +153,6 @@ impl Solver {
                 exo_obs::counter_add("smt.answer.unknown", 1);
             }
         }
-        self.cache.insert(f.clone(), answer);
         answer
     }
 
@@ -280,17 +256,9 @@ mod tests {
     use crate::linear::LinExpr;
     use exo_core::sym::Sym;
 
-    /// Locks the process-wide solver, recovering from poisoning (a panic
-    /// in an unrelated test must not cascade here).
-    fn shared() -> std::sync::MutexGuard<'static, Solver> {
-        Solver::shared()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn sat_and_valid_are_dual() {
-        let mut s = shared();
+        let mut s = Solver::new();
         let x = Sym::new("x");
         let f = Formula::le(LinExpr::var(x), LinExpr::constant(0));
         assert_eq!(s.check_sat(&f), Answer::Yes); // x = 0 works
@@ -299,7 +267,7 @@ mod tests {
 
     #[test]
     fn entailment() {
-        let mut s = shared();
+        let mut s = Solver::new();
         let x = Sym::new("x");
         // x ≥ 4 ⊢ x ≥ 2
         let hyp = Formula::ge(LinExpr::var(x), LinExpr::constant(4));
@@ -309,23 +277,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_count() {
-        let mut s = shared();
-        let before = s.stats();
+    fn every_query_is_decided() {
+        let mut s = Solver::new();
         let x = Sym::new("x");
         let f = Formula::le(LinExpr::var(x), LinExpr::constant(0));
         let _ = s.check_sat(&f);
         let _ = s.check_sat(&f);
-        let after = s.stats();
-        assert_eq!(after.queries - before.queries, 2);
-        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        let st = s.stats();
+        assert_eq!((st.queries, st.yes, st.cache_hits), (2, 2, 0));
     }
 
     #[test]
     fn work_limit_fails_safe() {
         // a formula with many interacting divisibilities blows up; a tiny
         // budget must yield Unknown, never a wrong answer
-        // needs its own budget, so this one test keeps a local solver
         let mut s = Solver::with_limit(4);
         let x = Sym::new("x");
         let y = Sym::new("y");
@@ -344,7 +309,7 @@ mod tests {
         // the guard condition produced by split-with-tail: the tail guard
         // 16·io + ii < n is implied when io < n/16 (floor) and ii < 16 …
         // only when 16 | n. Check both directions.
-        let mut s = shared();
+        let mut s = Solver::new();
         let io = Sym::new("io");
         let ii = Sym::new("ii");
         let n = Sym::new("n");

@@ -16,14 +16,6 @@ use exo_smt::linear::LinExpr;
 use exo_smt::solver::{Answer, Solver};
 use proptest::prelude::*;
 
-/// All property tests share the process-wide solver: one cache, realistic
-/// reuse, and no per-case construction cost.
-fn shared() -> std::sync::MutexGuard<'static, Solver> {
-    Solver::shared()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 const BOUND: i64 = 6;
 
 #[derive(Clone, Debug)]
@@ -130,7 +122,7 @@ proptest! {
         let formula = boxed(to_formula(&f, &vars), &vars);
         let boxed_fexpr = f; // box is applied on the enumeration side too
         let expected = brute_force_sat(&boxed_fexpr, 2);
-        let mut solver = shared();
+        let mut solver = Solver::new();
         let got = solver.check_sat(&formula);
         prop_assert_ne!(got, Answer::Unknown, "work limit hit on small formula");
         prop_assert_eq!(got == Answer::Yes, expected, "formula: {}", formula);
@@ -141,7 +133,7 @@ proptest! {
         let vars = [Sym::new("q0"), Sym::new("q1"), Sym::new("q2")];
         let formula = boxed(to_formula(&f, &vars), &vars);
         let expected = brute_force_sat(&f, 3);
-        let mut solver = shared();
+        let mut solver = Solver::new();
         let got = solver.check_sat(&formula);
         prop_assert_ne!(got, Answer::Unknown, "work limit hit on small formula");
         prop_assert_eq!(got == Answer::Yes, expected, "formula: {}", formula);
@@ -155,7 +147,7 @@ proptest! {
         let vars = [Sym::new("r0"), Sym::new("r1")];
         let g = to_formula(&f, &vars);
         let tauto = Formula::or(vec![g.clone(), g.negate()]);
-        let mut solver = shared();
+        let mut solver = Solver::new();
         prop_assert_ne!(solver.check_valid(&tauto), Answer::No);
     }
 
@@ -166,7 +158,7 @@ proptest! {
         let g = boxed(to_formula(&f, &vars), &vars);
         let all = g.clone().forall(vars[0]);
         let some = g.exists(vars[0]);
-        let mut solver = shared();
+        let mut solver = Solver::new();
         prop_assert_eq!(solver.check_valid(&all.implies(some)), Answer::Yes);
     }
 
@@ -179,7 +171,7 @@ proptest! {
         let g = boxed(to_formula(&f, &vars), &vars);
         let h = boxed(to_formula(&f, &renamed), &renamed);
         prop_assert_eq!(canonicalize(&g), canonicalize(&h));
-        let mut solver = shared();
+        let mut solver = Solver::new();
         let direct = solver.check_sat(&g);
         let canon = solver.check_sat(&canonicalize(&g));
         prop_assert_eq!(direct, canon);

@@ -318,7 +318,6 @@ pub fn evaluate(
     let _span = exo_obs::Span::enter("x86_sim.evaluate")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
     exo_obs::counter_add("x86_sim.evaluates", 1);
-    exo_obs::attr::counter_add_by_op("x86_sim.evaluates", 1);
     let p = profile_proc(proc)?;
     let cycles = core.cycles(&p, t);
     Some((p, cycles))
