@@ -20,8 +20,11 @@ cargo test -q
 echo "== obs / smt / analysis unit + integration tests =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 
-echo "== cache correctness (cache-on/off verdict parity) =="
-cargo test -q -p exo-sched --test check_cache
+echo "== scheduler suite (operators, edge cases, cache-on/off verdict parity) =="
+cargo test -q -p exo-sched
+
+echo "== case-study schedules (release) =="
+cargo test -q --release -p exo-kernels
 
 echo "== check-cache bench (smoke; fails on zero cache hits) =="
 EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
@@ -49,9 +52,7 @@ echo "== trace exports (fig5a SGEMM schedule; validates Chrome JSON with the str
 cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== perf gate (BENCH_* vs bench/baselines) =="
-# --warn-only while the gate beds in; drop the flag to fail CI on any
-# deterministic metric regressing more than 25% against the baselines.
-cargo run --release -q -p exo-bench --bin perf_diff -- --warn-only
+cargo run --release -q -p exo-bench --bin perf_diff
 
 if [[ "${EXO_CI_FULL:-0}" == "1" ]]; then
     echo "== full: cargo test --workspace -q =="

@@ -5,7 +5,7 @@
 //! long schedule re-derives near-identical safety obligations after every
 //! rewrite — identical except that rewrites mint fresh
 //! [`exo_core::sym::Sym`]s, so a structurally keyed cache would never see
-//! a repeat. [`CheckCtx`] closes that gap:
+//! a repeat. [`SharedCheckCtx`] closes that gap:
 //!
 //! * all validity/satisfiability queries funnel through one process-wide
 //!   solver instead of per-call-site `Solver::new()` throwaways;
@@ -16,13 +16,10 @@
 //!   (`check.queries`, `check.cache_hits`, `check.cache_misses`,
 //!   `check.cache_entries`), attributed to the active operator.
 //!
-//! Contexts are cached by default; [`CheckCtx::with_cache`]`(false)`
+//! Contexts are cached by default; [`SharedCheckCtx::with_cache`]`(false)`
 //! sends every query to the solver, for measuring the cache's effect and
 //! for the verdict-parity tests. Verdicts are identical either way
 //! because canonical renaming is semantics-preserving.
-//!
-//! The context also owns the per-statement effect-summary memo
-//! ([`EffectMemo`]) used by the dirty-region analysis in `exo-sched`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -31,9 +28,6 @@ use exo_core::budget::ResourceBudget;
 use exo_smt::canon::canonicalize;
 use exo_smt::formula::Formula;
 use exo_smt::solver::{Answer, Solver, SolverStats};
-
-use crate::effects::Effect;
-use crate::globals::GlobalEnv;
 
 /// Counters describing checking-context activity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -46,90 +40,30 @@ pub struct CheckStats {
     pub misses: usize,
     /// Entries currently in the canonical verdict cache.
     pub entries: usize,
-    /// Per-statement effect summaries served from the memo.
+    /// Always 0: effect summaries are not memoized (every extraction
+    /// derives them fresh). Kept so existing readers compile.
     pub effect_hits: usize,
-    /// Per-statement effect summaries derived fresh.
+    /// Always 0, like [`Self::effect_hits`].
     pub effect_misses: usize,
 }
 
-/// Memo of per-statement effect summaries, keyed by a fingerprint of the
-/// statement plus everything extraction depends on (window views, entry
-/// dataflow environment). Each entry also records the dataflow
-/// environment *after* the statement, so a hit advances extraction state
-/// exactly as a fresh derivation would. Owned by [`CheckCtx`]; consulted
-/// by `context::effect_of_stmts_cached`.
-#[derive(Debug, Default)]
-pub struct EffectMemo {
-    map: HashMap<String, (Effect, GlobalEnv)>,
-    hits: usize,
-    misses: usize,
-}
-
-impl EffectMemo {
-    /// Looks up a summary, counting the hit.
-    pub fn get(&mut self, key: &str) -> Option<(Effect, GlobalEnv)> {
-        // Chaos injection: pretend the memo missed, forcing the uncached
-        // re-derivation path. A miss is always correct (just slower).
-        if exo_chaos::should_inject(exo_chaos::FaultSite::AnalysisCacheMiss) {
-            self.misses += 1;
-            exo_obs::counter_add("analysis.effect_memo.misses", 1);
-            return None;
-        }
-        match self.map.get(key) {
-            Some(e) => {
-                self.hits += 1;
-                exo_obs::counter_add("analysis.effect_memo.hits", 1);
-                Some(e.clone())
-            }
-            None => {
-                self.misses += 1;
-                exo_obs::counter_add("analysis.effect_memo.misses", 1);
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly derived summary and its exit dataflow env.
-    pub fn insert(&mut self, key: String, eff: Effect, genv_after: GlobalEnv) {
-        self.map.insert(key, (eff, genv_after));
-    }
-
-    /// Number of memoized summaries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// A checking context: one solver, one canonical verdict cache, one
-/// effect-summary memo. Usually accessed through [`SharedCheckCtx`].
+/// A checking context: one solver and one canonical verdict cache.
+/// Reached only through [`SharedCheckCtx`].
 #[derive(Debug)]
-pub struct CheckCtx {
+struct CheckCtx {
     solver: Solver,
     cache: HashMap<Formula, Answer>,
     enabled: bool,
     queries: usize,
     hits: usize,
     misses: usize,
-    /// Per-statement effect summaries (dirty-region analysis support).
-    pub effects: EffectMemo,
     /// Fuel/deadline pool every query draws from; exhaustion answers
     /// `Unknown` (fail-safe rejection) instead of hanging.
     budget: ResourceBudget,
 }
 
 impl CheckCtx {
-    /// Creates a context with the canonical cache enabled.
-    pub fn new() -> CheckCtx {
-        CheckCtx::with_cache(true)
-    }
-
-    /// Creates a context with the canonical cache explicitly on or off.
-    pub fn with_cache(enabled: bool) -> CheckCtx {
+    fn with_cache(enabled: bool) -> CheckCtx {
         CheckCtx {
             solver: Solver::new(),
             cache: HashMap::new(),
@@ -137,46 +71,11 @@ impl CheckCtx {
             queries: 0,
             hits: 0,
             misses: 0,
-            effects: EffectMemo::default(),
             budget: ResourceBudget::unlimited(),
         }
     }
 
-    /// Installs the fuel/deadline pool queries draw from (shared with the
-    /// owning `SchedState` when scheduling).
-    pub fn set_budget(&mut self, budget: ResourceBudget) {
-        self.budget = budget;
-    }
-
-    /// The budget queries draw from.
-    pub fn budget(&self) -> &ResourceBudget {
-        &self.budget
-    }
-
-    /// Activity counters for this context.
-    pub fn stats(&self) -> CheckStats {
-        CheckStats {
-            queries: self.queries,
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.cache.len(),
-            effect_hits: self.effects.hits,
-            effect_misses: self.effects.misses,
-        }
-    }
-
-    /// Counters of the underlying solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
-    }
-
-    /// Checks satisfiability of `f` (free variables existential).
-    ///
-    /// With the cache enabled the query is alpha-normalized first and the
-    /// verdict memoized keyed by the canonical formula, so any
-    /// alpha-variant asked later — including the same obligation
-    /// re-derived over fresh syms after a rewrite — is a hit.
-    pub fn check_sat(&mut self, f: &Formula) -> Answer {
+    fn check_sat(&mut self, f: &Formula) -> Answer {
         self.queries += 1;
         exo_obs::counter_add("check.queries", 1);
         // Budget: one fuel unit per query. Every safety analysis funnels its
@@ -215,42 +114,21 @@ impl CheckCtx {
         }
         a
     }
-
-    /// Checks validity of `f` (free variables universal):
-    /// `valid(f) ⇔ ¬sat(¬f)`. Shares cache entries with [`Self::check_sat`].
-    pub fn check_valid(&mut self, f: &Formula) -> Answer {
-        match self.check_sat(&f.clone().negate()) {
-            Answer::Yes => Answer::No,
-            Answer::No => Answer::Yes,
-            Answer::Unknown => Answer::Unknown,
-        }
-    }
-
-    /// Checks validity of `hyp ⇒ goal`.
-    pub fn check_entails(&mut self, hyp: &Formula, goal: &Formula) -> Answer {
-        self.check_valid(&hyp.clone().implies(goal.clone()))
-    }
 }
 
-impl Default for CheckCtx {
-    fn default() -> CheckCtx {
-        CheckCtx::new()
-    }
-}
-
-/// A cloneable handle to a [`CheckCtx`] behind a mutex.
+/// A cloneable handle to one checking context (a solver plus the
+/// canonical verdict cache) behind a mutex.
 ///
-/// This is what `SchedState` and the analyses carry. Query methods lock
-/// internally; code that needs several operations under one lock (e.g.
-/// the effect memo) uses [`SharedCheckCtx::lock`]. Lock ordering across
-/// the workspace is `SchedState → CheckCtx`.
+/// This is what `SchedState` and the analyses carry. Every method locks
+/// internally and only for its own duration. Lock ordering across the
+/// workspace is `SchedState → SharedCheckCtx`.
 #[derive(Clone, Debug)]
 pub struct SharedCheckCtx(Arc<Mutex<CheckCtx>>);
 
 impl SharedCheckCtx {
     /// A fresh, private context with the canonical cache enabled.
     pub fn fresh() -> SharedCheckCtx {
-        SharedCheckCtx(Arc::new(Mutex::new(CheckCtx::new())))
+        SharedCheckCtx::with_cache(true)
     }
 
     /// A fresh, private context with the cache explicitly on or off.
@@ -268,33 +146,57 @@ impl SharedCheckCtx {
 
     /// Locks the context. Poisoning is ignored: the cache only ever holds
     /// sound verdicts, so a panic elsewhere cannot corrupt it.
-    pub fn lock(&self) -> MutexGuard<'_, CheckCtx> {
+    fn lock(&self) -> MutexGuard<'_, CheckCtx> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// See [`CheckCtx::check_sat`].
+    /// Installs the fuel/deadline pool queries draw from (shared with the
+    /// owning `SchedState` when scheduling).
+    pub fn set_budget(&self, budget: ResourceBudget) {
+        self.lock().budget = budget;
+    }
+
+    /// Checks satisfiability of `f` (free variables existential).
+    ///
+    /// With the cache enabled the query is alpha-normalized first and the
+    /// verdict memoized keyed by the canonical formula, so any
+    /// alpha-variant asked later — including the same obligation
+    /// re-derived over fresh syms after a rewrite — is a hit.
     pub fn check_sat(&self, f: &Formula) -> Answer {
         self.lock().check_sat(f)
     }
 
-    /// See [`CheckCtx::check_valid`].
+    /// Checks validity of `f` (free variables universal):
+    /// `valid(f) ⇔ ¬sat(¬f)`. Shares cache entries with [`Self::check_sat`].
     pub fn check_valid(&self, f: &Formula) -> Answer {
-        self.lock().check_valid(f)
+        match self.check_sat(&f.clone().negate()) {
+            Answer::Yes => Answer::No,
+            Answer::No => Answer::Yes,
+            Answer::Unknown => Answer::Unknown,
+        }
     }
 
-    /// See [`CheckCtx::check_entails`].
+    /// Checks validity of `hyp ⇒ goal`.
     pub fn check_entails(&self, hyp: &Formula, goal: &Formula) -> Answer {
-        self.lock().check_entails(hyp, goal)
+        self.check_valid(&hyp.clone().implies(goal.clone()))
     }
 
-    /// See [`CheckCtx::stats`].
+    /// Activity counters for this context.
     pub fn stats(&self) -> CheckStats {
-        self.lock().stats()
+        let ck = self.lock();
+        CheckStats {
+            queries: ck.queries,
+            hits: ck.hits,
+            misses: ck.misses,
+            entries: ck.cache.len(),
+            effect_hits: 0,
+            effect_misses: 0,
+        }
     }
 
-    /// See [`CheckCtx::solver_stats`].
+    /// Counters of the underlying solver.
     pub fn solver_stats(&self) -> SolverStats {
-        self.lock().solver_stats()
+        self.lock().solver.stats()
     }
 }
 
@@ -319,7 +221,7 @@ mod tests {
 
     #[test]
     fn alpha_variants_hit_the_cache() {
-        let mut ctx = CheckCtx::with_cache(true);
+        let ctx = SharedCheckCtx::with_cache(true);
         assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
         assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes); // fresh sym, same shape
         let st = ctx.stats();
@@ -331,8 +233,8 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits_but_agrees() {
-        let mut on = CheckCtx::with_cache(true);
-        let mut off = CheckCtx::with_cache(false);
+        let on = SharedCheckCtx::with_cache(true);
+        let off = SharedCheckCtx::with_cache(false);
         for c in [0, 1, -1, 3, -1, 1] {
             assert_eq!(
                 on.check_valid(&valid_shape(c)),
@@ -345,7 +247,7 @@ mod tests {
 
     #[test]
     fn distinct_constants_get_distinct_entries() {
-        let mut ctx = CheckCtx::with_cache(true);
+        let ctx = SharedCheckCtx::with_cache(true);
         assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
         assert_eq!(ctx.check_valid(&valid_shape(-1)), Answer::No);
         assert_eq!(ctx.stats().entries, 2);

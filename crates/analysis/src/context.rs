@@ -13,7 +13,7 @@ use exo_core::path::{PathStep, StmtPath};
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 
-use crate::check::{EffectMemo, SharedCheckCtx};
+use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::globals::{lift_in_env, val_g_block, GlobalEnv, GlobalReg};
@@ -156,20 +156,8 @@ fn loop_entry_env(entry: GlobalEnv, body: &Block, iter: Sym, reg: &mut GlobalReg
 /// the site (later siblings at every level, plus — for enclosing loops —
 /// the whole loop again, covering the remaining iterations).
 pub fn post_effect(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Effect {
-    let mut scratch = EffectMemo::default();
-    post_effect_cached(proc, path, reg, &mut scratch)
-}
-
-/// As [`post_effect`], but reusing (and extending) a shared memo of
-/// per-statement effect summaries across calls.
-pub fn post_effect_cached(
-    proc: &Proc,
-    path: &StmtPath,
-    reg: &mut GlobalReg,
-    memo: &mut EffectMemo,
-) -> Effect {
     let mut parts: Vec<Effect> = Vec::new();
-    collect_post(proc, &proc.body, &path.0, reg, memo, &mut parts);
+    collect_post(proc, &proc.body, &path.0, reg, &mut parts);
     Effect::seq_all(parts)
 }
 
@@ -178,7 +166,6 @@ fn collect_post(
     block: &Block,
     steps: &[PathStep],
     reg: &mut GlobalReg,
-    memo: &mut EffectMemo,
     out: &mut Vec<Effect>,
 ) {
     let Some(step) = steps.first() else { return };
@@ -194,29 +181,22 @@ fn collect_post(
                 _ => None,
             };
             if let Some(b) = inner_block {
-                collect_post(proc, b, &steps[1..], reg, memo, out);
+                collect_post(proc, b, &steps[1..], reg, out);
             }
             // an enclosing loop may run further iterations containing the
             // site and everything around it: approximate with the whole
             // loop's effect
             if matches!(stmt, Stmt::For { .. }) {
-                out.push(effect_of_stmts(proc, std::slice::from_ref(stmt), reg, memo));
+                let whole = std::slice::from_ref(stmt);
+                out.push(effect_of_stmts_at(proc, whole, &GlobalEnv::identity(), reg));
             }
         }
     }
     // later siblings in this block
     if idx < block.len() {
-        out.push(effect_of_stmts(proc, &block[idx + 1..], reg, memo));
+        let later = &block[idx + 1..];
+        out.push(effect_of_stmts_at(proc, later, &GlobalEnv::identity(), reg));
     }
-}
-
-fn effect_of_stmts(
-    proc: &Proc,
-    stmts: &[Stmt],
-    reg: &mut GlobalReg,
-    memo: &mut EffectMemo,
-) -> Effect {
-    effect_of_stmts_cached(proc, stmts, &GlobalEnv::identity(), reg, memo)
 }
 
 /// Extracts the effect of statements as they appear at a site: views are
@@ -232,92 +212,6 @@ pub fn effect_of_stmts_at(
     seed_views(&proc.body, &mut ctx);
     ctx.genv = genv.clone();
     effect_of_block(stmts, &mut ctx)
-}
-
-/// As [`effect_of_stmts_at`], but consulting the per-statement effect
-/// memo first.
-///
-/// Each statement is summarized independently; the memo key fingerprints
-/// the statement itself (symbol identities included), the procedure's
-/// window definitions and tensor-argument ranks (anything that changes
-/// how accesses resolve to root buffers), and the statement's entry
-/// dataflow environment. A hit restores both the summary and the exit
-/// environment recorded when the summary was first derived, so cached and
-/// uncached extraction are observationally identical.
-pub fn effect_of_stmts_cached(
-    proc: &Proc,
-    stmts: &[Stmt],
-    genv: &GlobalEnv,
-    reg: &mut GlobalReg,
-    memo: &mut EffectMemo,
-) -> Effect {
-    let views_fp = views_fingerprint(proc);
-    let mut ctx = ExtractCtx::for_proc(proc, reg);
-    seed_views(&proc.body, &mut ctx);
-    ctx.genv = genv.clone();
-    let mut parts = Vec::new();
-    for s in stmts {
-        let genv_fp = genv_fingerprint(&ctx.genv, &mut *ctx.reg);
-        let key = format!("{s:?}|{views_fp}|{genv_fp}");
-        match memo.get(&key) {
-            Some((eff, genv_after)) => {
-                ctx.genv = genv_after;
-                parts.push(eff);
-            }
-            None => {
-                let eff = effect_of_block(std::slice::from_ref(s), &mut ctx);
-                memo.insert(key, eff.clone(), ctx.genv.clone());
-                parts.push(eff);
-            }
-        }
-    }
-    Effect::seq_all(parts)
-}
-
-/// Fingerprint of everything *outside* a statement that effect extraction
-/// reads through the view map: window definitions anywhere in the body
-/// (a rewrite may re-coordinate a window while its readers stay textually
-/// identical) and tensor-argument ranks. Identity views from allocations
-/// are deliberately excluded — they are derived from the allocation name
-/// alone, which the statement fingerprint already pins down.
-fn views_fingerprint(proc: &Proc) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for arg in &proc.args {
-        if let ArgType::Tensor { shape, .. } = &arg.ty {
-            let _ = write!(out, "a{}:{};", arg.name.id(), shape.len());
-        }
-    }
-    fn go(block: &Block, out: &mut String) {
-        for s in block {
-            match s {
-                Stmt::WindowDef { .. } => {
-                    let _ = write!(out, "{s:?};");
-                }
-                Stmt::For { body, .. } => go(body, out),
-                Stmt::If { body, orelse, .. } => {
-                    go(body, out);
-                    go(orelse, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    go(&proc.body, &mut out);
-    out
-}
-
-/// Deterministic fingerprint of the touched entries of a dataflow
-/// environment (sorted by canonical field symbol).
-fn genv_fingerprint(genv: &GlobalEnv, reg: &mut GlobalReg) -> String {
-    use std::fmt::Write;
-    let mut keys: Vec<(Sym, Sym)> = genv.touched().copied().collect();
-    keys.sort();
-    let mut out = String::new();
-    for (c, f) in keys {
-        let _ = write!(out, "{}.{}={:?};", c.id(), f.id(), genv.value(c, f, reg));
-    }
-    out
 }
 
 fn seed_views(block: &Block, ctx: &mut ExtractCtx<'_>) {
@@ -364,8 +258,7 @@ pub fn context_extension_ok(
     if polluted.is_empty() {
         return true;
     }
-    let mut ck = check.lock();
-    let post = post_effect_cached(proc, path, reg, &mut ck.effects);
+    let post = post_effect(proc, path, reg);
     let sets = crate::locset::sets_of(&post);
     let mut ctx = LowerCtx::new();
     let mut parts = Vec::new();
@@ -374,7 +267,7 @@ pub fn context_extension_ok(
         parts.push(m.maybe().negate());
     }
     let goal = ctx.assumptions().implies(Formula::and(parts));
-    ck.check_valid(&goal).is_yes()
+    check.check_valid(&goal).is_yes()
 }
 
 #[cfg(test)]
@@ -476,51 +369,5 @@ mod tests {
             &mut reg,
             &check
         ));
-    }
-
-    #[test]
-    fn effect_memo_reuses_per_statement_summaries() {
-        let mut b = ProcBuilder::new("p");
-        let a = b.tensor("A", DataType::F32, vec![Expr::int(8)]);
-        let i = b.begin_for("i", Expr::int(0), Expr::int(8));
-        b.assign(a, vec![Expr::var(i)], Expr::float(0.0));
-        b.end_for();
-        b.stmt(Stmt::Pass);
-        let p = b.finish();
-        let mut reg = GlobalReg::new();
-        let mut memo = EffectMemo::default();
-        let e1 = effect_of_stmts_cached(&p, &p.body, &GlobalEnv::identity(), &mut reg, &mut memo);
-        let fresh = effect_of_stmts_at(&p, &p.body, &GlobalEnv::identity(), &mut reg);
-        assert_eq!(e1, fresh);
-        let before = memo.len();
-        let e2 = effect_of_stmts_cached(&p, &p.body, &GlobalEnv::identity(), &mut reg, &mut memo);
-        assert_eq!(e1, e2);
-        assert_eq!(memo.len(), before, "second pass must not add entries");
-    }
-
-    #[test]
-    fn effect_memo_distinguishes_entry_envs() {
-        let c = Sym::new("Cfg");
-        let f = Sym::new("s");
-        let mut b = ProcBuilder::new("p");
-        let a = b.tensor("A", DataType::F32, vec![Expr::int(8)]);
-        b.assign(
-            a,
-            vec![Expr::ReadConfig {
-                config: c,
-                field: f,
-            }],
-            Expr::float(0.0),
-        );
-        let p = b.finish();
-        let mut reg = GlobalReg::new();
-        let mut memo = EffectMemo::default();
-        let mut env1 = GlobalEnv::identity();
-        env1.set(c, f, EffExpr::Int(1));
-        let mut env2 = GlobalEnv::identity();
-        env2.set(c, f, EffExpr::Int(2));
-        let e1 = effect_of_stmts_cached(&p, &p.body, &env1, &mut reg, &mut memo);
-        let e2 = effect_of_stmts_cached(&p, &p.body, &env2, &mut reg, &mut memo);
-        assert_ne!(e1, e2, "different config values must not share an entry");
     }
 }

@@ -22,8 +22,7 @@
 //!   checking, whole-procedure ([`check_bounds`]) or scoped to the
 //!   subtree a rewrite dirtied ([`check_bounds_at`]);
 //! * [`check`] — the shared checking context: one reusable solver plus a
-//!   canonical (alpha-normalized) verdict cache and the per-statement
-//!   effect-summary memo.
+//!   canonical (alpha-normalized) verdict cache.
 //!
 //! All conditions bottom out in Presburger validity queries discharged
 //! through [`SharedCheckCtx`]; an `Unknown` answer always fails safe.
@@ -42,7 +41,7 @@ pub mod globals;
 pub mod locset;
 
 pub use bounds::{check_bounds, check_bounds_at, CheckError};
-pub use check::{CheckCtx, CheckStats, EffectMemo, SharedCheckCtx};
+pub use check::{CheckStats, SharedCheckCtx};
 pub use effects::{effect_of_block, effect_of_proc, Effect, ExtractCtx};
 pub use effexpr::{EffExpr, LowerCtx};
 pub use globals::{GlobalEnv, GlobalReg};

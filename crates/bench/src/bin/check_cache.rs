@@ -22,7 +22,6 @@ struct Phase {
     queries: usize,
     hits: usize,
     misses: usize,
-    effect_hits: usize,
 }
 
 fn run_chain(
@@ -52,7 +51,6 @@ fn run_chain(
         queries: after.queries - before.queries,
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,
-        effect_hits: after.effect_hits - before.effect_hits,
     }
 }
 
@@ -82,20 +80,19 @@ fn main() {
         dims.0, dims.1, dims.2
     );
     println!(
-        "{:<9} {:>9} {:>8} {:>8} {:>8} {:>7} {:>11}",
-        "phase", "wall_us", "queries", "hits", "misses", "ratio", "effect_hits"
+        "{:<9} {:>9} {:>8} {:>8} {:>8} {:>7}",
+        "phase", "wall_us", "queries", "hits", "misses", "ratio"
     );
     let mut records = Vec::new();
     for p in [&cold, &warm, &nocache] {
         println!(
-            "{:<9} {:>9} {:>8} {:>8} {:>8} {:>6.0}% {:>11}",
+            "{:<9} {:>9} {:>8} {:>8} {:>8} {:>6.0}%",
             p.name,
             p.wall_us,
             p.queries,
             p.hits,
             p.misses,
-            ratio(p) * 100.0,
-            p.effect_hits
+            ratio(p) * 100.0
         );
         records.push(Json::obj(vec![
             ("type".into(), Json::Str("check_cache_phase".into())),
@@ -105,7 +102,6 @@ fn main() {
             ("hits".into(), Json::uint(p.hits as u64)),
             ("misses".into(), Json::uint(p.misses as u64)),
             ("hit_ratio".into(), Json::Float(ratio(p))),
-            ("effect_hits".into(), Json::uint(p.effect_hits as u64)),
         ]));
     }
     let combined = (cold.hits + warm.hits) as f64 / (cold.queries + warm.queries).max(1) as f64;

@@ -172,10 +172,6 @@ pub fn solver_stats_json(state: &StateRef) -> Json {
             "check_cache_entries".into(),
             Json::uint(cstats.entries as u64),
         ),
-        (
-            "effect_memo_hits".into(),
-            Json::uint(cstats.effect_hits as u64),
-        ),
     ])
 }
 

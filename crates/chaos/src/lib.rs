@@ -18,11 +18,11 @@
 //!   elimination blew its budget and answers `Unknown` (without caching the
 //!   injected verdict).
 //! * `exo-analysis` — [`FaultSite::AnalysisBottom`]: the ValG dataflow drops
-//!   a config field to ⊥; [`FaultSite::AnalysisCacheMiss`]: the verdict /
-//!   effect caches pretend they missed.
+//!   a config field to ⊥; [`FaultSite::AnalysisCacheMiss`]: the canonical
+//!   verdict cache pretends it missed.
 //! * `exo-sched` — [`FaultSite::PatternNoMatch`] / [`FaultSite::PatternAmbiguous`]:
-//!   pattern resolution fails as if the cursor expression matched nothing, or
-//!   matched more than once without an index.
+//!   pattern resolution fails as if the pattern matched nothing, or matched
+//!   more than once without an index.
 //! * `exo-interp` — [`FaultSite::InterpFuel`]: the interpreter pretends its
 //!   fuel budget is exhausted.
 //!
@@ -60,8 +60,8 @@ pub enum FaultSite {
     /// `exo-analysis`: force the ValG config dataflow to drop a value to ⊥
     /// (`EffExpr::Unknown`).
     AnalysisBottom,
-    /// `exo-analysis`: force the canonical verdict cache and effect memo to
-    /// miss, exercising the uncached path.
+    /// `exo-analysis`: force the canonical verdict cache to miss,
+    /// exercising the uncached path.
     AnalysisCacheMiss,
     /// `exo-sched`: force pattern resolution to report "no match".
     PatternNoMatch,

@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use exo_analysis::conditions::bd;
-use exo_analysis::context::{effect_of_stmts_cached, site_ctx, SiteCtx};
+use exo_analysis::context::{effect_of_stmts_at, site_ctx, SiteCtx};
 use exo_analysis::{EffExpr, Effect, GlobalReg, LowerCtx, SharedCheckCtx};
 use exo_core::ir::{BinOp, Stmt};
 use exo_core::path::{stmt_at, visit_paths, StmtPath};
@@ -440,10 +440,7 @@ pub fn classify_loop(
     let lo_e = exo_analysis::globals::lift_in_env(lo, &site.genv, reg);
     let hi_e = exo_analysis::globals::lift_in_env(hi, &site.genv, reg);
 
-    let eff = {
-        let mut ctx = check.lock();
-        effect_of_stmts_cached(proc, body, &site.genv, reg, &mut ctx.effects)
-    };
+    let eff = effect_of_stmts_at(proc, body, &site.genv, reg);
     // Buffers allocated inside the body (staged tiles, spilled registers)
     // are iteration-private — exclude them from the dependence question.
     let mut private = HashSet::new();

@@ -124,7 +124,7 @@ pub(crate) fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
 }
 
 /// Shared scheduling state: the checking context (solver + canonical
-/// verdict cache + effect memo), the global registry, and the provenance
+/// verdict cache), the global registry, and the provenance
 /// store tracking which procedures are equivalent modulo which
 /// configuration fields (§3.3, §6.2).
 ///
@@ -132,11 +132,11 @@ pub(crate) fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
 /// [`SharedCheckCtx::process`] context, so safety obligations discharged
 /// while scheduling one kernel are cache hits while scheduling the next.
 /// Use [`SchedState::isolated`] for benchmarks or tests that need a
-/// private cache. Lock ordering is `SchedState → CheckCtx`.
+/// private cache. Lock ordering is `SchedState → SharedCheckCtx`.
 #[derive(Debug)]
 pub struct SchedState {
     /// The shared checking context (reusable solver, canonical-formula
-    /// verdict cache, per-statement effect memo).
+    /// verdict cache).
     pub check: SharedCheckCtx,
     /// Canonical names for configuration fields.
     pub reg: GlobalReg,
@@ -170,7 +170,7 @@ impl SchedState {
     /// degrades to conservative rejection (`Unknown`), never a hang and
     /// never an unsound accept.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
-        self.check.lock().set_budget(budget.clone());
+        self.check.set_budget(budget.clone());
         self.reg.set_budget(budget.clone());
         self.budget = budget;
     }

@@ -15,7 +15,7 @@ use exo_core::visit::{visit_expr, visit_stmts};
 use exo_core::Sym;
 
 use exo_analysis::conditions;
-use exo_analysis::context::{context_extension_ok, effect_of_stmts_cached};
+use exo_analysis::context::{context_extension_ok, effect_of_stmts_at};
 use exo_analysis::effexpr::LowerCtx;
 use exo_analysis::globals::lift_in_env;
 use exo_smt::formula::Formula;
@@ -320,22 +320,18 @@ impl Procedure {
         let site = self.site(&p1)?;
         let mut guard = crate::handle::lock_state(self.state());
         let st = &mut *guard;
-        let mut ck = st.check.lock();
-        let e1 = effect_of_stmts_cached(
+        let e1 = effect_of_stmts_at(
             self.proc(),
             std::slice::from_ref(&s1),
             &site.genv,
             &mut st.reg,
-            &mut ck.effects,
         );
-        let e2 = effect_of_stmts_cached(
+        let e2 = effect_of_stmts_at(
             self.proc(),
             std::slice::from_ref(&s2),
             &site.genv,
             &mut st.reg,
-            &mut ck.effects,
         );
-        drop(ck);
         let mut lctx = LowerCtx::new();
         let cond = conditions::commutes(&e1, &e2, &mut lctx);
         let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
@@ -382,22 +378,18 @@ impl Procedure {
         let site = self.site(&p1)?;
         let mut guard = crate::handle::lock_state(self.state());
         let st = &mut *guard;
-        let mut ck = st.check.lock();
-        let e1 = effect_of_stmts_cached(
+        let e1 = effect_of_stmts_at(
             self.proc(),
             std::slice::from_ref(&s1),
             &site.genv,
             &mut st.reg,
-            &mut ck.effects,
         );
-        let e2 = effect_of_stmts_cached(
+        let e2 = effect_of_stmts_at(
             self.proc(),
             std::slice::from_ref(&s2),
             &site.genv,
             &mut st.reg,
-            &mut ck.effects,
         );
-        drop(ck);
         let mut lctx = LowerCtx::new();
         let cond = conditions::shadows(&e1, &e2, &mut lctx);
         let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);

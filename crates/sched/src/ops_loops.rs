@@ -9,7 +9,7 @@ use exo_core::visit::{free_syms_block, refresh_bound, subst_block, visit_stmts};
 use exo_core::Sym;
 
 use exo_analysis::conditions;
-use exo_analysis::context::effect_of_stmts_cached;
+use exo_analysis::context::effect_of_stmts_at;
 use exo_analysis::effects::Effect;
 use exo_analysis::effexpr::LowerCtx;
 use exo_analysis::globals::lift_in_env;
@@ -225,13 +225,7 @@ impl Procedure {
         let xhi_e = lift_in_env(&xhi, &site.genv, &mut st.reg);
         let ylo_e = lift_in_env(ylo, &site.genv, &mut st.reg);
         let yhi_e = lift_in_env(yhi, &site.genv, &mut st.reg);
-        let body_eff = effect_of_stmts_cached(
-            self.proc(),
-            inner_body,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
+        let body_eff = effect_of_stmts_at(self.proc(), inner_body, &site.genv, &mut st.reg);
         let bounds_eff = config_reads_of(&[ylo.clone(), yhi.clone()]);
         let mut lctx = LowerCtx::new();
         let cond = conditions::loop_reorder(
@@ -329,20 +323,8 @@ impl Procedure {
         let st = &mut *guard;
         let lo_e = lift_in_env(&lo, &site.genv, &mut st.reg);
         let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-        let eff1 = effect_of_stmts_cached(
-            self.proc(),
-            part1,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
-        let eff2 = effect_of_stmts_cached(
-            self.proc(),
-            part2,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
+        let eff1 = effect_of_stmts_at(self.proc(), part1, &site.genv, &mut st.reg);
+        let eff2 = effect_of_stmts_at(self.proc(), part2, &site.genv, &mut st.reg);
         let bounds_eff = config_reads_of(&[lo.clone(), hi.clone()]);
         let mut lctx = LowerCtx::new();
         let cond =
@@ -415,20 +397,8 @@ impl Procedure {
         let st = &mut *guard;
         let lo_e = lift_in_env(&lo1, &site.genv, &mut st.reg);
         let hi_e = lift_in_env(&hi1, &site.genv, &mut st.reg);
-        let eff1 = effect_of_stmts_cached(
-            self.proc(),
-            &b1,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
-        let eff2 = effect_of_stmts_cached(
-            self.proc(),
-            &b2r,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
+        let eff1 = effect_of_stmts_at(self.proc(), &b1, &site.genv, &mut st.reg);
+        let eff2 = effect_of_stmts_at(self.proc(), &b2r, &site.genv, &mut st.reg);
         let bounds_eff = config_reads_of(&[lo1.clone(), hi1.clone()]);
         let mut lctx = LowerCtx::new();
         let cond =
@@ -527,13 +497,7 @@ impl Procedure {
         let st = &mut *guard;
         let lo_e = lift_in_env(&lo, &site.genv, &mut st.reg);
         let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-        let body_eff = effect_of_stmts_cached(
-            self.proc(),
-            &body,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
+        let body_eff = effect_of_stmts_at(self.proc(), &body, &site.genv, &mut st.reg);
         let mut lctx = LowerCtx::new();
         let cond = conditions::loop_remove(iter, (&lo_e, &hi_e), &body_eff, &mut lctx);
         let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
@@ -581,13 +545,7 @@ impl Procedure {
         let site = self.site(&loop_path)?;
         let mut guard = crate::handle::lock_state(self.state());
         let st = &mut *guard;
-        let whole_eff = effect_of_stmts_cached(
-            self.proc(),
-            &body,
-            &site.genv,
-            &mut st.reg,
-            &mut st.check.lock().effects,
-        );
+        let whole_eff = effect_of_stmts_at(self.proc(), &body, &site.genv, &mut st.reg);
         let cond_eff = config_reads_of(std::slice::from_ref(&cond));
         let mut lctx = LowerCtx::new();
         let safe = conditions::commutes(&cond_eff, &whole_eff, &mut lctx);

@@ -194,7 +194,9 @@ fn run_battery(state: &StateRef) -> Verdicts {
 /// Tentpole parity check: the full operator battery reaches identical
 /// verdicts with the verdict cache enabled and disabled, and running it
 /// twice over one shared cache-enabled context (fresh symbols each time)
-/// still matches — i.e. cache hits never change an answer.
+/// still matches — i.e. cache hits never change an answer. Two states
+/// with their own `GlobalReg`s sharing one cached context (what every
+/// `SchedState::default()` does with the process context) match too.
 #[test]
 fn verdicts_identical_with_and_without_cache() {
     let cached = state_with_cache(true);
@@ -206,6 +208,20 @@ fn verdicts_identical_with_and_without_cache() {
 
     assert_eq!(cold, plain, "cold cached run diverges from uncached run");
     assert_eq!(warm, plain, "warm cached run diverges from uncached run");
+
+    let shared = SharedCheckCtx::with_cache(true);
+    let first = Arc::new(Mutex::new(SchedState::with_check(shared.clone())));
+    let second = Arc::new(Mutex::new(SchedState::with_check(shared)));
+    assert_eq!(
+        run_battery(&first),
+        plain,
+        "first state on a shared context diverges from uncached run"
+    );
+    assert_eq!(
+        run_battery(&second),
+        plain,
+        "second state on a shared context diverges from uncached run"
+    );
 
     let stats = cached
         .lock()
