@@ -26,32 +26,28 @@ cargo test -q -p exo-sched
 echo "== case-study schedules (release) =="
 cargo test -q --release -p exo-kernels
 
-echo "== check-cache bench (smoke; fails on zero cache hits) =="
-EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
-    cargo run --release -q -p exo-bench --bin check_cache
+echo "== check-cache bench (fails on zero cache hits) =="
+cargo run --release -q -p exo-bench --bin check_cache
 
 echo "== lint suite (classifier matrix + rule pack + chaos degradation) =="
 cargo test -q -p exo-lint
 
-echo "== lint bench (smoke; fails on error-severity findings) =="
-EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
-    cargo run --release -q -p exo-bench --bin lint
+echo "== lint bench (fails on error-severity findings) =="
+cargo run --release -q -p exo-bench --bin lint
 
 echo "== chaos suite (seeded fault-injection matrix) =="
 cargo test -q --test chaos --test budget
 
-echo "== chaos bench (smoke; fails on escaped panic or monotonicity violation) =="
-EXO_CHAOS_SEED=42 EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
-    cargo run --release -q -p exo-bench --bin chaos
+echo "== chaos bench (fails on escaped panic or monotonicity violation) =="
+cargo run --release -q -p exo-bench --bin chaos
 
 echo "== fig5a bench (GFLOP/s rows for the perf gate) =="
-EXO_BENCH_SMOKE=1 EXO_BENCH_DIR=target \
-    cargo run --release -q -p exo-bench --bin fig5a
+cargo run --release -q -p exo-bench --bin fig5a
 
 echo "== trace exports (fig5a SGEMM schedule; validates Chrome JSON with the strict parser) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 
-echo "== perf gate (BENCH_* vs bench/baselines) =="
+echo "== perf gate (every bench/baselines line matched exactly in target/BENCH_*) =="
 cargo run --release -q -p exo-bench --bin perf_diff
 
 if [[ "${EXO_CI_FULL:-0}" == "1" ]]; then

@@ -13,23 +13,18 @@
 //!   accepted a schedule *different* from the clean baseline
 //!   (soundness-monotonicity breach)
 //!
-//! Any `violation` makes the binary exit nonzero — `ci.sh` runs it in
-//! smoke mode as a release gate. Results go to `BENCH_chaos.json`
+//! Any `violation` makes the binary exit nonzero — `ci.sh` runs it as a
+//! release gate. Results go to `BENCH_chaos.json`
 //! (`EXO_BENCH_DIR` honoured) through `exo-obs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
 
-use exo_bench::write_bench_json;
+use exo_bench::{isolated_state, write_bench_json};
 use exo_chaos::{FaultPlan, FaultSite};
 use exo_hwlibs::{Avx512Lib, GemminiLib};
 use exo_kernels::{gemmini_gemm, x86_gemm};
 use exo_obs::Json;
-use exo_sched::{Procedure, SchedError, SchedState, StateRef};
-
-fn isolated() -> StateRef {
-    Arc::new(Mutex::new(SchedState::isolated()))
-}
+use exo_sched::{Procedure, SchedError, StateRef};
 
 fn fig4a(state: &StateRef) -> Result<Procedure, SchedError> {
     gemmini_gemm::schedule_matmul(&GemminiLib::new(), state, 64, 64, 64)
@@ -67,20 +62,13 @@ impl RunRecord {
 }
 
 fn main() {
-    let smoke = std::env::var("EXO_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let seeds: &[u64] = if smoke {
-        &[1, 42]
-    } else {
-        &[1, 7, 42, 1234, 987_654]
-    };
-    let probs: &[f64] = if smoke { &[1.0, 0.5] } else { &[1.0, 0.5, 0.1] };
     let chains: [(&'static str, Chain); 2] = [("fig4a", fig4a), ("fig5a", fig5a)];
 
     // Clean baselines (and a sanity gate: the clean chains must accept).
     exo_chaos::disarm();
     let mut baseline = Vec::new();
     for (name, chain) in chains {
-        match chain(&isolated()) {
+        match chain(&isolated_state(true)) {
             Ok(p) => baseline.push(p.show()),
             Err(e) => {
                 eprintln!("FATAL: {name} clean chain rejected: {e}");
@@ -95,11 +83,11 @@ fn main() {
     let mut violations = 0u64;
 
     for site in FaultSite::ALL {
-        for &seed in seeds {
-            for &prob in probs {
+        for seed in [1, 42] {
+            for prob in [1.0, 0.5] {
                 for (i, (name, chain)) in chains.iter().enumerate() {
                     let guard = exo_chaos::arm(FaultPlan::new(seed).with_site(site, prob));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| chain(&isolated())));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| chain(&isolated_state(true))));
                     let injected: u64 = exo_chaos::injection_counts().iter().map(|&(_, n)| n).sum();
                     drop(guard);
                     injected_total += injected;
@@ -151,7 +139,7 @@ fn main() {
     // reproduce the baseline schedules exactly.
     exo_chaos::disarm();
     for (i, (name, chain)) in chains.iter().enumerate() {
-        match chain(&isolated()) {
+        match chain(&isolated_state(true)) {
             Ok(p) if p.show() == baseline[i] => {}
             Ok(_) => {
                 violations += 1;
@@ -184,7 +172,6 @@ fn main() {
         ("recovered".into(), Json::uint(recovered)),
         ("degraded".into(), Json::uint(degraded)),
         ("violations".into(), Json::uint(violations)),
-        ("smoke".into(), Json::Bool(smoke)),
     ]));
     if let Err(e) = write_bench_json("chaos", &out) {
         eprintln!("FATAL: could not write BENCH_chaos.json: {e}");

@@ -4,9 +4,8 @@
 //! time plus query/hit counters of each phase are written to
 //! `BENCH_check_cache.json`.
 //!
-//! `EXO_BENCH_SMOKE=1` shrinks the problem size for CI. The binary
-//! exits nonzero if a cached run reports zero hits — the regression
-//! guard for the cache plumbing.
+//! The binary exits nonzero if a cached run reports zero hits — the
+//! regression guard for the cache plumbing.
 
 use std::time::Instant;
 
@@ -24,13 +23,11 @@ struct Phase {
     misses: usize,
 }
 
-fn run_chain(
-    lib: &Avx512Lib,
-    state: &StateRef,
-    name: &'static str,
-    dims: (i64, i64, i64),
-) -> Phase {
-    let (m, n, k) = dims;
+/// The SGEMM problem size `(M, N, K)` every phase schedules.
+const DIMS: (i64, i64, i64) = (12, 128, 8);
+
+fn run_chain(lib: &Avx512Lib, state: &StateRef, name: &'static str) -> Phase {
+    let (m, n, k) = DIMS;
     let before = state
         .lock()
         .expect("scheduler state poisoned")
@@ -63,21 +60,19 @@ fn ratio(p: &Phase) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var("EXO_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let dims = if smoke { (12, 128, 8) } else { (48, 128, 64) };
     let lib = Avx512Lib::new();
 
     // cold + warm share one private cache-enabled context; nocache gets
     // its own cache-disabled context.
     let cached = isolated_state(true);
-    let cold = run_chain(&lib, &cached, "cold", dims);
-    let warm = run_chain(&lib, &cached, "warm", dims);
+    let cold = run_chain(&lib, &cached, "cold");
+    let warm = run_chain(&lib, &cached, "warm");
     let nocache_state = isolated_state(false);
-    let nocache = run_chain(&lib, &nocache_state, "nocache", dims);
+    let nocache = run_chain(&lib, &nocache_state, "nocache");
 
     println!(
         "== check-cache — Fig. 5a SGEMM chain {}x{}x{} (6x64 microkernel) ==",
-        dims.0, dims.1, dims.2
+        DIMS.0, DIMS.1, DIMS.2
     );
     println!(
         "{:<9} {:>9} {:>8} {:>8} {:>8} {:>7}",
@@ -114,9 +109,9 @@ fn main() {
     records.push(Json::obj(vec![
         ("type".into(), Json::Str("check_cache_summary".into())),
         ("combined_hit_ratio".into(), Json::Float(combined)),
-        ("m".into(), Json::uint(dims.0 as u64)),
-        ("n".into(), Json::uint(dims.1 as u64)),
-        ("k".into(), Json::uint(dims.2 as u64)),
+        ("m".into(), Json::uint(DIMS.0 as u64)),
+        ("n".into(), Json::uint(DIMS.1 as u64)),
+        ("k".into(), Json::uint(DIMS.2 as u64)),
     ]));
     write_bench_json("check_cache", &records).expect("write BENCH_check_cache.json");
 

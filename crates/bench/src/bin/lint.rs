@@ -6,8 +6,6 @@
 //!
 //! Exits nonzero if any finding is `Error`-severity — this is the CI
 //! gate for the kernels the repo ships.
-//!
-//! `EXO_BENCH_SMOKE=1` shrinks the problem sizes for CI.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,9 +23,9 @@ struct Subject {
     proc: Arc<Proc>,
 }
 
-fn subjects(state: &StateRef, smoke: bool) -> Vec<Subject> {
-    let (m, n, k) = if smoke { (12, 128, 8) } else { (24, 256, 64) };
-    let (gn, gm, gk) = if smoke { (32, 32, 32) } else { (64, 64, 64) };
+fn subjects(state: &StateRef) -> Vec<Subject> {
+    let (m, n, k) = (12, 128, 8);
+    let (gn, gm, gk) = (32, 32, 32);
 
     let avx = Avx512Lib::new();
     let gem = GemminiLib::new();
@@ -62,7 +60,6 @@ fn subjects(state: &StateRef, smoke: bool) -> Vec<Subject> {
 fn main() {
     // `EXO_CHAOS=site[:prob],...` arms fault injection for this run.
     let _chaos = exo_chaos::arm_from_env();
-    let smoke = std::env::var("EXO_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
 
     let state = fresh_state();
     let check = state
@@ -72,7 +69,7 @@ fn main() {
         .clone();
     let mut reg = GlobalReg::new();
 
-    let subjects = subjects(&state, smoke);
+    let subjects = subjects(&state);
     let mut records = Vec::new();
     let mut rule_hits: Vec<(String, usize)> = Vec::new();
     let mut worst = Severity::Info;

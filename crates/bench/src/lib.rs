@@ -20,13 +20,10 @@
 //! models (see `DESIGN.md`); the claims under test are the *shapes*:
 //! who wins, by roughly what factor, and where crossovers fall.
 
-pub mod perf;
-
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use exo_hwlibs::GemminiLib;
-use exo_interp::HwOp;
 use exo_kernels::gemmini_conv::{self, ConvShape};
 use exo_kernels::gemmini_gemm;
 use exo_obs::Json;
@@ -160,7 +157,6 @@ pub fn solver_stats_json(state: &StateRef) -> Json {
     Json::obj(vec![
         ("type".into(), Json::Str("smt_stats".into())),
         ("queries".into(), Json::uint(stats.queries as u64)),
-        ("cache_hits".into(), Json::uint(stats.cache_hits as u64)),
         ("yes".into(), Json::uint(stats.yes as u64)),
         ("no".into(), Json::uint(stats.no as u64)),
         ("gave_up".into(), Json::uint(stats.gave_up as u64)),
@@ -223,15 +219,6 @@ pub fn print_util_table(title: &str, rows: &[UtilRow]) {
         speedup,
         avg(|r| r.exo_lib) / avg(|r| r.hardware) * 100.0
     );
-}
-
-/// Counts the instructions in a trace by kind (for ablation reporting).
-pub fn count_kinds(trace: &[HwOp]) -> Vec<(String, usize)> {
-    let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-    for op in trace {
-        *counts.entry(op.instr.clone()).or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -1,100 +1,53 @@
-//! End-to-end tests for the `perf_diff` binary: a synthetic >25%
-//! regression must produce a nonzero exit and a machine-readable
-//! rejected verdict; a within-threshold run must pass; `--warn-only`
-//! must downgrade the failure to exit 0.
+//! Exit status of the `perf_diff` binary, run with its working directory
+//! set to a temporary tree holding `bench/baselines/` and `target/`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use exo_obs::Json;
+const RECORD: &str = r#"{"type":"smt_stats","queries":61,"qe_nodes":1860356,"time_us":1683148}"#;
 
-fn fixture(dir: &Path, exo: f64, queries: i64) {
-    std::fs::create_dir_all(dir).expect("mkdir fixture");
-    let rows = [
-        Json::obj(vec![
-            ("type".into(), Json::Str("gflops_row".into())),
-            ("size".into(), Json::Int(512)),
-            ("exo".into(), Json::Float(exo)),
-            ("mkl".into(), Json::Float(100.0)),
-            ("openblas".into(), Json::Float(100.0)),
-        ]),
-        Json::obj(vec![
-            ("type".into(), Json::Str("smt_stats".into())),
-            ("queries".into(), Json::Int(queries)),
-            ("gave_up".into(), Json::Int(0)),
-        ]),
-    ];
-    let text: String = rows.iter().map(|r| format!("{r}\n")).collect();
-    std::fs::write(dir.join("BENCH_fig5a.json"), text).expect("write fixture");
-}
-
-fn run(baseline: &Path, current: &Path, extra: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_diff"))
-        .arg("--baseline-dir")
-        .arg(baseline)
-        .arg("--current-dir")
-        .arg(current)
-        .args(extra)
-        .output()
-        .expect("spawn perf_diff");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    (out.status.success(), format!("{stdout}\n{stderr}"))
-}
-
-fn temp_pair(tag: &str) -> (PathBuf, PathBuf) {
+fn tree(tag: &str, baseline: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("perf_diff_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    (root.join("baseline"), root.join("current"))
+    for (dir, text) in [("bench/baselines", baseline), ("target", RECORD)] {
+        std::fs::create_dir_all(root.join(dir)).expect("mkdir");
+        std::fs::write(root.join(dir).join("BENCH_lint.json"), format!("{text}\n")).expect("write");
+    }
+    root
+}
+
+fn run(cwd: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_diff"))
+        .current_dir(cwd)
+        .args(args)
+        .output()
+        .expect("spawn perf_diff");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
 }
 
 #[test]
-fn synthetic_regression_beyond_threshold_exits_nonzero() {
-    let (base, cur) = temp_pair("regress");
-    fixture(&base, 100.0, 100);
-    fixture(&cur, 60.0, 100); // exo -40% against a 25% gate
-    let (ok, log) = run(&base, &cur, &[]);
-    assert!(!ok, "expected failure exit, got success:\n{log}");
-    assert!(log.contains("regressed"), "no regression reported:\n{log}");
+fn exits_zero_on_a_match_and_one_on_a_moved_count() {
+    let root = tree("ok", r#"{"type":"smt_stats","qe_nodes":1860356}"#);
+    assert_eq!(run(&root, &[]), (Some(0), "BENCH_lint.json: ok\n".into()));
 
-    let report = std::fs::read_to_string(cur.join("PERF_DIFF.json")).expect("report written");
-    let v = Json::parse(report.trim()).expect("report is strict JSON");
-    assert_eq!(v.get("verdict").and_then(Json::as_str), Some("rejected"));
-    let reason = v.get("reason").and_then(Json::as_str).expect("reason");
+    let moved = r#"{"type":"smt_stats","qe_nodes":1860357}"#;
+    let root = tree("moved", moved);
+    let (code, log) = run(&root, &[]);
+    assert_eq!(code, Some(1), "{log}");
+    assert!(log.contains(moved), "the unmatched line is printed:\n{log}");
     assert!(
-        reason.contains("exo"),
-        "reason should name the metric: {reason}"
+        log.contains(r#"current: {"type":"smt_stats","qe_nodes":1860356}"#),
+        "{log}"
     );
 }
 
 #[test]
-fn within_threshold_run_passes() {
-    let (base, cur) = temp_pair("ok");
-    fixture(&base, 100.0, 100);
-    fixture(&cur, 90.0, 110); // -10% gflops, +10% queries: both inside 25%
-    let (ok, log) = run(&base, &cur, &[]);
-    assert!(ok, "expected success:\n{log}");
-    let report = std::fs::read_to_string(cur.join("PERF_DIFF.json")).expect("report written");
-    let v = Json::parse(report.trim()).expect("report is strict JSON");
-    assert_eq!(v.get("verdict").and_then(Json::as_str), Some("accepted"));
-}
-
-#[test]
-fn warn_only_downgrades_regression_to_success() {
-    let (base, cur) = temp_pair("warn");
-    fixture(&base, 100.0, 100);
-    fixture(&cur, 60.0, 200); // regressions on both metrics
-    let (ok, log) = run(&base, &cur, &["--warn-only"]);
-    assert!(ok, "--warn-only should exit 0:\n{log}");
-    assert!(log.contains("WARN"), "should still warn loudly:\n{log}");
-}
-
-#[test]
-fn query_count_increase_is_a_regression() {
-    let (base, cur) = temp_pair("queries");
-    fixture(&base, 100.0, 100);
-    fixture(&cur, 100.0, 200); // +100% solver queries, lower-is-better
-    let (ok, log) = run(&base, &cur, &[]);
-    assert!(!ok, "query blow-up should fail the gate:\n{log}");
-    assert!(log.contains("queries"), "{log}");
+fn exits_two_on_an_argument_or_an_io_error() {
+    let root = tree("args", RECORD);
+    assert_eq!(run(&root, &["--warn-only"]).0, Some(2));
+    // no bench/baselines/ under the working directory
+    assert_eq!(run(&root.join("target"), &[]).0, Some(2));
 }
