@@ -20,6 +20,9 @@ cargo test -q
 echo "== obs / smt / analysis unit + integration tests =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 
+echo "== gemmini-sim (incl. differential test against the unpruned reference scan) =="
+cargo test -q -p gemmini-sim
+
 echo "== scheduler suite (operators, edge cases, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
@@ -40,6 +43,10 @@ cargo test -q --test chaos --test budget
 
 echo "== chaos bench (fails on escaped panic or monotonicity violation) =="
 cargo run --release -q -p exo-bench --bin chaos
+
+echo "== fig4a / fig4b benches (Gemmini utilization rows for the perf gate) =="
+cargo run --release -q -p exo-bench --bin fig4a
+cargo run --release -q -p exo-bench --bin fig4b
 
 echo "== fig5a bench (GFLOP/s rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig5a

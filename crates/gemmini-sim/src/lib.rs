@@ -10,9 +10,16 @@
 //!
 //! * **Decoupled queues** — loads (`mvin*`), execution (`matmul`,
 //!   `zero_acc`), and stores (`mvout*`) issue to three in-order queues
-//!   that run concurrently; data dependencies (RAW/WAW/WAR on scratchpad
-//!   and accumulator ranges) are what actually serialize them. Good
-//!   schedules overlap data movement with compute.
+//!   that run concurrently; data dependencies are what actually serialize
+//!   them. Good schedules overlap data movement with compute. Each tensor
+//!   argument's footprint is the linear element span `[lo, hi)` its window
+//!   covers in its buffer (DRAM, scratchpad or accumulator). An
+//!   instruction starts no earlier than the latest completion of every
+//!   prior access whose footprint overlaps one of its own: prior writes
+//!   for its reads (RAW), prior writes and reads for its writes (WAW,
+//!   WAR). A per-buffer scoreboard keeps the latest completion per
+//!   distinct footprint, so this maximum is exact over the whole trace:
+//!   nothing is pruned.
 //! * **Configuration flushes** — `config_ld`/`config_st` wait for *all*
 //!   in-flight operations and stall the pipe (paper §2: "instructions to
 //!   configure such state usually flush the accelerator pipeline"), so
@@ -29,7 +36,7 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use exo_core::budget::ResourceBudget;
 #[cfg(test)]
@@ -116,16 +123,50 @@ impl Unit {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Access {
-    buf: usize,
-    lo: u64,
-    hi: u64, // exclusive
-    time: u64,
+/// A `(buffer id, lo, hi)` footprint: the linear element span `[lo, hi)`
+/// an access touches within one buffer.
+type Footprint = (usize, u64, u64);
+
+/// One side (reads or writes) of the dependence scoreboard. Per buffer it
+/// keeps one entry per distinct footprint holding the latest completion
+/// time noted on it, so the latest time over the entries overlapping a
+/// query equals the latest time over *every* past access overlapping it:
+/// nothing is ever dropped.
+#[derive(Debug, Default)]
+struct Board {
+    bufs: HashMap<usize, BufBoard>,
 }
 
-fn overlaps(a: &Access, buf: usize, lo: u64, hi: u64) -> bool {
-    a.buf == buf && a.lo < hi && lo < a.hi
+/// The entries of one buffer, ordered by `(lo, hi)`.
+#[derive(Debug, Default)]
+struct BufBoard {
+    latest: BTreeMap<(u64, u64), u64>,
+    /// The longest noted `hi - lo`: an entry starting before
+    /// `lo - max_len` ends before `lo`, so queries skip it.
+    max_len: u64,
+}
+
+impl Board {
+    fn note(&mut self, (buf, lo, hi): Footprint, time: u64) {
+        let b = self.bufs.entry(buf).or_default();
+        let t = b.latest.entry((lo, hi)).or_insert(time);
+        *t = (*t).max(time);
+        b.max_len = b.max_len.max(hi - lo);
+    }
+
+    /// Latest completion time of a noted footprint overlapping
+    /// `[lo, hi)` in `buf` (0 if none).
+    fn latest(&self, (buf, lo, hi): Footprint) -> u64 {
+        let Some(b) = self.bufs.get(&buf) else {
+            return 0;
+        };
+        b.latest
+            .range((lo.saturating_sub(b.max_len), 0)..(hi, 0))
+            .filter(|(&(_, e_hi), _)| lo < e_hi)
+            .map(|(_, &t)| t)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// The simulator.
@@ -133,10 +174,12 @@ fn overlaps(a: &Access, buf: usize, lo: u64, hi: u64) -> bool {
 pub struct Simulator {
     cfg: SimConfig,
     cpu_time: u64,
-    unit_free: HashMap<Unit, u64>,
-    unit_busy: HashMap<Unit, u64>,
-    writers: Vec<Access>,
-    readers: Vec<Access>,
+    /// Per [`Unit`] (indexed by `unit as usize`): when it next idles.
+    unit_free: [u64; 3],
+    /// Per [`Unit`]: cycles spent executing.
+    unit_busy: [u64; 3],
+    writers: Board,
+    readers: Board,
     last_flush: u64,
     finish: u64,
     macs: u64,
@@ -152,10 +195,10 @@ impl Simulator {
         Simulator {
             cfg,
             cpu_time: 0,
-            unit_free: HashMap::new(),
-            unit_busy: HashMap::new(),
-            writers: Vec::new(),
-            readers: Vec::new(),
+            unit_free: [0; 3],
+            unit_busy: [0; 3],
+            writers: Board::default(),
+            readers: Board::default(),
             last_flush: 0,
             finish: 0,
             macs: 0,
@@ -203,12 +246,12 @@ impl Simulator {
             flushes: self.flushes,
             bytes_moved: self.bytes_moved,
             truncated,
-            busy: self
-                .unit_busy
-                .iter()
-                .map(|(&u, &b)| UnitBusy {
+            busy: [Unit::Load, Unit::Execute, Unit::Store]
+                .into_iter()
+                .filter(|&u| self.unit_busy[u as usize] > 0)
+                .map(|u| UnitBusy {
                     unit: u,
-                    busy_cycles: b,
+                    busy_cycles: self.unit_busy[u as usize],
                 })
                 .collect(),
         }
@@ -242,17 +285,13 @@ impl Simulator {
     }
 
     fn unit_available(&self, u: Unit) -> u64 {
-        self.unit_free
-            .get(&u)
-            .copied()
-            .unwrap_or(0)
-            .max(self.last_flush)
+        self.unit_free[u as usize].max(self.last_flush)
     }
 
     fn complete(&mut self, u: Unit, start: u64, cost: u64) -> u64 {
         let end = start + cost;
-        self.unit_free.insert(u, end);
-        *self.unit_busy.entry(u).or_insert(0) += cost;
+        self.unit_free[u as usize] = end;
+        self.unit_busy[u as usize] += cost;
         self.finish = self.finish.max(end);
         end
     }
@@ -260,13 +299,7 @@ impl Simulator {
     fn config(&mut self) {
         // drain everything, then stall
         let issue = self.issue(1);
-        let drain = self
-            .unit_free
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(issue);
+        let drain = self.unit_free.into_iter().fold(issue, u64::max);
         self.last_flush = drain + self.cfg.flush_cost;
         self.cpu_time = self.cpu_time.max(self.last_flush);
         self.finish = self.finish.max(self.last_flush);
@@ -287,7 +320,7 @@ impl Simulator {
     }
 
     fn zero(&mut self, op: &HwOp) {
-        let writes = tensor_ranges(op, &["dst"]);
+        let writes = footprints(op, ["dst"]);
         let issue = self.issue(1);
         let dep = self.dep_time(&[], &writes);
         let start = issue.max(self.unit_available(Unit::Execute)).max(dep);
@@ -300,8 +333,8 @@ impl Simulator {
         let m = op.int_arg("m").unwrap_or(DIM as i64) as u64;
         let k = op.int_arg("k").unwrap_or(DIM as i64) as u64;
         self.macs += n * m * k;
-        let reads = tensor_ranges(op, &["a", "b"]);
-        let writes = tensor_ranges(op, &["c"]);
+        let reads = footprints(op, ["a", "b"]);
+        let writes = footprints(op, ["c"]);
         // preload + compute are two host instructions
         let issue = self.issue(2);
         let dep = self.dep_time(&reads, &writes);
@@ -320,86 +353,51 @@ impl Simulator {
     /// Earliest start permitted by data dependencies: RAW (our reads wait
     /// on overlapping writers), WAW and WAR (our writes wait on
     /// overlapping writers and readers).
-    fn dep_time(&self, reads: &[(usize, u64, u64)], writes: &[(usize, u64, u64)]) -> u64 {
-        let mut t = 0;
-        for &(buf, lo, hi) in reads {
-            for w in &self.writers {
-                if overlaps(w, buf, lo, hi) {
-                    t = t.max(w.time);
-                }
-            }
-        }
-        for &(buf, lo, hi) in writes {
-            for w in &self.writers {
-                if overlaps(w, buf, lo, hi) {
-                    t = t.max(w.time);
-                }
-            }
-            for r in &self.readers {
-                if overlaps(r, buf, lo, hi) {
-                    t = t.max(r.time);
-                }
-            }
-        }
-        t
+    fn dep_time(&self, reads: &[Option<Footprint>], writes: &[Option<Footprint>]) -> u64 {
+        let raw = reads.iter().flatten().map(|&f| self.writers.latest(f));
+        let waw_war = writes
+            .iter()
+            .flatten()
+            .map(|&f| self.writers.latest(f).max(self.readers.latest(f)));
+        raw.chain(waw_war).max().unwrap_or(0)
     }
 
-    fn note(&mut self, reads: &[(usize, u64, u64)], writes: &[(usize, u64, u64)], end: u64) {
-        for &(buf, lo, hi) in reads {
-            self.readers.push(Access {
-                buf,
-                lo,
-                hi,
-                time: end,
-            });
+    fn note(&mut self, reads: &[Option<Footprint>], writes: &[Option<Footprint>], end: u64) {
+        for &f in reads.iter().flatten() {
+            self.readers.note(f, end);
         }
-        for &(buf, lo, hi) in writes {
-            self.writers.push(Access {
-                buf,
-                lo,
-                hi,
-                time: end,
-            });
-        }
-        // prune to bound cost on long traces
-        if self.writers.len() > 4096 {
-            let horizon = self.finish.saturating_sub(10_000);
-            self.writers.retain(|a| a.time > horizon);
-        }
-        if self.readers.len() > 4096 {
-            let horizon = self.finish.saturating_sub(10_000);
-            self.readers.retain(|a| a.time > horizon);
+        for &f in writes.iter().flatten() {
+            self.writers.note(f, end);
         }
     }
 }
 
-/// The (buffer, linear range) footprint of one tensor argument.
-fn footprint(t: &TensorRef) -> (usize, u64, u64) {
+/// The (buffer, linear range) footprint of one tensor argument. The
+/// arithmetic saturates, so `lo <= hi` holds for any window, as the
+/// scoreboard's range queries require.
+fn footprint(t: &TensorRef) -> Footprint {
     let mut span = 1u64;
     for (&n, &s) in t.shape.iter().zip(&t.strides) {
         if n > 0 {
-            span += (n as u64 - 1) * s as u64;
+            span = span.saturating_add((n as u64 - 1).saturating_mul(s as u64));
         }
     }
-    (t.buf.0, t.base_offset as u64, t.base_offset as u64 + span)
+    let lo = t.base_offset as u64;
+    (t.buf.0, lo, lo.saturating_add(span))
 }
 
-/// A set of `(buffer id, start byte, end byte)` footprints.
-type Ranges = Vec<(usize, u64, u64)>;
-
-fn tensor_ranges(op: &HwOp, names: &[&str]) -> Ranges {
-    names
-        .iter()
-        .filter_map(|n| op.tensor_arg(n).map(footprint))
-        .collect()
+/// The footprints of the named tensor arguments, in a fixed-size array
+/// (`None` where the op has no such tensor).
+fn footprints<const N: usize>(op: &HwOp, names: [&str; N]) -> [Option<Footprint>; N] {
+    names.map(|n| op.tensor_arg(n).map(footprint))
 }
 
 /// Classifies a DMA op: (reads, writes, total bytes, rows).
-fn dma_ranges(op: &HwOp) -> (Ranges, Ranges, u64, u64) {
+fn dma_ranges(op: &HwOp) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64, u64) {
     let src = op.tensor_arg("src");
     let dst = op.tensor_arg("dst");
-    let reads: Vec<_> = src.map(footprint).into_iter().collect();
-    let writes: Vec<_> = dst.map(footprint).into_iter().collect();
+    let reads = [src.map(footprint)];
+    let writes = [dst.map(footprint)];
     let elem = src
         .or(dst)
         .map(|t| t.dtype.size_bytes() as u64)
@@ -573,5 +571,58 @@ mod tests {
         let r = Simulator::new(SimConfig::software()).run(&trace);
         assert_eq!(r.macs, 16 * 16 * 16);
         assert_eq!(r.instructions, 4);
+    }
+
+    #[test]
+    fn deep_load_queue_keeps_every_dependence() {
+        // 5000 loads queue up; the matmul reads load #3000's tile, so it
+        // (and the mvout reading its result) must wait for 3001 loads
+        let mut trace = vec![config()];
+        trace.extend((0..5000).map(|i| mvin(0, 1, i * 256)));
+        trace.push(matmul((1, 3000 * 256), (1, 3000 * 256), (2, 0)));
+        trace.push(HwOp {
+            instr: "gemmini_mvout".into(),
+            args: vec![
+                ("src".into(), tensor(2, 0, &[1, 1_600_000], &[1_600_000, 1])),
+                ("dst".into(), tensor(3, 0, &[1, 1_600_000], &[1_600_000, 1])),
+            ],
+        });
+        let cfg = SimConfig::software();
+        let r = Simulator::new(cfg.clone()).run(&trace);
+        let raw_chain = cfg.flush_cost
+            + 3001 * (cfg.dma_startup + 16)
+            + cfg.dma_startup
+            + 1_600_000 / cfg.bus_bytes;
+        assert!(r.cycles >= raw_chain, "{} < {raw_chain}", r.cycles);
+    }
+
+    #[test]
+    fn reports_are_deterministic() {
+        let mut trace = vec![config()];
+        for i in 0..32 {
+            trace.push(mvin(0, 1, (i % 4) * 256));
+            trace.push(matmul((1, (i % 4) * 256), (1, 0), (2, (i % 2) * 256)));
+        }
+        for cfg in [SimConfig::software(), SimConfig::hardware_unroller()] {
+            let sim = |t: &[HwOp]| Simulator::new(cfg.clone()).run(t);
+            let r = sim(&trace);
+            assert_eq!(r, sim(&trace));
+            let units: Vec<Unit> = r.busy.iter().map(|b| b.unit).collect();
+            assert_eq!(units, [Unit::Load, Unit::Execute]);
+        }
+    }
+
+    #[test]
+    fn absurd_windows_do_not_panic() {
+        // spans past u64::MAX, starting anywhere up to the last element
+        let op = |off| HwOp {
+            instr: "gemmini_mvin".into(),
+            args: vec![
+                ("src".into(), tensor(0, off, &[2, 1], &[usize::MAX, 1])),
+                ("dst".into(), tensor(1, off, &[2, 1], &[usize::MAX, 1])),
+            ],
+        };
+        let r = Simulator::new(SimConfig::software()).run(&[op(0), op(usize::MAX), op(7)]);
+        assert_eq!(r.instructions, 3);
     }
 }

@@ -32,7 +32,8 @@ pub struct SimReport {
     /// fully consumed — the counts above cover only the simulated prefix
     /// and must not be compared against complete runs.
     pub truncated: bool,
-    /// Per-unit busy cycles.
+    /// Per-unit busy cycles, in Load/Execute/Store order; units that did
+    /// no work are omitted.
     pub busy: Vec<UnitBusy>,
 }
 

@@ -1,0 +1,390 @@
+//! Differential test: the simulator's per-buffer scoreboard against a
+//! reference simulator that keeps every past access in a list and scans
+//! it linearly, never pruning. Both must produce identical reports on
+//! seeded random traces.
+
+use std::collections::HashMap;
+
+use exo_core::types::{DataType, MemName};
+use exo_interp::{BufId, HwOp, TensorRef, TraceArg};
+use gemmini_sim::{SimConfig, SimReport, Simulator, Unit, UnitBusy, DIM, PEAK_MACS_PER_CYCLE};
+
+/// A past access: `(buffer, lo, hi, completion time)`.
+type Access = (usize, u64, u64, u64);
+type Footprint = (usize, u64, u64);
+
+/// The reference timing model: the same queues, flushes and costs as
+/// [`Simulator`], with every access kept and scanned on each dependence
+/// query.
+struct Reference {
+    cfg: SimConfig,
+    cpu_time: u64,
+    unit_free: HashMap<Unit, u64>,
+    unit_busy: HashMap<Unit, u64>,
+    writers: Vec<Access>,
+    readers: Vec<Access>,
+    last_flush: u64,
+    finish: u64,
+    macs: u64,
+    instructions: u64,
+    flushes: u64,
+    bytes_moved: u64,
+}
+
+impl Reference {
+    fn run(cfg: SimConfig, trace: &[HwOp]) -> SimReport {
+        let mut s = Reference {
+            cfg,
+            cpu_time: 0,
+            unit_free: HashMap::new(),
+            unit_busy: HashMap::new(),
+            writers: Vec::new(),
+            readers: Vec::new(),
+            last_flush: 0,
+            finish: 0,
+            macs: 0,
+            instructions: 0,
+            flushes: 0,
+            bytes_moved: 0,
+        };
+        for op in trace {
+            s.step(op);
+        }
+        let cycles = s.finish.max(s.cpu_time).max(1);
+        SimReport {
+            cycles,
+            macs: s.macs,
+            utilization: s.macs as f64 / (cycles * PEAK_MACS_PER_CYCLE) as f64,
+            instructions: s.instructions,
+            flushes: s.flushes,
+            bytes_moved: s.bytes_moved,
+            truncated: false,
+            busy: [Unit::Load, Unit::Execute, Unit::Store]
+                .into_iter()
+                .filter_map(|unit| {
+                    let busy_cycles = *s.unit_busy.get(&unit)?;
+                    Some(UnitBusy { unit, busy_cycles })
+                })
+                .collect(),
+        }
+    }
+
+    fn step(&mut self, op: &HwOp) {
+        self.instructions += 1;
+        match op.instr.as_str() {
+            s if s.starts_with("gemmini_config") => self.config(),
+            s if s.starts_with("gemmini_mvin") => self.dma(op, Unit::Load),
+            s if s.starts_with("gemmini_mvout") => self.dma(op, Unit::Store),
+            "gemmini_zero_acc" => self.zero(op),
+            "gemmini_matmul" => self.matmul(op),
+            _ => {
+                let issue = self.issue(1);
+                let start = issue.max(self.unit_available(Unit::Execute));
+                self.complete(Unit::Execute, start, 1);
+            }
+        }
+    }
+
+    fn issue(&mut self, n_instrs: u64) -> u64 {
+        self.cpu_time += self.cfg.dispatch_cost * n_instrs;
+        self.cpu_time
+    }
+
+    fn unit_available(&self, u: Unit) -> u64 {
+        self.unit_free
+            .get(&u)
+            .copied()
+            .unwrap_or(0)
+            .max(self.last_flush)
+    }
+
+    fn complete(&mut self, u: Unit, start: u64, cost: u64) -> u64 {
+        let end = start + cost;
+        self.unit_free.insert(u, end);
+        *self.unit_busy.entry(u).or_insert(0) += cost;
+        self.finish = self.finish.max(end);
+        end
+    }
+
+    fn config(&mut self) {
+        let issue = self.issue(1);
+        let drain = self
+            .unit_free
+            .values()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(issue);
+        self.last_flush = drain + self.cfg.flush_cost;
+        self.cpu_time = self.cpu_time.max(self.last_flush);
+        self.finish = self.finish.max(self.last_flush);
+        self.flushes += 1;
+    }
+
+    fn dma(&mut self, op: &HwOp, unit: Unit) {
+        let src = op.tensor_arg("src");
+        let dst = op.tensor_arg("dst");
+        let reads = ranges(op, &["src"]);
+        let writes = ranges(op, &["dst"]);
+        let t = src.or(dst);
+        let elem = t.map(|t| t.dtype.size_bytes() as u64).unwrap_or(1);
+        let volume = t
+            .map(|t| t.shape.iter().product::<usize>() as u64)
+            .unwrap_or(0);
+        let rows = t.and_then(|t| t.shape.first().copied()).unwrap_or(1).max(1) as u64;
+        let bytes = volume * elem;
+        self.bytes_moved += bytes;
+        let issue = self.issue(1);
+        let dep = self.dep_time(&reads, &writes);
+        let start = issue.max(self.unit_available(unit)).max(dep);
+        let cost = self.cfg.dma_startup
+            + rows * ((bytes / rows.max(1)).div_ceil(self.cfg.bus_bytes)).max(1);
+        let end = self.complete(unit, start, cost);
+        self.note(&reads, &writes, end);
+    }
+
+    fn zero(&mut self, op: &HwOp) {
+        let writes = ranges(op, &["dst"]);
+        let issue = self.issue(1);
+        let dep = self.dep_time(&[], &writes);
+        let start = issue.max(self.unit_available(Unit::Execute)).max(dep);
+        let end = self.complete(Unit::Execute, start, 2);
+        self.note(&[], &writes, end);
+    }
+
+    fn matmul(&mut self, op: &HwOp) {
+        let dim = |name| op.int_arg(name).unwrap_or(DIM as i64) as u64;
+        self.macs += dim("n") * dim("m") * dim("k");
+        let reads = ranges(op, &["a", "b"]);
+        let writes = ranges(op, &["c"]);
+        let issue = self.issue(2);
+        let dep = self.dep_time(&reads, &writes);
+        let avail = self.unit_available(Unit::Execute);
+        let idle = dep.max(issue) > avail;
+        let start = issue.max(avail).max(dep);
+        let cost = if idle {
+            self.cfg.matmul_startup
+        } else {
+            self.cfg.matmul_interval
+        };
+        let end = self.complete(Unit::Execute, start, cost);
+        self.note(&reads, &writes, end);
+    }
+
+    fn dep_time(&self, reads: &[Footprint], writes: &[Footprint]) -> u64 {
+        let latest = |list: &[Access], (buf, lo, hi): Footprint| {
+            list.iter()
+                .filter(|a| a.0 == buf && a.1 < hi && lo < a.2)
+                .map(|a| a.3)
+                .max()
+                .unwrap_or(0)
+        };
+        let raw = reads.iter().map(|&f| latest(&self.writers, f));
+        let waw_war = writes
+            .iter()
+            .map(|&f| latest(&self.writers, f).max(latest(&self.readers, f)));
+        raw.chain(waw_war).max().unwrap_or(0)
+    }
+
+    fn note(&mut self, reads: &[Footprint], writes: &[Footprint], end: u64) {
+        self.readers
+            .extend(reads.iter().map(|&(b, lo, hi)| (b, lo, hi, end)));
+        self.writers
+            .extend(writes.iter().map(|&(b, lo, hi)| (b, lo, hi, end)));
+    }
+}
+
+fn ranges(op: &HwOp, names: &[&str]) -> Vec<Footprint> {
+    names
+        .iter()
+        .filter_map(|n| op.tensor_arg(n))
+        .map(|t| {
+            let span: usize = 1 + t
+                .shape
+                .iter()
+                .zip(&t.strides)
+                .map(|(&n, &s)| n.saturating_sub(1) * s)
+                .sum::<usize>();
+            (t.buf.0, t.base_offset as u64, (t.base_offset + span) as u64)
+        })
+        .collect()
+}
+
+/// xorshift64*: a tiny seeded generator, so every failing trace is
+/// reproducible from its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> usize {
+        (self.next() % n) as usize
+    }
+}
+
+/// Buffers: 0 and 3 are DRAM matrices (row stride 64 or 128), 1 a
+/// scratchpad and 2 an accumulator (row stride 16).
+const DRAM: [usize; 2] = [0, 3];
+
+/// The shape of a random trace.
+#[derive(Clone, Copy)]
+struct Mix {
+    /// On-chip tile slots per buffer.
+    slots: u64,
+    /// Relative frequency of config, fence, mvin, mvout, zero_acc and
+    /// matmul.
+    weights: [u64; 6],
+}
+
+/// Short traces revisit a few slots, each with its own random mix, so
+/// that each queue gets to be the bottleneck. Long traces are load-heavy
+/// over many slots with rare flushes, so the load queue runs far ahead of
+/// issue.
+fn short_mix(rng: &mut Rng) -> Mix {
+    Mix {
+        slots: 2 + rng.below(30) as u64,
+        weights: [0, 1, 2, 3, 4, 5].map(|i| rng.below(if i < 2 { 2 } else { 9 }) as u64 + 1),
+    }
+}
+
+const LONG: Mix = Mix {
+    slots: 1024,
+    weights: [1, 5, 700, 60, 20, 214],
+};
+
+fn tensor(buf: usize, offset: usize, shape: [usize; 2], row_stride: usize) -> TraceArg {
+    TraceArg::Tensor(TensorRef {
+        buf: BufId(buf),
+        mem: MemName::dram(),
+        dtype: DataType::I8,
+        base_offset: offset,
+        shape: shape.to_vec(),
+        strides: vec![row_stride, 1],
+    })
+}
+
+/// Mostly 0, so footprints repeat exactly; else up to a tile, so they
+/// overlap their neighbours partially. A shift of 255 starts a full tile
+/// on the last element of the aligned tile in its slot.
+fn shift(rng: &mut Rng) -> usize {
+    match rng.below(8) {
+        0..=3 => 0,
+        4 => 255,
+        5 => 1,
+        6 => 16 * rng.below(16),
+        _ => rng.below(256),
+    }
+}
+
+/// A DRAM tile: a strided footprint, so tiles side by side in the same
+/// rows overlap as linear spans.
+fn dram_tile(rng: &mut Rng, shape: [usize; 2]) -> TraceArg {
+    let buf = DRAM[rng.below(2)];
+    let stride = if buf == 0 { 64 } else { 128 };
+    let offset = rng.below(8) * stride * 4 + rng.below(4) * 16 + shift(rng);
+    tensor(buf, offset, shape, stride)
+}
+
+/// An on-chip tile in one of `mix.slots` slots.
+fn local_tile(rng: &mut Rng, mix: Mix, buf: usize, shape: [usize; 2]) -> TraceArg {
+    let offset = rng.below(mix.slots) * 256 + shift(rng);
+    tensor(buf, offset, shape, 16)
+}
+
+fn random_op(rng: &mut Rng, mix: Mix) -> HwOp {
+    // mostly full tiles, so footprints repeat
+    let full = rng.below(4) != 0;
+    let mut dim = || if full { 16 } else { 1 + rng.below(16) };
+    let (n, m, k) = (dim(), dim(), dim());
+    let mut pick = rng.below(mix.weights.iter().sum()) as u64;
+    let kind = mix.weights.iter().position(|&w| {
+        let hit = pick < w;
+        pick = pick.saturating_sub(w);
+        hit
+    });
+    let (instr, args) = match kind {
+        Some(0) => ("gemmini_config_ld", vec![("s", TraceArg::Int(128))]),
+        Some(1) => ("gemmini_fence", vec![]),
+        Some(2) => {
+            let instr = ["gemmini_mvin", "gemmini_mvin_acc"][rng.below(2)];
+            let buf = 1 + rng.below(2);
+            let dst = local_tile(rng, mix, buf, [n, m]);
+            (instr, vec![("src", dram_tile(rng, [n, m])), ("dst", dst)])
+        }
+        Some(3) => {
+            let buf = 1 + rng.below(2);
+            let src = local_tile(rng, mix, buf, [n, m]);
+            (
+                "gemmini_mvout",
+                vec![("src", src), ("dst", dram_tile(rng, [n, m]))],
+            )
+        }
+        Some(4) => {
+            let dst = local_tile(rng, mix, 2, [n, m]);
+            ("gemmini_zero_acc", vec![("dst", dst)])
+        }
+        _ => {
+            let args = vec![
+                ("n", TraceArg::Int(n as i64)),
+                ("m", TraceArg::Int(m as i64)),
+                ("k", TraceArg::Int(k as i64)),
+                ("a", local_tile(rng, mix, 1, [n, k])),
+                ("b", local_tile(rng, mix, 1, [k, m])),
+                ("c", local_tile(rng, mix, 2, [n, m])),
+            ];
+            ("gemmini_matmul", args)
+        }
+    };
+    HwOp {
+        instr: instr.into(),
+        args: args.into_iter().map(|(n, a)| (n.into(), a)).collect(),
+    }
+}
+
+/// A timing model with random costs, so that each queue and each
+/// dependence kind gets to be the one that binds.
+fn random_config(rng: &mut Rng) -> SimConfig {
+    SimConfig {
+        dispatch_cost: rng.below(8) as u64,
+        flush_cost: rng.below(64) as u64,
+        dma_startup: rng.below(64) as u64,
+        bus_bytes: 1 + rng.below(32) as u64,
+        matmul_interval: 1 + rng.below(40) as u64,
+        matmul_startup: 1 + rng.below(64) as u64,
+    }
+}
+
+#[test]
+fn scoreboard_matches_the_unpruned_scan() {
+    let mut noted_max = 0;
+    for seed in 1..=200u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // every 50th trace is long: more than 4096 noted accesses
+        let (len, mix) = if seed % 50 == 0 {
+            (2500, LONG)
+        } else {
+            (1 + rng.below(300), short_mix(&mut rng))
+        };
+        let trace: Vec<HwOp> = (0..len).map(|_| random_op(&mut rng, mix)).collect();
+        let noted: usize = trace
+            .iter()
+            .map(|op| ranges(op, &["src", "dst", "a", "b", "c"]).len())
+            .sum();
+        noted_max = noted_max.max(noted);
+        let random = random_config(&mut rng);
+        for cfg in [
+            SimConfig::software(),
+            SimConfig::hardware_unroller(),
+            random,
+        ] {
+            let got = Simulator::new(cfg.clone()).run(&trace);
+            assert_eq!(got, Reference::run(cfg, &trace), "seed {seed}");
+        }
+    }
+    assert!(noted_max > 4096, "longest trace noted only {noted_max}");
+}
