@@ -20,6 +20,9 @@ cargo test -q
 echo "== obs / smt / analysis unit + integration tests =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 
+echo "== smt property suite (QE vs brute-force enumeration; ~3 s in debug) =="
+cargo test -q -p exo-smt --features proptest-tests
+
 echo "== gemmini-sim (incl. differential test against the unpruned reference scan) =="
 cargo test -q -p gemmini-sim
 

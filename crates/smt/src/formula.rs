@@ -255,6 +255,15 @@ impl Formula {
         }
     }
 
+    /// The top-level conjuncts: the parts of an `And`, else the formula
+    /// itself.
+    pub(crate) fn conjuncts(&self) -> &[Formula] {
+        match self {
+            Formula::And(fs) => fs,
+            f => std::slice::from_ref(f),
+        }
+    }
+
     /// Whether the formula contains quantifiers.
     pub fn has_quantifiers(&self) -> bool {
         match self {

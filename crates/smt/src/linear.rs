@@ -10,8 +10,10 @@ use std::fmt;
 use exo_core::sym::Sym;
 
 /// A linear expression `constant + Σ coeff·var` with integer
-/// coefficients. Zero-coefficient entries are never stored.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// coefficients. Zero-coefficient entries are never stored. The derived
+/// order is structural (constant, then coefficients by symbol); Cooper QE
+/// uses it to sort and dedup boundary terms.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct LinExpr {
     /// Constant term.
     pub constant: i64,

@@ -3,8 +3,13 @@
 //! The effect analyses reduce every safety condition to a sentence of
 //! linear integer arithmetic (quasi-affinity guarantees this, paper
 //! §4.2). This module decides those sentences by eliminating quantifiers
-//! innermost-out; [`crate::solver::Solver`] wraps it with caching and a
-//! work limit.
+//! innermost-out; [`crate::solver::Solver`] wraps it with a work limit
+//! and query statistics.
+//!
+//! Equalities are used before enumeration: `nnf` keeps positive `e = 0`
+//! atoms, and [`eliminate_exists`] substitutes a top-level equality that
+//! fixes the eliminated variable instead of enumerating its boundary
+//! points.
 
 use exo_core::sym::Sym;
 
@@ -27,8 +32,9 @@ impl std::fmt::Display for TooHard {
 impl std::error::Error for TooHard {}
 
 /// Normalizes to negation normal form where `Not` survives only directly
-/// above `Dvd` atoms, and `Eq`/negated-`Eq` atoms are expanded into
-/// inequalities.
+/// above `Dvd` atoms. Positive `Eq` atoms are kept (so [`eliminate_exists`]
+/// can substitute them); negated `Eq` atoms are expanded into a
+/// disjunction of two inequalities.
 fn nnf(f: &Formula, neg: bool) -> Formula {
     match f {
         Formula::True => {
@@ -82,11 +88,7 @@ fn nnf(f: &Formula, neg: bool) -> Formula {
             (Atom::Le(e), false) => Formula::Atom(Atom::Le(e.clone())),
             // ¬(e ≤ 0) ⇔ e ≥ 1 ⇔ 1 - e ≤ 0
             (Atom::Le(e), true) => Formula::le(e.scale(-1).offset(1), LinExpr::constant(0)),
-            // e = 0 ⇔ e ≤ 0 ∧ -e ≤ 0
-            (Atom::Eq(e), false) => Formula::and(vec![
-                Formula::le(e.clone(), LinExpr::constant(0)),
-                Formula::le(e.scale(-1), LinExpr::constant(0)),
-            ]),
+            (Atom::Eq(e), false) => Formula::Atom(Atom::Eq(e.clone())),
             // ¬(e = 0) ⇔ e ≤ -1 ∨ e ≥ 1
             (Atom::Eq(e), true) => Formula::or(vec![
                 Formula::le(e.offset(1), LinExpr::constant(0)),
@@ -215,6 +217,22 @@ pub fn eliminate_exists(x: Sym, f: &Formula, budget: &mut QeBudget) -> Result<Fo
         scaled
     };
 
+    // A top-level conjunct c·x + r = 0 (c = ±1 after rescaling) fixes
+    // x = −c·r, so ∃x.φ ⇔ φ[x ↦ −c·r] exactly — the λ | x conjunct
+    // included. No boundary points are needed.
+    let unit_eq = with_div.conjuncts().iter().find_map(|g| match g {
+        Formula::Atom(Atom::Eq(e)) if e.coeff(x).abs() == 1 => Some(e),
+        _ => None,
+    });
+    if let Some(e) = unit_eq {
+        let c = e.coeff(x);
+        let mut r = e.clone();
+        r.coeffs.remove(&x);
+        let g = with_div.subst(x, &r.scale(-c));
+        budget.charge(g.size())?;
+        return Ok(g);
+    }
+
     // Step 2: δ = lcm of divisibility moduli on x; boundary terms. We use
     // whichever of the lower-bound (−∞) or upper-bound (+∞) versions has
     // fewer boundary points.
@@ -222,9 +240,9 @@ pub fn eliminate_exists(x: Sym, f: &Formula, budget: &mut QeBudget) -> Result<Fo
     let mut lowers: Vec<LinExpr> = Vec::new();
     let mut uppers: Vec<LinExpr> = Vec::new();
     collect_bounds(&with_div, x, &mut delta, &mut lowers, &mut uppers);
-    lowers.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    lowers.sort();
     lowers.dedup();
-    uppers.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    uppers.sort();
     uppers.dedup();
     let from_below = lowers.len() <= uppers.len();
     let boundary = if from_below { &lowers } else { &uppers };
@@ -365,8 +383,8 @@ fn collect_bounds(
             }
         }
         Formula::Atom(Atom::Eq(e)) => {
-            // equalities were expanded by nnf(); any survivor mentioning x
-            // contributes both boundary points.
+            // an equality not substituted away (e.g. one nested under a
+            // disjunction) pins x to one point, reachable from either side.
             match e.coeff(x) {
                 0 => {}
                 _ => {

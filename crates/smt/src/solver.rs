@@ -11,7 +11,10 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use crate::formula::Formula;
+use exo_core::sym::Sym;
+
+use crate::formula::{Atom, Formula};
+use crate::linear::gcd;
 use crate::qe::{eliminate_all, QeBudget, TooHard};
 
 /// Outcome of a satisfiability/validity query.
@@ -186,8 +189,11 @@ impl Solver {
 
 /// Decides satisfiability of a quantifier-free formula, existentially
 /// closing its free variables. Splits top-level disjunctions (early exit
-/// on the first satisfiable disjunct) and eliminates the cheapest-looking
-/// variable first.
+/// on the first satisfiable disjunct), then eliminates one variable and
+/// recurses. The variable is one with a unit coefficient in a top-level
+/// equality if there is one (Cooper substitutes it, no enumeration);
+/// otherwise the one minimising `(λ, occurrences)`, where λ is the lcm of
+/// its coefficients and so the rescaling period it adds.
 fn sat_qf(f: &Formula, budget: &mut QeBudget) -> Result<bool, TooHard> {
     match f {
         Formula::True => return Ok(true),
@@ -202,12 +208,22 @@ fn sat_qf(f: &Formula, budget: &mut QeBudget) -> Result<bool, TooHard> {
         }
         _ => {}
     }
-    let mut fv = BTreeSet::new();
-    f.free_vars(&mut fv);
-    let Some(&x) = fv.iter().min_by_key(|&&v| occurrence_weight(f, v)) else {
-        // ground: atoms mostly fold at construction, but a few paths
-        // (e.g. Cooper rescaling) build atoms directly — evaluate here.
-        return Ok(eval_ground(f));
+    let unit_eq = f.conjuncts().iter().find_map(|g| match g {
+        Formula::Atom(Atom::Eq(e)) => e.coeffs.iter().find(|(_, c)| c.abs() == 1).map(|(&v, _)| v),
+        _ => None,
+    });
+    let x = match unit_eq {
+        Some(x) => x,
+        None => {
+            let mut fv = BTreeSet::new();
+            f.free_vars(&mut fv);
+            match fv.into_iter().min_by_key(|&v| elimination_cost(f, v)) {
+                Some(x) => x,
+                // ground: atoms mostly fold at construction, but a few paths
+                // (e.g. Cooper rescaling) build atoms directly — evaluate here.
+                None => return Ok(eval_ground(f)),
+            }
+        }
     };
     let g = crate::qe::eliminate_exists(x, f, budget)?;
     sat_qf(&g, budget)
@@ -233,20 +249,21 @@ fn eval_ground(f: &Formula) -> bool {
     }
 }
 
-/// Heuristic elimination cost: number of atoms mentioning the variable.
-fn occurrence_weight(f: &Formula, x: exo_core::sym::Sym) -> usize {
+/// Heuristic elimination cost of `x`: the lcm of its coefficients'
+/// magnitudes (saturating), then the number of atoms mentioning it.
+fn elimination_cost(f: &Formula, x: Sym) -> (i64, usize) {
     match f {
-        Formula::Atom(a) => {
-            let e = match a {
-                crate::formula::Atom::Le(e)
-                | crate::formula::Atom::Eq(e)
-                | crate::formula::Atom::Dvd(_, e) => e,
-            };
-            usize::from(e.mentions(x))
-        }
-        Formula::Not(g) => occurrence_weight(g, x),
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().map(|g| occurrence_weight(g, x)).sum(),
-        _ => 0,
+        Formula::Atom(Atom::Le(e) | Atom::Eq(e) | Atom::Dvd(_, e)) => match e.coeff(x).abs() {
+            0 => (1, 0),
+            c => (c, 1),
+        },
+        Formula::Not(g) => elimination_cost(g, x),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().fold((1, 0), |(lam, n), g| {
+            let (l, m) = elimination_cost(g, x);
+            let lam = (lam / gcd(lam, l)).saturating_mul(l);
+            (lam, n + m)
+        }),
+        _ => (1, 0),
     }
 }
 
@@ -254,7 +271,6 @@ fn occurrence_weight(f: &Formula, x: exo_core::sym::Sym) -> usize {
 mod tests {
     use super::*;
     use crate::linear::LinExpr;
-    use exo_core::sym::Sym;
 
     #[test]
     fn sat_and_valid_are_dual() {

@@ -1,11 +1,12 @@
 //! Differential testing of the Cooper-QE solver against brute-force
 //! enumeration on a bounded domain.
 //!
-//! We generate random quantifier-free formulas over ≤3 variables with
+//! We generate random quantifier-free formulas over ≤4 variables with
 //! small coefficients, bound each variable to a box `[-B, B]` inside the
 //! formula itself, and compare `check_sat` with exhaustive search. With
 //! the box conjoined, bounded enumeration is exact, so any disagreement
-//! is a solver bug.
+//! is a solver bug. The same holds for `∀x∃y` sentences whose quantifiers
+//! are relativized to the box.
 
 #![cfg(feature = "proptest-tests")]
 
@@ -104,12 +105,31 @@ fn arb_fexpr(nvars: usize) -> impl Strategy<Value = FExpr> {
     })
 }
 
+/// A conjunction shaped like a tiling-disjointness query (the box is added
+/// by [`boxed`]): one access equality with coefficients from {±1, ±4, ±16}
+/// (the strides of split loops) and one disequality.
+fn arb_tiling_conj(nvars: usize) -> impl Strategy<Value = FExpr> {
+    const STRIDES: [i64; 6] = [1, -1, 4, -4, 16, -16];
+    let strided = proptest::collection::vec(0usize..STRIDES.len(), nvars)
+        .prop_map(|ix| ix.into_iter().map(|i| STRIDES[i]).collect::<Vec<_>>());
+    (strided, -20i64..=20, arb_coeffs(nvars), -3i64..=3).prop_map(|(eq, k, ne, c)| {
+        FExpr::And(vec![
+            FExpr::Eq(eq, k),
+            FExpr::Not(Box::new(FExpr::Eq(ne, c))),
+        ])
+    })
+}
+
+fn in_box(v: Sym) -> Formula {
+    Formula::and(vec![
+        Formula::ge(LinExpr::var(v), LinExpr::constant(-BOUND)),
+        Formula::le(LinExpr::var(v), LinExpr::constant(BOUND)),
+    ])
+}
+
 fn boxed(f: Formula, vars: &[Sym]) -> Formula {
     let mut parts = vec![f];
-    for &v in vars {
-        parts.push(Formula::ge(LinExpr::var(v), LinExpr::constant(-BOUND)));
-        parts.push(Formula::le(LinExpr::var(v), LinExpr::constant(BOUND)));
-    }
+    parts.extend(vars.iter().map(|&v| in_box(v)));
     Formula::and(parts)
 }
 
@@ -137,6 +157,35 @@ proptest! {
         let got = solver.check_sat(&formula);
         prop_assert_ne!(got, Answer::Unknown, "work limit hit on small formula");
         prop_assert_eq!(got == Answer::Yes, expected, "formula: {}", formula);
+    }
+
+    #[test]
+    fn qe_matches_brute_force_tiling_4vars(f in arb_tiling_conj(4)) {
+        let vars = [Sym::new("w0"), Sym::new("w1"), Sym::new("w2"), Sym::new("w3")];
+        let formula = boxed(to_formula(&f, &vars), &vars);
+        let expected = brute_force_sat(&f, 4);
+        let mut solver = Solver::new();
+        let got = solver.check_sat(&formula);
+        // Substituting a stride-16 equality into the disequality can leave
+        // coprime coefficients (e.g. 15, 16, 17) whose lcm makes Cooper's
+        // period exceed the work limit; `Unknown` is the sound fail-safe
+        // there. Every decided verdict must match enumeration.
+        if got != Answer::Unknown {
+            prop_assert_eq!(got == Answer::Yes, expected, "formula: {}", formula);
+        }
+    }
+
+    #[test]
+    fn forall_exists_matches_brute_force(f in arb_fexpr(2)) {
+        // ∀x ∈ box. ∃y ∈ box. f(x, y)
+        let (x, y) = (Sym::new("v0"), Sym::new("v1"));
+        let inner = Formula::and(vec![in_box(y), to_formula(&f, &[x, y])]).exists(y);
+        let sentence = in_box(x).implies(inner).forall(x);
+        let expected = (-BOUND..=BOUND).all(|a| (-BOUND..=BOUND).any(|b| eval(&f, &[a, b])));
+        let mut solver = Solver::new();
+        let got = solver.check_sat(&sentence);
+        prop_assert_ne!(got, Answer::Unknown, "work limit hit on small formula");
+        prop_assert_eq!(got == Answer::Yes, expected, "sentence: {}", sentence);
     }
 
     #[test]
