@@ -54,6 +54,9 @@ cargo run --release -q -p exo-bench --bin fig4b
 echo "== fig5a bench (GFLOP/s rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig5a
 
+echo "== fig7 bench (code-size rows for the perf gate) =="
+cargo run --release -q -p exo-bench --bin fig7
+
 echo "== trace exports (fig5a SGEMM schedule; validates Chrome JSON with the strict parser) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 

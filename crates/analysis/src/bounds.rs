@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use exo_core::ir::{ArgType, Block, Expr, Proc, Stmt, WAccess};
+use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
 use exo_core::path::StmtPath;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
@@ -21,7 +21,7 @@ use exo_smt::solver::Answer;
 
 use crate::check::SharedCheckCtx;
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::globals::{lift_in_env, val_g_block, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, val_g_block, widen_loop, GlobalEnv, GlobalReg};
 
 /// A bounds or assertion violation (or a solver give-up, which is
 /// reported as a failure — the checks fail safe).
@@ -164,7 +164,8 @@ impl<'a> Checker<'a> {
                         .push(crate::conditions::bd(*iter, &lo_e, &hi_e));
                     // inside the body, config state may have been changed
                     // by earlier iterations
-                    self.genv = loop_open_env(saved_genv.clone(), body, *iter, self.reg);
+                    let after = val_g_block(body, saved_genv.clone(), self.reg);
+                    self.genv = widen_loop(&saved_genv, &after, *iter, self.reg);
                     self.check_block(body);
                     self.assumptions.pop();
                     self.genv = val_g_block(std::slice::from_ref(s), saved_genv, self.reg);
@@ -282,23 +283,6 @@ impl<'a> Checker<'a> {
             _ => {}
         }
     }
-}
-
-fn loop_open_env(entry: GlobalEnv, body: &Block, iter: Sym, reg: &mut GlobalReg) -> GlobalEnv {
-    let after = val_g_block(body, entry.clone(), reg);
-    let mut out = entry.clone();
-    let keys: Vec<(Sym, Sym)> = after.touched().copied().collect();
-    for (c, f) in keys {
-        let va = entry.value(c, f, reg);
-        let vb = after.value(c, f, reg);
-        let mut fv = std::collections::BTreeSet::new();
-        vb.free_vars(&mut fv);
-        if va == vb && !fv.contains(&iter) {
-            continue;
-        }
-        out.set(c, f, EffExpr::Unknown);
-    }
-    out
 }
 
 /// Seeds the checker state every entry point shares: argument shapes,
@@ -439,7 +423,8 @@ fn check_scoped(
                 checker
                     .assumptions
                     .push(crate::conditions::bd(*iter, &lo_e, &hi_e));
-                checker.genv = loop_open_env(checker.genv.clone(), body, *iter, checker.reg);
+                let after = val_g_block(body, checker.genv.clone(), checker.reg);
+                checker.genv = widen_loop(&checker.genv, &after, *iter, checker.reg);
                 block = body;
             }
             (Stmt::If { cond, body, .. }, 0) => {

@@ -16,7 +16,7 @@ use exo_smt::formula::Formula;
 use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::globals::{lift_in_env, val_g_block, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, val_g_block, widen_loop, GlobalEnv, GlobalReg};
 
 /// An enclosing loop binder with its (dataflow-lifted) bounds.
 #[derive(Clone, PartialEq, Debug)]
@@ -115,7 +115,8 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
                 });
                 // entering a loop body mid-iteration: fields possibly
                 // modified by the body (or iteration-dependent) are ⊥
-                genv = loop_entry_env(genv, body, *iter, reg);
+                let after = val_g_block(body, genv.clone(), reg);
+                genv = widen_loop(&genv, &after, *iter, reg);
                 block = body;
             }
             (Stmt::If { cond, body, .. }, 0) => {
@@ -130,26 +131,6 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
         }
     }
     None
-}
-
-/// Approximates the dataflow environment at the *start of an iteration*
-/// of a loop: the join of the entry environment with "some iterations
-/// already ran" (fields the body may change become ⊥).
-fn loop_entry_env(entry: GlobalEnv, body: &Block, iter: Sym, reg: &mut GlobalReg) -> GlobalEnv {
-    let after = val_g_block(body, entry.clone(), reg);
-    let mut out = entry.clone();
-    let keys: Vec<(Sym, Sym)> = after.touched().copied().collect();
-    for (c, f) in keys {
-        let va = entry.value(c, f, reg);
-        let vb = after.value(c, f, reg);
-        let mut fv = std::collections::BTreeSet::new();
-        vb.free_vars(&mut fv);
-        if va == vb && !fv.contains(&iter) {
-            continue;
-        }
-        out.set(c, f, EffExpr::Unknown);
-    }
-    out
 }
 
 /// `PostEff`: a conservative effect of everything that executes after

@@ -13,7 +13,7 @@ use exo_core::visit;
 use exo_core::Sym;
 
 use crate::effexpr::EffExpr;
-use crate::globals::{lift_in_env, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, widen_loop, GlobalEnv, GlobalReg};
 
 /// Effects, as in paper Def. 5.4 (with loop bounds attached to `Loop` so
 /// location sets can be bounded).
@@ -329,7 +329,7 @@ fn effect_of_stmt(
             let genv_before = ctx.genv.clone();
             let body_e = effect_of_block(body, ctx);
             // loop dataflow approximation (see globals.rs)
-            ctx.genv = loop_genv(genv_before, &ctx.genv.clone(), *iter, ctx.reg);
+            ctx.genv = widen_loop(&genv_before, &ctx.genv, *iter, ctx.reg);
             if let Some(p) = prev {
                 ctx.ctrl.insert(*iter, p);
             }
@@ -431,22 +431,6 @@ fn join_genv(a: GlobalEnv, b: &GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
         } else {
             out.set(c, f, EffExpr::Unknown);
         }
-    }
-    out
-}
-
-fn loop_genv(before: GlobalEnv, after: &GlobalEnv, iter: Sym, reg: &mut GlobalReg) -> GlobalEnv {
-    let mut out = before.clone();
-    let keys: Vec<(Sym, Sym)> = after.touched().copied().collect();
-    for (c, f) in keys {
-        let va = before.value(c, f, reg);
-        let vb = after.value(c, f, reg);
-        let mut fv = std::collections::BTreeSet::new();
-        vb.free_vars(&mut fv);
-        if va == vb && !fv.contains(&iter) {
-            continue;
-        }
-        out.set(c, f, EffExpr::Unknown);
     }
     out
 }

@@ -130,14 +130,7 @@ impl GlobalEnv {
         }
         for k in keys {
             let a = self.value(k.0, k.1, reg);
-            let b = other.vals.get(&k).cloned().unwrap_or_else(|| {
-                let (sym, is_bool) = reg.canon(k.0, k.1);
-                if is_bool {
-                    EffExpr::BoolVar(sym)
-                } else {
-                    EffExpr::Var(sym)
-                }
-            });
+            let b = other.value(k.0, k.1, reg);
             let merged = if a == b {
                 a
             } else {
@@ -199,28 +192,12 @@ fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
             let give_up = reg.budget.charge(1).is_err()
                 || exo_chaos::should_inject(exo_chaos::FaultSite::AnalysisBottom);
             let body_env = val_g_block(body, env.clone(), reg);
+            if !give_up {
+                return widen_loop(&env, &body_env, *iter, reg);
+            }
             let mut out = env;
-            for &(c, f) in body_env.vals.keys().collect::<Vec<_>>() {
-                if give_up {
-                    exo_obs::counter_add("analysis.valg.bottomed", 1);
-                    out.set(c, f, EffExpr::Unknown);
-                    continue;
-                }
-                let before = out.value(c, f, reg);
-                let after = body_env
-                    .vals
-                    .get(&(c, f))
-                    .cloned()
-                    .unwrap_or(EffExpr::Unknown);
-                let mut fv = std::collections::BTreeSet::new();
-                after.free_vars(&mut fv);
-                // paper heuristic: if an iteration leaves the field's value
-                // unchanged the loop is the identity on it; anything else
-                // (including a constant write — the loop may run zero
-                // times) drives the field to ⊥
-                if after == before && !fv.contains(iter) {
-                    continue;
-                }
+            for &(c, f) in body_env.vals.keys() {
+                exo_obs::counter_add("analysis.valg.bottomed", 1);
                 out.set(c, f, EffExpr::Unknown);
             }
             out
@@ -228,6 +205,32 @@ fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
         Stmt::Call { proc, args } => val_g_call(proc, args, env, reg),
         _ => env,
     }
+}
+
+/// The loop rule of `ValG`: `after` is the environment after one symbolic
+/// pass over a loop body started from `entry`. A field the pass leaves
+/// unchanged, and whose value does not depend on the iteration variable
+/// `iter`, keeps its entry value (the loop is the identity on it); every
+/// other field the body touches becomes ⊥ — including a constant write,
+/// since the loop may run zero times. The result is both the environment
+/// after the loop and, for code inside the body, the environment at the
+/// start of an arbitrary iteration.
+pub(crate) fn widen_loop(
+    entry: &GlobalEnv,
+    after: &GlobalEnv,
+    iter: Sym,
+    reg: &mut GlobalReg,
+) -> GlobalEnv {
+    let mut out = entry.clone();
+    for (&(c, f), v) in &after.vals {
+        let mut fv = std::collections::BTreeSet::new();
+        v.free_vars(&mut fv);
+        if entry.value(c, f, reg) == *v && !fv.contains(&iter) {
+            continue;
+        }
+        out.set(c, f, EffExpr::Unknown);
+    }
+    out
 }
 
 fn val_g_call(proc: &Arc<Proc>, args: &[Expr], env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {

@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use exo_hwlibs::GemminiLib;
+use exo_interp::HwOp;
 use exo_kernels::gemmini_conv::{self, ConvShape};
 use exo_kernels::gemmini_gemm;
 use exo_obs::Json;
@@ -80,18 +81,7 @@ pub fn fig4a_row(lib: &GemminiLib, state: &StateRef, n: i64, m: i64, k: i64) -> 
         .unwrap_or_else(|e| panic!("schedule_matmul({n},{m},{k}): {e}"));
     let exo_trace = gemmini_gemm::trace_matmul(p.proc(), n, m, k, false);
     let old_trace = gemmini_gemm::old_lib_matmul_trace(n, m, k);
-    let exo_report = Simulator::new(SimConfig::software()).run(&exo_trace);
-    UtilRow {
-        label: format!("{n}x{m}x{k}"),
-        old_lib: Simulator::new(SimConfig::software())
-            .run(&old_trace)
-            .utilization,
-        exo_lib: exo_report.utilization,
-        hardware: Simulator::new(SimConfig::hardware_unroller())
-            .run(&exo_trace)
-            .utilization,
-        exo_cycles: exo_report.cycles,
-    }
+    simulate_row(format!("{n}x{m}x{k}"), &exo_trace, &old_trace)
 }
 
 /// Runs one Fig. 4b conv shape end to end.
@@ -100,15 +90,26 @@ pub fn fig4b_row(lib: &GemminiLib, state: &StateRef, s: &ConvShape) -> UtilRow {
         .unwrap_or_else(|e| panic!("schedule_conv({s:?}): {e}"));
     let exo_trace = gemmini_conv::trace_conv(p.proc(), s, false);
     let old_trace = gemmini_conv::old_lib_conv_trace(s);
-    let exo_report = Simulator::new(SimConfig::software()).run(&exo_trace);
+    simulate_row(
+        format!("{} x {} x {}", s.out_dim, s.oc, s.ic),
+        &exo_trace,
+        &old_trace,
+    )
+}
+
+/// The three simulations of a utilization row: the exo-rs trace with
+/// software issue, the Old-lib trace, and the exo-rs trace on the
+/// hardware loop unroller.
+fn simulate_row(label: String, exo_trace: &[HwOp], old_trace: &[HwOp]) -> UtilRow {
+    let exo_report = Simulator::new(SimConfig::software()).run(exo_trace);
     UtilRow {
-        label: format!("{} x {} x {}", s.out_dim, s.oc, s.ic),
+        label,
         old_lib: Simulator::new(SimConfig::software())
-            .run(&old_trace)
+            .run(old_trace)
             .utilization,
         exo_lib: exo_report.utilization,
         hardware: Simulator::new(SimConfig::hardware_unroller())
-            .run(&exo_trace)
+            .run(exo_trace)
             .utilization,
         exo_cycles: exo_report.cycles,
     }

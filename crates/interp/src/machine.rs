@@ -136,6 +136,10 @@ impl Machine {
     }
 
     /// Reads back a buffer's contents (uninitialized slots as `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not allocated on this machine.
     pub fn buffer(&self, id: BufId) -> &BufferData {
         &self.bufs[id.0]
     }
@@ -144,9 +148,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Fails if any element is uninitialized.
+    /// Fails if `id` is not a buffer of this machine or any element is
+    /// uninitialized.
     pub fn buffer_values(&self, id: BufId) -> Result<Vec<f64>, InterpError> {
-        self.bufs[id.0]
+        self.extern_buf(id)?
             .data
             .iter()
             .map(|v| {
@@ -178,12 +183,21 @@ impl Machine {
         self.steps
     }
 
+    /// The buffer a caller-supplied `id` names.
+    fn extern_buf(&self, id: BufId) -> Result<&BufferData, InterpError> {
+        match self.bufs.get(id.0) {
+            Some(buf) => Ok(buf),
+            None => err(format!("buffer {} was not allocated on this machine", id.0)),
+        }
+    }
+
     /// Runs a procedure with the given arguments.
     ///
     /// # Errors
     ///
-    /// Fails on argument mismatch, failed assertions, out-of-bounds
-    /// accesses, or reads of uninitialized data/configuration.
+    /// Fails on argument mismatch, a tensor argument not allocated on this
+    /// machine, failed assertions, out-of-bounds accesses, or reads of
+    /// uninitialized data/configuration.
     pub fn run(&mut self, proc: &Proc, args: &[ArgVal]) -> Result<(), InterpError> {
         if args.len() != proc.args.len() {
             return err(format!(
@@ -199,7 +213,7 @@ impl Machine {
                 (ArgType::Ctrl(_), ArgVal::Int(v)) => Slot::Ctrl(CtrlVal::Int(*v)),
                 (ArgType::Ctrl(_), ArgVal::Bool(v)) => Slot::Ctrl(CtrlVal::Bool(*v)),
                 (ArgType::Tensor { .. } | ArgType::Scalar { .. }, ArgVal::Tensor(id)) => {
-                    let shape = self.bufs[id.0].shape.clone();
+                    let shape = self.extern_buf(*id)?.shape.clone();
                     Slot::View(WindowVal::whole(*id, &shape))
                 }
                 _ => {
@@ -211,29 +225,34 @@ impl Machine {
             };
             env.insert(formal.name, slot);
         }
-        if proc.is_instr() {
-            // running an instruction directly still records a trace event
-            let mut trace_args = Vec::with_capacity(proc.args.len());
-            for formal in &proc.args {
-                let ta = match env.get(&formal.name) {
-                    Some(Slot::Ctrl(CtrlVal::Int(v))) => TraceArg::Int(*v),
-                    Some(Slot::Ctrl(CtrlVal::Bool(v))) => TraceArg::Bool(*v),
-                    Some(Slot::View(w)) => TraceArg::Tensor(self.tensor_ref(w)?),
-                    None => unreachable!("argument bound above"),
-                };
-                trace_args.push((formal.name.name(), ta));
-            }
-            exo_obs::counter_add("interp.instr", 1);
-            self.trace.push(HwOp {
-                instr: proc.name.name(),
-                args: trace_args,
-            });
-            if !self.execute_instr_bodies {
-                return Ok(());
-            }
+        // running an instruction directly still records a trace event
+        if proc.is_instr() && !self.record_instr(proc, &env) {
+            return Ok(());
         }
         self.check_shapes_and_preds(proc, &mut env)?;
         self.exec_block(&proc.body, &mut env)
+    }
+
+    /// Records a call of the `@instr` procedure `proc` with arguments bound
+    /// in `env` as one trace event (formals missing from `env` are left
+    /// out). Returns whether the instruction's body should run.
+    fn record_instr(&mut self, proc: &Proc, env: &HashMap<Sym, Slot>) -> bool {
+        let mut args = Vec::with_capacity(proc.args.len());
+        for formal in &proc.args {
+            let ta = match env.get(&formal.name) {
+                Some(Slot::Ctrl(CtrlVal::Int(v))) => TraceArg::Int(*v),
+                Some(Slot::Ctrl(CtrlVal::Bool(v))) => TraceArg::Bool(*v),
+                Some(Slot::View(w)) => TraceArg::Tensor(self.tensor_ref(w)),
+                None => continue,
+            };
+            args.push((formal.name.name(), ta));
+        }
+        exo_obs::counter_add("interp.instr", 1);
+        self.trace.push(HwOp {
+            instr: proc.name.name(),
+            args,
+        });
+        self.execute_instr_bodies
     }
 
     fn check_shapes_and_preds(
@@ -411,7 +430,6 @@ impl Machine {
         env: &mut HashMap<Sym, Slot>,
     ) -> Result<(), InterpError> {
         let mut callee_env: HashMap<Sym, Slot> = HashMap::new();
-        let mut trace_args: Vec<(String, TraceArg)> = Vec::new();
         for (formal, actual) in proc.args.iter().zip(args) {
             let slot = match &formal.ty {
                 ArgType::Ctrl(_) => Slot::Ctrl(self.eval_ctrl(actual, env)?),
@@ -419,31 +437,16 @@ impl Machine {
                     Slot::View(self.eval_view(actual, env)?)
                 }
             };
-            if proc.is_instr() {
-                let ta = match &slot {
-                    Slot::Ctrl(CtrlVal::Int(v)) => TraceArg::Int(*v),
-                    Slot::Ctrl(CtrlVal::Bool(v)) => TraceArg::Bool(*v),
-                    Slot::View(w) => TraceArg::Tensor(self.tensor_ref(w)?),
-                };
-                trace_args.push((formal.name.name(), ta));
-            }
             callee_env.insert(formal.name, slot);
         }
-        if proc.is_instr() {
-            exo_obs::counter_add("interp.instr", 1);
-            self.trace.push(HwOp {
-                instr: proc.name.name(),
-                args: trace_args,
-            });
-            if !self.execute_instr_bodies {
-                return Ok(());
-            }
+        if proc.is_instr() && !self.record_instr(proc, &callee_env) {
+            return Ok(());
         }
         self.check_shapes_and_preds(proc, &mut callee_env)?;
         self.exec_block(&proc.body, &mut callee_env)
     }
 
-    fn tensor_ref(&self, w: &WindowVal) -> Result<TensorRef, InterpError> {
+    fn tensor_ref(&self, w: &WindowVal) -> TensorRef {
         let buf = &self.bufs[w.buf.0];
         let strides = buf.strides();
         let mut base = 0usize;
@@ -457,14 +460,14 @@ impl Machine {
             base += dim.offset * strides[dim.buf_dim];
             wstrides.push(strides[dim.buf_dim]);
         }
-        Ok(TensorRef {
+        TensorRef {
             buf: w.buf,
             mem: buf.mem,
             dtype: buf.dtype,
             base_offset: base,
             shape: w.shape(),
             strides: wstrides,
-        })
+        }
     }
 
     fn store(
@@ -874,6 +877,20 @@ mod tests {
         let id = m.alloc_extern("A", DataType::F32, &[4], &[0.0; 4]);
         let e = m.run(&p, &[ArgVal::Tensor(id)]).unwrap_err();
         assert!(e.message.contains("out-of-bounds"), "{e}");
+    }
+
+    #[test]
+    fn foreign_buffer_id_errors() {
+        let mut b = ProcBuilder::new("store");
+        let a = b.tensor("A", DataType::F32, vec![Expr::int(4)]);
+        b.assign(a, vec![Expr::int(0)], Expr::float(1.0));
+        let p = b.finish();
+        let mut m = Machine::new();
+        let e = m.run(&p, &[ArgVal::Tensor(BufId(99))]).unwrap_err();
+        assert!(e.message.contains("not allocated"), "{e}");
+        assert!(!e.budget_exhausted);
+        let e = m.buffer_values(BufId(99)).unwrap_err();
+        assert!(e.message.contains("not allocated"), "{e}");
     }
 
     #[test]

@@ -12,10 +12,14 @@ use std::sync::Arc;
 use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
-use exo_core::MemName;
 use exo_hwlibs::GemminiLib;
-use exo_interp::{ArgVal, HwOp, Machine, TensorRef, TraceArg};
-use exo_sched::{Position, Procedure, SchedError, StateRef};
+use exo_interp::HwOp;
+use exo_sched::{Procedure, SchedError, StateRef};
+
+use crate::schedlib::{
+    conv_args, gemmini_config_instrs, old_lib_config, old_lib_matmul, old_lib_move, old_lib_tile,
+    run_patterned, tile, unit, write_gemmini_configs,
+};
 
 /// The conv shapes of Fig. 4b: `(output dim, output channels, input
 /// channels)`, batch 4, 3×3 kernel.
@@ -50,6 +54,16 @@ impl ConvShape {
         self.out_dim + self.kdim - 1
     }
 
+    /// The shapes of the input `In` (NHWC), the weights `W` (ky, kx, ic,
+    /// oc) and the output `C` (NHWC).
+    pub fn tensor_shapes(&self) -> [[i64; 4]; 3] {
+        [
+            [self.batch, self.in_dim(), self.in_dim(), self.ic],
+            [self.kdim, self.kdim, self.ic, self.oc],
+            [self.batch, self.out_dim, self.out_dim, self.oc],
+        ]
+    }
+
     /// Total multiply-accumulates.
     pub fn macs(&self) -> u64 {
         (self.batch * self.out_dim * self.out_dim * self.oc * self.ic * self.kdim * self.kdim)
@@ -77,37 +91,11 @@ pub fn naive_conv(s: &ConvShape) -> Arc<Proc> {
 /// [`naive_conv`] with chosen operand/accumulator precisions (the x86
 /// case study uses f32 throughout).
 pub fn naive_conv_typed(s: &ConvShape, in_ty: DataType, out_ty: DataType) -> Arc<Proc> {
+    let [in_shape, w_shape, c_shape] = s.tensor_shapes().map(|d| d.map(Expr::int).to_vec());
     let mut b = ProcBuilder::new("conv");
-    let input = b.tensor(
-        "In",
-        in_ty,
-        vec![
-            Expr::int(s.batch),
-            Expr::int(s.in_dim()),
-            Expr::int(s.in_dim()),
-            Expr::int(s.ic),
-        ],
-    );
-    let w = b.tensor(
-        "W",
-        in_ty,
-        vec![
-            Expr::int(s.kdim),
-            Expr::int(s.kdim),
-            Expr::int(s.ic),
-            Expr::int(s.oc),
-        ],
-    );
-    let c = b.tensor(
-        "C",
-        out_ty,
-        vec![
-            Expr::int(s.batch),
-            Expr::int(s.out_dim),
-            Expr::int(s.out_dim),
-            Expr::int(s.oc),
-        ],
-    );
+    let input = b.tensor("In", in_ty, in_shape);
+    let w = b.tensor("W", in_ty, w_shape);
+    let c = b.tensor("C", out_ty, c_shape);
     let bb = b.begin_for("b", Expr::int(0), Expr::int(s.batch));
     let oy = b.begin_for("oy", Expr::int(0), Expr::int(s.out_dim));
     let ox = b.begin_for("ox", Expr::int(0), Expr::int(s.out_dim));
@@ -184,26 +172,15 @@ pub fn schedule_conv(
         .reorder("for oxo in _: _", "ico")?;
     // now: b oy ky kx ico oxo oco oxi oci ici
 
-    let b_sym = p
-        .iter_sym("b")
-        .ok_or_else(|| SchedError::new("iterator `b` missing after tiling"))?;
-    let oy = p
-        .iter_sym("oy")
-        .ok_or_else(|| SchedError::new("iterator `oy` missing after tiling"))?;
-    let ky = p
-        .iter_sym("ky")
-        .ok_or_else(|| SchedError::new("iterator `ky` missing after tiling"))?;
-    let kx = p
-        .iter_sym("kx")
-        .ok_or_else(|| SchedError::new("iterator `kx` missing after tiling"))?;
-    let ico = p
-        .iter_sym("ico")
-        .ok_or_else(|| SchedError::new("iterator `ico` missing after tiling"))?;
+    let b_sym = p.iter_sym("b")?;
+    let oy = p.iter_sym("oy")?;
+    let ky = p.iter_sym("ky")?;
+    let kx = p.iter_sym("kx")?;
+    let ico = p.iter_sym("ico")?;
 
     // ---- staging ----
     // one output row resident in the accumulator per (b, oy): stage at
     // the ky loop (the whole reduction)
-    let unit = |e: Expr| (e.clone(), e.add(Expr::int(1)));
     let p = p.stage_mem(
         "for ky in _: _",
         "C",
@@ -230,10 +207,7 @@ pub fn schedule_conv(
         &[
             unit(Expr::var(ky)),
             unit(Expr::var(kx)),
-            (
-                Expr::var(ico).mul(Expr::int(16)),
-                Expr::var(ico).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
+            tile(ico, 16),
             (Expr::int(0), Expr::int(s.oc)),
         ],
         "w_s",
@@ -247,10 +221,7 @@ pub fn schedule_conv(
             unit(Expr::var(b_sym)),
             unit(Expr::var(oy).add(Expr::var(ky))),
             (Expr::var(kx), Expr::var(kx).add(Expr::int(s.out_dim))),
-            (
-                Expr::var(ico).mul(Expr::int(16)),
-                Expr::var(ico).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
+            tile(ico, 16),
         ],
         "in_s",
         lib.scratchpad,
@@ -258,48 +229,7 @@ pub fn schedule_conv(
     let p = p.simplify(); // collapse the unit dimensions' loops
 
     // ---- configuration, hoisted to the top ----
-    let in_sym = p
-        .lookup_data_sym("In")
-        .ok_or_else(|| SchedError::new("data symbol `In` missing from procedure"))?;
-    let w_sym = p
-        .lookup_data_sym("W")
-        .ok_or_else(|| SchedError::new("data symbol `W` missing from procedure"))?;
-    let c_sym = p
-        .lookup_data_sym("C")
-        .ok_or_else(|| SchedError::new("data symbol `C` missing from procedure"))?;
-    let first_pat = "for b in _: _";
-    let p = p
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld.0,
-            lib.config_ld.1,
-            Expr::Stride {
-                buf: in_sym,
-                dim: 2,
-            },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld2.0,
-            lib.config_ld2.1,
-            Expr::Stride { buf: w_sym, dim: 2 },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld_acc.0,
-            lib.config_ld_acc.1,
-            Expr::Stride { buf: c_sym, dim: 2 },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_st.0,
-            lib.config_st.1,
-            Expr::Stride { buf: c_sym, dim: 2 },
-        )?;
+    let p = write_gemmini_configs(p, lib, "for b in _: _", ["In", "W", "C"], 2)?;
 
     // ---- instruction selection ----
     // res load (out_dim × oc): tile and map to mvin_acc
@@ -327,13 +257,7 @@ pub fn schedule_conv(
         .replace("for rs2i in _: _", &lib.mvout_acc)?;
 
     // ---- configuration writes become instructions ----
-    let p = p
-        .replace("ConfigLd.src_stride = _", &lib.config_ld_instr)?
-        .replace("ConfigLd2.src_stride = _", &lib.config_ld2_instr)?
-        .replace("ConfigLdAcc.src_stride = _", &lib.config_ld_acc_instr)?
-        .replace("ConfigSt.dst_stride = _", &lib.config_st_instr)?;
-
-    Ok(p.simplify())
+    Ok(gemmini_config_instrs(p, lib)?.simplify())
 }
 
 /// Runs the scheduled conv and returns its instruction trace.
@@ -344,47 +268,8 @@ pub fn schedule_conv(
 /// accepted by the safety checks must also run, so this is a bug.
 #[allow(clippy::expect_used)]
 pub fn trace_conv(proc: &Proc, s: &ConvShape, functional: bool) -> Vec<HwOp> {
-    let mut machine = Machine::new();
-    machine.execute_instr_bodies = functional;
-    let in_len = (s.batch * s.in_dim() * s.in_dim() * s.ic) as usize;
-    let w_len = (s.kdim * s.kdim * s.ic * s.oc) as usize;
-    let c_len = (s.batch * s.out_dim * s.out_dim * s.oc) as usize;
-    let (input, w, c);
-    let in_shape = [
-        s.batch as usize,
-        s.in_dim() as usize,
-        s.in_dim() as usize,
-        s.ic as usize,
-    ];
-    let w_shape = [
-        s.kdim as usize,
-        s.kdim as usize,
-        s.ic as usize,
-        s.oc as usize,
-    ];
-    let c_shape = [
-        s.batch as usize,
-        s.out_dim as usize,
-        s.out_dim as usize,
-        s.oc as usize,
-    ];
-    if functional {
-        let iv: Vec<f64> = (0..in_len).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let wv: Vec<f64> = (0..w_len).map(|i| ((i % 7) as f64) - 3.0).collect();
-        input = machine.alloc_extern("In", DataType::I8, &in_shape, &iv);
-        w = machine.alloc_extern("W", DataType::I8, &w_shape, &wv);
-        c = machine.alloc_extern("C", DataType::I32, &c_shape, &vec![0.0; c_len]);
-    } else {
-        input = machine.alloc_extern_uninit("In", DataType::I8, &in_shape);
-        w = machine.alloc_extern_uninit("W", DataType::I8, &w_shape);
-        c = machine.alloc_extern_uninit("C", DataType::I32, &c_shape);
-    }
-    machine
-        .run(
-            proc,
-            &[ArgVal::Tensor(input), ArgVal::Tensor(w), ArgVal::Tensor(c)],
-        )
-        .expect("scheduled conv must run");
+    let args = conv_args(s, DataType::I8, DataType::I32);
+    let (mut machine, _) = run_patterned(proc, &args, functional).expect("scheduled conv must run");
     machine.take_trace()
 }
 
@@ -395,135 +280,60 @@ pub fn trace_conv(proc: &Proc, s: &ConvShape, functional: bool) -> Vec<HwOp> {
 pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
     let oxt = s.ox_tile();
     let mut trace = Vec::new();
-    let int = |v: i64| TraceArg::Int(v);
-    let t = |buf: usize, off: i64, rows: i64, cols: i64, stride: i64, acc: bool| {
-        TraceArg::Tensor(TensorRef {
-            buf: exo_interp::BufId(buf),
-            mem: MemName::dram(),
-            dtype: if acc { DataType::I32 } else { DataType::I8 },
-            base_offset: off.max(0) as usize,
-            shape: vec![rows as usize, cols as usize],
-            strides: vec![stride as usize, 1],
-        })
-    };
-    let config = |name: &str| HwOp {
-        instr: name.into(),
-        args: vec![("s".into(), int(s.ic))],
-    };
     for b in 0..s.batch {
         for oy in 0..s.out_dim {
             for oxo in 0..s.out_dim / oxt {
                 for oco in 0..s.oc / 16 {
+                    let c_off = ((b * s.out_dim + oy) * s.out_dim + oxo * oxt) * s.oc + oco * 16;
+                    let c = old_lib_tile(2, c_off, oxt, s.oc);
                     // per-tile configuration (the old library's coupled
                     // configs cannot be hoisted further, §7.1)
-                    trace.push(config("gemmini_config_ld"));
-                    trace.push(HwOp {
-                        instr: "gemmini_mvin_acc".into(),
-                        args: vec![
-                            ("n".into(), int(oxt)),
-                            ("m".into(), int(16)),
-                            (
-                                "src".into(),
-                                t(
-                                    2,
-                                    ((b * s.out_dim + oy) * s.out_dim + oxo * oxt) * s.oc
-                                        + oco * 16,
-                                    oxt,
-                                    16,
-                                    s.oc,
-                                    true,
-                                ),
-                            ),
-                            ("dst".into(), t(5, 0, oxt, 16, 16, true)),
-                        ],
-                    });
+                    trace.push(old_lib_config("gemmini_config_ld", s.ic));
+                    let acc = old_lib_tile(5, 0, oxt, 16);
+                    trace.push(old_lib_move("gemmini_mvin_acc", oxt, c.clone(), acc));
                     for ky in 0..s.kdim {
                         for kx in 0..s.kdim {
                             for ico in 0..s.ic / 16 {
-                                trace.push(HwOp {
-                                    instr: "gemmini_mvin".into(),
-                                    args: vec![
-                                        ("n".into(), int(oxt)),
-                                        ("m".into(), int(16)),
-                                        (
-                                            "src".into(),
-                                            t(
-                                                0,
-                                                ((b * s.in_dim() + oy + ky) * s.in_dim()
-                                                    + oxo * oxt
-                                                    + kx)
-                                                    * s.ic
-                                                    + ico * 16,
-                                                oxt,
-                                                16,
-                                                s.ic,
-                                                false,
-                                            ),
-                                        ),
-                                        ("dst".into(), t(3, 0, oxt, 16, 16, false)),
-                                    ],
-                                });
-                                trace.push(HwOp {
-                                    instr: "gemmini_mvin".into(),
-                                    args: vec![
-                                        ("n".into(), int(16)),
-                                        ("m".into(), int(16)),
-                                        (
-                                            "src".into(),
-                                            t(
-                                                1,
-                                                ((ky * s.kdim + kx) * s.ic + ico * 16) * s.oc
-                                                    + oco * 16,
-                                                16,
-                                                16,
-                                                s.oc,
-                                                false,
-                                            ),
-                                        ),
-                                        ("dst".into(), t(4, 0, 16, 16, 16, false)),
-                                    ],
-                                });
-                                trace.push(HwOp {
-                                    instr: "gemmini_matmul".into(),
-                                    args: vec![
-                                        ("n".into(), int(oxt)),
-                                        ("m".into(), int(16)),
-                                        ("k".into(), int(16)),
-                                        ("a".into(), t(3, 0, oxt, 16, 16, false)),
-                                        ("b".into(), t(4, 0, 16, 16, 16, false)),
-                                        ("c".into(), t(5, 0, oxt, 16, 16, true)),
-                                    ],
-                                });
+                                let in_off =
+                                    ((b * s.in_dim() + oy + ky) * s.in_dim() + oxo * oxt + kx)
+                                        * s.ic
+                                        + ico * 16;
+                                let input = old_lib_tile(0, in_off, oxt, s.ic);
+                                let spad = old_lib_tile(3, 0, oxt, 16);
+                                trace.push(old_lib_move("gemmini_mvin", oxt, input, spad));
+                                let w_off =
+                                    ((ky * s.kdim + kx) * s.ic + ico * 16) * s.oc + oco * 16;
+                                let w = old_lib_tile(1, w_off, 16, s.oc);
+                                trace.push(old_lib_move(
+                                    "gemmini_mvin",
+                                    16,
+                                    w,
+                                    old_lib_tile(4, 0, 16, 16),
+                                ));
+                                trace.push(old_lib_matmul(oxt));
                             }
                         }
                     }
-                    trace.push(config("gemmini_config_st"));
-                    trace.push(HwOp {
-                        instr: "gemmini_mvout_acc".into(),
-                        args: vec![
-                            ("n".into(), int(oxt)),
-                            ("m".into(), int(16)),
-                            ("src".into(), t(5, 0, oxt, 16, 16, true)),
-                            (
-                                "dst".into(),
-                                t(
-                                    2,
-                                    ((b * s.out_dim + oy) * s.out_dim + oxo * oxt) * s.oc
-                                        + oco * 16,
-                                    oxt,
-                                    16,
-                                    s.oc,
-                                    true,
-                                ),
-                            ),
-                        ],
-                    });
+                    trace.push(old_lib_config("gemmini_config_st", s.ic));
+                    let acc = old_lib_tile(5, 0, oxt, 16);
+                    trace.push(old_lib_move("gemmini_mvout_acc", oxt, acc, c));
                 }
             }
         }
     }
     trace
 }
+
+/// A small conv shape for tests in which every tiled loop has ≥ 2
+/// iterations.
+#[cfg(test)]
+pub(crate) const SMALL_CONV: ConvShape = ConvShape {
+    batch: 2,
+    out_dim: 8,
+    oc: 32,
+    ic: 32,
+    kdim: 3,
+};
 
 #[cfg(test)]
 mod tests {
@@ -535,76 +345,24 @@ mod tests {
     fn schedule_small_conv_is_correct() {
         let lib = GemminiLib::new();
         let st: StateRef = Arc::new(Mutex::new(SchedState::default()));
-        // small but non-degenerate: every tiled loop has ≥ 2 iterations
-        let shape = ConvShape {
-            batch: 2,
-            out_dim: 8,
-            oc: 32,
-            ic: 32,
-            kdim: 3,
-        };
+        let shape = SMALL_CONV;
         let p = schedule_conv(&lib, &st, &shape).expect("schedule");
         assert!(p.show().contains("gemmini_matmul("), "{}", p.show());
 
         // oracle: scheduled == naive
-        let naive = naive_conv(&shape);
-        let run = |proc: &Proc| -> Vec<f64> {
-            let mut machine = Machine::new();
-            let in_len = (shape.batch * shape.in_dim() * shape.in_dim() * shape.ic) as usize;
-            let w_len = (shape.kdim * shape.kdim * shape.ic * shape.oc) as usize;
-            let c_len = (shape.batch * shape.out_dim * shape.out_dim * shape.oc) as usize;
-            let iv: Vec<f64> = (0..in_len).map(|i| ((i % 5) as f64) - 2.0).collect();
-            let wv: Vec<f64> = (0..w_len).map(|i| ((i % 7) as f64) - 3.0).collect();
-            let input = machine.alloc_extern(
-                "In",
-                DataType::I8,
-                &[
-                    shape.batch as usize,
-                    shape.in_dim() as usize,
-                    shape.in_dim() as usize,
-                    shape.ic as usize,
-                ],
-                &iv,
-            );
-            let w = machine.alloc_extern(
-                "W",
-                DataType::I8,
-                &[3, 3, shape.ic as usize, shape.oc as usize],
-                &wv,
-            );
-            let c = machine.alloc_extern(
-                "C",
-                DataType::I32,
-                &[
-                    shape.batch as usize,
-                    shape.out_dim as usize,
-                    shape.out_dim as usize,
-                    shape.oc as usize,
-                ],
-                &vec![0.0; c_len],
-            );
-            machine
-                .run(
-                    proc,
-                    &[ArgVal::Tensor(input), ArgVal::Tensor(w), ArgVal::Tensor(c)],
-                )
-                .expect("run");
+        let args = conv_args(&shape, DataType::I8, DataType::I32);
+        let run = |proc: &Proc| {
+            let (machine, c) = run_patterned(proc, &args, true).expect("run");
             machine.buffer_values(c).unwrap()
         };
-        assert_eq!(run(&naive), run(p.proc()));
+        assert_eq!(run(&naive_conv(&shape)), run(p.proc()));
     }
 
     #[test]
     fn conv_trace_hoists_configs() {
         let lib = GemminiLib::new();
         let st: StateRef = Arc::new(Mutex::new(SchedState::default()));
-        let shape = ConvShape {
-            batch: 2,
-            out_dim: 8,
-            oc: 32,
-            ic: 32,
-            kdim: 3,
-        };
+        let shape = SMALL_CONV;
         let p = schedule_conv(&lib, &st, &shape).expect("schedule");
         let trace = trace_conv(p.proc(), &shape, false);
         let configs: Vec<usize> = trace
@@ -628,16 +386,6 @@ mod tests {
         assert_eq!(ConvShape::fig4b(56, 64, 64).ox_tile(), 14);
         assert_eq!(ConvShape::fig4b(28, 128, 128).ox_tile(), 14);
         assert_eq!(ConvShape::fig4b(14, 256, 256).ox_tile(), 14);
-        assert_eq!(
-            ConvShape {
-                batch: 2,
-                out_dim: 8,
-                oc: 32,
-                ic: 32,
-                kdim: 3
-            }
-            .ox_tile(),
-            8
-        );
+        assert_eq!(SMALL_CONV.ox_tile(), 8);
     }
 }

@@ -13,13 +13,16 @@
 
 use std::sync::Arc;
 
-use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
-use exo_core::MemName;
 use exo_hwlibs::GemminiLib;
-use exo_interp::{ArgVal, HwOp, Machine, TensorRef, TraceArg};
-use exo_sched::{Position, Procedure, SchedError, StateRef};
+use exo_interp::HwOp;
+use exo_sched::{Procedure, SchedError, StateRef};
+
+use crate::schedlib::{
+    gemm_args, gemmini_config_instrs, naive_gemm, old_lib_config, old_lib_matmul, old_lib_move,
+    old_lib_tile, run_patterned, tile, write_gemmini_configs,
+};
 
 /// Bytes of scratchpad we allow the resident-B strategy to occupy.
 const B_RESIDENT_LIMIT: i64 = 192 * 1024;
@@ -28,20 +31,7 @@ const B_RESIDENT_LIMIT: i64 = 192 * 1024;
 ///
 /// All of `n`, `m`, `k` must be multiples of 16.
 pub fn naive_matmul(n: i64, m: i64, k: i64) -> Arc<Proc> {
-    let mut b = ProcBuilder::new("matmul");
-    let a = b.tensor("A", DataType::I8, vec![Expr::int(n), Expr::int(k)]);
-    let bb = b.tensor("B", DataType::I8, vec![Expr::int(k), Expr::int(m)]);
-    let c = b.tensor("C", DataType::I32, vec![Expr::int(n), Expr::int(m)]);
-    let i = b.begin_for("i", Expr::int(0), Expr::int(n));
-    let j = b.begin_for("j", Expr::int(0), Expr::int(m));
-    let kk = b.begin_for("k", Expr::int(0), Expr::int(k));
-    b.reduce(
-        c,
-        vec![Expr::var(i), Expr::var(j)],
-        read(a, vec![Expr::var(i), Expr::var(kk)]).mul(read(bb, vec![Expr::var(kk), Expr::var(j)])),
-    );
-    b.end_for().end_for().end_for();
-    b.finish()
+    naive_gemm("matmul", n, m, k, DataType::I8, DataType::I32)
 }
 
 /// Schedules [`naive_matmul`] onto Gemmini. Returns the scheduled
@@ -73,12 +63,8 @@ pub fn schedule_matmul(
         // output-stationary: ko outside jo
         .reorder("for jo in _: _", "ko")?;
 
-    let io = p
-        .iter_sym("io")
-        .ok_or_else(|| SchedError::new("iterator `io` missing after tiling"))?;
-    let ko = p
-        .iter_sym("ko")
-        .ok_or_else(|| SchedError::new("iterator `ko` missing after tiling"))?;
+    let io = p.iter_sym("io")?;
+    let ko = p.iter_sym("ko")?;
     let b_resident = k * m <= B_RESIDENT_LIMIT;
 
     // ---- staging (the §2.2 rewrites) ----
@@ -96,13 +82,7 @@ pub fn schedule_matmul(
         p.stage_mem(
             "for jo in _: _",
             "B",
-            &[
-                (
-                    Expr::var(ko).mul(Expr::int(16)),
-                    Expr::var(ko).mul(Expr::int(16)).add(Expr::int(16)),
-                ),
-                (Expr::int(0), Expr::int(m)),
-            ],
+            &[tile(ko, 16), (Expr::int(0), Expr::int(m))],
             "b_s",
             lib.scratchpad,
         )?
@@ -111,13 +91,7 @@ pub fn schedule_matmul(
     let p = p.stage_mem(
         "for ko in _: _",
         "C",
-        &[
-            (
-                Expr::var(io).mul(Expr::int(16)),
-                Expr::var(io).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
-            (Expr::int(0), Expr::int(m)),
-        ],
+        &[tile(io, 16), (Expr::int(0), Expr::int(m))],
         "res",
         lib.accum,
     )?;
@@ -125,30 +99,12 @@ pub fn schedule_matmul(
     let p = p.stage_mem(
         "for jo in _: _",
         "A",
-        &[
-            (
-                Expr::var(io).mul(Expr::int(16)),
-                Expr::var(io).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
-            (
-                Expr::var(ko).mul(Expr::int(16)),
-                Expr::var(ko).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
-        ],
+        &[tile(io, 16), tile(ko, 16)],
         "a_s",
         lib.scratchpad,
     )?;
 
     // ---- configuration (the §2.4 rewrites) ----
-    let a_sym = p
-        .lookup_data_sym("A")
-        .ok_or_else(|| SchedError::new("data symbol `A` missing from procedure"))?;
-    let b_sym = p
-        .lookup_data_sym("B")
-        .ok_or_else(|| SchedError::new("data symbol `B` missing from procedure"))?;
-    let c_sym = p
-        .lookup_data_sym("C")
-        .ok_or_else(|| SchedError::new("data symbol `C` missing from procedure"))?;
     // the configuration writes go before the first statement of the body
     // (the b_s alloc when B is resident at top level, the io loop otherwise)
     let first_pat = if b_resident {
@@ -156,35 +112,7 @@ pub fn schedule_matmul(
     } else {
         "for io in _: _"
     };
-    let p = p
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld.0,
-            lib.config_ld.1,
-            Expr::Stride { buf: a_sym, dim: 0 },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld2.0,
-            lib.config_ld2.1,
-            Expr::Stride { buf: b_sym, dim: 0 },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_ld_acc.0,
-            lib.config_ld_acc.1,
-            Expr::Stride { buf: c_sym, dim: 0 },
-        )?
-        .configwrite_at(
-            first_pat,
-            Position::Before,
-            lib.config_st.0,
-            lib.config_st.1,
-            Expr::Stride { buf: c_sym, dim: 0 },
-        )?;
+    let p = write_gemmini_configs(p, lib, first_pat, ["A", "B", "C"], 0)?;
 
     // ---- instruction selection (the §2.3 rewrites) ----
     // patterns match in pre-order, so map the staging loops in the order
@@ -212,11 +140,9 @@ pub fn schedule_matmul(
             .replace("for ld0 in _: _", &lib.mvin_acc)
     };
     let p = if b_resident {
-        let p = replace_b(p)?;
-        replace_res(p)?
+        replace_res(replace_b(p)?)?
     } else {
-        let p = replace_res(p)?;
-        replace_b(p)?
+        replace_b(replace_res(p)?)?
     };
     // A tile load → mvin (already 16×16).
     let p = p.replace("for ld0 in _: _", &lib.mvin)?;
@@ -229,13 +155,7 @@ pub fn schedule_matmul(
         .replace("for st0 in _: _", &lib.mvout_acc)?;
 
     // ---- turn the configuration writes into instructions ----
-    let p = p
-        .replace("ConfigLd.src_stride = _", &lib.config_ld_instr)?
-        .replace("ConfigLd2.src_stride = _", &lib.config_ld2_instr)?
-        .replace("ConfigLdAcc.src_stride = _", &lib.config_ld_acc_instr)?
-        .replace("ConfigSt.dst_stride = _", &lib.config_st_instr)?;
-
-    Ok(p.simplify())
+    Ok(gemmini_config_instrs(p, lib)?.simplify())
 }
 
 /// Runs the scheduled kernel on the interpreter and returns the
@@ -248,31 +168,9 @@ pub fn schedule_matmul(
 /// accepted by the safety checks must also run, so this is a bug.
 #[allow(clippy::expect_used)]
 pub fn trace_matmul(proc: &Proc, n: i64, m: i64, k: i64, functional: bool) -> Vec<HwOp> {
-    let mut machine = Machine::new();
-    machine.execute_instr_bodies = functional;
-    let (a, b, c);
-    if functional {
-        let av: Vec<f64> = (0..n * k).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let bv: Vec<f64> = (0..k * m).map(|i| ((i % 7) as f64) - 3.0).collect();
-        a = machine.alloc_extern("A", DataType::I8, &[n as usize, k as usize], &av);
-        b = machine.alloc_extern("B", DataType::I8, &[k as usize, m as usize], &bv);
-        c = machine.alloc_extern(
-            "C",
-            DataType::I32,
-            &[n as usize, m as usize],
-            &vec![0.0; (n * m) as usize],
-        );
-    } else {
-        a = machine.alloc_extern_uninit("A", DataType::I8, &[n as usize, k as usize]);
-        b = machine.alloc_extern_uninit("B", DataType::I8, &[k as usize, m as usize]);
-        c = machine.alloc_extern_uninit("C", DataType::I32, &[n as usize, m as usize]);
-    }
-    machine
-        .run(
-            proc,
-            &[ArgVal::Tensor(a), ArgVal::Tensor(b), ArgVal::Tensor(c)],
-        )
-        .expect("scheduled kernel must run");
+    let args = gemm_args(n, m, k, DataType::I8, DataType::I32);
+    let (mut machine, _) =
+        run_patterned(proc, &args, functional).expect("scheduled kernel must run");
     machine.take_trace()
 }
 
@@ -283,85 +181,40 @@ pub fn trace_matmul(proc: &Proc, n: i64, m: i64, k: i64, functional: bool) -> Ve
 /// behavior §2.4 describes.
 pub fn old_lib_matmul_trace(n: i64, m: i64, k: i64) -> Vec<HwOp> {
     let mut trace = Vec::new();
-    let t = |buf: usize, off: i64, rows: i64, cols: i64, stride: i64, acc: bool| {
-        TraceArg::Tensor(TensorRef {
-            buf: exo_interp::BufId(buf),
-            mem: MemName::dram(),
-            dtype: if acc { DataType::I32 } else { DataType::I8 },
-            base_offset: off as usize,
-            shape: vec![rows as usize, cols as usize],
-            strides: vec![stride as usize, 1],
-        })
-    };
-    let int = |v: i64| TraceArg::Int(v);
-    let config = |name: &str| HwOp {
-        instr: name.into(),
-        args: vec![("s".into(), int(k))],
-    };
-    // buffers: 0=A dram, 1=B dram, 2=C dram, 3=spadA, 4=spadB, 5=acc
     for io in 0..n / 16 {
         for jo in 0..m / 16 {
+            let c = old_lib_tile(2, (io * 16) * m + jo * 16, 16, m);
             // the handwritten library re-issues the (coupled) load and
             // store configuration once per output tile
-            trace.push(config("gemmini_config_ld"));
-            trace.push(HwOp {
-                instr: "gemmini_mvin_acc".into(),
-                args: vec![
-                    ("n".into(), int(16)),
-                    ("m".into(), int(16)),
-                    ("src".into(), t(2, (io * 16) * m + jo * 16, 16, 16, m, true)),
-                    ("dst".into(), t(5, 0, 16, 16, 16, true)),
-                ],
-            });
+            trace.push(old_lib_config("gemmini_config_ld", k));
+            let acc = old_lib_tile(5, 0, 16, 16);
+            trace.push(old_lib_move("gemmini_mvin_acc", 16, c.clone(), acc));
             for ko in 0..k / 16 {
                 // A tile + B tile per matmul (no cross-tile reuse)
-                trace.push(HwOp {
-                    instr: "gemmini_mvin".into(),
-                    args: vec![
-                        ("n".into(), int(16)),
-                        ("m".into(), int(16)),
-                        (
-                            "src".into(),
-                            t(0, (io * 16) * k + ko * 16, 16, 16, k, false),
-                        ),
-                        ("dst".into(), t(3, 0, 16, 16, 16, false)),
-                    ],
-                });
-                trace.push(HwOp {
-                    instr: "gemmini_mvin".into(),
-                    args: vec![
-                        ("n".into(), int(16)),
-                        ("m".into(), int(16)),
-                        (
-                            "src".into(),
-                            t(1, (ko * 16) * m + jo * 16, 16, 16, m, false),
-                        ),
-                        ("dst".into(), t(4, 0, 16, 16, 16, false)),
-                    ],
-                });
-                trace.push(HwOp {
-                    instr: "gemmini_matmul".into(),
-                    args: vec![
-                        ("n".into(), int(16)),
-                        ("m".into(), int(16)),
-                        ("k".into(), int(16)),
-                        ("a".into(), t(3, 0, 16, 16, 16, false)),
-                        ("b".into(), t(4, 0, 16, 16, 16, false)),
-                        ("c".into(), t(5, 0, 16, 16, 16, true)),
-                    ],
-                });
+                let a = old_lib_tile(0, (io * 16) * k + ko * 16, 16, k);
+                trace.push(old_lib_move(
+                    "gemmini_mvin",
+                    16,
+                    a,
+                    old_lib_tile(3, 0, 16, 16),
+                ));
+                let b = old_lib_tile(1, (ko * 16) * m + jo * 16, 16, m);
+                trace.push(old_lib_move(
+                    "gemmini_mvin",
+                    16,
+                    b,
+                    old_lib_tile(4, 0, 16, 16),
+                ));
+                trace.push(old_lib_matmul(16));
             }
             // store C tile with fused store config
-            trace.push(config("gemmini_config_st"));
-            trace.push(HwOp {
-                instr: "gemmini_mvout_acc".into(),
-                args: vec![
-                    ("n".into(), int(16)),
-                    ("m".into(), int(16)),
-                    ("src".into(), t(5, 0, 16, 16, 16, true)),
-                    ("dst".into(), t(2, (io * 16) * m + jo * 16, 16, 16, m, true)),
-                ],
-            });
+            trace.push(old_lib_config("gemmini_config_st", k));
+            trace.push(old_lib_move(
+                "gemmini_mvout_acc",
+                16,
+                old_lib_tile(5, 0, 16, 16),
+                c,
+            ));
         }
     }
     trace
@@ -388,28 +241,12 @@ mod tests {
         assert!(p.show().contains("gemmini_config_ld("), "{}", p.show());
 
         // functional oracle: scheduled == naive
-        let naive = naive_matmul(n, m, k);
-        let run = |proc: &Proc| -> Vec<f64> {
-            let mut machine = Machine::new();
-            let av: Vec<f64> = (0..n * k).map(|i| ((i % 5) as f64) - 2.0).collect();
-            let bv: Vec<f64> = (0..k * m).map(|i| ((i % 7) as f64) - 3.0).collect();
-            let a = machine.alloc_extern("A", DataType::I8, &[n as usize, k as usize], &av);
-            let b = machine.alloc_extern("B", DataType::I8, &[k as usize, m as usize], &bv);
-            let c = machine.alloc_extern(
-                "C",
-                DataType::I32,
-                &[n as usize, m as usize],
-                &vec![0.0; (n * m) as usize],
-            );
-            machine
-                .run(
-                    proc,
-                    &[ArgVal::Tensor(a), ArgVal::Tensor(b), ArgVal::Tensor(c)],
-                )
-                .expect("run");
+        let args = gemm_args(n, m, k, DataType::I8, DataType::I32);
+        let run = |proc: &Proc| {
+            let (machine, c) = run_patterned(proc, &args, true).expect("run");
             machine.buffer_values(c).unwrap()
         };
-        assert_eq!(run(&naive), run(p.proc()));
+        assert_eq!(run(&naive_matmul(n, m, k)), run(p.proc()));
     }
 
     #[test]

@@ -11,5 +11,6 @@
 
 pub mod gemmini_conv;
 pub mod gemmini_gemm;
+pub mod schedlib;
 pub mod x86_conv;
 pub mod x86_gemm;

@@ -19,6 +19,7 @@ use x86_sim::{CoreModel, KernelProfile};
 
 use crate::gemmini_conv::naive_conv_typed;
 pub use crate::gemmini_conv::ConvShape;
+use crate::schedlib::{tile, unit};
 
 /// The Fig. 6 configuration.
 pub fn fig6_shape() -> ConvShape {
@@ -63,29 +64,13 @@ pub fn schedule_conv_avx512(
         .reorder("for ocl in _: _", "ic")?
         .reorder("for oxi in _: _", "ic")?;
 
-    let b_sym = p
-        .iter_sym("b")
-        .ok_or_else(|| SchedError::new("iterator `b` missing after tiling"))?;
-    let oy = p
-        .iter_sym("oy")
-        .ok_or_else(|| SchedError::new("iterator `oy` missing after tiling"))?;
-    let oxo = p
-        .iter_sym("oxo")
-        .ok_or_else(|| SchedError::new("iterator `oxo` missing after tiling"))?;
-    let oco = p
-        .iter_sym("oco")
-        .ok_or_else(|| SchedError::new("iterator `oco` missing after tiling"))?;
-    let ky = p
-        .iter_sym("ky")
-        .ok_or_else(|| SchedError::new("iterator `ky` missing after tiling"))?;
-    let kx = p
-        .iter_sym("kx")
-        .ok_or_else(|| SchedError::new("iterator `kx` missing after tiling"))?;
-    let ic = p
-        .iter_sym("ic")
-        .ok_or_else(|| SchedError::new("iterator `ic` missing after tiling"))?;
-
-    let unit = |e: Expr| (e.clone(), e.add(Expr::int(1)));
+    let b_sym = p.iter_sym("b")?;
+    let oy = p.iter_sym("oy")?;
+    let oxo = p.iter_sym("oxo")?;
+    let oco = p.iter_sym("oco")?;
+    let ky = p.iter_sym("ky")?;
+    let kx = p.iter_sym("kx")?;
+    let ic = p.iter_sym("ic")?;
 
     // ---- stage the C register tile (rb pixels × 16 channels) ----
     let p = p.stage_mem(
@@ -94,14 +79,8 @@ pub fn schedule_conv_avx512(
         &[
             unit(Expr::var(b_sym)),
             unit(Expr::var(oy)),
-            (
-                Expr::var(oxo).mul(Expr::int(rb)),
-                Expr::var(oxo).mul(Expr::int(rb)).add(Expr::int(rb)),
-            ),
-            (
-                Expr::var(oco).mul(Expr::int(16)),
-                Expr::var(oco).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
+            tile(oxo, rb),
+            tile(oco, 16),
         ],
         "c_reg",
         lib.reg,
@@ -115,10 +94,7 @@ pub fn schedule_conv_avx512(
             unit(Expr::var(ky)),
             unit(Expr::var(kx)),
             unit(Expr::var(ic)),
-            (
-                Expr::var(oco).mul(Expr::int(16)),
-                Expr::var(oco).mul(Expr::int(16)).add(Expr::int(16)),
-            ),
+            tile(oco, 16),
         ],
         "w_vec",
         lib.reg,
@@ -215,9 +191,10 @@ impl ConvStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_interp::{ArgVal, Machine};
+    use crate::gemmini_conv::SMALL_CONV;
+    use crate::schedlib::{conv_args, run_patterned};
     use exo_sched::SchedState;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     fn state() -> StateRef {
         Arc::new(Mutex::new(SchedState::default()))
@@ -227,74 +204,23 @@ mod tests {
     fn scheduled_conv_is_correct() {
         let lib = Avx512Lib::new();
         let st = state();
-        let shape = ConvShape {
-            batch: 2,
-            out_dim: 8,
-            oc: 32,
-            ic: 32,
-            kdim: 3,
-        };
+        let shape = SMALL_CONV;
         let p = schedule_conv_avx512(&lib, &st, &shape, 4).expect("schedule");
         assert!(p.show().contains("mm512_fmadd_ps("), "{}", p.show());
 
-        let naive = naive_conv_f32(&shape);
-        let run = |proc: &Proc| -> Vec<f64> {
-            let mut machine = Machine::new();
-            let in_len = (shape.batch * shape.in_dim() * shape.in_dim() * shape.ic) as usize;
-            let w_len = (shape.kdim * shape.kdim * shape.ic * shape.oc) as usize;
-            let c_len = (shape.batch * shape.out_dim * shape.out_dim * shape.oc) as usize;
-            let iv: Vec<f64> = (0..in_len).map(|i| ((i % 5) as f64) - 2.0).collect();
-            let wv: Vec<f64> = (0..w_len).map(|i| ((i % 7) as f64) - 3.0).collect();
-            let input = machine.alloc_extern(
-                "In",
-                DataType::F32,
-                &[
-                    shape.batch as usize,
-                    shape.in_dim() as usize,
-                    shape.in_dim() as usize,
-                    shape.ic as usize,
-                ],
-                &iv,
-            );
-            let w = machine.alloc_extern(
-                "W",
-                DataType::F32,
-                &[3, 3, shape.ic as usize, shape.oc as usize],
-                &wv,
-            );
-            let c = machine.alloc_extern(
-                "C",
-                DataType::F32,
-                &[
-                    shape.batch as usize,
-                    shape.out_dim as usize,
-                    shape.out_dim as usize,
-                    shape.oc as usize,
-                ],
-                &vec![0.0; c_len],
-            );
-            machine
-                .run(
-                    proc,
-                    &[ArgVal::Tensor(input), ArgVal::Tensor(w), ArgVal::Tensor(c)],
-                )
-                .expect("run");
+        let args = conv_args(&shape, DataType::F32, DataType::F32);
+        let run = |proc: &Proc| {
+            let (machine, c) = run_patterned(proc, &args, true).expect("run");
             machine.buffer_values(c).unwrap()
         };
-        assert_eq!(run(&naive), run(p.proc()));
+        assert_eq!(run(&naive_conv_f32(&shape)), run(p.proc()));
     }
 
     #[test]
     fn analytic_profile_matches_scheduled_ir() {
         let lib = Avx512Lib::new();
         let st = state();
-        let shape = ConvShape {
-            batch: 2,
-            out_dim: 8,
-            oc: 32,
-            ic: 32,
-            kdim: 3,
-        };
+        let shape = SMALL_CONV;
         let p = schedule_conv_avx512(&lib, &st, &shape, 4).expect("schedule");
         let got = x86_sim::profile_proc(p.proc()).expect("constant bounds");
         let want = ConvStrategy {

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
 use exo_hwlibs::Avx512Lib;
@@ -22,22 +21,11 @@ use exo_sched::{Procedure, SchedError, StateRef};
 use x86_sim::traffic::{gemm_traffic, GemmBlocking};
 use x86_sim::{profile_proc, CoreModel, KernelProfile};
 
+use crate::schedlib::{naive_gemm, tile, unit};
+
 /// The naive algorithm: `C += A·B`, single precision.
 pub fn naive_sgemm(m: i64, n: i64, k: i64) -> Arc<Proc> {
-    let mut b = ProcBuilder::new("sgemm");
-    let a = b.tensor("A", DataType::F32, vec![Expr::int(m), Expr::int(k)]);
-    let bb = b.tensor("B", DataType::F32, vec![Expr::int(k), Expr::int(n)]);
-    let c = b.tensor("C", DataType::F32, vec![Expr::int(m), Expr::int(n)]);
-    let i = b.begin_for("i", Expr::int(0), Expr::int(m));
-    let j = b.begin_for("j", Expr::int(0), Expr::int(n));
-    let kk = b.begin_for("k", Expr::int(0), Expr::int(k));
-    b.reduce(
-        c,
-        vec![Expr::var(i), Expr::var(j)],
-        read(a, vec![Expr::var(i), Expr::var(kk)]).mul(read(bb, vec![Expr::var(kk), Expr::var(j)])),
-    );
-    b.end_for().end_for().end_for();
-    b.finish()
+    naive_gemm("sgemm", m, n, k, DataType::F32, DataType::F32)
 }
 
 /// Schedules [`naive_sgemm`] into the paper's `mr×nr` register-blocked
@@ -66,30 +54,15 @@ pub fn schedule_sgemm(
         .reorder("for ji in _: _", "k")?
         .reorder("for ii in _: _", "k")?;
 
-    let io = p
-        .iter_sym("io")
-        .ok_or_else(|| SchedError::new("iterator `io` missing after tiling"))?;
-    let jo = p
-        .iter_sym("jo")
-        .ok_or_else(|| SchedError::new("iterator `jo` missing after tiling"))?;
-    let k_sym = p
-        .iter_sym("k")
-        .ok_or_else(|| SchedError::new("iterator `k` missing after tiling"))?;
+    let io = p.iter_sym("io")?;
+    let jo = p.iter_sym("jo")?;
+    let k_sym = p.iter_sym("k")?;
 
     // ---- stage the C tile into vector registers across the k loop ----
     let p = p.stage_mem(
         "for k in _: _",
         "C",
-        &[
-            (
-                Expr::var(io).mul(Expr::int(mr)),
-                Expr::var(io).mul(Expr::int(mr)).add(Expr::int(mr)),
-            ),
-            (
-                Expr::var(jo).mul(Expr::int(nr)),
-                Expr::var(jo).mul(Expr::int(nr)).add(Expr::int(nr)),
-            ),
-        ],
+        &[tile(io, mr), tile(jo, nr)],
         "c_reg",
         lib.reg,
     )?;
@@ -98,17 +71,10 @@ pub fn schedule_sgemm(
     let p = p.split("for ji in _: _", 16, "jv", "jl")?;
 
     // ---- stage the B row (k, jo-panel) into registers ----
-    let unit = |e: Expr| (e.clone(), e.add(Expr::int(1)));
     let p = p.stage_mem(
         "for ii in _: _",
         "B",
-        &[
-            unit(Expr::var(k_sym)),
-            (
-                Expr::var(jo).mul(Expr::int(nr)),
-                Expr::var(jo).mul(Expr::int(nr)).add(Expr::int(nr)),
-            ),
-        ],
+        &[unit(Expr::var(k_sym)), tile(jo, nr)],
         "b_vec",
         lib.reg,
     )?;
@@ -149,6 +115,19 @@ pub struct GemmStrategy {
     pub blocking: GemmBlocking,
 }
 
+/// The cache blocking all three strategies share around their 6×64
+/// kernel, with or without packed operand panels.
+fn blocking_6x64(packed: bool) -> GemmBlocking {
+    GemmBlocking {
+        mr: 6,
+        nr: 64,
+        mc: 96,
+        kc: 384,
+        nc: 2048,
+        packed,
+    }
+}
+
 impl GemmStrategy {
     /// The exo-rs schedule of §7.2: one 6×64 microkernel plus the edge
     /// specializations produced by further scheduling (5 bottom sizes ×
@@ -157,14 +136,7 @@ impl GemmStrategy {
         GemmStrategy {
             name: "Exo",
             kernels: vec![(6, 64)],
-            blocking: GemmBlocking {
-                mr: 6,
-                nr: 64,
-                mc: 96,
-                kc: 384,
-                nc: 2048,
-                packed: false,
-            },
+            blocking: blocking_6x64(false),
         }
     }
 
@@ -176,14 +148,7 @@ impl GemmStrategy {
         GemmStrategy {
             name: "OpenBLAS",
             kernels: vec![(6, 64)],
-            blocking: GemmBlocking {
-                mr: 6,
-                nr: 64,
-                mc: 96,
-                kc: 384,
-                nc: 2048,
-                packed: true,
-            },
+            blocking: blocking_6x64(true),
         }
     }
 
@@ -201,14 +166,7 @@ impl GemmStrategy {
                 (1, 64),
                 (64, 16),
             ],
-            blocking: GemmBlocking {
-                mr: 6,
-                nr: 64,
-                mc: 96,
-                kc: 384,
-                nc: 2048,
-                packed: true,
-            },
+            blocking: blocking_6x64(true),
         }
     }
 
@@ -287,8 +245,7 @@ pub fn microkernel_profile_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_core::types::DataType;
-    use exo_interp::{ArgVal, Machine};
+    use crate::schedlib::{gemm_args, run_patterned};
     use exo_sched::SchedState;
     use std::sync::Mutex;
 
@@ -305,28 +262,12 @@ mod tests {
         assert!(p.show().contains("mm512_fmadd_ps("), "{}", p.show());
         assert!(p.show().contains("mm512_broadcast_ss("), "{}", p.show());
 
-        let naive = naive_sgemm(m, n, k);
-        let run = |proc: &Proc| -> Vec<f64> {
-            let mut machine = Machine::new();
-            let av: Vec<f64> = (0..m * k).map(|i| ((i % 5) as f64) - 2.0).collect();
-            let bv: Vec<f64> = (0..k * n).map(|i| ((i % 7) as f64) - 3.0).collect();
-            let a = machine.alloc_extern("A", DataType::F32, &[m as usize, k as usize], &av);
-            let b = machine.alloc_extern("B", DataType::F32, &[k as usize, n as usize], &bv);
-            let c = machine.alloc_extern(
-                "C",
-                DataType::F32,
-                &[m as usize, n as usize],
-                &vec![0.0; (m * n) as usize],
-            );
-            machine
-                .run(
-                    proc,
-                    &[ArgVal::Tensor(a), ArgVal::Tensor(b), ArgVal::Tensor(c)],
-                )
-                .expect("run");
+        let args = gemm_args(m, n, k, DataType::F32, DataType::F32);
+        let run = |proc: &Proc| {
+            let (machine, c) = run_patterned(proc, &args, true).expect("run");
             machine.buffer_values(c).unwrap()
         };
-        assert_eq!(run(&naive), run(p.proc()));
+        assert_eq!(run(&naive_sgemm(m, n, k)), run(p.proc()));
     }
 
     #[test]

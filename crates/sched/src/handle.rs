@@ -318,7 +318,11 @@ impl Procedure {
 
     /// Looks up the symbol of the first loop iterator with the given
     /// spelling (useful for building window expressions after splits).
-    pub fn iter_sym(&self, name: &str) -> Option<Sym> {
+    ///
+    /// # Errors
+    ///
+    /// Fails if no loop iterates over `name`.
+    pub fn iter_sym(&self, name: &str) -> Result<Sym, SchedError> {
         let mut found = None;
         exo_core::visit::visit_stmts(self.body(), &mut |s| {
             if let Stmt::For { iter, .. } = s {
@@ -327,7 +331,7 @@ impl Procedure {
                 }
             }
         });
-        found
+        found.ok_or_else(|| SchedError::new(format!("no loop iterates over `{name}`")))
     }
 
     /// Pretty-prints the procedure.

@@ -453,9 +453,7 @@ impl Procedure {
     ) -> Result<Procedure, SchedError> {
         let path = self.find(stmt_pat)?;
         let stmt = self.stmt(&path)?.clone();
-        let buf = self
-            .lookup_data_sym(buf_name)
-            .ok_or_else(|| SchedError::new(format!("stage_mem: unknown buffer {buf_name}")))?;
+        let buf = self.lookup_data_sym(buf_name)?;
 
         // reject escapes: windows over buf or calls receiving buf
         let mut escapes = false;
@@ -620,10 +618,14 @@ impl Procedure {
     }
 
     /// Looks up the symbol of a data argument or allocation by spelling.
-    pub fn lookup_data_sym(&self, name: &str) -> Option<Sym> {
+    ///
+    /// # Errors
+    ///
+    /// Fails if no data argument or allocation is named `name`.
+    pub fn lookup_data_sym(&self, name: &str) -> Result<Sym, SchedError> {
         for a in &self.proc().args {
             if a.name.name() == name && !a.ty.is_ctrl() {
-                return Some(a.name);
+                return Ok(a.name);
             }
         }
         let mut found = None;
@@ -634,7 +636,7 @@ impl Procedure {
                 }
             }
         });
-        found
+        found.ok_or_else(|| SchedError::new(format!("unknown buffer {name}")))
     }
 }
 
