@@ -29,7 +29,10 @@ cargo test -q -p gemmini-sim
 echo "== scheduler suite (operators, edge cases, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
-echo "== case-study schedules (release) =="
+echo "== interpreter (error-message parity, overflow, unit tests; release) =="
+cargo test -q --release -p exo-interp
+
+echo "== case-study schedules (release; incl. the interpreter golden traces) =="
 cargo test -q --release -p exo-kernels
 
 echo "== check-cache bench (fails on zero cache hits) =="

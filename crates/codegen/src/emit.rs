@@ -77,6 +77,7 @@ impl CodegenCtx {
 /// Fails on backend-check violations: unresolved `R` precision, mixed
 /// precisions, or direct access to a non-addressable memory.
 pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, CodegenError> {
+    let _span = exo_obs::Span::enter("codegen.compile_c");
     let mut order: Vec<Arc<Proc>> = Vec::new();
     let mut seen: HashSet<usize> = HashSet::new();
     for p in procs {

@@ -115,6 +115,7 @@ pub fn parse_library(src: &str, env: &ParseEnv) -> Result<Vec<Arc<Proc>>, ParseE
 ///
 /// Returns the first syntax error.
 pub fn parse_proc(src: &str, env: &ParseEnv) -> Result<Arc<Proc>, ParseError> {
+    let _span = exo_obs::Span::enter("front.parse_proc");
     let procs = parse_library(src, env)?;
     procs.into_iter().next().ok_or_else(|| ParseError {
         line: 1,

@@ -22,6 +22,7 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod lower;
 pub mod machine;
 pub mod trace;
 pub mod value;

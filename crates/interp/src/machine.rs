@@ -1,23 +1,31 @@
 //! The reference interpreter.
 //!
 //! Executes procedures against a store (paper §4.1): buffers live in an
-//! arena, control values and views in a lexical environment, and
-//! configuration state in a global map. The interpreter is the oracle
-//! for scheduling correctness — a schedule is validated by running the
-//! original and rewritten procedures on the same inputs and comparing
-//! output stores — and the source of [`HwOp`] traces for the simulators.
+//! arena, control values and views in frames of slots, and configuration
+//! state in a global map. The interpreter is the oracle for scheduling
+//! correctness — a schedule is validated by running the original and
+//! rewritten procedures on the same inputs and comparing output stores —
+//! and the source of [`HwOp`] traces for the simulators.
+//!
+//! Each [`Machine::run`] first lowers the procedure and its callees into
+//! the resolved form of [`crate::lower`], then executes that: a variable
+//! is a slot index into the current frame, and a view is a buffer, a
+//! base offset and a `(len, stride)` per axis, so an element access is
+//! per-axis bounds checks plus `base + Σ i·stride`.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use exo_core::budget::ResourceBudget;
-use exo_core::ir::{ArgType, BinOp, Block, Expr, Lit, Proc, Stmt, WAccess};
+use exo_core::ir::{ArgType, BinOp, Proc};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
+use crate::lower::{
+    Access, Builtin, CExpr, CallArg, DExpr, LProc, LStmt, Program, VExpr, Var, WCoord,
+};
 use crate::trace::{HwOp, TensorRef, TraceArg};
-use crate::value::{cast, BufId, BufferData, CtrlVal, WinDim, WindowVal};
+use crate::value::{cast, BufId, BufferData, CtrlVal};
 
 /// A runtime error (out-of-bounds access, failed assertion, read of
 /// uninitialized data or configuration, …).
@@ -57,10 +65,44 @@ pub enum ArgVal {
     Tensor(BufId),
 }
 
+/// The value of one binder in a frame.
 #[derive(Clone, Debug)]
 enum Slot {
+    /// Not bound: a formal with no actual argument.
+    Unset,
     Ctrl(CtrlVal),
-    View(WindowVal),
+    View(View),
+}
+
+/// A view of a buffer in the [`TensorRef`] layout: window coordinate
+/// `i` (with `i[d] < dims[d].0`) addresses element
+/// `base + Σ i[d]·dims[d].1` of `buf`.
+#[derive(Clone, Debug)]
+struct View {
+    buf: BufId,
+    base: usize,
+    /// `(len, stride)` per retained axis, outermost first.
+    dims: Vec<(usize, usize)>,
+}
+
+impl View {
+    /// The identity view of a row-major buffer.
+    fn whole(buf: BufId, shape: &[usize]) -> View {
+        let mut dims = vec![(0, 0); shape.len()];
+        let mut stride = 1usize;
+        for (d, &len) in dims.iter_mut().zip(shape).rev() {
+            *d = (len, stride);
+            stride = stride.saturating_mul(len);
+        }
+        View { buf, base: 0, dims }
+    }
+}
+
+/// Where an element access lands.
+enum Located {
+    At(BufId, usize),
+    Unknown,
+    OutOfBounds,
 }
 
 /// Interpreter state: buffer arena, configuration store, trace.
@@ -207,14 +249,48 @@ impl Machine {
                 args.len()
             ));
         }
-        let mut env: HashMap<Sym, Slot> = HashMap::new();
-        for (formal, actual) in proc.args.iter().zip(args) {
-            let slot = match (&formal.ty, actual) {
+        let _span = exo_obs::Span::enter("interp.run");
+        let prog = Program::lower(proc);
+        let mut exec = Exec {
+            m: self,
+            procs: &prog.procs,
+            slots: Vec::new(),
+            base: 0,
+            instrs: 0,
+        };
+        let result = exec.run_root(args);
+        if exec.instrs > 0 {
+            exo_obs::counter_add("interp.instr", exec.instrs);
+        }
+        result
+    }
+}
+
+/// One run's execution state: the machine, the lowered procedures, and
+/// the frame stack (the running procedure's frame is the top one,
+/// starting at `base`).
+struct Exec<'a, 'p> {
+    m: &'a mut Machine,
+    procs: &'a [LProc<'p>],
+    slots: Vec<Slot>,
+    base: usize,
+    /// `HwOp`s recorded so far.
+    instrs: u64,
+}
+
+impl<'a, 'p> Exec<'a, 'p> {
+    fn run_root(&mut self, args: &[ArgVal]) -> Result<(), InterpError> {
+        let procs = self.procs;
+        let Some(root) = procs.first() else {
+            return Ok(());
+        };
+        self.slots.resize(root.slots, Slot::Unset);
+        for (i, (formal, actual)) in root.src.args.iter().zip(args).enumerate() {
+            self.slots[i] = match (&formal.ty, actual) {
                 (ArgType::Ctrl(_), ArgVal::Int(v)) => Slot::Ctrl(CtrlVal::Int(*v)),
                 (ArgType::Ctrl(_), ArgVal::Bool(v)) => Slot::Ctrl(CtrlVal::Bool(*v)),
                 (ArgType::Tensor { .. } | ArgType::Scalar { .. }, ArgVal::Tensor(id)) => {
-                    let shape = self.extern_buf(*id)?.shape.clone();
-                    Slot::View(WindowVal::whole(*id, &shape))
+                    Slot::View(View::whole(*id, &self.m.extern_buf(*id)?.shape))
                 }
                 _ => {
                     return err(format!(
@@ -223,121 +299,123 @@ impl Machine {
                     ))
                 }
             };
-            env.insert(formal.name, slot);
         }
-        // running an instruction directly still records a trace event
-        if proc.is_instr() && !self.record_instr(proc, &env) {
-            return Ok(());
-        }
-        self.check_shapes_and_preds(proc, &mut env)?;
-        self.exec_block(&proc.body, &mut env)
+        self.enter(root)
     }
 
-    /// Records a call of the `@instr` procedure `proc` with arguments bound
-    /// in `env` as one trace event (formals missing from `env` are left
-    /// out). Returns whether the instruction's body should run.
-    fn record_instr(&mut self, proc: &Proc, env: &HashMap<Sym, Slot>) -> bool {
-        let mut args = Vec::with_capacity(proc.args.len());
-        for formal in &proc.args {
-            let ta = match env.get(&formal.name) {
-                Some(Slot::Ctrl(CtrlVal::Int(v))) => TraceArg::Int(*v),
-                Some(Slot::Ctrl(CtrlVal::Bool(v))) => TraceArg::Bool(*v),
-                Some(Slot::View(w)) => TraceArg::Tensor(self.tensor_ref(w)),
-                None => continue,
-            };
-            args.push((formal.name.name(), ta));
+    /// Runs `p` in the current frame, whose formals are bound.
+    fn enter(&mut self, p: &LProc<'p>) -> Result<(), InterpError> {
+        // running an instruction directly still records a trace event
+        if let Some(names) = &p.instr {
+            if !self.record_instr(p, names) {
+                return Ok(());
+            }
         }
-        exo_obs::counter_add("interp.instr", 1);
-        self.trace.push(HwOp {
-            instr: proc.name.name(),
+        self.check_shapes_and_preds(p)?;
+        self.exec_block(&p.body)
+    }
+
+    /// The current frame's slot for `v`, if `v` has a binder in scope.
+    fn slot(&self, v: Var) -> Option<&Slot> {
+        v.slot.map(|s| &self.slots[self.base + s])
+    }
+
+    fn view(&self, v: Var) -> Option<&View> {
+        match self.slot(v) {
+            Some(Slot::View(w)) => Some(w),
+            _ => None,
+        }
+    }
+
+    /// Records a call of the `@instr` procedure `p`, whose formals are
+    /// bound in the current frame, as one trace event (unbound formals
+    /// are left out). Returns whether the instruction's body should run.
+    fn record_instr(&mut self, p: &LProc<'p>, (instr, names): &(String, Vec<String>)) -> bool {
+        let mut args = Vec::with_capacity(p.formals.len());
+        for (formal, name) in p.formals.iter().zip(names) {
+            let ta = match &self.slots[self.base + formal.slot] {
+                Slot::Ctrl(CtrlVal::Int(v)) => TraceArg::Int(*v),
+                Slot::Ctrl(CtrlVal::Bool(v)) => TraceArg::Bool(*v),
+                Slot::View(w) => TraceArg::Tensor(self.tensor_ref(w)),
+                Slot::Unset => continue,
+            };
+            args.push((name.clone(), ta));
+        }
+        self.instrs += 1;
+        self.m.trace.push(HwOp {
+            instr: instr.clone(),
             args,
         });
-        self.execute_instr_bodies
+        self.m.execute_instr_bodies
     }
 
-    fn check_shapes_and_preds(
-        &mut self,
-        proc: &Proc,
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<(), InterpError> {
-        for formal in &proc.args {
-            if let ArgType::Tensor { shape, .. } = &formal.ty {
-                let view = match env.get(&formal.name) {
-                    Some(Slot::View(v)) => v.clone(),
-                    _ => return err(format!("missing tensor argument {}", formal.name)),
-                };
-                let actual = view.shape();
-                if shape.len() != actual.len() {
+    fn tensor_ref(&self, w: &View) -> TensorRef {
+        let buf = &self.m.bufs[w.buf.0];
+        TensorRef {
+            buf: w.buf,
+            mem: buf.mem,
+            dtype: buf.dtype,
+            base_offset: w.base,
+            shape: w.dims.iter().map(|d| d.0).collect(),
+            strides: w.dims.iter().map(|d| d.1).collect(),
+        }
+    }
+
+    fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Result<(), InterpError> {
+        for formal in &p.formals {
+            let Some(shape) = &formal.shape else {
+                continue;
+            };
+            let Slot::View(view) = &self.slots[self.base + formal.slot] else {
+                return err(format!("missing tensor argument {}", formal.sym));
+            };
+            if shape.len() != view.dims.len() {
+                return err(format!(
+                    "rank mismatch for {}: declared {}, got {}",
+                    formal.sym,
+                    shape.len(),
+                    view.dims.len()
+                ));
+            }
+            for (decl, &(real, _)) in shape.iter().zip(&view.dims) {
+                let want = self.eval_int(decl)?;
+                if want != real as i64 {
                     return err(format!(
-                        "rank mismatch for {}: declared {}, got {}",
-                        formal.name,
-                        shape.len(),
-                        actual.len()
+                        "extent mismatch for {}: declared {want}, got {real}",
+                        formal.sym
                     ));
-                }
-                for (decl, &real) in shape.iter().zip(&actual) {
-                    let want = self.eval_int(decl, env)?;
-                    if want != real as i64 {
-                        return err(format!(
-                            "extent mismatch for {}: declared {want}, got {real}",
-                            formal.name
-                        ));
-                    }
                 }
             }
         }
-        for pred in &proc.preds {
-            if !self.eval_bool(pred, env)? {
+        for (pred, src) in p.preds.iter().zip(&p.src.preds) {
+            if !self.eval_bool(pred)? {
                 return err(format!(
                     "assertion failed in {}: {}",
-                    proc.name,
-                    exo_core::printer::expr_to_string(pred)
+                    p.src.name,
+                    exo_core::printer::expr_to_string(src)
                 ));
             }
         }
         Ok(())
     }
 
-    fn exec_block(
-        &mut self,
-        block: &Block,
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<(), InterpError> {
-        let mut shadow: Vec<(Sym, Option<Slot>)> = Vec::new();
-        let result = (|| {
-            for s in block {
-                self.exec_stmt(s, env, &mut shadow)?;
-            }
-            Ok(())
-        })();
-        for (sym, prev) in shadow.into_iter().rev() {
-            match prev {
-                Some(p) => {
-                    env.insert(sym, p);
-                }
-                None => {
-                    env.remove(&sym);
-                }
-            }
+    fn exec_block(&mut self, block: &[LStmt]) -> Result<(), InterpError> {
+        for s in block {
+            self.exec_stmt(s)?;
         }
-        result
+        Ok(())
     }
 
-    fn exec_stmt(
-        &mut self,
-        s: &Stmt,
-        env: &mut HashMap<Sym, Slot>,
-        shadow: &mut Vec<(Sym, Option<Slot>)>,
-    ) -> Result<(), InterpError> {
-        self.steps += 1;
+    fn exec_stmt(&mut self, s: &LStmt) -> Result<(), InterpError> {
+        self.m.steps += 1;
         // One fuel unit per executed statement; the chaos `interp-fuel`
         // fault pretends the pool just ran dry. Either way the run stops
         // with a typed budget error — a mis-scheduled kernel can make the
         // interpreter slow, but never make it hang.
-        if let Err(e) = self.budget.charge(1) {
+        if let Err(e) = self.m.budget.charge(1) {
             exo_obs::counter_add("interp.budget_stops", 1);
             return Err(InterpError {
-                message: format!("interpreter stopped after {} steps: {}", self.steps, e),
+                message: format!("interpreter stopped after {} steps: {}", self.m.steps, e),
                 budget_exhausted: true,
             });
         }
@@ -346,52 +424,41 @@ impl Machine {
             return Err(InterpError {
                 message: format!(
                     "interpreter stopped after {} steps: fuel budget exhausted (chaos)",
-                    self.steps
+                    self.m.steps
                 ),
                 budget_exhausted: true,
             });
         }
         match s {
-            Stmt::Pass => Ok(()),
-            Stmt::Assign { buf, idx, rhs } => {
-                let v = self.eval_data(rhs, env)?;
-                self.store(*buf, idx, env, v, false)
+            LStmt::Pass => Ok(()),
+            LStmt::Store { dst, rhs, reduce } => {
+                let v = self.eval_data(rhs)?;
+                self.store(dst, v, *reduce)
             }
-            Stmt::Reduce { buf, idx, rhs } => {
-                let v = self.eval_data(rhs, env)?;
-                self.store(*buf, idx, env, v, true)
-            }
-            Stmt::WriteConfig { config, field, rhs } => {
-                let v = self.eval_ctrl(rhs, env)?;
-                self.configs.insert((*config, *field), v);
+            LStmt::WriteConfig { config, field, rhs } => {
+                let v = self.eval_ctrl(rhs)?;
+                self.m.configs.insert((*config, *field), v);
                 Ok(())
             }
-            Stmt::If { cond, body, orelse } => {
-                if self.eval_bool(cond, env)? {
-                    self.exec_block(body, env)
+            LStmt::If { cond, body, orelse } => {
+                if self.eval_bool(cond)? {
+                    self.exec_block(body)
                 } else {
-                    self.exec_block(orelse, env)
+                    self.exec_block(orelse)
                 }
             }
-            Stmt::For { iter, lo, hi, body } => {
-                let lo = self.eval_int(lo, env)?;
-                let hi = self.eval_int(hi, env)?;
-                let prev = env.remove(iter);
+            LStmt::For { iter, lo, hi, body } => {
+                let lo = self.eval_int(lo)?;
+                let hi = self.eval_int(hi)?;
+                let slot = self.base + iter;
                 for i in lo..hi {
-                    env.insert(*iter, Slot::Ctrl(CtrlVal::Int(i)));
-                    self.exec_block(body, env)?;
-                }
-                match prev {
-                    Some(p) => {
-                        env.insert(*iter, p);
-                    }
-                    None => {
-                        env.remove(iter);
-                    }
+                    self.slots[slot] = Slot::Ctrl(CtrlVal::Int(i));
+                    self.exec_block(body)?;
                 }
                 Ok(())
             }
-            Stmt::Alloc {
+            LStmt::Alloc {
+                slot,
                 name,
                 ty,
                 shape,
@@ -399,166 +466,154 @@ impl Machine {
             } => {
                 let mut dims = Vec::with_capacity(shape.len());
                 for e in shape {
-                    let n = self.eval_int(e, env)?;
+                    let n = self.eval_int(e)?;
                     if n < 0 {
                         return err(format!("negative extent {n} for allocation {name}"));
                     }
                     dims.push(n as usize);
                 }
-                let buf = BufferData::new(*name, *ty, dims.clone(), *mem);
-                let id = BufId(self.bufs.len());
-                self.bufs.push(buf);
-                shadow.push((
-                    *name,
-                    env.insert(*name, Slot::View(WindowVal::whole(id, &dims))),
-                ));
+                let id = BufId(self.m.bufs.len());
+                let view = View::whole(id, &dims);
+                self.m.bufs.push(BufferData::new(*name, *ty, dims, *mem));
+                self.slots[self.base + slot] = Slot::View(view);
                 Ok(())
             }
-            Stmt::WindowDef { name, rhs } => {
-                let view = self.eval_view(rhs, env)?;
-                shadow.push((*name, env.insert(*name, Slot::View(view))));
+            LStmt::WindowDef { slot, rhs } => {
+                let view = self.eval_view(rhs)?;
+                self.slots[self.base + slot] = Slot::View(view);
                 Ok(())
             }
-            Stmt::Call { proc, args } => self.exec_call(proc, args, env),
+            LStmt::Call { callee, args } => self.exec_call(*callee, args),
         }
     }
 
-    fn exec_call(
-        &mut self,
-        proc: &Arc<Proc>,
-        args: &[Expr],
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<(), InterpError> {
-        let mut callee_env: HashMap<Sym, Slot> = HashMap::new();
-        for (formal, actual) in proc.args.iter().zip(args) {
-            let slot = match &formal.ty {
-                ArgType::Ctrl(_) => Slot::Ctrl(self.eval_ctrl(actual, env)?),
-                ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
-                    Slot::View(self.eval_view(actual, env)?)
-                }
+    /// Binds the callee's formals in a new frame (arguments evaluated in
+    /// the caller's), runs it, and pops the frame.
+    fn exec_call(&mut self, callee: usize, args: &[CallArg]) -> Result<(), InterpError> {
+        let procs = self.procs;
+        let p = &procs[callee];
+        let frame = self.slots.len();
+        self.slots.resize(frame + p.slots, Slot::Unset);
+        for (i, arg) in args.iter().enumerate() {
+            self.slots[frame + i] = match arg {
+                CallArg::Ctrl(e) => Slot::Ctrl(self.eval_ctrl(e)?),
+                CallArg::View(e) => Slot::View(self.eval_view(e)?),
             };
-            callee_env.insert(formal.name, slot);
         }
-        if proc.is_instr() && !self.record_instr(proc, &callee_env) {
-            return Ok(());
-        }
-        self.check_shapes_and_preds(proc, &mut callee_env)?;
-        self.exec_block(&proc.body, &mut callee_env)
+        let caller = std::mem::replace(&mut self.base, frame);
+        let result = self.enter(p);
+        self.base = caller;
+        self.slots.truncate(frame);
+        result
     }
 
-    fn tensor_ref(&self, w: &WindowVal) -> TensorRef {
-        let buf = &self.bufs[w.buf.0];
-        let strides = buf.strides();
-        let mut base = 0usize;
-        for (d, &f) in w.fixed.iter().enumerate() {
-            if f != usize::MAX {
-                base += f * strides[d];
+    fn store(&mut self, dst: &Access, value: f64, reduce: bool) -> Result<(), InterpError> {
+        let (buf, off) = match self.locate(dst)? {
+            Located::At(buf, off) => (buf, off),
+            Located::Unknown => return err(format!("store to unknown buffer {}", dst.buf.sym)),
+            Located::OutOfBounds => {
+                return err(format!(
+                    "out-of-bounds store to {} at {:?}",
+                    dst.buf.sym,
+                    self.coords(&dst.idx)?
+                ))
             }
-        }
-        let mut wstrides = Vec::with_capacity(w.dims.len());
-        for dim in &w.dims {
-            base += dim.offset * strides[dim.buf_dim];
-            wstrides.push(strides[dim.buf_dim]);
-        }
-        TensorRef {
-            buf: w.buf,
-            mem: buf.mem,
-            dtype: buf.dtype,
-            base_offset: base,
-            shape: w.shape(),
-            strides: wstrides,
-        }
-    }
-
-    fn store(
-        &mut self,
-        buf: Sym,
-        idx: &[Expr],
-        env: &mut HashMap<Sym, Slot>,
-        value: f64,
-        reduce: bool,
-    ) -> Result<(), InterpError> {
-        let coords = self.eval_coords(idx, env)?;
-        let view = match env.get(&buf) {
-            Some(Slot::View(v)) => v.clone(),
-            _ => return err(format!("store to unknown buffer {buf}")),
         };
-        let rank = self.bufs[view.buf.0].shape.len();
-        let bcoords = view
-            .to_buffer_coords(&coords, rank)
-            .ok_or_else(|| InterpError {
-                message: format!("out-of-bounds store to {buf} at {coords:?}"),
-                budget_exhausted: false,
-            })?;
-        let data = &mut self.bufs[view.buf.0];
-        let off = data.offset(&bcoords).ok_or_else(|| InterpError {
-            message: format!("out-of-bounds store to {buf} at {bcoords:?}"),
-            budget_exhausted: false,
-        })?;
+        let data = &mut self.m.bufs[buf.0];
         let dtype = data.dtype;
-        let new = if reduce {
-            let old = data.data[off].ok_or_else(|| InterpError {
-                message: format!("reduction into uninitialized location of {buf}"),
-                budget_exhausted: false,
-            })?;
+        let Some(cell) = data.data.get_mut(off) else {
+            return err(format!(
+                "out-of-bounds store to {} at offset {off}",
+                dst.buf.sym
+            ));
+        };
+        *cell = Some(if reduce {
+            let Some(old) = *cell else {
+                return err(format!(
+                    "reduction into uninitialized location of {}",
+                    dst.buf.sym
+                ));
+            };
             cast(dtype, old + value)
         } else {
             cast(dtype, value)
-        };
-        data.data[off] = Some(new);
+        });
         Ok(())
     }
 
-    fn eval_coords(
-        &mut self,
-        idx: &[Expr],
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<Vec<usize>, InterpError> {
-        idx.iter()
-            .map(|e| {
-                let v = self.eval_int(e, env)?;
-                if v < 0 {
-                    err(format!("negative index {v}"))
-                } else {
-                    Ok(v as usize)
-                }
-            })
-            .collect()
+    /// Resolves an element access. Every coordinate is evaluated (and
+    /// checked non-negative) before the buffer is looked up and the
+    /// coordinates are checked against the view.
+    fn locate(&self, acc: &Access) -> Result<Located, InterpError> {
+        let view = self.view(acc.buf);
+        let dims = view.map_or(&[][..], |v| &v.dims[..]);
+        let mut inside = dims.len() == acc.idx.len();
+        let mut off = view.map_or(0, |v| v.base);
+        for (e, &(len, stride)) in acc.idx.iter().zip(dims) {
+            let c = self.index(e)?;
+            if c < len {
+                off += c * stride;
+            } else {
+                inside = false;
+            }
+        }
+        // a rank mismatch still evaluates every coordinate
+        for e in acc.idx.iter().skip(dims.len()) {
+            self.index(e)?;
+        }
+        Ok(match view {
+            None => Located::Unknown,
+            Some(v) if inside => Located::At(v.buf, off),
+            Some(_) => Located::OutOfBounds,
+        })
+    }
+
+    /// A coordinate: a non-negative integer.
+    fn index(&self, e: &CExpr) -> Result<usize, InterpError> {
+        let v = self.eval_int(e)?;
+        if v < 0 {
+            err(format!("negative index {v}"))
+        } else {
+            Ok(v as usize)
+        }
+    }
+
+    /// The coordinates of an access, for error messages.
+    fn coords(&self, idx: &[CExpr]) -> Result<Vec<usize>, InterpError> {
+        idx.iter().map(|e| self.index(e)).collect()
     }
 
     /// Evaluates a control expression.
-    fn eval_ctrl(
-        &mut self,
-        e: &Expr,
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<CtrlVal, InterpError> {
+    fn eval_ctrl(&self, e: &CExpr) -> Result<CtrlVal, InterpError> {
         match e {
-            Expr::Var(x) => match env.get(x) {
+            CExpr::Var(x) => match self.slot(*x) {
                 Some(Slot::Ctrl(v)) => Ok(*v),
-                Some(Slot::View(_)) => err(format!("{x} is a buffer, not a control value")),
-                None => err(format!("unbound control variable {x}")),
+                Some(Slot::View(_)) => err(format!("{} is a buffer, not a control value", x.sym)),
+                Some(Slot::Unset) | None => err(format!("unbound control variable {}", x.sym)),
             },
-            Expr::Lit(Lit::Int(v)) => Ok(CtrlVal::Int(*v)),
-            Expr::Lit(Lit::Bool(v)) => Ok(CtrlVal::Bool(*v)),
-            Expr::Lit(Lit::Float(_)) => err("float literal in control position"),
-            Expr::Neg(a) => {
-                let v = self.eval_int(a, env)?;
-                Ok(CtrlVal::Int(-v))
-            }
-            Expr::BinOp(op, a, b) => self.eval_ctrl_binop(*op, a, b, env),
-            Expr::Stride { buf, dim } => {
-                let view = match env.get(buf) {
-                    Some(Slot::View(v)) => v.clone(),
-                    _ => return err(format!("stride() of unknown buffer {buf}")),
-                };
-                let strides = self.bufs[view.buf.0].strides();
-                let wd: Vec<&WinDim> = view.dims.iter().collect();
-                match wd.get(*dim) {
-                    Some(d) => Ok(CtrlVal::Int(strides[d.buf_dim] as i64)),
-                    None => err(format!("stride dimension {dim} out of range for {buf}")),
+            CExpr::Int(v) => Ok(CtrlVal::Int(*v)),
+            CExpr::Bool(v) => Ok(CtrlVal::Bool(*v)),
+            CExpr::Float => err("float literal in control position"),
+            CExpr::Neg(a) => {
+                let v = self.eval_int(a)?;
+                match v.checked_neg() {
+                    Some(n) => Ok(CtrlVal::Int(n)),
+                    None => err(format!("integer overflow in -({v})")),
                 }
             }
-            Expr::ReadConfig { config, field } => self
+            CExpr::Bin(op, a, b) => self.eval_ctrl_binop(*op, a, b),
+            CExpr::Stride { buf, dim } => match self.view(*buf) {
+                Some(view) => match view.dims.get(*dim) {
+                    Some(&(_, stride)) => Ok(CtrlVal::Int(stride as i64)),
+                    None => err(format!(
+                        "stride dimension {dim} out of range for {}",
+                        buf.sym
+                    )),
+                },
+                None => err(format!("stride() of unknown buffer {}", buf.sym)),
+            },
+            CExpr::ReadConfig { config, field } => self
+                .m
                 .configs
                 .get(&(*config, *field))
                 .copied()
@@ -570,110 +625,102 @@ impl Machine {
                     ),
                     budget_exhausted: false,
                 }),
-            _ => err("data expression in control position"),
+            CExpr::Data => err("data expression in control position"),
         }
     }
 
-    fn eval_ctrl_binop(
-        &mut self,
-        op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<CtrlVal, InterpError> {
+    fn eval_ctrl_binop(&self, op: BinOp, a: &CExpr, b: &CExpr) -> Result<CtrlVal, InterpError> {
         match op {
             BinOp::And => {
-                let x = self.eval_bool(a, env)?;
+                let x = self.eval_bool(a)?;
                 // short-circuit
                 if !x {
                     return Ok(CtrlVal::Bool(false));
                 }
-                Ok(CtrlVal::Bool(self.eval_bool(b, env)?))
+                Ok(CtrlVal::Bool(self.eval_bool(b)?))
             }
             BinOp::Or => {
-                let x = self.eval_bool(a, env)?;
+                let x = self.eval_bool(a)?;
                 if x {
                     return Ok(CtrlVal::Bool(true));
                 }
-                Ok(CtrlVal::Bool(self.eval_bool(b, env)?))
+                Ok(CtrlVal::Bool(self.eval_bool(b)?))
             }
             _ => {
-                let x = self.eval_int(a, env)?;
-                let y = self.eval_int(b, env)?;
-                Ok(match op {
-                    BinOp::Add => CtrlVal::Int(x + y),
-                    BinOp::Sub => CtrlVal::Int(x - y),
-                    BinOp::Mul => CtrlVal::Int(x * y),
+                let x = self.eval_int(a)?;
+                let y = self.eval_int(b)?;
+                let checked = |v: Option<i64>| match v {
+                    Some(v) => Ok(CtrlVal::Int(v)),
+                    None => err(format!("integer overflow in {x} {op} {y}")),
+                };
+                match op {
+                    BinOp::Add => checked(x.checked_add(y)),
+                    BinOp::Sub => checked(x.checked_sub(y)),
+                    BinOp::Mul => checked(x.checked_mul(y)),
                     BinOp::Div => {
                         if y <= 0 {
                             return err(format!("division by non-positive constant {y}"));
                         }
-                        CtrlVal::Int(x.div_euclid(y))
+                        Ok(CtrlVal::Int(x.div_euclid(y)))
                     }
                     BinOp::Mod => {
                         if y <= 0 {
                             return err(format!("modulo by non-positive constant {y}"));
                         }
-                        CtrlVal::Int(x.rem_euclid(y))
+                        Ok(CtrlVal::Int(x.rem_euclid(y)))
                     }
-                    BinOp::Eq => CtrlVal::Bool(x == y),
-                    BinOp::Lt => CtrlVal::Bool(x < y),
-                    BinOp::Le => CtrlVal::Bool(x <= y),
-                    BinOp::Gt => CtrlVal::Bool(x > y),
-                    BinOp::Ge => CtrlVal::Bool(x >= y),
+                    BinOp::Eq => Ok(CtrlVal::Bool(x == y)),
+                    BinOp::Lt => Ok(CtrlVal::Bool(x < y)),
+                    BinOp::Le => Ok(CtrlVal::Bool(x <= y)),
+                    BinOp::Gt => Ok(CtrlVal::Bool(x > y)),
+                    BinOp::Ge => Ok(CtrlVal::Bool(x >= y)),
                     BinOp::And | BinOp::Or => unreachable!("handled above"),
-                })
+                }
             }
         }
     }
 
     /// Evaluates an integer control expression.
-    fn eval_int(&mut self, e: &Expr, env: &mut HashMap<Sym, Slot>) -> Result<i64, InterpError> {
-        match self.eval_ctrl(e, env)? {
+    fn eval_int(&self, e: &CExpr) -> Result<i64, InterpError> {
+        match self.eval_ctrl(e)? {
             CtrlVal::Int(v) => Ok(v),
             CtrlVal::Bool(_) => err("expected integer, got boolean"),
         }
     }
 
     /// Evaluates a boolean control expression.
-    fn eval_bool(&mut self, e: &Expr, env: &mut HashMap<Sym, Slot>) -> Result<bool, InterpError> {
-        match self.eval_ctrl(e, env)? {
+    fn eval_bool(&self, e: &CExpr) -> Result<bool, InterpError> {
+        match self.eval_ctrl(e)? {
             CtrlVal::Bool(v) => Ok(v),
             CtrlVal::Int(_) => err("expected boolean, got integer"),
         }
     }
 
     /// Evaluates a data expression to a value.
-    fn eval_data(&mut self, e: &Expr, env: &mut HashMap<Sym, Slot>) -> Result<f64, InterpError> {
+    fn eval_data(&self, e: &DExpr) -> Result<f64, InterpError> {
         match e {
-            Expr::Lit(Lit::Float(v)) => Ok(*v),
-            Expr::Lit(Lit::Int(v)) => Ok(*v as f64),
-            Expr::Read { buf, idx } => {
-                let coords = self.eval_coords(idx, env)?;
-                let view = match env.get(buf) {
-                    Some(Slot::View(v)) => v.clone(),
-                    _ => return err(format!("read of unknown buffer {buf}")),
-                };
-                let rank = self.bufs[view.buf.0].shape.len();
-                let bcoords = view
-                    .to_buffer_coords(&coords, rank)
-                    .ok_or_else(|| InterpError {
-                        message: format!("out-of-bounds read of {buf} at {coords:?}"),
-                        budget_exhausted: false,
-                    })?;
-                let data = &self.bufs[view.buf.0];
-                let off = data.offset(&bcoords).ok_or_else(|| InterpError {
-                    message: format!("out-of-bounds read of {buf} at {bcoords:?}"),
-                    budget_exhausted: false,
-                })?;
-                data.data[off].ok_or_else(|| InterpError {
-                    message: format!("read of uninitialized {buf}[{coords:?}]"),
-                    budget_exhausted: false,
-                })
+            DExpr::Lit(v) => Ok(*v),
+            DExpr::Read(acc) => {
+                let buf = acc.buf.sym;
+                match self.locate(acc)? {
+                    Located::At(id, off) => match self.m.bufs[id.0].data.get(off) {
+                        Some(Some(v)) => Ok(*v),
+                        Some(None) => err(format!(
+                            "read of uninitialized {buf}[{:?}]",
+                            self.coords(&acc.idx)?
+                        )),
+                        None => err(format!("out-of-bounds read of {buf} at offset {off}")),
+                    },
+                    Located::Unknown => err(format!("read of unknown buffer {buf}")),
+                    Located::OutOfBounds => err(format!(
+                        "out-of-bounds read of {buf} at {:?}",
+                        self.coords(&acc.idx)?
+                    )),
+                }
             }
-            Expr::BinOp(op, a, b) => {
-                let x = self.eval_data(a, env)?;
-                let y = self.eval_data(b, env)?;
+            DExpr::Bin(op, a, b) => {
+                let x = self.eval_data(a)?;
+                let y = self.eval_data(b)?;
                 match op {
                     BinOp::Add => Ok(x + y),
                     BinOp::Sub => Ok(x - y),
@@ -682,137 +729,119 @@ impl Machine {
                     _ => err(format!("operator {op} is not defined on data")),
                 }
             }
-            Expr::Neg(a) => Ok(-self.eval_data(a, env)?),
-            Expr::BuiltIn { func, args } => {
-                let vals: Result<Vec<f64>, _> =
-                    args.iter().map(|a| self.eval_data(a, env)).collect();
-                eval_builtin(&func.name(), &vals?)
+            DExpr::Neg(a) => Ok(-self.eval_data(a)?),
+            DExpr::BuiltIn { func, args } => {
+                // every argument is evaluated before the arity is checked
+                let mut vals = [0.0; 2];
+                for (i, a) in args.iter().enumerate() {
+                    let v = self.eval_data(a)?;
+                    if let Some(slot) = vals.get_mut(i) {
+                        *slot = v;
+                    }
+                }
+                match (*func, args.len()) {
+                    (Builtin::Unary(_, f), 1) => Ok(f(vals[0])),
+                    (Builtin::Unary(name, _), _) => {
+                        err(format!("builtin {name} expects 1 argument"))
+                    }
+                    (Builtin::Max, 2) => Ok(vals[0].max(vals[1])),
+                    (Builtin::Max, _) => err("builtin max expects 2 arguments"),
+                    (Builtin::Min, 2) => Ok(vals[0].min(vals[1])),
+                    (Builtin::Min, _) => err("builtin min expects 2 arguments"),
+                    (Builtin::Unknown(name), _) => err(format!("unknown builtin {name}")),
+                }
             }
-            _ => err("control expression in data position"),
+            DExpr::Ctrl => err("control expression in data position"),
         }
     }
 
     /// Evaluates an expression to a view (for data arguments and window
     /// definitions).
-    fn eval_view(
-        &mut self,
-        e: &Expr,
-        env: &mut HashMap<Sym, Slot>,
-    ) -> Result<WindowVal, InterpError> {
+    fn eval_view(&mut self, e: &VExpr) -> Result<View, InterpError> {
         match e {
-            Expr::Read { buf, idx } => {
-                let view = match env.get(buf) {
-                    Some(Slot::View(v)) => v.clone(),
-                    _ => return err(format!("unknown data symbol {buf}")),
+            VExpr::Whole(x) => match self.view(*x) {
+                Some(view) => Ok(view.clone()),
+                None => err(format!("unknown data symbol {}", x.sym)),
+            },
+            // point access: fix every retained dimension
+            VExpr::Point(x, idx) => {
+                let Some(view) = self.view(*x) else {
+                    return err(format!("unknown data symbol {}", x.sym));
                 };
-                if idx.is_empty() {
-                    return Ok(view);
-                }
-                // point access: fix every retained dimension
-                let coords = self.eval_coords(idx, env)?;
-                if coords.len() != view.dims.len() {
-                    return err(format!("wrong arity point access into {buf}"));
-                }
-                let mut fixed = view.fixed.clone();
-                for (dim, &c) in view.dims.iter().zip(&coords) {
-                    if c >= dim.len {
-                        return err(format!("out-of-bounds point access into {buf}"));
+                let mut base = view.base;
+                let mut inside = true;
+                for (i, e) in idx.iter().enumerate() {
+                    let c = self.index(e)?;
+                    match view.dims.get(i) {
+                        Some(&(len, stride)) if c < len => base += c * stride,
+                        _ => inside = false,
                     }
-                    fixed[dim.buf_dim] = dim.offset + c;
                 }
-                Ok(WindowVal {
+                if idx.len() != view.dims.len() {
+                    return err(format!("wrong arity point access into {}", x.sym));
+                }
+                if !inside {
+                    return err(format!("out-of-bounds point access into {}", x.sym));
+                }
+                Ok(View {
                     buf: view.buf,
-                    fixed,
-                    dims: vec![],
+                    base,
+                    dims: Vec::new(),
                 })
             }
-            Expr::Window { buf, coords } => {
-                let view = match env.get(buf) {
-                    Some(Slot::View(v)) => v.clone(),
-                    _ => return err(format!("window over unknown symbol {buf}")),
+            VExpr::Window(x, coords) => {
+                let Some(view) = self.view(*x) else {
+                    return err(format!("window over unknown symbol {}", x.sym));
                 };
                 if coords.len() != view.dims.len() {
-                    return err(format!("window arity mismatch over {buf}"));
+                    return err(format!("window arity mismatch over {}", x.sym));
                 }
-                let mut fixed = view.fixed.clone();
+                let mut base = view.base;
                 let mut dims = Vec::new();
-                for (wdim, c) in view.dims.iter().zip(coords) {
+                for (&(len, stride), c) in view.dims.iter().zip(coords) {
                     match c {
-                        WAccess::Point(p) => {
-                            let v = self.eval_int(p, env)?;
-                            if v < 0 || v as usize >= wdim.len {
-                                return err(format!("window point {v} out of bounds on {buf}"));
+                        WCoord::Point(p) => {
+                            let v = self.eval_int(p)?;
+                            if v < 0 || v as usize >= len {
+                                return err(format!("window point {v} out of bounds on {}", x.sym));
                             }
-                            fixed[wdim.buf_dim] = wdim.offset + v as usize;
+                            base += v as usize * stride;
                         }
-                        WAccess::Interval(lo, hi) => {
-                            let lo = self.eval_int(lo, env)?;
-                            let hi = self.eval_int(hi, env)?;
-                            if lo < 0 || hi < lo || hi as usize > wdim.len {
+                        WCoord::Interval(lo, hi) => {
+                            let lo = self.eval_int(lo)?;
+                            let hi = self.eval_int(hi)?;
+                            if lo < 0 || hi < lo || hi as usize > len {
                                 return err(format!(
-                                    "window interval {lo}:{hi} out of bounds on {buf}"
+                                    "window interval {lo}:{hi} out of bounds on {}",
+                                    x.sym
                                 ));
                             }
-                            dims.push(WinDim {
-                                buf_dim: wdim.buf_dim,
-                                offset: wdim.offset + lo as usize,
-                                len: (hi - lo) as usize,
-                            });
+                            base += lo as usize * stride;
+                            dims.push(((hi - lo) as usize, stride));
                         }
                     }
                 }
-                Ok(WindowVal {
+                Ok(View {
                     buf: view.buf,
-                    fixed,
+                    base,
                     dims,
                 })
             }
             // an arbitrary scalar data expression: materialize a 0-d temp
-            _ => {
-                let v = self.eval_data(e, env)?;
+            VExpr::Temp(d) => {
+                let v = self.eval_data(d)?;
                 let mut buf =
                     BufferData::new(Sym::new("tmp"), DataType::F64, vec![], MemName::dram());
                 buf.data[0] = Some(v);
-                let id = BufId(self.bufs.len());
-                self.bufs.push(buf);
-                Ok(WindowVal::whole(id, &[]))
+                let id = BufId(self.m.bufs.len());
+                self.m.bufs.push(buf);
+                Ok(View {
+                    buf: id,
+                    base: 0,
+                    dims: Vec::new(),
+                })
             }
         }
-    }
-}
-
-/// Evaluates a built-in (total) math function.
-fn eval_builtin(name: &str, args: &[f64]) -> Result<f64, InterpError> {
-    let unary = |f: fn(f64) -> f64| {
-        if args.len() == 1 {
-            Ok(f(args[0]))
-        } else {
-            err(format!("builtin {name} expects 1 argument"))
-        }
-    };
-    match name {
-        "sin" => unary(f64::sin),
-        "cos" => unary(f64::cos),
-        "sqrt" => unary(|x| if x < 0.0 { 0.0 } else { x.sqrt() }),
-        "exp" => unary(f64::exp),
-        "tanh" => unary(f64::tanh),
-        "abs" => unary(f64::abs),
-        "relu" => unary(|x| x.max(0.0)),
-        "max" => {
-            if args.len() == 2 {
-                Ok(args[0].max(args[1]))
-            } else {
-                err("builtin max expects 2 arguments")
-            }
-        }
-        "min" => {
-            if args.len() == 2 {
-                Ok(args[0].min(args[1]))
-            } else {
-                err("builtin min expects 2 arguments")
-            }
-        }
-        _ => err(format!("unknown builtin {name}")),
     }
 }
 
@@ -820,6 +849,8 @@ fn eval_builtin(name: &str, args: &[f64]) -> Result<f64, InterpError> {
 mod tests {
     use super::*;
     use exo_core::build::{read, ProcBuilder};
+    use exo_core::ir::{Expr, Stmt, WAccess};
+    use std::sync::Arc;
 
     fn naive_gemm(n: usize) -> Arc<Proc> {
         let mut b = ProcBuilder::new("gemm");

@@ -2,9 +2,9 @@
 //!
 //! This mirrors the store model of paper §4.1: control values are
 //! integers/booleans, data values are reals (`f64` here, quantized on
-//! store according to the buffer's precision), buffers are maps from
-//! coordinate tuples to data, and windows are a buffer address plus an
-//! affine indexing function.
+//! store according to the buffer's precision), and buffers are maps from
+//! coordinate tuples to data, stored row-major. Windows (a buffer, a base
+//! offset and a stride per axis) live in the interpreter's frames.
 
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
@@ -67,31 +67,6 @@ impl BufferData {
             mem,
         }
     }
-
-    /// Row-major strides of the buffer.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1usize; self.shape.len()];
-        for d in (0..self.shape.len().saturating_sub(1)).rev() {
-            s[d] = s[d + 1] * self.shape[d + 1];
-        }
-        s
-    }
-
-    /// Linearizes a coordinate; `None` when out of bounds.
-    pub fn offset(&self, idx: &[usize]) -> Option<usize> {
-        if idx.len() != self.shape.len() {
-            return None;
-        }
-        let strides = self.strides();
-        let mut off = 0;
-        for ((&i, &n), &st) in idx.iter().zip(&self.shape).zip(&strides) {
-            if i >= n {
-                return None;
-            }
-            off += i * st;
-        }
-        Some(off)
-    }
 }
 
 /// Quantizes a data value through a precision type, modeling the
@@ -114,100 +89,14 @@ pub fn cast(dtype: DataType, v: f64) -> f64 {
     }
 }
 
-/// One dimension of a window: which underlying-buffer dimension it maps
-/// to and the offset within it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WinDim {
-    /// Dimension of the underlying buffer this window axis walks.
-    pub buf_dim: usize,
-    /// Offset added to the window coordinate.
-    pub offset: usize,
-    /// Extent of the window along this axis.
-    pub len: usize,
-}
-
-/// A window: a buffer address plus an affine map from window coordinates
-/// to buffer coordinates (point-accessed dimensions are fixed).
-#[derive(Clone, PartialEq, Debug)]
-pub struct WindowVal {
-    /// Underlying buffer.
-    pub buf: BufId,
-    /// Fixed coordinate per buffer dimension (for point-accessed dims);
-    /// `usize::MAX` marks dims that are walked by a window axis.
-    pub fixed: Vec<usize>,
-    /// Retained axes, outermost first.
-    pub dims: Vec<WinDim>,
-}
-
-impl WindowVal {
-    /// The identity window over a whole buffer.
-    pub fn whole(buf: BufId, shape: &[usize]) -> WindowVal {
-        WindowVal {
-            buf,
-            fixed: vec![usize::MAX; shape.len()],
-            dims: shape
-                .iter()
-                .enumerate()
-                .map(|(d, &len)| WinDim {
-                    buf_dim: d,
-                    offset: 0,
-                    len,
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of retained dimensions.
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Extents of the retained dimensions.
-    pub fn shape(&self) -> Vec<usize> {
-        self.dims.iter().map(|d| d.len).collect()
-    }
-
-    /// Maps window coordinates to buffer coordinates.
-    ///
-    /// Returns `None` if the coordinate is out of the window's bounds.
-    pub fn to_buffer_coords(&self, idx: &[usize], buf_rank: usize) -> Option<Vec<usize>> {
-        if idx.len() != self.dims.len() {
-            return None;
-        }
-        let mut out = self.fixed.clone();
-        out.resize(buf_rank, usize::MAX);
-        for (w, &i) in self.dims.iter().zip(idx) {
-            if i >= w.len {
-                return None;
-            }
-            out[w.buf_dim] = w.offset + i;
-        }
-        if out.contains(&usize::MAX) {
-            return None;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn buffer_offsets_row_major() {
-        let b = BufferData::new(Sym::new("x"), DataType::F32, vec![2, 3], MemName::dram());
-        assert_eq!(b.strides(), vec![3, 1]);
-        assert_eq!(b.offset(&[0, 0]), Some(0));
-        assert_eq!(b.offset(&[1, 2]), Some(5));
-        assert_eq!(b.offset(&[2, 0]), None);
-        assert_eq!(b.offset(&[0]), None);
-    }
-
-    #[test]
     fn scalar_buffer() {
         let b = BufferData::new(Sym::new("s"), DataType::F32, vec![], MemName::dram());
         assert_eq!(b.data.len(), 1);
-        assert_eq!(b.offset(&[]), Some(0));
     }
 
     #[test]
@@ -217,31 +106,5 @@ mod tests {
         assert_eq!(cast(DataType::U8, -5.0), 0.0);
         assert_eq!(cast(DataType::F64, 0.1), 0.1);
         assert!((cast(DataType::F32, 0.1) - 0.1).abs() < 1e-7);
-    }
-
-    #[test]
-    fn window_maps_coordinates() {
-        // 4×6 buffer; window = buf[1:3, 2] → 1-D window of length 2
-        let w = WindowVal {
-            buf: BufId(0),
-            fixed: vec![usize::MAX, 2],
-            dims: vec![WinDim {
-                buf_dim: 0,
-                offset: 1,
-                len: 2,
-            }],
-        };
-        assert_eq!(w.to_buffer_coords(&[0], 2), Some(vec![1, 2]));
-        assert_eq!(w.to_buffer_coords(&[1], 2), Some(vec![2, 2]));
-        assert_eq!(w.to_buffer_coords(&[2], 2), None);
-        assert_eq!(w.rank(), 1);
-        assert_eq!(w.shape(), vec![2]);
-    }
-
-    #[test]
-    fn whole_window_is_identity() {
-        let w = WindowVal::whole(BufId(3), &[4, 5]);
-        assert_eq!(w.to_buffer_coords(&[2, 3], 2), Some(vec![2, 3]));
-        assert_eq!(w.shape(), vec![4, 5]);
     }
 }

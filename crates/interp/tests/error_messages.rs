@@ -318,3 +318,33 @@ fn chaos_fuel_stop_reports_exact_step() {
     assert!(e.budget_exhausted);
     assert_eq!(steps, 42);
 }
+
+#[test]
+fn control_arithmetic_overflow_is_a_typed_error() {
+    let _g = serial();
+    let max = || Expr::int(i64::MAX);
+    let min = || Expr::int(i64::MIN);
+    for (index, message) in [
+        (
+            max().add(Expr::int(1)),
+            "integer overflow in 9223372036854775807 + 1",
+        ),
+        (
+            min().sub(Expr::int(1)),
+            "integer overflow in -9223372036854775808 - 1",
+        ),
+        (
+            max().mul(Expr::int(2)),
+            "integer overflow in 9223372036854775807 * 2",
+        ),
+        (
+            Expr::Neg(Box::new(min())),
+            "integer overflow in -(-9223372036854775808)",
+        ),
+    ] {
+        let p = with_a(|b, a| {
+            b.assign(a, vec![index], Expr::float(1.0));
+        });
+        assert_fails(&p, &[4], message, 2);
+    }
+}
