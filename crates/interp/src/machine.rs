@@ -682,6 +682,17 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     /// Evaluates an integer control expression.
     fn eval_int(&self, e: &CExpr) -> Result<i64, InterpError> {
+        // the leaves of index arithmetic, without a round trip through
+        // `CtrlVal`
+        match e {
+            CExpr::Int(v) => return Ok(*v),
+            CExpr::Var(x) => {
+                if let Some(Slot::Ctrl(CtrlVal::Int(v))) = self.slot(*x) {
+                    return Ok(*v);
+                }
+            }
+            _ => {}
+        }
         match self.eval_ctrl(e)? {
             CtrlVal::Int(v) => Ok(v),
             CtrlVal::Bool(_) => err("expected integer, got boolean"),
