@@ -1,7 +1,7 @@
 //! The resolved form the interpreter executes.
 //!
-//! [`Program::lower`] walks a procedure once per [`crate::Machine::run`]
-//! and resolves every name: each binder (formal, loop iterator, `Alloc`,
+//! [`lower`] walks a procedure once per [`crate::Machine::run`] and
+//! resolves every name: each binder (formal, loop iterator, `Alloc`,
 //! `WindowDef`) gets a frame slot index, and each use of a symbol points
 //! at the slot of the innermost binder in scope, so a frame is a
 //! `Vec<Slot>` indexed directly. Builtins become an enum, and each
@@ -23,14 +23,13 @@ use exo_core::Sym;
 
 /// A use of a symbol: the frame slot of its binder (`None` when no
 /// binder is in scope) and the symbol itself, for error messages.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub(crate) struct Var {
     pub slot: Option<usize>,
     pub sym: Sym,
 }
 
 /// A control expression.
-#[derive(Debug)]
 pub(crate) enum CExpr {
     Var(Var),
     Int(i64),
@@ -52,7 +51,6 @@ pub(crate) enum CExpr {
 }
 
 /// A data expression.
-#[derive(Debug)]
 pub(crate) enum DExpr {
     Lit(f64),
     Read(Access),
@@ -67,14 +65,13 @@ pub(crate) enum DExpr {
 }
 
 /// An element access `buf[idx]`.
-#[derive(Debug)]
 pub(crate) struct Access {
     pub buf: Var,
     pub idx: Vec<CExpr>,
 }
 
 /// A built-in math function.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub(crate) enum Builtin {
     Unary(&'static str, fn(f64) -> f64),
     Max,
@@ -84,15 +81,14 @@ pub(crate) enum Builtin {
 
 impl Builtin {
     fn resolve(func: Sym) -> Builtin {
-        let unary = |name, f| Builtin::Unary(name, f);
         match func.name().as_str() {
-            "sin" => unary("sin", f64::sin),
-            "cos" => unary("cos", f64::cos),
-            "sqrt" => unary("sqrt", |x| if x < 0.0 { 0.0 } else { x.sqrt() }),
-            "exp" => unary("exp", f64::exp),
-            "tanh" => unary("tanh", f64::tanh),
-            "abs" => unary("abs", f64::abs),
-            "relu" => unary("relu", |x| x.max(0.0)),
+            "sin" => Builtin::Unary("sin", f64::sin),
+            "cos" => Builtin::Unary("cos", f64::cos),
+            "sqrt" => Builtin::Unary("sqrt", |x| if x < 0.0 { 0.0 } else { x.sqrt() }),
+            "exp" => Builtin::Unary("exp", f64::exp),
+            "tanh" => Builtin::Unary("tanh", f64::tanh),
+            "abs" => Builtin::Unary("abs", f64::abs),
+            "relu" => Builtin::Unary("relu", |x| x.max(0.0)),
             "max" => Builtin::Max,
             "min" => Builtin::Min,
             _ => Builtin::Unknown(func),
@@ -102,7 +98,6 @@ impl Builtin {
 
 /// An expression evaluated to a view: a data argument of a call or the
 /// right-hand side of a window definition.
-#[derive(Debug)]
 pub(crate) enum VExpr {
     /// `buf` — the whole view.
     Whole(Var),
@@ -115,21 +110,18 @@ pub(crate) enum VExpr {
 }
 
 /// One coordinate of a window expression.
-#[derive(Debug)]
 pub(crate) enum WCoord {
     Point(CExpr),
     Interval(CExpr, CExpr),
 }
 
 /// An actual argument of a call, by the kind of its formal.
-#[derive(Debug)]
 pub(crate) enum CallArg {
     Ctrl(CExpr),
     View(VExpr),
 }
 
 /// A statement.
-#[derive(Debug)]
 pub(crate) enum LStmt {
     Pass,
     Store {
@@ -171,22 +163,11 @@ pub(crate) enum LStmt {
     },
 }
 
-/// A formal parameter.
-#[derive(Debug)]
-pub(crate) struct Formal {
-    pub sym: Sym,
-    /// The slot the formal's name resolves to in the body (the last
-    /// formal of that name).
-    pub slot: usize,
-    /// Declared extents of a tensor formal.
-    pub shape: Option<Vec<CExpr>>,
-}
-
 /// A lowered procedure. Formal `i` is bound in slot `i`.
-#[derive(Debug)]
 pub(crate) struct LProc<'p> {
     pub src: &'p Proc,
-    pub formals: Vec<Formal>,
+    /// Declared extents of each tensor formal, by formal index.
+    pub shapes: Vec<Option<Vec<CExpr>>>,
     pub preds: Vec<CExpr>,
     pub body: Vec<LStmt>,
     /// Frame size.
@@ -195,84 +176,66 @@ pub(crate) struct LProc<'p> {
     pub instr: Option<(String, Vec<String>)>,
 }
 
-/// The root procedure (index 0) and every callee reachable from it.
-#[derive(Debug)]
-pub(crate) struct Program<'p> {
-    pub procs: Vec<LProc<'p>>,
+/// Lowers `root` and, once each, every procedure it calls. A callee
+/// comes before its first caller, so the root is the last element.
+pub(crate) fn lower(root: &Proc) -> Vec<LProc<'_>> {
+    let mut procs = Vec::new();
+    lower_proc(root, &mut procs, &mut HashMap::new());
+    procs
 }
 
-impl<'p> Program<'p> {
-    /// Lowers `root` and, once each, every procedure it calls.
-    pub fn lower(root: &'p Proc) -> Program<'p> {
-        let mut prog = Program { procs: Vec::new() };
-        let mut memo = HashMap::new();
-        prog.lower_proc(root, &mut memo);
-        prog
+/// Lowers `p` (and its callees not in `memo`) onto `procs`; returns its
+/// index.
+fn lower_proc<'p>(
+    p: &'p Proc,
+    procs: &mut Vec<LProc<'p>>,
+    memo: &mut HashMap<*const Proc, usize>,
+) -> usize {
+    let mut cx = Lowering {
+        procs,
+        memo,
+        scope: Vec::new(),
+        slots: 0,
+    };
+    for a in &p.args {
+        cx.bind(a.name);
     }
-
-    fn lower_proc(&mut self, p: &'p Proc, memo: &mut HashMap<*const Proc, usize>) -> usize {
-        let index = self.procs.len();
-        // reserve the index before lowering the body, which appends callees
-        self.procs.push(LProc {
-            src: p,
-            formals: Vec::new(),
-            preds: Vec::new(),
-            body: Vec::new(),
-            slots: 0,
-            instr: None,
-        });
-        let mut cx = Scope {
-            prog: self,
-            memo,
-            scope: Vec::new(),
-            slots: 0,
-        };
-        for a in &p.args {
-            cx.bind(a.name);
-        }
-        let formals = p
-            .args
-            .iter()
-            .map(|a| Formal {
-                sym: a.name,
-                slot: cx.lookup(a.name).slot.unwrap_or(0),
-                shape: match &a.ty {
-                    ArgType::Tensor { shape, .. } => {
-                        Some(shape.iter().map(|e| cx.ctrl(e)).collect())
-                    }
-                    _ => None,
-                },
-            })
-            .collect();
-        let preds = p.preds.iter().map(|e| cx.ctrl(e)).collect();
-        let body = cx.block(&p.body);
-        let slots = cx.slots;
-        let instr = p.is_instr().then(|| {
-            let names = p.args.iter().map(|a| a.name.name()).collect();
-            (p.name.name(), names)
-        });
-        self.procs[index] = LProc {
-            src: p,
-            formals,
-            preds,
-            body,
-            slots,
-            instr,
-        };
-        index
-    }
+    let shapes = p
+        .args
+        .iter()
+        .map(|a| match &a.ty {
+            ArgType::Tensor { shape, .. } => Some(shape.iter().map(|e| cx.ctrl(e)).collect()),
+            _ => None,
+        })
+        .collect();
+    let preds = p.preds.iter().map(|e| cx.ctrl(e)).collect();
+    let body = cx.block(&p.body);
+    let slots = cx.slots;
+    let instr = p.is_instr().then(|| {
+        let names = p.args.iter().map(|a| a.name.name()).collect();
+        (p.name.name(), names)
+    });
+    procs.push(LProc {
+        src: p,
+        shapes,
+        preds,
+        body,
+        slots,
+        instr,
+    });
+    procs.len() - 1
 }
 
 /// Lowering state of one procedure: the binders in scope, innermost
 /// last.
-struct Scope<'a, 'p> {
-    prog: &'a mut Program<'p>,
+struct Lowering<'a, 'p> {
+    procs: &'a mut Vec<LProc<'p>>,
     memo: &'a mut HashMap<*const Proc, usize>,
     scope: Vec<(Sym, usize)>,
     slots: usize,
 }
 
-impl<'p> Scope<'_, 'p> {
+impl<'p> Lowering<'_, 'p> {
     fn bind(&mut self, sym: Sym) -> usize {
         let slot = self.slots;
         self.slots += 1;
@@ -371,7 +334,7 @@ impl<'p> Scope<'_, 'p> {
         if let Some(&i) = self.memo.get(&Arc::as_ptr(proc)) {
             return i;
         }
-        let i = self.prog.lower_proc(proc, self.memo);
+        let i = lower_proc(proc, self.procs, self.memo);
         self.memo.insert(Arc::as_ptr(proc), i);
         i
     }

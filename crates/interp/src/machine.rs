@@ -8,7 +8,7 @@
 //! and the source of [`HwOp`] traces for the simulators.
 //!
 //! Each [`Machine::run`] first lowers the procedure and its callees into
-//! the resolved form of [`crate::lower`], then executes that: a variable
+//! the resolved form of the crate's `lower` module, then executes that: a variable
 //! is a slot index into the current frame, and a view is a buffer, a
 //! base offset and a `(len, stride)` per axis, so an element access is
 //! per-axis bounds checks plus `base + Σ i·stride`.
@@ -22,7 +22,7 @@ use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
 use crate::lower::{
-    Access, Builtin, CExpr, CallArg, DExpr, LProc, LStmt, Program, VExpr, Var, WCoord,
+    lower, Access, Builtin, CExpr, CallArg, DExpr, LProc, LStmt, VExpr, Var, WCoord,
 };
 use crate::trace::{HwOp, TensorRef, TraceArg};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
@@ -250,17 +250,19 @@ impl Machine {
             ));
         }
         let _span = exo_obs::Span::enter("interp.run");
-        let prog = Program::lower(proc);
-        let mut exec = Exec {
+        let traced = self.trace.len();
+        let procs = lower(proc);
+        let result = Exec {
             m: self,
-            procs: &prog.procs,
+            procs: &procs,
             slots: Vec::new(),
             base: 0,
-            instrs: 0,
-        };
-        let result = exec.run_root(args);
-        if exec.instrs > 0 {
-            exo_obs::counter_add("interp.instr", exec.instrs);
+        }
+        .run_root(args);
+        // one registry update per run, however many instructions it traced
+        let instrs = self.trace.len() - traced;
+        if instrs > 0 {
+            exo_obs::counter_add("interp.instr", instrs as u64);
         }
         result
     }
@@ -274,14 +276,12 @@ struct Exec<'a, 'p> {
     procs: &'a [LProc<'p>],
     slots: Vec<Slot>,
     base: usize,
-    /// `HwOp`s recorded so far.
-    instrs: u64,
 }
 
 impl<'a, 'p> Exec<'a, 'p> {
     fn run_root(&mut self, args: &[ArgVal]) -> Result<(), InterpError> {
         let procs = self.procs;
-        let Some(root) = procs.first() else {
+        let Some(root) = procs.last() else {
             return Ok(());
         };
         self.slots.resize(root.slots, Slot::Unset);
@@ -306,8 +306,8 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// Runs `p` in the current frame, whose formals are bound.
     fn enter(&mut self, p: &LProc<'p>) -> Result<(), InterpError> {
         // running an instruction directly still records a trace event
-        if let Some(names) = &p.instr {
-            if !self.record_instr(p, names) {
+        if let Some(instr) = &p.instr {
+            if !self.record_instr(instr) {
                 return Ok(());
             }
         }
@@ -327,13 +327,15 @@ impl<'a, 'p> Exec<'a, 'p> {
         }
     }
 
-    /// Records a call of the `@instr` procedure `p`, whose formals are
-    /// bound in the current frame, as one trace event (unbound formals
-    /// are left out). Returns whether the instruction's body should run.
-    fn record_instr(&mut self, p: &LProc<'p>, (instr, names): &(String, Vec<String>)) -> bool {
-        let mut args = Vec::with_capacity(p.formals.len());
-        for (formal, name) in p.formals.iter().zip(names) {
-            let ta = match &self.slots[self.base + formal.slot] {
+    /// Records a call of the `@instr` procedure named `instr`, whose
+    /// formals `names` are bound in the current frame, as one trace event
+    /// (unbound formals are left out). Returns whether the instruction's
+    /// body should run.
+    fn record_instr(&mut self, (instr, names): &(String, Vec<String>)) -> bool {
+        let frame = &self.slots[self.base..];
+        let mut args = Vec::with_capacity(names.len());
+        for (slot, name) in frame.iter().zip(names) {
+            let ta = match slot {
                 Slot::Ctrl(CtrlVal::Int(v)) => TraceArg::Int(*v),
                 Slot::Ctrl(CtrlVal::Bool(v)) => TraceArg::Bool(*v),
                 Slot::View(w) => TraceArg::Tensor(self.tensor_ref(w)),
@@ -341,7 +343,6 @@ impl<'a, 'p> Exec<'a, 'p> {
             };
             args.push((name.clone(), ta));
         }
-        self.instrs += 1;
         self.m.trace.push(HwOp {
             instr: instr.clone(),
             args,
@@ -362,17 +363,18 @@ impl<'a, 'p> Exec<'a, 'p> {
     }
 
     fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Result<(), InterpError> {
-        for formal in &p.formals {
-            let Some(shape) = &formal.shape else {
+        let frame = &self.slots[self.base..];
+        for ((formal, shape), slot) in p.src.args.iter().zip(&p.shapes).zip(frame) {
+            let Some(shape) = shape else {
                 continue;
             };
-            let Slot::View(view) = &self.slots[self.base + formal.slot] else {
-                return err(format!("missing tensor argument {}", formal.sym));
+            let Slot::View(view) = slot else {
+                return err(format!("missing tensor argument {}", formal.name));
             };
             if shape.len() != view.dims.len() {
                 return err(format!(
                     "rank mismatch for {}: declared {}, got {}",
-                    formal.sym,
+                    formal.name,
                     shape.len(),
                     view.dims.len()
                 ));
@@ -382,7 +384,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 if want != real as i64 {
                     return err(format!(
                         "extent mismatch for {}: declared {want}, got {real}",
-                        formal.sym
+                        formal.name
                     ));
                 }
             }
@@ -959,6 +961,57 @@ mod tests {
         assert!(m.run(&p, &[ArgVal::Int(8)]).is_ok());
         let e = m.run(&p, &[ArgVal::Int(32)]).unwrap_err();
         assert!(e.message.contains("assertion failed"), "{e}");
+    }
+
+    #[test]
+    fn whole_view_is_row_major() {
+        let v = View::whole(BufId(3), &[4, 5, 6]);
+        assert_eq!(v.dims, vec![(4, 30), (5, 6), (6, 1)]);
+        assert_eq!(v.base, 0);
+        assert!(View::whole(BufId(0), &[]).dims.is_empty());
+    }
+
+    #[test]
+    fn names_are_lexically_scoped() {
+        // for n in 0..2: A[n] = 1   (the iterator shadows the formal n)
+        // A[n] = 2                  (n is the formal again)
+        // if true: w = A[1:3]
+        // w[0] = 5                  (w went out of scope with its block)
+        let mut b = ProcBuilder::new("scopes");
+        let n = b.size("n");
+        let a = b.tensor("A", DataType::F32, vec![Expr::int(4)]);
+        let w = Sym::new("w");
+        b.stmt(Stmt::For {
+            iter: n,
+            lo: Expr::int(0),
+            hi: Expr::int(2),
+            body: vec![Stmt::Assign {
+                buf: a,
+                idx: vec![Expr::var(n)],
+                rhs: Expr::float(1.0),
+            }],
+        });
+        b.assign(a, vec![Expr::var(n)], Expr::float(2.0));
+        b.stmt(Stmt::If {
+            cond: Expr::bool(true),
+            body: vec![Stmt::WindowDef {
+                name: w,
+                rhs: Expr::Window {
+                    buf: a,
+                    coords: vec![WAccess::Interval(Expr::int(1), Expr::int(3))],
+                },
+            }],
+            orelse: vec![],
+        });
+        b.assign(w, vec![Expr::int(0)], Expr::float(5.0));
+        let p = b.finish();
+        let mut m = Machine::new();
+        let id = m.alloc_extern("A", DataType::F32, &[4], &[0.0; 4]);
+        let e = m
+            .run(&p, &[ArgVal::Int(3), ArgVal::Tensor(id)])
+            .unwrap_err();
+        assert_eq!(e.message, "store to unknown buffer w");
+        assert_eq!(m.buffer_values(id).unwrap(), vec![1.0, 1.0, 0.0, 2.0]);
     }
 
     #[test]
