@@ -53,13 +53,15 @@ impl From<LexError> for ParseError {
 }
 
 /// External names available to parsed code: procedures callable by name,
-/// and configuration structs with their fields.
+/// configuration structs with their fields, and memories.
 #[derive(Clone, Default, Debug)]
 pub struct ParseEnv {
     /// Callable procedures by spelling.
     pub procs: HashMap<String, Arc<Proc>>,
     /// Configuration structs: name → (struct sym, field spelling → sym).
     pub configs: HashMap<String, (Sym, HashMap<String, Sym>)>,
+    /// Memories by spelling (`@ NAME` annotations); `DRAM` is implicit.
+    pub mems: HashMap<String, MemName>,
 }
 
 impl ParseEnv {
@@ -84,10 +86,17 @@ impl ParseEnv {
         self.configs.insert(decl.name.name(), (decl.name, fields));
         self
     }
+
+    /// Registers a memory, so that `@ NAME` resolves to `mem`.
+    pub fn add_mem(&mut self, mem: MemName) -> &mut Self {
+        self.mems.insert(mem.0.name(), mem);
+        self
+    }
 }
 
 /// Parses a source file containing one or more procedures; later
-/// procedures may call earlier ones.
+/// procedures may call earlier ones. A memory spelling that `env` does
+/// not register is minted once and shared by every annotation in `src`.
 ///
 /// # Errors
 ///
@@ -335,7 +344,7 @@ impl Parser {
         let mem = if self.at(&Tok::Punct("@")) {
             self.bump();
             let mname = self.ident()?;
-            MemName(self.mem_sym(&mname))
+            self.mem(&mname)
         } else {
             MemName::dram()
         };
@@ -358,13 +367,15 @@ impl Parser {
         }
     }
 
-    fn mem_sym(&self, name: &str) -> Sym {
+    fn mem(&mut self, name: &str) -> MemName {
         if name == "DRAM" {
-            MemName::dram().0
-        } else {
-            // memory names are matched by spelling at code generation
-            Sym::new(name)
+            return MemName::dram();
         }
+        *self
+            .env
+            .mems
+            .entry(name.to_string())
+            .or_insert_with(|| MemName(Sym::new(name)))
     }
 
     fn parse_block(&mut self) -> Result<Block, ParseError> {
@@ -514,7 +525,7 @@ impl Parser {
                 let mem = if self.at(&Tok::Punct("@")) {
                     self.bump();
                     let m = self.ident()?;
-                    MemName(self.mem_sym(&m))
+                    self.mem(&m)
                 } else {
                     MemName::dram()
                 };

@@ -99,6 +99,33 @@ def app(A: f32[8, 8] @ DRAM, spad: f32[8, 8] @ SCRATCHPAD):
 }
 
 #[test]
+fn memory_annotations_resolve_to_one_name() {
+    use exo_core::ir::{ArgType, Stmt};
+    use exo_core::types::MemName;
+    use exo_core::Sym;
+    let src = r#"
+@proc
+def p(a: f32[4] @ SPAD, b: f32[4] @ SPAD, c: f32[4] @ ACC):
+    t : f32[4] @ SPAD
+    pass
+"#;
+    let mem = |arg: &ArgType| match arg {
+        ArgType::Tensor { mem, .. } | ArgType::Scalar { mem, .. } => *mem,
+        ArgType::Ctrl(_) => MemName::dram(),
+    };
+    // an unregistered spelling is minted once per source
+    let p = parse_proc(src, &ParseEnv::new()).unwrap();
+    let spad = mem(&p.args[0].ty);
+    assert_eq!(mem(&p.args[1].ty), spad);
+    assert_ne!(mem(&p.args[2].ty), spad);
+    assert!(matches!(p.body[0], Stmt::Alloc { mem, .. } if mem == spad));
+    // a registered memory resolves to the registered name
+    let acc = MemName(Sym::new("ACC"));
+    let p = parse_proc(src, ParseEnv::new().add_mem(acc)).unwrap();
+    assert_eq!(mem(&p.args[2].ty), acc);
+}
+
+#[test]
 fn parses_configuration_state() {
     let src = r#"
 @proc
