@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use exo_codegen::{AllocStyle, CodegenCtx, Memory};
-use exo_core::build::{read, ProcBuilder};
-use exo_core::ir::{Expr, Proc};
-use exo_core::types::{DataType, MemName};
+use exo_core::ir::Proc;
+use exo_core::types::MemName;
 use exo_core::Sym;
+use exo_front::ParseEnv;
 
 /// f32 lanes per 512-bit vector.
 pub const LANES: i64 = 16;
@@ -41,132 +41,28 @@ pub struct Avx512Lib {
 }
 
 impl Avx512Lib {
-    /// Builds the library.
+    /// Builds the library: mints the register-file memory, then parses
+    /// the instructions from `avx512.exo` against it.
+    ///
+    /// # Panics
+    ///
+    /// If `avx512.exo` does not parse or lacks one of the eight instructions. The
+    /// source is a compile-time constant and the unit tests parse it.
     pub fn new() -> Avx512Lib {
         let reg = MemName(Sym::new("AVX512"));
-
-        let loadu = {
-            let mut b = ProcBuilder::new("mm512_loadu_ps");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::int(LANES)], reg);
-            let src = b.window_arg(
-                "src",
-                DataType::F32,
-                vec![Expr::int(LANES)],
-                MemName::dram(),
-            );
-            b.instr("{dst_data} = _mm512_loadu_ps(&{src_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.assign(dst, vec![Expr::var(l)], read(src, vec![Expr::var(l)]));
-            b.end_for();
-            b.finish()
-        };
-
-        let storeu = {
-            let mut b = ProcBuilder::new("mm512_storeu_ps");
-            let dst = b.window_arg(
-                "dst",
-                DataType::F32,
-                vec![Expr::int(LANES)],
-                MemName::dram(),
-            );
-            let src = b.window_arg("src", DataType::F32, vec![Expr::int(LANES)], reg);
-            b.instr("_mm512_storeu_ps(&{dst_data}, {src_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.assign(dst, vec![Expr::var(l)], read(src, vec![Expr::var(l)]));
-            b.end_for();
-            b.finish()
-        };
-
-        let set0 = {
-            let mut b = ProcBuilder::new("mm512_set0_ps");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::int(LANES)], reg);
-            b.instr("{dst_data} = _mm512_setzero_ps();");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.assign(dst, vec![Expr::var(l)], Expr::float(0.0));
-            b.end_for();
-            b.finish()
-        };
-
-        let broadcast = {
-            let mut b = ProcBuilder::new("mm512_broadcast_ss");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::int(LANES)], reg);
-            let src = b.window_arg("src", DataType::F32, vec![Expr::int(1)], MemName::dram());
-            b.instr("{dst_data} = _mm512_set1_ps({src_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.assign(dst, vec![Expr::var(l)], read(src, vec![Expr::int(0)]));
-            b.end_for();
-            b.finish()
-        };
-
-        let fmadd = {
-            let mut b = ProcBuilder::new("mm512_fmadd_ps");
-            let a = b.window_arg("a", DataType::F32, vec![Expr::int(LANES)], reg);
-            let bb = b.window_arg("b", DataType::F32, vec![Expr::int(LANES)], reg);
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::int(LANES)], reg);
-            b.instr("{dst_data} = _mm512_fmadd_ps({a_data}, {b_data}, {dst_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.reduce(
-                dst,
-                vec![Expr::var(l)],
-                read(a, vec![Expr::var(l)]).mul(read(bb, vec![Expr::var(l)])),
-            );
-            b.end_for();
-            b.finish()
-        };
-
-        let mask_loadu = {
-            let mut b = ProcBuilder::new("mm512_mask_loadu_ps");
-            let n = b.size("n");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::var(n)], reg);
-            let src = b.window_arg("src", DataType::F32, vec![Expr::var(n)], MemName::dram());
-            b.assert_pred(Expr::var(n).le(Expr::int(LANES)));
-            b.instr("{dst_data} = _mm512_maskz_loadu_ps(((1 << {n}) - 1), &{src_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::var(n));
-            b.assign(dst, vec![Expr::var(l)], read(src, vec![Expr::var(l)]));
-            b.end_for();
-            b.finish()
-        };
-
-        let mask_storeu = {
-            let mut b = ProcBuilder::new("mm512_mask_storeu_ps");
-            let n = b.size("n");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::var(n)], MemName::dram());
-            let src = b.window_arg("src", DataType::F32, vec![Expr::var(n)], reg);
-            b.assert_pred(Expr::var(n).le(Expr::int(LANES)));
-            b.instr("_mm512_mask_storeu_ps(&{dst_data}, ((1 << {n}) - 1), {src_data});");
-            let l = b.begin_for("l", Expr::int(0), Expr::var(n));
-            b.assign(dst, vec![Expr::var(l)], read(src, vec![Expr::var(l)]));
-            b.end_for();
-            b.finish()
-        };
-
-        let relu = {
-            let mut b = ProcBuilder::new("mm512_relu_ps");
-            let dst = b.window_arg("dst", DataType::F32, vec![Expr::int(LANES)], reg);
-            b.instr("{dst_data} = _mm512_max_ps({dst_data}, _mm512_setzero_ps());");
-            let l = b.begin_for("l", Expr::int(0), Expr::int(LANES));
-            b.assign(
-                dst,
-                vec![Expr::var(l)],
-                Expr::BuiltIn {
-                    func: Sym::new("relu"),
-                    args: vec![read(dst, vec![Expr::var(l)])],
-                },
-            );
-            b.end_for();
-            b.finish()
-        };
-
+        let mut env = ParseEnv::new();
+        env.add_mem(reg);
+        let instr = crate::parse_instrs("avx512.exo", include_str!("avx512.exo"), &env);
         Avx512Lib {
             reg,
-            loadu,
-            storeu,
-            set0,
-            broadcast,
-            fmadd,
-            mask_loadu,
-            mask_storeu,
-            relu,
+            loadu: instr("mm512_loadu_ps"),
+            storeu: instr("mm512_storeu_ps"),
+            set0: instr("mm512_set0_ps"),
+            broadcast: instr("mm512_broadcast_ss"),
+            fmadd: instr("mm512_fmadd_ps"),
+            mask_loadu: instr("mm512_mask_loadu_ps"),
+            mask_storeu: instr("mm512_mask_storeu_ps"),
+            relu: instr("mm512_relu_ps"),
         }
     }
 
@@ -197,6 +93,7 @@ impl Default for Avx512Lib {
 mod tests {
     use super::*;
     use exo_core::check::check_proc;
+    use exo_core::types::DataType;
     use exo_interp::{ArgVal, Machine};
 
     #[test]

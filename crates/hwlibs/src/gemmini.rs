@@ -14,10 +14,10 @@
 use std::sync::Arc;
 
 use exo_codegen::{AllocStyle, CodegenCtx, Memory};
-use exo_core::build::{read, ProcBuilder};
-use exo_core::ir::{ConfigDecl, Expr, Proc};
-use exo_core::types::{CtrlType, DataType, MemName};
+use exo_core::ir::{ConfigDecl, Proc};
+use exo_core::types::{CtrlType, MemName};
 use exo_core::Sym;
+use exo_front::ParseEnv;
 
 /// The systolic array dimension (16×16 PEs).
 pub const DIM: i64 = 16;
@@ -72,8 +72,14 @@ pub struct GemminiLib {
 }
 
 impl GemminiLib {
-    /// Builds the library (fresh symbols each call; build once and
-    /// share).
+    /// Builds the library: mints its memories and configuration structs,
+    /// then parses the instructions from `gemmini.exo` against them
+    /// (fresh symbols each call; build once and share).
+    ///
+    /// # Panics
+    ///
+    /// If `gemmini.exo` does not parse or lacks one of the thirteen instructions. The
+    /// source is a compile-time constant and the unit tests parse it.
     pub fn new() -> GemminiLib {
         let scratchpad = MemName(Sym::new("SCRATCHPAD"));
         let accum = MemName(Sym::new("ACCUM"));
@@ -86,304 +92,14 @@ impl GemminiLib {
         let config_ld2 = (cfg_ld2.name, cfg_ld2.fields[0].name);
         let config_ld_acc = (cfg_ld_acc.name, cfg_ld_acc.fields[0].name);
         let config_st = (cfg_st.name, cfg_st.fields[0].name);
+        let configs = vec![cfg_ld, cfg_ld2, cfg_ld_acc, cfg_st];
 
-        let config_ld_instr = {
-            let mut b = ProcBuilder::new("gemmini_config_ld");
-            let s = b.ctrl("s", CtrlType::Stride);
-            b.instr("gemmini_extended3_config_ld({s} * sizeof(int8_t), 1.0f, false, 0);");
-            b.write_config(config_ld.0, config_ld.1, Expr::var(s));
-            b.finish()
-        };
-        let config_ld2_instr = {
-            let mut b = ProcBuilder::new("gemmini_config_ld2");
-            let s = b.ctrl("s", CtrlType::Stride);
-            b.instr("gemmini_extended3_config_ld({s} * sizeof(int8_t), 1.0f, false, 1);");
-            b.write_config(config_ld2.0, config_ld2.1, Expr::var(s));
-            b.finish()
-        };
-        let config_ld_acc_instr = {
-            let mut b = ProcBuilder::new("gemmini_config_ld_acc");
-            let s = b.ctrl("s", CtrlType::Stride);
-            b.instr("gemmini_extended3_config_ld({s} * sizeof(int32_t), 1.0f, false, 2);");
-            b.write_config(config_ld_acc.0, config_ld_acc.1, Expr::var(s));
-            b.finish()
-        };
-        let config_st_instr = {
-            let mut b = ProcBuilder::new("gemmini_config_st");
-            let s = b.ctrl("s", CtrlType::Stride);
-            b.instr("gemmini_extended_config_st({s} * sizeof(int8_t), 0, 1.0f);");
-            b.write_config(config_st.0, config_st.1, Expr::var(s));
-            b.finish()
-        };
-
-        let mvin = {
-            let mut b = ProcBuilder::new("gemmini_mvin");
-            let n = b.size("n");
-            let m = b.size("m");
-            let src = b.window_arg(
-                "src",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(m)],
-                MemName::dram(),
-            );
-            let dst = b.window_arg(
-                "dst",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(m)],
-                scratchpad,
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(
-                Expr::ReadConfig {
-                    config: config_ld.0,
-                    field: config_ld.1,
-                }
-                .eq(Expr::Stride { buf: src, dim: 0 }),
-            );
-            b.instr("gemmini_extended_mvin({src}.data, (uint64_t) {dst}.data, {m}, {n});");
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            b.assign(
-                dst,
-                vec![Expr::var(i), Expr::var(j)],
-                read(src, vec![Expr::var(i), Expr::var(j)]),
-            );
-            b.end_for().end_for();
-            b.finish()
-        };
-
-        let mvin2 = {
-            let mut b = ProcBuilder::new("gemmini_mvin2");
-            let n = b.size("n");
-            let m = b.size("m");
-            let src = b.window_arg(
-                "src",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(m)],
-                MemName::dram(),
-            );
-            let dst = b.window_arg(
-                "dst",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(m)],
-                scratchpad,
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(
-                Expr::ReadConfig {
-                    config: config_ld2.0,
-                    field: config_ld2.1,
-                }
-                .eq(Expr::Stride { buf: src, dim: 0 }),
-            );
-            b.instr("gemmini_extended_mvin2({src}.data, (uint64_t) {dst}.data, {m}, {n});");
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            b.assign(
-                dst,
-                vec![Expr::var(i), Expr::var(j)],
-                read(src, vec![Expr::var(i), Expr::var(j)]),
-            );
-            b.end_for().end_for();
-            b.finish()
-        };
-
-        let mvin_acc = {
-            let mut b = ProcBuilder::new("gemmini_mvin_acc");
-            let n = b.size("n");
-            let m = b.size("m");
-            let src = b.window_arg(
-                "src",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                MemName::dram(),
-            );
-            let dst = b.window_arg(
-                "dst",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                accum,
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(
-                Expr::ReadConfig {
-                    config: config_ld_acc.0,
-                    field: config_ld_acc.1,
-                }
-                .eq(Expr::Stride { buf: src, dim: 0 }),
-            );
-            b.instr(
-                "gemmini_extended_mvin3({src}.data, (uint64_t) {dst}.data | ACC_BASE, {m}, {n});",
-            );
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            b.assign(
-                dst,
-                vec![Expr::var(i), Expr::var(j)],
-                read(src, vec![Expr::var(i), Expr::var(j)]),
-            );
-            b.end_for().end_for();
-            b.finish()
-        };
-
-        let mk_mvout = |name: &str, relu: bool| {
-            let mut b = ProcBuilder::new(name);
-            let n = b.size("n");
-            let m = b.size("m");
-            let src = b.window_arg(
-                "src",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                accum,
-            );
-            let dst = b.window_arg(
-                "dst",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(m)],
-                MemName::dram(),
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(
-                Expr::ReadConfig {
-                    config: config_st.0,
-                    field: config_st.1,
-                }
-                .eq(Expr::Stride { buf: dst, dim: 0 }),
-            );
-            b.instr(if relu {
-                "gemmini_extended_mvout_relu({dst}.data, (uint64_t) {src}.data, {m}, {n});"
-            } else {
-                "gemmini_extended_mvout({dst}.data, (uint64_t) {src}.data, {m}, {n});"
-            });
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            let v = read(src, vec![Expr::var(i), Expr::var(j)]);
-            let v = if relu {
-                Expr::BuiltIn {
-                    func: Sym::new("relu"),
-                    args: vec![v],
-                }
-            } else {
-                v
-            };
-            b.assign(dst, vec![Expr::var(i), Expr::var(j)], v);
-            b.end_for().end_for();
-            b.finish()
-        };
-        let mvout = mk_mvout("gemmini_mvout", false);
-        let mvout_relu = mk_mvout("gemmini_mvout_relu", true);
-
-        let mk_mvout_acc = |name: &str, relu: bool| {
-            let mut b = ProcBuilder::new(name);
-            let n = b.size("n");
-            let m = b.size("m");
-            let src = b.window_arg(
-                "src",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                accum,
-            );
-            let dst = b.window_arg(
-                "dst",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                MemName::dram(),
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(
-                Expr::ReadConfig {
-                    config: config_st.0,
-                    field: config_st.1,
-                }
-                .eq(Expr::Stride { buf: dst, dim: 0 }),
-            );
-            b.instr(if relu {
-                "gemmini_extended_mvout_acc_relu({dst}.data, (uint64_t) {src}.data, {m}, {n});"
-            } else {
-                "gemmini_extended_mvout_acc({dst}.data, (uint64_t) {src}.data, {m}, {n});"
-            });
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            let v = read(src, vec![Expr::var(i), Expr::var(j)]);
-            let v = if relu {
-                Expr::BuiltIn {
-                    func: Sym::new("relu"),
-                    args: vec![v],
-                }
-            } else {
-                v
-            };
-            b.assign(dst, vec![Expr::var(i), Expr::var(j)], v);
-            b.end_for().end_for();
-            b.finish()
-        };
-        let mvout_acc = mk_mvout_acc("gemmini_mvout_acc", false);
-        let mvout_acc_relu = mk_mvout_acc("gemmini_mvout_acc_relu", true);
-
-        let zero_acc = {
-            let mut b = ProcBuilder::new("gemmini_zero_acc");
-            let n = b.size("n");
-            let m = b.size("m");
-            let dst = b.window_arg(
-                "dst",
-                DataType::I32,
-                vec![Expr::var(n), Expr::var(m)],
-                accum,
-            );
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.instr("gemmini_zero((uint64_t) {dst}.data, {m}, {n});");
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            b.assign(dst, vec![Expr::var(i), Expr::var(j)], Expr::int(0));
-            b.end_for().end_for();
-            b.finish()
-        };
-
-        let matmul = {
-            let mut b = ProcBuilder::new("gemmini_matmul");
-            let n = b.size("n");
-            let m = b.size("m");
-            let k = b.size("k");
-            let a = b.window_arg(
-                "a",
-                DataType::I8,
-                vec![Expr::var(n), Expr::var(k)],
-                scratchpad,
-            );
-            let bb = b.window_arg(
-                "b",
-                DataType::I8,
-                vec![Expr::var(k), Expr::var(m)],
-                scratchpad,
-            );
-            let c = b.window_arg("c", DataType::I32, vec![Expr::var(n), Expr::var(m)], accum);
-            b.assert_pred(Expr::var(n).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(m).le(Expr::int(DIM)));
-            b.assert_pred(Expr::var(k).le(Expr::int(DIM)));
-            b.instr(
-                "gemmini_extended_preload((uint64_t) {b}.data, (uint64_t) {c}.data | ACC_BASE, \
-                 {m}, {k}, {m}, {n});\n\
-                 gemmini_extended_compute_preloaded((uint64_t) {a}.data, ~((uint64_t)0), \
-                 {k}, {n}, 16, 16);",
-            );
-            let i = b.begin_for("i", Expr::int(0), Expr::var(n));
-            let j = b.begin_for("j", Expr::int(0), Expr::var(m));
-            let kk = b.begin_for("kk", Expr::int(0), Expr::var(k));
-            b.reduce(
-                c,
-                vec![Expr::var(i), Expr::var(j)],
-                read(a, vec![Expr::var(i), Expr::var(kk)])
-                    .mul(read(bb, vec![Expr::var(kk), Expr::var(j)])),
-            );
-            b.end_for().end_for().end_for();
-            b.finish()
-        };
+        let mut env = ParseEnv::new();
+        env.add_mem(scratchpad).add_mem(accum);
+        for c in &configs {
+            env.add_config(c);
+        }
+        let instr = crate::parse_instrs("gemmini.exo", include_str!("gemmini.exo"), &env);
 
         GemminiLib {
             scratchpad,
@@ -392,20 +108,20 @@ impl GemminiLib {
             config_ld2,
             config_ld_acc,
             config_st,
-            config_ld_instr,
-            config_ld2_instr,
-            config_ld_acc_instr,
-            config_st_instr,
-            mvin,
-            mvin2,
-            mvin_acc,
-            mvout,
-            mvout_relu,
-            mvout_acc,
-            mvout_acc_relu,
-            zero_acc,
-            matmul,
-            configs: vec![cfg_ld, cfg_ld2, cfg_ld_acc, cfg_st],
+            config_ld_instr: instr("gemmini_config_ld"),
+            config_ld2_instr: instr("gemmini_config_ld2"),
+            config_ld_acc_instr: instr("gemmini_config_ld_acc"),
+            config_st_instr: instr("gemmini_config_st"),
+            mvin: instr("gemmini_mvin"),
+            mvin2: instr("gemmini_mvin2"),
+            mvin_acc: instr("gemmini_mvin_acc"),
+            mvout: instr("gemmini_mvout"),
+            mvout_relu: instr("gemmini_mvout_relu"),
+            mvout_acc: instr("gemmini_mvout_acc"),
+            mvout_acc_relu: instr("gemmini_mvout_acc_relu"),
+            zero_acc: instr("gemmini_zero_acc"),
+            matmul: instr("gemmini_matmul"),
+            configs,
         }
     }
 
@@ -445,17 +161,23 @@ impl Default for GemminiLib {
 mod tests {
     use super::*;
     use exo_core::check::check_proc;
+    use exo_core::types::DataType;
 
     #[test]
     fn all_instructions_are_well_formed() {
         let lib = GemminiLib::new();
         for p in [
             &lib.config_ld_instr,
+            &lib.config_ld2_instr,
+            &lib.config_ld_acc_instr,
             &lib.config_st_instr,
             &lib.mvin,
+            &lib.mvin2,
             &lib.mvin_acc,
             &lib.mvout,
             &lib.mvout_relu,
+            &lib.mvout_acc,
+            &lib.mvout_acc_relu,
             &lib.zero_acc,
             &lib.matmul,
         ] {
