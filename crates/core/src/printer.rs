@@ -1,8 +1,8 @@
 //! Pretty-printing of procedures in the Exo surface syntax.
 //!
-//! The output mirrors the paper's examples (`@proc`, `for i in seq(lo,
-//! hi):`, `x : f32[n, m] @ DRAM`, …) and round-trips through the
-//! `exo-front` parser for programs that do not use `@instr` templates.
+//! The output mirrors the paper's examples (`@proc`, `@instr("…")`,
+//! `for i in seq(lo, hi):`, `x : f32[n, m] @ DRAM`, …) and round-trips
+//! through the `exo-front` parser.
 
 use std::fmt::Write as _;
 
@@ -191,8 +191,19 @@ fn print_block(b: &Block, indent: usize, out: &mut String) {
 /// Renders a whole procedure in surface syntax.
 pub fn proc_to_string(p: &Proc) -> String {
     let mut out = String::new();
-    let deco = if p.is_instr() { "@instr" } else { "@proc" };
-    let _ = writeln!(out, "{deco}");
+    match &p.instr {
+        Some(t) => {
+            let template = t
+                .c_instr
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            let _ = writeln!(out, "@instr(\"{template}\")");
+        }
+        None => {
+            let _ = writeln!(out, "@proc");
+        }
+    }
     let args: Vec<String> = p
         .args
         .iter()

@@ -75,10 +75,7 @@ pub fn lex(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
     let mut indents: Vec<usize> = vec![0];
     for (lineno, raw) in src.lines().enumerate() {
         let line_no = lineno + 1;
-        let no_comment = match raw.find('#') {
-            Some(i) => &raw[..i],
-            None => raw,
-        };
+        let no_comment = strip_comment(raw);
         if no_comment.trim().is_empty() {
             continue;
         }
@@ -113,6 +110,22 @@ pub fn lex(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
     }
     toks.push((Tok::Eof, last));
     Ok(toks)
+}
+
+/// `raw` up to its `#` comment; a `#` inside a string literal (an
+/// `#include` in an `@instr` template) is not a comment.
+fn strip_comment(raw: &str) -> &str {
+    let (mut in_str, mut escaped) = (false, false);
+    for (i, c) in raw.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            '#' if !in_str => return &raw[..i],
+            _ => {}
+        }
+    }
+    raw
 }
 
 fn lex_line(mut s: &str, line: usize, out: &mut Vec<(Tok, usize)>) -> Result<(), LexError> {
@@ -248,6 +261,13 @@ mod tests {
             })
             .collect();
         assert_eq!(idents, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn hash_inside_a_string_is_not_a_comment() {
+        let toks = lex("s = \"#x \\\"#y\" # z\n").unwrap();
+        assert!(toks.iter().any(|(t, _)| *t == Tok::Str("#x \"#y".into())));
+        assert!(!toks.iter().any(|(t, _)| *t == Tok::Ident("z".into())));
     }
 
     #[test]

@@ -126,6 +126,21 @@ def p(a: f32[4] @ SPAD, b: f32[4] @ SPAD, c: f32[4] @ ACC):
 }
 
 #[test]
+fn instr_templates_round_trip_through_the_printer() {
+    let src = r##"
+@instr("#pragma x\nf(\"{a}\", '\\0');")  # a comment
+def f(a: size):
+    pass
+"##;
+    let p = parse_proc(src, &ParseEnv::new()).unwrap();
+    let template = &p.instr.as_ref().unwrap().c_instr;
+    assert_eq!(template, "#pragma x\nf(\"{a}\", '\\0');");
+    let printed = exo_core::printer::proc_to_string(&p);
+    let q = parse_proc(&printed, &ParseEnv::new()).unwrap();
+    assert_eq!(q.instr, p.instr, "{printed}");
+}
+
+#[test]
 fn parses_configuration_state() {
     let src = r#"
 @proc

@@ -96,22 +96,35 @@ mod tests {
     use exo_core::types::DataType;
     use exo_interp::{ArgVal, Machine};
 
+    impl Avx512Lib {
+        pub(crate) fn instrs(&self) -> [&Arc<Proc>; 8] {
+            [
+                &self.loadu,
+                &self.storeu,
+                &self.set0,
+                &self.broadcast,
+                &self.fmadd,
+                &self.mask_loadu,
+                &self.mask_storeu,
+                &self.relu,
+            ]
+        }
+    }
+
     #[test]
     fn all_instructions_are_well_formed() {
-        let lib = Avx512Lib::new();
-        for p in [
-            &lib.loadu,
-            &lib.storeu,
-            &lib.set0,
-            &lib.broadcast,
-            &lib.fmadd,
-            &lib.mask_loadu,
-            &lib.mask_storeu,
-            &lib.relu,
-        ] {
+        for p in Avx512Lib::new().instrs() {
             check_proc(p).unwrap_or_else(|e| panic!("{}: {e}", p.name));
             assert!(p.is_instr());
         }
+    }
+
+    #[test]
+    fn instructions_round_trip_through_the_printer() {
+        let lib = Avx512Lib::new();
+        let mut env = ParseEnv::new();
+        env.add_mem(lib.reg);
+        crate::tests::assert_round_trips(&lib.instrs(), &env);
     }
 
     #[test]

@@ -163,27 +163,43 @@ mod tests {
     use exo_core::check::check_proc;
     use exo_core::types::DataType;
 
+    impl GemminiLib {
+        pub(crate) fn instrs(&self) -> [&Arc<Proc>; 13] {
+            [
+                &self.config_ld_instr,
+                &self.config_ld2_instr,
+                &self.config_ld_acc_instr,
+                &self.config_st_instr,
+                &self.mvin,
+                &self.mvin2,
+                &self.mvin_acc,
+                &self.mvout,
+                &self.mvout_relu,
+                &self.mvout_acc,
+                &self.mvout_acc_relu,
+                &self.zero_acc,
+                &self.matmul,
+            ]
+        }
+    }
+
     #[test]
     fn all_instructions_are_well_formed() {
-        let lib = GemminiLib::new();
-        for p in [
-            &lib.config_ld_instr,
-            &lib.config_ld2_instr,
-            &lib.config_ld_acc_instr,
-            &lib.config_st_instr,
-            &lib.mvin,
-            &lib.mvin2,
-            &lib.mvin_acc,
-            &lib.mvout,
-            &lib.mvout_relu,
-            &lib.mvout_acc,
-            &lib.mvout_acc_relu,
-            &lib.zero_acc,
-            &lib.matmul,
-        ] {
+        for p in GemminiLib::new().instrs() {
             check_proc(p).unwrap_or_else(|e| panic!("{}: {e}", p.name));
             assert!(p.is_instr());
         }
+    }
+
+    #[test]
+    fn instructions_round_trip_through_the_printer() {
+        let lib = GemminiLib::new();
+        let mut env = ParseEnv::new();
+        env.add_mem(lib.scratchpad).add_mem(lib.accum);
+        for c in &lib.configs {
+            env.add_config(c);
+        }
+        crate::tests::assert_round_trips(&lib.instrs(), &env);
     }
 
     #[test]

@@ -43,3 +43,24 @@ fn parse_instrs(file: &'static str, src: &str, env: &ParseEnv) -> impl Fn(&str) 
         Arc::clone(p.unwrap_or_else(|| panic!("{file} defines no {name}")))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use exo_core::printer::proc_to_string;
+    use exo_core::visit::alpha_eq_proc;
+    use exo_front::parse_proc;
+
+    use super::*;
+
+    /// Each proc prints, re-parses against `env`, and comes back
+    /// alpha-equivalent with the same name and C template.
+    pub(crate) fn assert_round_trips(procs: &[&Arc<Proc>], env: &ParseEnv) {
+        for p in procs {
+            let text = proc_to_string(p);
+            let q = parse_proc(&text, env).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(q.name.name(), p.name.name());
+            assert_eq!(q.instr, p.instr, "{text}");
+            assert!(alpha_eq_proc(&q, p), "{text}");
+        }
+    }
+}
