@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use exo_core::ir::{ArgType, BinOp, Expr, InstrTemplate, Lit, Proc, Stmt, WAccess};
+use exo_core::ir::{ArgType, BinOp, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::{ConfigDecl, Sym};
 
@@ -121,20 +121,10 @@ pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, Codege
         let _ = writeln!(out);
     }
 
-    // memory / instruction globals
+    // memory globals
     let mut emitted_globals: HashSet<String> = HashSet::new();
     for m in ctx.mems.iter() {
         if let Some(g) = &m.c_global {
-            if emitted_globals.insert(g.clone()) {
-                let _ = writeln!(out, "{g}");
-            }
-        }
-    }
-    for p in &order {
-        if let Some(InstrTemplate {
-            c_global: Some(g), ..
-        }) = &p.instr
-        {
             if emitted_globals.insert(g.clone()) {
                 let _ = writeln!(out, "{g}");
             }

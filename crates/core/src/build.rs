@@ -143,21 +143,6 @@ impl ProcBuilder {
     pub fn instr(&mut self, c_instr: impl Into<String>) -> &mut Self {
         self.instr = Some(InstrTemplate {
             c_instr: c_instr.into(),
-            c_global: None,
-        });
-        self
-    }
-
-    /// Marks the procedure as an `@instr` with both a call template and a
-    /// global preamble.
-    pub fn instr_with_global(
-        &mut self,
-        c_instr: impl Into<String>,
-        c_global: impl Into<String>,
-    ) -> &mut Self {
-        self.instr = Some(InstrTemplate {
-            c_instr: c_instr.into(),
-            c_global: Some(c_global.into()),
         });
         self
     }

@@ -394,8 +394,6 @@ impl ArgType {
 pub struct InstrTemplate {
     /// The C code emitted for each call, with `{arg}` holes.
     pub c_instr: String,
-    /// Optional global C code (e.g. `#include`s) emitted once.
-    pub c_global: Option<String>,
 }
 
 /// A procedure: the unit of compilation, scheduling, and replacement.

@@ -251,10 +251,7 @@ impl Parser {
                     other => return self.err(format!("expected template string, found {other}")),
                 };
                 self.expect_punct(")")?;
-                Some(InstrTemplate {
-                    c_instr: template,
-                    c_global: None,
-                })
+                Some(InstrTemplate { c_instr: template })
             }
             other => return self.err(format!("expected @proc or @instr, found @{other}")),
         };
