@@ -20,6 +20,9 @@ cargo test -q
 echo "== obs / smt / analysis unit + integration tests =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 
+echo "== front-end / hardware libraries (memory resolution, @instr print/parse round trip) =="
+cargo test -q -p exo-front -p exo-hwlibs
+
 echo "== smt property suite (QE vs brute-force enumeration; ~3 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 

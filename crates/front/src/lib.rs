@@ -5,8 +5,8 @@
 //! loops, dependent tensor types, windows, `@`-memory annotations,
 //! configuration reads/writes). The original Exo is embedded in Python;
 //! exo-rs offers both a Rust builder API (`exo_core::build`) and this
-//! text syntax, which round-trips with `exo_core::printer` and keeps the
-//! examples legible.
+//! text syntax, which round-trips with `exo_core::printer`. The hardware
+//! libraries (`exo-hwlibs`) and the examples are written in it.
 
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
