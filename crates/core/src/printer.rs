@@ -191,19 +191,18 @@ fn print_block(b: &Block, indent: usize, out: &mut String) {
 /// Renders a whole procedure in surface syntax.
 pub fn proc_to_string(p: &Proc) -> String {
     let mut out = String::new();
-    match &p.instr {
-        Some(t) => {
-            let template = t
-                .c_instr
+    let _ = match &p.instr {
+        // escaped the way the exo-front lexer reads string literals
+        Some(t) => writeln!(
+            out,
+            "@instr(\"{}\")",
+            t.c_instr
                 .replace('\\', "\\\\")
                 .replace('"', "\\\"")
-                .replace('\n', "\\n");
-            let _ = writeln!(out, "@instr(\"{template}\")");
-        }
-        None => {
-            let _ = writeln!(out, "@proc");
-        }
-    }
+                .replace('\n', "\\n")
+        ),
+        None => writeln!(out, "@proc"),
+    };
     let args: Vec<String> = p
         .args
         .iter()

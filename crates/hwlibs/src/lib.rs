@@ -39,8 +39,10 @@ fn parse_instrs(file: &'static str, src: &str, env: &ParseEnv) -> impl Fn(&str) 
         .map(|p| (p.name.name(), p))
         .collect();
     move |name| {
-        let p = procs.get(name);
-        Arc::clone(p.unwrap_or_else(|| panic!("{file} defines no {name}")))
+        procs
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| panic!("{file} defines no {name}"))
     }
 }
 
