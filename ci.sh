@@ -23,6 +23,9 @@ cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 echo "== front-end / hardware libraries (memory resolution, @instr print/parse round trip) =="
 cargo test -q -p exo-front -p exo-hwlibs
 
+echo "== C backend (emitter unit tests; compile_run.rs builds generated C with cc and compares with the interpreter) =="
+cargo test -q -p exo-codegen
+
 echo "== smt property suite (QE vs brute-force enumeration; ~3 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 

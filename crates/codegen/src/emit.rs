@@ -6,6 +6,10 @@
 //! shape-derived strides, `@instr` calls expand their C templates, and
 //! user-defined memories control allocation code. Static assertions
 //! become comments plus optional compiler hints.
+//!
+//! Each data symbol is resolved once, when it is bound, to a [`View`]:
+//! its C origin pointer and one stride expression per axis. Every
+//! access, window and `stride()` is rendered from that view.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -15,7 +19,7 @@ use exo_core::ir::{ArgType, BinOp, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::{ConfigDecl, Sym};
 
-use crate::mem::{AllocStyle, MemorySet};
+use crate::mem::MemorySet;
 
 /// A code-generation error (backend check failure).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -121,31 +125,26 @@ pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, Codege
         let _ = writeln!(out);
     }
 
-    // memory globals
-    let mut emitted_globals: HashSet<String> = HashSet::new();
-    for m in ctx.mems.iter() {
-        if let Some(g) = &m.c_global {
-            if emitted_globals.insert(g.clone()) {
-                let _ = writeln!(out, "{g}");
-            }
+    // memory globals, in registration order
+    let mut emitted_globals: HashSet<&str> = HashSet::new();
+    for g in ctx.mems.iter().filter_map(|m| m.c_global.as_deref()) {
+        if emitted_globals.insert(g) {
+            let _ = writeln!(out, "{g}");
         }
     }
     let _ = writeln!(out);
 
     // prototypes then definitions (callees first thanks to post-order)
-    for p in &order {
-        if p.is_instr() {
-            continue;
-        }
-        let mut gen = ProcGen::new(p, ctx)?;
+    let mut gens = order
+        .iter()
+        .filter(|p| !p.is_instr())
+        .map(|p| ProcGen::new(p, ctx))
+        .collect::<Result<Vec<_>, _>>()?;
+    for gen in &mut gens {
         let _ = writeln!(out, "{};", gen.signature()?);
     }
     let _ = writeln!(out);
-    for p in &order {
-        if p.is_instr() {
-            continue;
-        }
-        let mut gen = ProcGen::new(p, ctx)?;
+    for gen in &mut gens {
         out.push_str(&gen.emit()?);
         let _ = writeln!(out);
     }
@@ -165,70 +164,30 @@ fn collect_procs(p: &Arc<Proc>, order: &mut Vec<Arc<Proc>>, seen: &mut HashSet<u
     order.push(Arc::clone(p));
 }
 
+/// Notes every window struct `p` can use: windows only reduce rank, so
+/// each sub-rank of each tensor formal and allocation. Rejects
+/// allocations that still have abstract type `R`.
 fn scan_window_types(p: &Proc, out: &mut HashSet<(usize, DataType)>) -> Result<(), CodegenError> {
     for a in &p.args {
-        if let ArgType::Tensor {
-            ty,
-            shape,
-            window: true,
-            ..
-        } = &a.ty
-        {
-            out.insert((shape.len(), *ty));
-        }
-    }
-    // window definitions and window call arguments need structs too; the
-    // rank is the number of interval coordinates
-    let mut err = None;
-    exo_core::visit::visit_stmts(&p.body, &mut |s| {
-        let mut visit_e = |e: &Expr| {
-            exo_core::visit::visit_expr(e, &mut |e| {
-                if let Expr::Window { coords, .. } = e {
-                    let rank = coords.iter().filter(|c| c.is_interval()).count();
-                    // precision resolved later; conservatively note f32/f64/i8
-                    // via a second pass in ProcGen — here assume the common
-                    // case is covered by arg/alloc scans
-                    let _ = rank;
-                }
-            });
-        };
-        match s {
-            Stmt::WindowDef { rhs, .. } => visit_e(rhs),
-            Stmt::Call { args, .. } => args.iter().for_each(&mut visit_e),
-            _ => {}
-        }
-        if let Stmt::Alloc { ty, .. } = s {
-            if *ty == DataType::R {
-                err = Some(CodegenError {
-                    message: format!(
-                        "procedure {}: allocation still has abstract type R \
-                         (apply set_precision before code generation)",
-                        p.name
-                    ),
-                });
-            }
-        }
-    });
-    // all window structs that can appear: every tensor's (rank, ty) and
-    // every sub-rank (windows reduce rank); register those
-    for a in &p.args {
         if let ArgType::Tensor { ty, shape, .. } = &a.ty {
-            for r in 0..=shape.len() {
-                out.insert((r, *ty));
-            }
+            out.extend((0..=shape.len()).map(|r| (r, *ty)));
         }
     }
+    let mut abstract_alloc = false;
     exo_core::visit::visit_stmts(&p.body, &mut |s| {
         if let Stmt::Alloc { ty, shape, .. } = s {
-            for r in 0..=shape.len() {
-                out.insert((r, *ty));
-            }
+            abstract_alloc |= *ty == DataType::R;
+            out.extend((0..=shape.len()).map(|r| (r, *ty)));
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if abstract_alloc {
+        return cerr(format!(
+            "procedure {}: allocation still has abstract type R \
+             (apply set_precision before code generation)",
+            p.name
+        ));
     }
+    Ok(())
 }
 
 fn c_type(ty: DataType) -> Result<&'static str, CodegenError> {
@@ -239,39 +198,72 @@ fn c_type(ty: DataType) -> Result<&'static str, CodegenError> {
     })
 }
 
-/// What the emitter knows about one data symbol.
-#[derive(Clone, Debug)]
-enum DataBinding {
-    /// Dense tensor: raw pointer, shape expressions known statically.
-    Dense {
-        ty: DataType,
-        shape: Vec<Expr>,
-        mem: MemName,
-    },
-    /// Window struct with runtime strides.
-    Window {
-        ty: DataType,
-        rank: usize,
-        mem: MemName,
-    },
-    /// Scalar passed by pointer.
-    Scalar { ty: DataType, mem: MemName },
+fn c_binop(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Add => "+",
+        BinOp::Sub => "-",
+        BinOp::Mul => "*",
+        BinOp::Div => "/",
+        BinOp::Mod => "%",
+        BinOp::And => "&&",
+        BinOp::Or => "||",
+        BinOp::Eq => "==",
+        BinOp::Lt => "<",
+        BinOp::Le => "<=",
+        BinOp::Gt => ">",
+        BinOp::Ge => ">=",
+    }
 }
 
-impl DataBinding {
-    fn dtype(&self) -> DataType {
-        match self {
-            DataBinding::Dense { ty, .. }
-            | DataBinding::Window { ty, .. }
-            | DataBinding::Scalar { ty, .. } => *ty,
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum ViewKind {
+    /// Scalar passed by pointer, accessed as `*x`.
+    Scalar,
+    /// Raw pointer with shape-derived strides.
+    Dense,
+    /// Window struct with runtime strides.
+    Window,
+}
+
+/// What the emitter knows about one data symbol, resolved when it is
+/// bound.
+#[derive(Clone, Debug)]
+struct View {
+    ty: DataType,
+    mem: MemName,
+    /// C pointer to the origin: `A`, or `w.data` for a window.
+    data: String,
+    /// One C expression per axis: `1`, a product of extents, or
+    /// `w.strides[d]`.
+    strides: Vec<String>,
+    kind: ViewKind,
+}
+
+impl View {
+    /// A dense buffer, row-major: `stride_d = Π_{d' > d} extent_{d'}`.
+    fn dense(ty: DataType, mem: MemName, data: String, extents: &[String]) -> View {
+        let strides = (1..=extents.len())
+            .map(|d| match &extents[d..] {
+                [] => "1".to_string(),
+                inner => inner.join(" * "),
+            })
+            .collect();
+        View {
+            ty,
+            mem,
+            data,
+            strides,
+            kind: ViewKind::Dense,
         }
     }
 
-    fn mem(&self) -> MemName {
-        match self {
-            DataBinding::Dense { mem, .. }
-            | DataBinding::Window { mem, .. }
-            | DataBinding::Scalar { mem, .. } => *mem,
+    fn window(ty: DataType, mem: MemName, name: &str, rank: usize) -> View {
+        View {
+            ty,
+            mem,
+            data: format!("{name}.data"),
+            strides: (0..rank).map(|d| format!("{name}.strides[{d}]")).collect(),
+            kind: ViewKind::Window,
         }
     }
 }
@@ -281,7 +273,7 @@ struct ProcGen<'a> {
     ctx: &'a CodegenCtx,
     names: HashMap<Sym, String>,
     used_names: HashSet<String>,
-    bindings: HashMap<Sym, DataBinding>,
+    views: HashMap<Sym, View>,
     body: String,
     indent: usize,
 }
@@ -293,40 +285,37 @@ impl<'a> ProcGen<'a> {
             ctx,
             names: HashMap::new(),
             used_names: HashSet::new(),
-            bindings: HashMap::new(),
+            views: HashMap::new(),
             body: String::new(),
             indent: 1,
         };
+        // every formal is named before any shape is rendered, so
+        // renaming suffixes follow the argument order
         for a in &proc.args {
             gen.intern(a.name);
-            match &a.ty {
-                ArgType::Ctrl(_) => {}
-                ArgType::Scalar { ty, mem } => {
-                    gen.bindings
-                        .insert(a.name, DataBinding::Scalar { ty: *ty, mem: *mem });
-                }
+        }
+        for a in &proc.args {
+            let name = gen.intern(a.name);
+            let view = match &a.ty {
+                ArgType::Ctrl(_) => continue,
+                ArgType::Scalar { ty, mem } => View {
+                    ty: *ty,
+                    mem: *mem,
+                    data: name,
+                    strides: Vec::new(),
+                    kind: ViewKind::Scalar,
+                },
                 ArgType::Tensor {
                     ty,
                     shape,
-                    window,
+                    window: true,
                     mem,
-                } => {
-                    let b = if *window {
-                        DataBinding::Window {
-                            ty: *ty,
-                            rank: shape.len(),
-                            mem: *mem,
-                        }
-                    } else {
-                        DataBinding::Dense {
-                            ty: *ty,
-                            shape: shape.clone(),
-                            mem: *mem,
-                        }
-                    };
-                    gen.bindings.insert(a.name, b);
+                } => View::window(*ty, *mem, &name, shape.len()),
+                ArgType::Tensor { ty, shape, mem, .. } => {
+                    View::dense(*ty, *mem, name, &gen.extents(shape)?)
                 }
-            }
+            };
+            gen.views.insert(a.name, view);
         }
         Ok(gen)
     }
@@ -346,6 +335,20 @@ impl<'a> ProcGen<'a> {
         name
     }
 
+    /// Renders each extent of `shape`, parenthesized.
+    fn extents(&mut self, shape: &[Expr]) -> Result<Vec<String>, CodegenError> {
+        shape
+            .iter()
+            .map(|e| self.ctrl_expr(e).map(|s| format!("({s})")))
+            .collect()
+    }
+
+    fn view(&self, buf: Sym) -> Result<&View, CodegenError> {
+        self.views.get(&buf).ok_or_else(|| CodegenError {
+            message: format!("unknown data symbol {buf} at code generation"),
+        })
+    }
+
     fn signature(&mut self) -> Result<String, CodegenError> {
         let mut parts = Vec::new();
         for a in &self.proc.args {
@@ -353,28 +356,25 @@ impl<'a> ProcGen<'a> {
             let part = match &a.ty {
                 ArgType::Ctrl(exo_core::CtrlType::Bool) => format!("bool {name}"),
                 ArgType::Ctrl(_) => format!("int_fast32_t {name}"),
-                ArgType::Scalar { ty, .. } => format!("{} *{name}", c_type(*ty)?),
                 ArgType::Tensor {
-                    ty, shape, window, ..
-                } => {
-                    if *window {
-                        format!("struct exo_win_{}{} {name}", shape.len(), ty)
-                    } else {
-                        format!("{} *{name}", c_type(*ty)?)
-                    }
+                    ty,
+                    shape,
+                    window: true,
+                    ..
+                } => format!("struct exo_win_{}{} {name}", shape.len(), ty),
+                ArgType::Scalar { ty, .. } | ArgType::Tensor { ty, .. } => {
+                    format!("{} *{name}", c_type(*ty)?)
                 }
             };
             parts.push(part);
         }
-        let args = if parts.is_empty() {
-            "void".to_string()
-        } else {
-            parts.join(", ")
-        };
+        if parts.is_empty() {
+            parts.push("void".into());
+        }
         Ok(format!(
             "void {}({})",
             sanitize(&self.proc.name.name()),
-            args
+            parts.join(", ")
         ))
     }
 
@@ -390,9 +390,8 @@ impl<'a> ProcGen<'a> {
                 exo_core::printer::expr_to_string(pred)
             );
         }
-        let body = std::mem::take(&mut self.body);
-        let _ = body;
-        self.gen_block(&self.proc.body.clone())?;
+        let proc = self.proc;
+        self.gen_block(&proc.body)?;
         out.push_str(&self.body);
         let _ = writeln!(out, "}}");
         Ok(out)
@@ -424,13 +423,13 @@ impl<'a> ProcGen<'a> {
             }
             Stmt::Assign { buf, idx, rhs } => {
                 let (lhs, ty) = self.lvalue(*buf, idx, "write")?;
-                let r = self.data_expr(rhs, ty)?;
+                let r = self.store_expr(rhs, ty)?;
                 self.line(&format!("{lhs} = {r};"));
                 Ok(())
             }
             Stmt::Reduce { buf, idx, rhs } => {
                 let (lhs, ty) = self.lvalue(*buf, idx, "reduce")?;
-                let r = self.data_expr(rhs, ty)?;
+                let r = self.store_expr(rhs, ty)?;
                 self.line(&format!("{lhs} += {r};"));
                 Ok(())
             }
@@ -473,7 +472,7 @@ impl<'a> ProcGen<'a> {
                 let v = self.intern(*iter);
                 let lo = self.ctrl_expr(lo)?;
                 let hi = self.ctrl_expr(hi)?;
-                if let Some(reductions) = self.ctx.parallel.get(iter).cloned() {
+                if let Some(reductions) = self.ctx.parallel.get(iter) {
                     if reductions.is_empty() {
                         self.line("#pragma omp parallel for");
                     } else {
@@ -502,46 +501,29 @@ impl<'a> ProcGen<'a> {
             } => {
                 let cname = self.intern(*name);
                 let cty = c_type(*ty)?;
-                let size = if shape.is_empty() {
+                let extents = self.extents(shape)?;
+                let size = if extents.is_empty() {
                     "1".to_string()
                 } else {
-                    shape
-                        .iter()
-                        .map(|e| self.ctrl_expr(e).map(|s| format!("({s})")))
-                        .collect::<Result<Vec<_>, _>>()?
-                        .join(" * ")
+                    extents.join(" * ")
                 };
                 let memory = self.ctx.mems.get(*mem).ok_or_else(|| CodegenError {
                     message: format!("unknown memory {mem} for allocation {name}"),
                 })?;
-                match &memory.alloc {
-                    AllocStyle::Malloc => {
-                        self.line(&format!(
-                            "{cty} *{cname} = ({cty}*) malloc(({size}) * sizeof({cty}));"
-                        ));
-                        frees.push(format!("free({cname});"));
-                    }
-                    AllocStyle::Stack => {
-                        self.line(&format!("{cty} {cname}[{size}];"));
-                        frees.push(String::new());
-                    }
-                    AllocStyle::Custom { alloc, free } => {
-                        let a = alloc
-                            .replace("{name}", &cname)
-                            .replace("{prim_type}", cty)
-                            .replace("{size}", &size);
-                        self.line(&a);
-                        frees.push(free.replace("{name}", &cname).replace("{prim_type}", cty));
-                    }
-                }
-                self.bindings.insert(
-                    *name,
-                    DataBinding::Dense {
-                        ty: *ty,
-                        shape: shape.clone(),
-                        mem: *mem,
-                    },
+                let alloc = memory
+                    .alloc
+                    .replace("{name}", &cname)
+                    .replace("{prim_type}", cty)
+                    .replace("{size}", &size);
+                frees.push(
+                    memory
+                        .free
+                        .replace("{name}", &cname)
+                        .replace("{prim_type}", cty),
                 );
+                self.line(&alloc);
+                self.views
+                    .insert(*name, View::dense(*ty, *mem, cname, &extents));
                 Ok(())
             }
             Stmt::WindowDef { name, rhs } => {
@@ -551,8 +533,8 @@ impl<'a> ProcGen<'a> {
                 let (expr, ty, rank, mem) = self.window_struct(*buf, coords)?;
                 let cname = self.intern(*name);
                 self.line(&format!("struct exo_win_{rank}{ty} {cname} = {expr};"));
-                self.bindings
-                    .insert(*name, DataBinding::Window { ty, rank, mem });
+                self.views
+                    .insert(*name, View::window(ty, mem, &cname, rank));
                 Ok(())
             }
             Stmt::Call { proc, args } => self.gen_call(proc, args),
@@ -564,10 +546,10 @@ impl<'a> ProcGen<'a> {
         for (formal, actual) in callee.args.iter().zip(args) {
             let code = match &formal.ty {
                 ArgType::Ctrl(_) => self.ctrl_expr(actual)?,
-                ArgType::Scalar { ty, .. } => self.scalar_arg(actual, *ty)?,
-                ArgType::Tensor {
-                    ty, shape, window, ..
-                } => self.tensor_arg(actual, *ty, shape.len(), *window)?,
+                ArgType::Scalar { .. } => self.scalar_arg(actual)?,
+                ArgType::Tensor { shape, window, .. } => {
+                    self.tensor_arg(actual, shape.len(), *window)?
+                }
             };
             rendered.push((formal.name.name(), code));
         }
@@ -597,54 +579,32 @@ impl<'a> ProcGen<'a> {
         }
     }
 
-    fn scalar_arg(&mut self, e: &Expr, _ty: DataType) -> Result<String, CodegenError> {
-        match e {
-            Expr::Read { buf, idx } => {
-                let binding = self.binding(*buf)?.clone();
-                match binding {
-                    DataBinding::Scalar { .. } if idx.is_empty() => Ok(self.intern(*buf)),
-                    _ => {
-                        let (lv, _) = self.lvalue(*buf, idx, "pass")?;
-                        Ok(format!("&{lv}"))
-                    }
-                }
-            }
-            _ => cerr("scalar argument must be an lvalue"),
+    fn scalar_arg(&mut self, e: &Expr) -> Result<String, CodegenError> {
+        let Expr::Read { buf, idx } = e else {
+            return cerr("scalar argument must be an lvalue");
+        };
+        let view = self.view(*buf)?;
+        if idx.is_empty() && view.kind == ViewKind::Scalar {
+            return Ok(view.data.clone());
         }
+        let (lv, _) = self.lvalue(*buf, idx, "pass")?;
+        Ok(format!("&{lv}"))
     }
 
-    fn tensor_arg(
-        &mut self,
-        e: &Expr,
-        _ty: DataType,
-        rank: usize,
-        window: bool,
-    ) -> Result<String, CodegenError> {
+    fn tensor_arg(&mut self, e: &Expr, rank: usize, window: bool) -> Result<String, CodegenError> {
         match e {
             Expr::Read { buf, idx } if idx.is_empty() => {
-                let binding = self.binding(*buf)?.clone();
                 let name = self.intern(*buf);
-                match (&binding, window) {
-                    (DataBinding::Dense { .. }, false) => Ok(name),
-                    (DataBinding::Dense { ty, shape, .. }, true) => {
-                        // wrap a dense buffer in a window struct
-                        let strides = self.dense_strides(shape)?;
-                        Ok(format!(
-                            "(struct exo_win_{rank}{ty}){{ {name}, {{ {} }} }}",
-                            strides.join(", ")
-                        ))
-                    }
-                    (
-                        DataBinding::Window {
-                            ty: wty,
-                            rank: wrank,
-                            ..
-                        },
-                        true,
-                    ) if *wrank == rank => {
-                        let _ = wty;
-                        Ok(name)
-                    }
+                let view = self.view(*buf)?;
+                match (view.kind, window) {
+                    (ViewKind::Dense, false) => Ok(name),
+                    // wrap a dense buffer in a window struct
+                    (ViewKind::Dense, true) => Ok(format!(
+                        "(struct exo_win_{rank}{}){{ {name}, {{ {} }} }}",
+                        view.ty,
+                        view.strides.join(", ")
+                    )),
+                    (ViewKind::Window, true) if view.strides.len() == rank => Ok(name),
                     _ => cerr("tensor argument shape mismatch at code generation"),
                 }
             }
@@ -665,91 +625,53 @@ impl<'a> ProcGen<'a> {
         }
     }
 
-    /// Builds a window-struct expression from a windowing of `buf`.
+    /// Builds a window-struct expression from a windowing of `buf`:
+    /// offset `Σ lo_d · stride_d`, and the strides of the interval axes.
     fn window_struct(
         &mut self,
         buf: Sym,
         coords: &[WAccess],
     ) -> Result<(String, DataType, usize, MemName), CodegenError> {
-        let binding = self.binding(buf)?.clone();
         let name = self.intern(buf);
-        let ty = binding.dtype();
-        let mem = binding.mem();
-        let rank = coords.iter().filter(|c| c.is_interval()).count();
-        let (base_strides, base_ptr): (Vec<String>, String) = match &binding {
-            DataBinding::Dense { shape, .. } => {
-                if coords.len() != shape.len() {
-                    return cerr(format!("window arity mismatch over {name}"));
-                }
-                (self.dense_strides(shape)?, name.clone())
-            }
-            DataBinding::Window { rank: wrank, .. } => {
-                if coords.len() != *wrank {
-                    return cerr(format!("window arity mismatch over {name}"));
-                }
-                (
-                    (0..*wrank)
-                        .map(|d| format!("{name}.strides[{d}]"))
-                        .collect(),
-                    format!("{name}.data"),
-                )
-            }
-            DataBinding::Scalar { .. } => return cerr(format!("cannot window the scalar {name}")),
-        };
-        // offset = Σ lo_d · stride_d ; kept strides = intervals
-        let mut offset_terms = Vec::new();
-        let mut kept = Vec::new();
-        for (d, c) in coords.iter().enumerate() {
-            match c {
-                WAccess::Point(p) => {
-                    let pe = self.ctrl_expr(p)?;
-                    offset_terms.push(format!("({pe}) * ({})", base_strides[d]));
-                }
-                WAccess::Interval(lo, _hi) => {
-                    let le = self.ctrl_expr(lo)?;
-                    offset_terms.push(format!("({le}) * ({})", base_strides[d]));
-                    kept.push(base_strides[d].clone());
-                }
-            }
+        let los = coords
+            .iter()
+            .map(|c| match c {
+                WAccess::Point(lo) | WAccess::Interval(lo, _) => self.ctrl_expr(lo),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let view = self.view(buf)?;
+        if view.kind == ViewKind::Scalar {
+            return cerr(format!("cannot window the scalar {name}"));
         }
-        let offset = if offset_terms.is_empty() {
-            "0".to_string()
-        } else {
-            offset_terms.join(" + ")
-        };
-        let strides = if kept.is_empty() {
-            vec!["1".to_string()]
-        } else {
-            kept
-        };
+        if coords.len() != view.strides.len() {
+            return cerr(format!("window arity mismatch over {name}"));
+        }
+        let mut offset: Vec<String> = los
+            .iter()
+            .zip(&view.strides)
+            .map(|(lo, st)| format!("({lo}) * ({st})"))
+            .collect();
+        let mut kept: Vec<&str> = coords
+            .iter()
+            .zip(&view.strides)
+            .filter(|(c, _)| c.is_interval())
+            .map(|(_, st)| st.as_str())
+            .collect();
+        let rank = kept.len();
+        if offset.is_empty() {
+            offset.push("0".into());
+        }
+        if kept.is_empty() {
+            kept.push("1");
+        }
         let expr = format!(
-            "(struct exo_win_{rank}{ty}){{ &{base_ptr}[{offset}], {{ {} }} }}",
-            strides.join(", ")
+            "(struct exo_win_{rank}{}){{ &{}[{}], {{ {} }} }}",
+            view.ty,
+            view.data,
+            offset.join(" + "),
+            kept.join(", ")
         );
-        Ok((expr, ty, rank, mem))
-    }
-
-    fn dense_strides(&mut self, shape: &[Expr]) -> Result<Vec<String>, CodegenError> {
-        // row-major: stride_d = Π_{d' > d} shape_{d'}
-        let mut out = Vec::with_capacity(shape.len());
-        for d in 0..shape.len() {
-            if d + 1 == shape.len() {
-                out.push("1".to_string());
-            } else {
-                let terms: Vec<String> = shape[d + 1..]
-                    .iter()
-                    .map(|e| self.ctrl_expr(e).map(|s| format!("({s})")))
-                    .collect::<Result<_, _>>()?;
-                out.push(terms.join(" * "));
-            }
-        }
-        Ok(out)
-    }
-
-    fn binding(&self, buf: Sym) -> Result<&DataBinding, CodegenError> {
-        self.bindings.get(&buf).ok_or_else(|| CodegenError {
-            message: format!("unknown data symbol {buf} at code generation"),
-        })
+        Ok((expr, view.ty, rank, view.mem))
     }
 
     /// Renders an lvalue for a buffer access and enforces the
@@ -760,167 +682,120 @@ impl<'a> ProcGen<'a> {
         idx: &[Expr],
         what: &str,
     ) -> Result<(String, DataType), CodegenError> {
-        let binding = self.binding(buf)?.clone();
-        let mem = binding.mem();
-        if let Some(m) = self.ctx.mems.get(mem) {
-            if !m.addressable {
-                return cerr(format!(
-                    "cannot {what} {} directly: memory {mem} is not addressable \
-                     (use a custom instruction)",
-                    buf.name()
-                ));
-            }
-        } else {
-            return cerr(format!("unknown memory {mem}"));
-        }
+        let idx = idx
+            .iter()
+            .map(|e| self.ctrl_expr(e))
+            .collect::<Result<Vec<_>, _>>()?;
         let name = self.intern(buf);
-        let ty = binding.dtype();
-        let code = match &binding {
-            DataBinding::Scalar { .. } => {
-                if !idx.is_empty() {
-                    return cerr(format!("indexing the scalar {name}"));
-                }
-                format!("*{name}")
+        let view = self.view(buf)?;
+        match self.ctx.mems.get(view.mem) {
+            None => return cerr(format!("unknown memory {}", view.mem)),
+            Some(m) if !m.addressable => {
+                return cerr(format!(
+                    "cannot {what} {} directly: memory {} is not addressable \
+                     (use a custom instruction)",
+                    buf.name(),
+                    view.mem
+                ))
             }
-            DataBinding::Dense { shape, .. } => {
-                if idx.is_empty() && shape.is_empty() {
-                    format!("{name}[0]")
-                } else {
-                    if idx.len() != shape.len() {
-                        return cerr(format!("access arity mismatch on {name}"));
-                    }
-                    let strides = self.dense_strides(shape)?;
-                    let terms: Vec<String> = idx
-                        .iter()
-                        .zip(&strides)
-                        .map(|(e, st)| {
-                            self.ctrl_expr(e).map(|s| {
-                                if st == "1" {
-                                    format!("({s})")
-                                } else {
-                                    format!("({s}) * ({st})")
-                                }
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    format!("{name}[{}]", terms.join(" + "))
-                }
-            }
-            DataBinding::Window { rank, .. } => {
-                if idx.len() != *rank {
-                    return cerr(format!("access arity mismatch on window {name}"));
-                }
-                if idx.is_empty() {
-                    format!("{name}.data[0]")
-                } else {
-                    let terms: Vec<String> = idx
-                        .iter()
-                        .enumerate()
-                        .map(|(d, e)| {
-                            self.ctrl_expr(e)
-                                .map(|s| format!("({s}) * {name}.strides[{d}]"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    format!("{name}.data[{}]", terms.join(" + "))
-                }
-            }
-        };
-        Ok((code, ty))
-    }
-
-    /// Renders a data expression, checking precision consistency against
-    /// the expected type (paper §3.1.1: casts are inserted just before
-    /// writes; mixed-precision arithmetic is rejected).
-    fn data_expr(&mut self, e: &Expr, expect: DataType) -> Result<String, CodegenError> {
-        let ty = self.infer_data_type(e)?;
-        let code = self.data_expr_raw(e)?;
-        if let Some(t) = ty {
-            if t != expect {
-                // cast just before write/reduce
-                return Ok(format!("({}) ({code})", c_type(expect)?));
-            }
+            Some(_) => {}
         }
-        Ok(code)
+        if idx.len() != view.strides.len() {
+            return cerr(match view.kind {
+                ViewKind::Scalar => format!("indexing the scalar {name}"),
+                ViewKind::Dense => format!("access arity mismatch on {name}"),
+                ViewKind::Window => format!("access arity mismatch on window {name}"),
+            });
+        }
+        // dense strides are parenthesized and the unit stride dropped;
+        // window strides are struct fields
+        let terms: Vec<String> = idx
+            .iter()
+            .zip(&view.strides)
+            .map(|(i, st)| match (view.kind, st.as_str()) {
+                (ViewKind::Dense, "1") => format!("({i})"),
+                (ViewKind::Dense, _) => format!("({i}) * ({st})"),
+                _ => format!("({i}) * {st}"),
+            })
+            .collect();
+        let code = match view.kind {
+            ViewKind::Scalar => format!("*{}", view.data),
+            _ if terms.is_empty() => format!("{}[0]", view.data),
+            _ => format!("{}[{}]", view.data, terms.join(" + ")),
+        };
+        Ok((code, view.ty))
     }
 
-    fn infer_data_type(&self, e: &Expr) -> Result<Option<DataType>, CodegenError> {
+    /// Renders the right-hand side of a store into a `expect` buffer,
+    /// casting just before the write (paper §3.1.1).
+    fn store_expr(&mut self, e: &Expr, expect: DataType) -> Result<String, CodegenError> {
+        match self.data_expr(e)? {
+            (code, Some(ty)) if ty != expect => Ok(format!("({}) ({code})", c_type(expect)?)),
+            (code, _) => Ok(code),
+        }
+    }
+
+    /// Renders a data expression with its precision (`None` when only
+    /// literals, which adapt, are involved). Mixed-precision arithmetic
+    /// is rejected.
+    fn data_expr(&mut self, e: &Expr) -> Result<(String, Option<DataType>), CodegenError> {
         match e {
-            Expr::Read { buf, .. } => {
-                let t = self.binding(*buf)?.dtype();
-                if t == DataType::R {
+            Expr::Lit(Lit::Float(v)) => Ok((format!("{v:?}"), None)),
+            Expr::Lit(Lit::Int(v)) => Ok((format!("{v}.0"), None)),
+            Expr::Read { buf, idx } => {
+                if self.view(*buf)?.ty == DataType::R {
                     return cerr(format!(
                         "{} still has abstract type R at code generation",
                         buf.name()
                     ));
                 }
-                Ok(Some(t))
+                let (code, ty) = self.lvalue(*buf, idx, "read")?;
+                Ok((code, Some(ty)))
             }
-            Expr::Lit(_) => Ok(None), // literals adapt
-            Expr::BinOp(_, a, b) => {
-                let ta = self.infer_data_type(a)?;
-                let tb = self.infer_data_type(b)?;
-                match (ta, tb) {
-                    (Some(x), Some(y)) if x != y => cerr(format!(
-                        "mixed-precision arithmetic ({x} vs {y}); insert a staging \
-                         buffer with set_precision"
-                    )),
-                    (Some(x), _) | (_, Some(x)) => Ok(Some(x)),
-                    _ => Ok(None),
-                }
-            }
-            Expr::Neg(a) => self.infer_data_type(a),
-            Expr::BuiltIn { args, .. } => {
-                let mut t = None;
-                for a in args {
-                    if let Some(x) = self.infer_data_type(a)? {
-                        if let Some(y) = t {
-                            if x != y {
-                                return cerr("mixed-precision builtin arguments");
-                            }
-                        }
-                        t = Some(x);
+            Expr::BinOp(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
+                let (x, ta) = self.data_expr(a)?;
+                let (y, tb) = self.data_expr(b)?;
+                if let (Some(x), Some(y)) = (ta, tb) {
+                    if x != y {
+                        return cerr(format!(
+                            "mixed-precision arithmetic ({x} vs {y}); insert a staging \
+                             buffer with set_precision"
+                        ));
                     }
                 }
-                Ok(t)
+                Ok((format!("({x} {} {y})", c_binop(*op)), ta.or(tb)))
             }
-            _ => Ok(None),
-        }
-    }
-
-    fn data_expr_raw(&mut self, e: &Expr) -> Result<String, CodegenError> {
-        match e {
-            Expr::Lit(Lit::Float(v)) => Ok(format!("{v:?}")),
-            Expr::Lit(Lit::Int(v)) => Ok(format!("{v}.0")),
-            Expr::Read { buf, idx } => {
-                let (code, _) = self.lvalue(*buf, idx, "read")?;
-                Ok(code)
+            Expr::BinOp(op, ..) => cerr(format!("operator {op} on data values")),
+            Expr::Neg(a) => {
+                let (x, ty) = self.data_expr(a)?;
+                Ok((format!("(-{x})"), ty))
             }
-            Expr::BinOp(op, a, b) => {
-                let x = self.data_expr_raw(a)?;
-                let y = self.data_expr_raw(b)?;
-                let c_op = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    _ => return cerr(format!("operator {op} on data values")),
-                };
-                Ok(format!("({x} {c_op} {y})"))
-            }
-            Expr::Neg(a) => Ok(format!("(-{})", self.data_expr_raw(a)?)),
             Expr::BuiltIn { func, args } => {
-                let xs: Vec<String> = args
-                    .iter()
-                    .map(|a| self.data_expr_raw(a))
-                    .collect::<Result<_, _>>()?;
+                let mut xs = Vec::with_capacity(args.len());
+                let mut ty = None;
+                for a in args {
+                    let (x, t) = self.data_expr(a)?;
+                    if ty.is_some() && t.is_some() && ty != t {
+                        return cerr("mixed-precision builtin arguments");
+                    }
+                    ty = ty.or(t);
+                    xs.push(x);
+                }
                 let name = func.name();
-                Ok(match name.as_str() {
-                    "relu" => format!("fmax(0.0, {})", xs[0]),
-                    "max" => format!("fmax({}, {})", xs[0], xs[1]),
-                    "min" => format!("fmin({}, {})", xs[0], xs[1]),
-                    "abs" => format!("fabs({})", xs[0]),
+                let code = match (name.as_str(), xs.as_slice()) {
+                    ("relu", [x]) => format!("fmax(0.0, {x})"),
+                    ("abs", [x]) => format!("fabs({x})"),
+                    ("max", [x, y]) => format!("fmax({x}, {y})"),
+                    ("min", [x, y]) => format!("fmin({x}, {y})"),
+                    ("relu" | "abs", _) => {
+                        return cerr(format!("builtin {name} expects 1 argument"))
+                    }
+                    ("max" | "min", _) => {
+                        return cerr(format!("builtin {name} expects 2 arguments"))
+                    }
                     _ => format!("{name}({})", xs.join(", ")),
-                })
+                };
+                Ok((code, ty))
             }
             _ => cerr("control expression in data position"),
         }
@@ -935,36 +810,17 @@ impl<'a> ProcGen<'a> {
             Expr::BinOp(op, a, b) => {
                 let x = self.ctrl_expr(a)?;
                 let y = self.ctrl_expr(b)?;
-                let c_op = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Mod => "%",
-                    BinOp::And => "&&",
-                    BinOp::Or => "||",
-                    BinOp::Eq => "==",
-                    BinOp::Lt => "<",
-                    BinOp::Le => "<=",
-                    BinOp::Gt => ">",
-                    BinOp::Ge => ">=",
-                };
-                Ok(format!("({x} {c_op} {y})"))
+                Ok(format!("({x} {} {y})", c_binop(*op)))
             }
             Expr::Neg(a) => Ok(format!("(-{})", self.ctrl_expr(a)?)),
             Expr::Stride { buf, dim } => {
-                let binding = self.binding(*buf)?.clone();
-                let name = self.intern(*buf);
-                match binding {
-                    DataBinding::Dense { shape, .. } => {
-                        let strides = self.dense_strides(&shape)?;
-                        strides.get(*dim).cloned().ok_or_else(|| CodegenError {
-                            message: format!("stride dimension {dim} out of range"),
-                        })
-                    }
-                    DataBinding::Window { .. } => Ok(format!("{name}.strides[{dim}]")),
-                    DataBinding::Scalar { .. } => cerr("stride of a scalar"),
+                let view = self.view(*buf)?;
+                if view.kind == ViewKind::Scalar {
+                    return cerr("stride of a scalar");
                 }
+                view.strides.get(*dim).cloned().ok_or_else(|| CodegenError {
+                    message: format!("stride dimension {dim} out of range"),
+                })
             }
             Expr::ReadConfig { config, field } => {
                 let Some(decl) = self.ctx.config(*config) else {
@@ -1056,7 +912,7 @@ mod tests {
 
     #[test]
     fn non_addressable_memory_rejected() {
-        use crate::mem::{AllocStyle, Memory};
+        use crate::mem::Memory;
         let spad = MemName(Sym::new("SPAD2"));
         let mut b = ProcBuilder::new("p");
         let a = b.tensor_in("A", DataType::F32, vec![Expr::int(4)], spad);
@@ -1064,9 +920,8 @@ mod tests {
         let mut ctx = CodegenCtx::new();
         ctx.mems.register(Memory {
             name: spad,
-            alloc: AllocStyle::Malloc,
             addressable: false,
-            c_global: None,
+            ..Memory::dram()
         });
         let e = compile_c(&[b.finish()], &ctx).unwrap_err();
         assert!(e.message.contains("not addressable"), "{e}");
@@ -1182,5 +1037,63 @@ mod tests {
         let ctx = CodegenCtx::new();
         let code = compile_c(&[b.finish()], &ctx).unwrap();
         assert!(code.contains("(int8_t) ("), "{code}");
+    }
+
+    #[test]
+    fn builtin_arity_rejected() {
+        // `max(A[1])` and `relu()` parse; they must fail as typed errors
+        for (func, args, want) in [
+            ("max", 1, "builtin max expects 2 arguments"),
+            ("relu", 0, "builtin relu expects 1 argument"),
+        ] {
+            let mut b = ProcBuilder::new("p");
+            let a = b.tensor("A", DataType::F32, vec![Expr::int(2)]);
+            let call = Expr::BuiltIn {
+                func: Sym::new(func),
+                args: vec![read(a, vec![Expr::int(1)]); args],
+            };
+            b.assign(a, vec![Expr::int(0)], call);
+            let e = compile_c(&[b.finish()], &CodegenCtx::new()).unwrap_err();
+            assert_eq!(e.message, want);
+        }
+    }
+
+    fn memory(spelling: &str, alloc: &str, c_global: Option<&str>) -> crate::mem::Memory {
+        crate::mem::Memory {
+            name: MemName(Sym::new(spelling)),
+            alloc: format!("{alloc}({{name}}, {{size}});"),
+            free: String::new(),
+            addressable: false,
+            c_global: c_global.map(String::from),
+        }
+    }
+
+    #[test]
+    fn memories_sharing_a_spelling_keep_their_templates() {
+        let (ma, mb) = (
+            memory("SPAD", "alloc_a", None),
+            memory("SPAD", "alloc_b", None),
+        );
+        let mut b = ProcBuilder::new("p");
+        b.alloc("x", DataType::I8, vec![Expr::int(4)], ma.name);
+        b.alloc("y", DataType::I8, vec![Expr::int(8)], mb.name);
+        let mut ctx = CodegenCtx::new();
+        ctx.mems.register(ma).register(mb);
+        let code = compile_c(&[b.finish()], &ctx).unwrap();
+        assert!(code.contains("    alloc_a(x, (4));\n"), "{code}");
+        assert!(code.contains("    alloc_b(y, (8));\n"), "{code}");
+    }
+
+    #[test]
+    fn memory_globals_follow_registration_order() {
+        let globals: Vec<String> = (0..8).map(|i| format!("// global {i}")).collect();
+        let mut ctx = CodegenCtx::new();
+        for (i, g) in globals.iter().enumerate() {
+            ctx.mems
+                .register(memory(&format!("M{i}"), "alloc", Some(g)));
+        }
+        let code = compile_c(&[ProcBuilder::new("p").finish()], &ctx).unwrap();
+        let want = format!("\n\n{}\n\n", globals.join("\n"));
+        assert!(code.contains(&want), "{code}");
     }
 }

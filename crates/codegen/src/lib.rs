@@ -22,4 +22,4 @@ pub mod emit;
 pub mod mem;
 
 pub use emit::{compile_c, CodegenCtx, CodegenError};
-pub use mem::{AllocStyle, Memory, MemorySet};
+pub use mem::{Memory, MemorySet};

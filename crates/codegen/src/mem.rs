@@ -6,35 +6,22 @@
 //! Hardware scratchpads typically disable direct access, so that only
 //! custom instructions can touch them — the backend checks enforce this.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use exo_core::types::MemName;
-use exo_core::Sym;
-
-/// How a memory materializes allocations.
-#[derive(Clone, Debug)]
-pub enum AllocStyle {
-    /// Ordinary heap allocation (`malloc`/`free`).
-    Malloc,
-    /// Stack allocation (`type name[n]`), suitable for small buffers.
-    Stack,
-    /// Custom templates with `{name}`, `{prim_type}`, `{size}` holes.
-    Custom {
-        /// Allocation statement template.
-        alloc: String,
-        /// Free statement template.
-        free: String,
-    },
-}
 
 /// A user-defined memory.
 #[derive(Clone, Debug)]
 pub struct Memory {
-    /// The memory's name (matched against buffer annotations).
+    /// The memory's name (matched against buffer annotations by
+    /// identity, not spelling).
     pub name: MemName,
-    /// How allocations are emitted.
-    pub alloc: AllocStyle,
+    /// Allocation statement template with `{name}`, `{prim_type}` and
+    /// `{size}` (element count) holes.
+    pub alloc: String,
+    /// Free statement template with `{name}` and `{prim_type}` holes;
+    /// empty for none.
+    pub free: String,
     /// Whether plain C reads/writes/reductions of individual locations
     /// are allowed. `false` models non-addressable accelerator memories
     /// (paper §2.2: "memory is not addressable").
@@ -49,27 +36,19 @@ impl Memory {
     pub fn dram() -> Memory {
         Memory {
             name: MemName::dram(),
-            alloc: AllocStyle::Malloc,
+            alloc: "{prim_type} *{name} = ({prim_type}*) malloc(({size}) * sizeof({prim_type}));"
+                .into(),
+            free: "free({name});".into(),
             addressable: true,
-            c_global: None,
-        }
-    }
-
-    /// A non-addressable accelerator memory (scratchpads, accumulators).
-    pub fn accelerator(name: &str, alloc: AllocStyle) -> Memory {
-        Memory {
-            name: MemName(Sym::new(name)),
-            alloc,
-            addressable: false,
             c_global: None,
         }
     }
 }
 
-/// The set of memories known to a code-generation run.
+/// The memories known to a code-generation run, in registration order.
 #[derive(Clone, Debug)]
 pub struct MemorySet {
-    mems: HashMap<String, Memory>,
+    mems: Vec<Memory>,
 }
 
 impl Default for MemorySet {
@@ -81,25 +60,28 @@ impl Default for MemorySet {
 impl MemorySet {
     /// A set containing only DRAM.
     pub fn new() -> MemorySet {
-        let mut mems = HashMap::new();
-        mems.insert("DRAM".to_string(), Memory::dram());
-        MemorySet { mems }
+        MemorySet {
+            mems: vec![Memory::dram()],
+        }
     }
 
-    /// Registers a memory (replacing any with the same name).
+    /// Registers a memory, replacing in place any with the same name.
     pub fn register(&mut self, mem: Memory) -> &mut Self {
-        self.mems.insert(mem.name.0.name(), mem);
+        match self.mems.iter_mut().find(|m| m.name == mem.name) {
+            Some(slot) => *slot = mem,
+            None => self.mems.push(mem),
+        }
         self
     }
 
     /// Looks up a memory by annotation name.
     pub fn get(&self, name: MemName) -> Option<&Memory> {
-        self.mems.get(&name.0.name())
+        self.mems.iter().find(|m| m.name == name)
     }
 
-    /// Iterates over all registered memories.
+    /// Iterates over all registered memories, in registration order.
     pub fn iter(&self) -> impl Iterator<Item = &Memory> {
-        self.mems.values()
+        self.mems.iter()
     }
 }
 
@@ -117,6 +99,17 @@ impl fmt::Display for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_core::Sym;
+
+    fn spad(spelling: &str) -> Memory {
+        Memory {
+            name: MemName(Sym::new(spelling)),
+            alloc: "{prim_type}* {name} = spad_malloc({size});".into(),
+            free: "spad_free({name});".into(),
+            addressable: false,
+            c_global: None,
+        }
+    }
 
     #[test]
     fn default_set_has_dram() {
@@ -127,17 +120,30 @@ mod tests {
 
     #[test]
     fn register_and_lookup() {
+        // lookup is by identity: memories spelled alike stay apart
         let mut set = MemorySet::new();
-        let spad = Memory::accelerator(
-            "SPAD",
-            AllocStyle::Custom {
-                alloc: "{prim_type}* {name} = spad_malloc({size});".into(),
-                free: "spad_free({name});".into(),
-            },
-        );
-        let name = spad.name;
-        set.register(spad);
-        let m = set.get(name).expect("registered");
-        assert!(!m.addressable);
+        let (a, b) = (spad("SPAD"), spad("SPAD"));
+        let (na, nb) = (a.name, b.name);
+        set.register(a).register(b);
+        assert!(!set.get(na).expect("registered").addressable);
+        assert_eq!(set.get(na).map(|m| m.name), Some(na));
+        assert_eq!(set.get(nb).map(|m| m.name), Some(nb));
+        assert!(set.get(MemName(Sym::new("DRAM"))).is_none());
+    }
+
+    #[test]
+    fn reregistering_replaces_in_place() {
+        let mut set = MemorySet::new();
+        let a = spad("A");
+        let name = a.name;
+        set.register(a).register(spad("B"));
+        set.register(Memory {
+            addressable: true,
+            name,
+            ..spad("A")
+        });
+        let order: Vec<String> = set.iter().map(|m| m.name.to_string()).collect();
+        assert_eq!(order, ["DRAM", "A", "B"]);
+        assert!(set.get(name).unwrap().addressable);
     }
 }

@@ -124,7 +124,7 @@ impl fmt::Display for CtrlType {
 ///
 /// The core language and analyses are blind to memories; they only affect
 /// code generation, where the name is resolved against user-defined
-/// [`Memory`](../../exo_codegen/mem/trait.Memory.html) definitions.
+/// [`Memory`](../../exo_codegen/mem/struct.Memory.html) definitions.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MemName(pub Sym);
 

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{AllocStyle, CodegenCtx, Memory};
+use exo_codegen::{CodegenCtx, Memory};
 use exo_core::ir::Proc;
 use exo_core::types::MemName;
 use exo_core::Sym;
@@ -72,10 +72,8 @@ impl Avx512Lib {
         ctx.mems.register(Memory {
             name: self.reg,
             // vector "allocations" are local __m512 variables
-            alloc: AllocStyle::Custom {
-                alloc: "__m512 {name}[({size}) / 16];".into(),
-                free: String::new(),
-            },
+            alloc: "__m512 {name}[({size}) / 16];".into(),
+            free: String::new(),
             addressable: false,
             c_global: Some("#include <immintrin.h>".into()),
         });

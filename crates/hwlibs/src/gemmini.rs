@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{AllocStyle, CodegenCtx, Memory};
+use exo_codegen::{CodegenCtx, Memory};
 use exo_core::ir::{ConfigDecl, Proc};
 use exo_core::types::{CtrlType, MemName};
 use exo_core::Sym;
@@ -126,23 +126,22 @@ impl GemminiLib {
     }
 
     /// A code-generation context with Gemmini's memories and configs.
+    /// The generated C includes `gemmini.h`; this crate's
+    /// `include/gemmini.h` is a stub declaring every intrinsic the
+    /// templates call, enough to type-check that C on any host.
     pub fn codegen_ctx(&self) -> CodegenCtx {
         let mut ctx = CodegenCtx::new();
         ctx.mems.register(Memory {
             name: self.scratchpad,
-            alloc: AllocStyle::Custom {
-                alloc: "{prim_type} *{name} = ({prim_type}*) gemmini_spad_alloc(({size}) * sizeof({prim_type}));".into(),
-                free: "gemmini_spad_free({name});".into(),
-            },
+            alloc: "{prim_type} *{name} = ({prim_type}*) gemmini_spad_alloc(({size}) * sizeof({prim_type}));".into(),
+            free: "gemmini_spad_free({name});".into(),
             addressable: false,
             c_global: Some("#include \"gemmini.h\"".into()),
         });
         ctx.mems.register(Memory {
             name: self.accum,
-            alloc: AllocStyle::Custom {
-                alloc: "{prim_type} *{name} = ({prim_type}*) gemmini_acc_alloc(({size}) * sizeof({prim_type}));".into(),
-                free: "gemmini_acc_free({name});".into(),
-            },
+            alloc: "{prim_type} *{name} = ({prim_type}*) gemmini_acc_alloc(({size}) * sizeof({prim_type}));".into(),
+            free: "gemmini_acc_free({name});".into(),
             addressable: false,
             c_global: None,
         });
