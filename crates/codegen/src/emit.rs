@@ -227,7 +227,7 @@ enum ViewKind {
 
 /// What the emitter knows about one data symbol, resolved when it is
 /// bound.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct View {
     ty: DataType,
     mem: MemName,
