@@ -235,3 +235,71 @@ fn replace_multi_statement_block() {
     assert_eq!(q.body().len(), 1, "{}", q.show());
     assert_eq!(run_vec(p.proc(), 8), run_vec(q.proc(), 8));
 }
+
+/// `A[100]` after running `proc` on a zeroed `A: f32[200]` (and `x = 1`
+/// when the procedure takes a size first).
+fn a100(proc: &Proc) -> f64 {
+    let mut m = Machine::new();
+    let a = m.alloc_extern("A", DataType::F32, &[200], &[0.0; 200]);
+    let mut args = vec![ArgVal::Tensor(a)];
+    if proc.args.len() == 2 {
+        args.insert(0, ArgVal::Int(1));
+    }
+    m.run(proc, &args).unwrap();
+    m.buffer_values(a).unwrap()[100]
+}
+
+#[test]
+fn reorder_stmts_sees_config_written_under_if() {
+    // for j in seq(0, 1):
+    //     Cfg.n = 4
+    //     if x < 5: Cfg.n = 100
+    //     A[Cfg.n] = 1.0
+    // A[100] = 2.0
+    let (cfg, n) = (Sym::new("Cfg"), Sym::new("n"));
+    let mut b = ProcBuilder::new("p");
+    let x = b.size("x");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(200)]);
+    b.begin_for("j", Expr::int(0), Expr::int(1));
+    b.write_config(cfg, n, Expr::int(4));
+    b.begin_if(Expr::var(x).lt(Expr::int(5)));
+    b.write_config(cfg, n, Expr::int(100));
+    b.end_if();
+    let cfg_n = Expr::ReadConfig {
+        config: cfg,
+        field: n,
+    };
+    b.assign(a, vec![cfg_n], Expr::float(1.0));
+    b.end_for();
+    b.assign(a, vec![Expr::int(100)], Expr::float(2.0));
+    let p = Procedure::new(b.finish());
+    assert_eq!(a100(p.proc()), 2.0);
+    // the swap would leave A[100] = 1.0
+    assert!(p.reorder_stmts("for j in _: _").is_err());
+}
+
+#[test]
+fn reorder_stmts_sees_config_read_before_write_in_loop() {
+    // Cfg.n = 7
+    // for i in seq(0, 8):
+    //     A[Cfg.n * 25] = 1.0
+    //     Cfg.n = i
+    // A[100] = 2.0
+    let (cfg, n) = (Sym::new("Cfg"), Sym::new("n"));
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(200)]);
+    b.write_config(cfg, n, Expr::int(7));
+    let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+    let cfg_n = Expr::ReadConfig {
+        config: cfg,
+        field: n,
+    };
+    b.assign(a, vec![cfg_n.mul(Expr::int(25))], Expr::float(1.0));
+    b.write_config(cfg, n, Expr::var(i));
+    b.end_for();
+    b.assign(a, vec![Expr::int(100)], Expr::float(2.0));
+    let p = Procedure::new(b.finish());
+    assert_eq!(a100(p.proc()), 2.0);
+    // iteration 5 writes A[4 * 25]: the swap would leave A[100] = 1.0
+    assert!(p.reorder_stmts("for i in _: _").is_err());
+}

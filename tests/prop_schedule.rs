@@ -13,7 +13,8 @@ use exo::core::build::read;
 use exo::prelude::*;
 use proptest::prelude::*;
 
-/// A tiny random program over two 1-D buffers and one 2-D buffer.
+/// A tiny random program over a size argument `n`, two 1-D buffers, one
+/// 2-D buffer and one configuration field `Cfg.k`.
 #[derive(Clone, Debug)]
 struct RandProgram {
     stmts: Vec<RandStmt>,
@@ -31,6 +32,17 @@ enum RandStmt {
     },
     /// 2-D loop nest writing the matrix buffer
     Loop2 { reduce: bool, transpose: bool },
+    /// `Cfg.k = base; for c in 0..8: { if n < thresh: Cfg.k = alt;
+    /// X[Cfg.k] = Y[c] + 1.0; Cfg.k = c }` — a configuration write under
+    /// a guard on the size argument, and a read of configuration state
+    /// inside a loop before the body overwrites it
+    Config {
+        dst: u8,
+        src: u8,
+        base: i64,
+        alt: i64,
+        thresh: i64,
+    },
 }
 
 fn arb_program() -> impl Strategy<Value = RandProgram> {
@@ -46,13 +58,25 @@ fn arb_program() -> impl Strategy<Value = RandProgram> {
         ),
         (any::<bool>(), any::<bool>())
             .prop_map(|(reduce, transpose)| RandStmt::Loop2 { reduce, transpose }),
+        (0u8..2, 0u8..2, 0i64..16, 0i64..16, 1i64..5).prop_map(|(dst, src, base, alt, thresh)| {
+            RandStmt::Config {
+                dst,
+                src,
+                base,
+                alt,
+                thresh,
+            }
+        }),
     ];
     proptest::collection::vec(stmt, 1..4).prop_map(|stmts| RandProgram { stmts })
 }
 
-/// Builds the IR for a random program. Buffers: x[16], y[16], m[8][8].
+/// Builds the IR for a random program. Arguments: n: size, x[16], y[16],
+/// m[8][8].
 fn build(p: &RandProgram) -> Arc<Proc> {
     let mut b = ProcBuilder::new("randprog");
+    let n = b.size("n");
+    let (cfg, k) = (Sym::new("Cfg"), Sym::new("k"));
     let bufs = [
         b.tensor("x", DataType::F32, vec![Expr::int(16)]),
         b.tensor("y", DataType::F32, vec![Expr::int(16)]),
@@ -98,6 +122,27 @@ fn build(p: &RandProgram) -> Arc<Proc> {
                 }
                 b.end_for().end_for();
             }
+            RandStmt::Config {
+                dst,
+                src,
+                base,
+                alt,
+                thresh,
+            } => {
+                b.write_config(cfg, k, Expr::int(*base));
+                let c = b.begin_for("c", Expr::int(0), Expr::int(8));
+                b.begin_if(Expr::var(n).lt(Expr::int(*thresh)));
+                b.write_config(cfg, k, Expr::int(*alt));
+                b.end_if();
+                let cfg_k = Expr::ReadConfig {
+                    config: cfg,
+                    field: k,
+                };
+                let rhs = read(bufs[*src as usize], vec![Expr::var(c)]).add(Expr::float(1.0));
+                b.assign(bufs[*dst as usize], vec![cfg_k], rhs);
+                b.write_config(cfg, k, Expr::var(c));
+                b.end_for();
+            }
         }
     }
     b.finish()
@@ -110,7 +155,7 @@ enum Directive {
     SplitGuard(u8, i64),
     Reorder,
     FissionAfterFirst,
-    ReorderStmts,
+    ReorderStmts(u8),
     PartitionLoop(u8, i64),
     Unroll(u8),
     BindExpr,
@@ -123,7 +168,7 @@ fn arb_directive() -> impl Strategy<Value = Directive> {
         (0u8..2, 2i64..6).prop_map(|(w, c)| Directive::SplitGuard(w, c)),
         Just(Directive::Reorder),
         Just(Directive::FissionAfterFirst),
-        Just(Directive::ReorderStmts),
+        (0u8..5).prop_map(Directive::ReorderStmts),
         (0u8..2, 1i64..7).prop_map(|(w, c)| Directive::PartitionLoop(w, c)),
         (0u8..2).prop_map(Directive::Unroll),
         Just(Directive::BindExpr),
@@ -157,13 +202,19 @@ fn apply(p: &Procedure, d: &Directive) -> Option<Procedure> {
             }
             None
         }
-        Directive::ReorderStmts => {
-            for pat in ["for i in _: _", "x[_] = _", "y[_] += _"] {
-                if let Ok(q) = p.reorder_stmts(pat) {
-                    return Some(q);
-                }
-            }
-            None
+        Directive::ReorderStmts(first) => {
+            let pats = [
+                "for c in _: _",
+                "Cfg.k = _",
+                "for i in _: _",
+                "x[_] = _",
+                "y[_] += _",
+            ];
+            // try the chosen pattern first, then the rest in order
+            let first = *first as usize;
+            std::iter::once(pats[first])
+                .chain(pats.iter().copied().filter(|&q| q != pats[first]))
+                .find_map(|pat| p.reorder_stmts(pat).ok())
         }
         Directive::PartitionLoop(w, c) => p.partition_loop(loop_pat(*w), *c).ok(),
         Directive::Unroll(w) => p.unroll(loop_pat(*w)).ok(),
@@ -185,6 +236,7 @@ fn apply(p: &Procedure, d: &Directive) -> Option<Procedure> {
 
 fn run_program(proc: &Proc, seed: u64) -> Result<Vec<f64>, exo::interp::InterpError> {
     let mut m = Machine::new();
+    let n = 1 + (seed % 4) as i64;
     let init = |n: usize, s: u64| -> Vec<f64> {
         (0..n)
             .map(|i| (((i as u64 * 7 + s * 13) % 11) as f64) - 5.0)
@@ -195,7 +247,12 @@ fn run_program(proc: &Proc, seed: u64) -> Result<Vec<f64>, exo::interp::InterpEr
     let mat = m.alloc_extern("m", DataType::F32, &[8, 8], &init(64, seed + 2));
     m.run(
         proc,
-        &[ArgVal::Tensor(x), ArgVal::Tensor(y), ArgVal::Tensor(mat)],
+        &[
+            ArgVal::Int(n),
+            ArgVal::Tensor(x),
+            ArgVal::Tensor(y),
+            ArgVal::Tensor(mat),
+        ],
     )?;
     let mut out = m.buffer_values(x)?;
     out.extend(m.buffer_values(y)?);
@@ -204,7 +261,7 @@ fn run_program(proc: &Proc, seed: u64) -> Result<Vec<f64>, exo::interp::InterpEr
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1000))]
 
     #[test]
     fn accepted_schedules_preserve_semantics(
