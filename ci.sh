@@ -29,6 +29,9 @@ cargo test -q -p exo-codegen
 echo "== smt property suite (QE vs brute-force enumeration; ~3 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 
+echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state; operator fail-safety; print/parse round trip) =="
+cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
+
 echo "== gemmini-sim (incl. differential test against the unpruned reference scan) =="
 cargo test -q -p gemmini-sim
 
@@ -75,8 +78,6 @@ cargo run --release -q -p exo-bench --bin perf_diff
 if [[ "${EXO_CI_FULL:-0}" == "1" ]]; then
     echo "== full: cargo test --workspace -q =="
     cargo test --workspace -q
-    echo "== full: property tests (incl. operator fail-safety) =="
-    cargo test -q --features proptest-tests
 fi
 
 echo "CI OK"

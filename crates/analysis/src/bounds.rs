@@ -21,7 +21,7 @@ use exo_smt::solver::Answer;
 
 use crate::check::SharedCheckCtx;
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::globals::{lift_in_env, val_g_block, widen_loop, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
 
 /// A bounds or assertion violation (or a solver give-up, which is
 /// reported as a failure — the checks fail safe).
@@ -127,48 +127,38 @@ impl<'a> Checker<'a> {
     fn check_stmts(&mut self, block: &[Stmt], retain: bool) {
         let mut added: Vec<Sym> = Vec::new();
         for s in block {
+            // the state after `s`, which inside a loop body is also the
+            // state at the start of an iteration
+            let after = val_g_stmt(s, self.genv.clone(), self.reg);
             match s {
                 Stmt::Assign { buf, idx, rhs } | Stmt::Reduce { buf, idx, rhs } => {
                     self.check_access(*buf, idx, "store");
                     self.check_expr(rhs);
                 }
-                Stmt::WriteConfig { config, field, rhs } => {
-                    self.check_expr(rhs);
-                    let v = self.lift(rhs);
-                    self.genv.set(*config, *field, v);
-                }
+                Stmt::WriteConfig { rhs, .. } => self.check_expr(rhs),
                 Stmt::Pass => {}
                 Stmt::If { cond, body, orelse } => {
                     self.check_expr(cond);
                     let c = self.lift(cond);
-                    let saved_genv = self.genv.clone();
+                    let entry = self.genv.clone();
                     self.assumptions.push(c.clone());
                     self.check_block(body);
                     self.assumptions.pop();
-                    self.genv = saved_genv.clone();
+                    self.genv = entry;
                     self.assumptions.push(EffExpr::Not(Box::new(c)));
                     self.check_block(orelse);
                     self.assumptions.pop();
-                    // conservative join
-                    self.genv = saved_genv;
-                    let after = val_g_block(std::slice::from_ref(s), self.genv.clone(), self.reg);
-                    self.genv = after;
                 }
                 Stmt::For { iter, lo, hi, body } => {
                     self.check_expr(lo);
                     self.check_expr(hi);
                     let lo_e = self.lift(lo);
                     let hi_e = self.lift(hi);
-                    let saved_genv = self.genv.clone();
                     self.assumptions
                         .push(crate::conditions::bd(*iter, &lo_e, &hi_e));
-                    // inside the body, config state may have been changed
-                    // by earlier iterations
-                    let after = val_g_block(body, saved_genv.clone(), self.reg);
-                    self.genv = widen_loop(&saved_genv, &after, *iter, self.reg);
+                    self.genv = after.clone();
                     self.check_block(body);
                     self.assumptions.pop();
-                    self.genv = val_g_block(std::slice::from_ref(s), saved_genv, self.reg);
                 }
                 Stmt::Alloc { name, shape, .. } => {
                     let se: Vec<EffExpr> = shape.iter().map(|e| self.lift(e)).collect();
@@ -189,6 +179,7 @@ impl<'a> Checker<'a> {
                 }
                 Stmt::Call { proc, args } => self.check_call(proc, args),
             }
+            self.genv = after;
         }
         if !retain {
             for s in added {
@@ -248,11 +239,11 @@ impl<'a> Checker<'a> {
                 }
             }
         }
-        // assertion checking: the callee's preconditions must hold here
+        // assertion checking: the callee's preconditions must hold here,
+        // reading configuration fields in the caller's current state and
+        // the actuals for the control formals
         for pred in &proc.preds {
-            let lifted = lift_in_env(pred, &GlobalEnv::identity(), self.reg).subst(&subst);
-            // substitute caller-side global values for the callee's view of
-            // entry globals
+            let lifted = self.lift(pred).subst(&subst);
             self.require(lifted, || {
                 format!(
                     "call to {} may violate its precondition: {}",
@@ -423,8 +414,7 @@ fn check_scoped(
                 checker
                     .assumptions
                     .push(crate::conditions::bd(*iter, &lo_e, &hi_e));
-                let after = val_g_block(body, checker.genv.clone(), checker.reg);
-                checker.genv = widen_loop(&checker.genv, &after, *iter, checker.reg);
+                checker.genv = val_g_stmt(stmt, std::mem::take(&mut checker.genv), checker.reg);
                 block = body;
             }
             (Stmt::If { cond, body, .. }, 0) => {

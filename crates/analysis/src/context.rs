@@ -16,7 +16,7 @@ use exo_smt::formula::Formula;
 use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::globals::{lift_in_env, val_g_block, widen_loop, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, val_g_block, val_g_stmt, GlobalEnv, GlobalReg};
 
 /// An enclosing loop binder with its (dataflow-lifted) bounds.
 #[derive(Clone, PartialEq, Debug)]
@@ -113,10 +113,9 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
                     lo: lo_e,
                     hi: hi_e,
                 });
-                // entering a loop body mid-iteration: fields possibly
-                // modified by the body (or iteration-dependent) are ⊥
-                let after = val_g_block(body, genv.clone(), reg);
-                genv = widen_loop(&genv, &after, *iter, reg);
+                // the loop's state is also the state at the start of an
+                // arbitrary iteration
+                genv = val_g_stmt(stmt, genv, reg);
                 block = body;
             }
             (Stmt::If { cond, body, .. }, 0) => {

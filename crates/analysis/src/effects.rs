@@ -13,7 +13,7 @@ use exo_core::visit;
 use exo_core::Sym;
 
 use crate::effexpr::EffExpr;
-use crate::globals::{lift_in_env, widen_loop, GlobalEnv, GlobalReg};
+use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
 
 /// Effects, as in paper Def. 5.4 (with loop bounds attached to `Loop` so
 /// location sets can be bounded).
@@ -204,7 +204,8 @@ pub struct ExtractCtx<'a> {
     pub ctrl: HashMap<Sym, EffExpr>,
     /// Data views per symbol.
     pub views: HashMap<Sym, SymView>,
-    /// Symbolic values of configuration fields at entry.
+    /// Symbolic values of configuration fields before the statement being
+    /// extracted.
     pub genv: GlobalEnv,
     /// Canonical global names.
     pub reg: &'a mut GlobalReg,
@@ -272,7 +273,10 @@ fn effect_of_stmt(
     ctx: &mut ExtractCtx<'_>,
     saved: &mut Vec<(Sym, Option<SymView>)>,
 ) -> Effect {
-    match s {
+    // the state after `s`, which inside a loop body is also the state at
+    // the start of an iteration
+    let after = val_g_stmt(s, ctx.genv.clone(), ctx.reg);
+    let eff = match s {
         Stmt::Pass => Effect::Empty,
         Stmt::Assign { buf, idx, rhs } => {
             let view = ctx.view_of(*buf);
@@ -296,23 +300,17 @@ fn effect_of_stmt(
                 Effect::Reduce(view.buf, view.translate(&coords)),
             ])
         }
-        Stmt::WriteConfig { config, field, rhs } => {
-            let rd = effect_of_ctrl_expr(rhs, ctx);
-            // the dataflow env must advance so later lifted expressions
-            // see the new symbolic value
-            let v = ctx.lift_ctrl(rhs);
-            ctx.genv.set(*config, *field, v);
-            Effect::seq(rd, Effect::GlobalWrite(*config, *field))
-        }
+        Stmt::WriteConfig { config, field, rhs } => Effect::seq(
+            effect_of_ctrl_expr(rhs, ctx),
+            Effect::GlobalWrite(*config, *field),
+        ),
         Stmt::If { cond, body, orelse } => {
             let c = ctx.lift_ctrl(cond);
             let crd = effect_of_ctrl_expr(cond, ctx);
-            let genv_before = ctx.genv.clone();
+            let entry = ctx.genv.clone();
             let then_e = effect_of_block(body, ctx);
-            ctx.genv = genv_before.clone();
+            ctx.genv = entry;
             let else_e = effect_of_block(orelse, ctx);
-            // conservative join for dataflow after the branch
-            ctx.genv = join_genv(genv_before, &ctx.genv.clone(), ctx.reg);
             Effect::seq_all(vec![
                 crd,
                 Effect::Guard(c.clone(), Box::new(then_e)),
@@ -326,10 +324,8 @@ fn effect_of_stmt(
             // within the body the iteration variable is free (bound by the
             // Loop node); remove any outer substitution for it
             let prev = ctx.ctrl.remove(iter);
-            let genv_before = ctx.genv.clone();
+            ctx.genv = after.clone();
             let body_e = effect_of_block(body, ctx);
-            // loop dataflow approximation (see globals.rs)
-            ctx.genv = widen_loop(&genv_before, &ctx.genv, *iter, ctx.reg);
             if let Some(p) = prev {
                 ctx.ctrl.insert(*iter, p);
             }
@@ -360,7 +356,9 @@ fn effect_of_stmt(
             rd
         }
         Stmt::Call { proc, args } => effect_of_call(proc, args, ctx),
-    }
+    };
+    ctx.genv = after;
+    eff
 }
 
 fn identity_for_alloc(s: &Stmt, name: Sym) -> SymView {
@@ -372,8 +370,9 @@ fn identity_for_alloc(s: &Stmt, name: Sym) -> SymView {
 
 fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> Effect {
     // build the callee context: control formals ↦ lifted actuals, data
-    // formals ↦ views derived from actuals
-    let mut ctrl = HashMap::new();
+    // formals ↦ views derived from actuals. The caller's own substitution
+    // stays in force: configuration values it wrote are in its names.
+    let mut ctrl = ctx.ctrl.clone();
     let mut views = HashMap::new();
     let mut arg_reads = Vec::new();
     for (formal, actual) in proc.args.iter().zip(args) {
@@ -410,29 +409,14 @@ fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> 
         }
     }
     // run extraction on the callee body with the caller's context maps
-    // swapped out (the dataflow environment flows through unchanged)
+    // swapped out (the dataflow environment flows in unchanged; `ValG`
+    // moves it past the call afterwards)
     let saved_ctrl = std::mem::replace(&mut ctx.ctrl, ctrl);
     let saved_views = std::mem::replace(&mut ctx.views, views);
     let body_e = effect_of_block(&proc.body, ctx);
     ctx.ctrl = saved_ctrl;
     ctx.views = saved_views;
     Effect::seq(Effect::seq_all(arg_reads), body_e)
-}
-
-fn join_genv(a: GlobalEnv, b: &GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
-    // conservative: any field valued differently on the two paths is ⊥
-    let mut out = a.clone();
-    let keys: Vec<(Sym, Sym)> = a.touched().chain(b.touched()).copied().collect();
-    for (c, f) in keys {
-        let va = a.value(c, f, reg);
-        let vb = b.value(c, f, reg);
-        if va == vb {
-            out.set(c, f, va);
-        } else {
-            out.set(c, f, EffExpr::Unknown);
-        }
-    }
-    out
 }
 
 fn effect_of_index_reads(idx: &[Expr], ctx: &mut ExtractCtx<'_>) -> Effect {

@@ -107,7 +107,7 @@ impl GlobalEnv {
     }
 
     /// Sets the symbolic value of a field.
-    pub fn set(&mut self, config: Sym, field: Sym, v: EffExpr) {
+    fn set(&mut self, config: Sym, field: Sym, v: EffExpr) {
         self.vals.insert((config, field), v);
     }
 
@@ -166,7 +166,11 @@ pub fn val_g_block(block: &[Stmt], env: GlobalEnv, reg: &mut GlobalReg) -> Globa
     env
 }
 
-fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
+/// `ValG` for one statement: the only rule that moves configuration state
+/// past a statement. For a loop the result is both the state after the
+/// loop and, for code inside the body, the state at the start of an
+/// arbitrary iteration (see [`widen_loop`]).
+pub(crate) fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
     match s {
         Stmt::WriteConfig { config, field, rhs } => {
             let v = lift_in_env(rhs, &env, reg);
@@ -215,12 +219,7 @@ fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> GlobalEnv {
 /// since the loop may run zero times. The result is both the environment
 /// after the loop and, for code inside the body, the environment at the
 /// start of an arbitrary iteration.
-pub(crate) fn widen_loop(
-    entry: &GlobalEnv,
-    after: &GlobalEnv,
-    iter: Sym,
-    reg: &mut GlobalReg,
-) -> GlobalEnv {
+fn widen_loop(entry: &GlobalEnv, after: &GlobalEnv, iter: Sym, reg: &mut GlobalReg) -> GlobalEnv {
     let mut out = entry.clone();
     for (&(c, f), v) in &after.vals {
         let mut fv = std::collections::BTreeSet::new();
@@ -245,15 +244,15 @@ fn val_g_call(proc: &Arc<Proc>, args: &[Expr], env: GlobalEnv, reg: &mut GlobalR
             subst.insert(formal.name, lift_in_env(actual, &env, reg));
         }
     }
-    let mut out = env.clone();
+    // the callee's symbolic values may reference the entry values of
+    // globals — substitute the caller's current values for those too
+    let globals: Vec<((Sym, Sym), Sym)> = reg.canon.iter().map(|(&k, &(s, _))| (k, s)).collect();
+    for ((gc, gf), gsym) in globals {
+        subst.insert(gsym, env.value(gc, gf, reg));
+    }
+    let mut out = env;
     for (&(c, f), v) in &callee_env.vals {
-        // the callee's symbolic value may reference the entry values of
-        // globals — substitute the caller's current values for those too
-        let mut gsub = subst.clone();
-        for (&(gc, gf), &(gsym, _)) in reg.canon.clone().iter() {
-            gsub.insert(gsym, env.value(gc, gf, reg));
-        }
-        out.set(c, f, v.subst(&gsub));
+        out.set(c, f, v.subst(&subst));
     }
     out
 }

@@ -5,8 +5,6 @@
 //! arithmetic with divisibility), standing in for the Z3 solver used by
 //! the original Exo implementation.
 //!
-//! * [`ternary`] — the three-valued logic of paper §5.1 with the `D`
-//!   ("definitely") and `M` ("maybe") collapsing operators;
 //! * [`linear`] — canonical linear expressions over ℤ;
 //! * [`formula`] — first-order formulas with quantifiers;
 //! * [`qe`] — Cooper-style quantifier elimination;
@@ -18,7 +16,9 @@
 //!
 //! Exo's quasi-affine restriction on control expressions (paper §3.1)
 //! guarantees that every safety condition the analyses generate lands in
-//! exactly this decidable fragment.
+//! exactly this decidable fragment. The three-valued logic of paper §5.1
+//! is not here: `exo-analysis` lowers each ternary value to a pair of
+//! classical formulas (appendix B) before it reaches the solver.
 
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
@@ -29,10 +29,8 @@ pub mod formula;
 pub mod linear;
 pub mod qe;
 pub mod solver;
-pub mod ternary;
 
 pub use canon::canonicalize;
 pub use formula::{Atom, Formula};
 pub use linear::LinExpr;
 pub use solver::{Answer, Solver};
-pub use ternary::TBool;

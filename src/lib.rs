@@ -41,7 +41,7 @@
 //!
 //! * [`core`] — IR, builder, checks, printer
 //! * [`front`] — text syntax parser
-//! * [`smt`] — ternary logic + Presburger solver
+//! * [`smt`] — Presburger solver
 //! * [`analysis`] — effects, location sets, safety conditions
 //! * [`sched`] — the scheduling operators (paper Fig. 2)
 //! * [`codegen`] — C emission with user memories/instructions
