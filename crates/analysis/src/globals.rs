@@ -111,11 +111,6 @@ impl GlobalEnv {
         self.vals.insert((config, field), v);
     }
 
-    /// The fields this environment has (possibly) modified.
-    pub fn touched(&self) -> impl Iterator<Item = &(Sym, Sym)> {
-        self.vals.keys()
-    }
-
     /// Whether the environment is the identity.
     pub fn is_identity(&self) -> bool {
         self.vals.is_empty()

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use exo_analysis::{check_bounds, effect_of_proc, EffExpr, Effect, GlobalReg, SharedCheckCtx};
-use exo_core::build::ProcBuilder;
+use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
 use exo_core::Sym;
@@ -129,4 +129,31 @@ fn effect_in_loop_body_reads_the_loop_state() {
         idx.has_unknown(),
         "later iterations read Cfg.n = i: {idx:?}"
     );
+}
+
+#[test]
+fn effect_in_nested_callee_reads_outer_callee_config() {
+    // inner(y): y[Cfg.n] = 1.0
+    // outer(m, x): Cfg.n = m; inner(x)
+    // p(A): outer(5, A)   — the write lands at A[5]
+    let n = cfg_n();
+    let mut ib = ProcBuilder::new("inner");
+    let y = ib.tensor("y", DataType::F32, vec![Expr::int(8)]);
+    ib.assign(y, vec![read_n(n)], Expr::float(1.0));
+    let inner = ib.finish();
+
+    let mut ob = ProcBuilder::new("outer");
+    let m = ob.size("m");
+    let x = ob.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    ob.write_config(n.0, n.1, Expr::var(m));
+    ob.call(&inner, vec![read(x, vec![])]);
+    let outer = ob.finish();
+
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(8)]);
+    b.call(&outer, vec![Expr::int(5), read(a, vec![])]);
+    let p = b.finish();
+
+    let idx = write_index(&effect_of_proc(&p, &mut GlobalReg::new()), a).expect("A is written");
+    assert_eq!(idx, EffExpr::Int(5));
 }
