@@ -303,3 +303,67 @@ fn reorder_stmts_sees_config_read_before_write_in_loop() {
     // iteration 5 writes A[4 * 25]: the swap would leave A[100] = 1.0
     assert!(p.reorder_stmts("for i in _: _").is_err());
 }
+
+/// `Cfg.n = 0` followed by `for i in seq(0, 4)` over `A[Cfg.n] = 1.0;
+/// Cfg.n = 5`, the head shared by the two loop-state tests below.
+fn write_then_bump(b: &mut ProcBuilder, a: Sym, cfg: Sym, n: Sym) -> Sym {
+    b.write_config(cfg, n, Expr::int(0));
+    let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+    let cfg_n = Expr::ReadConfig {
+        config: cfg,
+        field: n,
+    };
+    b.assign(a, vec![cfg_n], Expr::float(1.0));
+    b.write_config(cfg, n, Expr::int(5));
+    i
+}
+
+#[test]
+fn fission_after_sees_config_written_in_an_earlier_iteration() {
+    // Cfg.n = 0
+    // for i in seq(0, 4):
+    //     A[Cfg.n] = 1.0
+    //     Cfg.n = 5
+    //     A[100 + i] = A[5]
+    let (cfg, n) = (Sym::new("Cfg"), Sym::new("n"));
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(200)]);
+    let i = write_then_bump(&mut b, a, cfg, n);
+    b.assign(
+        a,
+        vec![Expr::int(100).add(Expr::var(i))],
+        read(a, vec![Expr::int(5)]),
+    );
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    assert_eq!(a100(p.proc()), 0.0);
+    // iteration 1 writes A[5]: after the fission A[100] would read 1.0
+    assert!(p.fission_after("Cfg.n = _ #1").is_err());
+}
+
+#[test]
+fn fuse_loop_sees_config_written_in_an_earlier_iteration() {
+    // Cfg.n = 0
+    // for i in seq(0, 4):
+    //     A[Cfg.n] = 1.0
+    //     Cfg.n = 5
+    // for j in seq(0, 4):
+    //     A[100 + j] = A[5]
+    let (cfg, n) = (Sym::new("Cfg"), Sym::new("n"));
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(200)]);
+    write_then_bump(&mut b, a, cfg, n);
+    b.end_for();
+    let j = b.begin_for("j", Expr::int(0), Expr::int(4));
+    b.assign(
+        a,
+        vec![Expr::int(100).add(Expr::var(j))],
+        read(a, vec![Expr::int(5)]),
+    );
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    assert_eq!(a100(p.proc()), 1.0);
+    // fused, iteration 0 reads A[5] before iteration 1 writes it: A[100]
+    // would be 0.0
+    assert!(p.fuse_loop("for i in _: _").is_err());
+}

@@ -33,15 +33,18 @@ enum RandStmt {
     /// 2-D loop nest writing the matrix buffer
     Loop2 { reduce: bool, transpose: bool },
     /// `Cfg.k = base; for c in 0..8: { if n < thresh: Cfg.k = alt;
-    /// X[Cfg.k] = Y[c] + 1.0; Cfg.k = c }` — a configuration write under
-    /// a guard on the size argument, and a read of configuration state
-    /// inside a loop before the body overwrites it
+    /// X[Cfg.k] = Y[c] + 1.0; Cfg.k = c; Y[c + 8] = X[cell] }` — a
+    /// configuration write under a guard on the size argument, a read of
+    /// configuration state inside a loop before the body overwrites it,
+    /// and a read of one fixed cell after the last write, which an earlier
+    /// iteration's `X[Cfg.k]` may have written
     Config {
         dst: u8,
         src: u8,
         base: i64,
         alt: i64,
         thresh: i64,
+        cell: i64,
     },
 }
 
@@ -58,15 +61,16 @@ fn arb_program() -> impl Strategy<Value = RandProgram> {
         ),
         (any::<bool>(), any::<bool>())
             .prop_map(|(reduce, transpose)| RandStmt::Loop2 { reduce, transpose }),
-        (0u8..2, 0u8..2, 0i64..16, 0i64..16, 1i64..5).prop_map(|(dst, src, base, alt, thresh)| {
-            RandStmt::Config {
+        (0u8..2, 0u8..2, 0i64..16, 0i64..16, 1i64..5, 0i64..8).prop_map(
+            |(dst, src, base, alt, thresh, cell)| RandStmt::Config {
                 dst,
                 src,
                 base,
                 alt,
                 thresh,
+                cell,
             }
-        }),
+        ),
     ];
     proptest::collection::vec(stmt, 1..4).prop_map(|stmts| RandProgram { stmts })
 }
@@ -128,6 +132,7 @@ fn build(p: &RandProgram) -> Arc<Proc> {
                 base,
                 alt,
                 thresh,
+                cell,
             } => {
                 b.write_config(cfg, k, Expr::int(*base));
                 let c = b.begin_for("c", Expr::int(0), Expr::int(8));
@@ -141,6 +146,11 @@ fn build(p: &RandProgram) -> Arc<Proc> {
                 let rhs = read(bufs[*src as usize], vec![Expr::var(c)]).add(Expr::float(1.0));
                 b.assign(bufs[*dst as usize], vec![cfg_k], rhs);
                 b.write_config(cfg, k, Expr::var(c));
+                b.assign(
+                    bufs[*src as usize],
+                    vec![Expr::var(c).add(Expr::int(8))],
+                    read(bufs[*dst as usize], vec![Expr::int(*cell)]),
+                );
                 b.end_for();
             }
         }
@@ -155,6 +165,7 @@ enum Directive {
     SplitGuard(u8, i64),
     Reorder,
     FissionAfterFirst,
+    FuseLoop(u8),
     ReorderStmts(u8),
     PartitionLoop(u8, i64),
     Unroll(u8),
@@ -168,6 +179,7 @@ fn arb_directive() -> impl Strategy<Value = Directive> {
         (0u8..2, 2i64..6).prop_map(|(w, c)| Directive::SplitGuard(w, c)),
         Just(Directive::Reorder),
         Just(Directive::FissionAfterFirst),
+        (0u8..2).prop_map(Directive::FuseLoop),
         (0u8..5).prop_map(Directive::ReorderStmts),
         (0u8..2, 1i64..7).prop_map(|(w, c)| Directive::PartitionLoop(w, c)),
         (0u8..2).prop_map(Directive::Unroll),
@@ -195,12 +207,22 @@ fn apply(p: &Procedure, d: &Directive) -> Option<Procedure> {
                 "x[_] += _",
                 "y[_] += _",
                 "m[_,_] = _",
+                // the loop's last configuration write (after `Cfg.k =
+                // base` and the guarded `Cfg.k = alt`)
+                "Cfg.k = _ #2",
             ] {
                 if let Ok(q) = p.fission_after(pat) {
                     return Some(q);
                 }
             }
             None
+        }
+        Directive::FuseLoop(w) => {
+            let pats = ["for c in _: _", "for i in _: _"];
+            let first = *w as usize;
+            [pats[first], pats[1 - first]]
+                .into_iter()
+                .find_map(|pat| p.fuse_loop(pat).ok())
         }
         Directive::ReorderStmts(first) => {
             let pats = [
