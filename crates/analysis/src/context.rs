@@ -6,12 +6,14 @@
 //! configuration fields on entry to the site; and `PostEff` — a
 //! conservative effect of the code executing after the site. The
 //! context-extension rule (§6.2) combines these to lift a local
-//! equivalence to an equivalence of whole procedures.
+//! equivalence to an equivalence of whole procedures. A [`SiteQuery`]
+//! poses a rewrite's safety obligation at its site.
 
 use exo_core::ir::{ArgType, Block, Expr, Proc, Stmt};
 use exo_core::path::{PathStep, StmtPath};
 use exo_core::Sym;
 use exo_smt::formula::Formula;
+use exo_smt::solver::Answer;
 
 use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
@@ -132,6 +134,92 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
     None
 }
 
+/// A rewrite site's safety obligations, posed one way (§3.3, §5.7–5.8,
+/// §6): expressions are lifted and effects extracted in the site's
+/// `PreValG` state, and every goal is checked under the site's
+/// assumptions. An `Unknown` answer is the caller's to reject.
+pub struct SiteQuery<'a> {
+    proc: &'a Proc,
+    check: &'a SharedCheckCtx,
+    /// The site's context.
+    pub site: SiteCtx,
+    /// Lowering state shared by the goal and the hypothesis: lower the
+    /// goal here before posing it.
+    pub lctx: LowerCtx,
+    /// Canonical global names.
+    pub reg: &'a mut GlobalReg,
+}
+
+impl<'a> SiteQuery<'a> {
+    /// The query at `path` in `proc`; `None` if the path is invalid.
+    pub fn new(
+        proc: &'a Proc,
+        path: &StmtPath,
+        reg: &'a mut GlobalReg,
+        check: &'a SharedCheckCtx,
+    ) -> Option<SiteQuery<'a>> {
+        let site = site_ctx(proc, path, reg)?;
+        Some(SiteQuery {
+            proc,
+            check,
+            site,
+            lctx: LowerCtx::new(),
+            reg,
+        })
+    }
+
+    /// Lifts a control expression in the site's state.
+    pub fn lift(&mut self, e: &Expr) -> EffExpr {
+        lift_in_env(e, &self.site.genv, self.reg)
+    }
+
+    /// The effect of `stmts` run at the site.
+    pub fn effect(&mut self, stmts: &[Stmt]) -> Effect {
+        effect_of_stmts_at(self.proc, stmts, &self.site.genv, self.reg)
+    }
+
+    /// The effects of consecutive `parts` of a loop body. `loops` holds
+    /// the loop at the site and then any loops nested in it, outermost
+    /// first; the parts make up (part of) the innermost one's body. The
+    /// first part starts in the innermost loop's `ValG` state — the state
+    /// at the start of an arbitrary iteration — and each later part in
+    /// the state after the parts before it.
+    pub fn body_effects<const N: usize>(
+        &mut self,
+        loops: &[&Stmt],
+        parts: [&[Stmt]; N],
+    ) -> [Effect; N] {
+        let mut genv = self.site.genv.clone();
+        for lp in loops {
+            genv = val_g_stmt(lp, genv, self.reg);
+        }
+        let mut ctx = extract_ctx(self.proc, &genv, self.reg);
+        parts.map(|part| effect_of_block(part, &mut ctx))
+    }
+
+    /// Whether `goal` (lowered in [`Self::lctx`]) is valid under the
+    /// site's hypothesis: its assumptions and the lowering's side
+    /// constraints.
+    pub fn valid(&mut self, goal: Formula) -> Answer {
+        let hyp = self.hypothesis();
+        self.check.check_valid(&hyp.implies(goal))
+    }
+
+    /// Whether `f` (lowered in [`Self::lctx`]) is satisfiable together
+    /// with the site's hypothesis.
+    pub fn sat(&mut self, f: Formula) -> Answer {
+        let hyp = self.hypothesis();
+        self.check.check_sat(&Formula::and(vec![hyp, f]))
+    }
+
+    fn hypothesis(&mut self) -> Formula {
+        Formula::and(vec![
+            self.site.assumptions(&mut self.lctx),
+            self.lctx.assumptions(),
+        ])
+    }
+}
+
 /// `PostEff`: a conservative effect of everything that executes after
 /// the site (later siblings at every level, plus — for enclosing loops —
 /// the whole loop again, covering the remaining iterations).
@@ -179,19 +267,25 @@ fn collect_post(
     }
 }
 
-/// Extracts the effect of statements as they appear at a site: views are
-/// seeded from every allocation/window in the procedure, and the
-/// dataflow environment (`PreValG`) is taken from the site.
-pub fn effect_of_stmts_at(
+/// Extracts the effect of statements as they appear at a site in state
+/// `genv`.
+fn effect_of_stmts_at(
     proc: &Proc,
     stmts: &[Stmt],
     genv: &GlobalEnv,
     reg: &mut GlobalReg,
 ) -> Effect {
+    effect_of_block(stmts, &mut extract_ctx(proc, genv, reg))
+}
+
+/// An extraction context for code at a site: views are seeded from every
+/// allocation/window in the procedure, and the dataflow environment is
+/// `genv`.
+fn extract_ctx<'r>(proc: &Proc, genv: &GlobalEnv, reg: &'r mut GlobalReg) -> ExtractCtx<'r> {
     let mut ctx = ExtractCtx::for_proc(proc, reg);
     seed_views(&proc.body, &mut ctx);
     ctx.genv = genv.clone();
-    effect_of_block(stmts, &mut ctx)
+    ctx
 }
 
 fn seed_views(block: &Block, ctx: &mut ExtractCtx<'_>) {

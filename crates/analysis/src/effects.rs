@@ -282,7 +282,7 @@ fn effect_of_stmt(
             let view = ctx.view_of(*buf);
             let coords: Vec<EffExpr> = idx.iter().map(|e| ctx.lift_ctrl(e)).collect();
             let rd = effect_of_data_expr(rhs, ctx);
-            let idx_rd = effect_of_index_reads(idx, ctx);
+            let idx_rd = effect_of_index_reads(idx);
             Effect::seq_all(vec![
                 rd,
                 idx_rd,
@@ -293,7 +293,7 @@ fn effect_of_stmt(
             let view = ctx.view_of(*buf);
             let coords: Vec<EffExpr> = idx.iter().map(|e| ctx.lift_ctrl(e)).collect();
             let rd = effect_of_data_expr(rhs, ctx);
-            let idx_rd = effect_of_index_reads(idx, ctx);
+            let idx_rd = effect_of_index_reads(idx);
             Effect::seq_all(vec![
                 rd,
                 idx_rd,
@@ -301,12 +301,12 @@ fn effect_of_stmt(
             ])
         }
         Stmt::WriteConfig { config, field, rhs } => Effect::seq(
-            effect_of_ctrl_expr(rhs, ctx),
+            effect_of_ctrl_expr(rhs),
             Effect::GlobalWrite(*config, *field),
         ),
         Stmt::If { cond, body, orelse } => {
             let c = ctx.lift_ctrl(cond);
-            let crd = effect_of_ctrl_expr(cond, ctx);
+            let crd = effect_of_ctrl_expr(cond);
             let entry = ctx.genv.clone();
             let then_e = effect_of_block(body, ctx);
             ctx.genv = entry;
@@ -320,7 +320,7 @@ fn effect_of_stmt(
         Stmt::For { iter, lo, hi, body } => {
             let lo_e = ctx.lift_ctrl(lo);
             let hi_e = ctx.lift_ctrl(hi);
-            let bound_rd = Effect::seq(effect_of_ctrl_expr(lo, ctx), effect_of_ctrl_expr(hi, ctx));
+            let bound_rd = Effect::seq(effect_of_ctrl_expr(lo), effect_of_ctrl_expr(hi));
             // within the body the iteration variable is free (bound by the
             // Loop node); remove any outer substitution for it
             let prev = ctx.ctrl.remove(iter);
@@ -347,7 +347,7 @@ fn effect_of_stmt(
             let (view, rd) = match rhs {
                 Expr::Window { buf, coords } => {
                     let base = ctx.view_of(*buf);
-                    let rd = effect_of_window_reads(coords, ctx);
+                    let rd = effect_of_window_reads(coords);
                     (base.window(coords, ctx), rd)
                 }
                 _ => (SymView::identity(*name, 0), Effect::Empty),
@@ -379,7 +379,7 @@ fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> 
         match &formal.ty {
             ArgType::Ctrl(_) => {
                 ctrl.insert(formal.name, ctx.lift_ctrl(actual));
-                arg_reads.push(effect_of_ctrl_expr(actual, ctx));
+                arg_reads.push(effect_of_ctrl_expr(actual));
             }
             ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
                 let view = match actual {
@@ -389,12 +389,12 @@ fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> 
                         let base = ctx.view_of(*buf);
                         let coords: Vec<WAccess> =
                             idx.iter().map(|e| WAccess::Point(e.clone())).collect();
-                        arg_reads.push(effect_of_index_reads(idx, ctx));
+                        arg_reads.push(effect_of_index_reads(idx));
                         base.window(&coords, ctx)
                     }
                     Expr::Window { buf, coords } => {
                         let base = ctx.view_of(*buf);
-                        arg_reads.push(effect_of_window_reads(coords, ctx));
+                        arg_reads.push(effect_of_window_reads(coords));
                         base.window(coords, ctx)
                     }
                     other => {
@@ -419,18 +419,18 @@ fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> 
     Effect::seq(Effect::seq_all(arg_reads), body_e)
 }
 
-fn effect_of_index_reads(idx: &[Expr], ctx: &mut ExtractCtx<'_>) -> Effect {
-    Effect::seq_all(idx.iter().map(|e| effect_of_ctrl_expr(e, ctx)).collect())
+fn effect_of_index_reads(idx: &[Expr]) -> Effect {
+    Effect::seq_all(idx.iter().map(effect_of_ctrl_expr).collect())
 }
 
-fn effect_of_window_reads(coords: &[WAccess], ctx: &mut ExtractCtx<'_>) -> Effect {
+fn effect_of_window_reads(coords: &[WAccess]) -> Effect {
     Effect::seq_all(
         coords
             .iter()
             .map(|c| match c {
-                WAccess::Point(p) => effect_of_ctrl_expr(p, ctx),
+                WAccess::Point(p) => effect_of_ctrl_expr(p),
                 WAccess::Interval(lo, hi) => {
-                    Effect::seq(effect_of_ctrl_expr(lo, ctx), effect_of_ctrl_expr(hi, ctx))
+                    Effect::seq(effect_of_ctrl_expr(lo), effect_of_ctrl_expr(hi))
                 }
             })
             .collect(),
@@ -438,14 +438,13 @@ fn effect_of_window_reads(coords: &[WAccess], ctx: &mut ExtractCtx<'_>) -> Effec
 }
 
 /// The read effects of a control expression (configuration reads).
-fn effect_of_ctrl_expr(e: &Expr, ctx: &mut ExtractCtx<'_>) -> Effect {
+pub fn effect_of_ctrl_expr(e: &Expr) -> Effect {
     let mut parts = Vec::new();
     visit::visit_expr(e, &mut |e| {
         if let Expr::ReadConfig { config, field } = e {
             parts.push(Effect::GlobalRead(*config, *field));
         }
     });
-    let _ = ctx;
     Effect::seq_all(parts)
 }
 
@@ -456,7 +455,7 @@ fn effect_of_data_expr(e: &Expr, ctx: &mut ExtractCtx<'_>) -> Effect {
             let view = ctx.view_of(*buf);
             let coords: Vec<EffExpr> = idx.iter().map(|x| ctx.lift_ctrl(x)).collect();
             Effect::seq(
-                effect_of_index_reads(idx, ctx),
+                effect_of_index_reads(idx),
                 Effect::Read(view.buf, view.translate(&coords)),
             )
         }

@@ -17,7 +17,9 @@
 //! * [`conditions`] — `Commutes`, `Shadows`, and the loop-rewrite
 //!   conditions (§5.7–5.8);
 //! * [`context`] — one-holed-context quantities `CtrlPred` / `PreValG` /
-//!   `PostEff` and the context-extension rule (§6);
+//!   `PostEff`, the context-extension rule (§6), and
+//!   [`context::SiteQuery`], through which every safety obligation is
+//!   posed at its site;
 //! * [`bounds`] — static bounds checking and call-site assertion
 //!   checking, whole-procedure ([`check_bounds`]) or scoped to the
 //!   subtree a rewrite dirtied ([`check_bounds_at`]);

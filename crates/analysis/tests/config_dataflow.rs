@@ -1,13 +1,16 @@
 //! Configuration state seen by the bounds checker and the effect
 //! extractor: both must move it past every statement with the one `ValG`
 //! rule (paper §5.3), including calls, both branches of an `if`, and the
-//! state at the start of an arbitrary loop iteration.
+//! state at the start of an arbitrary loop iteration — also when a site
+//! query extracts parts of a loop body.
 
 use std::sync::Arc;
 
+use exo_analysis::context::SiteQuery;
 use exo_analysis::{check_bounds, effect_of_proc, EffExpr, Effect, GlobalReg, SharedCheckCtx};
 use exo_core::build::{read, ProcBuilder};
-use exo_core::ir::{Expr, Proc};
+use exo_core::ir::{Expr, Proc, Stmt};
+use exo_core::path::StmtPath;
 use exo_core::types::DataType;
 use exo_core::Sym;
 
@@ -156,4 +159,53 @@ fn effect_in_nested_callee_reads_outer_callee_config() {
 
     let idx = write_index(&effect_of_proc(&p, &mut GlobalReg::new()), a).expect("A is written");
     assert_eq!(idx, EffExpr::Int(5));
+}
+
+#[test]
+fn site_query_body_parts_read_the_loop_state() {
+    // Cfg.n = 0
+    // for i in seq(0, 4):
+    //     A[Cfg.n] = 1.0
+    //     Cfg.n = 5
+    //     for j in seq(0, 2):
+    //         B[Cfg.n + j] = 2.0
+    let n = cfg_n();
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(16)]);
+    let bb = b.tensor("B", DataType::F32, vec![Expr::int(16)]);
+    b.write_config(n.0, n.1, Expr::int(0));
+    b.begin_for("i", Expr::int(0), Expr::int(4));
+    b.assign(a, vec![read_n(n)], Expr::float(1.0));
+    b.write_config(n.0, n.1, Expr::int(5));
+    let j = b.begin_for("j", Expr::int(0), Expr::int(2));
+    b.assign(bb, vec![read_n(n).add(Expr::var(j))], Expr::float(2.0));
+    b.end_for();
+    b.end_for();
+    let p = b.finish();
+    let outer = &p.body[1];
+    let Stmt::For { body, .. } = outer else {
+        panic!("statement 1 is the loop over i");
+    };
+
+    let (mut reg, check) = (GlobalReg::new(), SharedCheckCtx::fresh());
+    let mut q = SiteQuery::new(&p, &StmtPath::top(1), &mut reg, &check).expect("valid path");
+    // the site itself is in the loop-entry state
+    assert_eq!(q.lift(&read_n(n)), EffExpr::Int(0));
+    // an arbitrary iteration starts with Cfg.n unknown; the second part
+    // starts after the first part's write
+    let [first, second] = q.body_effects(&[outer], [&body[..2], &body[2..]]);
+    let a_idx = write_index(&first, a).expect("A is written");
+    assert!(
+        a_idx.has_unknown(),
+        "iteration 1 reads Cfg.n = 5: {a_idx:?}"
+    );
+    let b_idx = write_index(&second, bb).expect("B is written");
+    assert!(!b_idx.has_unknown(), "{b_idx:?}");
+    // nested loops compose: the inner body starts in the outer loop's state
+    let Stmt::For { body: inner, .. } = &body[2] else {
+        panic!("statement 2 of the body is the loop over j");
+    };
+    let [nested] = q.body_effects(&[outer, &body[2]], [inner]);
+    let idx = write_index(&nested, bb).expect("B is written");
+    assert!(idx.has_unknown(), "{idx:?}");
 }

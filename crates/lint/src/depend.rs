@@ -36,12 +36,11 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use exo_analysis::conditions::bd;
-use exo_analysis::context::{effect_of_stmts_at, site_ctx, SiteCtx};
+use exo_analysis::context::SiteQuery;
 use exo_analysis::{EffExpr, Effect, GlobalReg, LowerCtx, SharedCheckCtx};
 use exo_core::ir::{BinOp, Stmt};
 use exo_core::path::{stmt_at, visit_paths, StmtPath};
 use exo_core::{Proc, Sym};
-use exo_smt::formula::Formula;
 use exo_smt::solver::Answer;
 
 /// An error from the analysis driver itself (bad path, not a loop).
@@ -359,16 +358,13 @@ fn pair_hypothesis(x: Sym, x2: Sym, lo: &EffExpr, hi: &EffExpr) -> EffExpr {
 /// index equality — with `a2`'s copy alpha-freshened (`x ↦ x′`, inner
 /// effect-loop binders renamed) so the two iterations are unrelated.
 /// Returns the answer plus `a2`'s substituted index (for rendering).
-#[allow(clippy::too_many_arguments)]
 fn pair_collides(
     a1: &Atom,
     a2: &Atom,
     x: Sym,
     x2: Sym,
-    lo: &EffExpr,
-    hi: &EffExpr,
-    site: &SiteCtx,
-    check: &SharedCheckCtx,
+    (lo, hi): (&EffExpr, &EffExpr),
+    q: &mut SiteQuery<'_>,
 ) -> (Answer, Vec<EffExpr>) {
     let mut map: HashMap<Sym, EffExpr> = HashMap::new();
     map.insert(x, EffExpr::Var(x2));
@@ -386,14 +382,10 @@ fn pair_collides(
         conj = conj.and(e1.clone().eq(e2.clone()));
     }
 
-    let mut lctx = LowerCtx::new();
-    let m_conflict = lctx.lower_bool(&conj).maybe();
-    let query = Formula::and(vec![
-        site.assumptions(&mut lctx),
-        lctx.assumptions(),
-        m_conflict,
-    ]);
-    (check.check_sat(&query), idx2)
+    // each pair is its own probe: start from a fresh lowering
+    q.lctx = LowerCtx::new();
+    let m_conflict = q.lctx.lower_bool(&conj).maybe();
+    (q.sat(m_conflict), idx2)
 }
 
 /// Builds the witness record for a confirmed colliding pair.
@@ -424,7 +416,7 @@ pub fn classify_loop(
     check: &SharedCheckCtx,
     reg: &mut GlobalReg,
 ) -> Result<LoopVerdict, LintError> {
-    let Some(Stmt::For { iter, lo, hi, body }) = stmt_at(&proc.body, path) else {
+    let Some(lp @ Stmt::For { iter, lo, hi, body }) = stmt_at(&proc.body, path) else {
         return Err(lerr(format!(
             "classify_loop: no for-loop at path {path} in {}",
             proc.name.name()
@@ -435,12 +427,12 @@ pub fn classify_loop(
     let _attr = exo_obs::AttrGuard::fallback("lint", iter.name());
     let _span = exo_obs::Span::enter("lint.classify_loop")
         .with_field("iter", exo_obs::Json::Str(iter.name()));
-    let site = site_ctx(proc, path, reg)
+    let mut q = SiteQuery::new(proc, path, reg, check)
         .ok_or_else(|| lerr(format!("classify_loop: invalid path {path}")))?;
-    let lo_e = exo_analysis::globals::lift_in_env(lo, &site.genv, reg);
-    let hi_e = exo_analysis::globals::lift_in_env(hi, &site.genv, reg);
+    let lo_e = q.lift(lo);
+    let hi_e = q.lift(hi);
 
-    let eff = effect_of_stmts_at(proc, body, &site.genv, reg);
+    let [eff] = q.body_effects(&[lp], [body]);
     // Buffers allocated inside the body (staged tiles, spilled registers)
     // are iteration-private — exclude them from the dependence question.
     let mut private = HashSet::new();
@@ -476,7 +468,7 @@ pub fn classify_loop(
             if !reduce_pair && !conflicting(a1.kind, a2.kind) {
                 continue; // read/read
             }
-            let (ans, idx2) = pair_collides(a1, a2, x, x2, &lo_e, &hi_e, &site, check);
+            let (ans, idx2) = pair_collides(a1, a2, x, x2, (&lo_e, &hi_e), &mut q);
             if reduce_pair {
                 // Yes or Unknown: cover the buffer with a reduction
                 // clause — sound either way, a clause over a location

@@ -19,15 +19,14 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use exo_analysis::globals::lift_in_env;
-use exo_analysis::{EffExpr, GlobalReg, LowerCtx, SharedCheckCtx};
+use exo_analysis::context::SiteQuery;
+use exo_analysis::{EffExpr, GlobalReg, SharedCheckCtx};
 use exo_core::diag::{Diagnostic, Severity};
 use exo_core::ir::{Expr, Stmt, WAccess};
 use exo_core::path::{stmt_at, visit_paths, StmtPath};
 use exo_core::types::DataType;
 use exo_core::visit::visit_stmt_exprs;
 use exo_core::{Proc, Sym};
-use exo_smt::formula::Formula;
 use exo_smt::solver::Answer;
 
 use crate::depend::render_effexpr;
@@ -366,20 +365,17 @@ fn walk_clobber(
 // provably may overlap.
 // ---------------------------------------------------------------------
 
-/// One window as a per-dimension box `[lo, hi)` over its base buffer.
-fn window_box(
-    coords: &[WAccess],
-    genv: &exo_analysis::GlobalEnv,
-    reg: &mut GlobalReg,
-) -> Vec<(EffExpr, EffExpr)> {
+/// One window as a per-dimension box `[lo, hi)` over its base buffer,
+/// lifted at the query's site.
+fn window_box(coords: &[WAccess], q: &mut SiteQuery<'_>) -> Vec<(EffExpr, EffExpr)> {
     coords
         .iter()
         .map(|c| match c {
             WAccess::Point(e) => {
-                let p = lift_in_env(e, genv, reg);
+                let p = q.lift(e);
                 (p.clone(), p.add(EffExpr::Int(1)))
             }
-            WAccess::Interval(lo, hi) => (lift_in_env(lo, genv, reg), lift_in_env(hi, genv, reg)),
+            WAccess::Interval(lo, hi) => (q.lift(lo), q.lift(hi)),
         })
         .collect()
 }
@@ -408,25 +404,19 @@ fn rule_window_alias(
             }
             // Pose the overlap question at the later window's site so
             // both sets of coordinates are in scope.
-            let Some(site) = exo_analysis::context::site_ctx(proc, p2, reg) else {
+            let Some(mut q) = SiteQuery::new(proc, p2, reg, check) else {
                 continue;
             };
-            let box1 = window_box(c1, &site.genv, reg);
-            let box2 = window_box(c2, &site.genv, reg);
+            let box1 = window_box(c1, &mut q);
+            let box2 = window_box(c2, &mut q);
             let mut overlap = EffExpr::Bool(true);
             for ((lo1, hi1), (lo2, hi2)) in box1.iter().zip(box2.iter()) {
                 overlap = overlap
                     .and(lo1.clone().lt(hi2.clone()))
                     .and(lo2.clone().lt(hi1.clone()));
             }
-            let mut lctx = LowerCtx::new();
-            let m_overlap = lctx.lower_bool(&overlap).maybe();
-            let query = Formula::and(vec![
-                site.assumptions(&mut lctx),
-                lctx.assumptions(),
-                m_overlap,
-            ]);
-            if check.check_sat(&query) == Answer::Yes {
+            let m_overlap = q.lctx.lower_bool(&overlap).maybe();
+            if q.sat(m_overlap) == Answer::Yes {
                 out.push(
                     diag(
                         "window-alias",
@@ -535,15 +525,16 @@ fn rule_empty_loop(
         let Some(Stmt::For { iter, lo, hi, .. }) = stmt_at(&proc.body, &path) else {
             continue;
         };
-        let Some(site) = exo_analysis::context::site_ctx(proc, &path, reg) else {
+        let Some(mut q) = SiteQuery::new(proc, &path, reg, check) else {
             continue;
         };
-        let lo_e = lift_in_env(lo, &site.genv, reg);
-        let hi_e = lift_in_env(hi, &site.genv, reg);
-        let mut lctx = LowerCtx::new();
-        let empty = lctx.lower_bool(&hi_e.clone().le(lo_e.clone())).definitely();
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        if check.check_valid(&hyp.implies(empty)) == Answer::Yes {
+        let lo_e = q.lift(lo);
+        let hi_e = q.lift(hi);
+        let empty = q
+            .lctx
+            .lower_bool(&hi_e.clone().le(lo_e.clone()))
+            .definitely();
+        if q.valid(empty) == Answer::Yes {
             out.push(diag(
                 "empty-loop",
                 Severity::Warning,

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use exo_obs::{ProvenanceEvent, Verdict};
 
-use exo_analysis::context::{site_ctx, SiteCtx};
+use exo_analysis::context::{context_extension_ok, SiteQuery};
 use exo_analysis::globals::GlobalReg;
 use exo_analysis::SharedCheckCtx;
 use exo_core::budget::ResourceBudget;
@@ -119,7 +119,7 @@ pub(crate) fn serr<T>(message: impl Into<String>) -> Result<T, SchedError> {
 /// `Procedure` untouched and the state holds only monotonic caches), so a
 /// panic that poisoned the mutex left no half-applied update behind and the
 /// guard can be taken over safely.
-pub(crate) fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
+fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -527,28 +527,62 @@ impl Procedure {
         self
     }
 
-    /// Builds the [`SiteCtx`] for a path.
-    pub(crate) fn site(&self, path: &StmtPath) -> Result<SiteCtx, SchedError> {
-        let mut st = lock_state(&self.state);
-        site_ctx(&self.proc, path, &mut st.reg)
-            .ok_or_else(|| SchedError::new(format!("invalid statement path {path}")))
+    /// Runs `f` on the scheduling state's registry and checking context,
+    /// holding the state's lock throughout (lock order `SchedState →
+    /// SharedCheckCtx`).
+    pub(crate) fn analysis<T>(&self, f: impl FnOnce(&mut GlobalReg, &SharedCheckCtx) -> T) -> T {
+        let mut guard = lock_state(&self.state);
+        let st = &mut *guard;
+        f(&mut st.reg, &st.check)
     }
 
-    /// Checks that `condition` is valid under the site assumptions and
-    /// lowering side constraints; fails safe on `Unknown`.
-    pub(crate) fn require_valid(
+    /// Runs `f` on the [`SiteQuery`] at `path`.
+    pub(crate) fn query<T>(
         &self,
-        hyp: Formula,
-        condition: Formula,
+        path: &StmtPath,
+        f: impl FnOnce(&mut SiteQuery<'_>) -> Result<T, SchedError>,
+    ) -> Result<T, SchedError> {
+        self.analysis(|reg, check| {
+            let mut q = SiteQuery::new(&self.proc, path, reg, check)
+                .ok_or_else(|| SchedError::new(format!("invalid statement path {path}")))?;
+            f(&mut q)
+        })
+    }
+
+    /// Proves the goal `f` poses at `path` valid under the site's
+    /// hypothesis; fails safe on `Unknown`.
+    pub(crate) fn prove(
+        &self,
+        path: &StmtPath,
         what: &str,
+        f: impl FnOnce(&mut SiteQuery<'_>) -> Formula,
     ) -> Result<(), SchedError> {
-        let st = lock_state(&self.state);
-        let goal = hyp.implies(condition);
-        match st.check.check_valid(&goal) {
-            Answer::Yes => Ok(()),
-            Answer::No => serr(format!("{what}: safety condition refuted")),
-            Answer::Unknown => serr(format!("{what}: solver gave up (failing safe)")),
-        }
+        self.query(path, |q| {
+            let goal = f(q);
+            require(q.valid(goal), what)
+        })
+    }
+
+    /// The context-extension check (§6.2) for `rewritten`, which pollutes
+    /// `polluted` at `path`: later code never reads those fields.
+    pub(crate) fn extends_context(
+        &self,
+        rewritten: &Procedure,
+        path: &StmtPath,
+        polluted: &[(Sym, Sym)],
+    ) -> bool {
+        self.analysis(|reg, check| {
+            context_extension_ok(rewritten.proc(), path, polluted, reg, check)
+        })
+    }
+}
+
+/// Accepts a `Yes`; fails safe on `No` and `Unknown`.
+pub(crate) fn require(answer: Answer, what: &str) -> Result<(), SchedError> {
+    match answer {
+        Answer::Yes => Ok(()),
+        Answer::No => serr(format!("{what}: safety condition refuted")),
+        Answer::Unknown => serr(format!("{what}: solver gave up (failing safe)")),
     }
 }
 

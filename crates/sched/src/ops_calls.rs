@@ -123,24 +123,11 @@ impl Procedure {
             args,
         };
         let rewritten = self.splice(&path, &mut |_| vec![new_stmt.clone()])?;
-        if !polluted.is_empty() {
-            let ok = {
-                let mut st = crate::handle::lock_state(self.state());
-                let st = &mut *st;
-                exo_analysis::context::context_extension_ok(
-                    rewritten.proc(),
-                    &path,
-                    &polluted,
-                    &mut st.reg,
-                    &st.check,
-                )
-            };
-            if !ok {
-                return serr(
-                    "call_eqv: the callee pair differs modulo configuration state \
-                     that later code may read",
-                );
-            }
+        if !self.extends_context(&rewritten, &path, &polluted) {
+            return serr(
+                "call_eqv: the callee pair differs modulo configuration state \
+                 that later code may read",
+            );
         }
         Ok(rewritten.pollute(polluted))
     }

@@ -15,10 +15,6 @@ use exo_core::visit::{visit_expr, visit_stmts};
 use exo_core::Sym;
 
 use exo_analysis::conditions;
-use exo_analysis::context::{context_extension_ok, effect_of_stmts_at};
-use exo_analysis::effexpr::LowerCtx;
-use exo_analysis::globals::lift_in_env;
-use exo_smt::formula::Formula;
 
 use crate::handle::{serr, Procedure, SchedError};
 use crate::pattern::Pattern;
@@ -100,18 +96,7 @@ impl Procedure {
                 None => return serr("configwrite: target path has no successor slot"),
             }
         };
-        let ok = {
-            let mut st = crate::handle::lock_state(self.state());
-            let st = &mut *st;
-            context_extension_ok(
-                rewritten.proc(),
-                &write_path,
-                &[(config, field)],
-                &mut st.reg,
-                &st.check,
-            )
-        };
-        if !ok {
+        if !self.extends_context(&rewritten, &write_path, &[(config, field)]) {
             return serr(format!(
                 "configwrite: code after the insertion point may read {}.{}",
                 config.name(),
@@ -230,18 +215,7 @@ impl Procedure {
             }
         });
         let rewritten = self.splice(&path, &mut |_| vec![write.clone(), replaced.clone()])?;
-        let ok = {
-            let mut st = crate::handle::lock_state(self.state());
-            let st = &mut *st;
-            context_extension_ok(
-                rewritten.proc(),
-                &path,
-                &[(config, field)],
-                &mut st.reg,
-                &st.check,
-            )
-        };
-        if !ok {
+        if !self.extends_context(&rewritten, &path, &[(config, field)]) {
             return serr(format!(
                 "bind_config: code after the statement may read {}.{}",
                 config.name(),
@@ -269,23 +243,17 @@ impl Procedure {
                 "delete_config: {stmt_pat:?} is not a configuration write"
             ));
         };
-        let site = self.site(&path)?;
-        {
-            let mut st = crate::handle::lock_state(self.state());
-            let current = site.genv.value(config, field, &mut st.reg);
-            let new = lift_in_env(&rhs, &site.genv, &mut st.reg);
-            let mut lctx = LowerCtx::new();
-            let goal = lctx.lower_bool(&current.eq(new)).definitely();
-            let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-            drop(st);
-            self.require_valid(hyp, goal, &format!("delete_config({stmt_pat})"))
-                .map_err(|e| {
-                    SchedError::new(format!(
-                        "{} — the write is not provably redundant",
-                        e.message
-                    ))
-                })?;
-        }
+        self.prove(&path, &format!("delete_config({stmt_pat})"), |q| {
+            let current = q.lift(&Expr::ReadConfig { config, field });
+            let new = q.lift(&rhs);
+            q.lctx.lower_bool(&current.eq(new)).definitely()
+        })
+        .map_err(|e| {
+            SchedError::new(format!(
+                "{} — the write is not provably redundant",
+                e.message
+            ))
+        })?;
         self.splice(&path, &mut |_| vec![])
     }
 
@@ -317,33 +285,14 @@ impl Procedure {
             return serr("reorder_stmts: the first statement binds a name the second uses");
         }
 
-        let site = self.site(&p1)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let e1 = effect_of_stmts_at(
-            self.proc(),
-            std::slice::from_ref(&s1),
-            &site.genv,
-            &mut st.reg,
-        );
-        let e2 = effect_of_stmts_at(
-            self.proc(),
-            std::slice::from_ref(&s2),
-            &site.genv,
-            &mut st.reg,
-        );
-        let mut lctx = LowerCtx::new();
-        let cond = conditions::commutes(&e1, &e2, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("reorder_stmts({first_pat})"))?;
+        self.prove(&p1, &format!("reorder_stmts({first_pat})"), |q| {
+            let e1 = q.effect(std::slice::from_ref(&s1));
+            let e2 = q.effect(std::slice::from_ref(&s2));
+            conditions::commutes(&e1, &e2, &mut q.lctx)
+        })?;
 
         let p = self.splice(&p2, &mut |_| vec![])?;
         p.splice(&p1, &mut |s| vec![s2.clone(), s.clone()])
-            .inspect(|q| {
-                // two splices applied, but it is one directive
-                let _ = q;
-            })
     }
 
     /// Deletes a `pass` statement (always equivalence-preserving).
@@ -375,26 +324,11 @@ impl Procedure {
         if matches!(s1, Stmt::Alloc { .. } | Stmt::WindowDef { .. }) {
             return serr("shadow_delete: cannot delete a binding statement");
         }
-        let site = self.site(&p1)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let e1 = effect_of_stmts_at(
-            self.proc(),
-            std::slice::from_ref(&s1),
-            &site.genv,
-            &mut st.reg,
-        );
-        let e2 = effect_of_stmts_at(
-            self.proc(),
-            std::slice::from_ref(&s2),
-            &site.genv,
-            &mut st.reg,
-        );
-        let mut lctx = LowerCtx::new();
-        let cond = conditions::shadows(&e1, &e2, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("shadow_delete({stmt_pat})"))?;
+        self.prove(&p1, &format!("shadow_delete({stmt_pat})"), |q| {
+            let e1 = q.effect(std::slice::from_ref(&s1));
+            let e2 = q.effect(std::slice::from_ref(&s2));
+            conditions::shadows(&e1, &e2, &mut q.lctx)
+        })?;
         self.splice(&p1, &mut |_| vec![])
     }
 }

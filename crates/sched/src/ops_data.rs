@@ -603,11 +603,9 @@ impl Procedure {
             let scope = path
                 .parent()
                 .unwrap_or_else(|| exo_core::path::StmtPath(Vec::new()));
-            let mut st = crate::handle::lock_state(self.state());
-            let st = &mut *st;
-            if let Err(errs) =
-                exo_analysis::check_bounds_at(staged.proc(), &scope, &mut st.reg, &st.check)
-            {
+            if let Err(errs) = self.analysis(|reg, check| {
+                exo_analysis::check_bounds_at(staged.proc(), &scope, reg, check)
+            }) {
                 return serr(format!(
                     "stage_mem: staged block is not memory-safe (window too small?): {}",
                     errs[0]

@@ -9,10 +9,7 @@ use exo_core::visit::{free_syms_block, refresh_bound, subst_block, visit_stmts};
 use exo_core::Sym;
 
 use exo_analysis::conditions;
-use exo_analysis::context::effect_of_stmts_at;
-use exo_analysis::effects::Effect;
-use exo_analysis::effexpr::LowerCtx;
-use exo_analysis::globals::lift_in_env;
+use exo_analysis::effects::{effect_of_ctrl_expr, Effect};
 use exo_smt::formula::Formula;
 
 use crate::fold::{fold_block, fold_expr};
@@ -60,29 +57,18 @@ impl Procedure {
             return serr("split: only zero-based loops can be split");
         }
         // divisibility: D(hi mod c == 0) under the site assumptions
-        let site = self.site(&path)?;
-        {
-            let mut st = crate::handle::lock_state(self.state());
-            let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-            let mut lctx = LowerCtx::new();
-            let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-            let li = lctx.lower_int(&hi_e);
-            let side = lctx.assumptions();
-            let goal = Formula::and(vec![li.def, Formula::dvd(c, li.val)]);
-            drop(st);
-            self.require_valid(
-                Formula::and(vec![hyp, side]),
-                goal,
-                &format!("split({loop_pat}, {c})"),
-            )
-            .map_err(|e| {
-                SchedError::new(format!(
-                    "{} — extent not provably divisible by {c}; \
-                     use split_guard for a tail guard",
-                    e.message
-                ))
-            })?;
-        }
+        self.prove(&path, &format!("split({loop_pat}, {c})"), |q| {
+            let hi_e = q.lift(&hi);
+            let li = q.lctx.lower_int(&hi_e);
+            Formula::and(vec![li.def, Formula::dvd(c, li.val)])
+        })
+        .map_err(|e| {
+            SchedError::new(format!(
+                "{} — extent not provably divisible by {c}; \
+                 use split_guard for a tail guard",
+                e.message
+            ))
+        })?;
         let io = Sym::new(io_name);
         let ii = Sym::new(ii_name);
         let outer_hi = fold_expr(&hi.clone().div(Expr::int(c)));
@@ -181,16 +167,17 @@ impl Procedure {
 
     fn reorder_impl(&self, outer_pat: &Pattern, inner_name: &str) -> Result<Procedure, SchedError> {
         let path = self.find(outer_pat)?;
+        let outer = self.stmt(&path)?;
         let Stmt::For {
             iter: x,
             lo: xlo,
             hi: xhi,
             body,
-        } = self.stmt(&path)?.clone()
+        } = outer.clone()
         else {
             return serr(format!("reorder: {outer_pat:?} is not a loop"));
         };
-        let [Stmt::For {
+        let [inner @ Stmt::For {
             iter: y,
             lo: ylo,
             hi: yhi,
@@ -218,28 +205,23 @@ impl Procedure {
             return serr("reorder: inner loop bounds depend on the outer iterator");
         }
 
-        let site = self.site(&path)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let xlo_e = lift_in_env(&xlo, &site.genv, &mut st.reg);
-        let xhi_e = lift_in_env(&xhi, &site.genv, &mut st.reg);
-        let ylo_e = lift_in_env(ylo, &site.genv, &mut st.reg);
-        let yhi_e = lift_in_env(yhi, &site.genv, &mut st.reg);
-        let body_eff = effect_of_stmts_at(self.proc(), inner_body, &site.genv, &mut st.reg);
-        let bounds_eff = config_reads_of(&[ylo.clone(), yhi.clone()]);
-        let mut lctx = LowerCtx::new();
-        let cond = conditions::loop_reorder(
-            x,
-            (&xlo_e, &xhi_e),
-            *y,
-            (&ylo_e, &yhi_e),
-            &bounds_eff,
-            &body_eff,
-            &mut lctx,
-        );
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("reorder({outer_pat}, {inner_name})"))?;
+        self.prove(&path, &format!("reorder({outer_pat}, {inner_name})"), |q| {
+            let xlo_e = q.lift(&xlo);
+            let xhi_e = q.lift(&xhi);
+            let ylo_e = q.lift(ylo);
+            let yhi_e = q.lift(yhi);
+            let [body_eff] = q.body_effects(&[outer, inner], [inner_body]);
+            let bounds_eff = Effect::seq(effect_of_ctrl_expr(ylo), effect_of_ctrl_expr(yhi));
+            conditions::loop_reorder(
+                x,
+                (&xlo_e, &xhi_e),
+                *y,
+                (&ylo_e, &yhi_e),
+                &bounds_eff,
+                &body_eff,
+                &mut q.lctx,
+            )
+        })?;
 
         let swapped = Stmt::For {
             iter: *y,
@@ -297,7 +279,8 @@ impl Procedure {
         let Some(loop_path) = spath.parent() else {
             return serr("fission_after: statement is not inside a loop");
         };
-        let Stmt::For { iter, lo, hi, body } = self.stmt(&loop_path)?.clone() else {
+        let lp = self.stmt(&loop_path)?;
+        let Stmt::For { iter, lo, hi, body } = lp.clone() else {
             return serr("fission_after: enclosing statement is not a loop");
         };
         let cut = spath.last().idx + 1;
@@ -318,20 +301,13 @@ impl Procedure {
             return serr("fission_after: cannot fission across an allocation used later");
         }
 
-        let site = self.site(&loop_path)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let lo_e = lift_in_env(&lo, &site.genv, &mut st.reg);
-        let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-        let eff1 = effect_of_stmts_at(self.proc(), part1, &site.genv, &mut st.reg);
-        let eff2 = effect_of_stmts_at(self.proc(), part2, &site.genv, &mut st.reg);
-        let bounds_eff = config_reads_of(&[lo.clone(), hi.clone()]);
-        let mut lctx = LowerCtx::new();
-        let cond =
-            conditions::loop_fission(iter, (&lo_e, &hi_e), &bounds_eff, &eff1, &eff2, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("fission_after({stmt_pat})"))?;
+        self.prove(&loop_path, &format!("fission_after({stmt_pat})"), |q| {
+            let lo_e = q.lift(&lo);
+            let hi_e = q.lift(&hi);
+            let [eff1, eff2] = q.body_effects(&[lp], [part1, part2]);
+            let bounds_eff = Effect::seq(effect_of_ctrl_expr(&lo), effect_of_ctrl_expr(&hi));
+            conditions::loop_fission(iter, (&lo_e, &hi_e), &bounds_eff, &eff1, &eff2, &mut q.lctx)
+        })?;
 
         let iter2 = iter.copy();
         let mut map = HashMap::new();
@@ -391,30 +367,22 @@ impl Procedure {
         let mut map = HashMap::new();
         map.insert(x2, Expr::var(x1));
         let b2r = subst_block(&b2, &map);
-
-        let site = self.site(&path1)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let lo_e = lift_in_env(&lo1, &site.genv, &mut st.reg);
-        let hi_e = lift_in_env(&hi1, &site.genv, &mut st.reg);
-        let eff1 = effect_of_stmts_at(self.proc(), &b1, &site.genv, &mut st.reg);
-        let eff2 = effect_of_stmts_at(self.proc(), &b2r, &site.genv, &mut st.reg);
-        let bounds_eff = config_reads_of(&[lo1.clone(), hi1.clone()]);
-        let mut lctx = LowerCtx::new();
-        let cond =
-            conditions::loop_fission(x1, (&lo_e, &hi_e), &bounds_eff, &eff1, &eff2, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("fuse_loop({loop_pat})"))?;
-
-        let mut fused_body = b1;
-        fused_body.extend(b2r);
         let fused = Stmt::For {
             iter: x1,
-            lo: lo1,
-            hi: hi1,
-            body: fused_body,
+            lo: lo1.clone(),
+            hi: hi1.clone(),
+            body: [b1.as_slice(), &b2r].concat(),
         };
+
+        // the fission condition, posed on the fused loop
+        self.prove(&path1, &format!("fuse_loop({loop_pat})"), |q| {
+            let lo_e = q.lift(&lo1);
+            let hi_e = q.lift(&hi1);
+            let [eff1, eff2] = q.body_effects(&[&fused], [&b1, &b2r]);
+            let bounds_eff = Effect::seq(effect_of_ctrl_expr(&lo1), effect_of_ctrl_expr(&hi1));
+            conditions::loop_fission(x1, (&lo_e, &hi_e), &bounds_eff, &eff1, &eff2, &mut q.lctx)
+        })?;
+
         // splice: replace loop1 with fused, delete loop2
         let p = self.splice(&path1, &mut |_| vec![fused.clone()])?;
         let del_path = path2;
@@ -445,17 +413,11 @@ impl Procedure {
         };
         let mid = fold_expr(&lo.clone().add(Expr::int(c)));
         // provable lo + c ≤ hi
-        let site = self.site(&path)?;
-        {
-            let mut st = crate::handle::lock_state(self.state());
-            let mid_e = lift_in_env(&mid, &site.genv, &mut st.reg);
-            let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-            let mut lctx = LowerCtx::new();
-            let cond = lctx.lower_bool(&mid_e.le(hi_e)).definitely();
-            let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-            drop(st);
-            self.require_valid(hyp, cond, &format!("partition_loop({loop_pat}, {c})"))?;
-        }
+        self.prove(&path, &format!("partition_loop({loop_pat}, {c})"), |q| {
+            let mid_e = q.lift(&mid);
+            let hi_e = q.lift(&hi);
+            q.lctx.lower_bool(&mid_e.le(hi_e)).definitely()
+        })?;
         let iter2 = iter.copy();
         let mut map = HashMap::new();
         map.insert(iter, Expr::var(iter2));
@@ -486,23 +448,19 @@ impl Procedure {
 
     fn remove_loop_impl(&self, loop_pat: &Pattern) -> Result<Procedure, SchedError> {
         let path = self.find(loop_pat)?;
-        let Stmt::For { iter, lo, hi, body } = self.stmt(&path)?.clone() else {
+        let lp = self.stmt(&path)?;
+        let Stmt::For { iter, lo, hi, body } = lp.clone() else {
             return serr(format!("remove_loop: {loop_pat:?} is not a loop"));
         };
         if free_syms_block(&body).contains(&iter) {
             return serr("remove_loop: iteration variable is used in the body");
         }
-        let site = self.site(&path)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let lo_e = lift_in_env(&lo, &site.genv, &mut st.reg);
-        let hi_e = lift_in_env(&hi, &site.genv, &mut st.reg);
-        let body_eff = effect_of_stmts_at(self.proc(), &body, &site.genv, &mut st.reg);
-        let mut lctx = LowerCtx::new();
-        let cond = conditions::loop_remove(iter, (&lo_e, &hi_e), &body_eff, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, cond, &format!("remove_loop({loop_pat})"))?;
+        self.prove(&path, &format!("remove_loop({loop_pat})"), |q| {
+            let lo_e = q.lift(&lo);
+            let hi_e = q.lift(&hi);
+            let [body_eff] = q.body_effects(&[lp], [&body]);
+            conditions::loop_remove(iter, (&lo_e, &hi_e), &body_eff, &mut q.lctx)
+        })?;
         self.splice(&path, &mut |_| body.clone())
     }
 
@@ -518,7 +476,8 @@ impl Procedure {
         let Some(loop_path) = if_path.parent() else {
             return serr("lift_if: conditional is not inside a loop");
         };
-        let Stmt::For { iter, lo, hi, body } = self.stmt(&loop_path)?.clone() else {
+        let lp = self.stmt(&loop_path)?;
+        let Stmt::For { iter, lo, hi, body } = lp.clone() else {
             return serr("lift_if: enclosing statement is not a loop");
         };
         if body.len() != 1 {
@@ -542,16 +501,10 @@ impl Procedure {
             return serr("lift_if: condition depends on the iteration variable");
         }
         // the condition's (config) reads must commute with the body
-        let site = self.site(&loop_path)?;
-        let mut guard = crate::handle::lock_state(self.state());
-        let st = &mut *guard;
-        let whole_eff = effect_of_stmts_at(self.proc(), &body, &site.genv, &mut st.reg);
-        let cond_eff = config_reads_of(std::slice::from_ref(&cond));
-        let mut lctx = LowerCtx::new();
-        let safe = conditions::commutes(&cond_eff, &whole_eff, &mut lctx);
-        let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-        drop(guard);
-        self.require_valid(hyp, safe, &format!("lift_if({if_pat})"))?;
+        self.prove(&loop_path, &format!("lift_if({if_pat})"), |q| {
+            let [whole_eff] = q.body_effects(&[lp], [&body]);
+            conditions::commutes(&effect_of_ctrl_expr(&cond), &whole_eff, &mut q.lctx)
+        })?;
 
         let lifted = Stmt::If {
             cond,
@@ -594,16 +547,10 @@ impl Procedure {
 
     fn add_guard_impl(&self, stmt_pat: &Pattern, cond: Expr) -> Result<Procedure, SchedError> {
         let path = self.find(stmt_pat)?;
-        let site = self.site(&path)?;
-        {
-            let mut st = crate::handle::lock_state(self.state());
-            let c_e = lift_in_env(&cond, &site.genv, &mut st.reg);
-            let mut lctx = LowerCtx::new();
-            let goal = lctx.lower_bool(&c_e).definitely();
-            let hyp = Formula::and(vec![site.assumptions(&mut lctx), lctx.assumptions()]);
-            drop(st);
-            self.require_valid(hyp, goal, &format!("add_guard({stmt_pat})"))?;
-        }
+        self.prove(&path, &format!("add_guard({stmt_pat})"), |q| {
+            let c_e = q.lift(&cond);
+            q.lctx.lower_bool(&c_e).definitely()
+        })?;
         let stmt = self.stmt(&path)?.clone();
         let guarded = Stmt::If {
             cond,
@@ -624,18 +571,4 @@ impl Procedure {
         })
         .unwrap_or_else(|_| self.clone())
     }
-}
-
-/// The effect of evaluating control expressions: their configuration
-/// reads.
-fn config_reads_of(exprs: &[Expr]) -> Effect {
-    let mut parts = Vec::new();
-    for e in exprs {
-        exo_core::visit::visit_expr(e, &mut |e| {
-            if let Expr::ReadConfig { config, field } = e {
-                parts.push(Effect::GlobalRead(*config, *field));
-            }
-        });
-    }
-    Effect::seq_all(parts)
 }

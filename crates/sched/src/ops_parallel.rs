@@ -21,7 +21,7 @@
 use exo_core::ir::Stmt;
 use exo_lint::LoopVerdict;
 
-use crate::handle::{lock_state, serr, ParallelMark, Procedure, SchedError};
+use crate::handle::{serr, ParallelMark, Procedure, SchedError};
 use crate::pattern::Pattern;
 
 impl Procedure {
@@ -47,13 +47,9 @@ impl Procedure {
             return serr(format!("parallelize: {loop_pat:?} is not a loop"));
         };
         let iter = *iter;
-        let verdict = {
-            let mut guard = lock_state(self.state());
-            let st = &mut *guard;
-            let check = st.check.clone();
-            exo_lint::classify_loop(self.proc(), &path, &check, &mut st.reg)
-                .map_err(|e| SchedError::new(e.message.clone()).with_source(e))?
-        };
+        let verdict = self
+            .analysis(|reg, check| exo_lint::classify_loop(self.proc(), &path, check, reg))
+            .map_err(|e| SchedError::new(e.message.clone()).with_source(e))?;
         match verdict {
             LoopVerdict::Parallel => Ok(self.with_parallel(ParallelMark {
                 iter,

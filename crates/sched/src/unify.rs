@@ -16,7 +16,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use exo_analysis::effexpr::{EffExpr, LowerCtx};
-use exo_analysis::globals::lift_in_env;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
 use exo_core::visit::{visit_expr, visit_stmts};
 use exo_core::Sym;
@@ -24,7 +23,7 @@ use exo_smt::formula::Formula;
 use exo_smt::linear::LinExpr;
 
 use crate::fold::fold_expr;
-use crate::handle::{serr, Procedure, SchedError};
+use crate::handle::{require, serr, Procedure, SchedError};
 use crate::pattern::Pattern;
 
 /// Binding of a callee tensor formal to a caller buffer region.
@@ -462,103 +461,96 @@ impl Procedure {
         n: usize,
         block_bound: &HashSet<Sym>,
     ) -> Result<Procedure, SchedError> {
-        let site = self.site(first)?;
-        let mut lctx = LowerCtx::new();
-
-        // lower both sides of every equation; callee side: alpha-rename
-        // bound vars to caller symbols, leave unknowns in place
-        let mut lowered: Vec<LinExpr> = Vec::new();
-        {
-            let mut guard = crate::handle::lock_state(self.state());
+        let args = self.query(first, |q| {
+            // lower both sides of every equation; callee side: alpha-rename
+            // bound vars to caller symbols, leave unknowns in place
+            let mut lowered: Vec<LinExpr> = Vec::new();
             for (cl, pl) in &st.equations {
-                let cl_e = lift_in_env(cl, &site.genv, &mut guard.reg).subst(
+                let cl_e = q.lift(cl).subst(
                     &st.alpha
                         .iter()
                         .map(|(&a, &b)| (a, EffExpr::Var(b)))
                         .collect(),
                 );
-                let pl_e = lift_in_env(pl, &site.genv, &mut guard.reg);
-                let li = lctx.lower_int(&cl_e);
-                let ri = lctx.lower_int(&pl_e);
+                let pl_e = q.lift(pl);
+                let li = q.lctx.lower_int(&cl_e);
+                let ri = q.lctx.lower_int(&pl_e);
                 if li.def != Formula::True || ri.def != Formula::True {
                     // division/unknown in an equation: be conservative
                     return serr("replace: non-affine equation in unification");
                 }
                 lowered.push(li.val.sub(&ri.val));
             }
-        }
 
-        // eliminate unknowns with ±1 coefficients
-        let mut solution: HashMap<Sym, LinExpr> = HashMap::new();
-        let mut work = lowered;
-        loop {
-            let mut progress = false;
-            let mut rest = Vec::new();
-            for eq in std::mem::take(&mut work) {
-                // find an unsolved unknown with coefficient ±1
-                let target = eq
-                    .coeffs
-                    .iter()
-                    .find(|(v, &c)| st.unknowns.contains(v) && (c == 1 || c == -1))
-                    .map(|(&v, &c)| (v, c));
-                match target {
-                    Some((v, c)) => {
-                        // c·v + rest = 0  ⇒  v = -rest / c
-                        let mut rest_e = eq.clone();
-                        rest_e.coeffs.remove(&v);
-                        let val = rest_e.scale(-c); // c = ±1 ⇒ exact
-                                                    // substitute into existing solutions and work
-                        for sol in solution.values_mut() {
-                            *sol = sol.subst(v, &val);
+            // eliminate unknowns with ±1 coefficients
+            let mut solution: HashMap<Sym, LinExpr> = HashMap::new();
+            let mut work = lowered;
+            loop {
+                let mut progress = false;
+                let mut rest = Vec::new();
+                for eq in std::mem::take(&mut work) {
+                    // find an unsolved unknown with coefficient ±1
+                    let target = eq
+                        .coeffs
+                        .iter()
+                        .find(|(v, &c)| st.unknowns.contains(v) && (c == 1 || c == -1))
+                        .map(|(&v, &c)| (v, c));
+                    match target {
+                        Some((v, c)) => {
+                            // c·v + rest = 0  ⇒  v = -rest / c
+                            let mut rest_e = eq.clone();
+                            rest_e.coeffs.remove(&v);
+                            let val = rest_e.scale(-c); // c = ±1 ⇒ exact
+                                                        // substitute into existing solutions and work
+                            for sol in solution.values_mut() {
+                                *sol = sol.subst(v, &val);
+                            }
+                            rest = rest
+                                .into_iter()
+                                .map(|e: LinExpr| e.subst(v, &val))
+                                .collect();
+                            work = work.into_iter().map(|e| e.subst(v, &val)).collect();
+                            solution.insert(v, val);
+                            progress = true;
                         }
-                        rest = rest
-                            .into_iter()
-                            .map(|e: LinExpr| e.subst(v, &val))
-                            .collect();
-                        work = work.into_iter().map(|e| e.subst(v, &val)).collect();
-                        solution.insert(v, val);
-                        progress = true;
+                        None => rest.push(eq),
                     }
-                    None => rest.push(eq),
+                }
+                work.extend(rest);
+                if !progress {
+                    break;
                 }
             }
-            work.extend(rest);
-            if !progress {
-                break;
+            // any equation still mentioning an unknown is unsolvable here
+            let mut residual = Vec::new();
+            for eq in &work {
+                if eq.coeffs.keys().any(|v| st.unknowns.contains(v)) {
+                    return serr("replace: could not solve for all unknown arguments");
+                }
+                residual.push(Formula::eq(eq.clone(), LinExpr::constant(0)));
             }
-        }
-        // any equation still mentioning an unknown is unsolvable here
-        let mut residual = Vec::new();
-        for eq in &work {
-            if eq.coeffs.keys().any(|v| st.unknowns.contains(v)) {
-                return serr("replace: could not solve for all unknown arguments");
-            }
-            residual.push(Formula::eq(eq.clone(), LinExpr::constant(0)));
-        }
 
-        // every control formal must be solved
-        for arg in &callee.args {
-            if arg.ty.is_ctrl() && !solution.contains_key(&arg.name) {
-                return serr(format!(
-                    "replace: argument {} is unconstrained by the match",
-                    arg.name
-                ));
+            // every control formal must be solved
+            for arg in &callee.args {
+                if arg.ty.is_ctrl() && !solution.contains_key(&arg.name) {
+                    return serr(format!(
+                        "replace: argument {} is unconstrained by the match",
+                        arg.name
+                    ));
+                }
             }
-        }
 
-        // scope check: solutions may not reference block-bound variables
-        for (v, sol) in &solution {
-            if sol.vars().any(|x| block_bound.contains(&x)) {
-                return serr(format!(
-                    "replace: inferred value for {v} depends on variables bound \
-                     inside the replaced block"
-                ));
+            // scope check: solutions may not reference block-bound variables
+            for (v, sol) in &solution {
+                if sol.vars().any(|x| block_bound.contains(&x)) {
+                    return serr(format!(
+                        "replace: inferred value for {v} depends on variables bound \
+                         inside the replaced block"
+                    ));
+                }
             }
-        }
 
-        // boolean (non-integer) equivalences
-        {
-            let mut guard = crate::handle::lock_state(self.state());
+            // boolean (non-integer) equivalences
             for (cb, pb) in &st.bool_checks {
                 let alpha_map: HashMap<Sym, EffExpr> = st
                     .alpha
@@ -566,117 +558,108 @@ impl Procedure {
                     .map(|(&a, &b)| (a, EffExpr::Var(b)))
                     .chain(solution.iter().map(|(&v, e)| (v, effexpr_of_lin(e))))
                     .collect();
-                let cb_e = lift_in_env(cb, &site.genv, &mut guard.reg).subst(&alpha_map);
-                let pb_e = lift_in_env(pb, &site.genv, &mut guard.reg);
-                let lb = lctx.lower_bool(&cb_e);
-                let rb = lctx.lower_bool(&pb_e);
+                let cb_e = q.lift(cb).subst(&alpha_map);
+                let pb_e = q.lift(pb);
+                let lb = q.lctx.lower_bool(&cb_e);
+                let rb = q.lctx.lower_bool(&pb_e);
                 residual.push(Formula::and(vec![
                     lb.def.clone(),
                     rb.def.clone(),
                     lb.val.iff(rb.val),
                 ]));
             }
-        }
 
-        // callee preconditions, with formals substituted
-        {
-            let mut guard = crate::handle::lock_state(self.state());
+            // callee preconditions, with formals substituted
             for pred in &callee.preds {
-                let lifted = lift_in_env(pred, &site.genv, &mut guard.reg);
-                let lifted = subst_pred(&lifted, &solution, &st);
-                residual.push(lctx.lower_bool(&lifted).definitely());
+                let lifted = subst_pred(&q.lift(pred), &solution, &st);
+                residual.push(q.lctx.lower_bool(&lifted).definitely());
             }
-        }
 
-        let hyp = {
-            let mut h = site.assumptions(&mut lctx);
-            h = Formula::and(vec![h, lctx.assumptions()]);
-            h
-        };
-        self.require_valid(hyp, Formula::and(residual), "replace")?;
+            require(q.valid(Formula::and(residual)), "replace")?;
 
-        // build the call arguments
-        let mut args = Vec::with_capacity(callee.args.len());
-        let guard = crate::handle::lock_state(self.state());
-        let reg = &guard.reg;
-        for arg in &callee.args {
-            match &arg.ty {
-                ArgType::Ctrl(_) => {
-                    let Some(sol) = solution.get(&arg.name) else {
-                        return serr(format!(
-                            "replace: no solution for control argument {}",
-                            arg.name
-                        ));
-                    };
-                    args.push(expr_of_lin_ctx(sol, &lctx, reg));
-                }
-                ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
-                    let Some(bind) = st.tensors.get(&arg.name) else {
-                        return serr(format!(
-                            "replace: tensor argument {} never accessed in the match",
-                            arg.name
-                        ));
-                    };
-                    // extents: the callee's declared shape with solved sizes
-                    let shape: Vec<Expr> = match &arg.ty {
-                        ArgType::Tensor { shape, .. } => shape
-                            .iter()
-                            .map(|e| subst_shape(e, &solution, &lctx, reg))
-                            .collect(),
-                        _ => vec![],
-                    };
-                    let mut k_of: HashMap<usize, usize> = HashMap::new();
-                    for (k, &d) in bind.dim_map.iter().enumerate() {
-                        k_of.insert(d, k);
-                    }
-                    let coords: Vec<WAccess> = (0..bind.caller_rank)
-                        .map(|d| {
-                            let off = solution
-                                .get(&bind.offsets[d])
-                                .cloned()
-                                .unwrap_or_else(|| LinExpr::constant(0));
-                            let off_e = expr_of_lin_ctx(&off, &lctx, reg);
-                            match k_of.get(&d) {
-                                Some(&k) => WAccess::Interval(
-                                    off_e.clone(),
-                                    fold_expr(&off_e.add(shape[k].clone())),
-                                ),
-                                None => WAccess::Point(off_e),
-                            }
-                        })
-                        .collect();
-                    // offset scope check
-                    for c in &coords {
-                        let exprs: Vec<&Expr> = match c {
-                            WAccess::Point(e) => vec![e],
-                            WAccess::Interval(a, b) => vec![a, b],
+            // build the call arguments from the solution, whose stride
+            // symbols the lowering minted
+            let mut args = Vec::with_capacity(callee.args.len());
+            let (lctx, reg) = (&q.lctx, &*q.reg);
+            for arg in &callee.args {
+                match &arg.ty {
+                    ArgType::Ctrl(_) => {
+                        let Some(sol) = solution.get(&arg.name) else {
+                            return serr(format!(
+                                "replace: no solution for control argument {}",
+                                arg.name
+                            ));
                         };
-                        for e in exprs {
-                            let mut bad = false;
-                            visit_expr(e, &mut |e| {
-                                if let Expr::Var(v) = e {
-                                    if block_bound.contains(v) {
-                                        bad = true;
-                                    }
+                        args.push(expr_of_lin_ctx(sol, lctx, reg));
+                    }
+                    ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
+                        let Some(bind) = st.tensors.get(&arg.name) else {
+                            return serr(format!(
+                                "replace: tensor argument {} never accessed in the match",
+                                arg.name
+                            ));
+                        };
+                        // extents: the callee's declared shape with solved sizes
+                        let shape: Vec<Expr> = match &arg.ty {
+                            ArgType::Tensor { shape, .. } => shape
+                                .iter()
+                                .map(|e| subst_shape(e, &solution, lctx, reg))
+                                .collect(),
+                            _ => vec![],
+                        };
+                        let mut k_of: HashMap<usize, usize> = HashMap::new();
+                        for (k, &d) in bind.dim_map.iter().enumerate() {
+                            k_of.insert(d, k);
+                        }
+                        let coords: Vec<WAccess> = (0..bind.caller_rank)
+                            .map(|d| {
+                                let off = solution
+                                    .get(&bind.offsets[d])
+                                    .cloned()
+                                    .unwrap_or_else(|| LinExpr::constant(0));
+                                let off_e = expr_of_lin_ctx(&off, lctx, reg);
+                                match k_of.get(&d) {
+                                    Some(&k) => WAccess::Interval(
+                                        off_e.clone(),
+                                        fold_expr(&off_e.add(shape[k].clone())),
+                                    ),
+                                    None => WAccess::Point(off_e),
                                 }
-                            });
-                            if bad {
-                                return serr(
-                                    "replace: inferred window depends on variables bound \
-                                     inside the replaced block",
-                                );
+                            })
+                            .collect();
+                        // offset scope check
+                        for c in &coords {
+                            let exprs: Vec<&Expr> = match c {
+                                WAccess::Point(e) => vec![e],
+                                WAccess::Interval(a, b) => vec![a, b],
+                            };
+                            for e in exprs {
+                                let mut bad = false;
+                                visit_expr(e, &mut |e| {
+                                    if let Expr::Var(v) = e {
+                                        if block_bound.contains(v) {
+                                            bad = true;
+                                        }
+                                    }
+                                });
+                                if bad {
+                                    return serr(
+                                        "replace: inferred window depends on variables bound \
+                                         inside the replaced block",
+                                    );
+                                }
                             }
                         }
+                        args.push(Expr::Window {
+                            buf: bind.caller_buf,
+                            coords,
+                        });
                     }
-                    args.push(Expr::Window {
-                        buf: bind.caller_buf,
-                        coords,
-                    });
                 }
             }
-        }
 
-        drop(guard);
+            Ok(args)
+        })?;
         let call = Stmt::Call {
             proc: Arc::clone(callee),
             args,
