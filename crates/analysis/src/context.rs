@@ -141,8 +141,7 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
 pub struct SiteQuery<'a> {
     proc: &'a Proc,
     check: &'a SharedCheckCtx,
-    /// The site's context.
-    pub site: SiteCtx,
+    site: SiteCtx,
     /// Lowering state shared by the goal and the hypothesis: lower the
     /// goal here before posing it.
     pub lctx: LowerCtx,
