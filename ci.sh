@@ -63,6 +63,10 @@ echo "== fig4a / fig4b benches (Gemmini utilization rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig4a
 cargo run --release -q -p exo-bench --bin fig4b
 
+echo "== ablation benches (hand-built config-fused and phase-sorted Gemmini traces for the perf gate) =="
+cargo run --release -q -p exo-bench --bin ablation_config
+cargo run --release -q -p exo-bench --bin ablation_overlap
+
 echo "== fig5a bench (GFLOP/s rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig5a
 

@@ -1067,6 +1067,75 @@ mod tests {
     }
 
     #[test]
+    fn never_written_buffer_reads_as_bottom() {
+        let mut m = Machine::new();
+        let id = m.alloc_extern_uninit("A", DataType::F32, &[3, 4]);
+        let e = m.buffer_values(id).unwrap_err();
+        assert_eq!(e.message, "uninitialized element");
+        assert_eq!(m.buffer(id).values().collect::<Vec<_>>(), vec![None; 12]);
+        let s = m.alloc_extern_uninit("s", DataType::F32, &[]);
+        assert_eq!(m.buffer(s).values().collect::<Vec<_>>(), vec![None]);
+    }
+
+    #[test]
+    fn first_store_leaves_other_elements_bottom() {
+        let mut b = ProcBuilder::new("one");
+        let a = b.tensor("A", DataType::F32, vec![Expr::int(3)]);
+        b.assign(a, vec![Expr::int(1)], Expr::float(2.5));
+        let p = b.finish();
+        let mut m = Machine::new();
+        let id = m.alloc_extern_uninit("A", DataType::F32, &[3]);
+        m.run(&p, &[ArgVal::Tensor(id)]).unwrap();
+        let got: Vec<_> = m.buffer(id).values().collect();
+        assert_eq!(got, vec![None, Some(2.5), None]);
+        assert!(m.buffer_values(id).is_err());
+    }
+
+    #[test]
+    fn rank5_window_argument_traces_exact_layout() {
+        let extents: [usize; 5] = [2, 3, 2, 2, 4];
+        let mut ib = ProcBuilder::new("touch5");
+        ib.window_arg(
+            "src",
+            DataType::F32,
+            extents.map(|n| Expr::int(n as i64)).to_vec(),
+            MemName::dram(),
+        );
+        ib.instr("touch5({src_data});");
+        ib.stmt(Stmt::Pass);
+        let instr = ib.finish();
+
+        // A : f32[3, 4, 5, 6, 3, 6], row-major strides 2160, 540, 108, 18, 6, 1
+        let mut b = ProcBuilder::new("main");
+        let a = b.tensor(
+            "A",
+            DataType::F32,
+            [3, 4, 5, 6, 3, 6].map(Expr::int).to_vec(),
+        );
+        let iv = |lo, hi| WAccess::Interval(Expr::int(lo), Expr::int(hi));
+        let coords = vec![
+            iv(1, 3),
+            iv(0, 3),
+            WAccess::Point(Expr::int(2)),
+            iv(4, 6),
+            iv(0, 2),
+            iv(2, 6),
+        ];
+        b.call(&instr, vec![Expr::Window { buf: a, coords }]);
+        let p = b.finish();
+
+        let mut m = Machine::new();
+        let id = m.alloc_extern_uninit("A", DataType::F32, &[3, 4, 5, 6, 3, 6]);
+        m.run(&p, &[ArgVal::Tensor(id)]).unwrap();
+        let t = m.trace()[0].tensor_arg("src").unwrap();
+        assert_eq!(t.shape[..], extents);
+        assert_eq!(t.strides[..], [2160, 540, 18, 6, 1]);
+        assert_eq!(t.base_offset, 2160 + 2 * 108 + 4 * 18 + 2);
+        assert_eq!(format!("{:?}", t.shape), "[2, 3, 2, 2, 4]");
+        assert_eq!(t.len(), 96);
+    }
+
+    #[test]
     fn i8_stores_saturate() {
         let mut b = ProcBuilder::new("sat");
         let a = b.tensor("A", DataType::I8, vec![Expr::int(1)]);

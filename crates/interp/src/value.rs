@@ -67,6 +67,12 @@ impl BufferData {
             mem,
         }
     }
+
+    /// Every element in row-major order; `None` for an uninitialized
+    /// (⊥) one.
+    pub fn values(&self) -> impl Iterator<Item = Option<f64>> + '_ {
+        self.data.iter().copied()
+    }
 }
 
 /// Quantizes a data value through a precision type, modeling the

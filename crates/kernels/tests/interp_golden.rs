@@ -66,8 +66,7 @@ fn golden(machine: &Machine, out: exo_interp::BufId) -> Golden {
     let trace = strip_sym_ids(&format!("{:?}", machine.trace()));
     let bits = machine
         .buffer(out)
-        .data
-        .iter()
+        .values()
         .flat_map(|v| v.map_or(u64::MAX, f64::to_bits).to_le_bytes());
     Golden {
         steps: machine.steps(),
