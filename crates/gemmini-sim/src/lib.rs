@@ -426,8 +426,8 @@ mod tests {
             mem: MemName::dram(),
             dtype: DataType::I8,
             base_offset: offset,
-            shape: shape.to_vec(),
-            strides: strides.to_vec(),
+            shape: shape.into(),
+            strides: strides.into(),
         })
     }
 

@@ -263,8 +263,8 @@ fn tensor(buf: usize, offset: usize, shape: [usize; 2], row_stride: usize) -> Tr
         mem: MemName::dram(),
         dtype: DataType::I8,
         base_offset: offset,
-        shape: shape.to_vec(),
-        strides: vec![row_stride, 1],
+        shape: shape.into(),
+        strides: [row_stride, 1].into(),
     })
 }
 

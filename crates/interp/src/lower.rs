@@ -7,7 +7,7 @@
 //! `Vec<Slot>` indexed directly. Builtins become an enum, and each
 //! distinct callee (by `Arc` pointer) is lowered once and called by
 //! index; `@instr` callees carry their instruction and formal names as
-//! ready-made strings.
+//! ready-made [`TraceName`]s, which every traced call shares.
 //!
 //! Lowering never fails. A use with no binder in scope, an unknown
 //! builtin or an expression of the wrong kind is lowered to a node that
@@ -20,6 +20,8 @@ use std::sync::Arc;
 use exo_core::ir::{ArgType, BinOp, Block, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
+
+use crate::trace::TraceName;
 
 /// A use of a symbol: the frame slot of its binder (`None` when no
 /// binder is in scope) and the symbol itself, for error messages.
@@ -173,7 +175,7 @@ pub(crate) struct LProc<'p> {
     /// Frame size.
     pub slots: usize,
     /// For an `@instr`: its name and its formals' names, as traced.
-    pub instr: Option<(String, Vec<String>)>,
+    pub instr: Option<(TraceName, Vec<TraceName>)>,
 }
 
 /// Lowers `root` and, once each, every procedure it calls. A callee
@@ -212,8 +214,8 @@ fn lower_proc<'p>(
     let body = cx.block(&p.body);
     let slots = cx.slots;
     let instr = p.is_instr().then(|| {
-        let names = p.args.iter().map(|a| a.name.name()).collect();
-        (p.name.name(), names)
+        let names = p.args.iter().map(|a| a.name.name().into()).collect();
+        (p.name.name().into(), names)
     });
     procs.push(LProc {
         src: p,

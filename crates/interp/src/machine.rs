@@ -24,7 +24,7 @@ use exo_core::Sym;
 use crate::lower::{
     lower, Access, Builtin, CExpr, CallArg, DExpr, LProc, LStmt, VExpr, Var, WCoord,
 };
-use crate::trace::{HwOp, TensorRef, TraceArg};
+use crate::trace::{HwOp, TensorRef, TraceArg, TraceName};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
 
 /// A runtime error (out-of-bounds access, failed assertion, read of
@@ -160,10 +160,8 @@ impl Machine {
     ) -> BufId {
         let volume = shape.iter().product::<usize>().max(1);
         assert_eq!(data.len(), volume, "data length must match shape volume");
-        let mut buf = BufferData::new(Sym::new(name), dtype, shape.to_vec(), MemName::dram());
-        for (slot, &v) in buf.data.iter_mut().zip(data) {
-            *slot = Some(cast(dtype, v));
-        }
+        let buf =
+            BufferData::with_values(Sym::new(name), dtype, shape.to_vec(), MemName::dram(), data);
         let id = BufId(self.bufs.len());
         self.bufs.push(buf);
         id
@@ -177,7 +175,8 @@ impl Machine {
         id
     }
 
-    /// Reads back a buffer's contents (uninitialized slots as `None`).
+    /// A buffer's shape, type and contents ([`BufferData::values`]
+    /// yields uninitialized elements as `None`).
     ///
     /// # Panics
     ///
@@ -194,8 +193,7 @@ impl Machine {
     /// uninitialized.
     pub fn buffer_values(&self, id: BufId) -> Result<Vec<f64>, InterpError> {
         self.extern_buf(id)?
-            .data
-            .iter()
+            .values()
             .map(|v| {
                 v.ok_or_else(|| InterpError {
                     message: "uninitialized element".into(),
@@ -331,7 +329,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// formals `names` are bound in the current frame, as one trace event
     /// (unbound formals are left out). Returns whether the instruction's
     /// body should run.
-    fn record_instr(&mut self, (instr, names): &(String, Vec<String>)) -> bool {
+    fn record_instr(&mut self, (instr, names): &(TraceName, Vec<TraceName>)) -> bool {
         let frame = &self.slots[self.base..];
         let mut args = Vec::with_capacity(names.len());
         for (slot, name) in frame.iter().zip(names) {
@@ -523,7 +521,7 @@ impl<'a, 'p> Exec<'a, 'p> {
         };
         let data = &mut self.m.bufs[buf.0];
         let dtype = data.dtype;
-        let Some(cell) = data.data.get_mut(off) else {
+        let Some(cell) = data.get_mut(off) else {
             return err(format!(
                 "out-of-bounds store to {} at offset {off}",
                 dst.buf.sym
@@ -716,8 +714,8 @@ impl<'a, 'p> Exec<'a, 'p> {
             DExpr::Read(acc) => {
                 let buf = acc.buf.sym;
                 match self.locate(acc)? {
-                    Located::At(id, off) => match self.m.bufs[id.0].data.get(off) {
-                        Some(Some(v)) => Ok(*v),
+                    Located::At(id, off) => match self.m.bufs[id.0].get(off) {
+                        Some(Some(v)) => Ok(v),
                         Some(None) => err(format!(
                             "read of uninitialized {buf}[{:?}]",
                             self.coords(&acc.idx)?
@@ -843,9 +841,13 @@ impl<'a, 'p> Exec<'a, 'p> {
             // an arbitrary scalar data expression: materialize a 0-d temp
             VExpr::Temp(d) => {
                 let v = self.eval_data(d)?;
-                let mut buf =
-                    BufferData::new(Sym::new("tmp"), DataType::F64, vec![], MemName::dram());
-                buf.data[0] = Some(v);
+                let buf = BufferData::with_values(
+                    Sym::new("tmp"),
+                    DataType::F64,
+                    vec![],
+                    MemName::dram(),
+                    &[v],
+                );
                 let id = BufId(self.m.bufs.len());
                 self.m.bufs.push(buf);
                 Ok(View {
@@ -1063,7 +1065,7 @@ mod tests {
         let op = &m.trace()[0];
         assert_eq!(op.instr, "prefetch");
         assert_eq!(op.int_arg("n"), Some(8));
-        assert_eq!(op.tensor_arg("src").unwrap().shape, vec![8]);
+        assert_eq!(op.tensor_arg("src").unwrap().shape[..], [8]);
     }
 
     #[test]

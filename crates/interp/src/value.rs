@@ -40,7 +40,9 @@ impl CtrlVal {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BufId(pub usize);
 
-/// Backing storage of one allocated buffer.
+/// Backing storage of one allocated buffer. Element storage is
+/// allocated on the first store (or up front for an external buffer
+/// given data): until then every element is uninitialized (⊥).
 #[derive(Clone, Debug)]
 pub struct BufferData {
     /// Debug name (the allocation symbol).
@@ -49,29 +51,73 @@ pub struct BufferData {
     pub dtype: DataType,
     /// Extent per dimension (empty = scalar).
     pub shape: Vec<usize>,
-    /// Row-major element storage; `None` = uninitialized (⊥).
-    pub data: Vec<Option<f64>>,
     /// Memory the buffer models.
     pub mem: MemName,
+    /// Row-major element storage, `None` = ⊥; empty until the first
+    /// store.
+    data: Vec<Option<f64>>,
 }
 
 impl BufferData {
     /// Creates an uninitialized buffer.
     pub fn new(name: Sym, dtype: DataType, shape: Vec<usize>, mem: MemName) -> BufferData {
-        let n = shape.iter().product::<usize>().max(1);
         BufferData {
             name,
             dtype,
             shape,
-            data: vec![None; n],
             mem,
+            data: Vec::new(),
+        }
+    }
+
+    /// A buffer holding `values` (row-major, one per element), each
+    /// quantized through `dtype`.
+    pub(crate) fn with_values(
+        name: Sym,
+        dtype: DataType,
+        shape: Vec<usize>,
+        mem: MemName,
+        values: &[f64],
+    ) -> BufferData {
+        let data = values.iter().map(|&v| Some(cast(dtype, v))).collect();
+        BufferData {
+            data,
+            ..BufferData::new(name, dtype, shape, mem)
+        }
+    }
+
+    /// Number of elements: the shape's volume (at least 1).
+    pub fn volume(&self) -> usize {
+        self.shape.iter().product::<usize>().max(1)
+    }
+
+    /// Element `off`: `None` past the volume, `Some(None)` when it is
+    /// uninitialized.
+    pub(crate) fn get(&self, off: usize) -> Option<Option<f64>> {
+        if self.data.is_empty() {
+            (off < self.volume()).then_some(None)
+        } else {
+            self.data.get(off).copied()
         }
     }
 
     /// Every element in row-major order; `None` for an uninitialized
     /// (⊥) one.
     pub fn values(&self) -> impl Iterator<Item = Option<f64>> + '_ {
-        self.data.iter().copied()
+        (0..self.volume()).map(|off| self.get(off).flatten())
+    }
+
+    /// Element `off` for a store, allocating the storage on the first
+    /// one; `None` past the volume.
+    pub(crate) fn get_mut(&mut self, off: usize) -> Option<&mut Option<f64>> {
+        if self.data.is_empty() {
+            let volume = self.volume();
+            if off >= volume {
+                return None;
+            }
+            self.data = vec![None; volume];
+        }
+        self.data.get_mut(off)
     }
 }
 
@@ -102,7 +148,9 @@ mod tests {
     #[test]
     fn scalar_buffer() {
         let b = BufferData::new(Sym::new("s"), DataType::F32, vec![], MemName::dram());
-        assert_eq!(b.data.len(), 1);
+        assert_eq!(b.values().collect::<Vec<_>>(), vec![None]);
+        assert_eq!(b.get(0), Some(None));
+        assert_eq!(b.get(1), None);
     }
 
     #[test]

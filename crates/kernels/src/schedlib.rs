@@ -193,13 +193,13 @@ pub fn old_lib_tile(buf: usize, off: i64, rows: i64, stride: i64) -> TraceArg {
             DataType::I8
         },
         base_offset: off as usize,
-        shape: vec![rows as usize, 16],
-        strides: vec![stride as usize, 1],
+        shape: [rows as usize, 16].into(),
+        strides: [stride as usize, 1].into(),
     })
 }
 
 /// A configuration instruction setting stride `s`.
-pub fn old_lib_config(instr: &str, s: i64) -> HwOp {
+pub fn old_lib_config(instr: &'static str, s: i64) -> HwOp {
     HwOp {
         instr: instr.into(),
         args: vec![("s".into(), TraceArg::Int(s))],
@@ -207,7 +207,7 @@ pub fn old_lib_config(instr: &str, s: i64) -> HwOp {
 }
 
 /// A move of `rows × 16` elements from `src` to `dst`.
-pub fn old_lib_move(instr: &str, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
+pub fn old_lib_move(instr: &'static str, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
     HwOp {
         instr: instr.into(),
         args: vec![
