@@ -78,12 +78,6 @@ impl fmt::Debug for TraceName {
     }
 }
 
-impl fmt::Display for TraceName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Axes stored without a heap allocation (the conv operands are 4-D).
 const INLINE_AXES: usize = 4;
 
@@ -323,6 +317,5 @@ mod tests {
         assert_eq!(shared, "gemmini_mvin");
         assert!(literal.starts_with("gemmini_"));
         assert_eq!(format!("{shared:?}"), format!("{:?}", "gemmini_mvin"));
-        assert_eq!(shared.to_string(), "gemmini_mvin");
     }
 }
