@@ -87,7 +87,7 @@ impl BufferData {
     }
 
     /// Number of elements: the shape's volume (at least 1).
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         self.shape.iter().product::<usize>().max(1)
     }
 
