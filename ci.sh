@@ -32,7 +32,7 @@ cargo test -q -p exo-smt --features proptest-tests
 echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state; operator fail-safety; print/parse round trip) =="
 cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
 
-echo "== gemmini-sim (incl. differential test against the unpruned reference scan) =="
+echo "== gemmini-sim (incl. differential test of the floor-cut access logs against the unpruned reference scan) =="
 cargo test -q -p gemmini-sim
 
 echo "== scheduler suite (operators, edge cases, cache-on/off verdict parity) =="

@@ -17,9 +17,18 @@
 //!   instruction starts no earlier than the latest completion of every
 //!   prior access whose footprint overlaps one of its own: prior writes
 //!   for its reads (RAW), prior writes and reads for its writes (WAW,
-//!   WAR). A per-buffer scoreboard keeps the latest completion per
-//!   distinct footprint, so this maximum is exact over the whole trace:
-//!   nothing is pruned.
+//!   WAR). The scoreboard keeps, per buffer and per unit, a log of the
+//!   accesses since the last flush in program order; a unit's completion
+//!   times never decrease along its log. A query starts from the floor
+//!   `T = max(issue, unit available)`, the earliest start the instruction
+//!   already has, and walks each log newest-first. It stops at the first
+//!   overlapping entry, which is that log's latest overlapping completion,
+//!   or at the first entry completing at or before `T`, since neither it
+//!   nor any older entry can raise the start above `T`. A flush clears the
+//!   logs: it completes after every noted access and every later floor is
+//!   at or past it. The result is the exact maximum over every prior
+//!   overlapping access. In the worst case a query visits every entry of
+//!   one buffer and unit that completes above the floor.
 //! * **Configuration flushes** — `config_ld`/`config_st` wait for *all*
 //!   in-flight operations and stall the pipe (paper §2: "instructions to
 //!   configure such state usually flush the accelerator pipeline"), so
@@ -36,7 +45,8 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use exo_core::budget::ResourceBudget;
 #[cfg(test)]
@@ -127,46 +137,97 @@ impl Unit {
 /// an access touches within one buffer.
 type Footprint = (usize, u64, u64);
 
-/// One side (reads or writes) of the dependence scoreboard. Per buffer it
-/// keeps one entry per distinct footprint holding the latest completion
-/// time noted on it, so the latest time over the entries overlapping a
-/// query equals the latest time over *every* past access overlapping it:
-/// nothing is ever dropped.
+/// A noted access within one buffer: `(lo, hi, completion time)`.
+type Access = (u64, u64, u64);
+
+/// The access logs of one buffer since the last flush, per [`Unit`]
+/// (indexed by `unit as usize`) and in program order. A unit's
+/// completion times never decrease, so each log is sorted by time.
 #[derive(Debug, Default)]
-struct Board {
-    bufs: HashMap<usize, BufBoard>,
+struct BufLogs {
+    reads: [Vec<Access>; 3],
+    writes: [Vec<Access>; 3],
 }
 
-/// The entries of one buffer, ordered by `(lo, hi)`.
+/// Hashes a buffer id with one folded multiply. The ids are small
+/// integers the interpreter hands out in allocation order, and a
+/// lookup happens per tensor argument, so SipHash would dominate it.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// The dependence scoreboard: the access logs of every buffer, found
+/// through a `BufId → slot` map.
 #[derive(Debug, Default)]
-struct BufBoard {
-    latest: BTreeMap<(u64, u64), u64>,
-    /// The longest noted `hi - lo`: an entry starting before
-    /// `lo - max_len` ends before `lo`, so queries skip it.
-    max_len: u64,
+struct Board {
+    slots: HashMap<usize, usize, BuildHasherDefault<IdHasher>>,
+    bufs: Vec<BufLogs>,
 }
 
 impl Board {
-    fn note(&mut self, (buf, lo, hi): Footprint, time: u64) {
-        let b = self.bufs.entry(buf).or_default();
-        let t = b.latest.entry((lo, hi)).or_insert(time);
-        *t = (*t).max(time);
-        b.max_len = b.max_len.max(hi - lo);
+    fn get(&self, buf: usize) -> Option<&BufLogs> {
+        self.slots.get(&buf).map(|&i| &self.bufs[i])
     }
 
-    /// Latest completion time of a noted footprint overlapping
-    /// `[lo, hi)` in `buf` (0 if none).
-    fn latest(&self, (buf, lo, hi): Footprint) -> u64 {
-        let Some(b) = self.bufs.get(&buf) else {
-            return 0;
-        };
-        b.latest
-            .range((lo.saturating_sub(b.max_len), 0)..(hi, 0))
-            .filter(|(&(_, e_hi), _)| lo < e_hi)
-            .map(|(_, &t)| t)
-            .max()
-            .unwrap_or(0)
+    fn get_mut(&mut self, buf: usize) -> &mut BufLogs {
+        let next = self.bufs.len();
+        let i = *self.slots.entry(buf).or_insert(next);
+        if i == next {
+            self.bufs.push(BufLogs::default());
+        }
+        &mut self.bufs[i]
     }
+
+    /// Forgets every access; the buffers keep their slots and capacity.
+    fn clear(&mut self) {
+        for b in &mut self.bufs {
+            b.reads.iter_mut().chain(&mut b.writes).for_each(Vec::clear);
+        }
+    }
+}
+
+/// `floor`, raised to the latest completion in `log` of an access
+/// overlapping `[lo, hi)`. The walk runs newest-first: the first
+/// overlapping entry is the latest (times never decrease along a log),
+/// and once an entry's time is at most `floor`, so is every older one.
+fn latest(log: &[Access], lo: u64, hi: u64, floor: u64) -> u64 {
+    for &(e_lo, e_hi, end) in log.iter().rev() {
+        if end <= floor {
+            break;
+        }
+        if e_lo < hi && lo < e_hi {
+            return end;
+        }
+    }
+    floor
+}
+
+fn push(log: &mut Vec<Access>, access: Access) {
+    debug_assert!(
+        log.last().is_none_or(|&(_, _, t)| t <= access.2),
+        "a unit's completion times must not decrease"
+    );
+    log.push(access);
 }
 
 /// The simulator.
@@ -178,8 +239,7 @@ pub struct Simulator {
     unit_free: [u64; 3],
     /// Per [`Unit`]: cycles spent executing.
     unit_busy: [u64; 3],
-    writers: Board,
-    readers: Board,
+    board: Board,
     last_flush: u64,
     finish: u64,
     macs: u64,
@@ -197,8 +257,7 @@ impl Simulator {
             cpu_time: 0,
             unit_free: [0; 3],
             unit_busy: [0; 3],
-            writers: Board::default(),
-            readers: Board::default(),
+            board: Board::default(),
             last_flush: 0,
             finish: 0,
             macs: 0,
@@ -232,7 +291,7 @@ impl Simulator {
             self.step(op);
         }
         let cycles = self.finish.max(self.cpu_time).max(1);
-        let util = self.macs as f64 / (cycles * PEAK_MACS_PER_CYCLE) as f64;
+        let util = self.macs as f64 / cycles.saturating_mul(PEAK_MACS_PER_CYCLE) as f64;
         drop(
             span.with_field("instructions", exo_obs::Json::uint(self.instructions))
                 .with_field("cycles", exo_obs::Json::uint(cycles))
@@ -280,7 +339,9 @@ impl Simulator {
     }
 
     fn issue(&mut self, n_instrs: u64) -> u64 {
-        self.cpu_time += self.cfg.dispatch_cost * n_instrs;
+        self.cpu_time = self
+            .cpu_time
+            .saturating_add(self.cfg.dispatch_cost.saturating_mul(n_instrs));
         self.cpu_time
     }
 
@@ -289,92 +350,117 @@ impl Simulator {
     }
 
     fn complete(&mut self, u: Unit, start: u64, cost: u64) -> u64 {
-        let end = start + cost;
+        let end = start.saturating_add(cost);
         self.unit_free[u as usize] = end;
-        self.unit_busy[u as usize] += cost;
+        self.unit_busy[u as usize] = self.unit_busy[u as usize].saturating_add(cost);
         self.finish = self.finish.max(end);
         end
     }
 
     fn config(&mut self) {
-        // drain everything, then stall
+        // drain everything, then stall; every later start is at or past
+        // `last_flush`, so no noted access can delay it any more
         let issue = self.issue(1);
         let drain = self.unit_free.into_iter().fold(issue, u64::max);
-        self.last_flush = drain + self.cfg.flush_cost;
+        self.last_flush = drain.saturating_add(self.cfg.flush_cost);
         self.cpu_time = self.cpu_time.max(self.last_flush);
         self.finish = self.finish.max(self.last_flush);
         self.flushes += 1;
+        self.board.clear();
     }
 
     fn dma(&mut self, op: &HwOp, unit: Unit) -> u64 {
         let (reads, writes, bytes, rows) = dma_ranges(op);
-        self.bytes_moved += bytes;
+        self.bytes_moved = self.bytes_moved.saturating_add(bytes);
         let issue = self.issue(1);
-        let dep = self.dep_time(&reads, &writes);
-        let start = issue.max(self.unit_available(unit)).max(dep);
-        let cost = self.cfg.dma_startup
-            + rows * ((bytes / rows.max(1)).div_ceil(self.cfg.bus_bytes)).max(1);
+        let floor = issue.max(self.unit_available(unit));
+        let start = self.dep_time(floor, &reads, &writes);
+        let cost = self.cfg.dma_startup.saturating_add(
+            rows.saturating_mul((bytes / rows.max(1)).div_ceil(self.cfg.bus_bytes).max(1)),
+        );
         let end = self.complete(unit, start, cost);
-        self.note(&reads, &writes, end);
+        self.note(unit, &reads, &writes, end);
         end
     }
 
     fn zero(&mut self, op: &HwOp) {
         let writes = footprints(op, ["dst"]);
         let issue = self.issue(1);
-        let dep = self.dep_time(&[], &writes);
-        let start = issue.max(self.unit_available(Unit::Execute)).max(dep);
+        let floor = issue.max(self.unit_available(Unit::Execute));
+        let start = self.dep_time(floor, &[], &writes);
         let end = self.complete(Unit::Execute, start, 2);
-        self.note(&[], &writes, end);
+        self.note(Unit::Execute, &[], &writes, end);
     }
 
     fn matmul(&mut self, op: &HwOp) {
-        let n = op.int_arg("n").unwrap_or(DIM as i64) as u64;
-        let m = op.int_arg("m").unwrap_or(DIM as i64) as u64;
-        let k = op.int_arg("k").unwrap_or(DIM as i64) as u64;
-        self.macs += n * m * k;
+        let dim = |name| op.int_arg(name).unwrap_or(DIM as i64) as u64;
+        let macs = dim("n").saturating_mul(dim("m")).saturating_mul(dim("k"));
+        self.macs = self.macs.saturating_add(macs);
         let reads = footprints(op, ["a", "b"]);
         let writes = footprints(op, ["c"]);
         // preload + compute are two host instructions
         let issue = self.issue(2);
-        let dep = self.dep_time(&reads, &writes);
         let avail = self.unit_available(Unit::Execute);
-        let idle = dep.max(issue) > avail;
-        let start = issue.max(avail).max(dep);
-        let cost = if idle {
+        let start = self.dep_time(issue.max(avail), &reads, &writes);
+        // the pipe idles unless this pass follows the previous one directly
+        let cost = if start > avail {
             self.cfg.matmul_startup
         } else {
             self.cfg.matmul_interval
         };
         let end = self.complete(Unit::Execute, start, cost);
-        self.note(&reads, &writes, end);
+        self.note(Unit::Execute, &reads, &writes, end);
     }
 
-    /// Earliest start permitted by data dependencies: RAW (our reads wait
-    /// on overlapping writers), WAW and WAR (our writes wait on
-    /// overlapping writers and readers).
-    fn dep_time(&self, reads: &[Option<Footprint>], writes: &[Option<Footprint>]) -> u64 {
-        let raw = reads.iter().flatten().map(|&f| self.writers.latest(f));
-        let waw_war = writes
-            .iter()
-            .flatten()
-            .map(|&f| self.writers.latest(f).max(self.readers.latest(f)));
-        raw.chain(waw_war).max().unwrap_or(0)
-    }
-
-    fn note(&mut self, reads: &[Option<Footprint>], writes: &[Option<Footprint>], end: u64) {
-        for &f in reads.iter().flatten() {
-            self.readers.note(f, end);
+    /// Earliest start: `floor` (the issue time and unit availability),
+    /// raised by data dependencies. RAW: our reads wait on overlapping
+    /// writers. WAW and WAR: our writes wait on overlapping writers and
+    /// readers. Accesses completing at or before the floor cannot raise
+    /// it, so each log walk stops at the first of them.
+    fn dep_time(
+        &self,
+        floor: u64,
+        reads: &[Option<Footprint>],
+        writes: &[Option<Footprint>],
+    ) -> u64 {
+        let mut t = floor;
+        for &(buf, lo, hi) in reads.iter().flatten() {
+            if let Some(b) = self.board.get(buf) {
+                t = b.writes.iter().fold(t, |t, log| latest(log, lo, hi, t));
+            }
         }
-        for &f in writes.iter().flatten() {
-            self.writers.note(f, end);
+        for &(buf, lo, hi) in writes.iter().flatten() {
+            if let Some(b) = self.board.get(buf) {
+                t = b
+                    .writes
+                    .iter()
+                    .chain(&b.reads)
+                    .fold(t, |t, log| latest(log, lo, hi, t));
+            }
+        }
+        t
+    }
+
+    fn note(
+        &mut self,
+        unit: Unit,
+        reads: &[Option<Footprint>],
+        writes: &[Option<Footprint>],
+        end: u64,
+    ) {
+        for &(buf, lo, hi) in reads.iter().flatten() {
+            let log = &mut self.board.get_mut(buf).reads[unit as usize];
+            push(log, (lo, hi, end));
+        }
+        for &(buf, lo, hi) in writes.iter().flatten() {
+            let log = &mut self.board.get_mut(buf).writes[unit as usize];
+            push(log, (lo, hi, end));
         }
     }
 }
 
 /// The (buffer, linear range) footprint of one tensor argument. The
-/// arithmetic saturates, so `lo <= hi` holds for any window, as the
-/// scoreboard's range queries require.
+/// arithmetic saturates, so `lo <= hi` holds for any window.
 fn footprint(t: &TensorRef) -> Footprint {
     let mut span = 1u64;
     for (&n, &s) in t.shape.iter().zip(&t.strides) {
@@ -392,7 +478,8 @@ fn footprints<const N: usize>(op: &HwOp, names: [&str; N]) -> [Option<Footprint>
     names.map(|n| op.tensor_arg(n).map(footprint))
 }
 
-/// Classifies a DMA op: (reads, writes, total bytes, rows).
+/// Classifies a DMA op: (reads, writes, total bytes, rows). The byte
+/// count saturates on windows too large for a `u64`.
 fn dma_ranges(op: &HwOp) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64, u64) {
     let src = op.tensor_arg("src");
     let dst = op.tensor_arg("dst");
@@ -404,14 +491,18 @@ fn dma_ranges(op: &HwOp) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64
         .unwrap_or(1);
     let volume: u64 = src
         .or(dst)
-        .map(|t| t.shape.iter().product::<usize>() as u64)
+        .map(|t| {
+            t.shape
+                .iter()
+                .fold(1u64, |v, &n| v.saturating_mul(n as u64))
+        })
         .unwrap_or(0);
     let rows = src
         .or(dst)
         .and_then(|t| t.shape.first().copied())
         .unwrap_or(1)
         .max(1) as u64;
-    (reads, writes, volume * elem, rows)
+    (reads, writes, volume.saturating_mul(elem), rows)
 }
 
 #[cfg(test)]
@@ -610,6 +701,36 @@ mod tests {
             let units: Vec<Unit> = r.busy.iter().map(|b| b.unit).collect();
             assert_eq!(units, [Unit::Load, Unit::Execute]);
         }
+    }
+
+    #[test]
+    fn negative_matmul_dims_do_not_panic() {
+        let mut op = matmul((1, 0), (1, 256), (2, 0));
+        op.args[0].1 = TraceArg::Int(-1);
+        let r = Simulator::new(SimConfig::software()).run(&[op.clone(), op]);
+        assert_eq!(r.macs, u64::MAX);
+        assert_eq!(r.instructions, 2);
+    }
+
+    #[test]
+    fn huge_dma_window_does_not_panic() {
+        let huge = HwOp {
+            instr: "gemmini_mvin".into(),
+            args: vec![
+                (
+                    "src".into(),
+                    tensor(0, 0, &[1 << 40, 1 << 40], &[1 << 40, 1]),
+                ),
+                (
+                    "dst".into(),
+                    tensor(1, 0, &[1 << 40, 1 << 40], &[1 << 40, 1]),
+                ),
+            ],
+        };
+        let trace = [huge.clone(), huge, config(), mvin(0, 1, 0)];
+        let r = Simulator::new(SimConfig::software()).run(&trace);
+        assert_eq!(r.bytes_moved, u64::MAX);
+        assert_eq!(r.instructions, 4);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Differential test: the simulator's per-buffer scoreboard against a
 //! reference simulator that keeps every past access in a list and scans
 //! it linearly, never pruning. Both must produce identical reports on
-//! seeded random traces.
+//! seeded random traces: short ones over a few shared buffers, ones that
+//! allocate a fresh buffer per tile, ones with buffer ids near
+//! `usize::MAX`, and long ones, some with no dispatch cost.
 
 use std::collections::HashMap;
 
@@ -231,6 +233,42 @@ impl Rng {
 /// scratchpad and 2 an accumulator (row stride 16).
 const DRAM: [usize; 2] = [0, 3];
 
+/// How a trace names its buffers.
+enum Ids {
+    /// The buffer numbers themselves.
+    Small,
+    /// The same four buffers, numbered down from `usize::MAX`.
+    High,
+    /// DRAM as in `Small`; every on-chip slot is a buffer of its own,
+    /// allocated afresh under the next id by each tile written into it
+    /// (as exo's per-iteration allocations are), so a trace names
+    /// hundreds of ids. `live` maps `(buffer, slot)` to its current id.
+    Fresh {
+        live: HashMap<(usize, usize), usize>,
+        next: usize,
+    },
+}
+
+impl Ids {
+    /// The id of buffer `buf`; for an on-chip tile in `slot`, a new one
+    /// when the tile is written first (`alloc`).
+    fn id(&mut self, buf: usize, slot: usize, alloc: bool) -> usize {
+        match self {
+            Ids::Small => buf,
+            Ids::High => usize::MAX - buf,
+            Ids::Fresh { .. } if DRAM.contains(&buf) => buf,
+            Ids::Fresh { live, next } => {
+                let id = live.entry((buf, slot)).or_insert(0);
+                if alloc || *id == 0 {
+                    *next += 1;
+                    *id = *next;
+                }
+                *id
+            }
+        }
+    }
+}
+
 /// The shape of a random trace.
 #[derive(Clone, Copy)]
 struct Mix {
@@ -283,20 +321,29 @@ fn shift(rng: &mut Rng) -> usize {
 
 /// A DRAM tile: a strided footprint, so tiles side by side in the same
 /// rows overlap as linear spans.
-fn dram_tile(rng: &mut Rng, shape: [usize; 2]) -> TraceArg {
+fn dram_tile(rng: &mut Rng, ids: &mut Ids, shape: [usize; 2]) -> TraceArg {
     let buf = DRAM[rng.below(2)];
     let stride = if buf == 0 { 64 } else { 128 };
     let offset = rng.below(8) * stride * 4 + rng.below(4) * 16 + shift(rng);
-    tensor(buf, offset, shape, stride)
+    tensor(ids.id(buf, 0, false), offset, shape, stride)
 }
 
-/// An on-chip tile in one of `mix.slots` slots.
-fn local_tile(rng: &mut Rng, mix: Mix, buf: usize, shape: [usize; 2]) -> TraceArg {
-    let offset = rng.below(mix.slots) * 256 + shift(rng);
-    tensor(buf, offset, shape, 16)
+/// An on-chip tile in one of `mix.slots` slots, written first when
+/// `alloc`.
+fn local_tile(
+    rng: &mut Rng,
+    mix: Mix,
+    ids: &mut Ids,
+    buf: usize,
+    alloc: bool,
+    shape: [usize; 2],
+) -> TraceArg {
+    let slot = rng.below(mix.slots);
+    let offset = slot * 256 + shift(rng);
+    tensor(ids.id(buf, slot, alloc), offset, shape, 16)
 }
 
-fn random_op(rng: &mut Rng, mix: Mix) -> HwOp {
+fn random_op(rng: &mut Rng, mix: Mix, ids: &mut Ids) -> HwOp {
     // mostly full tiles, so footprints repeat
     let full = rng.below(4) != 0;
     let mut dim = || if full { 16 } else { 1 + rng.below(16) };
@@ -313,19 +360,22 @@ fn random_op(rng: &mut Rng, mix: Mix) -> HwOp {
         Some(2) => {
             let instr = ["gemmini_mvin", "gemmini_mvin_acc"][rng.below(2)];
             let buf = 1 + rng.below(2);
-            let dst = local_tile(rng, mix, buf, [n, m]);
-            (instr, vec![("src", dram_tile(rng, [n, m])), ("dst", dst)])
+            let dst = local_tile(rng, mix, ids, buf, true, [n, m]);
+            (
+                instr,
+                vec![("src", dram_tile(rng, ids, [n, m])), ("dst", dst)],
+            )
         }
         Some(3) => {
             let buf = 1 + rng.below(2);
-            let src = local_tile(rng, mix, buf, [n, m]);
+            let src = local_tile(rng, mix, ids, buf, false, [n, m]);
             (
                 "gemmini_mvout",
-                vec![("src", src), ("dst", dram_tile(rng, [n, m]))],
+                vec![("src", src), ("dst", dram_tile(rng, ids, [n, m]))],
             )
         }
         Some(4) => {
-            let dst = local_tile(rng, mix, 2, [n, m]);
+            let dst = local_tile(rng, mix, ids, 2, true, [n, m]);
             ("gemmini_zero_acc", vec![("dst", dst)])
         }
         _ => {
@@ -333,9 +383,9 @@ fn random_op(rng: &mut Rng, mix: Mix) -> HwOp {
                 ("n", TraceArg::Int(n as i64)),
                 ("m", TraceArg::Int(m as i64)),
                 ("k", TraceArg::Int(k as i64)),
-                ("a", local_tile(rng, mix, 1, [n, k])),
-                ("b", local_tile(rng, mix, 1, [k, m])),
-                ("c", local_tile(rng, mix, 2, [n, m])),
+                ("a", local_tile(rng, mix, ids, 1, false, [n, k])),
+                ("b", local_tile(rng, mix, ids, 1, false, [k, m])),
+                ("c", local_tile(rng, mix, ids, 2, false, [n, m])),
             ];
             ("gemmini_matmul", args)
         }
@@ -361,22 +411,42 @@ fn random_config(rng: &mut Rng) -> SimConfig {
 
 #[test]
 fn scoreboard_matches_the_unpruned_scan() {
-    let mut noted_max = 0;
+    let (mut noted_max, mut ids_max) = (0, 0);
     for seed in 1..=200u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // every 50th trace is long: more than 4096 noted accesses
-        let (len, mix) = if seed % 50 == 0 {
+        let mut ids = match seed % 10 {
+            1 | 6 => Ids::Fresh {
+                live: HashMap::new(),
+                next: 3,
+            },
+            2 => Ids::High,
+            _ => Ids::Small,
+        };
+        // every 25th trace is long: more than 4096 noted accesses, and at
+        // odd multiples of 25 no dispatch cost, so that cpu_time stands
+        // still between the rare flushes while the logs run deep
+        let (len, mix) = if seed % 25 == 0 {
             (2500, LONG)
+        } else if matches!(ids, Ids::Fresh { .. }) {
+            (300 + rng.below(300), short_mix(&mut rng))
         } else {
             (1 + rng.below(300), short_mix(&mut rng))
         };
-        let trace: Vec<HwOp> = (0..len).map(|_| random_op(&mut rng, mix)).collect();
+        let trace: Vec<HwOp> = (0..len)
+            .map(|_| random_op(&mut rng, mix, &mut ids))
+            .collect();
         let noted: usize = trace
             .iter()
             .map(|op| ranges(op, &["src", "dst", "a", "b", "c"]).len())
             .sum();
         noted_max = noted_max.max(noted);
-        let random = random_config(&mut rng);
+        if let Ids::Fresh { next, .. } = ids {
+            ids_max = ids_max.max(next);
+        }
+        let mut random = random_config(&mut rng);
+        if seed % 50 == 25 {
+            random.dispatch_cost = 0;
+        }
         for cfg in [
             SimConfig::software(),
             SimConfig::hardware_unroller(),
@@ -387,4 +457,5 @@ fn scoreboard_matches_the_unpruned_scan() {
         }
     }
     assert!(noted_max > 4096, "longest trace noted only {noted_max}");
+    assert!(ids_max > 256, "fresh-id traces named at most {ids_max} ids");
 }
