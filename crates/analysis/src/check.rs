@@ -198,6 +198,13 @@ impl SharedCheckCtx {
     pub fn solver_stats(&self) -> SolverStats {
         self.lock().solver.stats()
     }
+
+    /// A copy of the verdict cache: every `(canonical formula, answer)`
+    /// entry, in no particular order.
+    pub fn verdicts(&self) -> Vec<(Formula, Answer)> {
+        let ck = self.lock();
+        ck.cache.iter().map(|(f, &a)| (f.clone(), a)).collect()
+    }
 }
 
 impl Default for SharedCheckCtx {
