@@ -17,8 +17,9 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== obs / smt / analysis unit + integration tests =="
+echo "== obs / smt / analysis unit + integration tests (incl. the Coeffs model test against a BTreeMap and the verdict corpus) =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
+cargo test -q --release -p exo-kernels --test verdict_corpus
 
 echo "== front-end / hardware libraries (memory resolution, @instr print/parse round trip) =="
 cargo test -q -p exo-front -p exo-hwlibs
@@ -26,7 +27,7 @@ cargo test -q -p exo-front -p exo-hwlibs
 echo "== C backend (emitter unit tests; compile_run.rs builds generated C with cc and compares with the interpreter) =="
 cargo test -q -p exo-codegen
 
-echo "== smt property suite (QE vs brute-force enumeration; ~3 s in debug) =="
+echo "== smt property suite (QE vs brute-force enumeration; the Coeffs model over 5 000 seeded sequences; ~4 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 
 echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state; operator fail-safety; print/parse round trip) =="

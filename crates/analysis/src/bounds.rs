@@ -10,9 +10,9 @@
 //! replaying the surrounding context (shapes, binders, guards, config
 //! dataflow) without re-proving it.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
 use exo_core::path::StmtPath;
 use exo_core::Sym;
@@ -224,7 +224,7 @@ impl<'a> Checker<'a> {
 
     fn check_call(&mut self, proc: &Proc, args: &[Expr]) {
         // check argument expressions and collect the control substitution
-        let mut subst: HashMap<Sym, EffExpr> = HashMap::new();
+        let mut subst: HashMap<Sym, EffExpr> = HashMap::default();
         for (formal, actual) in proc.args.iter().zip(args) {
             match &formal.ty {
                 ArgType::Ctrl(_) => {
@@ -279,7 +279,7 @@ impl<'a> Checker<'a> {
 /// Seeds the checker state every entry point shares: argument shapes,
 /// size positivity, and the procedure's preconditions.
 fn seed(proc: &Proc, reg: &mut GlobalReg) -> (HashMap<Sym, Vec<EffExpr>>, Vec<EffExpr>) {
-    let mut shapes = HashMap::new();
+    let mut shapes = HashMap::default();
     let mut assumptions = Vec::new();
     for arg in &proc.args {
         match &arg.ty {

@@ -12,22 +12,34 @@
 //! * each query is first alpha-normalized by [`exo_smt::canonicalize`]
 //!   and memoized keyed by the *canonical formula* (full structural
 //!   equality, not a hash, so collisions cannot corrupt verdicts);
-//! * hit/miss/entry counters are exported through `exo-obs`
+//! * the cache is bounded: when it holds `CACHE_CAP` (65 536) verdicts it is
+//!   cleared before the next one goes in, so a long-lived process (the
+//!   process-wide context lives as long as the process) cannot grow it
+//!   without limit;
+//! * hit/miss/entry/eviction counters are exported through `exo-obs`
 //!   (`check.queries`, `check.cache_hits`, `check.cache_misses`,
-//!   `check.cache_entries`), attributed to the active operator.
+//!   `check.cache_entries`, `check.cache_evictions`), attributed to the
+//!   active operator. `check.cache_entries` counts insertions, so after a
+//!   clear it exceeds the live size [`SharedCheckCtx::stats`] reports.
 //!
 //! Contexts are cached by default; [`SharedCheckCtx::with_cache`]`(false)`
 //! sends every query to the solver, for measuring the cache's effect and
 //! for the verdict-parity tests. Verdicts are identical either way
 //! because canonical renaming is semantics-preserving.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use exo_core::budget::ResourceBudget;
+use exo_core::hash::HashMap;
 use exo_smt::canon::canonicalize;
 use exo_smt::formula::Formula;
 use exo_smt::solver::{Answer, Solver, SolverStats};
+
+/// The most verdicts one cache holds. A full cache is cleared before the
+/// next insert, and each clear counts as one `check.cache_evictions`.
+/// The benchmark workloads stay far below it: a cold schedule of the
+/// Fig. 4a chain leaves 174 entries, the largest measured.
+const CACHE_CAP: usize = 1 << 16;
 
 /// Counters describing checking-context activity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -53,6 +65,8 @@ pub struct CheckStats {
 struct CheckCtx {
     solver: Solver,
     cache: HashMap<Formula, Answer>,
+    /// [`CACHE_CAP`]; a field only so that unit tests can lower it.
+    cap: usize,
     enabled: bool,
     queries: usize,
     hits: usize,
@@ -66,7 +80,8 @@ impl CheckCtx {
     fn with_cache(enabled: bool) -> CheckCtx {
         CheckCtx {
             solver: Solver::new(),
-            cache: HashMap::new(),
+            cache: HashMap::default(),
+            cap: CACHE_CAP,
             enabled,
             queries: 0,
             hits: 0,
@@ -109,6 +124,10 @@ impl CheckCtx {
         self.misses += 1;
         exo_obs::counter_add("check.cache_misses", 1);
         if !chaos_armed {
+            if self.cache.len() >= self.cap {
+                self.cache.clear();
+                exo_obs::counter_add("check.cache_evictions", 1);
+            }
             exo_obs::counter_add("check.cache_entries", 1);
             self.cache.insert(key, a);
         }
@@ -259,6 +278,32 @@ mod tests {
         assert_eq!(ctx.check_valid(&valid_shape(-1)), Answer::No);
         assert_eq!(ctx.stats().entries, 2);
         assert_eq!(ctx.stats().hits, 0);
+    }
+
+    /// `0 ≤ x ≤ c`: satisfiable iff `c ≥ 0`, one canonical key per `c`.
+    fn bounded(c: i64) -> Formula {
+        let x = Sym::new("x");
+        Formula::and(vec![
+            Formula::ge(LinExpr::var(x), LinExpr::constant(0)),
+            Formula::le(LinExpr::var(x), LinExpr::constant(c)),
+        ])
+    }
+
+    #[test]
+    fn a_full_cache_is_cleared_and_verdicts_survive() {
+        let ctx = SharedCheckCtx::with_cache(true);
+        ctx.lock().cap = 2;
+        // 0 and -1 fill the cache; 1 and then 0 (gone by then) each clear
+        // it; the last 0 hits the entry made after the second clear
+        let mut entries = Vec::new();
+        for c in [0, -1, 1, -2, 0, -1, 0] {
+            let want = if c >= 0 { Answer::Yes } else { Answer::No };
+            assert_eq!(ctx.check_sat(&bounded(c)), want, "c = {c}");
+            entries.push(ctx.stats().entries);
+        }
+        assert_eq!(entries, [1, 2, 1, 2, 1, 2, 2]);
+        let st = ctx.stats();
+        assert_eq!((st.queries, st.misses, st.hits), (7, 6, 1));
     }
 
     #[test]

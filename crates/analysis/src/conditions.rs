@@ -6,8 +6,7 @@
 //! guards) and asks the solver for validity. An `Unknown` answer fails
 //! safe: the rewrite is rejected.
 
-use std::collections::HashMap;
-
+use exo_core::hash::HashMap;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 
@@ -18,10 +17,10 @@ use crate::locset::{member, sets_of, LocSet, SetBundle, Target};
 /// Builds `∀ shared targets. ¬(M(t ∈ a) ∧ M(t ∈ b))` — the sets are
 /// definitely disjoint.
 pub fn disjoint(a: &LocSet, b: &LocSet, ctx: &mut LowerCtx) -> Formula {
-    let mut bufs_a = HashMap::new();
+    let mut bufs_a = HashMap::default();
     let mut globals_a = Vec::new();
     a.collect_targets(&mut bufs_a, &mut globals_a);
-    let mut bufs_b = HashMap::new();
+    let mut bufs_b = HashMap::default();
     let mut globals_b = Vec::new();
     b.collect_targets(&mut bufs_b, &mut globals_b);
 
@@ -82,7 +81,7 @@ pub fn shadows(a1: &Effect, a2: &Effect, ctx: &mut LowerCtx) -> Formula {
     let rd2 = s2.rd();
     let wr2 = s2.wr();
 
-    let mut bufs = HashMap::new();
+    let mut bufs = HashMap::default();
     let mut globals = Vec::new();
     m1.collect_targets(&mut bufs, &mut globals);
 
@@ -146,7 +145,7 @@ pub fn loop_reorder(
     // condition 2: reordered iteration pairs commute
     let x2 = x.copy();
     let y2 = y.copy();
-    let mut map = HashMap::new();
+    let mut map = HashMap::default();
     map.insert(x, EffExpr::Var(x2));
     map.insert(y, EffExpr::Var(y2));
     let body2 = body.subst(&map);
@@ -176,7 +175,7 @@ pub fn loop_fission(
 
     // condition 2: s₁(x) commutes with s₂(x') for earlier iterations x' < x
     let x2 = x.copy();
-    let mut map = HashMap::new();
+    let mut map = HashMap::default();
     map.insert(x, EffExpr::Var(x2));
     let s2_prev = s2.subst(&map);
     let hyp_e = bd(x, bounds.0, bounds.1)

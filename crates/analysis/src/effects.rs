@@ -5,9 +5,9 @@
 //! (so that aliasing is visible) and splices callee effects into call
 //! sites with actuals substituted for formals.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
 use exo_core::visit;
 use exo_core::Sym;
@@ -215,7 +215,7 @@ impl<'a> ExtractCtx<'a> {
     /// Creates the extraction context for a procedure (parameters bound
     /// to themselves).
     pub fn for_proc(proc: &Proc, reg: &'a mut GlobalReg) -> ExtractCtx<'a> {
-        let mut views = HashMap::new();
+        let mut views = HashMap::default();
         for arg in &proc.args {
             match &arg.ty {
                 ArgType::Tensor { shape, .. } => {
@@ -228,7 +228,7 @@ impl<'a> ExtractCtx<'a> {
             }
         }
         ExtractCtx {
-            ctrl: HashMap::new(),
+            ctrl: HashMap::default(),
             views,
             genv: GlobalEnv::identity(),
             reg,
@@ -373,7 +373,7 @@ fn effect_of_call(proc: &Arc<Proc>, args: &[Expr], ctx: &mut ExtractCtx<'_>) -> 
     // formals ↦ views derived from actuals. The caller's own substitution
     // stays in force: configuration values it wrote are in its names.
     let mut ctrl = ctx.ctrl.clone();
-    let mut views = HashMap::new();
+    let mut views = HashMap::default();
     let mut arg_reads = Vec::new();
     for (formal, actual) in proc.args.iter().zip(args) {
         match &formal.ty {

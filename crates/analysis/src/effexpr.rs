@@ -8,8 +8,7 @@
 //! [`Formula`]s, integers a [`Formula`] plus a [`LinExpr`] (with fresh
 //! variables and side constraints for `/`, `%`, `if-then-else` and ⊥).
 
-use std::collections::HashMap;
-
+use exo_core::hash::HashMap;
 use exo_core::ir::{BinOp, Expr, Lit};
 use exo_core::Sym;
 use exo_smt::formula::Formula;
@@ -595,7 +594,7 @@ mod tests {
         let mut fv = std::collections::BTreeSet::new();
         e.free_vars(&mut fv);
         assert!(fv.contains(&x) && fv.contains(&y));
-        let mut m = HashMap::new();
+        let mut m = HashMap::default();
         m.insert(x, EffExpr::Int(1));
         let e2 = e.subst(&m);
         let mut fv2 = std::collections::BTreeSet::new();

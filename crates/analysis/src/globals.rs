@@ -8,10 +8,10 @@
 //! heuristic: a loop that does not change a field acts as the identity on
 //! it; otherwise the field becomes ⊥.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use exo_core::budget::ResourceBudget;
+use exo_core::hash::HashMap;
 use exo_core::ir::{Expr, Proc, Stmt};
 use exo_core::Sym;
 
@@ -233,7 +233,7 @@ fn val_g_call(proc: &Arc<Proc>, args: &[Expr], env: GlobalEnv, reg: &mut GlobalR
     if callee_env.is_identity() {
         return env;
     }
-    let mut subst: HashMap<Sym, EffExpr> = HashMap::new();
+    let mut subst: HashMap<Sym, EffExpr> = HashMap::default();
     for (formal, actual) in proc.args.iter().zip(args) {
         if formal.ty.is_ctrl() {
             subst.insert(formal.name, lift_in_env(actual, &env, reg));

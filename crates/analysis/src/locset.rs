@@ -7,8 +7,7 @@
 //! definitely out, and a penumbra. `D`/`M` collapse membership back to
 //! classical formulas for the solver.
 
-use std::collections::HashMap;
-
+use exo_core::hash::HashMap;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 use exo_smt::linear::LinExpr;
@@ -180,7 +179,7 @@ pub fn member(set: &LocSet, target: &Target, ctx: &mut LowerCtx) -> LBool {
             //   val  = ∃x. val(p)
             //   def  = (∃x. D p) ∨ (∀x. D ¬p)
             let fresh = var.copy();
-            let mut map = HashMap::new();
+            let mut map = HashMap::default();
             map.insert(*var, EffExpr::Var(fresh));
             let body = subst_set(body, &map);
             let m = member(&body, target, ctx);

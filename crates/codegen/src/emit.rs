@@ -11,10 +11,10 @@
 //! its C origin pointer and one stride expression per axis. Every
 //! access, window and `stride()` is rendered from that view.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{ArgType, BinOp, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::{ConfigDecl, Sym};
@@ -83,7 +83,7 @@ impl CodegenCtx {
 pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, CodegenError> {
     let _span = exo_obs::Span::enter("codegen.compile_c");
     let mut order: Vec<Arc<Proc>> = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
+    let mut seen: HashSet<usize> = HashSet::default();
     for p in procs {
         collect_procs(p, &mut order, &mut seen);
     }
@@ -96,7 +96,7 @@ pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, Codege
     let _ = writeln!(out);
 
     // window struct typedefs for every (rank, type) used
-    let mut win_types: HashSet<(usize, DataType)> = HashSet::new();
+    let mut win_types: HashSet<(usize, DataType)> = HashSet::default();
     for p in &order {
         scan_window_types(p, &mut win_types)?;
     }
@@ -126,7 +126,7 @@ pub fn compile_c(procs: &[Arc<Proc>], ctx: &CodegenCtx) -> Result<String, Codege
     }
 
     // memory globals, in registration order
-    let mut emitted_globals: HashSet<&str> = HashSet::new();
+    let mut emitted_globals: HashSet<&str> = HashSet::default();
     for g in ctx.mems.iter().filter_map(|m| m.c_global.as_deref()) {
         if emitted_globals.insert(g) {
             let _ = writeln!(out, "{g}");
@@ -283,9 +283,9 @@ impl<'a> ProcGen<'a> {
         let mut gen = ProcGen {
             proc,
             ctx,
-            names: HashMap::new(),
-            used_names: HashSet::new(),
-            views: HashMap::new(),
+            names: HashMap::default(),
+            used_names: HashSet::default(),
+            views: HashMap::default(),
             body: String::new(),
             indent: 1,
         };

@@ -6,9 +6,9 @@
 //! SMT solver and live in `exo-analysis`; the checks here are purely
 //! structural.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::HashMap;
 use crate::ir::{ArgType, BinOp, Block, Expr, Proc, Stmt, WAccess};
 use crate::sym::Sym;
 use crate::types::CtrlType;
@@ -51,7 +51,7 @@ enum Binding {
 ///
 /// Returns the first violation found.
 pub fn check_proc(p: &Proc) -> Result<(), TypeError> {
-    let mut env: HashMap<Sym, Binding> = HashMap::new();
+    let mut env: HashMap<Sym, Binding> = HashMap::default();
     for arg in &p.args {
         let b = match &arg.ty {
             ArgType::Ctrl(ct) => Binding::Ctrl(*ct),

@@ -21,7 +21,9 @@
 //! * [`visit`] — traversal, substitution, renaming, alpha-equivalence;
 //! * [`printer`] — pretty-printing in the paper's surface syntax;
 //! * [`error`] — the [`ExoError`] umbrella every stage error chains into;
-//! * [`budget`] — shared fuel/wall-clock [`ResourceBudget`] limits.
+//! * [`budget`] — shared fuel/wall-clock [`ResourceBudget`] limits;
+//! * [`hash`] — the one hasher every library map uses ([`hash::HashMap`],
+//!   [`hash::HashSet`]).
 //!
 //! Scheduling rewrites live in `exo-sched`, safety analyses in
 //! `exo-analysis`, code generation in `exo-codegen`.
@@ -62,6 +64,7 @@ pub mod build;
 pub mod check;
 pub mod diag;
 pub mod error;
+pub mod hash;
 pub mod ir;
 pub mod path;
 pub mod printer;

@@ -1,7 +1,6 @@
 //! Traversals, substitution, renaming, and alpha-equivalence over the IR.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::hash::{HashMap, HashSet};
 use crate::ir::{Block, Expr, FnArg, Proc, Stmt, WAccess};
 use crate::sym::Sym;
 
@@ -248,8 +247,8 @@ fn rename_stmt_tops(s: &Stmt, get: &impl Fn(&Sym) -> Sym) -> Stmt {
 /// The free identifiers of a block: symbols read or written that are not
 /// bound within the block (by `for`, `alloc`, or window definition).
 pub fn free_syms_block(b: &[Stmt]) -> HashSet<Sym> {
-    let mut free = HashSet::new();
-    let mut bound = HashSet::new();
+    let mut free = HashSet::default();
+    let mut bound = HashSet::default();
     free_block(b, &mut bound, &mut free);
     free
 }
@@ -425,7 +424,7 @@ pub fn refresh_bound(b: &[Stmt]) -> Block {
             other => other,
         })
     }
-    go(b, &mut HashMap::new())
+    go(b, &mut HashMap::default())
 }
 
 /// Structural equality of two expressions up to the variable
@@ -647,7 +646,7 @@ pub fn alpha_eq_block(a: &[Stmt], b: &[Stmt]) -> bool {
             _ => false,
         }
     }
-    eq_block(a, b, &mut HashMap::new())
+    eq_block(a, b, &mut HashMap::default())
 }
 
 /// Alpha-equivalence of whole procedures: same signature shape, bodies
@@ -656,7 +655,7 @@ pub fn alpha_eq_proc(a: &Proc, b: &Proc) -> bool {
     if a.args.len() != b.args.len() || a.preds.len() != b.preds.len() {
         return false;
     }
-    let mut map = HashMap::new();
+    let mut map = HashMap::default();
     for (x, y) in a.args.iter().zip(&b.args) {
         if !arg_ty_compatible(x, y, &map) {
             return false;
@@ -754,7 +753,7 @@ mod tests {
     fn subst_replaces_vars() {
         let x = Sym::new("x");
         let e = Expr::var(x).add(Expr::int(1));
-        let mut m = HashMap::new();
+        let mut m = HashMap::default();
         m.insert(x, Expr::int(41));
         let e2 = subst_expr(&e, &m);
         assert_eq!(e2, Expr::bin(BinOp::Add, Expr::int(41), Expr::int(1)));

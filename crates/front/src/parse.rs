@@ -16,10 +16,10 @@
 //! Procedures defined earlier in the same source (or supplied through
 //! [`ParseEnv`]) are callable by name.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, BinOp, Expr, FnArg, InstrTemplate, Proc, Stmt, WAccess};
 use exo_core::types::{CtrlType, DataType, MemName};
 use exo_core::{Block, Sym};
@@ -227,7 +227,7 @@ impl Parser {
         // binding; if a bug ever drains the stack, reopen one rather
         // than abort mid-parse.
         if self.scopes.is_empty() {
-            self.scopes.push(HashMap::new());
+            self.scopes.push(HashMap::default());
         }
         if let Some(scope) = self.scopes.last_mut() {
             scope.insert(name.to_string(), (s, is_data));
@@ -258,7 +258,7 @@ impl Parser {
         self.eat_newlines();
         self.expect_ident("def")?;
         let name = self.ident()?;
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         self.expect_punct("(")?;
         let mut args = Vec::new();
         while !self.at(&Tok::Punct(")")) {
@@ -420,7 +420,7 @@ impl Parser {
             return self.err("expected an indented loop body");
         }
         self.bump();
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         let iter = self.bind(&var);
         let body = self.parse_block()?;
         self.scopes.pop();
@@ -436,7 +436,7 @@ impl Parser {
             return self.err("expected an indented branch");
         }
         self.bump();
-        self.scopes.push(HashMap::new());
+        self.scopes.push(HashMap::default());
         let body = self.parse_block()?;
         self.scopes.pop();
         self.eat_newlines();
@@ -448,7 +448,7 @@ impl Parser {
                 return self.err("expected an indented else branch");
             }
             self.bump();
-            self.scopes.push(HashMap::new());
+            self.scopes.push(HashMap::default());
             let b = self.parse_block()?;
             self.scopes.pop();
             b
@@ -631,7 +631,7 @@ impl Parser {
         let fsym = Sym::new(field);
         self.env.configs.insert(
             config.to_string(),
-            (csym, [(field.to_string(), fsym)].into()),
+            (csym, [(field.to_string(), fsym)].into_iter().collect()),
         );
         Ok((csym, fsym))
     }

@@ -45,10 +45,8 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use exo_core::budget::ResourceBudget;
+use exo_core::hash::HashMap;
 #[cfg(test)]
 use exo_interp::TraceArg;
 use exo_interp::{HwOp, TensorRef};
@@ -149,38 +147,11 @@ struct BufLogs {
     writes: [Vec<Access>; 3],
 }
 
-/// Hashes a buffer id with one folded multiply. The ids are small
-/// integers the interpreter hands out in allocation order, and a
-/// lookup happens per tensor argument, so SipHash would dominate it.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (p as u64) ^ (p >> 64) as u64;
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
 /// The dependence scoreboard: the access logs of every buffer, found
 /// through a `BufId → slot` map.
 #[derive(Debug, Default)]
 struct Board {
-    slots: HashMap<usize, usize, BuildHasherDefault<IdHasher>>,
+    slots: HashMap<usize, usize>,
     bufs: Vec<BufLogs>,
 }
 

@@ -23,9 +23,9 @@ pub mod gemmini;
 pub use avx512::Avx512Lib;
 pub use gemmini::GemminiLib;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use exo_core::hash::HashMap;
 use exo_core::ir::Proc;
 use exo_front::{parse_library, ParseEnv};
 

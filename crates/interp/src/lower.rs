@@ -14,9 +14,9 @@
 //! raises the interpreter's usual error when, and only when, it is
 //! evaluated. The form lives for one run: there is no cache across runs.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, BinOp, Block, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
@@ -182,7 +182,7 @@ pub(crate) struct LProc<'p> {
 /// comes before its first caller, so the root is the last element.
 pub(crate) fn lower(root: &Proc) -> Vec<LProc<'_>> {
     let mut procs = Vec::new();
-    lower_proc(root, &mut procs, &mut HashMap::new());
+    lower_proc(root, &mut procs, &mut HashMap::default());
     procs
 }
 

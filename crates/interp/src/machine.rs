@@ -13,10 +13,10 @@
 //! base offset and a `(len, stride)` per axis, so an element access is
 //! per-axis bounds checks plus `base + Σ i·stride`.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use exo_core::budget::ResourceBudget;
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, BinOp, Proc};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
@@ -125,7 +125,7 @@ impl Machine {
     pub fn new() -> Machine {
         Machine {
             bufs: Vec::new(),
-            configs: HashMap::new(),
+            configs: HashMap::default(),
             trace: Vec::new(),
             execute_instr_bodies: true,
             steps: 0,

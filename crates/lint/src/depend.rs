@@ -32,12 +32,12 @@
 //! [`SharedCheckCtx`]: linting a kernel warms the very cache that
 //! scheduling (and `parallelize`) will hit later in the process.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use exo_analysis::conditions::bd;
 use exo_analysis::context::SiteQuery;
 use exo_analysis::{EffExpr, Effect, GlobalReg, LowerCtx, SharedCheckCtx};
+use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{BinOp, Stmt};
 use exo_core::path::{stmt_at, visit_paths, StmtPath};
 use exo_core::{Proc, Sym};
@@ -366,7 +366,7 @@ fn pair_collides(
     (lo, hi): (&EffExpr, &EffExpr),
     q: &mut SiteQuery<'_>,
 ) -> (Answer, Vec<EffExpr>) {
-    let mut map: HashMap<Sym, EffExpr> = HashMap::new();
+    let mut map: HashMap<Sym, EffExpr> = HashMap::default();
     map.insert(x, EffExpr::Var(x2));
     for b in &a2.binders {
         map.insert(*b, EffExpr::Var(b.copy()));
@@ -435,7 +435,7 @@ pub fn classify_loop(
     let [eff] = q.body_effects(&[lp], [body]);
     // Buffers allocated inside the body (staged tiles, spilled registers)
     // are iteration-private — exclude them from the dependence question.
-    let mut private = HashSet::new();
+    let mut private = HashSet::default();
     allocated_in(&eff, &mut private);
     let eff = privatize(&eff, &private);
 

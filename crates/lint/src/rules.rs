@@ -16,12 +16,12 @@
 //! the shared [`SharedCheckCtx`], so they are canonicalized and cached
 //! alongside scheduling obligations.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use exo_analysis::context::SiteQuery;
 use exo_analysis::{EffExpr, GlobalReg, SharedCheckCtx};
 use exo_core::diag::{Diagnostic, Severity};
+use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{Expr, Stmt, WAccess};
 use exo_core::path::{stmt_at, visit_paths, StmtPath};
 use exo_core::types::DataType;
@@ -93,7 +93,7 @@ fn diag(
 /// Resolves window names to their root buffer (windows alias their
 /// base, so reads/writes through a window count against the root).
 fn window_roots(proc: &Proc) -> HashMap<Sym, Sym> {
-    let mut roots: HashMap<Sym, Sym> = HashMap::new();
+    let mut roots: HashMap<Sym, Sym> = HashMap::default();
     visit_paths(&proc.body, |_, s| {
         if let Stmt::WindowDef {
             name,
@@ -120,7 +120,7 @@ fn rule_dead_alloc(proc: &Proc, out: &mut Vec<Diagnostic>) {
     // Every buffer whose data may be observed: read expressions, window
     // creation over it does not count by itself, but passing it (or a
     // window of it) to a call does — the callee may read it.
-    let mut observed: HashSet<Sym> = HashSet::new();
+    let mut observed: HashSet<Sym> = HashSet::default();
     visit_paths(&proc.body, |_, s| {
         let callee_args: Option<&Vec<Expr>> = match s {
             Stmt::Call { args, .. } => Some(args),
@@ -165,9 +165,9 @@ fn rule_dead_alloc(proc: &Proc, out: &mut Vec<Diagnostic>) {
 
 fn rule_uninit_read(proc: &Proc, out: &mut Vec<Diagnostic>) {
     let roots = window_roots(proc);
-    let mut local: HashSet<Sym> = HashSet::new();
-    let mut written: HashSet<Sym> = HashSet::new();
-    let mut flagged: HashSet<Sym> = HashSet::new();
+    let mut local: HashSet<Sym> = HashSet::default();
+    let mut written: HashSet<Sym> = HashSet::default();
+    let mut flagged: HashSet<Sym> = HashSet::default();
     walk_uninit(
         proc,
         &proc.body,
@@ -292,7 +292,7 @@ fn walk_uninit(
 // ---------------------------------------------------------------------
 
 fn rule_config_clobber(proc: &Proc, out: &mut Vec<Diagnostic>) {
-    let mut pending: HashMap<(Sym, Sym), StmtPath> = HashMap::new();
+    let mut pending: HashMap<(Sym, Sym), StmtPath> = HashMap::default();
     walk_clobber(proc, &proc.body, &StmtPath::default(), 0, &mut pending, out);
 }
 
@@ -343,7 +343,7 @@ fn walk_clobber(
                 // The last write of one iteration meets the first write
                 // of the next, but reads in between are iteration-order
                 // dependent; stay conservative across the loop boundary.
-                let mut inner = HashMap::new();
+                let mut inner = HashMap::default();
                 walk_clobber(proc, body, &path, 0, &mut inner, out);
                 pending.clear();
             }
@@ -446,7 +446,7 @@ fn rule_window_alias(
 
 fn rule_precision_mismatch(proc: &Proc, out: &mut Vec<Diagnostic>) {
     // Element types of everything nameable in this procedure.
-    let mut types: HashMap<Sym, DataType> = HashMap::new();
+    let mut types: HashMap<Sym, DataType> = HashMap::default();
     for arg in &proc.args {
         if let Some(ty) = arg.ty.data_type() {
             types.insert(arg.name, ty);

@@ -20,8 +20,9 @@
 //! reports the eviction count in its metadata so consumers can tell a
 //! complete trace from a truncated one.
 
-use std::collections::HashMap;
 use std::path::Path;
+
+use exo_core::hash::HashMap;
 
 use crate::json::Json;
 use crate::registry::{Registry, TraceSpan};
@@ -77,7 +78,7 @@ fn category(name: &str) -> &str {
 pub fn collapsed_stacks(spans: &[TraceSpan]) -> String {
     let by_id: HashMap<u64, &TraceSpan> = spans.iter().map(|s| (s.id, s)).collect();
     // self time = duration − Σ(direct children's durations)
-    let mut child_us: HashMap<u64, u64> = HashMap::new();
+    let mut child_us: HashMap<u64, u64> = HashMap::default();
     for s in spans {
         if let Some(p) = s.parent {
             if by_id.contains_key(&p) {

@@ -179,7 +179,7 @@ pub fn fold_block(b: &Block) -> Block {
                     if h == l + 1 {
                         // single-iteration loop: inline the body with the
                         // iterator substituted
-                        let mut map = std::collections::HashMap::new();
+                        let mut map = exo_core::hash::HashMap::default();
                         map.insert(*iter, Expr::int(l));
                         let inlined = exo_core::visit::subst_block(body, &map);
                         out.extend(fold_block(&inlined));

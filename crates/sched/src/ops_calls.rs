@@ -2,8 +2,7 @@
 //! `call_eqv`. The inverse of `inline` — `replace` — lives in
 //! [`crate::unify`].
 
-use std::collections::HashMap;
-
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Expr, Stmt};
 use exo_core::visit::{refresh_bound, rename_syms_block, subst_block};
 use exo_core::Sym;
@@ -25,8 +24,8 @@ impl Procedure {
         let Stmt::Call { proc: callee, args } = self.stmt(&path)?.clone() else {
             return serr(format!("inline: {call_pat:?} is not a call"));
         };
-        let mut ctrl_map: HashMap<Sym, Expr> = HashMap::new();
-        let mut data_map: HashMap<Sym, Sym> = HashMap::new();
+        let mut ctrl_map: HashMap<Sym, Expr> = HashMap::default();
+        let mut data_map: HashMap<Sym, Sym> = HashMap::default();
         let mut prelude: Vec<Stmt> = Vec::new();
         for (formal, actual) in callee.args.iter().zip(&args) {
             match &formal.ty {

@@ -8,8 +8,7 @@
 //! the procedure never reads the polluted field, and the pollution is
 //! recorded in the procedure's provenance either way.
 
-use std::collections::HashSet;
-
+use exo_core::hash::HashSet;
 use exo_core::ir::{Expr, Stmt};
 use exo_core::visit::{visit_expr, visit_stmts};
 use exo_core::Sym;
@@ -186,13 +185,13 @@ impl Procedure {
             return serr("bind_config: the statement itself writes the bound field");
         }
         // scope check: e must be evaluable before the statement
-        let mut inner_bound = HashSet::new();
+        let mut inner_bound = HashSet::default();
         visit_stmts(std::slice::from_ref(&stmt), &mut |s| {
             if let Stmt::For { iter, .. } = s {
                 inner_bound.insert(*iter);
             }
         });
-        let mut used = HashSet::new();
+        let mut used = HashSet::default();
         visit_expr(&target, &mut |e| {
             if let Expr::Var(v) = e {
                 used.insert(*v);

@@ -1,8 +1,7 @@
 //! Data and memory scheduling operators (paper Fig. 2): `set_memory`,
 //! `set_precision`, `lift_alloc`, `bind_expr`, and `stage_mem`.
 
-use std::collections::HashSet;
-
+use exo_core::hash::HashSet;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt};
 use exo_core::types::{DataType, MemName};
 use exo_core::visit::{map_stmt_exprs, visit_expr, visit_stmts};
@@ -161,7 +160,7 @@ impl Procedure {
         };
         let parent = self.stmt(&parent_path)?.clone();
         if let Stmt::For { iter, .. } = &parent {
-            let mut used = HashSet::new();
+            let mut used = HashSet::default();
             for e in &shape {
                 visit_expr(e, &mut |e| {
                     if let Expr::Var(v) = e {
@@ -211,7 +210,7 @@ impl Procedure {
         })?;
 
         // scope: the expression may not use variables bound inside `stmt`
-        let mut inner_bound = HashSet::new();
+        let mut inner_bound = HashSet::default();
         visit_stmts(std::slice::from_ref(&stmt), &mut |s| match s {
             Stmt::For { iter, .. } => {
                 inner_bound.insert(*iter);
@@ -221,7 +220,7 @@ impl Procedure {
             }
             _ => {}
         });
-        let mut used = HashSet::new();
+        let mut used = HashSet::default();
         visit_expr(&target, &mut |e| match e {
             Expr::Var(v) => {
                 used.insert(*v);
@@ -326,7 +325,7 @@ impl Procedure {
             ));
         };
         // the expression must be lane-invariant and in scope before `s`
-        let mut used = HashSet::new();
+        let mut used = HashSet::default();
         visit_expr(&target, &mut |e| match e {
             Expr::Var(v) => {
                 used.insert(*v);
@@ -339,7 +338,7 @@ impl Procedure {
         if used.contains(&lane_var) {
             return serr("expand_scalar: expression depends on the lane variable");
         }
-        let mut inner_bound = HashSet::new();
+        let mut inner_bound = HashSet::default();
         visit_stmts(std::slice::from_ref(&stmt), &mut |s| match s {
             Stmt::For { iter, .. } => {
                 inner_bound.insert(*iter);

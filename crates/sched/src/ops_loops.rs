@@ -2,8 +2,7 @@
 //! `split`, `split_guard`, `reorder`, `unroll`, `fission_after`,
 //! `fuse_loop`, `partition_loop`, `remove_loop`, `lift_if`, `add_guard`.
 
-use std::collections::HashMap;
-
+use exo_core::hash::HashMap;
 use exo_core::ir::{Expr, Stmt};
 use exo_core::visit::{free_syms_block, refresh_bound, subst_block, visit_stmts};
 use exo_core::Sym;
@@ -72,7 +71,7 @@ impl Procedure {
         let io = Sym::new(io_name);
         let ii = Sym::new(ii_name);
         let outer_hi = fold_expr(&hi.clone().div(Expr::int(c)));
-        let mut map = HashMap::new();
+        let mut map = HashMap::default();
         map.insert(iter, Expr::var(io).mul(Expr::int(c)).add(Expr::var(ii)));
         let new_body = subst_block(&body, &map);
         let new_loop = Stmt::For {
@@ -129,7 +128,7 @@ impl Procedure {
         // ceil(N / c) = (N + c - 1) / c
         let outer_hi = fold_expr(&hi.clone().add(Expr::int(c - 1)).div(Expr::int(c)));
         let idx = Expr::var(io).mul(Expr::int(c)).add(Expr::var(ii));
-        let mut map = HashMap::new();
+        let mut map = HashMap::default();
         map.insert(iter, idx.clone());
         let new_body = fold_block(&subst_block(&body, &map));
         let guarded = Stmt::If {
@@ -193,7 +192,7 @@ impl Procedure {
             ));
         }
         // the inner bounds may not depend on the outer iterator
-        let mut bound_syms = std::collections::HashSet::new();
+        let mut bound_syms = exo_core::hash::HashSet::default();
         for e in [ylo, yhi] {
             exo_core::visit::visit_expr(e, &mut |e| {
                 if let Expr::Var(v) = e {
@@ -256,7 +255,7 @@ impl Procedure {
         }
         let mut out = Vec::new();
         for v in lo..hi {
-            let mut map = HashMap::new();
+            let mut map = HashMap::default();
             map.insert(iter, Expr::int(v));
             // freshen allocations so each unrolled copy binds its own
             out.extend(fold_block(&refresh_bound(&subst_block(&body, &map))));
@@ -310,7 +309,7 @@ impl Procedure {
         })?;
 
         let iter2 = iter.copy();
-        let mut map = HashMap::new();
+        let mut map = HashMap::default();
         map.insert(iter, Expr::var(iter2));
         let loop1 = Stmt::For {
             iter,
@@ -364,7 +363,7 @@ impl Procedure {
             return serr("fuse_loop: loop bounds differ");
         }
         // rename the second iterator to the first
-        let mut map = HashMap::new();
+        let mut map = HashMap::default();
         map.insert(x2, Expr::var(x1));
         let b2r = subst_block(&b2, &map);
         let fused = Stmt::For {
@@ -419,7 +418,7 @@ impl Procedure {
             q.lctx.lower_bool(&mid_e.le(hi_e)).definitely()
         })?;
         let iter2 = iter.copy();
-        let mut map = HashMap::new();
+        let mut map = HashMap::default();
         map.insert(iter, Expr::var(iter2));
         let loop1 = Stmt::For {
             iter,
@@ -491,7 +490,7 @@ impl Procedure {
         else {
             return serr("lift_if: matched statement is not a conditional");
         };
-        let mut cond_syms = std::collections::HashSet::new();
+        let mut cond_syms = exo_core::hash::HashSet::default();
         exo_core::visit::visit_expr(&cond, &mut |e| {
             if let Expr::Var(v) = e {
                 cond_syms.insert(*v);
@@ -518,7 +517,7 @@ impl Procedure {
                 vec![]
             } else {
                 let i2 = iter.copy();
-                let mut m = HashMap::new();
+                let mut m = HashMap::default();
                 m.insert(iter, Expr::var(i2));
                 vec![Stmt::For {
                     iter: i2,

@@ -12,10 +12,10 @@
 //! introduce categorical choices (which buffer dimensions are sliced);
 //! these are explored by backtracking.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use exo_analysis::effexpr::{EffExpr, LowerCtx};
+use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
 use exo_core::visit::{visit_expr, visit_stmts};
 use exo_core::Sym;
@@ -98,7 +98,7 @@ impl Procedure {
 
         // variables bound inside the replaced block are out of scope for
         // inferred arguments
-        let mut block_bound = HashSet::new();
+        let mut block_bound = HashSet::default();
         visit_stmts(&caller_stmts, &mut |s| match s {
             Stmt::For { iter, .. } => {
                 block_bound.insert(*iter);
@@ -355,7 +355,7 @@ impl Procedure {
                 }
             };
             // equations per caller dimension
-            let mut k_of: HashMap<usize, usize> = HashMap::new();
+            let mut k_of: HashMap<usize, usize> = HashMap::default();
             for (k, &d) in bind.dim_map.iter().enumerate() {
                 k_of.insert(d, k);
             }
@@ -483,7 +483,7 @@ impl Procedure {
             }
 
             // eliminate unknowns with ±1 coefficients
-            let mut solution: HashMap<Sym, LinExpr> = HashMap::new();
+            let mut solution: HashMap<Sym, LinExpr> = HashMap::default();
             let mut work = lowered;
             loop {
                 let mut progress = false;
@@ -607,7 +607,7 @@ impl Procedure {
                                 .collect(),
                             _ => vec![],
                         };
-                        let mut k_of: HashMap<usize, usize> = HashMap::new();
+                        let mut k_of: HashMap<usize, usize> = HashMap::default();
                         for (k, &d) in bind.dim_map.iter().enumerate() {
                             k_of.insert(d, k);
                         }

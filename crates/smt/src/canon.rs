@@ -12,15 +12,22 @@
 //!
 //! Canonicalization is an approximation of alpha-equivalence detection:
 //! two equivalent formulas whose variables *first occur in a different
-//! order* (coefficient maps iterate in symbol-creation order) canonicalize
-//! differently and simply miss the cache. That direction is harmless; the
-//! soundness-critical direction — distinct verdicts never sharing a cache
-//! entry — holds because the renaming is injective and everything else
-//! (constants, coefficients, boolean structure) is preserved exactly.
+//! order* (a [`LinExpr`]'s terms are sorted by symbol, that is by creation
+//! order) canonicalize differently and simply miss the cache. That
+//! direction is harmless; the soundness-critical direction — distinct
+//! verdicts never sharing a cache entry — holds because the renaming is
+//! injective and everything else (constants, coefficients, boolean
+//! structure) is preserved exactly.
+//!
+//! Renaming a linear expression copies its terms into a fresh inline
+//! term list (see [`crate::linear`]), re-sorted by canonical symbol, so
+//! for the common expression of at most four terms it allocates nothing.
+//! The renaming map itself is an [`exo_core::hash::HashMap`], and the
+//! cache the result keys hashes it with the same hasher.
 
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
+use exo_core::hash::HashMap;
 use exo_core::sym::Sym;
 
 use crate::formula::{Atom, Formula};
@@ -65,11 +72,14 @@ impl Canon {
     }
 
     fn lin(&mut self, e: &LinExpr) -> LinExpr {
-        let mut out = LinExpr::constant(e.constant);
-        for (&x, &c) in &e.coeffs {
-            out.coeffs.insert(self.rename(x), c);
+        LinExpr {
+            constant: e.constant,
+            coeffs: e
+                .coeffs
+                .iter()
+                .map(|(&x, &c)| (self.rename(x), c))
+                .collect(),
         }
-        out
     }
 
     fn formula(&mut self, f: &Formula) -> Formula {
@@ -117,7 +127,7 @@ impl Canon {
 /// identities in the same positions) map to the same canonical formula.
 pub fn canonicalize(f: &Formula) -> Formula {
     let mut c = Canon {
-        map: HashMap::new(),
+        map: HashMap::default(),
         next: 0,
     };
     c.formula(f)

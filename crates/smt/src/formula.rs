@@ -290,11 +290,11 @@ impl Formula {
 /// sign-and-gcd-canonical direction `dir`; a direction with `l > u` makes
 /// the conjunction false.
 fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
-    use std::collections::HashMap;
+    use exo_core::hash::HashMap;
     type Dir = Vec<(Sym, i64)>;
     type Bounds = (Option<i64>, Option<i64>);
     // direction → (max lower bound, min upper bound)
-    let mut bounds: HashMap<Dir, Bounds> = HashMap::new();
+    let mut bounds: HashMap<Dir, Bounds> = HashMap::default();
     let mut note = |dir: Vec<(Sym, i64)>, lower: Option<i64>, upper: Option<i64>| -> bool {
         let entry = bounds.entry(dir).or_insert((None, None));
         if let Some(l) = lower {
