@@ -17,7 +17,7 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== obs / smt / analysis unit + integration tests (incl. the Coeffs model test against a BTreeMap and the verdict corpus) =="
+echo "== obs / smt / analysis unit + integration tests (SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; incl. the Coeffs model test against a BTreeMap and the verdict corpus) =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 cargo test -q --release -p exo-kernels --test verdict_corpus
 

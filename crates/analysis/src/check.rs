@@ -16,11 +16,12 @@
 //!   cleared before the next one goes in, so a long-lived process (the
 //!   process-wide context lives as long as the process) cannot grow it
 //!   without limit;
-//! * hit/miss/entry/eviction counters are exported through `exo-obs`
-//!   (`check.queries`, `check.cache_hits`, `check.cache_misses`,
-//!   `check.cache_entries`, `check.cache_evictions`), attributed to the
-//!   active operator. `check.cache_entries` counts insertions, so after a
-//!   clear it exceeds the live size [`SharedCheckCtx::stats`] reports.
+//! * [`CheckStats`] ([`SharedCheckCtx::stats`]) is the one record of
+//!   the context's work: queries, hits, misses, live entries, clears of
+//!   a full cache and budget refusals. No registry counter mirrors it,
+//!   and it reads the same with the `exo-obs` registry switched off; the
+//!   per-operator split is the `ProvenanceEvent` deltas `exo-sched`
+//!   takes of it.
 //!
 //! Contexts are cached by default; [`SharedCheckCtx::with_cache`]`(false)`
 //! sends every query to the solver, for measuring the cache's effect and
@@ -36,7 +37,7 @@ use exo_smt::formula::Formula;
 use exo_smt::solver::{Answer, Solver, SolverStats};
 
 /// The most verdicts one cache holds. A full cache is cleared before the
-/// next insert, and each clear counts as one `check.cache_evictions`.
+/// next insert, and each clear counts as one [`CheckStats::evictions`].
 /// The benchmark workloads stay far below it: a cold schedule of the
 /// Fig. 4a chain leaves 174 entries, the largest measured.
 const CACHE_CAP: usize = 1 << 16;
@@ -52,6 +53,11 @@ pub struct CheckStats {
     pub misses: usize,
     /// Entries currently in the canonical verdict cache.
     pub entries: usize,
+    /// Times a full cache was cleared before an insert.
+    pub evictions: usize,
+    /// Queries answered `Unknown` because the fuel/deadline budget was
+    /// exhausted.
+    pub budget_unknown: usize,
     /// Always 0: effect summaries are not memoized (every extraction
     /// derives them fresh). Kept so existing readers compile.
     pub effect_hits: usize,
@@ -68,9 +74,9 @@ struct CheckCtx {
     /// [`CACHE_CAP`]; a field only so that unit tests can lower it.
     cap: usize,
     enabled: bool,
-    queries: usize,
-    hits: usize,
-    misses: usize,
+    /// The tallies [`SharedCheckCtx::stats`] reports (`entries` aside,
+    /// which is the live cache size).
+    stats: CheckStats,
     /// Fuel/deadline pool every query draws from; exhaustion answers
     /// `Unknown` (fail-safe rejection) instead of hanging.
     budget: ResourceBudget,
@@ -83,22 +89,19 @@ impl CheckCtx {
             cache: HashMap::default(),
             cap: CACHE_CAP,
             enabled,
-            queries: 0,
-            hits: 0,
-            misses: 0,
+            stats: CheckStats::default(),
             budget: ResourceBudget::unlimited(),
         }
     }
 
     fn check_sat(&mut self, f: &Formula) -> Answer {
-        self.queries += 1;
-        exo_obs::counter_add("check.queries", 1);
+        self.stats.queries += 1;
         // Budget: one fuel unit per query. Every safety analysis funnels its
         // obligations through here, so exhausting the pool mid-fixpoint
         // degrades the remaining obligations to `Unknown` — the rewrite is
         // rejected, the process never hangs on a pathological query stream.
         if self.budget.charge(1).is_err() {
-            exo_obs::counter_add("check.budget_unknown", 1);
+            self.stats.budget_unknown += 1;
             return Answer::Unknown;
         }
         // While a chaos plan is armed, injected verdicts may flow back from
@@ -114,21 +117,18 @@ impl CheckCtx {
         let key = canonicalize(f);
         if !forced_miss {
             if let Some(&a) = self.cache.get(&key) {
-                self.hits += 1;
-                exo_obs::counter_add("check.cache_hits", 1);
+                self.stats.hits += 1;
                 return a;
             }
         }
         // Decide on the canonical form (semantics-preserving).
         let a = self.solver.check_sat(&key);
-        self.misses += 1;
-        exo_obs::counter_add("check.cache_misses", 1);
+        self.stats.misses += 1;
         if !chaos_armed {
             if self.cache.len() >= self.cap {
                 self.cache.clear();
-                exo_obs::counter_add("check.cache_evictions", 1);
+                self.stats.evictions += 1;
             }
-            exo_obs::counter_add("check.cache_entries", 1);
             self.cache.insert(key, a);
         }
         a
@@ -204,12 +204,8 @@ impl SharedCheckCtx {
     pub fn stats(&self) -> CheckStats {
         let ck = self.lock();
         CheckStats {
-            queries: ck.queries,
-            hits: ck.hits,
-            misses: ck.misses,
             entries: ck.cache.len(),
-            effect_hits: 0,
-            effect_misses: 0,
+            ..ck.stats
         }
     }
 
@@ -304,6 +300,17 @@ mod tests {
         assert_eq!(entries, [1, 2, 1, 2, 1, 2, 2]);
         let st = ctx.stats();
         assert_eq!((st.queries, st.misses, st.hits), (7, 6, 1));
+        assert_eq!(st.evictions, 2);
+    }
+
+    #[test]
+    fn budget_refusals_are_counted() {
+        let ctx = SharedCheckCtx::with_cache(true);
+        ctx.set_budget(ResourceBudget::with_fuel(1));
+        assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
+        assert_eq!(ctx.check_valid(&valid_shape(2)), Answer::Unknown);
+        let st = ctx.stats();
+        assert_eq!((st.queries, st.budget_unknown), (2, 1));
     }
 
     #[test]

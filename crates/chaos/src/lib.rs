@@ -84,20 +84,15 @@ impl FaultSite {
         FaultSite::InterpFuel,
     ];
 
-    /// Stable lowercase name, used in env parsing, counters, and reports.
+    /// Stable lowercase name, used in env parsing and reports.
     pub fn name(self) -> &'static str {
-        &self.counter()["chaos.injected.".len()..]
-    }
-
-    /// The `chaos.injected.<name>` counter each firing bumps.
-    fn counter(self) -> &'static str {
         match self {
-            FaultSite::SmtTooHard => "chaos.injected.smt-too-hard",
-            FaultSite::AnalysisBottom => "chaos.injected.analysis-bottom",
-            FaultSite::AnalysisCacheMiss => "chaos.injected.analysis-cache-miss",
-            FaultSite::PatternNoMatch => "chaos.injected.pattern-no-match",
-            FaultSite::PatternAmbiguous => "chaos.injected.pattern-ambiguous",
-            FaultSite::InterpFuel => "chaos.injected.interp-fuel",
+            FaultSite::SmtTooHard => "smt-too-hard",
+            FaultSite::AnalysisBottom => "analysis-bottom",
+            FaultSite::AnalysisCacheMiss => "analysis-cache-miss",
+            FaultSite::PatternNoMatch => "pattern-no-match",
+            FaultSite::PatternAmbiguous => "pattern-ambiguous",
+            FaultSite::InterpFuel => "interp-fuel",
         }
     }
 
@@ -278,7 +273,7 @@ pub fn armed() -> bool {
 /// Returns `false` immediately when no plan is armed. When armed, draws from
 /// the plan's deterministic PRNG (sites with probability 1.0 always fire and
 /// do not consume a draw, so all-or-nothing plans are schedule-independent).
-/// Each firing bumps the `chaos.injected.<site>` counter through `exo-obs`.
+/// Each firing is tallied once, in the plan's [`injection_counts`].
 #[inline]
 pub fn should_inject(site: FaultSite) -> bool {
     if !armed() {
@@ -304,8 +299,6 @@ fn should_inject_slow(site: FaultSite) -> bool {
     };
     if fire {
         armed_plan.injected[site.index()] += 1;
-        drop(guard);
-        exo_obs::counter_add(site.counter(), 1);
     }
     fire
 }

@@ -2,11 +2,11 @@
 //! system currently working for?*
 //!
 //! `exo-sched` pushes an [`AttrGuard`] around every operator it runs.
-//! Every counter bump — solver queries, canonical-cache hits/misses,
-//! effect extraction, lint probes, simulated kernel runs — is filed by
-//! the registry under `(counter, innermost operator)`, so one write
-//! answers both "how many solver queries ran?" and "which operator
-//! caused them". [`crate::Registry::counter`] sums a counter's rows at
+//! Every counter bump — effect-analysis passes, bounds obligations,
+//! lint probes, simulated kernel runs — is filed by the registry under
+//! `(counter, innermost operator)`, so one write answers both "how many
+//! loop passes ran?" and "which operator caused them".
+//! [`crate::Registry::counter`] sums a counter's rows at
 //! read time and [`crate::Registry::counter_by_op`] lists them; the two
 //! views cannot drift because they read the same records.
 //!

@@ -18,18 +18,23 @@
 //!   operator + target); every counter bump is filed under the
 //!   innermost operator, and flat totals are sums of those rows;
 //! * [`registry::Registry`] — a thread-safe global sink for attributed
-//!   counters, log₂ histograms, and the bounded trace ring that holds
-//!   every closed span and event;
+//!   counters and the bounded trace ring that holds every closed span
+//!   and event;
 //! * [`json::Json`] — a hand-rolled JSON value (the sandbox has no
 //!   crates.io access, so serialization is std-only) with a strict
 //!   parser used to validate exported lines;
 //! * [`provenance::ProvenanceEvent`] — one applied
 //!   scheduling rewrite: operator, target, check verdict, statement
-//!   delta, query/cache-hit deltas, duration. `exo_sched::Procedure`
+//!   delta, check-query/cache-hit deltas, duration. `exo_sched::Procedure`
 //!   accumulates these into its schedule transcript, rendered with a
 //!   per-operator cost table.
 //!
-//! Each fact is recorded once. The sinks are views over those records:
+//! Each fact is recorded once, by one writer. A registry counter exists
+//! only when it is the one tally of its fact: solver, verdict-cache and
+//! chaos-injection counts live in `exo_smt::solver::SolverStats`,
+//! `exo_analysis::CheckStats` and `exo_chaos::injection_counts`, which
+//! stay readable with the registry switched off, and are not mirrored
+//! here. The sinks are views over those records:
 //! [`registry::Registry::transcript`] renders a human-readable indented
 //! log; [`registry::Registry::json_lines`] exports everything as
 //! machine-readable JSON lines (one object per line), the format the
@@ -51,7 +56,7 @@ pub mod span;
 pub use attr::AttrGuard;
 pub use json::Json;
 pub use provenance::{per_op_costs, render_transcript, OpCost, ProvenanceEvent, Verdict};
-pub use registry::{Histogram, Registry, TraceSpan};
+pub use registry::{Registry, TraceSpan};
 pub use span::Span;
 
 /// Adds `delta` to the named global counter, attributed to the
@@ -64,11 +69,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
 /// touched).
 pub fn counter_get(name: &str) -> u64 {
     Registry::global().counter(name)
-}
-
-/// Records `value` into the named global log₂ histogram.
-pub fn record_hist(name: &str, value: u64) {
-    Registry::global().record_hist(name, value);
 }
 
 /// Records an instantaneous structured event: a zero-duration record in

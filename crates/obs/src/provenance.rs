@@ -38,7 +38,7 @@ pub struct ProvenanceEvent {
     pub post_stmts: usize,
     /// Checking-context queries issued while the operator ran
     /// (including canonical-cache hits).
-    pub smt_queries: usize,
+    pub queries: usize,
     /// How many of those queries the canonical verdict cache answered.
     pub cache_hits: usize,
     /// Wall-clock duration of the operator.
@@ -89,7 +89,7 @@ pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
             stmt_delta: 0,
         });
         row.count += 1;
-        row.queries += e.smt_queries;
+        row.queries += e.queries;
         row.cache_hits += e.cache_hits;
         row.wall_us += e.duration_us;
         row.stmt_delta += e.post_stmts as i64 - e.pre_stmts as i64;
@@ -104,26 +104,26 @@ pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
 /// cost table.
 pub fn render_transcript(proc_name: &str, events: &[ProvenanceEvent]) -> String {
     let total_us: u64 = events.iter().map(|e| e.duration_us).sum();
-    let total_q: usize = events.iter().map(|e| e.smt_queries).sum();
+    let total_q: usize = events.iter().map(|e| e.queries).sum();
     let mut out = format!(
-        "schedule transcript for `{proc_name}` ({} directive{}, {} smt quer{}, {})\n",
+        "schedule transcript for `{proc_name}` ({} directive{}, {} check{}, {})\n",
         events.len(),
         if events.len() == 1 { "" } else { "s" },
         total_q,
-        if total_q == 1 { "y" } else { "ies" },
+        if total_q == 1 { "" } else { "s" },
         format_us(total_us),
     );
     let width = events.len().to_string().len();
     for (i, e) in events.iter().enumerate() {
         out.push_str(&format!(
-            "  {:>width$}. {}({}) {} [stmts {}→{}, smt {}, {}]\n",
+            "  {:>width$}. {}({}) {} [stmts {}→{}, checks {}, {}]\n",
             i + 1,
             e.op,
             e.target,
             e.verdict,
             e.pre_stmts,
             e.post_stmts,
-            e.smt_queries,
+            e.queries,
             format_us(e.duration_us),
         ));
     }
@@ -176,7 +176,7 @@ mod tests {
             verdict: Verdict::Accepted,
             pre_stmts: 3,
             post_stmts: 5,
-            smt_queries: 2,
+            queries: 2,
             cache_hits: 1,
             duration_us: 1500,
         }
@@ -187,7 +187,7 @@ mod tests {
         let text = render_transcript("gemm", &[ev("split"), ev("reorder")]);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("`gemm`") && lines[0].contains("2 directives"));
-        assert!(lines[0].contains("4 smt queries") && lines[0].contains("3.0ms"));
+        assert!(lines[0].contains("4 checks") && lines[0].contains("3.0ms"));
         assert!(lines[1]
             .trim_start()
             .starts_with("1. split(for i in _: _) accepted"));
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn per_op_costs_sort_by_query_count() {
         let mut cheap = ev("cheap");
-        cheap.smt_queries = 0;
+        cheap.queries = 0;
         cheap.cache_hits = 0;
         let rows = per_op_costs(&[cheap, ev("split"), ev("split")]);
         assert_eq!(rows[0].op, "split");

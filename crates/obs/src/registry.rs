@@ -1,11 +1,15 @@
-//! The global metrics registry: attributed counters, log₂ histograms,
-//! and the bounded trace ring behind one mutex.
+//! The global metrics registry: attributed counters and the bounded
+//! trace ring behind one mutex.
 //!
-//! Each fact is stored once. A counter bump is one record keyed by
-//! `(counter, innermost attribution operator)`; flat totals are sums
-//! computed at read time. A closed span or an instantaneous event is
-//! one [`TraceSpan`] in the ring; the transcript, the JSON lines and
-//! the trace exporters all read that ring.
+//! Each fact is stored once. A counter exists only when it is the one
+//! tally of its fact: a layer that keeps its own stats struct (the
+//! solver's `SolverStats`, the checking context's `CheckStats`, the
+//! chaos plan's injection counts) is read there, never mirrored here.
+//! A counter bump is one record keyed by `(counter, innermost
+//! attribution operator)`; flat totals are sums computed at read time.
+//! A closed span or an instantaneous event is one [`TraceSpan`] in the
+//! ring; the transcript, the JSON lines and the trace exporters all
+//! read that ring.
 //!
 //! Instrumentation sites are hot paths (every solver query, every
 //! interpreted `@instr` call), so the API is deliberately coarse: one
@@ -68,98 +72,12 @@ impl TraceSpan {
     }
 }
 
-/// A fixed-bin log₂ histogram (bin `i` holds values in `[2^(i-1), 2^i)`,
-/// bin 0 holds zero).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    bins: [u64; 64],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            bins: [0; 64],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        let bin = (64 - value.leading_zeros()) as usize;
-        self.bins[bin.min(63)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Non-empty bins as `(bin_upper_bound, count)` pairs.
-    pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i.min(63) }, c))
-            .collect()
-    }
-
-    fn to_json(&self, name: &str) -> Json {
-        Json::obj(vec![
-            ("type".into(), Json::Str("hist".into())),
-            ("name".into(), Json::Str(name.into())),
-            ("count".into(), Json::uint(self.count)),
-            ("sum".into(), Json::uint(self.sum)),
-            ("max".into(), Json::uint(self.max)),
-            (
-                "bins".into(),
-                Json::Arr(
-                    self.nonzero_bins()
-                        .into_iter()
-                        .map(|(ub, c)| Json::Arr(vec![Json::uint(ub), Json::uint(c)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// One counter's per-operator rows.
 type OpRows = BTreeMap<&'static str, u64>;
 
 struct Inner {
     /// Counter name → operator → value.
     counters: BTreeMap<&'static str, OpRows>,
-    hists: BTreeMap<String, Histogram>,
     traces: VecDeque<TraceSpan>,
     trace_capacity: usize,
     dropped_traces: u64,
@@ -169,7 +87,6 @@ impl Default for Inner {
     fn default() -> Inner {
         Inner {
             counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
             traces: VecDeque::new(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             dropped_traces: 0,
@@ -177,7 +94,7 @@ impl Default for Inner {
     }
 }
 
-/// Thread-safe sink for counters, histograms, and trace records.
+/// Thread-safe sink for counters and trace records.
 pub struct Registry {
     inner: Mutex<Inner>,
     enabled: AtomicBool,
@@ -262,27 +179,6 @@ impl Registry {
             .collect()
     }
 
-    /// Records a value into a histogram.
-    pub fn record_hist(&self, name: &str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        match inner.hists.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                inner.hists.insert(name.to_string(), h);
-            }
-        }
-    }
-
-    /// Snapshot of a histogram.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().hists.get(name).cloned()
-    }
-
     /// Records an instantaneous event: a zero-duration leaf under the
     /// calling thread's innermost open span.
     pub fn event(&self, name: &str, fields: Vec<(String, Json)>) {
@@ -330,7 +226,7 @@ impl Registry {
         self.lock().dropped_traces
     }
 
-    /// Drops all recorded state (counters, histograms, traces).
+    /// Drops all recorded state (counters, traces).
     /// The trace-ring capacity survives.
     pub fn clear(&self) {
         let mut inner = self.lock();
@@ -342,8 +238,8 @@ impl Registry {
     }
 
     /// Renders a human-readable indented transcript of the retained
-    /// trace records (in close order), followed by counter and
-    /// histogram summaries.
+    /// trace records (in close order), followed by the counter
+    /// summaries.
     pub fn transcript(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -371,20 +267,11 @@ impl Registry {
                 out.push('\n');
             }
         }
-        for (name, h) in &inner.hists {
-            out.push_str(&format!(
-                "hist {name}: count={} mean={:.1} max={}\n",
-                h.count(),
-                h.mean(),
-                h.max()
-            ));
-        }
         out
     }
 
     /// Exports everything as JSON lines: one object per retained trace
-    /// record, then one per counter (its total plus a `by_op` object),
-    /// then one per histogram.
+    /// record, then one per counter (its total plus a `by_op` object).
     pub fn json_lines(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -406,10 +293,6 @@ impl Registry {
                 ])
                 .to_string(),
             );
-            out.push('\n');
-        }
-        for (name, h) in &inner.hists {
-            out.push_str(&h.to_json(name).to_string());
             out.push('\n');
         }
         out
@@ -458,28 +341,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_stats() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 1, 2, 3, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1007);
-        assert_eq!(h.max(), 1000);
-        // zero-bin, [1,2)-bin (2 ones), [2,4)-bin (2 and 3), 1000 in [512,1024)
-        assert_eq!(h.nonzero_bins(), vec![(0, 1), (2, 2), (4, 2), (1024, 1)]);
-    }
-
-    #[test]
     fn disabled_registry_records_nothing() {
         let reg = Registry::new();
         reg.set_enabled(false);
         reg.counter_add("x", 1);
         reg.event("e", vec![]);
-        reg.record_hist("h", 3);
         assert_eq!(reg.counter("x"), 0);
         assert!(reg.traces().is_empty());
-        assert!(reg.histogram("h").is_none());
     }
 
     fn record(id: u64) -> TraceSpan {
@@ -525,8 +393,7 @@ mod tests {
     #[test]
     fn json_lines_are_individually_parseable() {
         let reg = Registry::new();
-        reg.counter_add("smt.queries", 17);
-        reg.record_hist("smt.formula_size", 33);
+        reg.counter_add("t.queries", 17);
         reg.event(
             "sim.run",
             vec![
@@ -536,7 +403,7 @@ mod tests {
         );
         let dump = reg.json_lines();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         for line in &lines {
             Json::parse(line).unwrap_or_else(|e| panic!("line {line:?}: {e}"));
         }

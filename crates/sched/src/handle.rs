@@ -433,12 +433,13 @@ impl Procedure {
 
     /// Runs one scheduling operator under provenance instrumentation.
     ///
-    /// Captures the statement-count delta, solver-query delta, and
-    /// wall-clock duration of `f`; on success the event is appended to
-    /// the derived procedure's transcript. Either way the verdict (and a
-    /// rejection's reason) is recorded on the operator's `sched.<op>`
-    /// span; a rejected rewrite leaves the procedure unchanged. Every
-    /// public operator routes through here.
+    /// Captures the statement-count delta, the `CheckStats` query and
+    /// cache-hit deltas, and the wall-clock duration of `f`; on success
+    /// the event is appended to the derived procedure's transcript.
+    /// Either way the verdict (and a rejection's reason) is recorded on
+    /// the operator's `sched.<op>` span, the one record of each call; a
+    /// rejected rewrite leaves the procedure unchanged. Every public
+    /// operator routes through here.
     pub(crate) fn instrumented(
         &self,
         op: &'static str,
@@ -480,8 +481,6 @@ impl Procedure {
         };
         let duration_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let post_check = lock_state(&self.state).check.stats();
-        exo_obs::counter_add("sched.ops", 1);
-        exo_obs::record_hist("sched.op_us", duration_us);
         let result = result.map_err(|e| e.in_op(op, &target));
         let verdict = match &result {
             Ok(_) => Verdict::Accepted,
@@ -502,7 +501,7 @@ impl Procedure {
             verdict,
             pre_stmts,
             post_stmts: derived.stmt_count(),
-            smt_queries: post_check.queries.saturating_sub(pre_check.queries),
+            queries: post_check.queries.saturating_sub(pre_check.queries),
             cache_hits: post_check.hits.saturating_sub(pre_check.hits),
             duration_us,
         });

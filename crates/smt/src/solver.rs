@@ -1,6 +1,10 @@
 //! The solver façade used by the analyses.
 //!
 //! Wraps [`crate::qe`] with free-variable closure and query statistics.
+//! [`SolverStats`] is the one record of solver work (queries, answers,
+//! QE nodes, decision time): no registry counter mirrors it, and it
+//! reads the same with the `exo-obs` registry switched off. Each
+//! decided query is also an `smt.decide` span, its trace record.
 //! Every query is decided; memoization lives one layer up, in
 //! `exo-analysis`'s `CheckCtx`, which keys verdicts on the canonical
 //! (alpha-normalized) formula. Paper §3.3 notes that keeping solver
@@ -109,16 +113,13 @@ impl Solver {
     /// existentially quantified).
     pub fn check_sat(&mut self, f: &Formula) -> Answer {
         self.stats.queries += 1;
-        exo_obs::counter_add("smt.queries", 1);
         // Chaos injection: pretend QE blew its budget. `Unknown` is always
         // a sound (conservative) answer, so injection can only turn
         // accepts into rejects.
         if exo_chaos::should_inject(exo_chaos::FaultSite::SmtTooHard) {
             self.stats.gave_up += 1;
-            exo_obs::counter_add("smt.answer.unknown", 1);
             return Answer::Unknown;
         }
-        exo_obs::record_hist("smt.formula_size", f.size() as u64);
         let mut span = exo_obs::Span::enter("smt.decide");
         span.field("size", exo_obs::Json::uint(f.size() as u64));
         let start = Instant::now();
@@ -129,7 +130,6 @@ impl Solver {
         };
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.stats.time_us = self.stats.time_us.saturating_add(us);
-        exo_obs::record_hist("smt.query_us", us);
         span.field(
             "answer",
             exo_obs::Json::Str(
@@ -143,18 +143,9 @@ impl Solver {
         );
         drop(span);
         match answer {
-            Answer::Yes => {
-                self.stats.yes += 1;
-                exo_obs::counter_add("smt.answer.yes", 1);
-            }
-            Answer::No => {
-                self.stats.no += 1;
-                exo_obs::counter_add("smt.answer.no", 1);
-            }
-            Answer::Unknown => {
-                self.stats.gave_up += 1;
-                exo_obs::counter_add("smt.answer.unknown", 1);
-            }
+            Answer::Yes => self.stats.yes += 1,
+            Answer::No => self.stats.no += 1,
+            Answer::Unknown => self.stats.gave_up += 1,
         }
         answer
     }

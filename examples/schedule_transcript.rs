@@ -14,7 +14,8 @@
 //! The example doubles as the acceptance check for the trace export: it
 //! validates the exported Chrome trace with the strict `exo_obs::json`
 //! parser, exiting nonzero if it does not parse. It ends with the
-//! solver queries each operator caused.
+//! solver's own totals (`SolverStats`); the per-operator split of the
+//! checking work is the transcript's cost table.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -86,13 +87,20 @@ fn main() {
     };
     println!("trace OK: {n_events} trace events validate under the strict parser");
 
-    // ---- cost attribution ----
+    // ---- solver totals ----
+    let s = st
+        .lock()
+        .expect("scheduler state poisoned")
+        .check
+        .solver_stats();
     println!();
     println!(
-        "solver queries by operator (of {} total):",
-        reg.counter("smt.queries")
+        "solver: {} queries ({} yes, {} no, {} gave up), {} QE nodes, {}",
+        s.queries,
+        s.yes,
+        s.no,
+        s.gave_up,
+        s.nodes,
+        exo::obs::registry::format_us(s.time_us)
     );
-    for (op, v) in reg.counter_by_op("smt.queries") {
-        println!("  {op:<16} {v}");
-    }
 }

@@ -199,13 +199,10 @@ fn transcript_records_full_gemmini_schedule() {
     let text = p.transcript_text();
     assert_eq!(text.matches("[stmts ").count(), t.len(), "{text}");
 
-    // the per-event SMT query counts are visible and the chain did issue
-    // solver queries somewhere
-    let total_queries: usize = t.iter().map(|e| e.smt_queries).sum();
-    assert!(
-        total_queries > 0,
-        "no SMT queries recorded in the transcript"
-    );
+    // the per-event checking-context query counts are visible and the
+    // chain did issue checks somewhere
+    let total_queries: usize = t.iter().map(|e| e.queries).sum();
+    assert!(total_queries > 0, "no checks recorded in the transcript");
 }
 
 #[test]
