@@ -30,19 +30,19 @@ cargo test -q -p exo-codegen
 echo "== smt property suite (QE vs brute-force enumeration; the Coeffs model over 5 000 seeded sequences; ~4 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 
-echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state; operator fail-safety; print/parse round trip) =="
+echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state and stage_mem windows; operator fail-safety; print/parse round trip) =="
 cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
 
 echo "== gemmini-sim (incl. differential test of the floor-cut access logs against the unpruned reference scan) =="
 cargo test -q -p gemmini-sim
 
-echo "== scheduler suite (operators, edge cases, cache-on/off verdict parity) =="
+echo "== scheduler suite (operators, edge cases incl. stage_mem re-checked after folding and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
 echo "== interpreter (error-message parity, overflow, unit tests; release) =="
 cargo test -q --release -p exo-interp
 
-echo "== case-study schedules (release; incl. the interpreter golden traces) =="
+echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM) =="
 cargo test -q --release -p exo-kernels
 
 echo "== check-cache bench (fails on zero cache hits) =="

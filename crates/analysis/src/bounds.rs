@@ -5,21 +5,24 @@
 //! no dynamic checks. Assertion checking verifies that each call site
 //! establishes the callee's preconditions.
 //!
-//! Two entry points: [`check_bounds`] verifies a whole procedure;
-//! [`check_bounds_at`] verifies only the subtree a rewrite dirtied,
-//! replaying the surrounding context (shapes, binders, guards, config
-//! dataflow) without re-proving it.
+//! One checker serves both uses. [`check_bounds`] verifies a whole
+//! procedure: the checker has no enclosing site. A rewrite re-checks
+//! only the code it changed through
+//! [`crate::context::SiteQuery::check_bounds`]: the checker is seeded
+//! from the site — preconditions, enclosing loop bounds and guards,
+//! `PreValG` and the shapes in scope — and walks only the statement at
+//! the site.
 
 use std::fmt;
 
 use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
-use exo_core::path::StmtPath;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 use exo_smt::solver::Answer;
 
 use crate::check::SharedCheckCtx;
+use crate::context::SiteCtx;
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
 
@@ -44,14 +47,10 @@ struct Checker<'a> {
     check: &'a SharedCheckCtx,
     /// shape (as effect expressions) per data symbol
     shapes: HashMap<Sym, Vec<EffExpr>>,
-    /// path condition: binder bounds, guards, preconditions
+    /// path condition: preconditions, binder bounds, guards
     assumptions: Vec<EffExpr>,
     genv: GlobalEnv,
     errors: Vec<CheckError>,
-    /// When false, obligations are skipped: the checker only replays
-    /// shape registration and dataflow. Used to absorb the context
-    /// *around* a dirty subtree without re-proving it.
-    verify: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -64,9 +63,6 @@ impl<'a> Checker<'a> {
     }
 
     fn require(&mut self, goal: EffExpr, what: impl Fn() -> String) {
-        if !self.verify {
-            return;
-        }
         exo_obs::counter_add("analysis.bounds.obligations", 1);
         let mut ctx = LowerCtx::new();
         let hyp = self.assume_formula(&mut ctx);
@@ -117,14 +113,9 @@ impl<'a> Checker<'a> {
         }
     }
 
+    /// Walks `block`; the shapes its `Alloc`/`WindowDef` statements
+    /// register go out of scope at its end.
     fn check_block(&mut self, block: &[Stmt]) {
-        self.check_stmts(block, false);
-    }
-
-    /// Walks `block`; with `retain` the shapes registered by its
-    /// `Alloc`/`WindowDef` statements stay in scope afterwards (used when
-    /// absorbing the prefix of a block around a dirty subtree).
-    fn check_stmts(&mut self, block: &[Stmt], retain: bool) {
         let mut added: Vec<Sym> = Vec::new();
         for s in block {
             // the state after `s`, which inside a loop body is also the
@@ -160,36 +151,51 @@ impl<'a> Checker<'a> {
                     self.check_block(body);
                     self.assumptions.pop();
                 }
-                Stmt::Alloc { name, shape, .. } => {
-                    let se: Vec<EffExpr> = shape.iter().map(|e| self.lift(e)).collect();
-                    for (d, n) in se.iter().enumerate() {
-                        self.require(EffExpr::Int(1).le(n.clone()), || {
+                Stmt::Alloc { name, .. } => {
+                    added.extend(self.bind(s));
+                    let extents = self.shapes.get(name).cloned().unwrap_or_default();
+                    for (d, n) in extents.into_iter().enumerate() {
+                        self.require(EffExpr::Int(1).le(n), || {
                             format!("allocation {name} may have non-positive extent in dim {d}")
                         });
                     }
-                    self.shapes.insert(*name, se);
-                    added.push(*name);
                 }
-                Stmt::WindowDef { name, rhs } => {
+                Stmt::WindowDef { rhs, .. } => {
                     if let Expr::Window { buf, coords } = rhs {
-                        let wshape = self.check_window(*buf, coords);
-                        self.shapes.insert(*name, wshape);
-                        added.push(*name);
+                        self.check_window(*buf, coords);
                     }
+                    added.extend(self.bind(s));
                 }
                 Stmt::Call { proc, args } => self.check_call(proc, args),
             }
             self.genv = after;
         }
-        if !retain {
-            for s in added {
-                self.shapes.remove(&s);
-            }
+        for s in added {
+            self.shapes.remove(&s);
         }
     }
 
-    fn check_window(&mut self, buf: Sym, coords: &[WAccess]) -> Vec<EffExpr> {
-        let Some(shape) = self.shapes.get(&buf).cloned() else {
+    /// Registers the shape an allocation or window statement binds, in
+    /// the current state; returns the bound name.
+    fn bind(&mut self, s: &Stmt) -> Option<Sym> {
+        let (name, shape) = match s {
+            Stmt::Alloc { name, shape, .. } => {
+                (*name, shape.iter().map(|e| self.lift(e)).collect())
+            }
+            Stmt::WindowDef {
+                name,
+                rhs: Expr::Window { buf, coords },
+            } => (*name, self.window_shape(*buf, coords)),
+            _ => return None,
+        };
+        self.shapes.insert(name, shape);
+        Some(name)
+    }
+
+    /// The extents of the interval coordinates of the window
+    /// `buf[coords]` (unknown when `buf`'s shape is).
+    fn window_shape(&mut self, buf: Sym, coords: &[WAccess]) -> Vec<EffExpr> {
+        let Some(rank) = self.shapes.get(&buf).map(Vec::len) else {
             return coords
                 .iter()
                 .filter(|c| c.is_interval())
@@ -197,6 +203,22 @@ impl<'a> Checker<'a> {
                 .collect();
         };
         let mut out = Vec::new();
+        for c in coords.iter().take(rank) {
+            if let WAccess::Interval(lo, hi) = c {
+                let lo_e = self.lift(lo);
+                let hi_e = self.lift(hi);
+                out.push(EffExpr::bin(exo_core::BinOp::Sub, hi_e, lo_e));
+            }
+        }
+        out
+    }
+
+    /// Requires every coordinate of the window `buf[coords]` to lie in
+    /// `buf`'s shape.
+    fn check_window(&mut self, buf: Sym, coords: &[WAccess]) {
+        let Some(shape) = self.shapes.get(&buf).cloned() else {
+            return;
+        };
         for (d, (c, n)) in coords.iter().zip(&shape).enumerate() {
             match c {
                 WAccess::Point(p) => {
@@ -211,15 +233,13 @@ impl<'a> Checker<'a> {
                     self.require(
                         EffExpr::Int(0)
                             .le(lo_e.clone())
-                            .and(lo_e.clone().le(hi_e.clone()))
-                            .and(hi_e.clone().le(n.clone())),
+                            .and(lo_e.le(hi_e.clone()))
+                            .and(hi_e.le(n.clone())),
                         || format!("window interval of {buf} out of bounds in dim {d}"),
                     );
-                    out.push(EffExpr::bin(exo_core::BinOp::Sub, hi_e, lo_e));
                 }
             }
         }
-        out
     }
 
     fn check_call(&mut self, proc: &Proc, args: &[Expr]) {
@@ -267,20 +287,41 @@ impl<'a> Checker<'a> {
                 self.check_expr(b);
             }
             Expr::Neg(a) => self.check_expr(a),
-            Expr::Window { buf, coords } => {
-                self.check_window(*buf, coords);
-            }
+            Expr::Window { buf, coords } => self.check_window(*buf, coords),
             Expr::BuiltIn { args, .. } => args.iter().for_each(|a| self.check_expr(a)),
             _ => {}
         }
     }
 }
 
-/// Seeds the checker state every entry point shares: argument shapes,
-/// size positivity, and the procedure's preconditions.
-fn seed(proc: &Proc, reg: &mut GlobalReg) -> (HashMap<Sym, Vec<EffExpr>>, Vec<EffExpr>) {
+/// Statically checks every buffer access, window, allocation extent, and
+/// call-site precondition in `proc`: the checker of
+/// [`crate::context::SiteQuery::check_bounds`] with no enclosing site.
+///
+/// # Errors
+///
+/// Returns all violations found (including solver give-ups, which fail
+/// safe).
+pub fn check_bounds(
+    proc: &Proc,
+    reg: &mut GlobalReg,
+    check: &SharedCheckCtx,
+) -> Result<(), Vec<CheckError>> {
+    let site = SiteCtx::whole(proc, reg);
+    check_site(proc, &site, reg, check)
+}
+
+/// Checks the code at `site`: the argument shapes, then the site's
+/// preconditions, enclosing loop bounds and guards in descent order, and
+/// the shapes of the allocations and windows in scope seed the checker,
+/// which walks only `site.stmts` in the site's `PreValG` state.
+pub(crate) fn check_site(
+    proc: &Proc,
+    site: &SiteCtx<'_>,
+    reg: &mut GlobalReg,
+    check: &SharedCheckCtx,
+) -> Result<(), Vec<CheckError>> {
     let mut shapes = HashMap::default();
-    let mut assumptions = Vec::new();
     for arg in &proc.args {
         match &arg.ty {
             ArgType::Tensor { shape, .. } => {
@@ -293,31 +334,11 @@ fn seed(proc: &Proc, reg: &mut GlobalReg) -> (HashMap<Sym, Vec<EffExpr>>, Vec<Ef
             ArgType::Scalar { .. } => {
                 shapes.insert(arg.name, vec![]);
             }
-            ArgType::Ctrl(exo_core::CtrlType::Size) => {
-                assumptions.push(EffExpr::Int(1).le(EffExpr::Var(arg.name)));
-            }
             ArgType::Ctrl(_) => {}
         }
     }
-    for p in &proc.preds {
-        assumptions.push(lift_in_env(p, &GlobalEnv::identity(), reg));
-    }
-    (shapes, assumptions)
-}
-
-/// Statically checks every buffer access, window, allocation extent, and
-/// call-site precondition in `proc`.
-///
-/// # Errors
-///
-/// Returns all violations found (including solver give-ups, which fail
-/// safe).
-pub fn check_bounds(
-    proc: &Proc,
-    reg: &mut GlobalReg,
-    check: &SharedCheckCtx,
-) -> Result<(), Vec<CheckError>> {
-    let (shapes, assumptions) = seed(proc, reg);
+    let mut assumptions = site.preds.clone();
+    assumptions.extend(site.ctrl.iter().cloned());
     let mut checker = Checker {
         reg,
         check,
@@ -325,11 +346,15 @@ pub fn check_bounds(
         assumptions,
         genv: GlobalEnv::identity(),
         errors: Vec::new(),
-        verify: true,
     };
+    for (s, genv) in &site.scope {
+        checker.genv = genv.clone();
+        checker.bind(s);
+    }
+    checker.genv = site.genv.clone();
     let mut span = exo_obs::Span::enter("analysis.check_bounds")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
-    checker.check_block(&proc.body);
+    checker.check_block(site.stmts);
     span.field("errors", exo_obs::Json::uint(checker.errors.len() as u64));
     if checker.errors.is_empty() {
         Ok(())
@@ -338,110 +363,48 @@ pub fn check_bounds(
     }
 }
 
-/// Statically checks only the subtree rooted at `scope`, replaying the
-/// surrounding context without re-proving it.
-///
-/// A scheduling rewrite that modified exactly the statement at `scope`
-/// cannot have invalidated obligations elsewhere, so the checker walks
-/// down the path with verification off — registering allocation and
-/// window shapes of preceding siblings, collecting binder bounds and
-/// guard conditions, and advancing the configuration dataflow — and turns
-/// verification on only for the dirty subtree. An empty or stale path
-/// falls back to the whole-procedure [`check_bounds`].
-///
-/// # Errors
-///
-/// Returns all violations found *within the scope* (including solver
-/// give-ups, which fail safe). Pre-existing violations outside the scope
-/// are not re-reported.
-pub fn check_bounds_at(
-    proc: &Proc,
-    scope: &StmtPath,
-    reg: &mut GlobalReg,
-    check: &SharedCheckCtx,
-) -> Result<(), Vec<CheckError>> {
-    if scope.is_empty() {
-        return check_bounds(proc, reg, check);
-    }
-    let descent = check_scoped(proc, scope, reg, check);
-    match descent {
-        Some(errors) if errors.is_empty() => Ok(()),
-        Some(errors) => Err(errors),
-        // stale path (rewrite moved the scope out from under us): be
-        // conservative and recheck everything
-        None => check_bounds(proc, reg, check),
-    }
-}
-
-/// The descent behind [`check_bounds_at`]; `None` means the path does not
-/// address a statement in `proc`.
-fn check_scoped(
-    proc: &Proc,
-    scope: &StmtPath,
-    reg: &mut GlobalReg,
-    check: &SharedCheckCtx,
-) -> Option<Vec<CheckError>> {
-    let (shapes, assumptions) = seed(proc, reg);
-    let mut checker = Checker {
-        reg,
-        check,
-        shapes,
-        assumptions,
-        genv: GlobalEnv::identity(),
-        errors: Vec::new(),
-        verify: false,
-    };
-    let mut span = exo_obs::Span::enter("analysis.check_bounds_at")
-        .with_field("proc", exo_obs::Json::Str(proc.name.to_string()))
-        .with_field("scope", exo_obs::Json::Str(scope.to_string()));
-    exo_obs::counter_add("analysis.bounds.scoped_passes", 1);
-    let steps = &scope.0;
-    let mut block: &[Stmt] = &proc.body;
-    for (depth, step) in steps.iter().enumerate() {
-        // absorb preceding siblings: shapes and dataflow, no obligations
-        checker.check_stmts(&block[..step.idx.min(block.len())], true);
-        let stmt = block.get(step.idx)?;
-        if depth + 1 == steps.len() {
-            checker.verify = true;
-            checker.check_block(std::slice::from_ref(stmt));
-            span.field("errors", exo_obs::Json::uint(checker.errors.len() as u64));
-            return Some(checker.errors);
-        }
-        match (stmt, steps[depth + 1].block) {
-            (Stmt::For { iter, lo, hi, body }, 0) => {
-                let lo_e = checker.lift(lo);
-                let hi_e = checker.lift(hi);
-                checker
-                    .assumptions
-                    .push(crate::conditions::bd(*iter, &lo_e, &hi_e));
-                checker.genv = val_g_stmt(stmt, std::mem::take(&mut checker.genv), checker.reg);
-                block = body;
-            }
-            (Stmt::If { cond, body, .. }, 0) => {
-                let c = checker.lift(cond);
-                checker.assumptions.push(c);
-                block = body;
-            }
-            (Stmt::If { cond, orelse, .. }, 1) => {
-                let c = checker.lift(cond);
-                checker.assumptions.push(EffExpr::Not(Box::new(c)));
-                block = orelse;
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::SiteQuery;
     use exo_core::build::{read, ProcBuilder};
+    use exo_core::path::StmtPath;
     use exo_core::types::DataType;
 
     fn run(p: &Proc) -> Result<(), Vec<CheckError>> {
         let mut reg = GlobalReg::new();
         check_bounds(p, &mut reg, &SharedCheckCtx::process())
+    }
+
+    /// The bounds check of the code at `path`, posed through its site;
+    /// `None` if the path is invalid.
+    fn run_at(p: &Proc, path: &StmtPath) -> Option<Result<(), Vec<CheckError>>> {
+        let mut reg = GlobalReg::new();
+        let check = SharedCheckCtx::process();
+        let mut q = SiteQuery::new(p, path, &mut reg, &check)?;
+        Some(q.check_bounds())
+    }
+
+    fn messages(r: Result<(), Vec<CheckError>>) -> Vec<String> {
+        r.err()
+            .unwrap_or_default()
+            .into_iter()
+            .map(|e| e.message)
+            .collect()
+    }
+
+    /// `p` is rejected, and checking the offending statement at `path`
+    /// or any of its ancestors fails with the whole-procedure check's
+    /// messages.
+    fn assert_rejected_at(p: &Proc, path: StmtPath) {
+        let whole = messages(run(p));
+        assert!(!whole.is_empty(), "{} is accepted", p.name);
+        let mut site = Some(path);
+        while let Some(at) = site {
+            let got = run_at(p, &at).expect("valid path");
+            assert_eq!(messages(got), whole, "checked at {at}");
+            site = at.parent();
+        }
     }
 
     #[test]
@@ -463,8 +426,10 @@ mod tests {
         let i = b.begin_for("i", Expr::int(0), Expr::var(n));
         b.assign(a, vec![Expr::var(i).add(Expr::int(1))], Expr::float(0.0));
         b.end_for();
-        let errs = run(&b.finish()).unwrap_err();
+        let p = b.finish();
+        let errs = run(&p).unwrap_err();
         assert!(errs[0].message.contains("out of bounds"), "{:?}", errs);
+        assert_rejected_at(&p, StmtPath::top(0).child(0, 0));
     }
 
     #[test]
@@ -520,7 +485,9 @@ mod tests {
             Expr::float(0.0),
         );
         b.end_for().end_for();
-        assert!(run(&b.finish()).is_err());
+        let p2 = b.finish();
+        assert!(run(&p2).is_err());
+        assert_rejected_at(&p2, StmtPath::top(0).child(0, 0).child(0, 0));
     }
 
     #[test]
@@ -530,8 +497,10 @@ mod tests {
         // x = A[4:12] — out of bounds
         let _x = b.window("x", a, vec![WAccess::Interval(Expr::int(4), Expr::int(12))]);
         b.stmt(Stmt::Pass);
-        let errs = run(&b.finish()).unwrap_err();
+        let p = b.finish();
+        let errs = run(&p).unwrap_err();
         assert!(errs[0].message.contains("window interval"), "{:?}", errs);
+        assert_rejected_at(&p, StmtPath::top(0));
     }
 
     #[test]
@@ -547,7 +516,10 @@ mod tests {
         let a2 = b2.tensor("A", DataType::F32, vec![Expr::int(8)]);
         let x2 = b2.window("x", a2, vec![WAccess::Interval(Expr::int(2), Expr::int(6))]);
         b2.assign(x2, vec![Expr::int(4)], Expr::float(0.0));
-        assert!(run(&b2.finish()).is_err());
+        let p2 = b2.finish();
+        assert!(run(&p2).is_err());
+        // the window defined by the preceding sibling is in scope
+        assert_rejected_at(&p2, StmtPath::top(1));
     }
 
     #[test]
@@ -565,8 +537,10 @@ mod tests {
 
         let mut bad = ProcBuilder::new("bad");
         bad.call(&callee, vec![Expr::int(32)]);
-        let errs = run(&bad.finish()).unwrap_err();
+        let bad = bad.finish();
+        let errs = run(&bad).unwrap_err();
         assert!(errs[0].message.contains("precondition"), "{:?}", errs);
+        assert_rejected_at(&bad, StmtPath::top(0));
     }
 
     #[test]
@@ -590,12 +564,14 @@ mod tests {
         let a = b.tensor("A", DataType::F32, vec![Expr::int(4)]);
         let c = b.tensor("C", DataType::F32, vec![Expr::int(4)]);
         b.assign(c, vec![Expr::int(0)], read(a, vec![Expr::int(9)]));
-        let errs = run(&b.finish()).unwrap_err();
+        let p = b.finish();
+        let errs = run(&p).unwrap_err();
         assert!(errs[0].message.contains("read"), "{:?}", errs);
+        assert_rejected_at(&p, StmtPath::top(0));
     }
 
-    /// Two sibling loops, the second out of bounds: the scoped check sees
-    /// only what its path addresses.
+    /// Two sibling loops, the second out of bounds: a site check sees
+    /// only the statement its path addresses.
     fn two_loop_proc() -> std::sync::Arc<Proc> {
         let mut b = ProcBuilder::new("p");
         let n = b.size("n");
@@ -610,20 +586,18 @@ mod tests {
     }
 
     #[test]
-    fn scoped_check_sees_only_its_subtree() {
+    fn site_check_sees_only_its_statement() {
         let p = two_loop_proc();
-        let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
-        assert!(check_bounds(&p, &mut reg, &check).is_err());
-        assert!(check_bounds_at(&p, &StmtPath::top(0), &mut reg, &check).is_ok());
-        assert!(check_bounds_at(&p, &StmtPath::top(1), &mut reg, &check).is_err());
+        assert!(run(&p).is_err());
+        assert_eq!(run_at(&p, &StmtPath::top(0)), Some(Ok(())));
+        assert_rejected_at(&p, StmtPath::top(1).child(0, 0));
     }
 
     #[test]
-    fn scoped_check_uses_enclosing_binders_and_guards() {
+    fn site_check_uses_enclosing_binders_and_guards() {
         // for i in 0..n+1: if i < n: A[i] = 0 — the store is only safe
-        // given both the binder bound and the guard, which the scoped
-        // check must replay on its way down.
+        // given both the binder bound and the guard, which the site
+        // supplies.
         let mut b = ProcBuilder::new("p");
         let n = b.size("n");
         let a = b.tensor("A", DataType::F32, vec![Expr::var(n)]);
@@ -633,16 +607,14 @@ mod tests {
         b.end_if();
         b.end_for();
         let p = b.finish();
-        let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
         let store = StmtPath::top(0).child(0, 0).child(0, 0);
-        assert!(check_bounds_at(&p, &store, &mut reg, &check).is_ok());
+        assert_eq!(run_at(&p, &store), Some(Ok(())));
     }
 
     #[test]
-    fn scoped_check_registers_preceding_sibling_shapes() {
-        // tmp is allocated by an earlier sibling; the scoped check of the
-        // second loop must know tmp's shape to verify (and reject) it.
+    fn site_check_sees_allocations_in_scope() {
+        // tmp is allocated by an earlier sibling; the site check of the
+        // loop must know tmp's shape to verify (and reject) it.
         let mut b = ProcBuilder::new("p");
         let tmp = b.alloc(
             "tmp",
@@ -654,18 +626,22 @@ mod tests {
         b.assign(tmp, vec![Expr::var(i)], Expr::float(0.0));
         b.end_for();
         let p = b.finish();
-        let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
-        let errs = check_bounds_at(&p, &StmtPath::top(1), &mut reg, &check).unwrap_err();
+        let errs = run_at(&p, &StmtPath::top(1))
+            .expect("valid path")
+            .unwrap_err();
         assert!(errs[0].message.contains("out of bounds"), "{:?}", errs);
+        assert_rejected_at(&p, StmtPath::top(1).child(0, 0));
     }
 
     #[test]
-    fn stale_scope_falls_back_to_full_check() {
+    fn invalid_site_path_is_an_error() {
         let p = two_loop_proc();
-        let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
-        // path points past the end of the body: full (failing) recheck
-        assert!(check_bounds_at(&p, &StmtPath::top(7), &mut reg, &check).is_err());
+        assert_eq!(run_at(&p, &StmtPath::top(7)), None);
+        assert_eq!(run_at(&p, &StmtPath::top(0).child(0, 3)), None);
+        // the empty path is the whole body
+        assert_eq!(
+            messages(run_at(&p, &StmtPath::default()).expect("body")),
+            messages(run(&p))
+        );
     }
 }

@@ -1,61 +1,79 @@
 //! Contextual analyses (paper §6): everything a rewrite needs to know
 //! about *where* in a procedure it is being applied.
 //!
-//! For a site (a statement path), we derive: `CtrlPred` — the condition
-//! under which the site executes; `PreValG` — the symbolic values of
-//! configuration fields on entry to the site; and `PostEff` — a
-//! conservative effect of the code executing after the site. The
-//! context-extension rule (§6.2) combines these to lift a local
-//! equivalence to an equivalence of whole procedures. A [`SiteQuery`]
-//! poses a rewrite's safety obligation at its site.
+//! For a site (a statement path), [`site_ctx`] derives in one descent:
+//! `CtrlPred` — the condition under which the site executes; `PreValG` —
+//! the symbolic values of configuration fields on entry to the site; the
+//! allocations and windows in scope; and the blocks the path runs
+//! through, from which `PostEff` — a conservative effect of the code
+//! executing after the site — is read. A [`SiteQuery`] poses a rewrite's
+//! safety obligations at its site: goals under the site's hypothesis, the
+//! bounds re-check of the code at the site, and the context-extension
+//! rule (§6.2), which lifts a local equivalence to an equivalence of
+//! whole procedures.
 
+use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Block, Expr, Proc, Stmt};
-use exo_core::path::{PathStep, StmtPath};
+use exo_core::path::StmtPath;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 use exo_smt::solver::Answer;
 
+use crate::bounds::{check_site, CheckError};
 use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::globals::{lift_in_env, val_g_block, val_g_stmt, GlobalEnv, GlobalReg};
-
-/// An enclosing loop binder with its (dataflow-lifted) bounds.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Binder {
-    /// Iteration variable.
-    pub var: Sym,
-    /// Lower bound.
-    pub lo: EffExpr,
-    /// Upper bound.
-    pub hi: EffExpr,
-}
+use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
+use crate::locset::{member, sets_of, Target};
 
 /// Everything known about a rewrite site.
 #[derive(Debug)]
-pub struct SiteCtx {
-    /// Enclosing loop binders, outermost first.
-    pub binders: Vec<Binder>,
-    /// Enclosing guard conditions (negated for else-branches).
-    pub guards: Vec<EffExpr>,
+pub struct SiteCtx<'p> {
+    /// `CtrlPred`: enclosing loops' binder bounds and guard conditions
+    /// (negated for else-branches), outermost first.
+    pub ctrl: Vec<EffExpr>,
     /// `PreValG`: symbolic configuration state on entry to the site.
     pub genv: GlobalEnv,
     /// Procedure preconditions plus `size`-argument positivity, lifted.
     pub preds: Vec<EffExpr>,
+    /// The allocations and windows in scope at the site, in program
+    /// order, each with the configuration state it runs in.
+    pub(crate) scope: Vec<(&'p Stmt, GlobalEnv)>,
+    /// The blocks the path runs through, outermost first, each with the
+    /// index it takes.
+    pub(crate) levels: Vec<(&'p [Stmt], usize)>,
+    /// The code at the site: its statement, or the whole body for the
+    /// empty path.
+    pub(crate) stmts: &'p [Stmt],
 }
 
-impl SiteCtx {
-    /// `CtrlPred` as one ternary expression (conjunction of binder
-    /// bounds and guards).
+impl<'p> SiteCtx<'p> {
+    /// The site of the whole body: preconditions only.
+    pub(crate) fn whole(proc: &'p Proc, reg: &mut GlobalReg) -> SiteCtx<'p> {
+        let mut preds: Vec<EffExpr> = Vec::new();
+        for arg in &proc.args {
+            if matches!(arg.ty, ArgType::Ctrl(exo_core::CtrlType::Size)) {
+                preds.push(EffExpr::Int(1).le(EffExpr::Var(arg.name)));
+            }
+        }
+        for p in &proc.preds {
+            preds.push(lift_in_env(p, &GlobalEnv::identity(), reg));
+        }
+        SiteCtx {
+            ctrl: Vec::new(),
+            genv: GlobalEnv::identity(),
+            preds,
+            scope: Vec::new(),
+            levels: Vec::new(),
+            stmts: &proc.body,
+        }
+    }
+
+    /// `CtrlPred` as one ternary expression.
     pub fn ctrl_pred(&self) -> EffExpr {
-        let mut acc = EffExpr::Bool(true);
-        for b in &self.binders {
-            acc = acc.and(crate::conditions::bd(b.var, &b.lo, &b.hi));
-        }
-        for g in &self.guards {
-            acc = acc.and(g.clone());
-        }
-        acc
+        self.ctrl
+            .iter()
+            .fold(EffExpr::Bool(true), |acc, c| acc.and(c.clone()))
     }
 
     /// The classical assumption formula for solver queries at this site:
@@ -71,67 +89,53 @@ impl SiteCtx {
     }
 }
 
-/// Builds the [`SiteCtx`] for a statement path within a procedure.
+/// Builds the [`SiteCtx`] for a statement path within a procedure: the
+/// one descent every path-scoped quantity is read from. The empty path
+/// is the site of the whole body.
 ///
 /// Returns `None` if the path is invalid.
-pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<SiteCtx> {
-    let mut binders = Vec::new();
-    let mut guards = Vec::new();
-    let mut genv = GlobalEnv::identity();
-
-    let mut preds: Vec<EffExpr> = Vec::new();
-    for arg in &proc.args {
-        if matches!(arg.ty, ArgType::Ctrl(exo_core::CtrlType::Size)) {
-            preds.push(EffExpr::Int(1).le(EffExpr::Var(arg.name)));
-        }
-    }
-    for p in &proc.preds {
-        preds.push(lift_in_env(p, &GlobalEnv::identity(), reg));
-    }
-
-    let mut block: &Block = &proc.body;
+pub fn site_ctx<'p>(proc: &'p Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<SiteCtx<'p>> {
+    let mut site = SiteCtx::whole(proc, reg);
     let steps = &path.0;
+    let mut block: &[Stmt] = &proc.body;
     for (depth, step) in steps.iter().enumerate() {
-        let PathStep { idx, .. } = *step;
-        // dataflow over preceding siblings
-        let preceding = &block[..idx.min(block.len())];
-        genv = val_g_block(preceding, genv, reg);
-        let stmt = block.get(idx)?;
-        if depth + 1 == steps.len() {
-            return Some(SiteCtx {
-                binders,
-                guards,
-                genv,
-                preds,
-            });
+        let stmt = block.get(step.idx)?;
+        // dataflow over preceding siblings, noting the bindings in scope
+        for s in &block[..step.idx] {
+            if matches!(s, Stmt::Alloc { .. } | Stmt::WindowDef { .. }) {
+                site.scope.push((s, site.genv.clone()));
+            }
+            site.genv = val_g_stmt(s, std::mem::take(&mut site.genv), reg);
         }
+        site.levels.push((block, step.idx));
+        let Some(next) = steps.get(depth + 1) else {
+            site.stmts = std::slice::from_ref(stmt);
+            return Some(site);
+        };
         // descend
-        match (stmt, steps[depth + 1].block) {
+        let genv = &site.genv;
+        match (stmt, next.block) {
             (Stmt::For { iter, lo, hi, body }, 0) => {
-                let lo_e = lift_in_env(lo, &genv, reg);
-                let hi_e = lift_in_env(hi, &genv, reg);
-                binders.push(Binder {
-                    var: *iter,
-                    lo: lo_e,
-                    hi: hi_e,
-                });
+                let (lo, hi) = (lift_in_env(lo, genv, reg), lift_in_env(hi, genv, reg));
+                site.ctrl.push(crate::conditions::bd(*iter, &lo, &hi));
                 // the loop's state is also the state at the start of an
                 // arbitrary iteration
-                genv = val_g_stmt(stmt, genv, reg);
+                site.genv = val_g_stmt(stmt, std::mem::take(&mut site.genv), reg);
                 block = body;
             }
             (Stmt::If { cond, body, .. }, 0) => {
-                guards.push(lift_in_env(cond, &genv, reg));
+                site.ctrl.push(lift_in_env(cond, genv, reg));
                 block = body;
             }
             (Stmt::If { cond, orelse, .. }, 1) => {
-                guards.push(EffExpr::Not(Box::new(lift_in_env(cond, &genv, reg))));
+                let c = lift_in_env(cond, genv, reg);
+                site.ctrl.push(EffExpr::Not(Box::new(c)));
                 block = orelse;
             }
             _ => return None,
         }
     }
-    None
+    Some(site)
 }
 
 /// A rewrite site's safety obligations, posed one way (§3.3, §5.7–5.8,
@@ -141,7 +145,10 @@ pub fn site_ctx(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Option<Sit
 pub struct SiteQuery<'a> {
     proc: &'a Proc,
     check: &'a SharedCheckCtx,
-    site: SiteCtx,
+    site: SiteCtx<'a>,
+    /// Extraction views of every allocation and window in the procedure,
+    /// seeded on first use and shared by every extraction at the site.
+    views: Option<HashMap<Sym, SymView>>,
     /// Lowering state shared by the goal and the hypothesis: lower the
     /// goal here before posing it.
     pub lctx: LowerCtx,
@@ -162,6 +169,7 @@ impl<'a> SiteQuery<'a> {
             proc,
             check,
             site,
+            views: None,
             lctx: LowerCtx::new(),
             reg,
         })
@@ -174,7 +182,8 @@ impl<'a> SiteQuery<'a> {
 
     /// The effect of `stmts` run at the site.
     pub fn effect(&mut self, stmts: &[Stmt]) -> Effect {
-        effect_of_stmts_at(self.proc, stmts, &self.site.genv, self.reg)
+        let genv = self.site.genv.clone();
+        self.extract(genv, |ctx| effect_of_block(stmts, ctx))
     }
 
     /// The effects of consecutive `parts` of a loop body. `loops` holds
@@ -192,8 +201,61 @@ impl<'a> SiteQuery<'a> {
         for lp in loops {
             genv = val_g_stmt(lp, genv, self.reg);
         }
-        let mut ctx = extract_ctx(self.proc, &genv, self.reg);
-        parts.map(|part| effect_of_block(part, &mut ctx))
+        self.extract(genv, |ctx| parts.map(|part| effect_of_block(part, ctx)))
+    }
+
+    /// `PostEff`: a conservative effect of everything that executes after
+    /// the site — later siblings at every level, innermost first, and for
+    /// each enclosing loop the whole loop again, covering the remaining
+    /// iterations. It is extracted in the entry state, with no site
+    /// hypothesis.
+    pub fn post_effect(&mut self) -> Effect {
+        let levels = self.site.levels.len();
+        let mut parts = Vec::new();
+        for depth in (0..levels).rev() {
+            let (block, idx) = self.site.levels[depth];
+            let mut entry_effect =
+                |stmts| self.extract(GlobalEnv::identity(), |ctx| effect_of_block(stmts, ctx));
+            if depth + 1 < levels && matches!(block[idx], Stmt::For { .. }) {
+                parts.push(entry_effect(&block[idx..=idx]));
+            }
+            parts.push(entry_effect(&block[idx + 1..]));
+        }
+        Effect::seq_all(parts)
+    }
+
+    /// The context-extension check (§6.2): given the set `polluted` of
+    /// globals a local rewrite at the site fails to preserve, the
+    /// whole-procedure equivalence holds modulo `polluted` provided the
+    /// post-context definitely does not read any of them:
+    /// `D(Rdg(PostEff) ∩ polluted = ∅)`. The goal carries no site
+    /// hypothesis.
+    pub fn extends_context(&mut self, polluted: &[(Sym, Sym)]) -> Answer {
+        if polluted.is_empty() {
+            return Answer::Yes;
+        }
+        let sets = sets_of(&self.post_effect());
+        let mut ctx = LowerCtx::new();
+        let mut parts = Vec::new();
+        for &(c, f) in polluted {
+            let m = member(&sets.rd_g, &Target::Global(c, f), &mut ctx);
+            parts.push(m.maybe().negate());
+        }
+        self.check
+            .check_valid(&ctx.assumptions().implies(Formula::and(parts)))
+    }
+
+    /// Statically checks every access, window, allocation extent and
+    /// call-site precondition of the code at the site, under the site's
+    /// preconditions, enclosing loops and guards, `PreValG` and the
+    /// shapes in scope.
+    ///
+    /// # Errors
+    ///
+    /// Returns all violations found (including solver give-ups, which
+    /// fail safe).
+    pub fn check_bounds(&mut self) -> Result<(), Vec<CheckError>> {
+        check_site(self.proc, &self.site, self.reg, self.check)
     }
 
     /// Whether `goal` (lowered in [`Self::lctx`]) is valid under the
@@ -217,74 +279,32 @@ impl<'a> SiteQuery<'a> {
             self.lctx.assumptions(),
         ])
     }
-}
 
-/// `PostEff`: a conservative effect of everything that executes after
-/// the site (later siblings at every level, plus — for enclosing loops —
-/// the whole loop again, covering the remaining iterations).
-pub fn post_effect(proc: &Proc, path: &StmtPath, reg: &mut GlobalReg) -> Effect {
-    let mut parts: Vec<Effect> = Vec::new();
-    collect_post(proc, &proc.body, &path.0, reg, &mut parts);
-    Effect::seq_all(parts)
-}
-
-fn collect_post(
-    proc: &Proc,
-    block: &Block,
-    steps: &[PathStep],
-    reg: &mut GlobalReg,
-    out: &mut Vec<Effect>,
-) {
-    let Some(step) = steps.first() else { return };
-    let idx = step.idx;
-    // recurse first (innermost trailing statements execute earliest, but
-    // order is irrelevant for the conservative union we build here)
-    if steps.len() > 1 {
-        if let Some(stmt) = block.get(idx) {
-            let inner_block = match (stmt, steps[1].block) {
-                (Stmt::For { body, .. }, 0) => Some(body),
-                (Stmt::If { body, .. }, 0) => Some(body),
-                (Stmt::If { orelse, .. }, 1) => Some(orelse),
-                _ => None,
-            };
-            if let Some(b) = inner_block {
-                collect_post(proc, b, &steps[1..], reg, out);
-            }
-            // an enclosing loop may run further iterations containing the
-            // site and everything around it: approximate with the whole
-            // loop's effect
-            if matches!(stmt, Stmt::For { .. }) {
-                let whole = std::slice::from_ref(stmt);
-                out.push(effect_of_stmts_at(proc, whole, &GlobalEnv::identity(), reg));
-            }
-        }
-    }
-    // later siblings in this block
-    if idx < block.len() {
-        let later = &block[idx + 1..];
-        out.push(effect_of_stmts_at(proc, later, &GlobalEnv::identity(), reg));
+    /// Runs `f` on an extraction context in state `genv` over the site's
+    /// seeded views, which extraction leaves as it found them.
+    fn extract<T>(&mut self, genv: GlobalEnv, f: impl FnOnce(&mut ExtractCtx<'_>) -> T) -> T {
+        let views = match self.views.take() {
+            Some(views) => views,
+            None => seeded_views(self.proc, self.reg),
+        };
+        let mut ctx = ExtractCtx {
+            ctrl: HashMap::default(),
+            views,
+            genv,
+            reg: self.reg,
+        };
+        let out = f(&mut ctx);
+        self.views = Some(ctx.views);
+        out
     }
 }
 
-/// Extracts the effect of statements as they appear at a site in state
-/// `genv`.
-fn effect_of_stmts_at(
-    proc: &Proc,
-    stmts: &[Stmt],
-    genv: &GlobalEnv,
-    reg: &mut GlobalReg,
-) -> Effect {
-    effect_of_block(stmts, &mut extract_ctx(proc, genv, reg))
-}
-
-/// An extraction context for code at a site: views are seeded from every
-/// allocation/window in the procedure, and the dataflow environment is
-/// `genv`.
-fn extract_ctx<'r>(proc: &Proc, genv: &GlobalEnv, reg: &'r mut GlobalReg) -> ExtractCtx<'r> {
+/// The extraction views of a procedure's arguments and of every
+/// allocation and window in its body, seeded in the entry state.
+fn seeded_views(proc: &Proc, reg: &mut GlobalReg) -> HashMap<Sym, SymView> {
     let mut ctx = ExtractCtx::for_proc(proc, reg);
     seed_views(&proc.body, &mut ctx);
-    ctx.genv = genv.clone();
-    ctx
+    ctx.views
 }
 
 fn seed_views(block: &Block, ctx: &mut ExtractCtx<'_>) {
@@ -316,33 +336,6 @@ fn seed_views(block: &Block, ctx: &mut ExtractCtx<'_>) {
     }
 }
 
-/// The context-extension check (§6.2): given the set `polluted` of
-/// globals a local rewrite fails to preserve, the whole-procedure
-/// equivalence holds modulo `polluted` provided the post-context
-/// definitely does not read any of them:
-/// `D(Rdg(PostEff) ∩ polluted = ∅)`.
-pub fn context_extension_ok(
-    proc: &Proc,
-    path: &StmtPath,
-    polluted: &[(Sym, Sym)],
-    reg: &mut GlobalReg,
-    check: &SharedCheckCtx,
-) -> bool {
-    if polluted.is_empty() {
-        return true;
-    }
-    let post = post_effect(proc, path, reg);
-    let sets = crate::locset::sets_of(&post);
-    let mut ctx = LowerCtx::new();
-    let mut parts = Vec::new();
-    for &(c, f) in polluted {
-        let m = crate::locset::member(&sets.rd_g, &crate::locset::Target::Global(c, f), &mut ctx);
-        parts.push(m.maybe().negate());
-    }
-    let goal = ctx.assumptions().implies(Formula::and(parts));
-    check.check_valid(&goal).is_yes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,11 +357,15 @@ mod tests {
         // path: for(0) → if(0) → assign(0)
         let path = StmtPath::top(0).child(0, 0).child(0, 0);
         let site = site_ctx(&p, &path, &mut reg).expect("valid path");
-        assert_eq!(site.binders.len(), 1);
-        assert_eq!(site.binders[0].var, i);
-        assert_eq!(site.guards.len(), 1);
+        // the binder's bounds, then the guard
+        assert_eq!(site.ctrl.len(), 2);
+        let mut vars = std::collections::BTreeSet::new();
+        site.ctrl[0].free_vars(&mut vars);
+        assert!(vars.contains(&i));
         // size positivity + no explicit preds
         assert_eq!(site.preds.len(), 1);
+        assert_eq!(site.levels.len(), 3);
+        assert!(matches!(site.stmts, [Stmt::Assign { .. }]));
     }
 
     #[test]
@@ -398,7 +395,10 @@ mod tests {
         let mut reg = GlobalReg::new();
         // site = the assign inside the loop
         let path = StmtPath::top(0).child(0, 0);
-        let post = post_effect(&p, &path, &mut reg);
+        let check = SharedCheckCtx::process();
+        let post = SiteQuery::new(&p, &path, &mut reg, &check)
+            .expect("valid path")
+            .post_effect();
         // must include the config write (later sibling) and the loop
         // re-entry approximation
         let txt = format!("{post:?}");
@@ -426,21 +426,10 @@ mod tests {
         let p = b.finish();
         let mut reg = GlobalReg::new();
         let check = SharedCheckCtx::process();
-        assert!(!context_extension_ok(
-            &p,
-            &StmtPath::top(0),
-            &[(c, f)],
-            &mut reg,
-            &check
-        ));
+        let mut q = SiteQuery::new(&p, &StmtPath::top(0), &mut reg, &check).expect("valid path");
+        assert!(!q.extends_context(&[(c, f)]).is_yes());
         // polluting a *different* field is fine
         let g = Sym::new("other");
-        assert!(context_extension_ok(
-            &p,
-            &StmtPath::top(0),
-            &[(c, g)],
-            &mut reg,
-            &check
-        ));
+        assert!(q.extends_context(&[(c, g)]).is_yes());
     }
 }

@@ -17,12 +17,14 @@
 //! * [`conditions`] — `Commutes`, `Shadows`, and the loop-rewrite
 //!   conditions (§5.7–5.8);
 //! * [`context`] — one-holed-context quantities `CtrlPred` / `PreValG` /
-//!   `PostEff`, the context-extension rule (§6), and
-//!   [`context::SiteQuery`], through which every safety obligation is
-//!   posed at its site;
+//!   `PostEff`, all read from one descent of the site's path
+//!   ([`context::site_ctx`]), and [`context::SiteQuery`], through which
+//!   every safety obligation is posed at its site: goals under the site's
+//!   hypothesis, the bounds re-check of the code at the site, and the
+//!   context-extension rule (§6.2);
 //! * [`bounds`] — static bounds checking and call-site assertion
-//!   checking, whole-procedure ([`check_bounds`]) or scoped to the
-//!   subtree a rewrite dirtied ([`check_bounds_at`]);
+//!   checking: one checker, run on a whole procedure ([`check_bounds`])
+//!   or seeded from a site and run on its statement;
 //! * [`check`] — the shared checking context: one reusable solver plus a
 //!   canonical (alpha-normalized) verdict cache.
 //!
@@ -42,7 +44,7 @@ pub mod effexpr;
 pub mod globals;
 pub mod locset;
 
-pub use bounds::{check_bounds, check_bounds_at, CheckError};
+pub use bounds::{check_bounds, CheckError};
 pub use check::{CheckStats, SharedCheckCtx};
 pub use effects::{effect_of_block, effect_of_proc, Effect, ExtractCtx};
 pub use effexpr::{EffExpr, LowerCtx};

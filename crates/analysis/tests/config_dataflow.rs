@@ -26,6 +26,29 @@ fn bounds_ok(p: &Proc) -> bool {
     check_bounds(p, &mut GlobalReg::new(), &SharedCheckCtx::fresh()).is_ok()
 }
 
+/// Checking the offending statement at `path`, and each of its
+/// ancestors, at its site fails with the whole-procedure check's
+/// messages: the site's `PreValG` carries the configuration state there.
+fn rejected_at_site(p: &Proc, path: StmtPath) {
+    let messages = |r: Result<(), Vec<exo_analysis::CheckError>>| -> Vec<String> {
+        r.err()
+            .unwrap_or_default()
+            .into_iter()
+            .map(|e| e.message)
+            .collect()
+    };
+    let check = SharedCheckCtx::fresh();
+    let whole = messages(check_bounds(p, &mut GlobalReg::new(), &check));
+    assert!(!whole.is_empty());
+    let mut site = Some(path);
+    while let Some(at) = site {
+        let mut reg = GlobalReg::new();
+        let mut q = SiteQuery::new(p, &at, &mut reg, &check).expect("valid path");
+        assert_eq!(messages(q.check_bounds()), whole, "checked at {at}");
+        site = at.parent();
+    }
+}
+
 /// The index of the one write to `buf` anywhere in `eff`.
 fn write_index(eff: &Effect, buf: Sym) -> Option<EffExpr> {
     match eff {
@@ -60,6 +83,7 @@ fn bounds_see_config_written_by_a_call() {
         !bounds_ok(&loop_after_call(100)),
         "A[0..100] overruns f32[10]"
     );
+    rejected_at_site(&loop_after_call(100), StmtPath::top(2).child(0, 0));
     assert!(bounds_ok(&loop_after_call(4)));
 }
 
@@ -85,6 +109,7 @@ fn call_needing_64(overwrite: bool) -> Arc<Proc> {
 fn callee_precondition_reads_caller_config_state() {
     assert!(bounds_ok(&call_needing_64(false)));
     assert!(!bounds_ok(&call_needing_64(true)));
+    rejected_at_site(&call_needing_64(true), StmtPath::top(2));
 }
 
 #[test]

@@ -277,6 +277,24 @@ mod tests {
         assert!(microkernel_profile_matches(&lib, &st, 6, 64).unwrap());
     }
 
+    /// Checks the schedule poses on a fresh checking context.
+    fn checks_posed(m: i64, k: i64) -> usize {
+        let st = Arc::new(Mutex::new(SchedState::isolated()));
+        schedule_sgemm(&Avx512Lib::new(), &st, m, 128, k, 6, 64).expect("schedule");
+        let queries = st.lock().unwrap().check.stats().queries;
+        queries
+    }
+
+    #[test]
+    fn one_row_tile_stages_c_reg_with_every_check() {
+        // With m = mr the `io` loop has one iteration and folds away once
+        // c_reg is staged; the staged block is still re-checked, so the
+        // one-tile schedule poses the same checks as the larger ones.
+        assert_eq!(checks_posed(6, 64), 42);
+        assert_eq!(checks_posed(12, 32), 42);
+        assert_eq!(checks_posed(24, 32), 42);
+    }
+
     #[test]
     fn square_sizes_land_in_the_paper_band() {
         // Fig. 5a: 80–95 % of peak on large squares for every library

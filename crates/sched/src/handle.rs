@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use exo_obs::{ProvenanceEvent, Verdict};
 
-use exo_analysis::context::{context_extension_ok, SiteQuery};
+use exo_analysis::context::SiteQuery;
 use exo_analysis::globals::GlobalReg;
 use exo_analysis::SharedCheckCtx;
 use exo_core::budget::ResourceBudget;
@@ -559,19 +559,6 @@ impl Procedure {
         self.query(path, |q| {
             let goal = f(q);
             require(q.valid(goal), what)
-        })
-    }
-
-    /// The context-extension check (§6.2) for `rewritten`, which pollutes
-    /// `polluted` at `path`: later code never reads those fields.
-    pub(crate) fn extends_context(
-        &self,
-        rewritten: &Procedure,
-        path: &StmtPath,
-        polluted: &[(Sym, Sym)],
-    ) -> bool {
-        self.analysis(|reg, check| {
-            context_extension_ok(rewritten.proc(), path, polluted, reg, check)
         })
     }
 }

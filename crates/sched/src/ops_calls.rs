@@ -122,7 +122,11 @@ impl Procedure {
             args,
         };
         let rewritten = self.splice(&path, &mut |_| vec![new_stmt.clone()])?;
-        if !self.extends_context(&rewritten, &path, &polluted) {
+        if !polluted.is_empty()
+            && !rewritten
+                .query(&path, |q| Ok(q.extends_context(&polluted)))?
+                .is_yes()
+        {
             return serr(
                 "call_eqv: the callee pair differs modulo configuration state \
                  that later code may read",

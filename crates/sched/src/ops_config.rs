@@ -95,7 +95,11 @@ impl Procedure {
                 None => return serr("configwrite: target path has no successor slot"),
             }
         };
-        if !self.extends_context(&rewritten, &write_path, &[(config, field)]) {
+        let polluted = [(config, field)];
+        if !rewritten
+            .query(&write_path, |q| Ok(q.extends_context(&polluted)))?
+            .is_yes()
+        {
             return serr(format!(
                 "configwrite: code after the insertion point may read {}.{}",
                 config.name(),
@@ -108,7 +112,9 @@ impl Procedure {
     /// `bind_config(s, e, config.field)`: replaces occurrences of the
     /// control expression `e` (given in printed form) inside the matched
     /// statement with a read of `config.field`, inserting
-    /// `config.field = e` just before. Pollutes `(config, field)`.
+    /// `config.field = e` just before. Pollutes `(config, field)`; fails
+    /// if the statement writes the field or a field `e` reads, or if code
+    /// after the statement may read the field (context extension, §6.2).
     pub fn bind_config(
         &self,
         stmt_pat: impl Into<Pattern>,
@@ -166,23 +172,26 @@ impl Procedure {
                 "bind_config: no control expression prints as {expr_text:?}"
             ));
         };
-        // the statement itself must not write the field (the bound value
-        // must stay current throughout)
-        let mut writes_field = false;
-        visit_stmts(std::slice::from_ref(&stmt), &mut |s| {
-            if let Stmt::WriteConfig {
-                config: c,
-                field: f,
-                ..
-            } = s
-            {
-                if *c == config && *f == field {
-                    writes_field = true;
-                }
+        // the statement itself must write neither the bound field (whose
+        // value must stay current throughout) nor a field `e` reads (so
+        // that `e` keeps its value throughout)
+        let mut kept = HashSet::default();
+        kept.insert((config, field));
+        visit_expr(&target, &mut |e| {
+            if let Expr::ReadConfig { config, field } = e {
+                kept.insert((*config, *field));
             }
         });
-        if writes_field {
-            return serr("bind_config: the statement itself writes the bound field");
+        let mut writes_kept = false;
+        visit_stmts(std::slice::from_ref(&stmt), &mut |s| {
+            if let Stmt::WriteConfig { config, field, .. } = s {
+                writes_kept |= kept.contains(&(*config, *field));
+            }
+        });
+        if writes_kept {
+            return serr(
+                "bind_config: the statement writes the bound field or a field the expression reads",
+            );
         }
         // scope check: e must be evaluable before the statement
         let mut inner_bound = HashSet::default();
@@ -214,7 +223,16 @@ impl Procedure {
             }
         });
         let rewritten = self.splice(&path, &mut |_| vec![write.clone(), replaced.clone()])?;
-        if !self.extends_context(&rewritten, &path, &[(config, field)]) {
+        // context extension past the rewritten statement, whose reads of
+        // the field see the bound value
+        let after_write = path
+            .sibling(1)
+            .ok_or_else(|| SchedError::new("bind_config: target path has no successor slot"))?;
+        let polluted = [(config, field)];
+        if !rewritten
+            .query(&after_write, |q| Ok(q.extends_context(&polluted)))?
+            .is_yes()
+        {
             return serr(format!(
                 "bind_config: code after the statement may read {}.{}",
                 config.name(),

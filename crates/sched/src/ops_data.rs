@@ -3,6 +3,7 @@
 
 use exo_core::hash::HashSet;
 use exo_core::ir::{ArgType, Expr, Proc, Stmt};
+use exo_core::path::visit_paths;
 use exo_core::types::{DataType, MemName};
 use exo_core::visit::{map_stmt_exprs, visit_expr, visit_stmts};
 use exo_core::Sym;
@@ -417,15 +418,16 @@ impl Procedure {
     ///
     /// ```text
     /// a' : ty[sizes] @ MEM
-    /// for …: a'[…] = buf[lo + …]        (if the block reads buf)
+    /// for …: a'[…] = buf[lo + …]
     /// s[ buf[e] ↦ a'[e − lo] ]
     /// for …: buf[lo + …] = a'[…]        (if the block writes buf)
     /// ```
     ///
-    /// The rewritten accesses are re-verified in-bounds by
-    /// [`exo_analysis::check_bounds`]; staging fails if the window does
-    /// not cover every access, or if `buf` escapes the block through a
-    /// window or call argument.
+    /// The body is then folded, and the statement enclosing `a'` (the
+    /// whole body when `a'` is top level) is re-checked in-bounds at its
+    /// site ([`exo_analysis::context::SiteQuery::check_bounds`]); staging
+    /// fails if the window does not cover every access, or if `buf`
+    /// escapes the block through a window or call argument.
     pub fn stage_mem(
         &self,
         stmt_pat: impl Into<Pattern>,
@@ -584,9 +586,9 @@ impl Procedure {
             shape: sizes.clone(),
             mem,
         }];
-        if reads {
-            out.push(mk_loops(true));
-        }
+        // load even when the block only writes buf: the store-back copies
+        // the whole window, so cells the block skips must hold buf's values
+        out.push(mk_loops(true));
         out.push(rebased);
         if writes {
             out.push(mk_loops(false));
@@ -595,22 +597,26 @@ impl Procedure {
         let staged = self.splice(&path, &mut |_| out.clone())?;
         let staged = staged.with_body(fold_block(staged.body()));
 
-        // re-verify memory safety of the staged block: only the rewritten
-        // subtree (the enclosing scope of the staged statement) is
-        // rechecked — everything outside it is untouched by the splice.
-        {
-            let scope = path
-                .parent()
-                .unwrap_or_else(|| exo_core::path::StmtPath(Vec::new()));
-            if let Err(errs) = self.analysis(|reg, check| {
-                exo_analysis::check_bounds_at(staged.proc(), &scope, reg, check)
-            }) {
-                return serr(format!(
+        // re-verify memory safety: only the statement enclosing the staged
+        // allocation (the whole body when it is top level) is rechecked —
+        // everything outside it is untouched by the splice. Folding may
+        // move that statement, so it is found by the allocation's symbol.
+        let mut site = None;
+        visit_paths(staged.body(), |p, s| {
+            if site.is_none() && matches!(s, Stmt::Alloc { name, .. } if *name == fresh) {
+                site = Some(p.parent().unwrap_or_default());
+            }
+        });
+        let site =
+            site.ok_or_else(|| SchedError::new("stage_mem: the staged block folded away"))?;
+        staged.query(&site, |q| {
+            q.check_bounds().map_err(|errs| {
+                SchedError::new(format!(
                     "stage_mem: staged block is not memory-safe (window too small?): {}",
                     errs[0]
-                ));
-            }
-        }
+                ))
+            })
+        })?;
         Ok(staged)
     }
 

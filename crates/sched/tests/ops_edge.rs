@@ -367,3 +367,138 @@ fn fuse_loop_sees_config_written_in_an_earlier_iteration() {
     // would be 0.0
     assert!(p.fuse_loop("for i in _: _").is_err());
 }
+
+/// `A: f32[16]`, `B: f32[2]`; with `unit_loop`, first
+/// `for z in seq(0, 1): {B[0] = 1.0; B[1] = 2.0}`; then
+/// `for o in seq(0, 4): for i in seq(0, 16): A[i] = 0.0`.
+fn staged_after_unit_loop(unit_loop: bool) -> Procedure {
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(16)]);
+    let bb = b.tensor("B", DataType::F32, vec![Expr::int(2)]);
+    if unit_loop {
+        b.begin_for("z", Expr::int(0), Expr::int(1));
+        b.assign(bb, vec![Expr::int(0)], Expr::float(1.0));
+        b.assign(bb, vec![Expr::int(1)], Expr::float(2.0));
+        b.end_for();
+    }
+    b.begin_for("o", Expr::int(0), Expr::int(4));
+    let i = b.begin_for("i", Expr::int(0), Expr::int(16));
+    b.assign(a, vec![Expr::var(i)], Expr::float(0.0));
+    b.end_for().end_for();
+    Procedure::new(b.finish())
+}
+
+#[test]
+fn stage_mem_checks_the_staged_block_after_folding() {
+    // Staging A[0:2] around `for i` writes res[i] for i < 16 into
+    // res: f32[2]. Folding inlines the unit `z` loop ahead of it, which
+    // shifts the staged block's path; the check must still find it.
+    for unit_loop in [false, true] {
+        let p = staged_after_unit_loop(unit_loop);
+        let r = p.stage_mem(
+            "for i in _: _",
+            "A",
+            &[(Expr::int(0), Expr::int(2))],
+            "res",
+            MemName::dram(),
+        );
+        let err = r.expect_err("undersized staging accepted");
+        assert!(err.message.contains("not memory-safe"), "{err}");
+    }
+}
+
+#[test]
+fn stage_mem_of_a_write_only_block_keeps_unwritten_cells() {
+    // for i in seq(0, 4): x[i] = 1.0 — staged through xs = x[0:8], whose
+    // store-back also copies xs[4:8] to x[4:8]: those cells must have
+    // been loaded from x first.
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+    b.assign(x, vec![Expr::var(i)], Expr::float(1.0));
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    let q = p
+        .stage_mem(
+            "for i in _: _",
+            "x",
+            &[(Expr::int(0), Expr::int(8))],
+            "xs",
+            MemName::dram(),
+        )
+        .unwrap();
+    assert_eq!(run_vec(p.proc(), 8), run_vec(q.proc(), 8));
+}
+
+/// `Cfg.k`, the field the `bind_config` tests bind.
+fn cfg_k() -> (Sym, Sym) {
+    (Sym::new("Cfg"), Sym::new("k"))
+}
+
+fn read_cfg((config, field): (Sym, Sym)) -> Expr {
+    Expr::ReadConfig { config, field }
+}
+
+#[test]
+fn bind_config_accepts_a_binding_no_later_code_reads() {
+    // for i in seq(0, 4): x[i] = 1.0
+    // x[3] = 1.0
+    let (cfg, k) = cfg_k();
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+    b.assign(x, vec![Expr::var(i)], Expr::float(1.0));
+    b.end_for();
+    b.assign(x, vec![Expr::int(3)], Expr::float(1.0));
+    let p = Procedure::new(b.finish());
+    let q = p.bind_config("for i in _: _", "4", cfg, k).unwrap();
+    assert!(q.show().contains("Cfg.k = 4"), "{}", q.show());
+    assert_eq!(run_vec(p.proc(), 8), run_vec(q.proc(), 8));
+    let r = p.bind_config("x[_] = _ #1", "3", cfg, k).unwrap();
+    assert!(r.show().contains("x[Cfg.k] = 1.0"), "{}", r.show());
+    assert!(r.polluted().contains(&(cfg, k)));
+    assert_eq!(run_vec(p.proc(), 8), run_vec(r.proc(), 8));
+}
+
+#[test]
+fn bind_config_rejects_a_later_reader() {
+    // for i in seq(0, 4): x[i] = 1.0
+    // x[Cfg.k] = 2.0 — reads the field the binding pollutes
+    let (cfg, k) = cfg_k();
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    b.write_config(cfg, k, Expr::int(6));
+    let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+    b.assign(x, vec![Expr::var(i)], Expr::float(1.0));
+    b.end_for();
+    b.assign(x, vec![read_cfg((cfg, k))], Expr::float(2.0));
+    let p = Procedure::new(b.finish());
+    let err = p.bind_config("for i in _: _", "4", cfg, k).unwrap_err();
+    assert!(err.message.contains("may read Cfg.k"), "{err}");
+}
+
+#[test]
+fn bind_config_rejects_a_statement_that_writes_what_the_expression_reads() {
+    // Cfg.m = 0
+    // for i in seq(0, 2):
+    //     Cfg.m = 5
+    //     x[Cfg.m] = 1.0
+    // Binding `Cfg.m` to Cfg.k before the loop would freeze its value at
+    // 0 and move the store from x[5] to x[0].
+    let (cfg, k) = cfg_k();
+    let m = Sym::new("m");
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    b.write_config(cfg, m, Expr::int(0));
+    b.begin_for("i", Expr::int(0), Expr::int(2));
+    b.write_config(cfg, m, Expr::int(5));
+    b.assign(x, vec![read_cfg((cfg, m))], Expr::float(1.0));
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    assert_eq!(run_vec(p.proc(), 8)[5], 1.0);
+    let err = p.bind_config("for i in _: _", "Cfg.m", cfg, k).unwrap_err();
+    assert!(
+        err.message.contains("a field the expression reads"),
+        "{err}"
+    );
+}

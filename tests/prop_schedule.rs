@@ -171,6 +171,9 @@ enum Directive {
     Unroll(u8),
     BindExpr,
     Simplify,
+    /// `stage_mem` of the window `x[lo:lo + len]` around `for i`/`for j`;
+    /// undersized when the block reaches past it (or it past `x`)
+    StageMem(u8, i64, i64),
 }
 
 fn arb_directive() -> impl Strategy<Value = Directive> {
@@ -185,6 +188,7 @@ fn arb_directive() -> impl Strategy<Value = Directive> {
         (0u8..2).prop_map(Directive::Unroll),
         Just(Directive::BindExpr),
         Just(Directive::Simplify),
+        (0u8..2, 0i64..8, 1i64..17).prop_map(|(w, lo, len)| Directive::StageMem(w, lo, len)),
     ]
 }
 
@@ -253,6 +257,11 @@ fn apply(p: &Procedure, d: &Directive) -> Option<Procedure> {
             None
         }
         Directive::Simplify => Some(p.simplify()),
+        Directive::StageMem(w, lo, len) => {
+            let window = [(Expr::int(*lo), Expr::int(lo + len))];
+            p.stage_mem(loop_pat(*w), "x", &window, "xs", MemName::dram())
+                .ok()
+        }
     }
 }
 
