@@ -36,7 +36,7 @@ cargo test -q --features proptest-tests --test prop_schedule --test prop_failsaf
 echo "== gemmini-sim (incl. differential test of the floor-cut access logs against the unpruned reference scan) =="
 cargo test -q -p gemmini-sim
 
-echo "== scheduler suite (operators, edge cases incl. stage_mem re-checked after folding and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
+echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
 echo "== interpreter (error-message parity, overflow, unit tests; release) =="

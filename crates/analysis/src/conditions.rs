@@ -117,6 +117,34 @@ pub fn shadows(a1: &Effect, a2: &Effect, ctx: &mut LowerCtx) -> Formula {
     Formula::and(parts)
 }
 
+/// Every point of the rectangular `window` of `buf` (one half-open
+/// `(lo, hi)` per dimension) is definitely written by `a`.
+pub fn overwrites(
+    a: &Effect,
+    buf: Sym,
+    window: &[(EffExpr, EffExpr)],
+    ctx: &mut LowerCtx,
+) -> Formula {
+    let coords: Vec<Sym> = (0..window.len())
+        .map(|d| Sym::new(format!("ow{d}")))
+        .collect();
+    let mut inside = Vec::new();
+    for ((lo, hi), &c) in window.iter().zip(&coords) {
+        let pt = EffExpr::Var(c);
+        inside.push(
+            ctx.lower_bool(&lo.clone().le(pt.clone()).and(pt.lt(hi.clone())))
+                .maybe(),
+        );
+    }
+    let tgt = Target::Buf {
+        buf,
+        coords: coords.clone(),
+    };
+    let written = member(&sets_of(a).wr(), &tgt, ctx).definitely();
+    let f = Formula::and(inside).implies(written);
+    coords.into_iter().rev().fold(f, Formula::forall)
+}
+
 /// Ternary in-bounds predicate `Bd(x) = lo ≤ x < hi`.
 pub fn bd(var: Sym, lo: &EffExpr, hi: &EffExpr) -> EffExpr {
     lo.clone()

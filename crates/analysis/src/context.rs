@@ -231,9 +231,6 @@ impl<'a> SiteQuery<'a> {
     /// `D(Rdg(PostEff) ∩ polluted = ∅)`. The goal carries no site
     /// hypothesis.
     pub fn extends_context(&mut self, polluted: &[(Sym, Sym)]) -> Answer {
-        if polluted.is_empty() {
-            return Answer::Yes;
-        }
         let sets = sets_of(&self.post_effect());
         let mut ctx = LowerCtx::new();
         let mut parts = Vec::new();

@@ -10,7 +10,7 @@
 
 use exo_core::hash::HashSet;
 use exo_core::ir::{Expr, Stmt};
-use exo_core::visit::{visit_expr, visit_stmts};
+use exo_core::visit::{visit_expr, visit_stmt_exprs, visit_stmts};
 use exo_core::Sym;
 
 use exo_analysis::conditions;
@@ -113,8 +113,9 @@ impl Procedure {
     /// control expression `e` (given in printed form) inside the matched
     /// statement with a read of `config.field`, inserting
     /// `config.field = e` just before. Pollutes `(config, field)`; fails
-    /// if the statement writes the field or a field `e` reads, or if code
-    /// after the statement may read the field (context extension, §6.2).
+    /// if the statement reads or writes the field or writes a field `e`
+    /// reads, or if code after the statement may read the field (context
+    /// extension, §6.2).
     pub fn bind_config(
         &self,
         stmt_pat: impl Into<Pattern>,
@@ -145,50 +146,43 @@ impl Procedure {
         let stmt = self.stmt(&path)?.clone();
         // locate the control expression by printed form
         let mut target: Option<Expr> = None;
-        let mut scan = |e: &Expr| {
-            visit_expr(e, &mut |e| {
+        visit_stmts(std::slice::from_ref(&stmt), &mut |s| {
+            visit_stmt_exprs(s, &mut |e| {
                 if target.is_none() && exo_core::printer::expr_to_string(e) == expr_text.trim() {
                     target = Some(e.clone());
                 }
             });
-        };
-        visit_stmts(std::slice::from_ref(&stmt), &mut |s| match s {
-            Stmt::Assign { idx, rhs, .. } | Stmt::Reduce { idx, rhs, .. } => {
-                idx.iter().for_each(&mut scan);
-                scan(rhs);
-            }
-            Stmt::WriteConfig { rhs, .. } => scan(rhs),
-            Stmt::If { cond, .. } => scan(cond),
-            Stmt::For { lo, hi, .. } => {
-                scan(lo);
-                scan(hi);
-            }
-            Stmt::Call { args, .. } => args.iter().for_each(&mut scan),
-            Stmt::WindowDef { rhs, .. } => scan(rhs),
-            _ => {}
         });
         let Some(target) = target else {
             return serr(format!(
                 "bind_config: no control expression prints as {expr_text:?}"
             ));
         };
-        // the statement itself must write neither the bound field (whose
-        // value must stay current throughout) nor a field `e` reads (so
-        // that `e` keeps its value throughout)
-        let mut kept = HashSet::default();
+        // the statement itself (callees included) must not read the bound
+        // field (each read would see the bound value, not the current
+        // one), nor write it (its value must stay current throughout) or a
+        // field `e` reads (so that `e` keeps its value throughout)
+        let (mut used, mut kept) = (HashSet::default(), HashSet::default());
         kept.insert((config, field));
-        visit_expr(&target, &mut |e| {
-            if let Expr::ReadConfig { config, field } = e {
+        visit_expr(&target, &mut |e| match e {
+            Expr::Var(v) => {
+                used.insert(*v);
+            }
+            Expr::ReadConfig { config, field } => {
                 kept.insert((*config, *field));
             }
+            _ => {}
         });
-        let mut writes_kept = false;
-        visit_stmts(std::slice::from_ref(&stmt), &mut |s| {
-            if let Stmt::WriteConfig { config, field, .. } = s {
-                writes_kept |= kept.contains(&(*config, *field));
-            }
-        });
-        if writes_kept {
+        let (mut reads, mut writes) = (HashSet::default(), HashSet::default());
+        config_accesses(std::slice::from_ref(&stmt), &mut reads, &mut writes);
+        if reads.contains(&(config, field)) {
+            return serr(format!(
+                "bind_config: the statement already reads {}.{}",
+                config.name(),
+                field.name()
+            ));
+        }
+        if !writes.is_disjoint(&kept) {
             return serr(
                 "bind_config: the statement writes the bound field or a field the expression reads",
             );
@@ -200,13 +194,7 @@ impl Procedure {
                 inner_bound.insert(*iter);
             }
         });
-        let mut used = HashSet::default();
-        visit_expr(&target, &mut |e| {
-            if let Expr::Var(v) = e {
-                used.insert(*v);
-            }
-        });
-        if used.intersection(&inner_bound).next().is_some() {
+        if !used.is_disjoint(&inner_bound) {
             return serr("bind_config: expression uses loop variables bound inside the statement");
         }
 
@@ -348,4 +336,27 @@ impl Procedure {
         })?;
         self.splice(&p1, &mut |_| vec![])
     }
+}
+
+/// Collects the configuration fields `block` reads and writes, callees
+/// included.
+fn config_accesses(
+    block: &[Stmt],
+    reads: &mut HashSet<(Sym, Sym)>,
+    writes: &mut HashSet<(Sym, Sym)>,
+) {
+    visit_stmts(block, &mut |s| {
+        visit_stmt_exprs(s, &mut |e| {
+            if let Expr::ReadConfig { config, field } = e {
+                reads.insert((*config, *field));
+            }
+        });
+        match s {
+            Stmt::WriteConfig { config, field, .. } => {
+                writes.insert((*config, *field));
+            }
+            Stmt::Call { proc, .. } => config_accesses(&proc.body, reads, writes),
+            _ => {}
+        }
+    });
 }

@@ -8,6 +8,8 @@ use exo_core::types::{DataType, MemName};
 use exo_core::visit::{map_stmt_exprs, visit_expr, visit_stmts};
 use exo_core::Sym;
 
+use exo_analysis::conditions;
+
 use crate::fold::{fold_block, fold_expr};
 use crate::handle::{serr, Procedure, SchedError};
 use crate::pattern::Pattern;
@@ -418,7 +420,7 @@ impl Procedure {
     ///
     /// ```text
     /// a' : ty[sizes] @ MEM
-    /// for …: a'[…] = buf[lo + …]
+    /// for …: a'[…] = buf[lo + …]        (unless s only writes the window, all of it)
     /// s[ buf[e] ↦ a'[e − lo] ]
     /// for …: buf[lo + …] = a'[…]        (if the block writes buf)
     /// ```
@@ -586,9 +588,21 @@ impl Procedure {
             shape: sizes.clone(),
             mem,
         }];
-        // load even when the block only writes buf: the store-back copies
-        // the whole window, so cells the block skips must hold buf's values
-        out.push(mk_loops(true));
+        // the store-back copies the whole window, so a block that only
+        // writes buf still loads unless its writes provably cover it
+        let load = reads
+            || !self.query(&path, |q| {
+                let eff = q.effect(std::slice::from_ref(&stmt));
+                let window: Vec<_> = window
+                    .iter()
+                    .map(|(lo, hi)| (q.lift(lo), q.lift(hi)))
+                    .collect();
+                let goal = conditions::overwrites(&eff, buf, &window, &mut q.lctx);
+                Ok(q.valid(goal).is_yes())
+            })?;
+        if load {
+            out.push(mk_loops(true));
+        }
         out.push(rebased);
         if writes {
             out.push(mk_loops(false));

@@ -502,3 +502,56 @@ fn bind_config_rejects_a_statement_that_writes_what_the_expression_reads() {
         "{err}"
     );
 }
+
+#[test]
+fn stage_mem_of_an_init_loop_loads_nothing() {
+    // acc: f32[8]
+    // for i in seq(0, 8): acc[i] = 0.0 — staged through accs = acc[0:8]
+    // for i in seq(0, 8): x[i] = acc[i] + x[i]
+    // The block writes the whole window, so no load reads the
+    // uninitialised acc.
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    let acc = b.alloc("acc", DataType::F32, vec![Expr::int(8)], MemName::dram());
+    let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+    b.assign(acc, vec![Expr::var(i)], Expr::float(0.0));
+    b.end_for();
+    let j = b.begin_for("j", Expr::int(0), Expr::int(8));
+    b.assign(
+        x,
+        vec![Expr::var(j)],
+        read(acc, vec![Expr::var(j)]).add(read(x, vec![Expr::var(j)])),
+    );
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    let q = p
+        .stage_mem(
+            "for i in _: _",
+            "acc",
+            &[(Expr::int(0), Expr::int(8))],
+            "accs",
+            MemName::dram(),
+        )
+        .unwrap();
+    assert_eq!(run_vec(p.proc(), 8), run_vec(q.proc(), 8));
+    assert!(!q.show().contains("ld0"), "{}", q.show());
+}
+
+#[test]
+fn bind_config_rejects_a_statement_that_reads_the_field() {
+    // Cfg.k = 6
+    // for i in seq(0, 2): x[Cfg.k] = 1.0
+    // Binding `2` to Cfg.k before the loop would move the store from
+    // x[6] to x[2], with no code after the loop to notice.
+    let (cfg, k) = cfg_k();
+    let mut b = ProcBuilder::new("p");
+    let x = b.tensor("x", DataType::F32, vec![Expr::int(8)]);
+    b.write_config(cfg, k, Expr::int(6));
+    b.begin_for("i", Expr::int(0), Expr::int(2));
+    b.assign(x, vec![read_cfg((cfg, k))], Expr::float(1.0));
+    b.end_for();
+    let p = Procedure::new(b.finish());
+    assert_eq!(run_vec(p.proc(), 8)[6], 1.0);
+    let err = p.bind_config("for i in _: _", "2", cfg, k).unwrap_err();
+    assert!(err.message.contains("already reads Cfg.k"), "{err}");
+}
