@@ -158,7 +158,7 @@ impl Machine {
         shape: &[usize],
         data: &[f64],
     ) -> BufId {
-        let volume = shape.iter().product::<usize>().max(1);
+        let volume = shape.iter().product::<usize>();
         assert_eq!(data.len(), volume, "data length must match shape volume");
         let buf =
             BufferData::with_values(Sym::new(name), dtype, shape.to_vec(), MemName::dram(), data);
@@ -1077,6 +1077,16 @@ mod tests {
         assert_eq!(m.buffer(id).values().collect::<Vec<_>>(), vec![None; 12]);
         let s = m.alloc_extern_uninit("s", DataType::F32, &[]);
         assert_eq!(m.buffer(s).values().collect::<Vec<_>>(), vec![None]);
+    }
+
+    #[test]
+    fn zero_extent_buffers_hold_no_elements() {
+        let mut m = Machine::new();
+        let e = m.alloc_extern("e", DataType::F32, &[0], &[]);
+        assert_eq!(m.buffer_values(e).unwrap(), Vec::<f64>::new());
+        let z = m.alloc_extern_uninit("z", DataType::F32, &[0, 4]);
+        assert_eq!(m.buffer(z).values().count(), 0);
+        assert_eq!(m.buffer_values(z).unwrap(), Vec::<f64>::new());
     }
 
     #[test]

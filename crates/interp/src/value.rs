@@ -86,9 +86,10 @@ impl BufferData {
         }
     }
 
-    /// Number of elements: the shape's volume (at least 1).
+    /// Number of elements: the product of the extents (1 for a scalar,
+    /// 0 when some extent is 0).
     pub(crate) fn volume(&self) -> usize {
-        self.shape.iter().product::<usize>().max(1)
+        self.shape.iter().product()
     }
 
     /// Element `off`: `None` past the volume, `Some(None)` when it is
@@ -151,6 +152,14 @@ mod tests {
         assert_eq!(b.values().collect::<Vec<_>>(), vec![None]);
         assert_eq!(b.get(0), Some(None));
         assert_eq!(b.get(1), None);
+    }
+
+    #[test]
+    fn zero_extent_buffer_has_no_elements() {
+        let b = BufferData::new(Sym::new("z"), DataType::F32, vec![0, 4], MemName::dram());
+        assert_eq!(b.volume(), 0);
+        assert_eq!(b.values().count(), 0);
+        assert_eq!(b.get(0), None);
     }
 
     #[test]
