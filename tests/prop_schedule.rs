@@ -32,6 +32,17 @@ enum RandStmt {
     },
     /// 2-D loop nest writing the matrix buffer
     Loop2 { reduce: bool, transpose: bool },
+    /// `for o in 0..reps: for i in 0..8: X[i+offset] (=|+=) Y[(i+o) % 16]`
+    /// — the `i` loop nested in another statement, so a directive aimed
+    /// at it rewrites a nested block (with `reps = 1` the outer loop
+    /// folds away)
+    Nest {
+        dst: u8,
+        src: u8,
+        reduce: bool,
+        reps: i64,
+        offset: i64,
+    },
     /// `Cfg.k = base; for c in 0..8: { if n < thresh: Cfg.k = alt;
     /// X[Cfg.k] = Y[c] + 1.0; Cfg.k = c; Y[c + 8] = X[cell] }` — a
     /// configuration write under a guard on the size argument, a read of
@@ -61,6 +72,15 @@ fn arb_program() -> impl Strategy<Value = RandProgram> {
         ),
         (any::<bool>(), any::<bool>())
             .prop_map(|(reduce, transpose)| RandStmt::Loop2 { reduce, transpose }),
+        (0u8..2, 0u8..2, any::<bool>(), 1i64..3, 0i64..8).prop_map(
+            |(dst, src, reduce, reps, offset)| RandStmt::Nest {
+                dst,
+                src,
+                reduce,
+                reps,
+                offset
+            }
+        ),
         (0u8..2, 0u8..2, 0i64..16, 0i64..16, 1i64..5, 0i64..8).prop_map(
             |(dst, src, base, alt, thresh, cell)| RandStmt::Config {
                 dst,
@@ -123,6 +143,25 @@ fn build(p: &RandProgram) -> Arc<Proc> {
                     // cell: write a constant instead
                     let rhs = if *transpose { Expr::float(2.0) } else { rhs };
                     b.assign(mat, vec![r, c], rhs);
+                }
+                b.end_for().end_for();
+            }
+            RandStmt::Nest {
+                dst,
+                src,
+                reduce,
+                reps,
+                offset,
+            } => {
+                let o = b.begin_for("o", Expr::int(0), Expr::int(*reps));
+                let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+                let didx = Expr::var(i).add(Expr::int(*offset));
+                let sidx = Expr::var(i).add(Expr::var(o)).rem(Expr::int(16));
+                let rhs = read(bufs[*src as usize], vec![sidx]).add(Expr::float(1.0));
+                if *reduce {
+                    b.reduce(bufs[*dst as usize], vec![didx], rhs);
+                } else {
+                    b.assign(bufs[*dst as usize], vec![didx], rhs);
                 }
                 b.end_for().end_for();
             }
