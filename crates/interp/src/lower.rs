@@ -1,10 +1,19 @@
-//! The resolved form the interpreter executes.
+//! The typed, pre-resolved form the interpreter executes.
 //!
 //! [`lower`] walks a procedure once per [`crate::Machine::run`] and
-//! resolves every name: each binder (formal, loop iterator, `Alloc`,
-//! `WindowDef`) gets a frame slot index, and each use of a symbol points
-//! at the slot of the innermost binder in scope, so a frame is a
-//! `Vec<Slot>` indexed directly. Builtins become an enum, and each
+//! resolves every name and every type it can. A frame has two parts: a
+//! slot per formal, `Alloc` and `WindowDef` (a control value or a view),
+//! and an `i64` per loop iterator. Each use of a symbol points at its
+//! innermost binder in scope, as an iterator index or a slot index.
+//!
+//! Control expressions are typed by where they are used: an [`IExpr`]
+//! yields an `i64`, a [`BExpr`] a `bool`, and only a configuration write
+//! or a control argument of a call keeps the kind of its value open
+//! ([`CExpr`]). An expression of the wrong kind becomes a node that
+//! evaluates its operand and then fails as the tree walk did (`NotInt`,
+//! `NotBool`); a control formal or a configuration field, whose kind is
+//! only known at run time, is checked when it is read. Configuration
+//! fields become indices into a per-run table, builtins an enum, and each
 //! distinct callee (by `Arc` pointer) is lowered once and called by
 //! index; `@instr` callees carry their instruction and formal names as
 //! ready-made [`TraceName`]s, which every traced call shares.
@@ -23,40 +32,97 @@ use exo_core::Sym;
 
 use crate::trace::TraceName;
 
-/// A use of a symbol: the frame slot of its binder (`None` when no
-/// binder is in scope) and the symbol itself, for error messages.
+/// A use of a symbol as a slot: the slot of its binder (`None` when no
+/// binder is in scope, or the binder is a loop iterator) and the symbol
+/// itself, for error messages.
 #[derive(Clone, Copy)]
 pub(crate) struct Var {
     pub slot: Option<usize>,
     pub sym: Sym,
 }
 
-/// A control expression.
-pub(crate) enum CExpr {
-    Var(Var),
-    Int(i64),
-    Bool(bool),
-    /// A float literal (an error in control position).
+/// A control expression that fails whatever its operands: the name has
+/// no binder, or the expression is not a control expression.
+#[derive(Clone, Copy)]
+pub(crate) enum Fault {
+    Unbound(Sym),
     Float,
-    Neg(Box<CExpr>),
-    Bin(BinOp, Box<CExpr>, Box<CExpr>),
-    Stride {
-        buf: Var,
-        dim: usize,
-    },
-    ReadConfig {
-        config: Sym,
-        field: Sym,
-    },
-    /// A data expression (an error in control position).
     Data,
+}
+
+/// An integer operator of control arithmetic.
+#[derive(Clone, Copy)]
+pub(crate) enum IntOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+}
+
+/// A comparison of two integers.
+#[derive(Clone, Copy)]
+pub(crate) enum CmpOp {
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// A control expression used as an integer.
+pub(crate) enum IExpr {
+    Int(i64),
+    /// A loop iterator, by index into the frame's iterators.
+    Iter(usize),
+    /// A slot holding a control value (a formal), checked when read.
+    Slot(Var),
+    /// A configuration field, by index into the run's table.
+    Config(usize),
+    Neg(Box<IExpr>),
+    Arith(IntOp, Box<IExpr>, Box<IExpr>),
+    Stride(Var, usize),
+    /// A boolean expression in integer position.
+    NotInt(Box<BExpr>),
+    Fail(Fault),
+}
+
+/// A control expression used as a boolean.
+pub(crate) enum BExpr {
+    Bool(bool),
+    Slot(Var),
+    Config(usize),
+    And(Box<BExpr>, Box<BExpr>),
+    Or(Box<BExpr>, Box<BExpr>),
+    Cmp(CmpOp, Box<IExpr>, Box<IExpr>),
+    /// An integer expression in boolean position.
+    NotBool(Box<IExpr>),
+}
+
+/// A control expression whose value is stored as it is: the right-hand
+/// side of a configuration write or a control argument of a call.
+pub(crate) enum CExpr {
+    Int(IExpr),
+    Bool(BExpr),
+    Slot(Var),
+    Config(usize),
+}
+
+/// An arithmetic operator on data, or an operator data does not have.
+#[derive(Clone, Copy)]
+pub(crate) enum DataOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Undefined(BinOp),
 }
 
 /// A data expression.
 pub(crate) enum DExpr {
     Lit(f64),
     Read(Access),
-    Bin(BinOp, Box<DExpr>, Box<DExpr>),
+    Bin(DataOp, Box<DExpr>, Box<DExpr>),
     Neg(Box<DExpr>),
     BuiltIn {
         func: Builtin,
@@ -66,10 +132,11 @@ pub(crate) enum DExpr {
     Ctrl,
 }
 
-/// An element access `buf[idx]`.
+/// An element access `buf[idx]`: the view's slot and one index node
+/// per axis.
 pub(crate) struct Access {
     pub buf: Var,
-    pub idx: Vec<CExpr>,
+    pub idx: Box<[IExpr]>,
 }
 
 /// A built-in math function.
@@ -104,17 +171,17 @@ pub(crate) enum VExpr {
     /// `buf` — the whole view.
     Whole(Var),
     /// `buf[idx]` — a point (rank-0 view).
-    Point(Var, Vec<CExpr>),
+    Point(Var, Box<[IExpr]>),
     /// `buf[coords]` with intervals.
-    Window(Var, Vec<WCoord>),
+    Window(Var, Box<[WCoord]>),
     /// Any other data expression, materialized in a 0-d temporary.
     Temp(DExpr),
 }
 
 /// One coordinate of a window expression.
 pub(crate) enum WCoord {
-    Point(CExpr),
-    Interval(CExpr, CExpr),
+    Point(IExpr),
+    Interval(IExpr, IExpr),
 }
 
 /// An actual argument of a call, by the kind of its formal.
@@ -132,26 +199,25 @@ pub(crate) enum LStmt {
         reduce: bool,
     },
     WriteConfig {
-        config: Sym,
-        field: Sym,
+        config: usize,
         rhs: CExpr,
     },
     If {
-        cond: CExpr,
+        cond: BExpr,
         body: Vec<LStmt>,
         orelse: Vec<LStmt>,
     },
     For {
         iter: usize,
-        lo: CExpr,
-        hi: CExpr,
+        lo: IExpr,
+        hi: IExpr,
         body: Vec<LStmt>,
     },
     Alloc {
         slot: usize,
         name: Sym,
         ty: DataType,
-        shape: Vec<CExpr>,
+        shape: Vec<IExpr>,
         mem: MemName,
     },
     WindowDef {
@@ -169,90 +235,137 @@ pub(crate) enum LStmt {
 pub(crate) struct LProc<'p> {
     pub src: &'p Proc,
     /// Declared extents of each tensor formal, by formal index.
-    pub shapes: Vec<Option<Vec<CExpr>>>,
-    pub preds: Vec<CExpr>,
+    pub shapes: Vec<Option<Vec<IExpr>>>,
+    pub preds: Vec<BExpr>,
     pub body: Vec<LStmt>,
-    /// Frame size.
+    /// Slots in a frame.
     pub slots: usize,
+    /// Loop iterators in a frame.
+    pub iters: usize,
     /// For an `@instr`: its name and its formals' names, as traced.
     pub instr: Option<(TraceName, Vec<TraceName>)>,
 }
 
-/// Lowers `root` and, once each, every procedure it calls. A callee
-/// comes before its first caller, so the root is the last element.
-pub(crate) fn lower(root: &Proc) -> Vec<LProc<'_>> {
-    let mut procs = Vec::new();
-    lower_proc(root, &mut procs, &mut HashMap::default());
-    procs
+/// One run's lowered form.
+pub(crate) struct Lowered<'p> {
+    /// `root` and, once each, every procedure it calls. A callee comes
+    /// before its first caller, so the root is the last element.
+    pub procs: Vec<LProc<'p>>,
+    /// The configuration fields the procedures name, by index.
+    pub configs: Vec<(Sym, Sym)>,
 }
 
-/// Lowers `p` (and its callees not in `memo`) onto `procs`; returns its
-/// index.
-fn lower_proc<'p>(
-    p: &'p Proc,
-    procs: &mut Vec<LProc<'p>>,
-    memo: &mut HashMap<*const Proc, usize>,
-) -> usize {
+/// Lowers `root` and the procedures it calls.
+pub(crate) fn lower(root: &Proc) -> Lowered<'_> {
+    let mut run = Run {
+        out: Lowered {
+            procs: Vec::new(),
+            configs: Vec::new(),
+        },
+        memo: HashMap::default(),
+        config_index: HashMap::default(),
+    };
+    lower_proc(root, &mut run);
+    run.out
+}
+
+/// What lowering shares across the procedures of one run.
+struct Run<'p> {
+    out: Lowered<'p>,
+    memo: HashMap<*const Proc, usize>,
+    config_index: HashMap<(Sym, Sym), usize>,
+}
+
+/// Lowers `p` (and its callees not yet lowered); returns its index.
+fn lower_proc<'p>(p: &'p Proc, run: &mut Run<'p>) -> usize {
     let mut cx = Lowering {
-        procs,
-        memo,
+        run,
         scope: Vec::new(),
         slots: 0,
+        iters: 0,
     };
     for a in &p.args {
-        cx.bind(a.name);
+        cx.bind_slot(a.name);
     }
     let shapes = p
         .args
         .iter()
         .map(|a| match &a.ty {
-            ArgType::Tensor { shape, .. } => Some(shape.iter().map(|e| cx.ctrl(e)).collect()),
+            ArgType::Tensor { shape, .. } => Some(shape.iter().map(|e| cx.int(e)).collect()),
             _ => None,
         })
         .collect();
-    let preds = p.preds.iter().map(|e| cx.ctrl(e)).collect();
+    let preds = p.preds.iter().map(|e| cx.boolean(e)).collect();
     let body = cx.block(&p.body);
-    let slots = cx.slots;
+    let (slots, iters) = (cx.slots, cx.iters);
     let instr = p.is_instr().then(|| {
         let names = p.args.iter().map(|a| a.name.name().into()).collect();
         (p.name.name().into(), names)
     });
+    let procs = &mut run.out.procs;
     procs.push(LProc {
         src: p,
         shapes,
         preds,
         body,
         slots,
+        iters,
         instr,
     });
     procs.len() - 1
 }
 
+/// Where a binder keeps its value.
+#[derive(Clone, Copy)]
+enum Binder {
+    Slot(usize),
+    Iter(usize),
+}
+
 /// Lowering state of one procedure: the binders in scope, innermost
 /// last.
 struct Lowering<'a, 'p> {
-    procs: &'a mut Vec<LProc<'p>>,
-    memo: &'a mut HashMap<*const Proc, usize>,
-    scope: Vec<(Sym, usize)>,
+    run: &'a mut Run<'p>,
+    scope: Vec<(Sym, Binder)>,
     slots: usize,
+    iters: usize,
 }
 
 impl<'p> Lowering<'_, 'p> {
-    fn bind(&mut self, sym: Sym) -> usize {
+    fn bind_slot(&mut self, sym: Sym) -> usize {
         let slot = self.slots;
         self.slots += 1;
-        self.scope.push((sym, slot));
+        self.scope.push((sym, Binder::Slot(slot)));
         slot
     }
 
-    fn lookup(&self, sym: Sym) -> Var {
-        let slot = self
-            .scope
+    fn lookup(&self, sym: Sym) -> Option<Binder> {
+        self.scope
             .iter()
             .rev()
             .find(|(s, _)| *s == sym)
-            .map(|&(_, slot)| slot);
+            .map(|&(_, b)| b)
+    }
+
+    /// `sym` as a slot (a loop iterator holds no view).
+    fn var(&self, sym: Sym) -> Var {
+        let slot = match self.lookup(sym) {
+            Some(Binder::Slot(s)) => Some(s),
+            Some(Binder::Iter(_)) | None => None,
+        };
         Var { slot, sym }
+    }
+
+    fn config(&mut self, config: Sym, field: Sym) -> usize {
+        let configs = &mut self.run.out.configs;
+        *self
+            .run
+            .config_index
+            .entry((config, field))
+            .or_insert_with(|| {
+                configs.push((config, field));
+                configs.len() - 1
+            })
     }
 
     /// Lowers a block; its `Alloc`s and `WindowDef`s go out of scope at
@@ -273,22 +386,28 @@ impl<'p> Lowering<'_, 'p> {
                 reduce: matches!(s, Stmt::Reduce { .. }),
             },
             Stmt::WriteConfig { config, field, rhs } => LStmt::WriteConfig {
-                config: *config,
-                field: *field,
+                config: self.config(*config, *field),
                 rhs: self.ctrl(rhs),
             },
             Stmt::If { cond, body, orelse } => LStmt::If {
-                cond: self.ctrl(cond),
+                cond: self.boolean(cond),
                 body: self.block(body),
                 orelse: self.block(orelse),
             },
             Stmt::For { iter, lo, hi, body } => {
-                let (lo, hi) = (self.ctrl(lo), self.ctrl(hi));
+                let (lo, hi) = (self.int(lo), self.int(hi));
                 let depth = self.scope.len();
-                let iter = self.bind(*iter);
+                let slot = self.iters;
+                self.iters += 1;
+                self.scope.push((*iter, Binder::Iter(slot)));
                 let body = self.block(body);
                 self.scope.truncate(depth);
-                LStmt::For { iter, lo, hi, body }
+                LStmt::For {
+                    iter: slot,
+                    lo,
+                    hi,
+                    body,
+                }
             }
             Stmt::Alloc {
                 name,
@@ -296,9 +415,9 @@ impl<'p> Lowering<'_, 'p> {
                 shape,
                 mem,
             } => {
-                let shape = shape.iter().map(|e| self.ctrl(e)).collect();
+                let shape = shape.iter().map(|e| self.int(e)).collect();
                 LStmt::Alloc {
-                    slot: self.bind(*name),
+                    slot: self.bind_slot(*name),
                     name: *name,
                     ty: *ty,
                     shape,
@@ -308,7 +427,7 @@ impl<'p> Lowering<'_, 'p> {
             Stmt::WindowDef { name, rhs } => {
                 let rhs = self.view(rhs);
                 LStmt::WindowDef {
-                    slot: self.bind(*name),
+                    slot: self.bind_slot(*name),
                     rhs,
                 }
             }
@@ -333,40 +452,94 @@ impl<'p> Lowering<'_, 'p> {
     }
 
     fn callee(&mut self, proc: &'p Arc<Proc>) -> usize {
-        if let Some(&i) = self.memo.get(&Arc::as_ptr(proc)) {
+        if let Some(&i) = self.run.memo.get(&Arc::as_ptr(proc)) {
             return i;
         }
-        let i = lower_proc(proc, self.procs, self.memo);
-        self.memo.insert(Arc::as_ptr(proc), i);
+        let i = lower_proc(proc, self.run);
+        self.run.memo.insert(Arc::as_ptr(proc), i);
         i
     }
 
     fn access(&mut self, buf: Sym, idx: &'p [Expr]) -> Access {
         Access {
-            buf: self.lookup(buf),
-            idx: idx.iter().map(|e| self.ctrl(e)).collect(),
+            buf: self.var(buf),
+            idx: self.ints(idx),
         }
     }
 
+    fn ints(&mut self, es: &'p [Expr]) -> Box<[IExpr]> {
+        es.iter().map(|e| self.int(e)).collect()
+    }
+
+    /// A control expression, typed by its form.
     fn ctrl(&mut self, e: &'p Expr) -> CExpr {
         match e {
-            Expr::Var(x) => CExpr::Var(self.lookup(*x)),
-            Expr::Lit(Lit::Int(v)) => CExpr::Int(*v),
-            Expr::Lit(Lit::Bool(v)) => CExpr::Bool(*v),
-            Expr::Lit(Lit::Float(_)) => CExpr::Float,
-            Expr::Neg(a) => CExpr::Neg(Box::new(self.ctrl(a))),
+            Expr::Var(x) => match self.lookup(*x) {
+                Some(Binder::Iter(i)) => CExpr::Int(IExpr::Iter(i)),
+                Some(Binder::Slot(slot)) => CExpr::Slot(Var {
+                    slot: Some(slot),
+                    sym: *x,
+                }),
+                None => CExpr::Int(IExpr::Fail(Fault::Unbound(*x))),
+            },
+            Expr::Lit(Lit::Int(v)) => CExpr::Int(IExpr::Int(*v)),
+            Expr::Lit(Lit::Bool(v)) => CExpr::Bool(BExpr::Bool(*v)),
+            Expr::Lit(Lit::Float(_)) => CExpr::Int(IExpr::Fail(Fault::Float)),
+            Expr::Neg(a) => CExpr::Int(IExpr::Neg(Box::new(self.int(a)))),
             Expr::BinOp(op, a, b) => {
-                CExpr::Bin(*op, Box::new(self.ctrl(a)), Box::new(self.ctrl(b)))
+                let int_op = match op {
+                    BinOp::Add => IntOp::Add,
+                    BinOp::Sub => IntOp::Sub,
+                    BinOp::Mul => IntOp::Mul,
+                    BinOp::Div => IntOp::Div,
+                    BinOp::Mod => IntOp::Mod,
+                    BinOp::And | BinOp::Or => {
+                        let (a, b) = (Box::new(self.boolean(a)), Box::new(self.boolean(b)));
+                        return CExpr::Bool(match op {
+                            BinOp::And => BExpr::And(a, b),
+                            _ => BExpr::Or(a, b),
+                        });
+                    }
+                    BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                        let cmp = match op {
+                            BinOp::Eq => CmpOp::Eq,
+                            BinOp::Lt => CmpOp::Lt,
+                            BinOp::Le => CmpOp::Le,
+                            BinOp::Gt => CmpOp::Gt,
+                            _ => CmpOp::Ge,
+                        };
+                        let (a, b) = (Box::new(self.int(a)), Box::new(self.int(b)));
+                        return CExpr::Bool(BExpr::Cmp(cmp, a, b));
+                    }
+                };
+                let (a, b) = (Box::new(self.int(a)), Box::new(self.int(b)));
+                CExpr::Int(IExpr::Arith(int_op, a, b))
             }
-            Expr::Stride { buf, dim } => CExpr::Stride {
-                buf: self.lookup(*buf),
-                dim: *dim,
-            },
-            Expr::ReadConfig { config, field } => CExpr::ReadConfig {
-                config: *config,
-                field: *field,
-            },
-            Expr::Read { .. } | Expr::Window { .. } | Expr::BuiltIn { .. } => CExpr::Data,
+            Expr::Stride { buf, dim } => CExpr::Int(IExpr::Stride(self.var(*buf), *dim)),
+            Expr::ReadConfig { config, field } => CExpr::Config(self.config(*config, *field)),
+            Expr::Read { .. } | Expr::Window { .. } | Expr::BuiltIn { .. } => {
+                CExpr::Int(IExpr::Fail(Fault::Data))
+            }
+        }
+    }
+
+    /// A control expression used as an integer.
+    fn int(&mut self, e: &'p Expr) -> IExpr {
+        match self.ctrl(e) {
+            CExpr::Int(i) => i,
+            CExpr::Bool(b) => IExpr::NotInt(Box::new(b)),
+            CExpr::Slot(v) => IExpr::Slot(v),
+            CExpr::Config(c) => IExpr::Config(c),
+        }
+    }
+
+    /// A control expression used as a boolean.
+    fn boolean(&mut self, e: &'p Expr) -> BExpr {
+        match self.ctrl(e) {
+            CExpr::Bool(b) => b,
+            CExpr::Int(i) => BExpr::NotBool(Box::new(i)),
+            CExpr::Slot(v) => BExpr::Slot(v),
+            CExpr::Config(c) => BExpr::Config(c),
         }
     }
 
@@ -376,7 +549,14 @@ impl<'p> Lowering<'_, 'p> {
             Expr::Lit(Lit::Int(v)) => DExpr::Lit(*v as f64),
             Expr::Read { buf, idx } => DExpr::Read(self.access(*buf, idx)),
             Expr::BinOp(op, a, b) => {
-                DExpr::Bin(*op, Box::new(self.data(a)), Box::new(self.data(b)))
+                let op = match op {
+                    BinOp::Add => DataOp::Add,
+                    BinOp::Sub => DataOp::Sub,
+                    BinOp::Mul => DataOp::Mul,
+                    BinOp::Div => DataOp::Div,
+                    _ => DataOp::Undefined(*op),
+                };
+                DExpr::Bin(op, Box::new(self.data(a)), Box::new(self.data(b)))
             }
             Expr::Neg(a) => DExpr::Neg(Box::new(self.data(a))),
             Expr::BuiltIn { func, args } => DExpr::BuiltIn {
@@ -393,18 +573,15 @@ impl<'p> Lowering<'_, 'p> {
 
     fn view(&mut self, e: &'p Expr) -> VExpr {
         match e {
-            Expr::Read { buf, idx } if idx.is_empty() => VExpr::Whole(self.lookup(*buf)),
-            Expr::Read { buf, idx } => VExpr::Point(
-                self.lookup(*buf),
-                idx.iter().map(|e| self.ctrl(e)).collect(),
-            ),
+            Expr::Read { buf, idx } if idx.is_empty() => VExpr::Whole(self.var(*buf)),
+            Expr::Read { buf, idx } => VExpr::Point(self.var(*buf), self.ints(idx)),
             Expr::Window { buf, coords } => VExpr::Window(
-                self.lookup(*buf),
+                self.var(*buf),
                 coords
                     .iter()
                     .map(|c| match c {
-                        WAccess::Point(p) => WCoord::Point(self.ctrl(p)),
-                        WAccess::Interval(lo, hi) => WCoord::Interval(self.ctrl(lo), self.ctrl(hi)),
+                        WAccess::Point(p) => WCoord::Point(self.int(p)),
+                        WAccess::Interval(lo, hi) => WCoord::Interval(self.int(lo), self.int(hi)),
                     })
                     .collect(),
             ),

@@ -1,28 +1,35 @@
 //! The reference interpreter.
 //!
 //! Executes procedures against a store (paper §4.1): buffers live in an
-//! arena, control values and views in frames of slots, and configuration
-//! state in a global map. The interpreter is the oracle for scheduling
+//! arena, control values and views in frames, and configuration state in
+//! a map on the machine. The interpreter is the oracle for scheduling
 //! correctness — a schedule is validated by running the original and
 //! rewritten procedures on the same inputs and comparing output stores —
 //! and the source of [`HwOp`] traces for the simulators.
 //!
 //! Each [`Machine::run`] first lowers the procedure and its callees into
-//! the resolved form of the crate's `lower` module, then executes that: a variable
-//! is a slot index into the current frame, and a view is a buffer, a
-//! base offset and a `(len, stride)` per axis, so an element access is
-//! per-axis bounds checks plus `base + Σ i·stride`.
+//! the typed form of the crate's `lower` module, then executes that form.
+//! An integer node yields an `i64` directly, and a loop iterator is an
+//! `i64` in the frame beside the slots of formals and views. A view is a
+//! buffer, a base offset and an inline `(len, stride)` per axis, so an
+//! element access is per-axis bounds checks plus `base + Σ i·stride` in
+//! one loop, and a window or a call argument allocates nothing. The
+//! configuration fields a run names are a table indexed by the lowered
+//! form, read from the machine's map before the run and written back
+//! after it.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
-use exo_core::ir::{ArgType, BinOp, Proc};
+use exo_core::ir::{ArgType, Proc};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
 use crate::lower::{
-    lower, Access, Builtin, CExpr, CallArg, DExpr, LProc, LStmt, VExpr, Var, WCoord,
+    lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, DataOp, Fault, IExpr, IntOp,
+    LProc, LStmt, VExpr, Var, WCoord,
 };
 use crate::trace::{HwOp, TensorRef, TraceArg, TraceName};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
@@ -54,6 +61,18 @@ fn err<T>(message: impl Into<String>) -> Result<T, InterpError> {
     })
 }
 
+/// The result of executing a lowered node: the error is boxed, so a
+/// value comes back in registers.
+type Res<T> = Result<T, Box<InterpError>>;
+
+#[cold]
+fn fail<T>(message: impl Into<String>) -> Res<T> {
+    Err(Box::new(InterpError {
+        message: message.into(),
+        budget_exhausted: false,
+    }))
+}
+
 /// An argument passed to [`Machine::run`].
 #[derive(Clone, Debug)]
 pub enum ArgVal {
@@ -65,13 +84,62 @@ pub enum ArgVal {
     Tensor(BufId),
 }
 
-/// The value of one binder in a frame.
+/// The value of one slot in a frame.
 #[derive(Clone, Debug)]
 enum Slot {
     /// Not bound: a formal with no actual argument.
     Unset,
     Ctrl(CtrlVal),
     View(View),
+}
+
+/// Axes of a view stored without a heap allocation.
+const INLINE_DIMS: usize = 6;
+
+/// `(len, stride)` per retained axis of a view, outermost first: up to
+/// six inline, more on the heap.
+#[derive(Clone, Debug)]
+enum Dims {
+    Inline(u8, [(usize, usize); INLINE_DIMS]),
+    Heap(Vec<(usize, usize)>),
+}
+
+impl Dims {
+    const EMPTY: Dims = Dims::Inline(0, [(0, 0); INLINE_DIMS]);
+
+    fn push(&mut self, axis: (usize, usize)) {
+        match self {
+            Dims::Inline(len, axes) if usize::from(*len) < INLINE_DIMS => {
+                axes[usize::from(*len)] = axis;
+                *len += 1;
+            }
+            Dims::Inline(_, axes) => {
+                *self = Dims::Heap(axes.iter().copied().chain([axis]).collect())
+            }
+            Dims::Heap(axes) => axes.push(axis),
+        }
+    }
+}
+
+impl Deref for Dims {
+    type Target = [(usize, usize)];
+
+    #[inline]
+    fn deref(&self) -> &[(usize, usize)] {
+        match self {
+            Dims::Inline(len, axes) => &axes[..usize::from(*len)],
+            Dims::Heap(axes) => axes,
+        }
+    }
+}
+
+impl DerefMut for Dims {
+    fn deref_mut(&mut self) -> &mut [(usize, usize)] {
+        match self {
+            Dims::Inline(len, axes) => &mut axes[..usize::from(*len)],
+            Dims::Heap(axes) => axes,
+        }
+    }
 }
 
 /// A view of a buffer in the [`TensorRef`] layout: window coordinate
@@ -81,20 +149,31 @@ enum Slot {
 struct View {
     buf: BufId,
     base: usize,
-    /// `(len, stride)` per retained axis, outermost first.
-    dims: Vec<(usize, usize)>,
+    dims: Dims,
 }
 
 impl View {
     /// The identity view of a row-major buffer.
     fn whole(buf: BufId, shape: &[usize]) -> View {
-        let mut dims = vec![(0, 0); shape.len()];
+        let mut dims = Dims::EMPTY;
+        for _ in shape {
+            dims.push((0, 0));
+        }
         let mut stride = 1usize;
         for (d, &len) in dims.iter_mut().zip(shape).rev() {
             *d = (len, stride);
             stride = stride.saturating_mul(len);
         }
         View { buf, base: 0, dims }
+    }
+
+    /// The rank-0 view of element `base` of `buf`.
+    fn point(buf: BufId, base: usize) -> View {
+        View {
+            buf,
+            base,
+            dims: Dims::EMPTY,
+        }
     }
 }
 
@@ -249,40 +328,61 @@ impl Machine {
         }
         let _span = exo_obs::Span::enter("interp.run");
         let traced = self.trace.len();
-        let procs = lower(proc);
-        let result = Exec {
+        let lowered = lower(proc);
+        let mut exec = Exec {
+            configs: lowered
+                .configs
+                .iter()
+                .map(|key| self.configs.get(key).copied())
+                .collect(),
+            config_names: &lowered.configs,
             m: self,
-            procs: &procs,
+            procs: &lowered.procs,
             slots: Vec::new(),
             base: 0,
+            iters: Vec::new(),
+            ibase: 0,
+        };
+        let result = exec.run_root(args);
+        let configs = exec.configs;
+        for (&key, value) in lowered.configs.iter().zip(configs) {
+            if let Some(value) = value {
+                self.configs.insert(key, value);
+            }
         }
-        .run_root(args);
         // one registry update per run, however many instructions it traced
         let instrs = self.trace.len() - traced;
         if instrs > 0 {
             exo_obs::counter_add("interp.instr", instrs as u64);
         }
-        result
+        result.map_err(|e| *e)
     }
 }
 
-/// One run's execution state: the machine, the lowered procedures, and
-/// the frame stack (the running procedure's frame is the top one,
-/// starting at `base`).
+/// One run's execution state: the machine, the lowered procedures, the
+/// frame stacks (the running procedure's slots start at `base`, its loop
+/// iterators at `ibase`) and the configuration fields the run names.
 struct Exec<'a, 'p> {
     m: &'a mut Machine,
     procs: &'a [LProc<'p>],
     slots: Vec<Slot>,
     base: usize,
+    iters: Vec<i64>,
+    ibase: usize,
+    /// Each named field's value, `None` while unset.
+    configs: Vec<Option<CtrlVal>>,
+    /// `(config, field)` of each named field, for error messages.
+    config_names: &'a [(Sym, Sym)],
 }
 
 impl<'a, 'p> Exec<'a, 'p> {
-    fn run_root(&mut self, args: &[ArgVal]) -> Result<(), InterpError> {
+    fn run_root(&mut self, args: &[ArgVal]) -> Res<()> {
         let procs = self.procs;
         let Some(root) = procs.last() else {
             return Ok(());
         };
         self.slots.resize(root.slots, Slot::Unset);
+        self.iters.resize(root.iters, 0);
         for (i, (formal, actual)) in root.src.args.iter().zip(args).enumerate() {
             self.slots[i] = match (&formal.ty, actual) {
                 (ArgType::Ctrl(_), ArgVal::Int(v)) => Slot::Ctrl(CtrlVal::Int(*v)),
@@ -291,7 +391,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                     Slot::View(View::whole(*id, &self.m.extern_buf(*id)?.shape))
                 }
                 _ => {
-                    return err(format!(
+                    return fail(format!(
                         "argument kind mismatch for parameter {}",
                         formal.name
                     ))
@@ -302,7 +402,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     }
 
     /// Runs `p` in the current frame, whose formals are bound.
-    fn enter(&mut self, p: &LProc<'p>) -> Result<(), InterpError> {
+    fn enter(&mut self, p: &LProc<'p>) -> Res<()> {
         // running an instruction directly still records a trace event
         if let Some(instr) = &p.instr {
             if !self.record_instr(instr) {
@@ -313,15 +413,36 @@ impl<'a, 'p> Exec<'a, 'p> {
         self.exec_block(&p.body)
     }
 
-    /// The current frame's slot for `v`, if `v` has a binder in scope.
-    fn slot(&self, v: Var) -> Option<&Slot> {
-        v.slot.map(|s| &self.slots[self.base + s])
-    }
-
+    /// The view in `v`'s slot, if it holds one.
+    #[inline]
     fn view(&self, v: Var) -> Option<&View> {
-        match self.slot(v) {
+        match v.slot.map(|s| &self.slots[self.base + s]) {
             Some(Slot::View(w)) => Some(w),
             _ => None,
+        }
+    }
+
+    /// The control value in `v`'s slot.
+    fn ctrl_slot(&self, v: Var) -> Res<CtrlVal> {
+        match v.slot.map(|s| &self.slots[self.base + s]) {
+            Some(Slot::Ctrl(c)) => Ok(*c),
+            Some(Slot::View(_)) => fail(format!("{} is a buffer, not a control value", v.sym)),
+            Some(Slot::Unset) | None => fail(format!("unbound control variable {}", v.sym)),
+        }
+    }
+
+    /// The value of configuration field `c`.
+    fn config(&self, c: usize) -> Res<CtrlVal> {
+        match self.configs[c] {
+            Some(v) => Ok(v),
+            None => {
+                let (config, field) = self.config_names[c];
+                fail(format!(
+                    "read of unset configuration {}.{}",
+                    config.name(),
+                    field.name()
+                ))
+            }
         }
     }
 
@@ -360,27 +481,27 @@ impl<'a, 'p> Exec<'a, 'p> {
         }
     }
 
-    fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Result<(), InterpError> {
+    fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Res<()> {
         let frame = &self.slots[self.base..];
         for ((formal, shape), slot) in p.src.args.iter().zip(&p.shapes).zip(frame) {
             let Some(shape) = shape else {
                 continue;
             };
             let Slot::View(view) = slot else {
-                return err(format!("missing tensor argument {}", formal.name));
+                return fail(format!("missing tensor argument {}", formal.name));
             };
             if shape.len() != view.dims.len() {
-                return err(format!(
+                return fail(format!(
                     "rank mismatch for {}: declared {}, got {}",
                     formal.name,
                     shape.len(),
                     view.dims.len()
                 ));
             }
-            for (decl, &(real, _)) in shape.iter().zip(&view.dims) {
-                let want = self.eval_int(decl)?;
+            for (decl, &(real, _)) in shape.iter().zip(view.dims.iter()) {
+                let want = self.int(decl)?;
                 if want != real as i64 {
-                    return err(format!(
+                    return fail(format!(
                         "extent mismatch for {}: declared {want}, got {real}",
                         formal.name
                     ));
@@ -388,8 +509,8 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
         }
         for (pred, src) in p.preds.iter().zip(&p.src.preds) {
-            if !self.eval_bool(pred)? {
-                return err(format!(
+            if !self.boolean(pred)? {
+                return fail(format!(
                     "assertion failed in {}: {}",
                     p.src.name,
                     exo_core::printer::expr_to_string(src)
@@ -399,60 +520,73 @@ impl<'a, 'p> Exec<'a, 'p> {
         Ok(())
     }
 
-    fn exec_block(&mut self, block: &[LStmt]) -> Result<(), InterpError> {
+    /// Runs a block. Each statement is one step; stores, the statements
+    /// the kernels run most, are handled inline.
+    fn exec_block(&mut self, block: &[LStmt]) -> Res<()> {
         for s in block {
-            self.exec_stmt(s)?;
+            self.step()?;
+            match s {
+                LStmt::Store { dst, rhs, reduce } => {
+                    let v = self.data(rhs)?;
+                    self.store(dst, v, *reduce)?;
+                }
+                _ => self.exec_stmt(s)?,
+            }
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, s: &LStmt) -> Result<(), InterpError> {
+    /// Counts one step and charges it to the budget. One fuel unit per
+    /// executed statement; the chaos `interp-fuel` fault pretends the
+    /// pool just ran dry. Either way the run stops with a typed budget
+    /// error — a mis-scheduled kernel can make the interpreter slow, but
+    /// never make it hang.
+    #[inline(always)]
+    fn step(&mut self) -> Res<()> {
         self.m.steps += 1;
-        // One fuel unit per executed statement; the chaos `interp-fuel`
-        // fault pretends the pool just ran dry. Either way the run stops
-        // with a typed budget error — a mis-scheduled kernel can make the
-        // interpreter slow, but never make it hang.
         if let Err(e) = self.m.budget.charge(1) {
-            exo_obs::counter_add("interp.budget_stops", 1);
-            return Err(InterpError {
-                message: format!("interpreter stopped after {} steps: {}", self.m.steps, e),
-                budget_exhausted: true,
-            });
+            return self.budget_stop(&e);
         }
         if exo_chaos::should_inject(exo_chaos::FaultSite::InterpFuel) {
-            exo_obs::counter_add("interp.budget_stops", 1);
-            return Err(InterpError {
-                message: format!(
-                    "interpreter stopped after {} steps: fuel budget exhausted (chaos)",
-                    self.m.steps
-                ),
-                budget_exhausted: true,
-            });
+            return self.budget_stop(&"fuel budget exhausted (chaos)");
         }
+        Ok(())
+    }
+
+    #[cold]
+    fn budget_stop(&self, why: &dyn fmt::Display) -> Res<()> {
+        exo_obs::counter_add("interp.budget_stops", 1);
+        Err(Box::new(InterpError {
+            message: format!("interpreter stopped after {} steps: {why}", self.m.steps),
+            budget_exhausted: true,
+        }))
+    }
+
+    /// Runs a statement other than a store, whose step is counted.
+    fn exec_stmt(&mut self, s: &LStmt) -> Res<()> {
         match s {
             LStmt::Pass => Ok(()),
             LStmt::Store { dst, rhs, reduce } => {
-                let v = self.eval_data(rhs)?;
+                let v = self.data(rhs)?;
                 self.store(dst, v, *reduce)
             }
-            LStmt::WriteConfig { config, field, rhs } => {
-                let v = self.eval_ctrl(rhs)?;
-                self.m.configs.insert((*config, *field), v);
+            LStmt::WriteConfig { config, rhs } => {
+                self.configs[*config] = Some(self.ctrl(rhs)?);
                 Ok(())
             }
             LStmt::If { cond, body, orelse } => {
-                if self.eval_bool(cond)? {
+                if self.boolean(cond)? {
                     self.exec_block(body)
                 } else {
                     self.exec_block(orelse)
                 }
             }
             LStmt::For { iter, lo, hi, body } => {
-                let lo = self.eval_int(lo)?;
-                let hi = self.eval_int(hi)?;
-                let slot = self.base + iter;
+                let lo = self.int(lo)?;
+                let hi = self.int(hi)?;
+                let slot = self.ibase + iter;
                 for i in lo..hi {
-                    self.slots[slot] = Slot::Ctrl(CtrlVal::Int(i));
+                    self.iters[slot] = i;
                     self.exec_block(body)?;
                 }
                 Ok(())
@@ -466,9 +600,9 @@ impl<'a, 'p> Exec<'a, 'p> {
             } => {
                 let mut dims = Vec::with_capacity(shape.len());
                 for e in shape {
-                    let n = self.eval_int(e)?;
+                    let n = self.int(e)?;
                     if n < 0 {
-                        return err(format!("negative extent {n} for allocation {name}"));
+                        return fail(format!("negative extent {n} for allocation {name}"));
                     }
                     dims.push(n as usize);
                 }
@@ -489,30 +623,55 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     /// Binds the callee's formals in a new frame (arguments evaluated in
     /// the caller's), runs it, and pops the frame.
-    fn exec_call(&mut self, callee: usize, args: &[CallArg]) -> Result<(), InterpError> {
+    fn exec_call(&mut self, callee: usize, args: &[CallArg]) -> Res<()> {
         let procs = self.procs;
         let p = &procs[callee];
-        let frame = self.slots.len();
+        let (frame, iframe) = (self.slots.len(), self.iters.len());
         self.slots.resize(frame + p.slots, Slot::Unset);
+        self.iters.resize(iframe + p.iters, 0);
         for (i, arg) in args.iter().enumerate() {
             self.slots[frame + i] = match arg {
-                CallArg::Ctrl(e) => Slot::Ctrl(self.eval_ctrl(e)?),
+                CallArg::Ctrl(e) => Slot::Ctrl(self.ctrl(e)?),
                 CallArg::View(e) => Slot::View(self.eval_view(e)?),
             };
         }
         let caller = std::mem::replace(&mut self.base, frame);
+        let icaller = std::mem::replace(&mut self.ibase, iframe);
         let result = self.enter(p);
         self.base = caller;
+        self.ibase = icaller;
         self.slots.truncate(frame);
+        self.iters.truncate(iframe);
         result
     }
 
-    fn store(&mut self, dst: &Access, value: f64, reduce: bool) -> Result<(), InterpError> {
+    #[inline(always)]
+    fn store(&mut self, dst: &Access, value: f64, reduce: bool) -> Res<()> {
+        if let Some((buf, off)) = self.offset(dst)? {
+            let data = &mut self.m.bufs[buf.0];
+            let new = match reduce {
+                false => Some(value),
+                true => data.get(off).flatten().map(|old| old + value),
+            };
+            if let Some(v) = new {
+                if data.set(off, cast(data.dtype, v)) {
+                    return Ok(());
+                }
+            }
+        }
+        self.store_slow(dst, value, reduce)
+    }
+
+    /// [`Exec::store`] where the access is out of the view, the buffer
+    /// unknown or the element to reduce into uninitialized: the same
+    /// store, one check at a time, failing with the first one that does.
+    #[cold]
+    fn store_slow(&mut self, dst: &Access, value: f64, reduce: bool) -> Res<()> {
         let (buf, off) = match self.locate(dst)? {
             Located::At(buf, off) => (buf, off),
-            Located::Unknown => return err(format!("store to unknown buffer {}", dst.buf.sym)),
+            Located::Unknown => return fail(format!("store to unknown buffer {}", dst.buf.sym)),
             Located::OutOfBounds => {
-                return err(format!(
+                return fail(format!(
                     "out-of-bounds store to {} at {:?}",
                     dst.buf.sym,
                     self.coords(&dst.idx)?
@@ -520,46 +679,65 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
         };
         let data = &mut self.m.bufs[buf.0];
-        let dtype = data.dtype;
-        let Some(cell) = data.get_mut(off) else {
-            return err(format!(
-                "out-of-bounds store to {} at offset {off}",
-                dst.buf.sym
-            ));
-        };
-        *cell = Some(if reduce {
-            let Some(old) = *cell else {
-                return err(format!(
+        let new = match (reduce, data.get(off)) {
+            (_, None) => None,
+            (false, Some(_)) => Some(value),
+            (true, Some(Some(old))) => Some(old + value),
+            (true, Some(None)) => {
+                return fail(format!(
                     "reduction into uninitialized location of {}",
                     dst.buf.sym
-                ));
-            };
-            cast(dtype, old + value)
-        } else {
-            cast(dtype, value)
-        });
-        Ok(())
+                ))
+            }
+        };
+        match new {
+            Some(v) if data.set(off, cast(data.dtype, v)) => Ok(()),
+            _ => fail(format!(
+                "out-of-bounds store to {} at offset {off}",
+                dst.buf.sym
+            )),
+        }
+    }
+
+    /// The buffer and offset of an access that lands inside its view, in
+    /// one pass over the axes; `None` when it does not (or a coordinate
+    /// is negative), for [`Exec::locate`] to tell why.
+    #[inline(always)]
+    fn offset(&self, acc: &Access) -> Res<Option<(BufId, usize)>> {
+        let Some(view) = self.view(acc.buf) else {
+            return Ok(None);
+        };
+        let dims: &[(usize, usize)] = &view.dims;
+        if dims.len() != acc.idx.len() {
+            return Ok(None);
+        }
+        let mut off = view.base;
+        for (e, &(len, stride)) in acc.idx.iter().zip(dims) {
+            // a negative coordinate wraps past every extent
+            let c = self.int(e)? as usize;
+            if c >= len {
+                return Ok(None);
+            }
+            off += c * stride;
+        }
+        Ok(Some((view.buf, off)))
     }
 
     /// Resolves an element access. Every coordinate is evaluated (and
     /// checked non-negative) before the buffer is looked up and the
     /// coordinates are checked against the view.
-    fn locate(&self, acc: &Access) -> Result<Located, InterpError> {
+    fn locate(&self, acc: &Access) -> Res<Located> {
         let view = self.view(acc.buf);
-        let dims = view.map_or(&[][..], |v| &v.dims[..]);
+        let dims: &[(usize, usize)] = view.map_or(&[], |v| &v.dims);
         let mut inside = dims.len() == acc.idx.len();
         let mut off = view.map_or(0, |v| v.base);
-        for (e, &(len, stride)) in acc.idx.iter().zip(dims) {
+        for (d, e) in acc.idx.iter().enumerate() {
             let c = self.index(e)?;
-            if c < len {
-                off += c * stride;
-            } else {
-                inside = false;
+            match dims.get(d) {
+                Some(&(len, stride)) if c < len => off += c * stride,
+                // a rank mismatch still evaluates every coordinate
+                _ => inside = false,
             }
-        }
-        // a rank mismatch still evaluates every coordinate
-        for e in acc.idx.iter().skip(dims.len()) {
-            self.index(e)?;
         }
         Ok(match view {
             None => Located::Unknown,
@@ -569,183 +747,161 @@ impl<'a, 'p> Exec<'a, 'p> {
     }
 
     /// A coordinate: a non-negative integer.
-    fn index(&self, e: &CExpr) -> Result<usize, InterpError> {
-        let v = self.eval_int(e)?;
+    #[inline]
+    fn index(&self, e: &IExpr) -> Res<usize> {
+        let v = self.int(e)?;
         if v < 0 {
-            err(format!("negative index {v}"))
+            fail(format!("negative index {v}"))
         } else {
             Ok(v as usize)
         }
     }
 
     /// The coordinates of an access, for error messages.
-    fn coords(&self, idx: &[CExpr]) -> Result<Vec<usize>, InterpError> {
+    fn coords(&self, idx: &[IExpr]) -> Res<Vec<usize>> {
         idx.iter().map(|e| self.index(e)).collect()
     }
 
-    /// Evaluates a control expression.
-    fn eval_ctrl(&self, e: &CExpr) -> Result<CtrlVal, InterpError> {
+    /// Evaluates an integer node: literals, loop iterators and an
+    /// arithmetic operator over them inline, the rest out of line.
+    #[inline(always)]
+    fn int(&self, e: &IExpr) -> Res<i64> {
         match e {
-            CExpr::Var(x) => match self.slot(*x) {
-                Some(Slot::Ctrl(v)) => Ok(*v),
-                Some(Slot::View(_)) => err(format!("{} is a buffer, not a control value", x.sym)),
-                Some(Slot::Unset) | None => err(format!("unbound control variable {}", x.sym)),
-            },
-            CExpr::Int(v) => Ok(CtrlVal::Int(*v)),
-            CExpr::Bool(v) => Ok(CtrlVal::Bool(*v)),
-            CExpr::Float => err("float literal in control position"),
-            CExpr::Neg(a) => {
-                let v = self.eval_int(a)?;
+            IExpr::Iter(i) => Ok(self.iters[self.ibase + i]),
+            IExpr::Int(v) => Ok(*v),
+            IExpr::Arith(op, a, b) => {
+                let x = self.int_leaf(a)?;
+                let y = self.int_leaf(b)?;
+                arith(*op, x, y)
+            }
+            _ => self.int_node(e),
+        }
+    }
+
+    #[inline(always)]
+    fn int_leaf(&self, e: &IExpr) -> Res<i64> {
+        match e {
+            IExpr::Iter(i) => Ok(self.iters[self.ibase + i]),
+            IExpr::Int(v) => Ok(*v),
+            _ => self.int_node(e),
+        }
+    }
+
+    fn int_node(&self, e: &IExpr) -> Res<i64> {
+        match e {
+            IExpr::Int(v) => Ok(*v),
+            IExpr::Iter(i) => Ok(self.iters[self.ibase + i]),
+            IExpr::Slot(x) => as_int(self.ctrl_slot(*x)?),
+            IExpr::Config(c) => as_int(self.config(*c)?),
+            IExpr::Neg(a) => {
+                let v = self.int(a)?;
                 match v.checked_neg() {
-                    Some(n) => Ok(CtrlVal::Int(n)),
-                    None => err(format!("integer overflow in -({v})")),
+                    Some(n) => Ok(n),
+                    None => fail(format!("integer overflow in -({v})")),
                 }
             }
-            CExpr::Bin(op, a, b) => self.eval_ctrl_binop(*op, a, b),
-            CExpr::Stride { buf, dim } => match self.view(*buf) {
+            IExpr::Arith(op, a, b) => {
+                let x = self.int(a)?;
+                let y = self.int(b)?;
+                arith(*op, x, y)
+            }
+            IExpr::Stride(buf, dim) => match self.view(*buf) {
                 Some(view) => match view.dims.get(*dim) {
-                    Some(&(_, stride)) => Ok(CtrlVal::Int(stride as i64)),
-                    None => err(format!(
+                    Some(&(_, stride)) => Ok(stride as i64),
+                    None => fail(format!(
                         "stride dimension {dim} out of range for {}",
                         buf.sym
                     )),
                 },
-                None => err(format!("stride() of unknown buffer {}", buf.sym)),
+                None => fail(format!("stride() of unknown buffer {}", buf.sym)),
             },
-            CExpr::ReadConfig { config, field } => self
-                .m
-                .configs
-                .get(&(*config, *field))
-                .copied()
-                .ok_or_else(|| InterpError {
-                    message: format!(
-                        "read of unset configuration {}.{}",
-                        config.name(),
-                        field.name()
-                    ),
-                    budget_exhausted: false,
-                }),
-            CExpr::Data => err("data expression in control position"),
+            IExpr::NotInt(b) => {
+                self.boolean(b)?;
+                fail("expected integer, got boolean")
+            }
+            IExpr::Fail(Fault::Unbound(x)) => fail(format!("unbound control variable {x}")),
+            IExpr::Fail(Fault::Float) => fail("float literal in control position"),
+            IExpr::Fail(Fault::Data) => fail("data expression in control position"),
         }
     }
 
-    fn eval_ctrl_binop(&self, op: BinOp, a: &CExpr, b: &CExpr) -> Result<CtrlVal, InterpError> {
-        match op {
-            BinOp::And => {
-                let x = self.eval_bool(a)?;
-                // short-circuit
-                if !x {
-                    return Ok(CtrlVal::Bool(false));
-                }
-                Ok(CtrlVal::Bool(self.eval_bool(b)?))
-            }
-            BinOp::Or => {
-                let x = self.eval_bool(a)?;
-                if x {
-                    return Ok(CtrlVal::Bool(true));
-                }
-                Ok(CtrlVal::Bool(self.eval_bool(b)?))
-            }
-            _ => {
-                let x = self.eval_int(a)?;
-                let y = self.eval_int(b)?;
-                let checked = |v: Option<i64>| match v {
-                    Some(v) => Ok(CtrlVal::Int(v)),
-                    None => err(format!("integer overflow in {x} {op} {y}")),
-                };
-                match op {
-                    BinOp::Add => checked(x.checked_add(y)),
-                    BinOp::Sub => checked(x.checked_sub(y)),
-                    BinOp::Mul => checked(x.checked_mul(y)),
-                    BinOp::Div => {
-                        if y <= 0 {
-                            return err(format!("division by non-positive constant {y}"));
-                        }
-                        Ok(CtrlVal::Int(x.div_euclid(y)))
-                    }
-                    BinOp::Mod => {
-                        if y <= 0 {
-                            return err(format!("modulo by non-positive constant {y}"));
-                        }
-                        Ok(CtrlVal::Int(x.rem_euclid(y)))
-                    }
-                    BinOp::Eq => Ok(CtrlVal::Bool(x == y)),
-                    BinOp::Lt => Ok(CtrlVal::Bool(x < y)),
-                    BinOp::Le => Ok(CtrlVal::Bool(x <= y)),
-                    BinOp::Gt => Ok(CtrlVal::Bool(x > y)),
-                    BinOp::Ge => Ok(CtrlVal::Bool(x >= y)),
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                }
-            }
-        }
-    }
-
-    /// Evaluates an integer control expression.
-    fn eval_int(&self, e: &CExpr) -> Result<i64, InterpError> {
-        // the leaves of index arithmetic, without a round trip through
-        // `CtrlVal`
+    /// Evaluates a boolean node.
+    fn boolean(&self, e: &BExpr) -> Res<bool> {
         match e {
-            CExpr::Int(v) => return Ok(*v),
-            CExpr::Var(x) => {
-                if let Some(Slot::Ctrl(CtrlVal::Int(v))) = self.slot(*x) {
-                    return Ok(*v);
-                }
+            BExpr::Bool(v) => Ok(*v),
+            BExpr::Slot(x) => as_bool(self.ctrl_slot(*x)?),
+            BExpr::Config(c) => as_bool(self.config(*c)?),
+            // short-circuit
+            BExpr::And(a, b) => Ok(self.boolean(a)? && self.boolean(b)?),
+            BExpr::Or(a, b) => Ok(self.boolean(a)? || self.boolean(b)?),
+            BExpr::Cmp(op, a, b) => {
+                let x = self.int(a)?;
+                let y = self.int(b)?;
+                Ok(match op {
+                    CmpOp::Eq => x == y,
+                    CmpOp::Lt => x < y,
+                    CmpOp::Le => x <= y,
+                    CmpOp::Gt => x > y,
+                    CmpOp::Ge => x >= y,
+                })
             }
-            _ => {}
-        }
-        match self.eval_ctrl(e)? {
-            CtrlVal::Int(v) => Ok(v),
-            CtrlVal::Bool(_) => err("expected integer, got boolean"),
-        }
-    }
-
-    /// Evaluates a boolean control expression.
-    fn eval_bool(&self, e: &CExpr) -> Result<bool, InterpError> {
-        match self.eval_ctrl(e)? {
-            CtrlVal::Bool(v) => Ok(v),
-            CtrlVal::Int(_) => err("expected boolean, got integer"),
+            BExpr::NotBool(a) => {
+                self.int(a)?;
+                fail("expected boolean, got integer")
+            }
         }
     }
 
-    /// Evaluates a data expression to a value.
-    fn eval_data(&self, e: &DExpr) -> Result<f64, InterpError> {
+    /// Evaluates a control value of either kind.
+    fn ctrl(&self, e: &CExpr) -> Res<CtrlVal> {
+        match e {
+            CExpr::Int(i) => Ok(CtrlVal::Int(self.int(i)?)),
+            CExpr::Bool(b) => Ok(CtrlVal::Bool(self.boolean(b)?)),
+            CExpr::Slot(x) => self.ctrl_slot(*x),
+            CExpr::Config(c) => self.config(*c),
+        }
+    }
+
+    /// Evaluates a data expression: element reads, literals and an
+    /// arithmetic operator over them inline, the rest out of line.
+    #[inline(always)]
+    fn data(&self, e: &DExpr) -> Res<f64> {
+        match e {
+            DExpr::Read(acc) => self.read(acc),
+            DExpr::Lit(v) => Ok(*v),
+            DExpr::Bin(op, a, b) => {
+                let x = self.leaf(a)?;
+                let y = self.leaf(b)?;
+                data_op(*op, x, y)
+            }
+            _ => self.data_node(e),
+        }
+    }
+
+    #[inline(always)]
+    fn leaf(&self, e: &DExpr) -> Res<f64> {
+        match e {
+            DExpr::Read(acc) => self.read(acc),
+            DExpr::Lit(v) => Ok(*v),
+            _ => self.data_node(e),
+        }
+    }
+
+    fn data_node(&self, e: &DExpr) -> Res<f64> {
         match e {
             DExpr::Lit(v) => Ok(*v),
-            DExpr::Read(acc) => {
-                let buf = acc.buf.sym;
-                match self.locate(acc)? {
-                    Located::At(id, off) => match self.m.bufs[id.0].get(off) {
-                        Some(Some(v)) => Ok(v),
-                        Some(None) => err(format!(
-                            "read of uninitialized {buf}[{:?}]",
-                            self.coords(&acc.idx)?
-                        )),
-                        None => err(format!("out-of-bounds read of {buf} at offset {off}")),
-                    },
-                    Located::Unknown => err(format!("read of unknown buffer {buf}")),
-                    Located::OutOfBounds => err(format!(
-                        "out-of-bounds read of {buf} at {:?}",
-                        self.coords(&acc.idx)?
-                    )),
-                }
-            }
+            DExpr::Read(acc) => self.read(acc),
             DExpr::Bin(op, a, b) => {
-                let x = self.eval_data(a)?;
-                let y = self.eval_data(b)?;
-                match op {
-                    BinOp::Add => Ok(x + y),
-                    BinOp::Sub => Ok(x - y),
-                    BinOp::Mul => Ok(x * y),
-                    BinOp::Div => Ok(x / y),
-                    _ => err(format!("operator {op} is not defined on data")),
-                }
+                let x = self.data(a)?;
+                let y = self.data(b)?;
+                data_op(*op, x, y)
             }
-            DExpr::Neg(a) => Ok(-self.eval_data(a)?),
+            DExpr::Neg(a) => Ok(-self.data(a)?),
             DExpr::BuiltIn { func, args } => {
                 // every argument is evaluated before the arity is checked
                 let mut vals = [0.0; 2];
                 for (i, a) in args.iter().enumerate() {
-                    let v = self.eval_data(a)?;
+                    let v = self.data(a)?;
                     if let Some(slot) = vals.get_mut(i) {
                         *slot = v;
                     }
@@ -753,31 +909,64 @@ impl<'a, 'p> Exec<'a, 'p> {
                 match (*func, args.len()) {
                     (Builtin::Unary(_, f), 1) => Ok(f(vals[0])),
                     (Builtin::Unary(name, _), _) => {
-                        err(format!("builtin {name} expects 1 argument"))
+                        fail(format!("builtin {name} expects 1 argument"))
                     }
                     (Builtin::Max, 2) => Ok(vals[0].max(vals[1])),
-                    (Builtin::Max, _) => err("builtin max expects 2 arguments"),
+                    (Builtin::Max, _) => fail("builtin max expects 2 arguments"),
                     (Builtin::Min, 2) => Ok(vals[0].min(vals[1])),
-                    (Builtin::Min, _) => err("builtin min expects 2 arguments"),
-                    (Builtin::Unknown(name), _) => err(format!("unknown builtin {name}")),
+                    (Builtin::Min, _) => fail("builtin min expects 2 arguments"),
+                    (Builtin::Unknown(name), _) => fail(format!("unknown builtin {name}")),
                 }
             }
-            DExpr::Ctrl => err("control expression in data position"),
+            DExpr::Ctrl => fail("control expression in data position"),
+        }
+    }
+
+    /// Reads the element an access lands on.
+    #[inline(always)]
+    fn read(&self, acc: &Access) -> Res<f64> {
+        if let Some((buf, off)) = self.offset(acc)? {
+            if let Some(Some(v)) = self.m.bufs[buf.0].get(off) {
+                return Ok(v);
+            }
+        }
+        self.read_slow(acc)
+    }
+
+    /// [`Exec::read`] where the access is out of the view, the buffer
+    /// unknown or the element uninitialized.
+    #[cold]
+    fn read_slow(&self, acc: &Access) -> Res<f64> {
+        let buf = acc.buf.sym;
+        match self.locate(acc)? {
+            Located::At(id, off) => match self.m.bufs[id.0].get(off) {
+                Some(Some(v)) => Ok(v),
+                Some(None) => fail(format!(
+                    "read of uninitialized {buf}[{:?}]",
+                    self.coords(&acc.idx)?
+                )),
+                None => fail(format!("out-of-bounds read of {buf} at offset {off}")),
+            },
+            Located::Unknown => fail(format!("read of unknown buffer {buf}")),
+            Located::OutOfBounds => fail(format!(
+                "out-of-bounds read of {buf} at {:?}",
+                self.coords(&acc.idx)?
+            )),
         }
     }
 
     /// Evaluates an expression to a view (for data arguments and window
     /// definitions).
-    fn eval_view(&mut self, e: &VExpr) -> Result<View, InterpError> {
+    fn eval_view(&mut self, e: &VExpr) -> Res<View> {
         match e {
             VExpr::Whole(x) => match self.view(*x) {
                 Some(view) => Ok(view.clone()),
-                None => err(format!("unknown data symbol {}", x.sym)),
+                None => fail(format!("unknown data symbol {}", x.sym)),
             },
             // point access: fix every retained dimension
             VExpr::Point(x, idx) => {
                 let Some(view) = self.view(*x) else {
-                    return err(format!("unknown data symbol {}", x.sym));
+                    return fail(format!("unknown data symbol {}", x.sym));
                 };
                 let mut base = view.base;
                 let mut inside = true;
@@ -789,58 +978,52 @@ impl<'a, 'p> Exec<'a, 'p> {
                     }
                 }
                 if idx.len() != view.dims.len() {
-                    return err(format!("wrong arity point access into {}", x.sym));
+                    return fail(format!("wrong arity point access into {}", x.sym));
                 }
                 if !inside {
-                    return err(format!("out-of-bounds point access into {}", x.sym));
+                    return fail(format!("out-of-bounds point access into {}", x.sym));
                 }
-                Ok(View {
-                    buf: view.buf,
-                    base,
-                    dims: Vec::new(),
-                })
+                Ok(View::point(view.buf, base))
             }
             VExpr::Window(x, coords) => {
                 let Some(view) = self.view(*x) else {
-                    return err(format!("window over unknown symbol {}", x.sym));
+                    return fail(format!("window over unknown symbol {}", x.sym));
                 };
                 if coords.len() != view.dims.len() {
-                    return err(format!("window arity mismatch over {}", x.sym));
+                    return fail(format!("window arity mismatch over {}", x.sym));
                 }
-                let mut base = view.base;
-                let mut dims = Vec::new();
-                for (&(len, stride), c) in view.dims.iter().zip(coords) {
+                let mut out = View::point(view.buf, view.base);
+                for (&(len, stride), c) in view.dims.iter().zip(coords.iter()) {
                     match c {
                         WCoord::Point(p) => {
-                            let v = self.eval_int(p)?;
+                            let v = self.int(p)?;
                             if v < 0 || v as usize >= len {
-                                return err(format!("window point {v} out of bounds on {}", x.sym));
+                                return fail(format!(
+                                    "window point {v} out of bounds on {}",
+                                    x.sym
+                                ));
                             }
-                            base += v as usize * stride;
+                            out.base += v as usize * stride;
                         }
                         WCoord::Interval(lo, hi) => {
-                            let lo = self.eval_int(lo)?;
-                            let hi = self.eval_int(hi)?;
+                            let lo = self.int(lo)?;
+                            let hi = self.int(hi)?;
                             if lo < 0 || hi < lo || hi as usize > len {
-                                return err(format!(
+                                return fail(format!(
                                     "window interval {lo}:{hi} out of bounds on {}",
                                     x.sym
                                 ));
                             }
-                            base += lo as usize * stride;
-                            dims.push(((hi - lo) as usize, stride));
+                            out.base += lo as usize * stride;
+                            out.dims.push(((hi - lo) as usize, stride));
                         }
                     }
                 }
-                Ok(View {
-                    buf: view.buf,
-                    base,
-                    dims,
-                })
+                Ok(out)
             }
             // an arbitrary scalar data expression: materialize a 0-d temp
             VExpr::Temp(d) => {
-                let v = self.eval_data(d)?;
+                let v = self.data(d)?;
                 let buf = BufferData::with_values(
                     Sym::new("tmp"),
                     DataType::F64,
@@ -850,13 +1033,52 @@ impl<'a, 'p> Exec<'a, 'p> {
                 );
                 let id = BufId(self.m.bufs.len());
                 self.m.bufs.push(buf);
-                Ok(View {
-                    buf: id,
-                    base: 0,
-                    dims: Vec::new(),
-                })
+                Ok(View::point(id, 0))
             }
         }
+    }
+}
+
+/// Checked control arithmetic.
+#[inline(always)]
+fn arith(op: IntOp, x: i64, y: i64) -> Res<i64> {
+    let (v, symbol) = match op {
+        IntOp::Add => (x.checked_add(y), "+"),
+        IntOp::Sub => (x.checked_sub(y), "-"),
+        IntOp::Mul => (x.checked_mul(y), "*"),
+        IntOp::Div if y <= 0 => return fail(format!("division by non-positive constant {y}")),
+        IntOp::Div => return Ok(x.div_euclid(y)),
+        IntOp::Mod if y <= 0 => return fail(format!("modulo by non-positive constant {y}")),
+        IntOp::Mod => return Ok(x.rem_euclid(y)),
+    };
+    match v {
+        Some(v) => Ok(v),
+        None => fail(format!("integer overflow in {x} {symbol} {y}")),
+    }
+}
+
+#[inline(always)]
+fn data_op(op: DataOp, x: f64, y: f64) -> Res<f64> {
+    match op {
+        DataOp::Add => Ok(x + y),
+        DataOp::Sub => Ok(x - y),
+        DataOp::Mul => Ok(x * y),
+        DataOp::Div => Ok(x / y),
+        DataOp::Undefined(op) => fail(format!("operator {op} is not defined on data")),
+    }
+}
+
+fn as_int(v: CtrlVal) -> Res<i64> {
+    match v {
+        CtrlVal::Int(v) => Ok(v),
+        CtrlVal::Bool(_) => fail("expected integer, got boolean"),
+    }
+}
+
+fn as_bool(v: CtrlVal) -> Res<bool> {
+    match v {
+        CtrlVal::Bool(v) => Ok(v),
+        CtrlVal::Int(_) => fail("expected boolean, got integer"),
     }
 }
 
@@ -968,9 +1190,13 @@ mod tests {
     #[test]
     fn whole_view_is_row_major() {
         let v = View::whole(BufId(3), &[4, 5, 6]);
-        assert_eq!(v.dims, vec![(4, 30), (5, 6), (6, 1)]);
+        assert_eq!(v.dims[..], [(4, 30), (5, 6), (6, 1)]);
         assert_eq!(v.base, 0);
         assert!(View::whole(BufId(0), &[]).dims.is_empty());
+        // past six axes the dims move to the heap
+        let v = View::whole(BufId(0), &[2; 8]);
+        let strides: Vec<usize> = v.dims.iter().map(|d| d.1).collect();
+        assert_eq!(strides, [128, 64, 32, 16, 8, 4, 2, 1]);
     }
 
     #[test]

@@ -53,9 +53,13 @@ pub struct BufferData {
     pub shape: Vec<usize>,
     /// Memory the buffer models.
     pub mem: MemName,
-    /// Row-major element storage, `None` = ⊥; empty until the first
-    /// store.
-    data: Vec<Option<f64>>,
+    /// Row-major element values; empty until the first store.
+    data: Vec<f64>,
+    /// Which elements are initialized, while some are not; empty once
+    /// every element is.
+    init: Vec<bool>,
+    /// How many `false`s `init` holds.
+    uninit: usize,
 }
 
 impl BufferData {
@@ -67,6 +71,8 @@ impl BufferData {
             shape,
             mem,
             data: Vec::new(),
+            init: Vec::new(),
+            uninit: 0,
         }
     }
 
@@ -79,7 +85,7 @@ impl BufferData {
         mem: MemName,
         values: &[f64],
     ) -> BufferData {
-        let data = values.iter().map(|&v| Some(cast(dtype, v))).collect();
+        let data = values.iter().map(|&v| cast(dtype, v)).collect();
         BufferData {
             data,
             ..BufferData::new(name, dtype, shape, mem)
@@ -94,11 +100,11 @@ impl BufferData {
 
     /// Element `off`: `None` past the volume, `Some(None)` when it is
     /// uninitialized.
+    #[inline]
     pub(crate) fn get(&self, off: usize) -> Option<Option<f64>> {
-        if self.data.is_empty() {
-            (off < self.volume()).then_some(None)
-        } else {
-            self.data.get(off).copied()
+        match self.data.get(off) {
+            Some(&v) => Some((self.init.is_empty() || self.init[off]).then_some(v)),
+            None => (self.data.is_empty() && off < self.volume()).then_some(None),
         }
     }
 
@@ -108,22 +114,50 @@ impl BufferData {
         (0..self.volume()).map(|off| self.get(off).flatten())
     }
 
-    /// Element `off` for a store, allocating the storage on the first
-    /// one; `None` past the volume.
-    pub(crate) fn get_mut(&mut self, off: usize) -> Option<&mut Option<f64>> {
+    /// Stores `v` in element `off`, allocating the storage on the first
+    /// store; `false` past the volume.
+    #[inline]
+    pub(crate) fn set(&mut self, off: usize, v: f64) -> bool {
+        match self.data.get_mut(off) {
+            Some(cell) if self.init.is_empty() => {
+                *cell = v;
+                true
+            }
+            _ => self.set_first(off, v),
+        }
+    }
+
+    /// [`BufferData::set`] of an element that may not be initialized
+    /// yet.
+    #[cold]
+    fn set_first(&mut self, off: usize, v: f64) -> bool {
         if self.data.is_empty() {
             let volume = self.volume();
             if off >= volume {
-                return None;
+                return false;
             }
-            self.data = vec![None; volume];
+            self.data = vec![0.0; volume];
+            self.init = vec![false; volume];
+            self.uninit = volume;
         }
-        self.data.get_mut(off)
+        let Some(cell) = self.data.get_mut(off) else {
+            return false;
+        };
+        *cell = v;
+        if !self.init.is_empty() && !self.init[off] {
+            self.init[off] = true;
+            self.uninit -= 1;
+            if self.uninit == 0 {
+                self.init = Vec::new();
+            }
+        }
+        true
     }
 }
 
 /// Quantizes a data value through a precision type, modeling the
 /// back-end type casts of paper §3.1.1.
+#[inline]
 pub fn cast(dtype: DataType, v: f64) -> f64 {
     match dtype {
         DataType::R | DataType::F64 => v,
@@ -160,6 +194,20 @@ mod tests {
         assert_eq!(b.volume(), 0);
         assert_eq!(b.values().count(), 0);
         assert_eq!(b.get(0), None);
+    }
+
+    #[test]
+    fn stores_initialize_one_element_each() {
+        let mut b = BufferData::new(Sym::new("b"), DataType::F32, vec![3], MemName::dram());
+        assert!(b.set(1, 2.5));
+        assert!(!b.set(3, 1.0));
+        assert_eq!(b.values().collect::<Vec<_>>(), vec![None, Some(2.5), None]);
+        assert!(b.set(0, 1.0) && b.set(2, 3.0) && b.set(2, 4.0));
+        assert_eq!(
+            b.values().collect::<Vec<_>>(),
+            vec![Some(1.0), Some(2.5), Some(4.0)]
+        );
+        assert_eq!(b.get(3), None);
     }
 
     #[test]
