@@ -93,11 +93,12 @@ enum Slot {
     View(View),
 }
 
-/// Axes of a view stored without a heap allocation.
-const INLINE_DIMS: usize = 6;
+/// Axes of a view stored without a heap allocation (the conv operands
+/// are 4-D).
+const INLINE_DIMS: usize = 4;
 
 /// `(len, stride)` per retained axis of a view, outermost first: up to
-/// six inline, more on the heap.
+/// four inline, more on the heap.
 #[derive(Clone, Debug)]
 enum Dims {
     Inline(u8, [(usize, usize); INLINE_DIMS]),
@@ -107,6 +108,7 @@ enum Dims {
 impl Dims {
     const EMPTY: Dims = Dims::Inline(0, [(0, 0); INLINE_DIMS]);
 
+    #[inline]
     fn push(&mut self, axis: (usize, usize)) {
         match self {
             Dims::Inline(len, axes) if usize::from(*len) < INLINE_DIMS => {
@@ -522,6 +524,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     /// Runs a block. Each statement is one step; stores, the statements
     /// the kernels run most, are handled inline.
+    #[inline(always)]
     fn exec_block(&mut self, block: &[LStmt]) -> Res<()> {
         for s in block {
             self.step()?;
@@ -627,14 +630,15 @@ impl<'a, 'p> Exec<'a, 'p> {
         let procs = self.procs;
         let p = &procs[callee];
         let (frame, iframe) = (self.slots.len(), self.iters.len());
-        self.slots.resize(frame + p.slots, Slot::Unset);
-        self.iters.resize(iframe + p.iters, 0);
-        for (i, arg) in args.iter().enumerate() {
-            self.slots[frame + i] = match arg {
+        for arg in args {
+            let slot = match arg {
                 CallArg::Ctrl(e) => Slot::Ctrl(self.ctrl(e)?),
                 CallArg::View(e) => Slot::View(self.eval_view(e)?),
             };
+            self.slots.push(slot);
         }
+        self.slots.resize(frame + p.slots, Slot::Unset);
+        self.iters.resize(iframe + p.iters, 0);
         let caller = std::mem::replace(&mut self.base, frame);
         let icaller = std::mem::replace(&mut self.ibase, iframe);
         let result = self.enter(p);
@@ -1193,7 +1197,7 @@ mod tests {
         assert_eq!(v.dims[..], [(4, 30), (5, 6), (6, 1)]);
         assert_eq!(v.base, 0);
         assert!(View::whole(BufId(0), &[]).dims.is_empty());
-        // past six axes the dims move to the heap
+        // past four axes the dims move to the heap
         let v = View::whole(BufId(0), &[2; 8]);
         let strides: Vec<usize> = v.dims.iter().map(|d| d.1).collect();
         assert_eq!(strides, [128, 64, 32, 16, 8, 4, 2, 1]);
