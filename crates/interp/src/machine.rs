@@ -19,7 +19,7 @@
 //! after it.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
@@ -135,15 +135,6 @@ impl Deref for Dims {
     }
 }
 
-impl DerefMut for Dims {
-    fn deref_mut(&mut self) -> &mut [(usize, usize)] {
-        match self {
-            Dims::Inline(len, axes) => &mut axes[..usize::from(*len)],
-            Dims::Heap(axes) => axes,
-        }
-    }
-}
-
 /// A view of a buffer in the [`TensorRef`] layout: window coordinate
 /// `i` (with `i[d] < dims[d].0`) addresses element
 /// `base + Σ i[d]·dims[d].1` of `buf`.
@@ -157,16 +148,14 @@ struct View {
 impl View {
     /// The identity view of a row-major buffer.
     fn whole(buf: BufId, shape: &[usize]) -> View {
-        let mut dims = Dims::EMPTY;
-        for _ in shape {
-            dims.push((0, 0));
+        let mut view = View::point(buf, 0);
+        for (d, &len) in shape.iter().enumerate() {
+            let stride = shape[d + 1..]
+                .iter()
+                .fold(1, |s: usize, &n| s.saturating_mul(n));
+            view.dims.push((len, stride));
         }
-        let mut stride = 1usize;
-        for (d, &len) in dims.iter_mut().zip(shape).rev() {
-            *d = (len, stride);
-            stride = stride.saturating_mul(len);
-        }
-        View { buf, base: 0, dims }
+        view
     }
 
     /// The rank-0 view of element `base` of `buf`.
@@ -683,23 +672,23 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
         };
         let data = &mut self.m.bufs[buf.0];
-        let new = match (reduce, data.get(off)) {
-            (_, None) => None,
-            (false, Some(_)) => Some(value),
-            (true, Some(Some(old))) => Some(old + value),
+        let v = match (reduce, data.get(off)) {
             (true, Some(None)) => {
                 return fail(format!(
                     "reduction into uninitialized location of {}",
                     dst.buf.sym
                 ))
             }
+            (true, Some(Some(old))) => old + value,
+            _ => value,
         };
-        match new {
-            Some(v) if data.set(off, cast(data.dtype, v)) => Ok(()),
-            _ => fail(format!(
+        if data.set(off, cast(data.dtype, v)) {
+            Ok(())
+        } else {
+            fail(format!(
                 "out-of-bounds store to {} at offset {off}",
                 dst.buf.sym
-            )),
+            ))
         }
     }
 
@@ -793,8 +782,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     fn int_node(&self, e: &IExpr) -> Res<i64> {
         match e {
-            IExpr::Int(v) => Ok(*v),
-            IExpr::Iter(i) => Ok(self.iters[self.ibase + i]),
+            IExpr::Int(_) | IExpr::Iter(_) | IExpr::Arith(..) => self.int(e),
             IExpr::Slot(x) => as_int(self.ctrl_slot(*x)?),
             IExpr::Config(c) => as_int(self.config(*c)?),
             IExpr::Neg(a) => {
@@ -803,11 +791,6 @@ impl<'a, 'p> Exec<'a, 'p> {
                     Some(n) => Ok(n),
                     None => fail(format!("integer overflow in -({v})")),
                 }
-            }
-            IExpr::Arith(op, a, b) => {
-                let x = self.int(a)?;
-                let y = self.int(b)?;
-                arith(*op, x, y)
             }
             IExpr::Stride(buf, dim) => match self.view(*buf) {
                 Some(view) => match view.dims.get(*dim) {
@@ -893,13 +876,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     fn data_node(&self, e: &DExpr) -> Res<f64> {
         match e {
-            DExpr::Lit(v) => Ok(*v),
-            DExpr::Read(acc) => self.read(acc),
-            DExpr::Bin(op, a, b) => {
-                let x = self.data(a)?;
-                let y = self.data(b)?;
-                data_op(*op, x, y)
-            }
+            DExpr::Lit(_) | DExpr::Read(_) | DExpr::Bin(..) => self.data(e),
             DExpr::Neg(a) => Ok(-self.data(a)?),
             DExpr::BuiltIn { func, args } => {
                 // every argument is evaluated before the arity is checked
