@@ -39,7 +39,7 @@ cargo test -q -p gemmini-sim
 echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
-echo "== interpreter (error-message parity, overflow, unit tests; release) =="
+echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests; release) =="
 cargo test -q --release -p exo-interp
 
 echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM) =="
