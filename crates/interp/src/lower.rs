@@ -41,15 +41,6 @@ pub(crate) struct Var {
     pub sym: Sym,
 }
 
-/// A control expression that fails whatever its operands: the name has
-/// no binder, or the expression is not a control expression.
-#[derive(Clone, Copy)]
-pub(crate) enum Fault {
-    Unbound(Sym),
-    Float,
-    Data,
-}
-
 /// An integer operator of control arithmetic.
 #[derive(Clone, Copy)]
 pub(crate) enum IntOp {
@@ -84,7 +75,12 @@ pub(crate) enum IExpr {
     Stride(Var, usize),
     /// A boolean expression in integer position.
     NotInt(Box<BExpr>),
-    Fail(Fault),
+    /// A name with no binder in scope.
+    Unbound(Sym),
+    /// A float literal (an error in control position).
+    Float,
+    /// A data expression (an error in control position).
+    Data,
 }
 
 /// A control expression used as a boolean.
@@ -108,21 +104,11 @@ pub(crate) enum CExpr {
     Config(usize),
 }
 
-/// An arithmetic operator on data, or an operator data does not have.
-#[derive(Clone, Copy)]
-pub(crate) enum DataOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Undefined(BinOp),
-}
-
 /// A data expression.
 pub(crate) enum DExpr {
     Lit(f64),
     Read(Access),
-    Bin(DataOp, Box<DExpr>, Box<DExpr>),
+    Bin(BinOp, Box<DExpr>, Box<DExpr>),
     Neg(Box<DExpr>),
     BuiltIn {
         func: Builtin,
@@ -480,11 +466,11 @@ impl<'p> Lowering<'_, 'p> {
                     slot: Some(slot),
                     sym: *x,
                 }),
-                None => CExpr::Int(IExpr::Fail(Fault::Unbound(*x))),
+                None => CExpr::Int(IExpr::Unbound(*x)),
             },
             Expr::Lit(Lit::Int(v)) => CExpr::Int(IExpr::Int(*v)),
             Expr::Lit(Lit::Bool(v)) => CExpr::Bool(BExpr::Bool(*v)),
-            Expr::Lit(Lit::Float(_)) => CExpr::Int(IExpr::Fail(Fault::Float)),
+            Expr::Lit(Lit::Float(_)) => CExpr::Int(IExpr::Float),
             Expr::Neg(a) => CExpr::Int(IExpr::Neg(Box::new(self.int(a)))),
             Expr::BinOp(op, a, b) => {
                 let int_op = match op {
@@ -518,7 +504,7 @@ impl<'p> Lowering<'_, 'p> {
             Expr::Stride { buf, dim } => CExpr::Int(IExpr::Stride(self.var(*buf), *dim)),
             Expr::ReadConfig { config, field } => CExpr::Config(self.config(*config, *field)),
             Expr::Read { .. } | Expr::Window { .. } | Expr::BuiltIn { .. } => {
-                CExpr::Int(IExpr::Fail(Fault::Data))
+                CExpr::Int(IExpr::Data)
             }
         }
     }
@@ -549,14 +535,7 @@ impl<'p> Lowering<'_, 'p> {
             Expr::Lit(Lit::Int(v)) => DExpr::Lit(*v as f64),
             Expr::Read { buf, idx } => DExpr::Read(self.access(*buf, idx)),
             Expr::BinOp(op, a, b) => {
-                let op = match op {
-                    BinOp::Add => DataOp::Add,
-                    BinOp::Sub => DataOp::Sub,
-                    BinOp::Mul => DataOp::Mul,
-                    BinOp::Div => DataOp::Div,
-                    _ => DataOp::Undefined(*op),
-                };
-                DExpr::Bin(op, Box::new(self.data(a)), Box::new(self.data(b)))
+                DExpr::Bin(*op, Box::new(self.data(a)), Box::new(self.data(b)))
             }
             Expr::Neg(a) => DExpr::Neg(Box::new(self.data(a))),
             Expr::BuiltIn { func, args } => DExpr::BuiltIn {

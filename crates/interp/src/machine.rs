@@ -23,13 +23,13 @@ use std::ops::Deref;
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
-use exo_core::ir::{ArgType, Proc};
+use exo_core::ir::{ArgType, BinOp, Proc};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
 use crate::lower::{
-    lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, DataOp, Fault, IExpr, IntOp,
-    LProc, LStmt, VExpr, Var, WCoord,
+    lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, IExpr, IntOp, LProc, LStmt, VExpr,
+    Var, WCoord,
 };
 use crate::trace::{HwOp, TensorRef, TraceArg, TraceName};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
@@ -806,9 +806,9 @@ impl<'a, 'p> Exec<'a, 'p> {
                 self.boolean(b)?;
                 fail("expected integer, got boolean")
             }
-            IExpr::Fail(Fault::Unbound(x)) => fail(format!("unbound control variable {x}")),
-            IExpr::Fail(Fault::Float) => fail("float literal in control position"),
-            IExpr::Fail(Fault::Data) => fail("data expression in control position"),
+            IExpr::Unbound(x) => fail(format!("unbound control variable {x}")),
+            IExpr::Float => fail("float literal in control position"),
+            IExpr::Data => fail("data expression in control position"),
         }
     }
 
@@ -1039,13 +1039,13 @@ fn arith(op: IntOp, x: i64, y: i64) -> Res<i64> {
 }
 
 #[inline(always)]
-fn data_op(op: DataOp, x: f64, y: f64) -> Res<f64> {
+fn data_op(op: BinOp, x: f64, y: f64) -> Res<f64> {
     match op {
-        DataOp::Add => Ok(x + y),
-        DataOp::Sub => Ok(x - y),
-        DataOp::Mul => Ok(x * y),
-        DataOp::Div => Ok(x / y),
-        DataOp::Undefined(op) => fail(format!("operator {op} is not defined on data")),
+        BinOp::Add => Ok(x + y),
+        BinOp::Sub => Ok(x - y),
+        BinOp::Mul => Ok(x * y),
+        BinOp::Div => Ok(x / y),
+        _ => fail(format!("operator {op} is not defined on data")),
     }
 }
 

@@ -118,19 +118,6 @@ impl BufferData {
     /// store; `false` past the volume.
     #[inline]
     pub(crate) fn set(&mut self, off: usize, v: f64) -> bool {
-        match self.data.get_mut(off) {
-            Some(cell) if self.init.is_empty() => {
-                *cell = v;
-                true
-            }
-            _ => self.set_first(off, v),
-        }
-    }
-
-    /// [`BufferData::set`] of an element that may not be initialized
-    /// yet.
-    #[cold]
-    fn set_first(&mut self, off: usize, v: f64) -> bool {
         if self.data.is_empty() {
             let volume = self.volume();
             if off >= volume {
