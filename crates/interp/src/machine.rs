@@ -324,9 +324,8 @@ impl Machine {
             configs: lowered
                 .configs
                 .iter()
-                .map(|key| self.configs.get(key).copied())
+                .map(|&key| (key, self.configs.get(&key).copied()))
                 .collect(),
-            config_names: &lowered.configs,
             m: self,
             procs: &lowered.procs,
             slots: Vec::new(),
@@ -335,8 +334,7 @@ impl Machine {
             ibase: 0,
         };
         let result = exec.run_root(args);
-        let configs = exec.configs;
-        for (&key, value) in lowered.configs.iter().zip(configs) {
+        for (key, value) in exec.configs {
             if let Some(value) = value {
                 self.configs.insert(key, value);
             }
@@ -360,10 +358,9 @@ struct Exec<'a, 'p> {
     base: usize,
     iters: Vec<i64>,
     ibase: usize,
-    /// Each named field's value, `None` while unset.
-    configs: Vec<Option<CtrlVal>>,
-    /// `(config, field)` of each named field, for error messages.
-    config_names: &'a [(Sym, Sym)],
+    /// Each named field, `(config, field)`, and its value, `None` while
+    /// unset.
+    configs: Vec<((Sym, Sym), Option<CtrlVal>)>,
 }
 
 impl<'a, 'p> Exec<'a, 'p> {
@@ -425,15 +422,12 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// The value of configuration field `c`.
     fn config(&self, c: usize) -> Res<CtrlVal> {
         match self.configs[c] {
-            Some(v) => Ok(v),
-            None => {
-                let (config, field) = self.config_names[c];
-                fail(format!(
-                    "read of unset configuration {}.{}",
-                    config.name(),
-                    field.name()
-                ))
-            }
+            (_, Some(v)) => Ok(v),
+            ((config, field), None) => fail(format!(
+                "read of unset configuration {}.{}",
+                config.name(),
+                field.name()
+            )),
         }
     }
 
@@ -563,7 +557,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 self.store(dst, v, *reduce)
             }
             LStmt::WriteConfig { config, rhs } => {
-                self.configs[*config] = Some(self.ctrl(rhs)?);
+                self.configs[*config].1 = Some(self.ctrl(rhs)?);
                 Ok(())
             }
             LStmt::If { cond, body, orelse } => {
