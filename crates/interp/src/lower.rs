@@ -10,8 +10,8 @@
 //! yields an `i64`, a [`BExpr`] a `bool`, and only a configuration write
 //! or a control argument of a call keeps the kind of its value open
 //! ([`CExpr`]). An expression of the wrong kind becomes a node that
-//! evaluates its operand and then fails as the tree walk did (`NotInt`,
-//! `NotBool`); a control formal or a configuration field, whose kind is
+//! evaluates its operand and then fails with `expected integer, got
+//! boolean` or the converse (`NotInt`, `NotBool`); a control formal or a configuration field, whose kind is
 //! only known at run time, is checked when it is read. Configuration
 //! fields become indices into a per-run table, builtins an enum, and each
 //! distinct callee (by `Arc` pointer) is lowered once and called by
