@@ -57,6 +57,9 @@ impl From<BudgetError> for ExoError {
 
 #[derive(Debug)]
 struct Inner {
+    /// Whether any limit is set: `false` only for the unlimited budget,
+    /// whose [`ResourceBudget::charge`] is this one load and a compare.
+    limited: bool,
     // u64::MAX = unlimited; counts down.
     fuel_remaining: AtomicU64,
     fuel_limit: u64,
@@ -78,66 +81,63 @@ impl Default for ResourceBudget {
 }
 
 impl ResourceBudget {
-    /// A budget that never runs out (the default everywhere).
-    pub fn unlimited() -> ResourceBudget {
+    /// A budget of `fuel` units (`u64::MAX` = no limit) with an optional
+    /// deadline `dur` from now.
+    fn new(fuel: u64, deadline: Option<Duration>) -> ResourceBudget {
         ResourceBudget {
             inner: Arc::new(Inner {
-                fuel_remaining: AtomicU64::new(u64::MAX),
-                fuel_limit: u64::MAX,
-                deadline: None,
-                deadline_ms: 0,
+                limited: fuel != u64::MAX || deadline.is_some(),
+                fuel_remaining: AtomicU64::new(fuel),
+                fuel_limit: fuel,
+                deadline: deadline.map(|dur| Instant::now() + dur),
+                deadline_ms: deadline.map_or(0, |dur| dur.as_millis().min(u64::MAX as u128) as u64),
                 exhausted: AtomicBool::new(false),
             }),
         }
+    }
+
+    /// A budget that never runs out (the default everywhere).
+    pub fn unlimited() -> ResourceBudget {
+        ResourceBudget::new(u64::MAX, None)
     }
 
     /// A budget of `fuel` abstract units and no deadline.
     pub fn with_fuel(fuel: u64) -> ResourceBudget {
-        ResourceBudget {
-            inner: Arc::new(Inner {
-                fuel_remaining: AtomicU64::new(fuel),
-                fuel_limit: fuel,
-                deadline: None,
-                deadline_ms: 0,
-                exhausted: AtomicBool::new(false),
-            }),
-        }
+        ResourceBudget::new(fuel, None)
     }
 
     /// A budget with a wall-clock deadline `dur` from now and unlimited fuel.
     pub fn with_deadline(dur: Duration) -> ResourceBudget {
-        ResourceBudget {
-            inner: Arc::new(Inner {
-                fuel_remaining: AtomicU64::new(u64::MAX),
-                fuel_limit: u64::MAX,
-                deadline: Some(Instant::now() + dur),
-                deadline_ms: dur.as_millis().min(u64::MAX as u128) as u64,
-                exhausted: AtomicBool::new(false),
-            }),
-        }
+        ResourceBudget::new(u64::MAX, Some(dur))
     }
 
     /// A budget with both a fuel pool and a wall-clock deadline from now.
     pub fn with_fuel_and_deadline(fuel: u64, dur: Duration) -> ResourceBudget {
-        ResourceBudget {
-            inner: Arc::new(Inner {
-                fuel_remaining: AtomicU64::new(fuel),
-                fuel_limit: fuel,
-                deadline: Some(Instant::now() + dur),
-                deadline_ms: dur.as_millis().min(u64::MAX as u128) as u64,
-                exhausted: AtomicBool::new(false),
-            }),
-        }
+        ResourceBudget::new(fuel, Some(dur))
     }
 
     /// Is this the unlimited budget (no fuel limit, no deadline)?
     pub fn is_unlimited(&self) -> bool {
-        self.inner.fuel_limit == u64::MAX && self.inner.deadline.is_none()
+        !self.inner.limited
     }
 
     /// Draw `n` fuel units and check the deadline. `Err` once exhausted
-    /// (sticky: every later call also errs).
+    /// (sticky: every later call also errs). The interpreter's step loop
+    /// and both simulators' instruction loops call this once per step, so
+    /// the unlimited budget's check is inlined into them; the unlimited
+    /// budget can never trip.
+    #[inline]
     pub fn charge(&self, n: u64) -> Result<(), BudgetError> {
+        if self.inner.limited {
+            self.charge_limited(n)
+        } else {
+            Ok(())
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn charge_limited(&self, n: u64) -> Result<(), BudgetError> {
         let inner = &*self.inner;
         if inner.exhausted.load(Ordering::Relaxed) {
             return Err(self.error());
