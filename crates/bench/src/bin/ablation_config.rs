@@ -5,7 +5,7 @@
 
 use exo_bench::{fresh_state, solver_stats_json, write_bench_json};
 use exo_hwlibs::GemminiLib;
-use exo_interp::HwOp;
+use exo_interp::{HwOp, Instr, TraceArg};
 use exo_kernels::gemmini_gemm::{schedule_matmul, trace_matmul};
 use exo_obs::Json;
 use gemmini_sim::{SimConfig, Simulator};
@@ -28,13 +28,14 @@ fn main() {
     let hoisted = trace_matmul(p.proc(), n, m, k, false);
 
     // re-fuse: insert a config instruction before every load
+    let config_ld = HwOp::new(
+        Instr::intern("gemmini_config_ld", &["s"]),
+        [TraceArg::Int(k)],
+    );
     let mut fused: Vec<HwOp> = Vec::new();
     for op in &hoisted {
-        if op.instr.starts_with("gemmini_mvin") {
-            fused.push(HwOp {
-                instr: "gemmini_config_ld".into(),
-                args: vec![("s".into(), exo_interp::TraceArg::Int(k))],
-            });
+        if op.instr.as_str().starts_with("gemmini_mvin") {
+            fused.push(config_ld.clone());
         }
         fused.push(op.clone());
     }

@@ -34,6 +34,13 @@
 //!   configure such state usually flush the accelerator pipeline"), so
 //!   hoisting configuration writes out of loops (§2.4) is visible as a
 //!   large utilization gain.
+//! * **Decode once** — each run decodes every distinct instruction
+//!   handle in its trace once ([`decode`]): the op class comes from the
+//!   opcode table [`OPCODES`], and the positions of the formals the class
+//!   reads from the instruction's signature. Each op then dispatches on
+//!   its class and reads its arguments by position. An instruction the
+//!   table does not name executes as a 1-cycle no-op on the execute
+//!   queue.
 //! * **Software dispatch cost** — each instruction is issued by the host
 //!   CPU; the per-instruction cost bounds software scheduling. The
 //!   *hardware loop unroller* mode ([`SimConfig::hardware_unroller`])
@@ -47,9 +54,7 @@
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
-#[cfg(test)]
-use exo_interp::TraceArg;
-use exo_interp::{HwOp, TensorRef};
+use exo_interp::{HwOp, Instr, TensorRef, TraceArg};
 
 mod report;
 pub use report::{SimReport, UnitBusy};
@@ -128,6 +133,122 @@ impl Unit {
             Unit::Execute => "execute",
             Unit::Store => "store",
         }
+    }
+}
+
+/// How the timing model executes an instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OpClass {
+    /// A configuration write: drains every queue and stalls.
+    Config,
+    /// A DMA load into the scratchpad or accumulator.
+    Mvin,
+    /// A DMA store to DRAM.
+    Mvout,
+    /// Zeroing an accumulator tile on the execute queue.
+    Zero,
+    /// One preload + compute pass of the systolic array.
+    Matmul,
+    /// Not a Gemmini instruction: a 1-cycle no-op on the execute queue
+    /// (fences, prefetch escape hatches).
+    Other,
+}
+
+impl OpClass {
+    /// The formals an instruction of this class reads, by name, in the
+    /// order of [`Decoded`]'s positions.
+    fn operands(self) -> &'static [&'static str] {
+        match self {
+            OpClass::Mvin | OpClass::Mvout => &["src", "dst"],
+            OpClass::Zero => &["dst"],
+            OpClass::Matmul => &["n", "m", "k", "a", "b", "c"],
+            OpClass::Config | OpClass::Other => &[],
+        }
+    }
+}
+
+/// The opcode table: the class of each instruction of the Gemmini
+/// library (`gemmini.exo`). Any other instruction is [`OpClass::Other`].
+pub const OPCODES: [(&str, OpClass); 13] = [
+    ("gemmini_config_ld", OpClass::Config),
+    ("gemmini_config_ld2", OpClass::Config),
+    ("gemmini_config_ld_acc", OpClass::Config),
+    ("gemmini_config_st", OpClass::Config),
+    ("gemmini_mvin", OpClass::Mvin),
+    ("gemmini_mvin2", OpClass::Mvin),
+    ("gemmini_mvin_acc", OpClass::Mvin),
+    ("gemmini_mvout", OpClass::Mvout),
+    ("gemmini_mvout_relu", OpClass::Mvout),
+    ("gemmini_mvout_acc", OpClass::Mvout),
+    ("gemmini_mvout_acc_relu", OpClass::Mvout),
+    ("gemmini_zero_acc", OpClass::Zero),
+    ("gemmini_matmul", OpClass::Matmul),
+];
+
+/// The most operands a class reads (the matmul's `n, m, k, a, b, c`).
+const MAX_OPERANDS: usize = 6;
+
+/// An instruction decoded for the timing model: its class and, for each
+/// operand the class reads, the index of that formal in the
+/// instruction's signature (`None` when it has no such formal).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Decoded {
+    /// How the instruction executes.
+    pub class: OpClass,
+    at: [Option<usize>; MAX_OPERANDS],
+}
+
+/// Decodes `instr`: its class from [`OPCODES`], and the position of each
+/// formal its class reads.
+pub fn decode(instr: Instr) -> Decoded {
+    let class = OPCODES
+        .iter()
+        .find(|(name, _)| instr == *name)
+        .map_or(OpClass::Other, |&(_, class)| class);
+    let mut at = [None; MAX_OPERANDS];
+    for (slot, name) in at.iter_mut().zip(class.operands()) {
+        *slot = instr.position(name);
+    }
+    Decoded { class, at }
+}
+
+impl Decoded {
+    /// Whether the instruction has a formal for every operand its class
+    /// reads.
+    pub fn is_complete(&self) -> bool {
+        self.at[..self.class.operands().len()]
+            .iter()
+            .all(Option::is_some)
+    }
+
+    /// The `k`-th operand of `op`, if bound.
+    #[inline]
+    fn operand<'a>(&self, op: &'a HwOp, k: usize) -> Option<&'a TraceArg> {
+        op.args.get(self.at[k]?)
+    }
+
+    #[inline]
+    fn tensor<'a>(&self, op: &'a HwOp, k: usize) -> Option<&'a TensorRef> {
+        self.operand(op, k).and_then(TraceArg::as_tensor)
+    }
+}
+
+/// The decoded form of each distinct instruction of one run, in order of
+/// first appearance (a trace names a handful).
+#[derive(Default)]
+struct Decoder(Vec<(Instr, Decoded)>);
+
+impl Decoder {
+    #[inline]
+    fn get(&mut self, instr: Instr) -> &Decoded {
+        let i = match self.0.iter().position(|(seen, _)| *seen == instr) {
+            Some(i) => i,
+            None => {
+                self.0.push((instr, decode(instr)));
+                self.0.len() - 1
+            }
+        };
+        &self.0[i].1
     }
 }
 
@@ -253,13 +374,14 @@ impl Simulator {
         let span = exo_obs::Span::enter("gemmini_sim.run");
         exo_obs::counter_add("gemmini_sim.runs", 1);
         let mut truncated = false;
+        let mut decoder = Decoder::default();
         for op in trace {
             if self.budget.charge(1).is_err() {
                 exo_obs::counter_add("gemmini_sim.budget_stops", 1);
                 truncated = true;
                 break;
             }
-            self.step(op);
+            self.step(op, decoder.get(op.instr));
         }
         let cycles = self.finish.max(self.cpu_time).max(1);
         let util = self.macs as f64 / cycles.saturating_mul(PEAK_MACS_PER_CYCLE) as f64;
@@ -287,21 +409,15 @@ impl Simulator {
         }
     }
 
-    fn step(&mut self, op: &HwOp) {
+    fn step(&mut self, op: &HwOp, d: &Decoded) {
         self.instructions += 1;
-        match op.instr.as_str() {
-            s if s.starts_with("gemmini_config") => self.config(),
-            s if s.starts_with("gemmini_mvin") => {
-                self.dma(op, Unit::Load);
-            }
-            s if s.starts_with("gemmini_mvout") => {
-                self.dma(op, Unit::Store);
-            }
-            "gemmini_zero_acc" => self.zero(op),
-            "gemmini_matmul" => self.matmul(op),
-            _ => {
-                // unknown instructions execute as 1-cycle no-ops on the
-                // execute queue (e.g. fences, prefetch escape hatches)
+        match d.class {
+            OpClass::Config => self.config(),
+            OpClass::Mvin => self.dma(op, d, Unit::Load),
+            OpClass::Mvout => self.dma(op, d, Unit::Store),
+            OpClass::Zero => self.zero(op, d),
+            OpClass::Matmul => self.matmul(op, d),
+            OpClass::Other => {
                 let issue = self.issue(1);
                 let start = issue.max(self.unit_available(Unit::Execute));
                 self.complete(Unit::Execute, start, 1);
@@ -340,8 +456,8 @@ impl Simulator {
         self.board.clear();
     }
 
-    fn dma(&mut self, op: &HwOp, unit: Unit) -> u64 {
-        let (reads, writes, bytes, rows) = dma_ranges(op);
+    fn dma(&mut self, op: &HwOp, d: &Decoded, unit: Unit) {
+        let (reads, writes, bytes, rows) = dma_ranges(d.tensor(op, 0), d.tensor(op, 1));
         self.bytes_moved = self.bytes_moved.saturating_add(bytes);
         let issue = self.issue(1);
         let floor = issue.max(self.unit_available(unit));
@@ -351,11 +467,10 @@ impl Simulator {
         );
         let end = self.complete(unit, start, cost);
         self.note(unit, &reads, &writes, end);
-        end
     }
 
-    fn zero(&mut self, op: &HwOp) {
-        let writes = footprints(op, ["dst"]);
+    fn zero(&mut self, op: &HwOp, d: &Decoded) {
+        let writes = [d.tensor(op, 0).map(footprint)];
         let issue = self.issue(1);
         let floor = issue.max(self.unit_available(Unit::Execute));
         let start = self.dep_time(floor, &[], &writes);
@@ -363,12 +478,16 @@ impl Simulator {
         self.note(Unit::Execute, &[], &writes, end);
     }
 
-    fn matmul(&mut self, op: &HwOp) {
-        let dim = |name| op.int_arg(name).unwrap_or(DIM as i64) as u64;
-        let macs = dim("n").saturating_mul(dim("m")).saturating_mul(dim("k"));
+    fn matmul(&mut self, op: &HwOp, d: &Decoded) {
+        let dim = |k| {
+            d.operand(op, k)
+                .and_then(TraceArg::as_int)
+                .unwrap_or(DIM as i64) as u64
+        };
+        let macs = dim(0).saturating_mul(dim(1)).saturating_mul(dim(2));
         self.macs = self.macs.saturating_add(macs);
-        let reads = footprints(op, ["a", "b"]);
-        let writes = footprints(op, ["c"]);
+        let reads = [3, 4].map(|k| d.tensor(op, k).map(footprint));
+        let writes = [d.tensor(op, 5).map(footprint)];
         // preload + compute are two host instructions
         let issue = self.issue(2);
         let avail = self.unit_available(Unit::Execute);
@@ -434,7 +553,7 @@ impl Simulator {
 /// arithmetic saturates, so `lo <= hi` holds for any window.
 fn footprint(t: &TensorRef) -> Footprint {
     let mut span = 1u64;
-    for (&n, &s) in t.shape.iter().zip(&t.strides) {
+    for (&n, &s) in t.shape().iter().zip(t.strides().iter()) {
         if n > 0 {
             span = span.saturating_add((n as u64 - 1).saturating_mul(s as u64));
         }
@@ -443,34 +562,26 @@ fn footprint(t: &TensorRef) -> Footprint {
     (t.buf.0, lo, lo.saturating_add(span))
 }
 
-/// The footprints of the named tensor arguments, in a fixed-size array
-/// (`None` where the op has no such tensor).
-fn footprints<const N: usize>(op: &HwOp, names: [&str; N]) -> [Option<Footprint>; N] {
-    names.map(|n| op.tensor_arg(n).map(footprint))
-}
-
-/// Classifies a DMA op: (reads, writes, total bytes, rows). The byte
-/// count saturates on windows too large for a `u64`.
-fn dma_ranges(op: &HwOp) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64, u64) {
-    let src = op.tensor_arg("src");
-    let dst = op.tensor_arg("dst");
+/// Classifies a DMA op from its `src` and `dst` tensors: (reads, writes,
+/// total bytes, rows). The byte count saturates on windows too large for
+/// a `u64`.
+fn dma_ranges(
+    src: Option<&TensorRef>,
+    dst: Option<&TensorRef>,
+) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64, u64) {
     let reads = [src.map(footprint)];
     let writes = [dst.map(footprint)];
-    let elem = src
-        .or(dst)
-        .map(|t| t.dtype.size_bytes() as u64)
-        .unwrap_or(1);
-    let volume: u64 = src
-        .or(dst)
+    let t = src.or(dst);
+    let elem = t.map(|t| t.dtype.size_bytes() as u64).unwrap_or(1);
+    let volume: u64 = t
         .map(|t| {
-            t.shape
+            t.shape()
                 .iter()
                 .fold(1u64, |v, &n| v.saturating_mul(n as u64))
         })
         .unwrap_or(0);
-    let rows = src
-        .or(dst)
-        .and_then(|t| t.shape.first().copied())
+    let rows = t
+        .and_then(|t| t.shape().first().copied())
         .unwrap_or(1)
         .max(1) as u64;
     (reads, writes, volume.saturating_mul(elem), rows)
@@ -482,48 +593,57 @@ mod tests {
     use exo_core::types::{DataType, MemName};
     use exo_interp::BufId;
 
-    fn tensor(buf: usize, offset: usize, shape: &[usize], strides: &[usize]) -> TraceArg {
-        TraceArg::Tensor(TensorRef {
-            buf: BufId(buf),
-            mem: MemName::dram(),
-            dtype: DataType::I8,
-            base_offset: offset,
-            shape: shape.into(),
-            strides: strides.into(),
-        })
+    fn tensor(buf: usize, offset: usize, shape: [usize; 2], strides: [usize; 2]) -> TraceArg {
+        let axes = [(shape[0], strides[0]), (shape[1], strides[1])];
+        TraceArg::Tensor(TensorRef::new(
+            BufId(buf),
+            MemName::dram(),
+            DataType::I8,
+            offset,
+            &axes,
+        ))
     }
 
     fn mvin(buf_src: usize, buf_dst: usize, dst_off: usize) -> HwOp {
-        HwOp {
-            instr: "gemmini_mvin".into(),
-            args: vec![
-                ("n".into(), TraceArg::Int(16)),
-                ("m".into(), TraceArg::Int(16)),
-                ("src".into(), tensor(buf_src, 0, &[16, 16], &[128, 1])),
-                ("dst".into(), tensor(buf_dst, dst_off, &[16, 16], &[16, 1])),
+        HwOp::new(
+            Instr::intern("gemmini_mvin", &["n", "m", "src", "dst"]),
+            [
+                TraceArg::Int(16),
+                TraceArg::Int(16),
+                tensor(buf_src, 0, [16, 16], [128, 1]),
+                tensor(buf_dst, dst_off, [16, 16], [16, 1]),
             ],
-        }
+        )
+    }
+
+    fn matmul_with(n: i64, a: (usize, usize), b: (usize, usize), c: (usize, usize)) -> HwOp {
+        HwOp::new(
+            Instr::intern("gemmini_matmul", &["n", "m", "k", "a", "b", "c"]),
+            [
+                TraceArg::Int(n),
+                TraceArg::Int(16),
+                TraceArg::Int(16),
+                tensor(a.0, a.1, [16, 16], [16, 1]),
+                tensor(b.0, b.1, [16, 16], [16, 1]),
+                tensor(c.0, c.1, [16, 16], [16, 1]),
+            ],
+        )
     }
 
     fn matmul(a: (usize, usize), b: (usize, usize), c: (usize, usize)) -> HwOp {
-        HwOp {
-            instr: "gemmini_matmul".into(),
-            args: vec![
-                ("n".into(), TraceArg::Int(16)),
-                ("m".into(), TraceArg::Int(16)),
-                ("k".into(), TraceArg::Int(16)),
-                ("a".into(), tensor(a.0, a.1, &[16, 16], &[16, 1])),
-                ("b".into(), tensor(b.0, b.1, &[16, 16], &[16, 1])),
-                ("c".into(), tensor(c.0, c.1, &[16, 16], &[16, 1])),
-            ],
-        }
+        matmul_with(16, a, b, c)
     }
 
     fn config() -> HwOp {
-        HwOp {
-            instr: "gemmini_config_ld".into(),
-            args: vec![("s".into(), TraceArg::Int(128))],
-        }
+        HwOp::new(
+            Instr::intern("gemmini_config_ld", &["s"]),
+            [TraceArg::Int(128)],
+        )
+    }
+
+    /// A DMA op of `instr` with only `src` and `dst` formals.
+    fn dma(instr: &str, src: TraceArg, dst: TraceArg) -> HwOp {
+        HwOp::new(Instr::intern(instr, &["src", "dst"]), [src, dst])
     }
 
     #[test]
@@ -642,13 +762,11 @@ mod tests {
         let mut trace = vec![config()];
         trace.extend((0..5000).map(|i| mvin(0, 1, i * 256)));
         trace.push(matmul((1, 3000 * 256), (1, 3000 * 256), (2, 0)));
-        trace.push(HwOp {
-            instr: "gemmini_mvout".into(),
-            args: vec![
-                ("src".into(), tensor(2, 0, &[1, 1_600_000], &[1_600_000, 1])),
-                ("dst".into(), tensor(3, 0, &[1, 1_600_000], &[1_600_000, 1])),
-            ],
-        });
+        trace.push(dma(
+            "gemmini_mvout",
+            tensor(2, 0, [1, 1_600_000], [1_600_000, 1]),
+            tensor(3, 0, [1, 1_600_000], [1_600_000, 1]),
+        ));
         let cfg = SimConfig::software();
         let r = Simulator::new(cfg.clone()).run(&trace);
         let raw_chain = cfg.flush_cost
@@ -676,8 +794,7 @@ mod tests {
 
     #[test]
     fn negative_matmul_dims_do_not_panic() {
-        let mut op = matmul((1, 0), (1, 256), (2, 0));
-        op.args[0].1 = TraceArg::Int(-1);
+        let op = matmul_with(-1, (1, 0), (1, 256), (2, 0));
         let r = Simulator::new(SimConfig::software()).run(&[op.clone(), op]);
         assert_eq!(r.macs, u64::MAX);
         assert_eq!(r.instructions, 2);
@@ -685,19 +802,11 @@ mod tests {
 
     #[test]
     fn huge_dma_window_does_not_panic() {
-        let huge = HwOp {
-            instr: "gemmini_mvin".into(),
-            args: vec![
-                (
-                    "src".into(),
-                    tensor(0, 0, &[1 << 40, 1 << 40], &[1 << 40, 1]),
-                ),
-                (
-                    "dst".into(),
-                    tensor(1, 0, &[1 << 40, 1 << 40], &[1 << 40, 1]),
-                ),
-            ],
-        };
+        let huge = dma(
+            "gemmini_mvin",
+            tensor(0, 0, [1 << 40, 1 << 40], [1 << 40, 1]),
+            tensor(1, 0, [1 << 40, 1 << 40], [1 << 40, 1]),
+        );
         let trace = [huge.clone(), huge, config(), mvin(0, 1, 0)];
         let r = Simulator::new(SimConfig::software()).run(&trace);
         assert_eq!(r.bytes_moved, u64::MAX);
@@ -707,14 +816,42 @@ mod tests {
     #[test]
     fn absurd_windows_do_not_panic() {
         // spans past u64::MAX, starting anywhere up to the last element
-        let op = |off| HwOp {
-            instr: "gemmini_mvin".into(),
-            args: vec![
-                ("src".into(), tensor(0, off, &[2, 1], &[usize::MAX, 1])),
-                ("dst".into(), tensor(1, off, &[2, 1], &[usize::MAX, 1])),
-            ],
+        let op = |off| {
+            dma(
+                "gemmini_mvin",
+                tensor(0, off, [2, 1], [usize::MAX, 1]),
+                tensor(1, off, [2, 1], [usize::MAX, 1]),
+            )
         };
         let r = Simulator::new(SimConfig::software()).run(&[op(0), op(usize::MAX), op(7)]);
         assert_eq!(r.instructions, 3);
+    }
+
+    #[test]
+    fn each_library_opcode_decodes_to_its_class() {
+        for (name, class) in OPCODES {
+            let formals = class.operands();
+            let d = decode(Instr::intern(name, formals));
+            assert_eq!(d.class, class, "{name}");
+            assert!(d.is_complete(), "{name}");
+        }
+        let unknown = decode(Instr::intern("gemmini_fence", &[]));
+        assert_eq!(unknown.class, OpClass::Other);
+        assert!(!decode(Instr::intern("gemmini_matmul", &["a", "b"])).is_complete());
+    }
+
+    #[test]
+    fn operands_are_read_by_position_whatever_the_formal_order() {
+        // the same mvin with its formals in another order decodes to other
+        // positions and simulates identically
+        let t = |buf, off| tensor(buf, off, [16, 16], [16, 1]);
+        let fwd = dma("gemmini_mvin", t(0, 0), t(1, 256));
+        let rev = HwOp::new(
+            Instr::intern("gemmini_mvin", &["dst", "src"]),
+            [t(1, 256), t(0, 0)],
+        );
+        let sim = |op: &HwOp| Simulator::new(SimConfig::software()).run(&[config(), op.clone()]);
+        assert_eq!(sim(&fwd), sim(&rev));
+        assert_eq!(sim(&fwd).bytes_moved, 256);
     }
 }

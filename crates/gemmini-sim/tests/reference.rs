@@ -3,12 +3,14 @@
 //! it linearly, never pruning. Both must produce identical reports on
 //! seeded random traces: short ones over a few shared buffers, ones that
 //! allocate a fresh buffer per tile, ones with buffer ids near
-//! `usize::MAX`, and long ones, some with no dispatch cost.
+//! `usize::MAX`, and long ones, some with no dispatch cost. The reference
+//! keeps its own decoding: it finds each op's kind from the instruction's
+//! name and each operand by its formal's name.
 
 use std::collections::HashMap;
 
 use exo_core::types::{DataType, MemName};
-use exo_interp::{BufId, HwOp, TensorRef, TraceArg};
+use exo_interp::{BufId, HwOp, Instr, TensorRef, TraceArg};
 use gemmini_sim::{SimConfig, SimReport, Simulator, Unit, UnitBusy, DIM, PEAK_MACS_PER_CYCLE};
 
 /// A past access: `(buffer, lo, hi, completion time)`.
@@ -131,9 +133,12 @@ impl Reference {
         let t = src.or(dst);
         let elem = t.map(|t| t.dtype.size_bytes() as u64).unwrap_or(1);
         let volume = t
-            .map(|t| t.shape.iter().product::<usize>() as u64)
+            .map(|t| t.shape().iter().product::<usize>() as u64)
             .unwrap_or(0);
-        let rows = t.and_then(|t| t.shape.first().copied()).unwrap_or(1).max(1) as u64;
+        let rows = t
+            .and_then(|t| t.shape().first().copied())
+            .unwrap_or(1)
+            .max(1) as u64;
         let bytes = volume * elem;
         self.bytes_moved += bytes;
         let issue = self.issue(1);
@@ -202,9 +207,9 @@ fn ranges(op: &HwOp, names: &[&str]) -> Vec<Footprint> {
         .filter_map(|n| op.tensor_arg(n))
         .map(|t| {
             let span: usize = 1 + t
-                .shape
+                .shape()
                 .iter()
-                .zip(&t.strides)
+                .zip(t.strides().iter())
                 .map(|(&n, &s)| n.saturating_sub(1) * s)
                 .sum::<usize>();
             (t.buf.0, t.base_offset as u64, (t.base_offset + span) as u64)
@@ -296,14 +301,37 @@ const LONG: Mix = Mix {
 };
 
 fn tensor(buf: usize, offset: usize, shape: [usize; 2], row_stride: usize) -> TraceArg {
-    TraceArg::Tensor(TensorRef {
-        buf: BufId(buf),
-        mem: MemName::dram(),
-        dtype: DataType::I8,
-        base_offset: offset,
-        shape: shape.into(),
-        strides: [row_stride, 1].into(),
-    })
+    TraceArg::Tensor(TensorRef::new(
+        BufId(buf),
+        MemName::dram(),
+        DataType::I8,
+        offset,
+        &[(shape[0], row_stride), (shape[1], 1)],
+    ))
+}
+
+/// The instructions a random trace draws from, resolved once per trace.
+struct Isa {
+    config_ld: Instr,
+    fence: Instr,
+    mvin: [Instr; 2],
+    mvout: Instr,
+    zero_acc: Instr,
+    matmul: Instr,
+}
+
+impl Isa {
+    fn new() -> Isa {
+        let dma = |name| Instr::intern(name, &["src", "dst"]);
+        Isa {
+            config_ld: Instr::intern("gemmini_config_ld", &["s"]),
+            fence: Instr::intern("gemmini_fence", &[]),
+            mvin: [dma("gemmini_mvin"), dma("gemmini_mvin_acc")],
+            mvout: dma("gemmini_mvout"),
+            zero_acc: Instr::intern("gemmini_zero_acc", &["dst"]),
+            matmul: Instr::intern("gemmini_matmul", &["n", "m", "k", "a", "b", "c"]),
+        }
+    }
 }
 
 /// Mostly 0, so footprints repeat exactly; else up to a tile, so they
@@ -343,7 +371,7 @@ fn local_tile(
     tensor(ids.id(buf, slot, alloc), offset, shape, 16)
 }
 
-fn random_op(rng: &mut Rng, mix: Mix, ids: &mut Ids) -> HwOp {
+fn random_op(isa: &Isa, rng: &mut Rng, mix: Mix, ids: &mut Ids) -> HwOp {
     // mostly full tiles, so footprints repeat
     let full = rng.below(4) != 0;
     let mut dim = || if full { 16 } else { 1 + rng.below(16) };
@@ -354,45 +382,35 @@ fn random_op(rng: &mut Rng, mix: Mix, ids: &mut Ids) -> HwOp {
         pick = pick.saturating_sub(w);
         hit
     });
-    let (instr, args) = match kind {
-        Some(0) => ("gemmini_config_ld", vec![("s", TraceArg::Int(128))]),
-        Some(1) => ("gemmini_fence", vec![]),
+    match kind {
+        Some(0) => HwOp::new(isa.config_ld, [TraceArg::Int(128)]),
+        Some(1) => HwOp::new(isa.fence, []),
         Some(2) => {
-            let instr = ["gemmini_mvin", "gemmini_mvin_acc"][rng.below(2)];
+            let instr = isa.mvin[rng.below(2)];
             let buf = 1 + rng.below(2);
             let dst = local_tile(rng, mix, ids, buf, true, [n, m]);
-            (
-                instr,
-                vec![("src", dram_tile(rng, ids, [n, m])), ("dst", dst)],
-            )
+            HwOp::new(instr, [dram_tile(rng, ids, [n, m]), dst])
         }
         Some(3) => {
             let buf = 1 + rng.below(2);
             let src = local_tile(rng, mix, ids, buf, false, [n, m]);
-            (
-                "gemmini_mvout",
-                vec![("src", src), ("dst", dram_tile(rng, ids, [n, m]))],
-            )
+            HwOp::new(isa.mvout, [src, dram_tile(rng, ids, [n, m])])
         }
         Some(4) => {
             let dst = local_tile(rng, mix, ids, 2, true, [n, m]);
-            ("gemmini_zero_acc", vec![("dst", dst)])
+            HwOp::new(isa.zero_acc, [dst])
         }
         _ => {
-            let args = vec![
-                ("n", TraceArg::Int(n as i64)),
-                ("m", TraceArg::Int(m as i64)),
-                ("k", TraceArg::Int(k as i64)),
-                ("a", local_tile(rng, mix, ids, 1, false, [n, k])),
-                ("b", local_tile(rng, mix, ids, 1, false, [k, m])),
-                ("c", local_tile(rng, mix, ids, 2, false, [n, m])),
+            let args = [
+                TraceArg::Int(n as i64),
+                TraceArg::Int(m as i64),
+                TraceArg::Int(k as i64),
+                local_tile(rng, mix, ids, 1, false, [n, k]),
+                local_tile(rng, mix, ids, 1, false, [k, m]),
+                local_tile(rng, mix, ids, 2, false, [n, m]),
             ];
-            ("gemmini_matmul", args)
+            HwOp::new(isa.matmul, args)
         }
-    };
-    HwOp {
-        instr: instr.into(),
-        args: args.into_iter().map(|(n, a)| (n.into(), a)).collect(),
     }
 }
 
@@ -432,8 +450,9 @@ fn scoreboard_matches_the_unpruned_scan() {
         } else {
             (1 + rng.below(300), short_mix(&mut rng))
         };
+        let isa = Isa::new();
         let trace: Vec<HwOp> = (0..len)
-            .map(|_| random_op(&mut rng, mix, &mut ids))
+            .map(|_| random_op(&isa, &mut rng, mix, &mut ids))
             .collect();
         let noted: usize = trace
             .iter()

@@ -66,6 +66,20 @@ impl Avx512Lib {
         }
     }
 
+    /// Every instruction of the library, in source order.
+    pub fn instrs(&self) -> [&Arc<Proc>; 8] {
+        [
+            &self.loadu,
+            &self.storeu,
+            &self.set0,
+            &self.broadcast,
+            &self.fmadd,
+            &self.mask_loadu,
+            &self.mask_storeu,
+            &self.relu,
+        ]
+    }
+
     /// A code-generation context with the register-file memory.
     pub fn codegen_ctx(&self) -> CodegenCtx {
         let mut ctx = CodegenCtx::new();
@@ -94,21 +108,6 @@ mod tests {
     use exo_core::types::DataType;
     use exo_interp::{ArgVal, Machine};
 
-    impl Avx512Lib {
-        pub(crate) fn instrs(&self) -> [&Arc<Proc>; 8] {
-            [
-                &self.loadu,
-                &self.storeu,
-                &self.set0,
-                &self.broadcast,
-                &self.fmadd,
-                &self.mask_loadu,
-                &self.mask_storeu,
-                &self.relu,
-            ]
-        }
-    }
-
     #[test]
     fn all_instructions_are_well_formed() {
         for p in Avx512Lib::new().instrs() {
@@ -123,6 +122,7 @@ mod tests {
         let mut env = ParseEnv::new();
         env.add_mem(lib.reg);
         crate::tests::assert_round_trips(&lib.instrs(), &env);
+        crate::tests::assert_lists_every_instr(include_str!("avx512.exo"), &lib.instrs(), &env);
     }
 
     #[test]

@@ -125,6 +125,25 @@ impl GemminiLib {
         }
     }
 
+    /// Every instruction of the library, in source order.
+    pub fn instrs(&self) -> [&Arc<Proc>; 13] {
+        [
+            &self.config_ld_instr,
+            &self.config_ld2_instr,
+            &self.config_ld_acc_instr,
+            &self.config_st_instr,
+            &self.mvin,
+            &self.mvin2,
+            &self.mvin_acc,
+            &self.mvout,
+            &self.mvout_relu,
+            &self.mvout_acc,
+            &self.mvout_acc_relu,
+            &self.zero_acc,
+            &self.matmul,
+        ]
+    }
+
     /// A code-generation context with Gemmini's memories and configs.
     /// The generated C includes `gemmini.h`; this crate's
     /// `include/gemmini.h` is a stub declaring every intrinsic the
@@ -162,26 +181,6 @@ mod tests {
     use exo_core::check::check_proc;
     use exo_core::types::DataType;
 
-    impl GemminiLib {
-        pub(crate) fn instrs(&self) -> [&Arc<Proc>; 13] {
-            [
-                &self.config_ld_instr,
-                &self.config_ld2_instr,
-                &self.config_ld_acc_instr,
-                &self.config_st_instr,
-                &self.mvin,
-                &self.mvin2,
-                &self.mvin_acc,
-                &self.mvout,
-                &self.mvout_relu,
-                &self.mvout_acc,
-                &self.mvout_acc_relu,
-                &self.zero_acc,
-                &self.matmul,
-            ]
-        }
-    }
-
     #[test]
     fn all_instructions_are_well_formed() {
         for p in GemminiLib::new().instrs() {
@@ -199,6 +198,7 @@ mod tests {
             env.add_config(c);
         }
         crate::tests::assert_round_trips(&lib.instrs(), &env);
+        crate::tests::assert_lists_every_instr(include_str!("gemmini.exo"), &lib.instrs(), &env);
     }
 
     #[test]

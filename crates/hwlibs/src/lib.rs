@@ -54,6 +54,18 @@ mod tests {
 
     use super::*;
 
+    /// `listed` names every procedure of the library source `src`, in
+    /// source order.
+    pub(crate) fn assert_lists_every_instr(src: &str, listed: &[&Arc<Proc>], env: &ParseEnv) {
+        let parsed: Vec<String> = parse_library(src, env)
+            .unwrap()
+            .iter()
+            .map(|p| p.name.name())
+            .collect();
+        let listed: Vec<String> = listed.iter().map(|p| p.name.name()).collect();
+        assert_eq!(listed, parsed);
+    }
+
     /// Each proc prints, re-parses against `env`, and comes back
     /// alpha-equivalent with the same name and C template.
     pub(crate) fn assert_round_trips(procs: &[&Arc<Proc>], env: &ParseEnv) {

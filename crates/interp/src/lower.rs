@@ -15,8 +15,8 @@
 //! only known at run time, is checked when it is read. Configuration
 //! fields become indices into a per-run table, builtins an enum, and each
 //! distinct callee (by `Arc` pointer) is lowered once and called by
-//! index; `@instr` callees carry their instruction and formal names as
-//! ready-made [`TraceName`]s, which every traced call shares.
+//! index; an `@instr` callee carries its [`Instr`] handle, resolved once
+//! per run and shared by every traced call.
 //!
 //! Lowering never fails. A use with no binder in scope, an unknown
 //! builtin or an expression of the wrong kind is lowered to a node that
@@ -30,7 +30,7 @@ use exo_core::ir::{ArgType, BinOp, Block, Expr, Lit, Proc, Stmt, WAccess};
 use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
-use crate::trace::TraceName;
+use crate::trace::Instr;
 
 /// A use of a symbol as a slot: the slot of its binder (`None` when no
 /// binder is in scope, or the binder is a loop iterator) and the symbol
@@ -228,8 +228,8 @@ pub(crate) struct LProc<'p> {
     pub slots: usize,
     /// Loop iterators in a frame.
     pub iters: usize,
-    /// For an `@instr`: its name and its formals' names, as traced.
-    pub instr: Option<(TraceName, Vec<TraceName>)>,
+    /// For an `@instr`: its signature, as traced.
+    pub instr: Option<Instr>,
 }
 
 /// One run's lowered form.
@@ -284,10 +284,7 @@ fn lower_proc<'p>(p: &'p Proc, run: &mut Run<'p>) -> usize {
     let preds = p.preds.iter().map(|e| cx.boolean(e)).collect();
     let body = cx.block(&p.body);
     let (slots, iters) = (cx.slots, cx.iters);
-    let instr = p.is_instr().then(|| {
-        let names = p.args.iter().map(|a| a.name.name().into()).collect();
-        (p.name.name().into(), names)
-    });
+    let instr = p.is_instr().then(|| Instr::of_proc(p));
     let procs = &mut run.out.procs;
     procs.push(LProc {
         src: p,

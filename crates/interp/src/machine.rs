@@ -31,7 +31,7 @@ use crate::lower::{
     lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, IExpr, IntOp, LProc, LStmt, VExpr,
     Var, WCoord,
 };
-use crate::trace::{HwOp, TensorRef, TraceArg, TraceName};
+use crate::trace::{HwOp, Instr, TensorRef, TraceArg, TraceArgs};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
 
 /// A runtime error (out-of-bounds access, failed assertion, read of
@@ -392,7 +392,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// Runs `p` in the current frame, whose formals are bound.
     fn enter(&mut self, p: &LProc<'p>) -> Res<()> {
         // running an instruction directly still records a trace event
-        if let Some(instr) = &p.instr {
+        if let Some(instr) = p.instr {
             if !self.record_instr(instr) {
                 return Ok(());
             }
@@ -431,39 +431,29 @@ impl<'a, 'p> Exec<'a, 'p> {
         }
     }
 
-    /// Records a call of the `@instr` procedure named `instr`, whose
-    /// formals `names` are bound in the current frame, as one trace event
-    /// (unbound formals are left out). Returns whether the instruction's
-    /// body should run.
-    fn record_instr(&mut self, (instr, names): &(TraceName, Vec<TraceName>)) -> bool {
+    /// Records a call of the `@instr` procedure `instr`, whose formals
+    /// are bound in the current frame, as one trace event (unbound
+    /// formals are left out). Returns whether the instruction's body
+    /// should run.
+    fn record_instr(&mut self, instr: Instr) -> bool {
         let frame = &self.slots[self.base..];
-        let mut args = Vec::with_capacity(names.len());
-        for (slot, name) in frame.iter().zip(names) {
+        let mut args = TraceArgs::new(instr.arity());
+        for (i, slot) in frame.iter().take(instr.arity()).enumerate() {
             let ta = match slot {
                 Slot::Ctrl(CtrlVal::Int(v)) => TraceArg::Int(*v),
                 Slot::Ctrl(CtrlVal::Bool(v)) => TraceArg::Bool(*v),
                 Slot::View(w) => TraceArg::Tensor(self.tensor_ref(w)),
                 Slot::Unset => continue,
             };
-            args.push((name.clone(), ta));
+            args.set(i, ta);
         }
-        self.m.trace.push(HwOp {
-            instr: instr.clone(),
-            args,
-        });
+        self.m.trace.push(HwOp { instr, args });
         self.m.execute_instr_bodies
     }
 
     fn tensor_ref(&self, w: &View) -> TensorRef {
         let buf = &self.m.bufs[w.buf.0];
-        TensorRef {
-            buf: w.buf,
-            mem: buf.mem,
-            dtype: buf.dtype,
-            base_offset: w.base,
-            shape: w.dims.iter().map(|d| d.0).collect(),
-            strides: w.dims.iter().map(|d| d.1).collect(),
-        }
+        TensorRef::new(w.buf, buf.mem, buf.dtype, w.base, &w.dims)
     }
 
     fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Res<()> {
@@ -1266,7 +1256,7 @@ mod tests {
         let op = &m.trace()[0];
         assert_eq!(op.instr, "prefetch");
         assert_eq!(op.int_arg("n"), Some(8));
-        assert_eq!(op.tensor_arg("src").unwrap().shape[..], [8]);
+        assert_eq!(op.tensor_arg("src").unwrap().shape(), [8]);
     }
 
     #[test]
@@ -1341,10 +1331,10 @@ mod tests {
         let id = m.alloc_extern_uninit("A", DataType::F32, &[3, 4, 5, 6, 3, 6]);
         m.run(&p, &[ArgVal::Tensor(id)]).unwrap();
         let t = m.trace()[0].tensor_arg("src").unwrap();
-        assert_eq!(t.shape[..], extents);
-        assert_eq!(t.strides[..], [2160, 540, 18, 6, 1]);
+        assert_eq!(t.shape(), extents);
+        assert_eq!(t.strides(), [2160, 540, 18, 6, 1]);
         assert_eq!(t.base_offset, 2160 + 2 * 108 + 4 * 18 + 2);
-        assert_eq!(format!("{:?}", t.shape), "[2, 3, 2, 2, 4]");
+        assert_eq!(format!("{:?}", t.shape()), "[2, 3, 2, 2, 4]");
         assert_eq!(t.len(), 96);
     }
 

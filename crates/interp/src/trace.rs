@@ -5,144 +5,173 @@
 //! simulators (`gemmini-sim`, `x86-sim`) replay these traces with timing
 //! models — the same way the paper's evaluation runs Exo-generated
 //! instruction streams on Gemmini RTL and an AVX-512 core.
+//!
+//! A trace is plain data. [`HwOp::instr`] is an [`Instr`], a `Copy`
+//! handle to a process-wide table of instruction signatures (a name and
+//! the formals' names), interned by content: the table holds one entry
+//! per distinct signature, and the interpreter resolves each `@instr`
+//! callee to its handle once per run. [`HwOp::args`] holds the bound
+//! arguments inline, keyed by formal index, each a `Copy` [`TraceArg`];
+//! a [`TensorRef`] of rank at most four keeps its extents and strides
+//! inline as 32-bit integers, so recording or freeing such an op
+//! allocates nothing. A simulator decodes
+//! each distinct handle once (its op class and the positions of the
+//! formals it reads) and then reads every op by position.
+//!
+//! Two rare shapes take a slower path and keep their exact content: the
+//! layout of a tensor of rank above four, or with an extent or stride
+//! past `u32::MAX`, lives in a second process-wide table interned by
+//! content (one allocation per distinct layout), and an instruction with
+//! more than six formals keeps its arguments on the heap.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
+use exo_core::hash::HashMap;
+use exo_core::ir::Proc;
 use exo_core::types::{DataType, MemName};
 
 use crate::value::BufId;
 
-/// The name of a traced instruction or of one of its formals. Cloning
-/// one shares it: the interpreter builds each `@instr` callee's names
-/// once per run, and hand-built traces use `'static` literals. It
-/// dereferences to, compares with and prints (`Debug` included) as a
-/// plain string.
-#[derive(Clone)]
-pub struct TraceName(NameRepr);
-
-#[derive(Clone)]
-enum NameRepr {
-    Static(&'static str),
-    Shared(Arc<str>),
+/// An interned instruction signature.
+struct Signature {
+    name: Box<str>,
+    formals: Box<[Box<str>]>,
 }
 
-impl TraceName {
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        match &self.0 {
-            NameRepr::Static(s) => s,
-            NameRepr::Shared(s) => s,
+/// A handle to an instruction signature: an `@instr`'s name and its
+/// formals' names. Handles are interned by content, so two handles are
+/// equal exactly when their signatures are. It compares with and prints
+/// (`Debug` included) as its name.
+#[derive(Clone, Copy)]
+pub struct Instr(&'static Signature);
+
+/// The signatures interned so far, by name.
+fn signatures() -> &'static Mutex<HashMap<Box<str>, Vec<&'static Signature>>> {
+    static TABLE: OnceLock<Mutex<HashMap<Box<str>, Vec<&'static Signature>>>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
+}
+
+impl Instr {
+    /// The handle of the signature `name(formals…)`.
+    pub fn intern(name: &str, formals: &[&str]) -> Instr {
+        Instr::intern_with(name, formals.len(), |i| formals[i])
+    }
+
+    /// The handle of `p`'s signature: its name and its formals' names.
+    pub fn of_proc(p: &Proc) -> Instr {
+        let formals: Vec<String> = p.args.iter().map(|a| a.name.name()).collect();
+        Instr::intern_with(&p.name.name(), formals.len(), |i| &formals[i])
+    }
+
+    fn intern_with<'a>(name: &str, arity: usize, formal: impl Fn(usize) -> &'a str) -> Instr {
+        // Interning only appends, so a panic elsewhere cannot leave the
+        // table inconsistent; recover the guard instead of propagating
+        // poison.
+        let mut table = signatures().lock().unwrap_or_else(PoisonError::into_inner);
+        let same = |s: &&&'static Signature| {
+            s.formals.len() == arity && (0..arity).all(|i| *s.formals[i] == *formal(i))
+        };
+        if let Some(&sig) = table.get(name).and_then(|sigs| sigs.iter().find(same)) {
+            return Instr(sig);
         }
+        let sig: &'static Signature = Box::leak(Box::new(Signature {
+            name: name.into(),
+            formals: (0..arity).map(|i| formal(i).into()).collect(),
+        }));
+        table.entry(name.into()).or_default().push(sig);
+        Instr(sig)
+    }
+
+    /// The instruction's name.
+    pub fn as_str(self) -> &'static str {
+        &self.0.name
+    }
+
+    /// The number of formals.
+    #[inline]
+    pub fn arity(self) -> usize {
+        self.0.formals.len()
+    }
+
+    /// The name of formal `i`.
+    pub fn formal(self, i: usize) -> Option<&'static str> {
+        self.0.formals.get(i).map(|f| &**f)
+    }
+
+    /// The index of the formal named `name`.
+    pub fn position(self, name: &str) -> Option<usize> {
+        self.0.formals.iter().position(|f| **f == *name)
     }
 }
 
-impl Deref for TraceName {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        self.as_str()
+impl PartialEq for Instr {
+    fn eq(&self, other: &Instr) -> bool {
+        std::ptr::eq(self.0, other.0)
     }
 }
 
-impl From<&'static str> for TraceName {
-    fn from(s: &'static str) -> TraceName {
-        TraceName(NameRepr::Static(s))
+impl Eq for Instr {}
+
+impl Hash for Instr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::ptr::hash(self.0, state);
     }
 }
 
-impl From<String> for TraceName {
-    fn from(s: String) -> TraceName {
-        TraceName(NameRepr::Shared(s.into()))
-    }
-}
-
-impl PartialEq for TraceName {
-    fn eq(&self, other: &TraceName) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for TraceName {}
-
-impl PartialEq<&str> for TraceName {
+impl PartialEq<&str> for Instr {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
     }
 }
 
-impl fmt::Debug for TraceName {
+impl fmt::Debug for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
-/// Axes stored without a heap allocation (the conv operands are 4-D).
+/// Axes a [`TensorRef`] stores inline (the conv operands are 4-D).
 const INLINE_AXES: usize = 4;
 
+/// [`TensorRef::rank`] of a tensor whose layout is in
+/// [`spilled_layouts`].
+const SPILLED: u8 = u8::MAX;
+
+/// Interned layouts: each a tensor's extents followed by its strides.
+type Layouts = (HashMap<&'static [usize], u32>, Vec<&'static [usize]>);
+
+/// The layouts of tensors whose axes a [`TensorRef`] cannot store inline
+/// (rank above [`INLINE_AXES`], or an extent or stride past `u32::MAX`),
+/// interned by content: the table holds one entry per distinct layout.
+fn spilled_layouts() -> &'static Mutex<Layouts> {
+    static TABLE: OnceLock<Mutex<Layouts>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
+}
+
 /// One `usize` per tensor axis, outermost first: a [`TensorRef`]'s
-/// extents or strides. Up to four axes are stored inline, more on the
-/// heap. It dereferences to, compares with and prints (`Debug`
-/// included) as a slice.
-#[derive(Clone)]
+/// extents or strides. It dereferences to, compares with and prints
+/// (`Debug` included) as a slice.
+#[derive(Clone, Copy)]
 pub struct Axes(AxesRepr);
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum AxesRepr {
     Inline(u8, [usize; INLINE_AXES]),
-    Heap(Box<[usize]>),
+    Spilled(&'static [usize]),
 }
 
 impl Deref for Axes {
     type Target = [usize];
 
+    #[inline]
     fn deref(&self) -> &[usize] {
         match &self.0 {
             AxesRepr::Inline(len, axes) => &axes[..usize::from(*len)],
-            AxesRepr::Heap(axes) => axes,
+            AxesRepr::Spilled(axes) => axes,
         }
-    }
-}
-
-impl FromIterator<usize> for Axes {
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Axes {
-        let mut iter = iter.into_iter();
-        let mut axes = [0; INLINE_AXES];
-        for (len, slot) in axes.iter_mut().enumerate() {
-            match iter.next() {
-                Some(v) => *slot = v,
-                None => return Axes(AxesRepr::Inline(len as u8, axes)),
-            }
-        }
-        match iter.next() {
-            None => Axes(AxesRepr::Inline(INLINE_AXES as u8, axes)),
-            Some(v) => {
-                let heap: Vec<usize> = axes.into_iter().chain([v]).chain(iter).collect();
-                Axes(AxesRepr::Heap(heap.into()))
-            }
-        }
-    }
-}
-
-impl From<&[usize]> for Axes {
-    fn from(axes: &[usize]) -> Axes {
-        axes.iter().copied().collect()
-    }
-}
-
-impl<const N: usize> From<[usize; N]> for Axes {
-    fn from(axes: [usize; N]) -> Axes {
-        axes.into_iter().collect()
-    }
-}
-
-impl<'a> IntoIterator for &'a Axes {
-    type Item = &'a usize;
-    type IntoIter = std::slice::Iter<'a, usize>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -152,7 +181,11 @@ impl PartialEq for Axes {
     }
 }
 
-impl Eq for Axes {}
+impl<const N: usize> PartialEq<[usize; N]> for Axes {
+    fn eq(&self, other: &[usize; N]) -> bool {
+        **self == *other
+    }
+}
 
 impl fmt::Debug for Axes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -162,7 +195,11 @@ impl fmt::Debug for Axes {
 
 /// A resolved tensor argument of a hardware instruction: a copy of the
 /// window's layout, not a reference into the interpreter's frames.
-#[derive(Clone, PartialEq, Debug)]
+/// Window coordinate `i` (with `i[d] < shape()[d]`) addresses element
+/// `base_offset + Σ i[d]·strides()[d]` of `buf`. Up to four axes whose
+/// extents and strides fit in 32 bits are stored inline; any other
+/// layout is interned in a process-wide table.
+#[derive(Clone, Copy)]
 pub struct TensorRef {
     /// Underlying buffer identity.
     pub buf: BufId,
@@ -172,17 +209,119 @@ pub struct TensorRef {
     pub dtype: DataType,
     /// Linear element offset of the window origin within the buffer.
     pub base_offset: usize,
-    /// Extent per retained dimension.
-    pub shape: Axes,
-    /// Element stride per retained dimension.
-    pub strides: Axes,
+    /// The number of axes when they are inline, else [`SPILLED`].
+    rank: u8,
+    /// Inline: the extents, then the strides, [`INLINE_AXES`] each.
+    /// Spilled: `axes[0]` is the layout's index in [`spilled_layouts`].
+    axes: [u32; 2 * INLINE_AXES],
 }
 
 impl TensorRef {
+    /// A window of `buf` at `base_offset` with one `(extent, stride)`
+    /// pair per retained axis, outermost first.
+    #[inline]
+    pub fn new(
+        buf: BufId,
+        mem: MemName,
+        dtype: DataType,
+        base_offset: usize,
+        axes: &[(usize, usize)],
+    ) -> TensorRef {
+        let mut t = TensorRef {
+            buf,
+            mem,
+            dtype,
+            base_offset,
+            rank: axes.len() as u8,
+            axes: [0; 2 * INLINE_AXES],
+        };
+        if axes.len() <= INLINE_AXES {
+            for (d, &(n, s)) in axes.iter().enumerate() {
+                match (u32::try_from(n), u32::try_from(s)) {
+                    (Ok(n), Ok(s)) => (t.axes[d], t.axes[INLINE_AXES + d]) = (n, s),
+                    _ => return t.spill(axes),
+                }
+            }
+            t
+        } else {
+            t.spill(axes)
+        }
+    }
+
+    /// `self` with `axes` interned in [`spilled_layouts`].
+    #[cold]
+    fn spill(mut self, axes: &[(usize, usize)]) -> TensorRef {
+        let layout: Vec<usize> = axes
+            .iter()
+            .map(|a| a.0)
+            .chain(axes.iter().map(|a| a.1))
+            .collect();
+        let mut table = spilled_layouts()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (index, layouts) = &mut *table;
+        self.axes[0] = match index.get(&layout[..]) {
+            Some(&i) => i,
+            None => {
+                let i = layouts.len() as u32;
+                let leaked: &'static [usize] = Box::leak(layout.into_boxed_slice());
+                layouts.push(leaked);
+                index.insert(leaked, i);
+                i
+            }
+        };
+        self.rank = SPILLED;
+        self
+    }
+
+    /// The interned layout of a spilled tensor.
+    fn spilled(&self) -> &'static [usize] {
+        let table = spilled_layouts()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        table
+            .1
+            .get(self.axes[0] as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// `axes[from..from + rank]`, widened.
+    #[inline]
+    fn inline(&self, from: usize) -> Axes {
+        let mut out = [0; INLINE_AXES];
+        for (o, &a) in out.iter_mut().zip(&self.axes[from..from + INLINE_AXES]) {
+            *o = a as usize;
+        }
+        Axes(AxesRepr::Inline(self.rank, out))
+    }
+
+    /// Extent per retained dimension, outermost first.
+    #[inline]
+    pub fn shape(&self) -> Axes {
+        if self.rank == SPILLED {
+            let layout = self.spilled();
+            Axes(AxesRepr::Spilled(&layout[..layout.len() / 2]))
+        } else {
+            self.inline(0)
+        }
+    }
+
+    /// Element stride per retained dimension, outermost first.
+    #[inline]
+    pub fn strides(&self) -> Axes {
+        if self.rank == SPILLED {
+            let layout = self.spilled();
+            Axes(AxesRepr::Spilled(&layout[layout.len() / 2..]))
+        } else {
+            self.inline(INLINE_AXES)
+        }
+    }
+
     /// Total number of elements addressed: the product of the extents
     /// (1 for a scalar, 0 when some extent is 0).
     pub fn len(&self) -> usize {
-        self.shape.iter().product()
+        self.shape().iter().product()
     }
 
     /// Whether the reference addresses no element (some extent is 0).
@@ -191,8 +330,32 @@ impl TensorRef {
     }
 }
 
+impl PartialEq for TensorRef {
+    fn eq(&self, other: &TensorRef) -> bool {
+        self.buf == other.buf
+            && self.mem == other.mem
+            && self.dtype == other.dtype
+            && self.base_offset == other.base_offset
+            && self.shape() == other.shape()
+            && self.strides() == other.strides()
+    }
+}
+
+impl fmt::Debug for TensorRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TensorRef")
+            .field("buf", &self.buf)
+            .field("mem", &self.mem)
+            .field("dtype", &self.dtype)
+            .field("base_offset", &self.base_offset)
+            .field("shape", &self.shape())
+            .field("strides", &self.strides())
+            .finish()
+    }
+}
+
 /// A resolved argument of a hardware instruction.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TraceArg {
     /// Integer control argument.
     Int(i64),
@@ -220,22 +383,132 @@ impl TraceArg {
     }
 }
 
-/// One executed hardware instruction.
-#[derive(Clone, PartialEq, Debug)]
+/// Formals whose arguments a [`TraceArgs`] stores inline (the Gemmini
+/// matmul has six).
+const INLINE_ARGS: usize = 6;
+
+/// The bound arguments of one instruction, keyed by formal index.
+#[derive(Clone)]
+pub struct TraceArgs(ArgsRepr);
+
+// The inline variant is the common case and the point of the type: a
+// traced call stores its arguments without an allocation.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
+enum ArgsRepr {
+    /// `arity` formals, at most [`INLINE_ARGS`]; bit `i` of `bound` is
+    /// set when `args[i]` holds formal `i`'s argument.
+    Inline {
+        arity: u8,
+        bound: u8,
+        args: [TraceArg; INLINE_ARGS],
+    },
+    /// More formals: one entry per formal.
+    Heap(Box<[Option<TraceArg>]>),
+}
+
+impl TraceArgs {
+    /// No argument bound yet, for an instruction with `arity` formals.
+    #[inline]
+    pub fn new(arity: usize) -> TraceArgs {
+        TraceArgs(if arity <= INLINE_ARGS {
+            ArgsRepr::Inline {
+                arity: arity as u8,
+                bound: 0,
+                args: [TraceArg::Int(0); INLINE_ARGS],
+            }
+        } else {
+            ArgsRepr::Heap(vec![None; arity].into_boxed_slice())
+        })
+    }
+
+    /// Binds formal `i` (ignored past the last formal).
+    #[inline]
+    pub fn set(&mut self, i: usize, arg: TraceArg) {
+        match &mut self.0 {
+            ArgsRepr::Inline { arity, bound, args } => {
+                if i < usize::from(*arity) {
+                    args[i] = arg;
+                    *bound |= 1 << i;
+                }
+            }
+            ArgsRepr::Heap(args) => {
+                if let Some(slot) = args.get_mut(i) {
+                    *slot = Some(arg);
+                }
+            }
+        }
+    }
+
+    /// The argument of formal `i`, if bound.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&TraceArg> {
+        match &self.0 {
+            ArgsRepr::Inline { bound, args, .. } => {
+                (i < INLINE_ARGS && bound & (1 << i) != 0).then(|| &args[i])
+            }
+            ArgsRepr::Heap(args) => args.get(i).and_then(Option::as_ref),
+        }
+    }
+
+    /// `(formal index, argument)` for each bound formal, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &TraceArg)> + Clone + '_ {
+        let arity = match &self.0 {
+            ArgsRepr::Inline { arity, .. } => usize::from(*arity),
+            ArgsRepr::Heap(args) => args.len(),
+        };
+        (0..arity).filter_map(|i| Some((i, self.get(i)?)))
+    }
+
+    /// The number of bound formals.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether no formal is bound.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl PartialEq for TraceArgs {
+    fn eq(&self, other: &TraceArgs) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for TraceArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One executed hardware instruction. Its `Debug` form names each
+/// argument by its formal: `HwOp { instr: "mvin", args: [("n", Int(16)),
+/// …] }`.
+#[derive(Clone, PartialEq)]
 pub struct HwOp {
-    /// The `@instr` procedure's name.
-    pub instr: TraceName,
-    /// `(formal parameter name, resolved argument)` pairs.
-    pub args: Vec<(TraceName, TraceArg)>,
+    /// The `@instr` procedure's signature.
+    pub instr: Instr,
+    /// The bound arguments, keyed by formal index.
+    pub args: TraceArgs,
 }
 
 impl HwOp {
+    /// An op binding the formals of `instr` in order, one argument each
+    /// (arguments past the last formal are ignored).
+    #[inline]
+    pub fn new(instr: Instr, args: impl IntoIterator<Item = TraceArg>) -> HwOp {
+        let mut bound = TraceArgs::new(instr.arity());
+        for (i, a) in args.into_iter().enumerate() {
+            bound.set(i, a);
+        }
+        HwOp { instr, args: bound }
+    }
+
     /// Looks up an argument by formal parameter name.
     pub fn arg(&self, name: &str) -> Option<&TraceArg> {
-        self.args
-            .iter()
-            .find(|(n, _)| n.as_str() == name)
-            .map(|(_, a)| a)
+        self.args.get(self.instr.position(name)?)
     }
 
     /// Looks up an integer argument by name.
@@ -249,73 +522,132 @@ impl HwOp {
     }
 }
 
+impl fmt::Debug for HwOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let args = self
+            .args
+            .iter()
+            .map(|(i, a)| (self.instr.formal(i).unwrap_or_default(), a));
+        f.debug_struct("HwOp")
+            .field("instr", &self.instr)
+            .field("args", &DebugList(args))
+            .finish()
+    }
+}
+
+/// Prints an iterator's items as a `Debug` list.
+struct DebugList<I>(I);
+
+impl<I: Iterator<Item = T> + Clone, T: fmt::Debug> fmt::Debug for DebugList<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.clone()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tensor(axes: &[(usize, usize)]) -> TensorRef {
+        TensorRef::new(BufId(0), MemName::dram(), DataType::F32, 0, axes)
+    }
+
     #[test]
     fn arg_lookup() {
-        let op = HwOp {
-            instr: "mvin".into(),
-            args: vec![
-                ("n".into(), TraceArg::Int(16)),
-                (
-                    "src".into(),
-                    TraceArg::Tensor(TensorRef {
-                        buf: BufId(0),
-                        mem: MemName::dram(),
-                        dtype: DataType::F32,
-                        base_offset: 64,
-                        shape: [16, 16].into(),
-                        strides: [128, 1].into(),
-                    }),
-                ),
-            ],
-        };
+        let mvin = Instr::intern("mvin", &["n", "src"]);
+        let src = TensorRef::new(
+            BufId(0),
+            MemName::dram(),
+            DataType::F32,
+            64,
+            &[(16, 128), (16, 1)],
+        );
+        let op = HwOp::new(mvin, [TraceArg::Int(16), TraceArg::Tensor(src)]);
         assert_eq!(op.int_arg("n"), Some(16));
         assert_eq!(op.tensor_arg("src").unwrap().len(), 256);
         assert!(op.arg("missing").is_none());
-    }
-
-    fn tensor(shape: &[usize]) -> TensorRef {
-        TensorRef {
-            buf: BufId(0),
-            mem: MemName::dram(),
-            dtype: DataType::F32,
-            base_offset: 0,
-            shape: shape.into(),
-            strides: shape.iter().map(|_| 1).collect(),
-        }
+        assert_eq!(op.args.len(), 2);
     }
 
     #[test]
     fn len_is_the_plain_product_of_the_extents() {
         assert_eq!(tensor(&[]).len(), 1);
         assert!(!tensor(&[]).is_empty());
-        assert_eq!(tensor(&[4, 3]).len(), 12);
-        assert_eq!(tensor(&[4, 0, 3]).len(), 0);
-        assert!(tensor(&[4, 0, 3]).is_empty());
+        assert_eq!(tensor(&[(4, 3), (3, 1)]).len(), 12);
+        assert_eq!(tensor(&[(4, 0), (0, 3), (3, 1)]).len(), 0);
+        assert!(tensor(&[(4, 0), (0, 3), (3, 1)]).is_empty());
     }
 
     #[test]
-    fn axes_spill_to_the_heap_past_four_and_compare_as_slices() {
+    fn axes_past_four_or_32_bits_spill_exactly_and_compare_as_slices() {
+        let wide = [(0usize, 1usize << 32), (usize::MAX, 1)];
         for n in 0..8 {
-            let v: Vec<usize> = (1..=n).collect();
-            let axes = Axes::from(&v[..]);
-            assert_eq!(axes[..], v[..]);
-            assert_eq!(format!("{axes:?}"), format!("{v:?}"));
-            assert_eq!(axes, v.iter().copied().collect::<Axes>());
+            let axes: Vec<(usize, usize)> = (1..=n).map(|d| (d, 10 * d)).chain(wide).collect();
+            let t = tensor(&axes);
+            let shape: Vec<usize> = axes.iter().map(|a| a.0).collect();
+            let strides: Vec<usize> = axes.iter().map(|a| a.1).collect();
+            assert_eq!(t.shape()[..], shape);
+            assert_eq!(t.strides()[..], strides);
+            assert_eq!(t, tensor(&axes));
+            let debug = format!(
+                "TensorRef {{ buf: BufId(0), mem: {:?}, dtype: F32, base_offset: 0, \
+                 shape: {shape:?}, strides: {strides:?} }}",
+                MemName::dram()
+            );
+            assert_eq!(format!("{t:?}"), debug);
         }
-        assert_ne!(Axes::from([1, 2]), Axes::from([1, 2, 0]));
+        assert_ne!(tensor(&[(1, 1), (2, 1)]), tensor(&[(1, 1), (2, 1), (0, 1)]));
+        assert_ne!(tensor(&[(1, 1); 5]), tensor(&[(1, 1); 6]));
+        assert_eq!(tensor(&[(3, 1 << 32)]).strides(), [1 << 32]);
     }
 
     #[test]
-    fn names_print_and_compare_as_strings() {
-        let shared = TraceName::from(String::from("gemmini_mvin"));
-        let literal = TraceName::from("gemmini_mvin");
-        assert_eq!(shared, literal);
-        assert_eq!(shared, "gemmini_mvin");
-        assert!(literal.starts_with("gemmini_"));
-        assert_eq!(format!("{shared:?}"), format!("{:?}", "gemmini_mvin"));
+    fn signatures_intern_by_content_and_print_as_names() {
+        let a = Instr::intern("gemmini_mvin", &["n", "src"]);
+        assert_eq!(a, Instr::intern("gemmini_mvin", &["n", "src"]));
+        assert_ne!(a, Instr::intern("gemmini_mvin", &["n", "dst"]));
+        assert_ne!(a, Instr::intern("gemmini_mvin", &["n"]));
+        assert_eq!(a, "gemmini_mvin");
+        assert_eq!(format!("{a:?}"), format!("{:?}", "gemmini_mvin"));
+        assert_eq!(
+            (a.arity(), a.formal(1), a.position("src")),
+            (2, Some("src"), Some(1))
+        );
+    }
+
+    #[test]
+    fn ops_print_each_argument_beside_its_formal() {
+        let instr = Instr::intern("touch", &["n", "flag", "src"]);
+        let mut args = TraceArgs::new(3);
+        args.set(0, TraceArg::Int(8));
+        args.set(2, TraceArg::Tensor(tensor(&[(8, 1)])));
+        let op = HwOp { instr, args };
+        let src = format!("{:?}", tensor(&[(8, 1)]));
+        assert_eq!(
+            format!("{op:?}"),
+            format!(
+                "HwOp {{ instr: \"touch\", args: [(\"n\", Int(8)), (\"src\", Tensor({src}))] }}"
+            )
+        );
+        assert!(op.arg("flag").is_none());
+    }
+
+    #[test]
+    fn many_formals_keep_every_argument() {
+        let names: Vec<String> = (0..9).map(|i| format!("x{i}")).collect();
+        let formals: Vec<&str> = names.iter().map(String::as_str).collect();
+        let op = HwOp::new(
+            Instr::intern("wide", &formals),
+            (0..9).map(|i| TraceArg::Int(i * i)),
+        );
+        assert_eq!(op.int_arg("x8"), Some(64));
+        assert_eq!(op.args.len(), 9);
+        assert_eq!(op.clone(), op);
+    }
+
+    #[test]
+    fn a_six_argument_op_stays_plain_data() {
+        assert_eq!(std::mem::size_of::<TraceArg>(), 56);
+        assert_eq!(std::mem::size_of::<HwOp>(), 8 + 8 + INLINE_ARGS * 56);
     }
 }

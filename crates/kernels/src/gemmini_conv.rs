@@ -17,8 +17,7 @@ use exo_interp::HwOp;
 use exo_sched::{Procedure, SchedError, StateRef};
 
 use crate::schedlib::{
-    conv_args, gemmini_config_instrs, old_lib_config, old_lib_matmul, old_lib_move, old_lib_tile,
-    run_patterned, tile, unit, write_gemmini_configs,
+    conv_args, gemmini_config_instrs, run_patterned, tile, unit, write_gemmini_configs, OldLib,
 };
 
 /// The conv shapes of Fig. 4b: `(output dim, output channels, input
@@ -278,19 +277,23 @@ pub fn trace_conv(proc: &Proc, s: &ConvShape, functional: bool) -> Vec<HwOp> {
 /// tile load per systolic pass), following the Old-lib structure of
 /// §7.1.
 pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
+    let lib = OldLib::new();
     let oxt = s.ox_tile();
-    let mut trace = Vec::new();
+    // per output tile: two configs, two accumulator moves, and a load
+    // pair plus a matmul per kernel position and IC tile
+    let tiles = s.batch * s.out_dim * (s.out_dim / oxt) * (s.oc / 16);
+    let per_tile = 4 + 3 * s.kdim * s.kdim * (s.ic / 16);
+    let mut trace = Vec::with_capacity((tiles * per_tile).max(0) as usize);
     for b in 0..s.batch {
         for oy in 0..s.out_dim {
             for oxo in 0..s.out_dim / oxt {
                 for oco in 0..s.oc / 16 {
                     let c_off = ((b * s.out_dim + oy) * s.out_dim + oxo * oxt) * s.oc + oco * 16;
-                    let c = old_lib_tile(2, c_off, oxt, s.oc);
+                    let c = lib.tile(2, c_off, oxt, s.oc);
                     // per-tile configuration (the old library's coupled
                     // configs cannot be hoisted further, §7.1)
-                    trace.push(old_lib_config("gemmini_config_ld", s.ic));
-                    let acc = old_lib_tile(5, 0, oxt, 16);
-                    trace.push(old_lib_move("gemmini_mvin_acc", oxt, c.clone(), acc));
+                    trace.push(lib.config_ld(s.ic));
+                    trace.push(lib.mvin_acc(oxt, c, lib.tile(5, 0, oxt, 16)));
                     for ky in 0..s.kdim {
                         for kx in 0..s.kdim {
                             for ico in 0..s.ic / 16 {
@@ -298,25 +301,18 @@ pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
                                     ((b * s.in_dim() + oy + ky) * s.in_dim() + oxo * oxt + kx)
                                         * s.ic
                                         + ico * 16;
-                                let input = old_lib_tile(0, in_off, oxt, s.ic);
-                                let spad = old_lib_tile(3, 0, oxt, 16);
-                                trace.push(old_lib_move("gemmini_mvin", oxt, input, spad));
+                                let input = lib.tile(0, in_off, oxt, s.ic);
+                                trace.push(lib.mvin(oxt, input, lib.tile(3, 0, oxt, 16)));
                                 let w_off =
                                     ((ky * s.kdim + kx) * s.ic + ico * 16) * s.oc + oco * 16;
-                                let w = old_lib_tile(1, w_off, 16, s.oc);
-                                trace.push(old_lib_move(
-                                    "gemmini_mvin",
-                                    16,
-                                    w,
-                                    old_lib_tile(4, 0, 16, 16),
-                                ));
-                                trace.push(old_lib_matmul(oxt));
+                                let w = lib.tile(1, w_off, 16, s.oc);
+                                trace.push(lib.mvin(16, w, lib.tile(4, 0, 16, 16)));
+                                trace.push(lib.matmul(oxt));
                             }
                         }
                     }
-                    trace.push(old_lib_config("gemmini_config_st", s.ic));
-                    let acc = old_lib_tile(5, 0, oxt, 16);
-                    trace.push(old_lib_move("gemmini_mvout_acc", oxt, acc, c));
+                    trace.push(lib.config_st(s.ic));
+                    trace.push(lib.mvout_acc(oxt, lib.tile(5, 0, oxt, 16), c));
                 }
             }
         }
@@ -368,7 +364,7 @@ mod tests {
         let configs: Vec<usize> = trace
             .iter()
             .enumerate()
-            .filter(|(_, op)| op.instr.starts_with("gemmini_config"))
+            .filter(|(_, op)| op.instr.as_str().starts_with("gemmini_config"))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(configs.len(), 4);

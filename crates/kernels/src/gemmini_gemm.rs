@@ -20,8 +20,8 @@ use exo_interp::HwOp;
 use exo_sched::{Procedure, SchedError, StateRef};
 
 use crate::schedlib::{
-    gemm_args, gemmini_config_instrs, naive_gemm, old_lib_config, old_lib_matmul, old_lib_move,
-    old_lib_tile, run_patterned, tile, write_gemmini_configs,
+    gemm_args, gemmini_config_instrs, naive_gemm, run_patterned, tile, write_gemmini_configs,
+    OldLib,
 };
 
 /// Bytes of scratchpad we allow the resident-B strategy to occupy.
@@ -180,41 +180,29 @@ pub fn trace_matmul(proc: &Proc, n: i64, m: i64, k: i64, functional: bool) -> Ve
 /// configuration re-issued around every move — the fused-configuration
 /// behavior §2.4 describes.
 pub fn old_lib_matmul_trace(n: i64, m: i64, k: i64) -> Vec<HwOp> {
-    let mut trace = Vec::new();
+    let lib = OldLib::new();
+    // per output tile: two configs, two accumulator moves, and a load
+    // pair plus a matmul per K tile
+    let tiles = (n / 16) * (m / 16);
+    let mut trace = Vec::with_capacity((tiles * (4 + 3 * (k / 16))).max(0) as usize);
     for io in 0..n / 16 {
         for jo in 0..m / 16 {
-            let c = old_lib_tile(2, (io * 16) * m + jo * 16, 16, m);
+            let c = lib.tile(2, (io * 16) * m + jo * 16, 16, m);
             // the handwritten library re-issues the (coupled) load and
             // store configuration once per output tile
-            trace.push(old_lib_config("gemmini_config_ld", k));
-            let acc = old_lib_tile(5, 0, 16, 16);
-            trace.push(old_lib_move("gemmini_mvin_acc", 16, c.clone(), acc));
+            trace.push(lib.config_ld(k));
+            trace.push(lib.mvin_acc(16, c, lib.tile(5, 0, 16, 16)));
             for ko in 0..k / 16 {
                 // A tile + B tile per matmul (no cross-tile reuse)
-                let a = old_lib_tile(0, (io * 16) * k + ko * 16, 16, k);
-                trace.push(old_lib_move(
-                    "gemmini_mvin",
-                    16,
-                    a,
-                    old_lib_tile(3, 0, 16, 16),
-                ));
-                let b = old_lib_tile(1, (ko * 16) * m + jo * 16, 16, m);
-                trace.push(old_lib_move(
-                    "gemmini_mvin",
-                    16,
-                    b,
-                    old_lib_tile(4, 0, 16, 16),
-                ));
-                trace.push(old_lib_matmul(16));
+                let a = lib.tile(0, (io * 16) * k + ko * 16, 16, k);
+                trace.push(lib.mvin(16, a, lib.tile(3, 0, 16, 16)));
+                let b = lib.tile(1, (ko * 16) * m + jo * 16, 16, m);
+                trace.push(lib.mvin(16, b, lib.tile(4, 0, 16, 16)));
+                trace.push(lib.matmul(16));
             }
             // store C tile with fused store config
-            trace.push(old_lib_config("gemmini_config_st", k));
-            trace.push(old_lib_move(
-                "gemmini_mvout_acc",
-                16,
-                old_lib_tile(5, 0, 16, 16),
-                c,
-            ));
+            trace.push(lib.config_st(k));
+            trace.push(lib.mvout_acc(16, lib.tile(5, 0, 16, 16), c));
         }
     }
     trace
@@ -259,7 +247,7 @@ mod tests {
         let configs: Vec<usize> = trace
             .iter()
             .enumerate()
-            .filter(|(_, op)| op.instr.starts_with("gemmini_config"))
+            .filter(|(_, op)| op.instr.as_str().starts_with("gemmini_config"))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(configs.len(), 4, "configs: {configs:?}");
@@ -280,7 +268,7 @@ mod tests {
         let trace = old_lib_matmul_trace(32, 32, 32);
         let configs = trace
             .iter()
-            .filter(|op| op.instr.starts_with("gemmini_config"))
+            .filter(|op| op.instr.as_str().starts_with("gemmini_config"))
             .count();
         // one load-config and one store-config per output tile: 4×2
         assert_eq!(configs, 4 * 2);

@@ -10,7 +10,8 @@
 //!   [`crate::gemmini_conv::naive_conv_typed`]);
 //! - the interpreter runner [`run_patterned`] over [`gemm_args`] /
 //!   [`conv_args`];
-//! - the instruction constructors of the Old-lib trace models.
+//! - the instruction constructors of the Old-lib trace models
+//!   ([`OldLib`]).
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
 use exo_core::{MemName, Sym};
 use exo_hwlibs::GemminiLib;
-use exo_interp::{ArgVal, BufId, HwOp, InterpError, Machine, TensorRef, TraceArg};
+use exo_interp::{ArgVal, BufId, HwOp, Instr, InterpError, Machine, TensorRef, TraceArg};
 use exo_sched::{Position, Procedure, SchedError};
 
 use crate::gemmini_conv::ConvShape;
@@ -179,58 +180,104 @@ pub fn run_patterned(
     Ok((machine, ids[2]))
 }
 
-/// A `rows × 16` window at element `off` of buffer `buf` of an Old-lib
-/// trace model, whose buffers are the DRAM operands `A`/`In` (0), `B`/`W`
-/// (1) and `C` (2), the two scratchpad tiles (3, 4) and the accumulator
-/// tile (5). `C` and the accumulator hold i32, the rest i8.
-pub fn old_lib_tile(buf: usize, off: i64, rows: i64, stride: i64) -> TraceArg {
-    TraceArg::Tensor(TensorRef {
-        buf: BufId(buf),
-        mem: MemName::dram(),
-        dtype: if buf == 2 || buf == 5 {
+/// The instructions of an Old-lib trace model, with the Gemmini
+/// library's signatures, resolved once per trace. The model's buffers
+/// are the DRAM operands `A`/`In` (0), `B`/`W` (1) and `C` (2), the two
+/// scratchpad tiles (3, 4) and the accumulator tile (5); `C` and the
+/// accumulator hold i32, the rest i8.
+pub struct OldLib {
+    dram: MemName,
+    config_ld: Instr,
+    config_st: Instr,
+    mvin: Instr,
+    mvin_acc: Instr,
+    mvout_acc: Instr,
+    matmul: Instr,
+}
+
+impl Default for OldLib {
+    fn default() -> OldLib {
+        OldLib::new()
+    }
+}
+
+impl OldLib {
+    /// Resolves the six instructions.
+    pub fn new() -> OldLib {
+        let config = |name| Instr::intern(name, &["s"]);
+        let mov = |name| Instr::intern(name, &["n", "m", "src", "dst"]);
+        OldLib {
+            dram: MemName::dram(),
+            config_ld: config("gemmini_config_ld"),
+            config_st: config("gemmini_config_st"),
+            mvin: mov("gemmini_mvin"),
+            mvin_acc: mov("gemmini_mvin_acc"),
+            mvout_acc: mov("gemmini_mvout_acc"),
+            matmul: Instr::intern("gemmini_matmul", &["n", "m", "k", "a", "b", "c"]),
+        }
+    }
+
+    /// A `rows × 16` window at element `off` of buffer `buf`, whose rows
+    /// are `stride` elements apart.
+    pub fn tile(&self, buf: usize, off: i64, rows: i64, stride: i64) -> TraceArg {
+        let dtype = if buf == 2 || buf == 5 {
             DataType::I32
         } else {
             DataType::I8
-        },
-        base_offset: off as usize,
-        shape: [rows as usize, 16].into(),
-        strides: [stride as usize, 1].into(),
-    })
-}
+        };
+        let axes = [(rows as usize, stride as usize), (16, 1)];
+        TraceArg::Tensor(TensorRef::new(
+            BufId(buf),
+            self.dram,
+            dtype,
+            off as usize,
+            &axes,
+        ))
+    }
 
-/// A configuration instruction setting stride `s`.
-pub fn old_lib_config(instr: &'static str, s: i64) -> HwOp {
-    HwOp {
-        instr: instr.into(),
-        args: vec![("s".into(), TraceArg::Int(s))],
+    /// The load configuration, setting stride `s`.
+    pub fn config_ld(&self, s: i64) -> HwOp {
+        HwOp::new(self.config_ld, [TraceArg::Int(s)])
+    }
+
+    /// The store configuration, setting stride `s`.
+    pub fn config_st(&self, s: i64) -> HwOp {
+        HwOp::new(self.config_st, [TraceArg::Int(s)])
+    }
+
+    /// A load of `rows × 16` i8 elements from `src` into the scratchpad.
+    pub fn mvin(&self, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
+        move_op(self.mvin, rows, src, dst)
+    }
+
+    /// A load of `rows × 16` i32 elements from `src` into the accumulator.
+    pub fn mvin_acc(&self, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
+        move_op(self.mvin_acc, rows, src, dst)
+    }
+
+    /// A store of `rows × 16` i32 elements from the accumulator to `dst`.
+    pub fn mvout_acc(&self, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
+        move_op(self.mvout_acc, rows, src, dst)
+    }
+
+    /// One systolic pass over `rows` rows: scratchpad tiles 3 and 4 into
+    /// the accumulator tile.
+    pub fn matmul(&self, rows: i64) -> HwOp {
+        HwOp::new(
+            self.matmul,
+            [
+                TraceArg::Int(rows),
+                TraceArg::Int(16),
+                TraceArg::Int(16),
+                self.tile(3, 0, rows, 16),
+                self.tile(4, 0, 16, 16),
+                self.tile(5, 0, rows, 16),
+            ],
+        )
     }
 }
 
 /// A move of `rows × 16` elements from `src` to `dst`.
-pub fn old_lib_move(instr: &'static str, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
-    HwOp {
-        instr: instr.into(),
-        args: vec![
-            ("n".into(), TraceArg::Int(rows)),
-            ("m".into(), TraceArg::Int(16)),
-            ("src".into(), src),
-            ("dst".into(), dst),
-        ],
-    }
-}
-
-/// One systolic pass over `rows` rows: scratchpad tiles 3 and 4 into the
-/// accumulator tile.
-pub fn old_lib_matmul(rows: i64) -> HwOp {
-    HwOp {
-        instr: "gemmini_matmul".into(),
-        args: vec![
-            ("n".into(), TraceArg::Int(rows)),
-            ("m".into(), TraceArg::Int(16)),
-            ("k".into(), TraceArg::Int(16)),
-            ("a".into(), old_lib_tile(3, 0, rows, 16)),
-            ("b".into(), old_lib_tile(4, 0, 16, 16)),
-            ("c".into(), old_lib_tile(5, 0, rows, 16)),
-        ],
-    }
+fn move_op(instr: Instr, rows: i64, src: TraceArg, dst: TraceArg) -> HwOp {
+    HwOp::new(instr, [TraceArg::Int(rows), TraceArg::Int(16), src, dst])
 }

@@ -157,7 +157,7 @@ fn replace_selects_fused_instruction() {
     let t1 = trace1[1].tensor_arg("src").unwrap();
     assert_eq!(t0.base_offset, 0);
     assert_eq!(t1.base_offset, 32);
-    assert_eq!(t0.shape[..], [4, 8]);
+    assert_eq!(t0.shape(), [4, 8]);
 }
 
 #[test]

@@ -15,6 +15,11 @@
 //!   from the scheduled IR by [`profile_proc`]) plus cache traffic from
 //!   the standard blocked-GEMM footprint analysis ([`traffic`] module);
 //!   used for the large parameter sweeps of Fig. 5.
+//!
+//! Both modes classify an instruction through one decode ([`decode`]):
+//! its class comes from the opcode table [`OPCODES`], once per distinct
+//! instruction handle of a trace, or once per distinct callee of a
+//! procedure.
 
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
@@ -23,7 +28,7 @@
 use std::sync::Arc;
 
 use exo_core::ir::{Proc, Stmt};
-use exo_interp::HwOp;
+use exo_interp::{HwOp, Instr};
 
 pub mod traffic;
 
@@ -210,17 +215,79 @@ pub fn report_json(p: &KernelProfile, cycles: f64, core: &CoreModel) -> exo_obs:
     ])
 }
 
-fn classify(instr: &str, profile: &mut KernelProfile, lanes: u64) {
-    match instr {
-        "mm512_fmadd_ps" => {
-            profile.fmas += 1;
-            profile.flops += 2 * lanes;
+/// How the cost model counts an instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OpClass {
+    /// A 512-bit FMA.
+    Fma,
+    /// A vector load (including masked).
+    Load,
+    /// A vector store (including masked).
+    Store,
+    /// A broadcast load.
+    Broadcast,
+    /// Another vector op (zeroing, ReLU, …).
+    Other,
+    /// Not an AVX-512 instruction: one scalar micro-op.
+    Scalar,
+}
+
+/// The opcode table: the class of each instruction of the AVX-512
+/// library (`avx512.exo`). Any other instruction is [`OpClass::Scalar`].
+pub const OPCODES: [(&str, OpClass); 8] = [
+    ("mm512_fmadd_ps", OpClass::Fma),
+    ("mm512_loadu_ps", OpClass::Load),
+    ("mm512_mask_loadu_ps", OpClass::Load),
+    ("mm512_storeu_ps", OpClass::Store),
+    ("mm512_mask_storeu_ps", OpClass::Store),
+    ("mm512_broadcast_ss", OpClass::Broadcast),
+    ("mm512_set0_ps", OpClass::Other),
+    ("mm512_relu_ps", OpClass::Other),
+];
+
+/// Decodes `instr` to its class in [`OPCODES`].
+pub fn decode(instr: Instr) -> OpClass {
+    OPCODES
+        .iter()
+        .find(|(name, _)| instr == *name)
+        .map_or(OpClass::Scalar, |&(_, class)| class)
+}
+
+impl OpClass {
+    /// Counts one executed instruction of this class.
+    fn count(self, profile: &mut KernelProfile, lanes: u64) {
+        match self {
+            OpClass::Fma => {
+                profile.fmas += 1;
+                profile.flops += 2 * lanes;
+            }
+            OpClass::Load => profile.vec_loads += 1,
+            OpClass::Store => profile.vec_stores += 1,
+            OpClass::Broadcast => profile.broadcasts += 1,
+            OpClass::Other => profile.other_vec += 1,
+            OpClass::Scalar => profile.scalar_uops += 1,
         }
-        "mm512_loadu_ps" | "mm512_mask_loadu_ps" => profile.vec_loads += 1,
-        "mm512_storeu_ps" | "mm512_mask_storeu_ps" => profile.vec_stores += 1,
-        "mm512_broadcast_ss" => profile.broadcasts += 1,
-        "mm512_set0_ps" | "mm512_relu_ps" => profile.other_vec += 1,
-        _ => profile.scalar_uops += 1,
+    }
+}
+
+/// The class of each distinct instruction met so far, in order of first
+/// appearance (a kernel names a handful).
+struct Decoder<K>(Vec<(K, OpClass)>);
+
+impl<K: PartialEq + Copy> Decoder<K> {
+    fn new() -> Decoder<K> {
+        Decoder(Vec::new())
+    }
+
+    /// The class of `key`, decoded from `instr()` on first sight.
+    #[inline]
+    fn class(&mut self, key: K, instr: impl FnOnce() -> Instr) -> OpClass {
+        if let Some(&(_, class)) = self.0.iter().find(|(k, _)| *k == key) {
+            return class;
+        }
+        let class = decode(instr());
+        self.0.push((key, class));
+        class
     }
 }
 
@@ -228,7 +295,9 @@ fn classify(instr: &str, profile: &mut KernelProfile, lanes: u64) {
 /// constant bounds (true after scheduling for a fixed problem size).
 /// Returns `None` when a bound is not constant.
 pub fn profile_proc(proc: &Proc) -> Option<KernelProfile> {
-    fn go(stmts: &[Stmt], profile: &mut KernelProfile) -> Option<()> {
+    /// Callees are decoded once each, keyed by their `Arc`'s address.
+    type Callees = Decoder<*const Proc>;
+    fn go(stmts: &[Stmt], profile: &mut KernelProfile, callees: &mut Callees) -> Option<()> {
         for s in stmts {
             match s {
                 Stmt::For { lo, hi, body, .. } => {
@@ -236,16 +305,16 @@ pub fn profile_proc(proc: &Proc) -> Option<KernelProfile> {
                     let hi = hi.as_int()?;
                     let trips = (hi - lo).max(0) as u64;
                     let mut inner = KernelProfile::default();
-                    go(body, &mut inner)?;
+                    go(body, &mut inner, callees)?;
                     inner.loop_iters += 1;
                     *profile = profile.add(&inner.scale(trips));
                 }
                 Stmt::If { body, orelse, .. } => {
                     // count the larger branch (conservative for tails)
                     let mut a = KernelProfile::default();
-                    go(body, &mut a)?;
+                    go(body, &mut a, callees)?;
                     let mut b = KernelProfile::default();
-                    go(orelse, &mut b)?;
+                    go(orelse, &mut b, callees)?;
                     let take = if a.fmas + a.vec_loads >= b.fmas + b.vec_loads {
                         a
                     } else {
@@ -256,9 +325,12 @@ pub fn profile_proc(proc: &Proc) -> Option<KernelProfile> {
                 }
                 Stmt::Call { proc, args: _ } => {
                     if proc.is_instr() {
-                        classify(&proc.name.name(), profile, LANES);
+                        callees
+                            .class(Arc::as_ptr(proc), || Instr::of_proc(proc))
+                            .count(profile, LANES);
                     } else {
-                        let inner = profile_proc(proc)?;
+                        let mut inner = KernelProfile::default();
+                        go(&proc.body, &mut inner, callees)?;
                         *profile = profile.add(&inner);
                     }
                 }
@@ -270,7 +342,7 @@ pub fn profile_proc(proc: &Proc) -> Option<KernelProfile> {
         Some(())
     }
     let mut p = KernelProfile::default();
-    go(&proc.body, &mut p)?;
+    go(&proc.body, &mut p, &mut Decoder::new())?;
     Some(p)
 }
 
@@ -289,13 +361,14 @@ pub fn profile_trace_budgeted(
     budget: &exo_core::budget::ResourceBudget,
 ) -> (KernelProfile, bool) {
     let mut p = KernelProfile::default();
+    let mut decoder = Decoder::new();
     for op in trace {
         if budget.charge(1).is_err() {
             exo_obs::counter_add("x86_sim.budget_stops", 1);
             return (p, true);
         }
         // masked ops have fewer useful lanes but the same issue cost
-        classify(&op.instr, &mut p, LANES);
+        decoder.class(op.instr, || op.instr).count(&mut p, LANES);
     }
     (p, false)
 }
