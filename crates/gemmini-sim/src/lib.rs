@@ -54,7 +54,7 @@
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
-use exo_interp::{HwOp, Instr, TensorRef, TraceArg};
+use exo_interp::{HwOp, Instr, TensorRef};
 
 mod report;
 pub use report::{SimReport, UnitBusy};
@@ -221,15 +221,16 @@ impl Decoded {
             .all(Option::is_some)
     }
 
-    /// The `k`-th operand of `op`, if bound.
+    /// The `k`-th operand of `op`, if it is a bound integer.
     #[inline]
-    fn operand<'a>(&self, op: &'a HwOp, k: usize) -> Option<&'a TraceArg> {
-        op.args.get(self.at[k]?)
+    fn int(&self, op: &HwOp, k: usize) -> Option<i64> {
+        op.args.int(self.at[k]?)
     }
 
+    /// The `k`-th operand of `op`, if it is a bound tensor.
     #[inline]
     fn tensor<'a>(&self, op: &'a HwOp, k: usize) -> Option<&'a TensorRef> {
-        self.operand(op, k).and_then(TraceArg::as_tensor)
+        op.args.tensor(self.at[k]?)
     }
 }
 
@@ -457,6 +458,7 @@ impl Simulator {
     }
 
     fn dma(&mut self, op: &HwOp, d: &Decoded, unit: Unit) {
+        // operands: src, dst
         let (reads, writes, bytes, rows) = dma_ranges(d.tensor(op, 0), d.tensor(op, 1));
         self.bytes_moved = self.bytes_moved.saturating_add(bytes);
         let issue = self.issue(1);
@@ -470,6 +472,7 @@ impl Simulator {
     }
 
     fn zero(&mut self, op: &HwOp, d: &Decoded) {
+        // operand: dst
         let writes = [d.tensor(op, 0).map(footprint)];
         let issue = self.issue(1);
         let floor = issue.max(self.unit_available(Unit::Execute));
@@ -479,11 +482,8 @@ impl Simulator {
     }
 
     fn matmul(&mut self, op: &HwOp, d: &Decoded) {
-        let dim = |k| {
-            d.operand(op, k)
-                .and_then(TraceArg::as_int)
-                .unwrap_or(DIM as i64) as u64
-        };
+        // operands: n, m, k, a, b, c
+        let dim = |k| d.int(op, k).unwrap_or(DIM as i64) as u64;
         let macs = dim(0).saturating_mul(dim(1)).saturating_mul(dim(2));
         self.macs = self.macs.saturating_add(macs);
         let reads = [3, 4].map(|k| d.tensor(op, k).map(footprint));
@@ -591,7 +591,7 @@ fn dma_ranges(
 mod tests {
     use super::*;
     use exo_core::types::{DataType, MemName};
-    use exo_interp::BufId;
+    use exo_interp::{BufId, TraceArg};
 
     fn tensor(buf: usize, offset: usize, shape: [usize; 2], strides: [usize; 2]) -> TraceArg {
         let axes = [(shape[0], strides[0]), (shape[1], strides[1])];

@@ -11,18 +11,20 @@
 //! the formals' names), interned by content: the table holds one entry
 //! per distinct signature, and the interpreter resolves each `@instr`
 //! callee to its handle once per run. [`HwOp::args`] holds the bound
-//! arguments inline, keyed by formal index, each a `Copy` [`TraceArg`];
-//! a [`TensorRef`] of rank at most four keeps its extents and strides
-//! inline as 32-bit integers, so recording or freeing such an op
-//! allocates nothing. A simulator decodes
-//! each distinct handle once (its op class and the positions of the
-//! formals it reads) and then reads every op by position.
+//! arguments inline, keyed by formal index: up to three control values
+//! and three tensors, each `Copy`. A [`TensorRef`] of rank at most four
+//! keeps its extents and strides inline as 32-bit integers, so recording
+//! or freeing such an op allocates nothing. A simulator decodes each
+//! distinct handle once (its op class and the positions of the formals
+//! it reads) and then reads every op by position.
 //!
 //! Two rare shapes take a slower path and keep their exact content: the
 //! layout of a tensor of rank above four, or with an extent or stride
 //! past `u32::MAX`, lives in a second process-wide table interned by
 //! content (one allocation per distinct layout), and an instruction with
-//! more than six formals keeps its arguments on the heap.
+//! more than six formals, or more than three control values or tensors,
+//! keeps its arguments on the heap. The Gemmini and AVX-512 libraries
+//! take neither.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -136,8 +138,7 @@ impl fmt::Debug for Instr {
 /// Axes a [`TensorRef`] stores inline (the conv operands are 4-D).
 const INLINE_AXES: usize = 4;
 
-/// [`TensorRef::rank`] of a tensor whose layout is in
-/// [`spilled_layouts`].
+/// The `rank` of a [`TensorRef`] whose layout is in [`spilled_layouts`].
 const SPILLED: u8 = u8::MAX;
 
 /// Interned layouts: each a tensor's extents followed by its strides.
@@ -375,7 +376,7 @@ impl TraceArg {
     }
 
     /// Extracts the tensor reference, if any.
-    pub fn as_tensor(&self) -> Option<&TensorRef> {
+    pub fn as_tensor(self) -> Option<TensorRef> {
         match self {
             TraceArg::Tensor(t) => Some(t),
             _ => None,
@@ -383,9 +384,23 @@ impl TraceArg {
     }
 }
 
-/// Formals whose arguments a [`TraceArgs`] stores inline (the Gemmini
-/// matmul has six).
-const INLINE_ARGS: usize = 6;
+/// Formals a [`TraceArgs`] keys inline (the Gemmini matmul has six).
+const INLINE_FORMALS: usize = 6;
+
+/// Control arguments, and tensor arguments, a [`TraceArgs`] stores
+/// inline: three of each (the Gemmini matmul's `n, m, k` and `a, b, c`;
+/// the AVX-512 FMA's `a, b, dst`).
+const INLINE_SCALARS: usize = 3;
+const INLINE_TENSORS: usize = 3;
+
+/// Where an inline [`TraceArgs`] keeps one formal's argument.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Loc {
+    Unbound,
+    Int(u8),
+    Bool(u8),
+    Tensor(u8),
+}
 
 /// The bound arguments of one instruction, keyed by formal index.
 #[derive(Clone)]
@@ -396,14 +411,18 @@ pub struct TraceArgs(ArgsRepr);
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum ArgsRepr {
-    /// `arity` formals, at most [`INLINE_ARGS`]; bit `i` of `bound` is
-    /// set when `args[i]` holds formal `i`'s argument.
+    /// At most [`INLINE_FORMALS`] formals: `at[i]` locates formal `i`'s
+    /// argument among the control values and the tensors, each stored in
+    /// binding order.
     Inline {
         arity: u8,
-        bound: u8,
-        args: [TraceArg; INLINE_ARGS],
+        at: [Loc; INLINE_FORMALS],
+        scalars: u8,
+        tensors: u8,
+        scalar: [i64; INLINE_SCALARS],
+        tensor: [Option<TensorRef>; INLINE_TENSORS],
     },
-    /// More formals: one entry per formal.
+    /// Anything larger: one entry per formal.
     Heap(Box<[Option<TraceArg>]>),
 }
 
@@ -411,53 +430,126 @@ impl TraceArgs {
     /// No argument bound yet, for an instruction with `arity` formals.
     #[inline]
     pub fn new(arity: usize) -> TraceArgs {
-        TraceArgs(if arity <= INLINE_ARGS {
+        TraceArgs(if arity <= INLINE_FORMALS {
             ArgsRepr::Inline {
                 arity: arity as u8,
-                bound: 0,
-                args: [TraceArg::Int(0); INLINE_ARGS],
+                at: [Loc::Unbound; INLINE_FORMALS],
+                scalars: 0,
+                tensors: 0,
+                scalar: [0; INLINE_SCALARS],
+                tensor: [None; INLINE_TENSORS],
             }
         } else {
             ArgsRepr::Heap(vec![None; arity].into_boxed_slice())
         })
     }
 
-    /// Binds formal `i` (ignored past the last formal).
+    /// Binds formal `i` (ignored past the last formal, or when it is
+    /// bound already).
     #[inline]
     pub fn set(&mut self, i: usize, arg: TraceArg) {
         match &mut self.0 {
-            ArgsRepr::Inline { arity, bound, args } => {
-                if i < usize::from(*arity) {
-                    args[i] = arg;
-                    *bound |= 1 << i;
+            ArgsRepr::Inline {
+                arity,
+                at,
+                scalars,
+                tensors,
+                scalar,
+                tensor,
+            } => {
+                if i >= usize::from(*arity) || at[i] != Loc::Unbound {
+                    return;
+                }
+                match arg {
+                    TraceArg::Int(v) if usize::from(*scalars) < INLINE_SCALARS => {
+                        scalar[usize::from(*scalars)] = v;
+                        at[i] = Loc::Int(*scalars);
+                        *scalars += 1;
+                    }
+                    TraceArg::Bool(v) if usize::from(*scalars) < INLINE_SCALARS => {
+                        scalar[usize::from(*scalars)] = i64::from(v);
+                        at[i] = Loc::Bool(*scalars);
+                        *scalars += 1;
+                    }
+                    TraceArg::Tensor(t) if usize::from(*tensors) < INLINE_TENSORS => {
+                        tensor[usize::from(*tensors)] = Some(t);
+                        at[i] = Loc::Tensor(*tensors);
+                        *tensors += 1;
+                    }
+                    _ => self.spill(i, arg),
                 }
             }
             ArgsRepr::Heap(args) => {
-                if let Some(slot) = args.get_mut(i) {
+                if let Some(slot @ None) = args.get_mut(i) {
                     *slot = Some(arg);
                 }
             }
         }
     }
 
+    /// Moves the arguments to the heap, binding formal `i` to `arg`: an
+    /// instruction with more control values or tensors than fit inline.
+    #[cold]
+    fn spill(&mut self, i: usize, arg: TraceArg) {
+        let arity = self.arity();
+        let mut args: Box<[Option<TraceArg>]> = (0..arity).map(|f| self.get(f)).collect();
+        args[i] = Some(arg);
+        self.0 = ArgsRepr::Heap(args);
+    }
+
+    fn arity(&self) -> usize {
+        match &self.0 {
+            ArgsRepr::Inline { arity, .. } => usize::from(*arity),
+            ArgsRepr::Heap(args) => args.len(),
+        }
+    }
+
     /// The argument of formal `i`, if bound.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<&TraceArg> {
+    pub fn get(&self, i: usize) -> Option<TraceArg> {
         match &self.0 {
-            ArgsRepr::Inline { bound, args, .. } => {
-                (i < INLINE_ARGS && bound & (1 << i) != 0).then(|| &args[i])
-            }
-            ArgsRepr::Heap(args) => args.get(i).and_then(Option::as_ref),
+            ArgsRepr::Inline {
+                at, scalar, tensor, ..
+            } => match *at.get(i)? {
+                Loc::Unbound => None,
+                Loc::Int(k) => Some(TraceArg::Int(scalar[usize::from(k)])),
+                Loc::Bool(k) => Some(TraceArg::Bool(scalar[usize::from(k)] != 0)),
+                Loc::Tensor(k) => tensor[usize::from(k)].map(TraceArg::Tensor),
+            },
+            ArgsRepr::Heap(args) => *args.get(i)?,
+        }
+    }
+
+    /// The integer argument of formal `i`, if bound to one.
+    #[inline]
+    pub fn int(&self, i: usize) -> Option<i64> {
+        match &self.0 {
+            ArgsRepr::Inline { at, scalar, .. } => match *at.get(i)? {
+                Loc::Int(k) => Some(scalar[usize::from(k)]),
+                _ => None,
+            },
+            ArgsRepr::Heap(args) => args.get(i)?.as_ref().and_then(TraceArg::as_int),
+        }
+    }
+
+    /// The tensor argument of formal `i`, if bound to one.
+    #[inline]
+    pub fn tensor(&self, i: usize) -> Option<&TensorRef> {
+        match &self.0 {
+            ArgsRepr::Inline { at, tensor, .. } => match *at.get(i)? {
+                Loc::Tensor(k) => tensor[usize::from(k)].as_ref(),
+                _ => None,
+            },
+            ArgsRepr::Heap(args) => match args.get(i)? {
+                Some(TraceArg::Tensor(t)) => Some(t),
+                _ => None,
+            },
         }
     }
 
     /// `(formal index, argument)` for each bound formal, in order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &TraceArg)> + Clone + '_ {
-        let arity = match &self.0 {
-            ArgsRepr::Inline { arity, .. } => usize::from(*arity),
-            ArgsRepr::Heap(args) => args.len(),
-        };
-        (0..arity).filter_map(|i| Some((i, self.get(i)?)))
+    pub fn iter(&self) -> impl Iterator<Item = (usize, TraceArg)> + Clone + '_ {
+        (0..self.arity()).filter_map(|i| Some((i, self.get(i)?)))
     }
 
     /// The number of bound formals.
@@ -507,18 +599,18 @@ impl HwOp {
     }
 
     /// Looks up an argument by formal parameter name.
-    pub fn arg(&self, name: &str) -> Option<&TraceArg> {
+    pub fn arg(&self, name: &str) -> Option<TraceArg> {
         self.args.get(self.instr.position(name)?)
     }
 
     /// Looks up an integer argument by name.
     pub fn int_arg(&self, name: &str) -> Option<i64> {
-        self.arg(name).and_then(TraceArg::as_int)
+        self.args.int(self.instr.position(name)?)
     }
 
     /// Looks up a tensor argument by name.
     pub fn tensor_arg(&self, name: &str) -> Option<&TensorRef> {
-        self.arg(name).and_then(TraceArg::as_tensor)
+        self.args.tensor(self.instr.position(name)?)
     }
 }
 
@@ -648,6 +740,32 @@ mod tests {
     #[test]
     fn a_six_argument_op_stays_plain_data() {
         assert_eq!(std::mem::size_of::<TraceArg>(), 56);
-        assert_eq!(std::mem::size_of::<HwOp>(), 8 + 8 + INLINE_ARGS * 56);
+        assert_eq!(std::mem::size_of::<HwOp>(), 8 + 16 + 3 * 8 + 3 * 56);
+    }
+
+    #[test]
+    fn arguments_past_the_inline_slots_keep_their_values() {
+        let names = ["a", "b", "c", "d", "e"];
+        let t = |o| {
+            TraceArg::Tensor(TensorRef::new(
+                BufId(o),
+                MemName::dram(),
+                DataType::I8,
+                o,
+                &[(4, 1)],
+            ))
+        };
+        let args = [t(1), TraceArg::Bool(true), t(2), t(3), t(4)];
+        let op = HwOp::new(Instr::intern("four_tensors", &names), args);
+        let got: Vec<TraceArg> = op.args.iter().map(|(_, a)| a).collect();
+        assert_eq!(got, args);
+        assert_eq!(op.tensor_arg("e").map(|t| t.buf), Some(BufId(4)));
+        assert_eq!(op.arg("b"), Some(TraceArg::Bool(true)));
+        let ints = HwOp::new(
+            Instr::intern("four_ints", &names[..4]),
+            (0..4).map(TraceArg::Int),
+        );
+        assert_eq!(ints.int_arg("d"), Some(3));
+        assert_eq!(ints.args.len(), 4);
     }
 }
