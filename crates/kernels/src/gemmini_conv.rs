@@ -284,6 +284,15 @@ pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
     let tiles = s.batch * s.out_dim * (s.out_dim / oxt) * (s.oc / 16);
     let per_tile = 4 + 3 * s.kdim * s.kdim * (s.ic / 16);
     let mut trace = Vec::with_capacity((tiles * per_tile).max(0) as usize);
+    // the instructions and on-chip tiles that do not depend on the tile
+    // position, built once
+    let (config_ld, config_st, matmul) =
+        (lib.config_ld(s.ic), lib.config_st(s.ic), lib.matmul(oxt));
+    let (spad_in, spad_w, acc) = (
+        lib.tile(3, 0, oxt, 16),
+        lib.tile(4, 0, 16, 16),
+        lib.tile(5, 0, oxt, 16),
+    );
     for b in 0..s.batch {
         for oy in 0..s.out_dim {
             for oxo in 0..s.out_dim / oxt {
@@ -292,8 +301,8 @@ pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
                     let c = lib.tile(2, c_off, oxt, s.oc);
                     // per-tile configuration (the old library's coupled
                     // configs cannot be hoisted further, §7.1)
-                    trace.push(lib.config_ld(s.ic));
-                    trace.push(lib.mvin_acc(oxt, c, lib.tile(5, 0, oxt, 16)));
+                    trace.push(config_ld.clone());
+                    trace.push(lib.mvin_acc(oxt, c, acc));
                     for ky in 0..s.kdim {
                         for kx in 0..s.kdim {
                             for ico in 0..s.ic / 16 {
@@ -302,17 +311,17 @@ pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
                                         * s.ic
                                         + ico * 16;
                                 let input = lib.tile(0, in_off, oxt, s.ic);
-                                trace.push(lib.mvin(oxt, input, lib.tile(3, 0, oxt, 16)));
+                                trace.push(lib.mvin(oxt, input, spad_in));
                                 let w_off =
                                     ((ky * s.kdim + kx) * s.ic + ico * 16) * s.oc + oco * 16;
                                 let w = lib.tile(1, w_off, 16, s.oc);
-                                trace.push(lib.mvin(16, w, lib.tile(4, 0, 16, 16)));
-                                trace.push(lib.matmul(oxt));
+                                trace.push(lib.mvin(16, w, spad_w));
+                                trace.push(matmul.clone());
                             }
                         }
                     }
-                    trace.push(lib.config_st(s.ic));
-                    trace.push(lib.mvout_acc(oxt, lib.tile(5, 0, oxt, 16), c));
+                    trace.push(config_st.clone());
+                    trace.push(lib.mvout_acc(oxt, acc, c));
                 }
             }
         }

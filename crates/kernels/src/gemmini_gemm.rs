@@ -185,24 +185,28 @@ pub fn old_lib_matmul_trace(n: i64, m: i64, k: i64) -> Vec<HwOp> {
     // pair plus a matmul per K tile
     let tiles = (n / 16) * (m / 16);
     let mut trace = Vec::with_capacity((tiles * (4 + 3 * (k / 16))).max(0) as usize);
+    // the instructions and on-chip tiles that do not depend on the tile
+    // position, built once
+    let (config_ld, config_st, matmul) = (lib.config_ld(k), lib.config_st(k), lib.matmul(16));
+    let [spad_a, spad_b, acc] = [3, 4, 5].map(|buf| lib.tile(buf, 0, 16, 16));
     for io in 0..n / 16 {
         for jo in 0..m / 16 {
             let c = lib.tile(2, (io * 16) * m + jo * 16, 16, m);
             // the handwritten library re-issues the (coupled) load and
             // store configuration once per output tile
-            trace.push(lib.config_ld(k));
-            trace.push(lib.mvin_acc(16, c, lib.tile(5, 0, 16, 16)));
+            trace.push(config_ld.clone());
+            trace.push(lib.mvin_acc(16, c, acc));
             for ko in 0..k / 16 {
                 // A tile + B tile per matmul (no cross-tile reuse)
                 let a = lib.tile(0, (io * 16) * k + ko * 16, 16, k);
-                trace.push(lib.mvin(16, a, lib.tile(3, 0, 16, 16)));
+                trace.push(lib.mvin(16, a, spad_a));
                 let b = lib.tile(1, (ko * 16) * m + jo * 16, 16, m);
-                trace.push(lib.mvin(16, b, lib.tile(4, 0, 16, 16)));
-                trace.push(lib.matmul(16));
+                trace.push(lib.mvin(16, b, spad_b));
+                trace.push(matmul.clone());
             }
             // store C tile with fused store config
-            trace.push(lib.config_st(k));
-            trace.push(lib.mvout_acc(16, lib.tile(5, 0, 16, 16), c));
+            trace.push(config_st.clone());
+            trace.push(lib.mvout_acc(16, acc, c));
         }
     }
     trace
