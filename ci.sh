@@ -33,16 +33,17 @@ cargo test -q -p exo-smt --features proptest-tests
 echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state and stage_mem windows; operator fail-safety; print/parse round trip) =="
 cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
 
-echo "== gemmini-sim (incl. differential test of the floor-cut access logs against the unpruned reference scan) =="
+echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential test of gemmini-sim's floor-cut access logs against the unpruned reference scan, which decodes by name; x86-sim's cost model and static profile) =="
 cargo test -q -p gemmini-sim
+cargo test -q -p x86-sim
 
 echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
 cargo test -q -p exo-sched
 
-echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests; release) =="
+echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release) =="
 cargo test -q --release -p exo-interp
 
-echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM) =="
+echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM; the simulators' reports on these traces are pinned in tier-1 by tests/sim_report_pin.rs, library decode conformance by tests/isa_decode.rs) =="
 cargo test -q --release -p exo-kernels
 
 echo "== check-cache bench (fails on zero cache hits) =="
