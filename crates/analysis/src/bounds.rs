@@ -68,7 +68,7 @@ impl<'a> Checker<'a> {
         let hyp = self.assume_formula(&mut ctx);
         let g = ctx.lower_bool(&goal).definitely();
         let query = Formula::and(vec![hyp, ctx.assumptions()]).implies(g);
-        match self.check.check_valid(&query) {
+        match self.check.check_valid(query) {
             Answer::Yes => {}
             Answer::No => self.errors.push(CheckError { message: what() }),
             Answer::Unknown => self.errors.push(CheckError {
@@ -136,7 +136,7 @@ impl<'a> Checker<'a> {
                     self.check_block(body);
                     self.assumptions.pop();
                     self.genv = entry;
-                    self.assumptions.push(EffExpr::Not(Box::new(c)));
+                    self.assumptions.push(EffExpr::not(c));
                     self.check_block(orelse);
                     self.assumptions.pop();
                 }

@@ -187,8 +187,9 @@ impl SharedCheckCtx {
 
     /// Checks validity of `f` (free variables universal):
     /// `valid(f) ⇔ ¬sat(¬f)`. Shares cache entries with [`Self::check_sat`].
-    pub fn check_valid(&self, f: &Formula) -> Answer {
-        match self.check_sat(&f.clone().negate()) {
+    /// Takes the goal by value: it is negated in place, not copied.
+    pub fn check_valid(&self, f: Formula) -> Answer {
+        match self.check_sat(&f.negate()) {
             Answer::Yes => Answer::No,
             Answer::No => Answer::Yes,
             Answer::Unknown => Answer::Unknown,
@@ -196,8 +197,8 @@ impl SharedCheckCtx {
     }
 
     /// Checks validity of `hyp ⇒ goal`.
-    pub fn check_entails(&self, hyp: &Formula, goal: &Formula) -> Answer {
-        self.check_valid(&hyp.clone().implies(goal.clone()))
+    pub fn check_entails(&self, hyp: Formula, goal: Formula) -> Answer {
+        self.check_valid(hyp.implies(goal))
     }
 
     /// Activity counters for this context.
@@ -244,8 +245,8 @@ mod tests {
     #[test]
     fn alpha_variants_hit_the_cache() {
         let ctx = SharedCheckCtx::with_cache(true);
-        assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
-        assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes); // fresh sym, same shape
+        assert_eq!(ctx.check_valid(valid_shape(1)), Answer::Yes);
+        assert_eq!(ctx.check_valid(valid_shape(1)), Answer::Yes); // fresh sym, same shape
         let st = ctx.stats();
         assert_eq!(st.queries, 2);
         assert_eq!(st.hits, 1);
@@ -259,8 +260,8 @@ mod tests {
         let off = SharedCheckCtx::with_cache(false);
         for c in [0, 1, -1, 3, -1, 1] {
             assert_eq!(
-                on.check_valid(&valid_shape(c)),
-                off.check_valid(&valid_shape(c))
+                on.check_valid(valid_shape(c)),
+                off.check_valid(valid_shape(c))
             );
         }
         assert_eq!(off.stats().hits, 0);
@@ -270,8 +271,8 @@ mod tests {
     #[test]
     fn distinct_constants_get_distinct_entries() {
         let ctx = SharedCheckCtx::with_cache(true);
-        assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
-        assert_eq!(ctx.check_valid(&valid_shape(-1)), Answer::No);
+        assert_eq!(ctx.check_valid(valid_shape(1)), Answer::Yes);
+        assert_eq!(ctx.check_valid(valid_shape(-1)), Answer::No);
         assert_eq!(ctx.stats().entries, 2);
         assert_eq!(ctx.stats().hits, 0);
     }
@@ -307,8 +308,8 @@ mod tests {
     fn budget_refusals_are_counted() {
         let ctx = SharedCheckCtx::with_cache(true);
         ctx.set_budget(ResourceBudget::with_fuel(1));
-        assert_eq!(ctx.check_valid(&valid_shape(1)), Answer::Yes);
-        assert_eq!(ctx.check_valid(&valid_shape(2)), Answer::Unknown);
+        assert_eq!(ctx.check_valid(valid_shape(1)), Answer::Yes);
+        assert_eq!(ctx.check_valid(valid_shape(2)), Answer::Unknown);
         let st = ctx.stats();
         assert_eq!((st.queries, st.budget_unknown), (2, 1));
     }
@@ -318,7 +319,7 @@ mod tests {
         let a = SharedCheckCtx::with_cache(true);
         let b = a.clone();
         let before = a.stats().queries;
-        let _ = b.check_valid(&valid_shape(2));
+        let _ = b.check_valid(valid_shape(2));
         assert_eq!(a.stats().queries, before + 1);
     }
 
@@ -327,7 +328,7 @@ mod tests {
         let a = SharedCheckCtx::process();
         let b = SharedCheckCtx::default();
         let before = b.stats().queries;
-        let _ = a.check_valid(&valid_shape(4));
+        let _ = a.check_valid(valid_shape(4));
         assert!(b.stats().queries > before);
     }
 }

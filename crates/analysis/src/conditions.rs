@@ -12,7 +12,7 @@ use exo_smt::formula::Formula;
 
 use crate::effects::Effect;
 use crate::effexpr::{EffExpr, LowerCtx};
-use crate::locset::{member, sets_of, LocSet, SetBundle, Target};
+use crate::locset::{member, sets_of, LocSet, SetBundle, SetKinds, Target};
 
 /// Builds `∀ shared targets. ¬(M(t ∈ a) ∧ M(t ∈ b))` — the sets are
 /// definitely disjoint.
@@ -57,8 +57,8 @@ pub fn disjoint(a: &LocSet, b: &LocSet, ctx: &mut LowerCtx) -> Formula {
 /// `Commutes a₁ a₂` (Def. 5.6): non-interference of effects, with the
 /// exception that two reductions into the same location commute.
 pub fn commutes(a1: &Effect, a2: &Effect, ctx: &mut LowerCtx) -> Formula {
-    let s1 = sets_of(a1);
-    let s2 = sets_of(a2);
+    let s1 = sets_of(a1, SetKinds::ALL);
+    let s2 = sets_of(a2, SetKinds::ALL);
     commutes_sets(&s1, &s2, ctx)
 }
 
@@ -75,8 +75,8 @@ pub fn commutes_sets(s1: &SetBundle, s2: &SetBundle, ctx: &mut LowerCtx) -> Form
 /// `Shadows a₁ a₂` (Def. 5.7): every location possibly modified by `a₁`
 /// is definitely overwritten — and not read — by `a₂`, so `a₁;a₂ ≡ a₂`.
 pub fn shadows(a1: &Effect, a2: &Effect, ctx: &mut LowerCtx) -> Formula {
-    let s1 = sets_of(a1);
-    let s2 = sets_of(a2);
+    let s1 = sets_of(a1, SetKinds::WR_G.with(SetKinds::WR_H).with(SetKinds::RP_H));
+    let s2 = sets_of(a2, SetKinds::RD_G.with(SetKinds::RD_H));
     let m1 = s1.modified();
     let rd2 = s2.rd();
     let wr2 = s2.wr();
@@ -140,7 +140,8 @@ pub fn overwrites(
         buf,
         coords: coords.clone(),
     };
-    let written = member(&sets_of(a).wr(), &tgt, ctx).definitely();
+    let wr = sets_of(a, SetKinds::WR_G.with(SetKinds::WR_H)).wr();
+    let written = member(&wr, &tgt, ctx).definitely();
     let f = Formula::and(inside).implies(written);
     coords.into_iter().rev().fold(f, Formula::forall)
 }
@@ -240,7 +241,7 @@ mod tests {
 
     fn check(ctx: &LowerCtx, goal: &Formula) -> Answer {
         let s = SharedCheckCtx::process();
-        s.check_valid(&ctx.assumptions().implies(goal.clone()))
+        s.check_valid(ctx.assumptions().implies(goal.clone()))
     }
 
     fn idx(i: i64) -> Vec<EffExpr> {
@@ -327,7 +328,7 @@ mod tests {
         .negate();
         let s = SharedCheckCtx::process();
         let goal = Formula::and(vec![hyp, ctx.assumptions()]).implies(f);
-        assert_eq!(s.check_valid(&goal), Answer::Yes);
+        assert_eq!(s.check_valid(goal), Answer::Yes);
     }
 
     #[test]

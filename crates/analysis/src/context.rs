@@ -24,7 +24,7 @@ use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
-use crate::locset::{member, sets_of, Target};
+use crate::locset::{member, sets_of, SetKinds, Target};
 
 /// Everything known about a rewrite site.
 #[derive(Debug)]
@@ -129,7 +129,7 @@ pub fn site_ctx<'p>(proc: &'p Proc, path: &StmtPath, reg: &mut GlobalReg) -> Opt
             }
             (Stmt::If { cond, orelse, .. }, 1) => {
                 let c = lift_in_env(cond, genv, reg);
-                site.ctrl.push(EffExpr::Not(Box::new(c)));
+                site.ctrl.push(EffExpr::not(c));
                 block = orelse;
             }
             _ => return None,
@@ -231,7 +231,7 @@ impl<'a> SiteQuery<'a> {
     /// `D(Rdg(PostEff) ∩ polluted = ∅)`. The goal carries no site
     /// hypothesis.
     pub fn extends_context(&mut self, polluted: &[(Sym, Sym)]) -> Answer {
-        let sets = sets_of(&self.post_effect());
+        let sets = sets_of(&self.post_effect(), SetKinds::RD_G);
         let mut ctx = LowerCtx::new();
         let mut parts = Vec::new();
         for &(c, f) in polluted {
@@ -239,7 +239,7 @@ impl<'a> SiteQuery<'a> {
             parts.push(m.maybe().negate());
         }
         self.check
-            .check_valid(&ctx.assumptions().implies(Formula::and(parts)))
+            .check_valid(ctx.assumptions().implies(Formula::and(parts)))
     }
 
     /// Statically checks every access, window, allocation extent and
@@ -260,7 +260,7 @@ impl<'a> SiteQuery<'a> {
     /// constraints.
     pub fn valid(&mut self, goal: Formula) -> Answer {
         let hyp = self.hypothesis();
-        self.check.check_valid(&hyp.implies(goal))
+        self.check.check_valid(hyp.implies(goal))
     }
 
     /// Whether `f` (lowered in [`Self::lctx`]) is satisfiable together

@@ -314,7 +314,7 @@ fn effect_of_stmt(
             Effect::seq_all(vec![
                 crd,
                 Effect::Guard(c.clone(), Box::new(then_e)),
-                Effect::Guard(EffExpr::Not(Box::new(c)), Box::new(else_e)),
+                Effect::Guard(EffExpr::not(c), Box::new(else_e)),
             ])
         }
         Stmt::For { iter, lo, hi, body } => {

@@ -7,6 +7,12 @@
 //! *(defined, value)* of classical objects: booleans become a pair of
 //! [`Formula`]s, integers a [`Formula`] plus a [`LinExpr`] (with fresh
 //! variables and side constraints for `/`, `%`, `if-then-else` and ⊥).
+//!
+//! Sub-expressions are shared ([`Arc`]): cloning an expression, as the
+//! effects, location sets and dataflow environments built over it do, is
+//! a reference-count bump, not a copy of the tree.
+
+use std::sync::Arc;
 
 use exo_core::hash::HashMap;
 use exo_core::ir::{BinOp, Expr, Lit};
@@ -29,13 +35,13 @@ pub enum EffExpr {
     /// The unknown value ⊥.
     Unknown,
     /// Binary operation (quasi-affine for integer operators).
-    Bin(BinOp, Box<EffExpr>, Box<EffExpr>),
+    Bin(BinOp, Arc<EffExpr>, Arc<EffExpr>),
     /// Negation of an integer.
-    Neg(Box<EffExpr>),
+    Neg(Arc<EffExpr>),
     /// Boolean negation.
-    Not(Box<EffExpr>),
+    Not(Arc<EffExpr>),
     /// `cond ? then : else`.
-    Ite(Box<EffExpr>, Box<EffExpr>, Box<EffExpr>),
+    Ite(Arc<EffExpr>, Arc<EffExpr>, Arc<EffExpr>),
     /// The stride of buffer `buf` along dimension `dim`, treated as an
     /// opaque (but canonical) integer.
     Stride(Sym, usize),
@@ -74,7 +80,24 @@ impl EffExpr {
             }
             _ => {}
         }
-        EffExpr::Bin(op, Box::new(lhs), Box::new(rhs))
+        EffExpr::Bin(op, Arc::new(lhs), Arc::new(rhs))
+    }
+
+    /// `-a`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn neg(a: EffExpr) -> EffExpr {
+        EffExpr::Neg(Arc::new(a))
+    }
+
+    /// `¬a`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn not(a: EffExpr) -> EffExpr {
+        EffExpr::Not(Arc::new(a))
+    }
+
+    /// `cond ? then : else`.
+    pub fn ite(cond: EffExpr, then: EffExpr, orelse: EffExpr) -> EffExpr {
+        EffExpr::Ite(Arc::new(cond), Arc::new(then), Arc::new(orelse))
     }
 
     /// `a + b`.
@@ -123,13 +146,9 @@ impl EffExpr {
                 self.clone()
             }
             EffExpr::Bin(op, a, b) => EffExpr::bin(*op, a.subst(map), b.subst(map)),
-            EffExpr::Neg(a) => EffExpr::Neg(Box::new(a.subst(map))),
-            EffExpr::Not(a) => EffExpr::Not(Box::new(a.subst(map))),
-            EffExpr::Ite(c, t, e) => EffExpr::Ite(
-                Box::new(c.subst(map)),
-                Box::new(t.subst(map)),
-                Box::new(e.subst(map)),
-            ),
+            EffExpr::Neg(a) => EffExpr::neg(a.subst(map)),
+            EffExpr::Not(a) => EffExpr::not(a.subst(map)),
+            EffExpr::Ite(c, t, e) => EffExpr::ite(c.subst(map), t.subst(map), e.subst(map)),
         }
     }
 
@@ -164,7 +183,7 @@ pub fn lift(e: &Expr, globals: &mut crate::globals::GlobalReg) -> EffExpr {
         Expr::Lit(Lit::Bool(v)) => EffExpr::Bool(*v),
         Expr::Lit(Lit::Float(_)) => EffExpr::Unknown,
         Expr::BinOp(op, a, b) => EffExpr::bin(*op, lift(a, globals), lift(b, globals)),
-        Expr::Neg(a) => EffExpr::Neg(Box::new(lift(a, globals))),
+        Expr::Neg(a) => EffExpr::neg(lift(a, globals)),
         Expr::Stride { buf, dim } => EffExpr::Stride(*buf, *dim),
         Expr::ReadConfig { config, field } => {
             let (sym, is_bool) = globals.canon(*config, *field);
@@ -197,48 +216,69 @@ impl LBool {
         }
     }
 
+    /// Whether the value is known everywhere (`def` is `True`).
+    fn is_known(&self) -> bool {
+        self.def == Formula::True
+    }
+
     /// `D p` — definitely true.
-    pub fn definitely(&self) -> Formula {
-        Formula::and(vec![self.def.clone(), self.val.clone()])
+    pub fn definitely(self) -> Formula {
+        if self.is_known() {
+            // `True ∧ v` is `v`: every lowered formula is already in the
+            // normal form `Formula::and` would return
+            return self.val;
+        }
+        Formula::and(vec![self.def, self.val])
     }
 
     /// `M p` — maybe true (unknown counts as true).
-    pub fn maybe(&self) -> Formula {
-        Formula::or(vec![self.def.clone().negate(), self.val.clone()])
+    pub fn maybe(self) -> Formula {
+        if self.is_known() {
+            // `¬True ∨ v` is `v`, as in `definitely`
+            return self.val;
+        }
+        Formula::or(vec![self.def.negate(), self.val])
     }
 
     /// Kleene conjunction.
-    pub fn and(&self, other: &LBool) -> LBool {
+    pub fn and(self, other: LBool) -> LBool {
+        if self.is_known() && other.is_known() {
+            // the general rule's `def` is `True ∨ …`
+            return LBool::known(Formula::and(vec![self.val, other.val]));
+        }
         // defined when both defined, or either is a defined false
         let def = Formula::or(vec![
             Formula::and(vec![self.def.clone(), other.def.clone()]),
-            Formula::and(vec![self.def.clone(), self.val.clone().negate()]),
-            Formula::and(vec![other.def.clone(), other.val.clone().negate()]),
+            Formula::and(vec![self.def, self.val.clone().negate()]),
+            Formula::and(vec![other.def, other.val.clone().negate()]),
         ]);
         LBool {
             def,
-            val: Formula::and(vec![self.val.clone(), other.val.clone()]),
+            val: Formula::and(vec![self.val, other.val]),
         }
     }
 
     /// Kleene disjunction.
-    pub fn or(&self, other: &LBool) -> LBool {
+    pub fn or(self, other: LBool) -> LBool {
+        if self.is_known() && other.is_known() {
+            return LBool::known(Formula::or(vec![self.val, other.val]));
+        }
         let def = Formula::or(vec![
             Formula::and(vec![self.def.clone(), other.def.clone()]),
-            Formula::and(vec![self.def.clone(), self.val.clone()]),
-            Formula::and(vec![other.def.clone(), other.val.clone()]),
+            Formula::and(vec![self.def, self.val.clone()]),
+            Formula::and(vec![other.def, other.val.clone()]),
         ]);
         LBool {
             def,
-            val: Formula::or(vec![self.val.clone(), other.val.clone()]),
+            val: Formula::or(vec![self.val, other.val]),
         }
     }
 
     /// Kleene negation.
-    pub fn negate(&self) -> LBool {
+    pub fn negate(self) -> LBool {
         LBool {
-            def: self.def.clone(),
-            val: self.val.clone().negate(),
+            def: self.def,
+            val: self.val.negate(),
         }
     }
 }
@@ -446,12 +486,12 @@ impl LowerCtx {
             EffExpr::Bin(BinOp::And, a, b) => {
                 let la = self.lower_bool(a);
                 let lb = self.lower_bool(b);
-                la.and(&lb)
+                la.and(lb)
             }
             EffExpr::Bin(BinOp::Or, a, b) => {
                 let la = self.lower_bool(a);
                 let lb = self.lower_bool(b);
-                la.or(&lb)
+                la.or(lb)
             }
             EffExpr::Bin(op, a, b)
                 if matches!(
@@ -513,11 +553,240 @@ impl LowerCtx {
     }
 }
 
+/// Seeded random effect expressions for the equivalence tests here and in
+/// [`crate::locset`].
 #[cfg(test)]
-mod tests {
+pub(crate) mod testgen {
+    use super::*;
+
+    /// SplitMix64: a small deterministic generator.
+    pub(crate) struct Rng(u64);
+
+    impl Rng {
+        pub(crate) fn new(seed: u64) -> Rng {
+            Rng(seed)
+        }
+
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        pub(crate) fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// The symbols expressions draw from.
+    pub(crate) struct Vocab {
+        /// Integer variables.
+        pub(crate) ints: Vec<Sym>,
+        /// Boolean variables.
+        pub(crate) bools: Vec<Sym>,
+        /// Buffers (for strides and location sets).
+        pub(crate) bufs: Vec<Sym>,
+    }
+
+    impl Vocab {
+        pub(crate) fn new() -> Vocab {
+            Vocab {
+                ints: ["i", "j", "n"].into_iter().map(Sym::new).collect(),
+                bools: ["flag"].into_iter().map(Sym::new).collect(),
+                bufs: ["A", "B"].into_iter().map(Sym::new).collect(),
+            }
+        }
+    }
+
+    /// `lhs op rhs`, sometimes built raw (unfolded), as a hand-built
+    /// expression may be.
+    fn node(op: BinOp, lhs: EffExpr, rhs: EffExpr, rng: &mut Rng) -> EffExpr {
+        if rng.below(6) == 0 {
+            EffExpr::Bin(op, Arc::new(lhs), Arc::new(rhs))
+        } else {
+            EffExpr::bin(op, lhs, rhs)
+        }
+    }
+
+    /// A random integer-sorted expression. With `pure` it avoids
+    /// everything whose lowering has side effects.
+    pub(crate) fn int(rng: &mut Rng, v: &Vocab, depth: usize, pure: bool) -> EffExpr {
+        if depth == 0 || rng.below(3) == 0 {
+            return match rng.below(if pure { 7 } else { 8 }) {
+                0..=2 => EffExpr::Var(rng.pick(&v.ints)),
+                3..=5 => EffExpr::Int(rng.below(12) as i64 - 3),
+                6 => EffExpr::Unknown,
+                _ => EffExpr::Stride(rng.pick(&v.bufs), rng.below(2)),
+            };
+        }
+        let d = depth - 1;
+        match rng.below(if pure { 5 } else { 8 }) {
+            0 => node(BinOp::Add, int(rng, v, d, pure), int(rng, v, d, pure), rng),
+            1 => node(BinOp::Sub, int(rng, v, d, pure), int(rng, v, d, pure), rng),
+            2 => {
+                let c = EffExpr::Int(rng.below(4) as i64);
+                node(BinOp::Mul, c, int(rng, v, d, pure), rng)
+            }
+            3 => node(BinOp::Mul, int(rng, v, d, pure), int(rng, v, d, pure), rng),
+            4 => EffExpr::neg(int(rng, v, d, pure)),
+            5 => {
+                let op = rng.pick(&[BinOp::Div, BinOp::Mod]);
+                let divisor = match rng.below(3) {
+                    0 => int(rng, v, d, pure),
+                    _ => EffExpr::Int(rng.below(4) as i64 + 1),
+                };
+                node(op, int(rng, v, d, pure), divisor, rng)
+            }
+            _ => EffExpr::ite(
+                boolean(rng, v, d, pure),
+                int(rng, v, d, pure),
+                int(rng, v, d, pure),
+            ),
+        }
+    }
+
+    /// A random boolean-sorted (ternary) condition.
+    pub(crate) fn boolean(rng: &mut Rng, v: &Vocab, depth: usize, pure: bool) -> EffExpr {
+        if depth == 0 || rng.below(4) == 0 {
+            return match rng.below(if pure { 3 } else { 4 }) {
+                0 => EffExpr::Bool(rng.below(2) == 0),
+                1 => EffExpr::Unknown,
+                2 => {
+                    let op = rng.pick(&[BinOp::Le, BinOp::Lt]);
+                    node(op, EffExpr::Var(rng.pick(&v.ints)), EffExpr::Int(4), rng)
+                }
+                _ => EffExpr::BoolVar(rng.pick(&v.bools)),
+            };
+        }
+        let d = depth - 1;
+        match rng.below(if pure { 4 } else { 6 }) {
+            0 => {
+                let op = rng.pick(&[BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge]);
+                node(op, int(rng, v, d, pure), int(rng, v, d, pure), rng)
+            }
+            1 => {
+                let op = rng.pick(&[BinOp::And, BinOp::Or]);
+                node(op, boolean(rng, v, d, pure), boolean(rng, v, d, pure), rng)
+            }
+            2 => EffExpr::not(boolean(rng, v, d, pure)),
+            3 => {
+                let lo = int(rng, v, d, pure);
+                let x = EffExpr::Var(rng.pick(&v.ints));
+                node(
+                    BinOp::And,
+                    lo.le(x.clone()),
+                    x.lt(int(rng, v, d, pure)),
+                    rng,
+                )
+            }
+            4 => node(
+                BinOp::Eq,
+                boolean(rng, v, d, pure),
+                boolean(rng, v, d, pure),
+                rng,
+            ),
+            _ => EffExpr::ite(
+                boolean(rng, v, d, pure),
+                boolean(rng, v, d, pure),
+                boolean(rng, v, d, pure),
+            ),
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use crate::check::SharedCheckCtx;
     use exo_smt::solver::Answer;
+
+    /// The Kleene connectives and collapses as built before the defined
+    /// fast paths: the reference the fast paths must match exactly.
+    pub(crate) mod reference {
+        use super::*;
+
+        pub(crate) fn definitely(p: &LBool) -> Formula {
+            Formula::and(vec![p.def.clone(), p.val.clone()])
+        }
+
+        pub(crate) fn maybe(p: &LBool) -> Formula {
+            Formula::or(vec![p.def.clone().negate(), p.val.clone()])
+        }
+
+        pub(crate) fn and(a: &LBool, b: &LBool) -> LBool {
+            let def = Formula::or(vec![
+                Formula::and(vec![a.def.clone(), b.def.clone()]),
+                Formula::and(vec![a.def.clone(), a.val.clone().negate()]),
+                Formula::and(vec![b.def.clone(), b.val.clone().negate()]),
+            ]);
+            LBool {
+                def,
+                val: Formula::and(vec![a.val.clone(), b.val.clone()]),
+            }
+        }
+
+        pub(crate) fn or(a: &LBool, b: &LBool) -> LBool {
+            let def = Formula::or(vec![
+                Formula::and(vec![a.def.clone(), b.def.clone()]),
+                Formula::and(vec![a.def.clone(), a.val.clone()]),
+                Formula::and(vec![b.def.clone(), b.val.clone()]),
+            ]);
+            LBool {
+                def,
+                val: Formula::or(vec![a.val.clone(), b.val.clone()]),
+            }
+        }
+
+        pub(crate) fn negate(p: &LBool) -> LBool {
+            LBool {
+                def: p.def.clone(),
+                val: p.val.clone().negate(),
+            }
+        }
+    }
+
+    /// The connectives and collapses equal the general construction on
+    /// lowered random conditions, with the operands known or not.
+    #[test]
+    fn kleene_fast_paths_match_the_general_construction() {
+        let v = testgen::Vocab::new();
+        let mut known = 0;
+        for seed in 0..2_000 {
+            let mut rng = testgen::Rng::new(seed);
+            let mut ctx = LowerCtx::new();
+            let pure = rng.below(2) == 0;
+            let a = ctx.lower_bool(&testgen::boolean(&mut rng, &v, 4, pure));
+            let b = ctx.lower_bool(&testgen::boolean(&mut rng, &v, 4, pure));
+            let side = ctx.side.clone();
+            known += usize::from(a.def == Formula::True && b.def == Formula::True);
+            assert_eq!(
+                a.clone().and(b.clone()),
+                reference::and(&a, &b),
+                "seed {seed}"
+            );
+            assert_eq!(
+                a.clone().or(b.clone()),
+                reference::or(&a, &b),
+                "seed {seed}"
+            );
+            assert_eq!(a.clone().negate(), reference::negate(&a), "seed {seed}");
+            assert_eq!(
+                a.clone().definitely(),
+                reference::definitely(&a),
+                "seed {seed}"
+            );
+            assert_eq!(a.clone().maybe(), reference::maybe(&a), "seed {seed}");
+            assert_eq!(ctx.side, side, "the connectives lower nothing");
+        }
+        // both branches of every fast path are exercised
+        assert!((200..1_800).contains(&known), "{known} known pairs");
+    }
 
     #[test]
     fn lift_translates_control_exprs() {
@@ -550,7 +819,7 @@ mod tests {
         let lb = ctx.lower_bool(&e);
         let solver = SharedCheckCtx::process();
         let goal = ctx.assumptions().implies(lb.definitely());
-        assert_eq!(solver.check_valid(&goal), Answer::Yes);
+        assert_eq!(solver.check_valid(goal), Answer::Yes);
     }
 
     #[test]
@@ -560,9 +829,9 @@ mod tests {
         let lb = ctx.lower_bool(&e);
         let solver = SharedCheckCtx::process();
         // D(⊥ ≤ 100) is not valid …
-        assert_eq!(solver.check_valid(&lb.definitely()), Answer::No);
+        assert_eq!(solver.check_valid(lb.clone().definitely()), Answer::No);
         // … but M(⊥ ≤ 100) is
-        assert_eq!(solver.check_valid(&lb.maybe()), Answer::Yes);
+        assert_eq!(solver.check_valid(lb.maybe()), Answer::Yes);
     }
 
     #[test]
@@ -572,7 +841,7 @@ mod tests {
         let e = EffExpr::Bool(false).and(EffExpr::Unknown);
         let lb = ctx.lower_bool(&e);
         let solver = SharedCheckCtx::process();
-        assert_eq!(solver.check_valid(&lb.maybe().negate()), Answer::Yes);
+        assert_eq!(solver.check_valid(lb.maybe().negate()), Answer::Yes);
     }
 
     #[test]

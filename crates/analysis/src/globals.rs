@@ -129,7 +129,7 @@ impl GlobalEnv {
             let merged = if a == b {
                 a
             } else {
-                EffExpr::Ite(Box::new(cond.clone()), Box::new(a), Box::new(b))
+                EffExpr::ite(cond.clone(), a, b)
             };
             self.vals.insert(k, merged);
         }
@@ -146,7 +146,7 @@ pub fn lift_in_env(e: &Expr, env: &GlobalEnv, reg: &mut GlobalReg) -> EffExpr {
         Expr::BinOp(op, a, b) => {
             EffExpr::bin(*op, lift_in_env(a, env, reg), lift_in_env(b, env, reg))
         }
-        Expr::Neg(a) => EffExpr::Neg(Box::new(lift_in_env(a, env, reg))),
+        Expr::Neg(a) => EffExpr::neg(lift_in_env(a, env, reg)),
         other => lift(other, reg),
     }
 }

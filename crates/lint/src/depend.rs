@@ -349,7 +349,7 @@ fn conflicting(a: AccessKind, b: AccessKind) -> bool {
 fn pair_hypothesis(x: Sym, x2: Sym, lo: &EffExpr, hi: &EffExpr) -> EffExpr {
     bd(x, lo, hi)
         .and(bd(x2, lo, hi))
-        .and(EffExpr::Not(Box::new(EffExpr::Var(x).eq(EffExpr::Var(x2)))))
+        .and(EffExpr::not(EffExpr::Var(x).eq(EffExpr::Var(x2))))
 }
 
 /// Asks the solver whether `a1` in iteration `x` and `a2` in a distinct

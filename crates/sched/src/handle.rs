@@ -17,7 +17,7 @@ use exo_analysis::context::SiteQuery;
 use exo_analysis::globals::GlobalReg;
 use exo_analysis::SharedCheckCtx;
 use exo_core::budget::ResourceBudget;
-use exo_core::ir::Proc;
+use exo_core::ir::{FnArg, Proc};
 use exo_core::path::{replace_at, stmt_at, StmtPath};
 use exo_core::{Block, Stmt, Sym};
 use exo_smt::formula::Formula;
@@ -373,27 +373,23 @@ impl Procedure {
         Ok(self.with_body(body))
     }
 
-    /// Derives a procedure with a new body.
+    /// Derives a procedure with a new body. The signature is copied field
+    /// by field; the old body is not.
     pub(crate) fn with_body(&self, body: Block) -> Procedure {
-        let proc = Arc::new(Proc {
-            body,
-            ..(*self.proc).clone()
-        });
-        Procedure {
-            proc,
-            root: Arc::clone(&self.root),
-            state: Arc::clone(&self.state),
-            class: self.class,
-            polluted: self.polluted.clone(),
-            directives: self.directives + 1,
-            transcript: self.transcript.clone(),
-            parallel: self.parallel.clone(),
-        }
+        self.with_proc(self.proc.args.clone(), body)
     }
 
-    /// Derives a procedure with a wholly new IR (used by signature-level
-    /// rewrites such as `set_precision` on arguments).
-    pub(crate) fn with_proc(&self, proc: Proc) -> Procedure {
+    /// Derives a procedure with new arguments and body (signature-level
+    /// rewrites such as `set_arg_precision` change the arguments); the
+    /// name, preconditions and instruction template carry over.
+    pub(crate) fn with_proc(&self, args: Vec<FnArg>, body: Block) -> Procedure {
+        let proc = Proc {
+            name: self.proc.name,
+            args,
+            preds: self.proc.preds.clone(),
+            body,
+            instr: self.proc.instr.clone(),
+        };
         Procedure {
             proc: Arc::new(proc),
             root: Arc::clone(&self.root),

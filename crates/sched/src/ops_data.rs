@@ -2,7 +2,7 @@
 //! `set_precision`, `lift_alloc`, `bind_expr`, and `stage_mem`.
 
 use exo_core::hash::HashSet;
-use exo_core::ir::{ArgType, Expr, Proc, Stmt};
+use exo_core::ir::{ArgType, Expr, Stmt};
 use exo_core::path::visit_paths;
 use exo_core::types::{DataType, MemName};
 use exo_core::visit::{map_stmt_exprs, visit_expr, visit_stmts};
@@ -90,9 +90,9 @@ impl Procedure {
     }
 
     fn set_arg_precision_impl(&self, arg: &str, ty: DataType) -> Result<Procedure, SchedError> {
-        let mut proc: Proc = (**self.proc()).clone();
+        let mut args = self.proc().args.clone();
         let mut hit = false;
-        for a in &mut proc.args {
+        for a in &mut args {
             if a.name.name() == arg {
                 match &mut a.ty {
                     ArgType::Scalar { ty: t, .. } | ArgType::Tensor { ty: t, .. } => {
@@ -108,7 +108,7 @@ impl Procedure {
         if !hit {
             return serr(format!("set_arg_precision: no argument named {arg}"));
         }
-        Ok(self.with_proc(proc))
+        Ok(self.with_proc(args, self.proc().body.clone()))
     }
 
     /// `set_arg_memory(name, MEM)`: changes the memory annotation of a
@@ -120,9 +120,9 @@ impl Procedure {
     }
 
     fn set_arg_memory_impl(&self, arg: &str, mem: MemName) -> Result<Procedure, SchedError> {
-        let mut proc: Proc = (**self.proc()).clone();
+        let mut args = self.proc().args.clone();
         let mut hit = false;
-        for a in &mut proc.args {
+        for a in &mut args {
             if a.name.name() == arg {
                 match &mut a.ty {
                     ArgType::Scalar { mem: m, .. } | ArgType::Tensor { mem: m, .. } => {
@@ -138,7 +138,7 @@ impl Procedure {
         if !hit {
             return serr(format!("set_arg_memory: no argument named {arg}"));
         }
-        Ok(self.with_proc(proc))
+        Ok(self.with_proc(args, self.proc().body.clone()))
     }
 
     /// `lift_alloc(a)`: hoists an allocation out of its enclosing loop or

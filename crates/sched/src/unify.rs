@@ -757,12 +757,12 @@ fn subst_pred(e: &EffExpr, solution: &HashMap<Sym, LinExpr>, st: &UnifyState) ->
             subst_pred(a, solution, st),
             subst_pred(b, solution, st),
         ),
-        EffExpr::Neg(a) => EffExpr::Neg(Box::new(subst_pred(a, solution, st))),
-        EffExpr::Not(a) => EffExpr::Not(Box::new(subst_pred(a, solution, st))),
-        EffExpr::Ite(c, t, f) => EffExpr::Ite(
-            Box::new(subst_pred(c, solution, st)),
-            Box::new(subst_pred(t, solution, st)),
-            Box::new(subst_pred(f, solution, st)),
+        EffExpr::Neg(a) => EffExpr::neg(subst_pred(a, solution, st)),
+        EffExpr::Not(a) => EffExpr::not(subst_pred(a, solution, st)),
+        EffExpr::Ite(c, t, f) => EffExpr::ite(
+            subst_pred(c, solution, st),
+            subst_pred(t, solution, st),
+            subst_pred(f, solution, st),
         ),
         other => other.clone(),
     }

@@ -10,7 +10,7 @@ use std::fmt;
 
 use exo_core::sym::Sym;
 
-use crate::linear::LinExpr;
+use crate::linear::{Coeffs, LinExpr};
 
 /// An atomic constraint.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -291,11 +291,20 @@ impl Formula {
 /// the conjunction false.
 fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
     use exo_core::hash::HashMap;
-    type Dir = Vec<(Sym, i64)>;
     type Bounds = (Option<i64>, Option<i64>);
+    fn bounded(f: &Formula) -> Option<(&LinExpr, bool)> {
+        match f {
+            Formula::Atom(Atom::Le(e)) if !e.coeffs.is_empty() => Some((e, false)),
+            Formula::Atom(Atom::Eq(e)) if !e.coeffs.is_empty() => Some((e, true)),
+            _ => None,
+        }
+    }
+    // one bound alone cannot conflict: with fewer than two, only an
+    // equation's divisibility is left to check
+    let compare = fs.iter().filter_map(bounded).nth(1).is_some();
     // direction → (max lower bound, min upper bound)
-    let mut bounds: HashMap<Dir, Bounds> = HashMap::default();
-    let mut note = |dir: Vec<(Sym, i64)>, lower: Option<i64>, upper: Option<i64>| -> bool {
+    let mut bounds: HashMap<Coeffs, Bounds> = HashMap::default();
+    let mut note = |dir: Coeffs, lower: Option<i64>, upper: Option<i64>| -> bool {
         let entry = bounds.entry(dir).or_insert((None, None));
         if let Some(l) = lower {
             entry.0 = Some(entry.0.map_or(l, |x| x.max(l)));
@@ -305,26 +314,21 @@ fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
         }
         matches!(*entry, (Some(l), Some(u)) if l > u)
     };
-    for f in fs {
-        let (e, is_eq) = match f {
-            Formula::Atom(Atom::Le(e)) => (e, false),
-            Formula::Atom(Atom::Eq(e)) => (e, true),
-            _ => continue,
-        };
-        if e.coeffs.is_empty() {
-            continue;
-        }
+    for (e, is_eq) in fs.iter().filter_map(bounded) {
         let g = e.coeffs.values().fold(0, |g, &c| crate::linear::gcd(g, c));
         let Some(&lead) = e.coeffs.values().next() else {
             continue;
         };
         let sign = if lead > 0 { 1 } else { -1 };
-        let dir: Vec<(Sym, i64)> = e.coeffs.iter().map(|(&v, &c)| (v, sign * c / g)).collect();
+        if is_eq && e.constant.rem_euclid(g) != 0 {
+            return true;
+        }
+        if !compare {
+            continue;
+        }
+        let dir: Coeffs = e.coeffs.iter().map(|(&v, &c)| (v, sign * c / g)).collect();
         // e ≤ 0 ⇔ sign·g·(dir·x) + c ≤ 0
         let conflict = if is_eq {
-            if e.constant.rem_euclid(g) != 0 {
-                return true;
-            }
             let v = -sign * e.constant / g;
             note(dir, Some(v), Some(v))
         } else if sign > 0 {
