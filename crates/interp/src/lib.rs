@@ -28,5 +28,5 @@ pub mod trace;
 pub mod value;
 
 pub use machine::{ArgVal, InterpError, Machine};
-pub use trace::{Axes, HwOp, Instr, TensorRef, TraceArg, TraceArgs};
+pub use trace::{Axes, HwOp, Instr, TensorRef, Trace, TraceArg, TraceArgs};
 pub use value::{BufId, CtrlVal};

@@ -31,7 +31,7 @@ use crate::lower::{
     lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, IExpr, IntOp, LProc, LStmt, VExpr,
     Var, WCoord,
 };
-use crate::trace::{HwOp, Instr, TensorRef, TraceArg, TraceArgs};
+use crate::trace::{HwOp, Instr, TensorRef, Trace, TraceArg, TraceArgs};
 use crate::value::{cast, BufId, BufferData, CtrlVal};
 
 /// A runtime error (out-of-bounds access, failed assertion, read of
@@ -180,7 +180,7 @@ enum Located {
 pub struct Machine {
     bufs: Vec<BufferData>,
     configs: HashMap<(Sym, Sym), CtrlVal>,
-    trace: Vec<HwOp>,
+    trace: Trace,
     /// When `false`, calls to `@instr` procedures record a trace event
     /// but skip executing the semantic body (fast timing-only runs).
     pub execute_instr_bodies: bool,
@@ -196,7 +196,7 @@ impl Machine {
         Machine {
             bufs: Vec::new(),
             configs: HashMap::default(),
-            trace: Vec::new(),
+            trace: Trace::new(),
             execute_instr_bodies: true,
             steps: 0,
             budget: ResourceBudget::unlimited(),
@@ -280,7 +280,7 @@ impl Machine {
 
     /// Takes ownership of the trace, clearing it.
     pub fn take_trace(&mut self) -> Vec<HwOp> {
-        std::mem::take(&mut self.trace)
+        std::mem::take(&mut self.trace.0)
     }
 
     /// Reads a configuration field (for tests/inspection).

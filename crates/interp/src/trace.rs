@@ -25,7 +25,12 @@
 //! more than six formals, or more than three control values or tensors,
 //! keeps its arguments on the heap. The Gemmini and AVX-512 libraries
 //! take neither.
+//!
+//! A whole trace is a [`Trace`]: the interpreter records into one, and
+//! so do the old-lib trace models of `exo-kernels`. A dropped `Trace`
+//! leaves its buffer to the next one built on the same thread.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -627,6 +632,91 @@ impl fmt::Debug for HwOp {
     }
 }
 
+/// Spare trace buffers a thread keeps for its next traces.
+const SPARES: usize = 2;
+
+/// The largest buffer kept as a spare, bytes; a larger one is freed.
+const SPARE_MAX_BYTES: usize = 64 << 20;
+
+thread_local! {
+    static SPARE: RefCell<Vec<Vec<HwOp>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A recorded instruction trace: the ops in order, read as a `[HwOp]`
+/// slice, in storage that is reused from one trace to the next.
+///
+/// Traces are the largest short-lived buffers of a simulation run (a
+/// scaled Fig. 4a matmul records ~17 000 ops, 3.7 MB, and its old-lib
+/// model ~25 000), and a sequence of runs makes and frees them one after
+/// another. Taken fresh from the allocator each time, a trace lands
+/// wherever the heap has room at that moment, so the memory a process
+/// touches depends on the order of its earlier runs. A dropped `Trace`
+/// instead leaves its cleared buffer to its thread (at most [`SPARES`]
+/// of them, none above [`SPARE_MAX_BYTES`]), and the next `Trace` on
+/// that thread starts from it: the same buffers serve every run, in any
+/// order, and a trace that fits one grows without copying.
+/// [`crate::Machine::take_trace`] hands its buffer out for good.
+#[derive(Debug)]
+pub struct Trace(pub(crate) Vec<HwOp>);
+
+impl Trace {
+    /// An empty trace, in a spare buffer of this thread if there is one.
+    pub fn new() -> Trace {
+        Trace(
+            SPARE
+                .try_with(|s| s.borrow_mut().pop())
+                .ok()
+                .flatten()
+                .unwrap_or_default(),
+        )
+    }
+
+    /// An empty trace with room for at least `n` ops.
+    pub fn with_capacity(n: usize) -> Trace {
+        let mut t = Trace::new();
+        t.0.reserve(n);
+        t
+    }
+
+    /// Appends an op.
+    #[inline]
+    pub fn push(&mut self, op: HwOp) {
+        self.0.push(op);
+    }
+}
+
+impl Default for Trace {
+    fn default() -> Trace {
+        Trace::new()
+    }
+}
+
+impl Deref for Trace {
+    type Target = [HwOp];
+
+    fn deref(&self) -> &[HwOp] {
+        &self.0
+    }
+}
+
+impl Drop for Trace {
+    fn drop(&mut self) {
+        let mut ops = std::mem::take(&mut self.0);
+        let bytes = ops.capacity() * std::mem::size_of::<HwOp>();
+        if bytes == 0 || bytes > SPARE_MAX_BYTES {
+            return;
+        }
+        ops.clear();
+        // during thread teardown the buffer is simply freed
+        let _ = SPARE.try_with(|s| {
+            let mut s = s.borrow_mut();
+            if s.len() < SPARES {
+                s.push(ops);
+            }
+        });
+    }
+}
+
 /// Prints an iterator's items as a `Debug` list.
 struct DebugList<I>(I);
 
@@ -735,6 +825,44 @@ mod tests {
         assert_eq!(op.int_arg("x8"), Some(64));
         assert_eq!(op.args.len(), 9);
         assert_eq!(op.clone(), op);
+    }
+
+    fn spares() -> Vec<usize> {
+        SPARE.with(|s| s.borrow().iter().map(Vec::capacity).collect())
+    }
+
+    #[test]
+    fn a_dropped_trace_leaves_its_buffer_to_the_next() {
+        SPARE.with(|s| s.borrow_mut().clear());
+        let op = HwOp::new(Instr::intern("fence", &[]), []);
+        let mut t = Trace::with_capacity(100);
+        t.push(op.clone());
+        let (at, cap) = (t.as_ptr(), t.0.capacity());
+        drop(t);
+        assert_eq!(spares(), [cap]);
+        let mut u = Trace::new();
+        assert!(u.is_empty());
+        assert_eq!((u.as_ptr(), u.0.capacity()), (at, cap));
+        assert_eq!(spares(), []);
+        u.push(op.clone());
+        // a buffer handed out as a vector is not a spare any more
+        assert_eq!(std::mem::take(&mut u.0), [op]);
+        drop(u);
+        assert_eq!(spares(), []);
+    }
+
+    #[test]
+    fn spares_are_few_and_bounded() {
+        SPARE.with(|s| s.borrow_mut().clear());
+        let traces: Vec<Trace> = (1..=3).map(|n| Trace::with_capacity(n * 10)).collect();
+        drop(traces);
+        assert_eq!(spares(), [10, 20]);
+        SPARE.with(|s| s.borrow_mut().clear());
+        // address space only: the pages are never touched
+        let huge = SPARE_MAX_BYTES / std::mem::size_of::<HwOp>() + 1;
+        drop(Trace::with_capacity(huge));
+        drop(Trace::new());
+        assert_eq!(spares(), []);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
 use exo_hwlibs::GemminiLib;
-use exo_interp::HwOp;
+use exo_interp::{HwOp, Trace};
 use exo_sched::{Procedure, SchedError, StateRef};
 
 use crate::schedlib::{
@@ -276,14 +276,14 @@ pub fn trace_conv(proc: &Proc, s: &ConvShape, functional: bool) -> Vec<HwOp> {
 /// with per-move fused configuration and no weight residency (one weight
 /// tile load per systolic pass), following the Old-lib structure of
 /// §7.1.
-pub fn old_lib_conv_trace(s: &ConvShape) -> Vec<HwOp> {
+pub fn old_lib_conv_trace(s: &ConvShape) -> Trace {
     let lib = OldLib::new();
     let oxt = s.ox_tile();
     // per output tile: two configs, two accumulator moves, and a load
     // pair plus a matmul per kernel position and IC tile
     let tiles = s.batch * s.out_dim * (s.out_dim / oxt) * (s.oc / 16);
     let per_tile = 4 + 3 * s.kdim * s.kdim * (s.ic / 16);
-    let mut trace = Vec::with_capacity((tiles * per_tile).max(0) as usize);
+    let mut trace = Trace::with_capacity((tiles * per_tile).max(0) as usize);
     // the instructions and on-chip tiles that do not depend on the tile
     // position, built once
     let (config_ld, config_st, matmul) =

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use exo_core::ir::{Expr, Proc};
 use exo_core::types::DataType;
 use exo_hwlibs::GemminiLib;
-use exo_interp::HwOp;
+use exo_interp::{HwOp, Trace};
 use exo_sched::{Procedure, SchedError, StateRef};
 
 use crate::schedlib::{
@@ -179,12 +179,12 @@ pub fn trace_matmul(proc: &Proc, n: i64, m: i64, k: i64, functional: bool) -> Ve
 /// loaded per matmul (no cross-tile reuse), and the load/store
 /// configuration re-issued around every move — the fused-configuration
 /// behavior §2.4 describes.
-pub fn old_lib_matmul_trace(n: i64, m: i64, k: i64) -> Vec<HwOp> {
+pub fn old_lib_matmul_trace(n: i64, m: i64, k: i64) -> Trace {
     let lib = OldLib::new();
     // per output tile: two configs, two accumulator moves, and a load
     // pair plus a matmul per K tile
     let tiles = (n / 16) * (m / 16);
-    let mut trace = Vec::with_capacity((tiles * (4 + 3 * (k / 16))).max(0) as usize);
+    let mut trace = Trace::with_capacity((tiles * (4 + 3 * (k / 16))).max(0) as usize);
     // the instructions and on-chip tiles that do not depend on the tile
     // position, built once
     let (config_ld, config_st, matmul) = (lib.config_ld(k), lib.config_st(k), lib.matmul(16));
