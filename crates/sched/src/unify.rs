@@ -9,16 +9,32 @@
 //! control expressions are recorded as linear equations over the unknown
 //! arguments (sizes and window offsets) and solved by elimination, with
 //! residual equations discharged to the SMT solver. Window arguments
-//! introduce categorical choices (which buffer dimensions are sliced);
-//! these are explored by backtracking.
+//! introduce categorical choices (which caller dimensions a window
+//! walks, in `increasing_injections` order); unification forms every
+//! combination as a candidate, and the first candidate whose check
+//! passes is accepted. When none passes, the last candidate's error is
+//! reported.
+//!
+//! One `replace` opens one site query at the match, after unification,
+//! and checks the candidates in order inside it; each candidate lowers
+//! its equations in a fresh `LowerCtx`, so the formula it poses is the
+//! one it would pose in a query of its own. Unification drops the
+//! candidates it can tell will fail, those whose window puts into a
+//! point coordinate a caller index the check must reject (see
+//! `Unifier::point_doomed`). The state on the path to the last
+//! candidate is never dropped, so the accepted candidate and the
+//! reported error are those of the exhaustive search.
 
 use std::sync::Arc;
 
-use exo_analysis::effexpr::{EffExpr, LowerCtx};
+use exo_analysis::context::SiteQuery;
+use exo_analysis::effexpr::{lift, EffExpr, LowerCtx};
+use exo_analysis::globals::GlobalReg;
 use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{ArgType, Expr, Proc, Stmt, WAccess};
+use exo_core::path::StmtPath;
 use exo_core::visit::{visit_expr, visit_stmts};
-use exo_core::Sym;
+use exo_core::{DataType, Sym};
 use exo_smt::formula::Formula;
 use exo_smt::linear::LinExpr;
 
@@ -36,6 +52,10 @@ struct TensorBind {
     dim_map: Vec<usize>,
     /// Unknown offset symbol per *caller* dimension.
     offsets: Vec<Sym>,
+    /// Accesses of the formal in the callee body not yet unified.
+    left: usize,
+    /// Whether no point index unified so far mentions an unknown.
+    clean: bool,
 }
 
 #[derive(Clone, Default, Debug)]
@@ -50,7 +70,41 @@ struct UnifyState {
     equations: Vec<(Expr, Expr)>,
     /// non-integer equivalences to verify (boolean conditions)
     bool_checks: Vec<(Expr, Expr)>,
+    /// Whether every embedding chosen so far was the last at its
+    /// binding: the state leads to the last candidate.
+    last: bool,
 }
+
+/// What lowering a caller index shows, as the candidate check would see
+/// it: whether it is affine, and the variables it mentions.
+struct IndexFacts {
+    affine: bool,
+    vars: Vec<Sym>,
+}
+
+/// One `replace` call's unification: the facts every partial state
+/// shares, computed once.
+struct Unifier<'a> {
+    proc: &'a Procedure,
+    callee: &'a Proc,
+    block_bound: &'a HashSet<Sym>,
+    /// Whether to drop doomed embeddings.
+    prune: bool,
+    /// Accesses of each buffer in the callee body, in unification's
+    /// count.
+    accesses: HashMap<Sym, usize>,
+    /// Offset symbols per formal, one per caller dimension.
+    offsets: HashMap<Sym, Vec<Sym>>,
+    /// Rank and element type per caller buffer.
+    buffers: HashMap<Sym, Option<(usize, Option<DataType>)>>,
+    /// Facts per caller index, keyed by its address in the matched
+    /// block; `None` for an index that reads configuration state.
+    facts: HashMap<*const Expr, Option<IndexFacts>>,
+    /// Lowering state for the facts alone; nothing it lowers is posed.
+    scratch: LowerCtx,
+}
+
+const NO_MATCH: &str = "replace: unification found no match";
 
 impl Procedure {
     /// Replaces `callee.body.len()` consecutive statements starting at
@@ -74,6 +128,33 @@ impl Procedure {
         stmt_pat: &Pattern,
         callee: &Arc<Proc>,
     ) -> Result<Procedure, SchedError> {
+        let (first, caller_stmts, block_bound) = self.replace_site(stmt_pat, callee)?;
+        let candidates = Unifier::new(self, callee, &block_bound, true).unify(&caller_stmts)?;
+        if candidates.is_empty() {
+            return serr(NO_MATCH);
+        }
+        let args = self.query(&first, |q| {
+            let mut last_err = SchedError::new(NO_MATCH);
+            for cand in &candidates {
+                q.lctx = LowerCtx::new();
+                match check_candidate(q, callee, cand, &block_bound) {
+                    Ok(args) => return Ok(args),
+                    Err(e) => last_err = e,
+                }
+            }
+            Err(last_err)
+        })?;
+        self.splice_call(callee, args, &first, caller_stmts.len())
+    }
+
+    /// The match of `stmt_pat`: its path, the `callee.body.len()`
+    /// statements from there, and the variables bound inside them, which
+    /// are out of scope for inferred arguments.
+    fn replace_site(
+        &self,
+        stmt_pat: &Pattern,
+        callee: &Proc,
+    ) -> Result<(StmtPath, Vec<Stmt>, HashSet<Sym>), SchedError> {
         let first = self.find(stmt_pat)?;
         let n = callee.body.len();
         if n == 0 {
@@ -95,9 +176,6 @@ impl Procedure {
                     .clone(),
             );
         }
-
-        // variables bound inside the replaced block are out of scope for
-        // inferred arguments
         let mut block_bound = HashSet::default();
         visit_stmts(&caller_stmts, &mut |s| match s {
             Stmt::For { iter, .. } => {
@@ -108,30 +186,114 @@ impl Procedure {
             }
             _ => {}
         });
+        Ok((first, caller_stmts, block_bound))
+    }
 
-        // set up unknowns
-        let mut st = UnifyState::default();
-        for arg in &callee.args {
+    /// Replaces the `n` statements from `first` with `callee(args)`.
+    fn splice_call(
+        &self,
+        callee: &Arc<Proc>,
+        args: Vec<Expr>,
+        first: &StmtPath,
+        n: usize,
+    ) -> Result<Procedure, SchedError> {
+        let call = Stmt::Call {
+            proc: Arc::clone(callee),
+            args,
+        };
+        // splice: the first statement becomes the call; delete the rest
+        let mut p = self.splice(first, &mut |_| vec![call.clone()])?;
+        for _ in 1..n {
+            let Some(next) = first.sibling(1) else {
+                return serr("replace: match window fell off the enclosing block");
+            };
+            p = p.splice(&next, &mut |_| vec![])?;
+        }
+        Ok(p)
+    }
+
+    fn buffer_dtype(&self, buf: Sym) -> Option<DataType> {
+        for a in &self.proc().args {
+            if a.name == buf {
+                return a.ty.data_type();
+            }
+        }
+        let mut dt = None;
+        visit_stmts(self.body(), &mut |s| {
+            if let Stmt::Alloc { name, ty, .. } = s {
+                if *name == buf && dt.is_none() {
+                    dt = Some(*ty);
+                }
+            }
+        });
+        dt
+    }
+
+    fn buffer_rank(&self, buf: Sym) -> Option<usize> {
+        for a in &self.proc().args {
+            if a.name == buf {
+                return match &a.ty {
+                    ArgType::Scalar { .. } => Some(0),
+                    ArgType::Tensor { shape, .. } => Some(shape.len()),
+                    ArgType::Ctrl(_) => None,
+                };
+            }
+        }
+        let mut rank = None;
+        visit_stmts(self.body(), &mut |s| match s {
+            Stmt::Alloc { name, shape, .. } if *name == buf => rank = Some(shape.len()),
+            Stmt::WindowDef {
+                name,
+                rhs: Expr::Window { coords, .. },
+            } if *name == buf => rank = Some(coords.iter().filter(|c| c.is_interval()).count()),
+            _ => {}
+        });
+        rank
+    }
+}
+
+impl<'a> Unifier<'a> {
+    fn new(
+        proc: &'a Procedure,
+        callee: &'a Proc,
+        block_bound: &'a HashSet<Sym>,
+        prune: bool,
+    ) -> Unifier<'a> {
+        let mut accesses = HashMap::default();
+        count_accesses(&callee.body, &mut accesses);
+        Unifier {
+            proc,
+            callee,
+            block_bound,
+            prune,
+            accesses,
+            offsets: HashMap::default(),
+            buffers: HashMap::default(),
+            facts: HashMap::default(),
+            scratch: LowerCtx::new(),
+        }
+    }
+
+    /// Every candidate match of the callee body against `caller`, in
+    /// search order.
+    fn unify(&mut self, caller: &[Stmt]) -> Result<Vec<UnifyState>, SchedError> {
+        let mut st = UnifyState {
+            last: true,
+            ..UnifyState::default()
+        };
+        for arg in &self.callee.args {
             if arg.ty.is_ctrl() {
                 st.unknowns.insert(arg.name);
             }
         }
-
-        let mut solutions: Vec<UnifyState> = Vec::new();
-        self.unify_block(callee, &callee.body, &caller_stmts, st, &mut solutions)?;
-        let mut last_err = SchedError::new("replace: unification found no match".to_string());
-        for cand in solutions {
-            match self.finish_replace(callee, cand, &first, n, &block_bound) {
-                Ok(p) => return Ok(p),
-                Err(e) => last_err = e,
-            }
-        }
-        Err(last_err)
+        let callee = self.callee;
+        let mut out = Vec::new();
+        self.unify_block(&callee.body, caller, st, &mut out)?;
+        Ok(out)
     }
 
     fn unify_block(
-        &self,
-        callee: &Proc,
+        &mut self,
         ce: &[Stmt],
         pe: &[Stmt],
         st: UnifyState,
@@ -145,16 +307,15 @@ impl Procedure {
             return Ok(()); // length mismatch: no match on this branch
         }
         let mut partials = Vec::new();
-        self.unify_stmt(callee, &ce[0], &pe[0], st, &mut partials)?;
+        self.unify_stmt(&ce[0], &pe[0], st, &mut partials)?;
         for p in partials {
-            self.unify_block(callee, &ce[1..], &pe[1..], p, out)?;
+            self.unify_block(&ce[1..], &pe[1..], p, out)?;
         }
         Ok(())
     }
 
     fn unify_stmt(
-        &self,
-        callee: &Proc,
+        &mut self,
         ce: &Stmt,
         pe: &Stmt,
         mut st: UnifyState,
@@ -179,7 +340,7 @@ impl Procedure {
                 st.alpha.insert(*ci, *pi);
                 st.equations.push((cl.clone(), pl.clone()));
                 st.equations.push((ch.clone(), ph.clone()));
-                self.unify_block(callee, cb, pb, st, out)?;
+                self.unify_block(cb, pb, st, out)?;
             }
             (
                 Stmt::If {
@@ -195,9 +356,9 @@ impl Procedure {
             ) => {
                 st.bool_checks.push((cc.clone(), pc.clone()));
                 let mut mids = Vec::new();
-                self.unify_block(callee, cb, pb, st, &mut mids)?;
+                self.unify_block(cb, pb, st, &mut mids)?;
                 for m in mids {
-                    self.unify_block(callee, co, po, m, out)?;
+                    self.unify_block(co, po, m, out)?;
                 }
             }
             (
@@ -225,11 +386,9 @@ impl Procedure {
                 },
             ) => {
                 let mut mids = Vec::new();
-                self.unify_access(callee, *cbuf, cidx, *pbuf, pidx, st, &mut mids)?;
-                for mut m in mids {
-                    let mut inner = Vec::new();
-                    self.unify_data(callee, crhs, prhs, std::mem::take(&mut m), &mut inner)?;
-                    out.extend(inner);
+                self.unify_access(*cbuf, cidx, *pbuf, pidx, st, &mut mids)?;
+                for m in mids {
+                    self.unify_data(crhs, prhs, m, out)?;
                 }
             }
             (
@@ -277,10 +436,8 @@ impl Procedure {
 
     /// Unifies a buffer access `cbuf[cidx]` (callee) against
     /// `pbuf[pidx]` (caller).
-    #[allow(clippy::too_many_arguments)]
     fn unify_access(
-        &self,
-        callee: &Proc,
+        &mut self,
         cbuf: Sym,
         cidx: &[Expr],
         pbuf: Sym,
@@ -299,7 +456,7 @@ impl Procedure {
             return Ok(());
         }
         // tensor/scalar formal of the callee
-        let Some(formal) = callee.args.iter().find(|a| a.name == cbuf) else {
+        let Some(formal) = self.callee.args.iter().find(|a| a.name == cbuf) else {
             return Ok(()); // unknown callee symbol: no match
         };
         let callee_rank = match &formal.ty {
@@ -310,70 +467,151 @@ impl Procedure {
         if cidx.len() != callee_rank {
             return Ok(());
         }
-        let Some(caller_rank) = self.buffer_rank(pbuf) else {
+        let Some((caller_rank, have)) = self.buffer(pbuf) else {
             return Ok(());
         };
         if pidx.len() != caller_rank || caller_rank < callee_rank {
             return Ok(());
         }
         // precisions must agree (windows cannot change element type)
-        if let (Some(want), Some(have)) = (formal.ty.data_type(), self.buffer_dtype(pbuf)) {
-            if want != have && want != exo_core::DataType::R && have != exo_core::DataType::R {
+        if let (Some(want), Some(have)) = (formal.ty.data_type(), have) {
+            if want != have && want != DataType::R && have != DataType::R {
                 return Ok(());
             }
         }
-        let existing = st.tensors.get(&cbuf).cloned();
-        let choices: Vec<Vec<usize>> = match &existing {
+        let choices: Vec<TensorBind> = match st.tensors.get(&cbuf) {
             Some(b) => {
                 if b.caller_buf != pbuf || b.caller_rank != caller_rank {
                     return Ok(()); // inconsistent buffer identity
                 }
-                vec![b.dim_map.clone()]
+                vec![b.clone()]
             }
-            None => increasing_injections(callee_rank, caller_rank),
-        };
-        for dim_map in choices {
-            let mut s2 = st.clone();
-            let bind = match &existing {
-                Some(b) => b.clone(),
-                None => {
-                    let offsets: Vec<Sym> = (0..caller_rank)
-                        .map(|d| {
-                            let o = Sym::new(format!("off_{}_{d}", cbuf.name()));
-                            s2.unknowns.insert(o);
-                            o
-                        })
-                        .collect();
-                    let b = TensorBind {
+            None => {
+                let offsets = self.offsets_of(cbuf, caller_rank);
+                st.unknowns.extend(offsets.iter().copied());
+                // unification reaches only counted accesses; an
+                // uncounted one would never be the last
+                let left = self.accesses.get(&cbuf).copied().unwrap_or(usize::MAX);
+                increasing_injections(callee_rank, caller_rank)
+                    .into_iter()
+                    .map(|dim_map| TensorBind {
                         caller_buf: pbuf,
                         caller_rank,
-                        dim_map: dim_map.clone(),
-                        offsets,
-                    };
-                    s2.tensors.insert(cbuf, b.clone());
-                    b
-                }
-            };
+                        dim_map,
+                        offsets: offsets.clone(),
+                        left,
+                        clean: true,
+                    })
+                    .collect()
+            }
+        };
+        let n = choices.len();
+        let mut kept = Vec::with_capacity(n);
+        for (c, mut bind) in choices.into_iter().enumerate() {
+            bind.left = bind.left.saturating_sub(1);
             // equations per caller dimension
-            let mut k_of: HashMap<usize, usize> = HashMap::default();
-            for (k, &d) in bind.dim_map.iter().enumerate() {
-                k_of.insert(d, k);
-            }
-            for (d, pd) in pidx.iter().enumerate().take(caller_rank) {
-                let lhs = match k_of.get(&d) {
-                    Some(&k) => Expr::var(bind.offsets[d]).add(cidx[k].clone()),
-                    None => Expr::var(bind.offsets[d]),
+            let mut eqs = Vec::with_capacity(caller_rank);
+            let mut doomed = false;
+            for (d, pd) in pidx.iter().enumerate() {
+                let lhs = match bind.dim_map.iter().position(|&x| x == d) {
+                    Some(k) => Expr::var(bind.offsets[d]).add(cidx[k].clone()),
+                    None => {
+                        doomed |= self.prune && self.point_doomed(pd, &mut bind, &st.unknowns);
+                        Expr::var(bind.offsets[d])
+                    }
                 };
-                s2.equations.push((lhs, pd.clone()));
+                eqs.push((lhs, pd.clone()));
             }
+            let last = st.last && c + 1 == n;
+            if !doomed || last {
+                kept.push((bind, eqs, last));
+            }
+        }
+        let k = kept.len();
+        for (i, (bind, eqs, last)) in kept.into_iter().enumerate() {
+            let mut s2 = if i + 1 == k {
+                std::mem::take(&mut st)
+            } else {
+                st.clone()
+            };
+            s2.last = last;
+            s2.equations.extend(eqs);
+            s2.tensors.insert(cbuf, bind);
             out.push(s2);
         }
         Ok(())
     }
 
+    /// Whether the point coordinate `off_d == pd` of `bind` dooms the
+    /// candidate, so that its check would certainly fail:
+    /// * `pd` lowers non-affine, and the check rejects every non-affine
+    ///   equation; or
+    /// * this is the formal's last access, `pd` mentions a variable bound
+    ///   inside the replaced block, and none of the formal's point indices
+    ///   mentions an unknown. Each of those indices gives an equation
+    ///   `off_d == index` with `off_d` its only unknown, so elimination
+    ///   solves `off_d` from each in turn and keeps the last, `pd`; the
+    ///   scope check then rejects it.
+    ///
+    /// An index that reads configuration state is never doomed: lifting
+    /// it would need the site's dataflow state.
+    fn point_doomed(&mut self, pd: &Expr, bind: &mut TensorBind, unknowns: &HashSet<Sym>) -> bool {
+        let block_bound = self.block_bound;
+        let Some(facts) = self.facts_of(pd) else {
+            bind.clean = false;
+            return false;
+        };
+        if facts.vars.iter().any(|v| unknowns.contains(v)) {
+            bind.clean = false;
+        }
+        !facts.affine
+            || (bind.left == 0 && bind.clean && facts.vars.iter().any(|v| block_bound.contains(v)))
+    }
+
+    /// The lowering facts of a caller index, computed once per `replace`.
+    fn facts_of(&mut self, e: &Expr) -> Option<&IndexFacts> {
+        let scratch = &mut self.scratch;
+        self.facts
+            .entry(e as *const Expr)
+            .or_insert_with(|| {
+                let mut reads_config = false;
+                visit_expr(e, &mut |x| {
+                    reads_config |= matches!(x, Expr::ReadConfig { .. });
+                });
+                if reads_config {
+                    return None;
+                }
+                // with no configuration read, lifting never touches the
+                // registry, so a throwaway one stands in for the site's
+                let lowered = scratch.lower_int(&lift(e, &mut GlobalReg::new()));
+                Some(IndexFacts {
+                    affine: lowered.def == Formula::True,
+                    vars: lowered.val.vars().collect(),
+                })
+            })
+            .as_ref()
+    }
+
+    /// The offset symbols of formal `cbuf`, minted once per `replace`.
+    fn offsets_of(&mut self, cbuf: Sym, rank: usize) -> Vec<Sym> {
+        let offsets = self.offsets.entry(cbuf).or_default();
+        while offsets.len() < rank {
+            offsets.push(Sym::new(format!("off_{}_{}", cbuf.name(), offsets.len())));
+        }
+        offsets[..rank].to_vec()
+    }
+
+    /// A caller buffer's rank and element type.
+    fn buffer(&mut self, buf: Sym) -> Option<(usize, Option<DataType>)> {
+        let proc = self.proc;
+        *self
+            .buffers
+            .entry(buf)
+            .or_insert_with(|| Some((proc.buffer_rank(buf)?, proc.buffer_dtype(buf))))
+    }
+
     fn unify_data(
-        &self,
-        callee: &Proc,
+        &mut self,
         ce: &Expr,
         pe: &Expr,
         st: UnifyState,
@@ -384,16 +622,16 @@ impl Procedure {
                 out.push(st);
             }
             (Expr::Read { buf: cb, idx: ci }, Expr::Read { buf: pb, idx: pi }) => {
-                self.unify_access(callee, *cb, ci, *pb, pi, st, out)?;
+                self.unify_access(*cb, ci, *pb, pi, st, out)?;
             }
             (Expr::BinOp(co, ca, cb), Expr::BinOp(po, pa, pb)) if co == po => {
                 let mut mids = Vec::new();
-                self.unify_data(callee, ca, pa, st, &mut mids)?;
+                self.unify_data(ca, pa, st, &mut mids)?;
                 for m in mids {
-                    self.unify_data(callee, cb, pb, m, out)?;
+                    self.unify_data(cb, pb, m, out)?;
                 }
             }
-            (Expr::Neg(ca), Expr::Neg(pa)) => self.unify_data(callee, ca, pa, st, out)?,
+            (Expr::Neg(ca), Expr::Neg(pa)) => self.unify_data(ca, pa, st, out)?,
             (Expr::BuiltIn { func: cf, args: ca }, Expr::BuiltIn { func: pf, args: pa })
                 if cf.name() == pf.name() && ca.len() == pa.len() =>
             {
@@ -401,7 +639,7 @@ impl Procedure {
                 for (x, y) in ca.iter().zip(pa) {
                     let mut next = Vec::new();
                     for s in states {
-                        self.unify_data(callee, x, y, s, &mut next)?;
+                        self.unify_data(x, y, s, &mut next)?;
                     }
                     states = next;
                 }
@@ -411,269 +649,256 @@ impl Procedure {
         }
         Ok(())
     }
+}
 
-    fn buffer_dtype(&self, buf: Sym) -> Option<exo_core::DataType> {
-        for a in &self.proc().args {
-            if a.name == buf {
-                return a.ty.data_type();
+/// Counts, per buffer, the accesses unification visits in `block`: every
+/// assignment's target and every read in its data expression.
+fn count_accesses(block: &[Stmt], out: &mut HashMap<Sym, usize>) {
+    fn data(e: &Expr, out: &mut HashMap<Sym, usize>) {
+        match e {
+            Expr::Read { buf, .. } => *out.entry(*buf).or_default() += 1,
+            Expr::BinOp(_, a, b) => {
+                data(a, out);
+                data(b, out);
             }
-        }
-        let mut dt = None;
-        visit_stmts(self.body(), &mut |s| {
-            if let Stmt::Alloc { name, ty, .. } = s {
-                if *name == buf && dt.is_none() {
-                    dt = Some(*ty);
-                }
-            }
-        });
-        dt
-    }
-
-    fn buffer_rank(&self, buf: Sym) -> Option<usize> {
-        for a in &self.proc().args {
-            if a.name == buf {
-                return match &a.ty {
-                    ArgType::Scalar { .. } => Some(0),
-                    ArgType::Tensor { shape, .. } => Some(shape.len()),
-                    ArgType::Ctrl(_) => None,
-                };
-            }
-        }
-        let mut rank = None;
-        visit_stmts(self.body(), &mut |s| match s {
-            Stmt::Alloc { name, shape, .. } if *name == buf => rank = Some(shape.len()),
-            Stmt::WindowDef {
-                name,
-                rhs: Expr::Window { coords, .. },
-            } if *name == buf => rank = Some(coords.iter().filter(|c| c.is_interval()).count()),
+            Expr::Neg(a) => data(a, out),
+            Expr::BuiltIn { args, .. } => args.iter().for_each(|a| data(a, out)),
             _ => {}
-        });
-        rank
+        }
+    }
+    for s in block {
+        match s {
+            Stmt::For { body, .. } => count_accesses(body, out),
+            Stmt::If { body, orelse, .. } => {
+                count_accesses(body, out);
+                count_accesses(orelse, out);
+            }
+            Stmt::Assign { buf, rhs, .. } | Stmt::Reduce { buf, rhs, .. } => {
+                *out.entry(*buf).or_default() += 1;
+                data(rhs, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Solves the equations of a candidate match, verifies residuals and
+/// callee preconditions, and builds the call's arguments. The equations
+/// are lowered in `q.lctx`, which the caller leaves fresh.
+fn check_candidate(
+    q: &mut SiteQuery<'_>,
+    callee: &Proc,
+    st: &UnifyState,
+    block_bound: &HashSet<Sym>,
+) -> Result<Vec<Expr>, SchedError> {
+    // lower both sides of every equation; callee side: alpha-rename
+    // bound vars to caller symbols, leave unknowns in place
+    let mut lowered: Vec<LinExpr> = Vec::new();
+    for (cl, pl) in &st.equations {
+        let cl_e = q.lift(cl).subst(
+            &st.alpha
+                .iter()
+                .map(|(&a, &b)| (a, EffExpr::Var(b)))
+                .collect(),
+        );
+        let pl_e = q.lift(pl);
+        let li = q.lctx.lower_int(&cl_e);
+        let ri = q.lctx.lower_int(&pl_e);
+        if li.def != Formula::True || ri.def != Formula::True {
+            // division/unknown in an equation: be conservative
+            return serr("replace: non-affine equation in unification");
+        }
+        lowered.push(li.val.sub(&ri.val));
     }
 
-    /// Solves the equations of a candidate match, verifies residuals and
-    /// callee preconditions, and builds the call.
-    fn finish_replace(
-        &self,
-        callee: &Arc<Proc>,
-        st: UnifyState,
-        first: &exo_core::path::StmtPath,
-        n: usize,
-        block_bound: &HashSet<Sym>,
-    ) -> Result<Procedure, SchedError> {
-        let args = self.query(first, |q| {
-            // lower both sides of every equation; callee side: alpha-rename
-            // bound vars to caller symbols, leave unknowns in place
-            let mut lowered: Vec<LinExpr> = Vec::new();
-            for (cl, pl) in &st.equations {
-                let cl_e = q.lift(cl).subst(
-                    &st.alpha
-                        .iter()
-                        .map(|(&a, &b)| (a, EffExpr::Var(b)))
-                        .collect(),
-                );
-                let pl_e = q.lift(pl);
-                let li = q.lctx.lower_int(&cl_e);
-                let ri = q.lctx.lower_int(&pl_e);
-                if li.def != Formula::True || ri.def != Formula::True {
-                    // division/unknown in an equation: be conservative
-                    return serr("replace: non-affine equation in unification");
-                }
-                lowered.push(li.val.sub(&ri.val));
-            }
-
-            // eliminate unknowns with ±1 coefficients
-            let mut solution: HashMap<Sym, LinExpr> = HashMap::default();
-            let mut work = lowered;
-            loop {
-                let mut progress = false;
-                let mut rest = Vec::new();
-                for eq in std::mem::take(&mut work) {
-                    // find an unsolved unknown with coefficient ±1
-                    let target = eq
-                        .coeffs
-                        .iter()
-                        .find(|(v, &c)| st.unknowns.contains(v) && (c == 1 || c == -1))
-                        .map(|(&v, &c)| (v, c));
-                    match target {
-                        Some((v, c)) => {
-                            // c·v + rest = 0  ⇒  v = -rest / c
-                            let mut rest_e = eq.clone();
-                            rest_e.coeffs.remove(&v);
-                            let val = rest_e.scale(-c); // c = ±1 ⇒ exact
-                                                        // substitute into existing solutions and work
-                            for sol in solution.values_mut() {
-                                *sol = sol.subst(v, &val);
-                            }
-                            rest = rest
-                                .into_iter()
-                                .map(|e: LinExpr| e.subst(v, &val))
-                                .collect();
-                            work = work.into_iter().map(|e| e.subst(v, &val)).collect();
-                            solution.insert(v, val);
-                            progress = true;
-                        }
-                        None => rest.push(eq),
+    // eliminate unknowns with ±1 coefficients
+    let mut solution: HashMap<Sym, LinExpr> = HashMap::default();
+    let mut work = lowered;
+    loop {
+        let mut progress = false;
+        let mut rest = Vec::new();
+        for eq in std::mem::take(&mut work) {
+            // find an unsolved unknown with coefficient ±1
+            let target = eq
+                .coeffs
+                .iter()
+                .find(|(v, &c)| st.unknowns.contains(v) && (c == 1 || c == -1))
+                .map(|(&v, &c)| (v, c));
+            match target {
+                Some((v, c)) => {
+                    // c·v + rest = 0  ⇒  v = -rest / c
+                    let mut rest_e = eq.clone();
+                    rest_e.coeffs.remove(&v);
+                    let val = rest_e.scale(-c); // c = ±1 ⇒ exact
+                                                // substitute into existing solutions and work
+                    for sol in solution.values_mut() {
+                        *sol = sol.subst(v, &val);
                     }
+                    rest = rest
+                        .into_iter()
+                        .map(|e: LinExpr| e.subst(v, &val))
+                        .collect();
+                    work = work.into_iter().map(|e| e.subst(v, &val)).collect();
+                    solution.insert(v, val);
+                    progress = true;
                 }
-                work.extend(rest);
-                if !progress {
-                    break;
-                }
+                None => rest.push(eq),
             }
-            // any equation still mentioning an unknown is unsolvable here
-            let mut residual = Vec::new();
-            for eq in &work {
-                if eq.coeffs.keys().any(|v| st.unknowns.contains(v)) {
-                    return serr("replace: could not solve for all unknown arguments");
-                }
-                residual.push(Formula::eq(eq.clone(), LinExpr::constant(0)));
-            }
+        }
+        work.extend(rest);
+        if !progress {
+            break;
+        }
+    }
+    // any equation still mentioning an unknown is unsolvable here
+    let mut residual = Vec::new();
+    for eq in &work {
+        if eq.coeffs.keys().any(|v| st.unknowns.contains(v)) {
+            return serr("replace: could not solve for all unknown arguments");
+        }
+        residual.push(Formula::eq(eq.clone(), LinExpr::constant(0)));
+    }
 
-            // every control formal must be solved
-            for arg in &callee.args {
-                if arg.ty.is_ctrl() && !solution.contains_key(&arg.name) {
+    // every control formal must be solved
+    for arg in &callee.args {
+        if arg.ty.is_ctrl() && !solution.contains_key(&arg.name) {
+            return serr(format!(
+                "replace: argument {} is unconstrained by the match",
+                arg.name
+            ));
+        }
+    }
+
+    // scope check: solutions may not reference block-bound variables.
+    // Every solved unknown is a control formal or a bound formal's
+    // offset; name the first offender in formal, then dimension, order.
+    for arg in &callee.args {
+        let unknowns = match st.tensors.get(&arg.name) {
+            Some(bind) => &bind.offsets[..],
+            None => std::slice::from_ref(&arg.name),
+        };
+        for v in unknowns {
+            let out_of_scope = solution
+                .get(v)
+                .is_some_and(|sol| sol.vars().any(|x| block_bound.contains(&x)));
+            if out_of_scope {
+                return serr(format!(
+                    "replace: inferred value for {v} depends on variables bound \
+                     inside the replaced block"
+                ));
+            }
+        }
+    }
+
+    // boolean (non-integer) equivalences
+    for (cb, pb) in &st.bool_checks {
+        let alpha_map: HashMap<Sym, EffExpr> = st
+            .alpha
+            .iter()
+            .map(|(&a, &b)| (a, EffExpr::Var(b)))
+            .chain(solution.iter().map(|(&v, e)| (v, effexpr_of_lin(e))))
+            .collect();
+        let cb_e = q.lift(cb).subst(&alpha_map);
+        let pb_e = q.lift(pb);
+        let lb = q.lctx.lower_bool(&cb_e);
+        let rb = q.lctx.lower_bool(&pb_e);
+        residual.push(Formula::and(vec![
+            lb.def.clone(),
+            rb.def.clone(),
+            lb.val.iff(rb.val),
+        ]));
+    }
+
+    // callee preconditions, with formals substituted
+    for pred in &callee.preds {
+        let lifted = subst_pred(&q.lift(pred), &solution, st);
+        residual.push(q.lctx.lower_bool(&lifted).definitely());
+    }
+
+    require(q.valid(Formula::and(residual)), "replace")?;
+
+    // build the call arguments from the solution, whose stride
+    // symbols the lowering minted
+    let mut args = Vec::with_capacity(callee.args.len());
+    let (lctx, reg) = (&q.lctx, &*q.reg);
+    for arg in &callee.args {
+        match &arg.ty {
+            ArgType::Ctrl(_) => {
+                let Some(sol) = solution.get(&arg.name) else {
                     return serr(format!(
-                        "replace: argument {} is unconstrained by the match",
+                        "replace: no solution for control argument {}",
                         arg.name
                     ));
-                }
+                };
+                args.push(expr_of_lin_ctx(sol, lctx, reg));
             }
-
-            // scope check: solutions may not reference block-bound variables
-            for (v, sol) in &solution {
-                if sol.vars().any(|x| block_bound.contains(&x)) {
+            ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
+                let Some(bind) = st.tensors.get(&arg.name) else {
                     return serr(format!(
-                        "replace: inferred value for {v} depends on variables bound \
-                         inside the replaced block"
+                        "replace: tensor argument {} never accessed in the match",
+                        arg.name
                     ));
+                };
+                // extents: the callee's declared shape with solved sizes
+                let shape: Vec<Expr> = match &arg.ty {
+                    ArgType::Tensor { shape, .. } => shape
+                        .iter()
+                        .map(|e| subst_shape(e, &solution, lctx, reg))
+                        .collect(),
+                    _ => vec![],
+                };
+                let mut k_of: HashMap<usize, usize> = HashMap::default();
+                for (k, &d) in bind.dim_map.iter().enumerate() {
+                    k_of.insert(d, k);
                 }
-            }
-
-            // boolean (non-integer) equivalences
-            for (cb, pb) in &st.bool_checks {
-                let alpha_map: HashMap<Sym, EffExpr> = st
-                    .alpha
-                    .iter()
-                    .map(|(&a, &b)| (a, EffExpr::Var(b)))
-                    .chain(solution.iter().map(|(&v, e)| (v, effexpr_of_lin(e))))
-                    .collect();
-                let cb_e = q.lift(cb).subst(&alpha_map);
-                let pb_e = q.lift(pb);
-                let lb = q.lctx.lower_bool(&cb_e);
-                let rb = q.lctx.lower_bool(&pb_e);
-                residual.push(Formula::and(vec![
-                    lb.def.clone(),
-                    rb.def.clone(),
-                    lb.val.iff(rb.val),
-                ]));
-            }
-
-            // callee preconditions, with formals substituted
-            for pred in &callee.preds {
-                let lifted = subst_pred(&q.lift(pred), &solution, &st);
-                residual.push(q.lctx.lower_bool(&lifted).definitely());
-            }
-
-            require(q.valid(Formula::and(residual)), "replace")?;
-
-            // build the call arguments from the solution, whose stride
-            // symbols the lowering minted
-            let mut args = Vec::with_capacity(callee.args.len());
-            let (lctx, reg) = (&q.lctx, &*q.reg);
-            for arg in &callee.args {
-                match &arg.ty {
-                    ArgType::Ctrl(_) => {
-                        let Some(sol) = solution.get(&arg.name) else {
-                            return serr(format!(
-                                "replace: no solution for control argument {}",
-                                arg.name
-                            ));
-                        };
-                        args.push(expr_of_lin_ctx(sol, lctx, reg));
-                    }
-                    ArgType::Scalar { .. } | ArgType::Tensor { .. } => {
-                        let Some(bind) = st.tensors.get(&arg.name) else {
-                            return serr(format!(
-                                "replace: tensor argument {} never accessed in the match",
-                                arg.name
-                            ));
-                        };
-                        // extents: the callee's declared shape with solved sizes
-                        let shape: Vec<Expr> = match &arg.ty {
-                            ArgType::Tensor { shape, .. } => shape
-                                .iter()
-                                .map(|e| subst_shape(e, &solution, lctx, reg))
-                                .collect(),
-                            _ => vec![],
-                        };
-                        let mut k_of: HashMap<usize, usize> = HashMap::default();
-                        for (k, &d) in bind.dim_map.iter().enumerate() {
-                            k_of.insert(d, k);
+                let coords: Vec<WAccess> = (0..bind.caller_rank)
+                    .map(|d| {
+                        let off = solution
+                            .get(&bind.offsets[d])
+                            .cloned()
+                            .unwrap_or_else(|| LinExpr::constant(0));
+                        let off_e = expr_of_lin_ctx(&off, lctx, reg);
+                        match k_of.get(&d) {
+                            Some(&k) => WAccess::Interval(
+                                off_e.clone(),
+                                fold_expr(&off_e.add(shape[k].clone())),
+                            ),
+                            None => WAccess::Point(off_e),
                         }
-                        let coords: Vec<WAccess> = (0..bind.caller_rank)
-                            .map(|d| {
-                                let off = solution
-                                    .get(&bind.offsets[d])
-                                    .cloned()
-                                    .unwrap_or_else(|| LinExpr::constant(0));
-                                let off_e = expr_of_lin_ctx(&off, lctx, reg);
-                                match k_of.get(&d) {
-                                    Some(&k) => WAccess::Interval(
-                                        off_e.clone(),
-                                        fold_expr(&off_e.add(shape[k].clone())),
-                                    ),
-                                    None => WAccess::Point(off_e),
-                                }
-                            })
-                            .collect();
-                        // offset scope check
-                        for c in &coords {
-                            let exprs: Vec<&Expr> = match c {
-                                WAccess::Point(e) => vec![e],
-                                WAccess::Interval(a, b) => vec![a, b],
-                            };
-                            for e in exprs {
-                                let mut bad = false;
-                                visit_expr(e, &mut |e| {
-                                    if let Expr::Var(v) = e {
-                                        if block_bound.contains(v) {
-                                            bad = true;
-                                        }
-                                    }
-                                });
-                                if bad {
-                                    return serr(
-                                        "replace: inferred window depends on variables bound \
-                                         inside the replaced block",
-                                    );
+                    })
+                    .collect();
+                // offset scope check
+                for c in &coords {
+                    let exprs: Vec<&Expr> = match c {
+                        WAccess::Point(e) => vec![e],
+                        WAccess::Interval(a, b) => vec![a, b],
+                    };
+                    for e in exprs {
+                        let mut bad = false;
+                        visit_expr(e, &mut |e| {
+                            if let Expr::Var(v) = e {
+                                if block_bound.contains(v) {
+                                    bad = true;
                                 }
                             }
-                        }
-                        args.push(Expr::Window {
-                            buf: bind.caller_buf,
-                            coords,
                         });
+                        if bad {
+                            return serr(
+                                "replace: inferred window depends on variables bound \
+                                 inside the replaced block",
+                            );
+                        }
                     }
                 }
+                args.push(Expr::Window {
+                    buf: bind.caller_buf,
+                    coords,
+                });
             }
-
-            Ok(args)
-        })?;
-        let call = Stmt::Call {
-            proc: Arc::clone(callee),
-            args,
-        };
-        // splice: the first statement becomes the call; delete the rest
-        let mut p = self.splice(first, &mut |_| vec![call.clone()])?;
-        for _ in 1..n {
-            let Some(next) = first.sibling(1) else {
-                return serr("replace: match window fell off the enclosing block");
-            };
-            p = p.splice(&next, &mut |_| vec![])?;
         }
-        Ok(p)
     }
+
+    Ok(args)
 }
 
 /// All strictly increasing maps `[0, k) → [0, r)`.
@@ -782,4 +1007,328 @@ fn subst_shape(
         other => other,
     });
     fold_expr(&out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use exo_core::build::{read, ProcBuilder};
+    use exo_core::printer::proc_to_string;
+    use exo_core::types::MemName;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The exhaustive search: every candidate unification forms, each
+    /// checked in a site query of its own, the first accepted one taken
+    /// and otherwise the last one's error reported.
+    fn replace_exhaustive(
+        p: &Procedure,
+        pat: &str,
+        callee: &Arc<Proc>,
+    ) -> Result<Procedure, SchedError> {
+        let (first, caller_stmts, block_bound) = p.replace_site(&Pattern::from(pat), callee)?;
+        let candidates = Unifier::new(p, callee, &block_bound, false).unify(&caller_stmts)?;
+        let mut last_err = SchedError::new(NO_MATCH);
+        for cand in &candidates {
+            match p.query(&first, |q| check_candidate(q, callee, cand, &block_bound)) {
+                Ok(args) => return p.splice_call(callee, args, &first, caller_stmts.len()),
+                Err(e) => last_err = e,
+            }
+        }
+        Err(last_err)
+    }
+
+    /// How a callee index reads: a loop iterator (by depth) or `0`.
+    #[derive(Clone, Copy)]
+    enum Ix {
+        Iter(usize),
+        Zero,
+    }
+
+    struct Formal {
+        sym: Sym,
+        idx: Vec<Ix>,
+    }
+
+    /// A seeded callee and a caller whose block has the callee body's
+    /// shape, with every formal's accesses embedded into a caller buffer
+    /// of rank 1–4: mapped dimensions offset by a random base, point
+    /// dimensions indexed by constants, outer and block iterators,
+    /// configuration reads, a callee size, divisions and products. A
+    /// formal read twice keeps or re-rolls its point indices.
+    fn pair(seed: u64) -> (Arc<Proc>, Arc<Proc>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let depth = rng.gen_range(1..=2usize);
+        let two_stmts = rng.gen_bool(0.35);
+
+        // callee
+        let mut cb = ProcBuilder::new("callee");
+        let n = cb.size("n");
+        let m = (depth == 2 && rng.gen_bool(0.5)).then(|| cb.size("m"));
+        if rng.gen_bool(0.05) {
+            cb.size("pad");
+        }
+        let ext = |d: usize| match (d, m) {
+            (0, _) => Expr::var(n),
+            (_, Some(m)) => Expr::var(m),
+            _ => Expr::int(4),
+        };
+        let formal = |cb: &mut ProcBuilder, rng: &mut StdRng, name: &str, rank: usize| {
+            let idx: Vec<Ix> = match rank {
+                0 => vec![],
+                1 if depth == 2 && rng.gen_bool(0.3) => vec![Ix::Iter(1)],
+                1 if rng.gen_bool(0.15) => vec![Ix::Zero],
+                _ => (0..rank).map(Ix::Iter).collect(),
+            };
+            let shape = idx
+                .iter()
+                .map(|ix| match ix {
+                    Ix::Iter(d) => ext(*d),
+                    Ix::Zero => Expr::int(1),
+                })
+                .collect();
+            let sym = if rank == 0 {
+                cb.scalar(name, DataType::F32)
+            } else {
+                cb.window_arg(name, DataType::F32, shape, MemName::dram())
+            };
+            Formal { sym, idx }
+        };
+        let dst = formal(&mut cb, &mut rng, "dst", depth);
+        let nsrc = rng.gen_range(1..=2usize);
+        let srcs: Vec<Formal> = (0..nsrc)
+            .map(|k| {
+                let rank = rng.gen_range(0..=depth);
+                formal(&mut cb, &mut rng, &format!("src{k}"), rank)
+            })
+            .collect();
+        if rng.gen_bool(0.3) {
+            let bound = [2, 4, 8][rng.gen_range(0..3usize)];
+            cb.assert_pred(Expr::var(n).le(Expr::int(bound)));
+        }
+        let doubled = rng.gen_bool(0.05);
+        // statements: (reduce?, reads as (formal, repeat))
+        let nstmts = if two_stmts { 2 } else { 1 };
+        let stmts: Vec<(bool, Vec<usize>)> = (0..nstmts)
+            .map(|_| {
+                let reads = match rng.gen_range(0..10usize) {
+                    0 => vec![],
+                    1 | 2 => vec![0, 0],
+                    3 | 4 if nsrc == 2 => vec![0, 1],
+                    _ => vec![0],
+                };
+                (rng.gen_bool(0.3), reads)
+            })
+            .collect();
+        let callee_ix = |f: &Formal, iters: &[Sym]| -> Vec<Expr> {
+            f.idx
+                .iter()
+                .map(|ix| match ix {
+                    Ix::Iter(d) => Expr::var(iters[*d]),
+                    Ix::Zero => Expr::int(0),
+                })
+                .collect()
+        };
+        for (reduce, reads) in &stmts {
+            let mut iters = Vec::new();
+            for d in 0..depth {
+                let hi = if d == 0 && doubled {
+                    Expr::int(2).mul(Expr::var(n))
+                } else {
+                    ext(d)
+                };
+                iters.push(cb.begin_for(["i", "j"][d], Expr::int(0), hi));
+            }
+            let rhs = rhs_of(reads, |k| read(srcs[k].sym, callee_ix(&srcs[k], &iters)));
+            let idx = callee_ix(&dst, &iters);
+            if *reduce {
+                cb.reduce(dst.sym, idx, rhs);
+            } else {
+                cb.assign(dst.sym, idx, rhs);
+            }
+            for _ in 0..depth {
+                cb.end_for();
+            }
+        }
+        let callee = cb.finish();
+
+        // caller: one buffer per formal (a source may alias another)
+        let mut pb = ProcBuilder::new("caller");
+        let formals: Vec<&Formal> = std::iter::once(&dst).chain(&srcs).collect();
+        let mut bufs: Vec<(Sym, usize)> = Vec::new();
+        for (k, f) in formals.iter().enumerate() {
+            if k > 0 && rng.gen_bool(0.15) {
+                let prev = bufs[rng.gen_range(0..k)];
+                bufs.push(prev);
+                continue;
+            }
+            let rank = rng.gen_range(f.idx.len().max(1)..=4);
+            let sym = pb.tensor(&format!("X{k}"), DataType::F32, vec![Expr::int(8); rank]);
+            bufs.push((sym, rank));
+        }
+        let cfg = (Sym::new("Cfg"), Sym::new("row"));
+        if rng.gen_bool(0.2) {
+            pb.write_config(cfg.0, cfg.1, Expr::int(2));
+        }
+        let o = pb.begin_for("o", Expr::int(0), Expr::int(4));
+        let extent = [4, 8][rng.gen_range(0..2usize)];
+        // per formal: the caller dimensions it walks, and their bases
+        let maps: Vec<Vec<(usize, Expr)>> = formals
+            .iter()
+            .zip(&bufs)
+            .map(|(f, &(_, rank))| {
+                let mut dims: Vec<usize> = (0..rank).collect();
+                while dims.len() > f.idx.len() {
+                    dims.remove(rng.gen_range(0..dims.len()));
+                }
+                if dims.len() == 2 && rng.gen_bool(0.05) {
+                    dims.swap(0, 1);
+                }
+                dims.into_iter()
+                    .map(|d| {
+                        let base = match rng.gen_range(0..6usize) {
+                            0 => Expr::var(o),
+                            1 => Expr::int(1),
+                            _ => Expr::int(0),
+                        };
+                        (d, base)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut points: Vec<Vec<Option<Expr>>> =
+            bufs.iter().map(|&(_, rank)| vec![None; rank]).collect();
+        for (s, (reduce, reads)) in stmts.iter().enumerate() {
+            let mut iters = Vec::new();
+            for d in 0..depth {
+                let name = if s == 0 {
+                    ["ii", "jj"][d]
+                } else {
+                    ["ii2", "jj2"][d]
+                };
+                let hi = if d == 0 { extent } else { 4 };
+                iters.push(pb.begin_for(name, Expr::int(0), Expr::int(hi)));
+            }
+            let mut access = |rng: &mut StdRng, k: usize| -> (Sym, Vec<Expr>) {
+                let (buf, rank) = bufs[k];
+                let idx = (0..rank)
+                    .map(|d| {
+                        if let Some(j) = maps[k].iter().position(|(pd, _)| *pd == d) {
+                            let at = match formals[k].idx[j] {
+                                Ix::Iter(t) => Expr::var(iters[t]),
+                                Ix::Zero => Expr::int(0),
+                            };
+                            return maps[k][j].1.clone().add(at);
+                        }
+                        if points[k][d].is_none() || rng.gen_bool(0.3) {
+                            points[k][d] = Some(point(rng, o, &iters, n, cfg));
+                        }
+                        points[k][d].clone().unwrap_or(Expr::int(0))
+                    })
+                    .collect();
+                (buf, idx)
+            };
+            let (dbuf, didx) = access(&mut rng, 0);
+            let mut read_of = |k: usize| {
+                let (buf, idx) = access(&mut rng, k + 1);
+                read(buf, idx)
+            };
+            let rhs = rhs_of(reads, &mut read_of);
+            if *reduce {
+                pb.reduce(dbuf, didx, rhs);
+            } else {
+                pb.assign(dbuf, didx, rhs);
+            }
+            for _ in 0..depth {
+                pb.end_for();
+            }
+        }
+        pb.end_for();
+        (pb.finish(), callee)
+    }
+
+    fn rhs_of(reads: &[usize], mut read_of: impl FnMut(usize) -> Expr) -> Expr {
+        match reads {
+            [] => Expr::float(0.0),
+            [a] => read_of(*a),
+            [a, b] => {
+                let x = read_of(*a);
+                x.add(read_of(*b))
+            }
+            _ => unreachable!("at most two reads"),
+        }
+    }
+
+    /// A random point index.
+    fn point(rng: &mut StdRng, o: Sym, iters: &[Sym], n: Sym, cfg: (Sym, Sym)) -> Expr {
+        let it = Expr::var(iters[rng.gen_range(0..iters.len())]);
+        match rng.gen_range(0..18usize) {
+            0 | 1 => Expr::int(0),
+            2 => Expr::int(3),
+            3 => Expr::var(o).mul(Expr::int(2)),
+            4..=6 => Expr::var(o),
+            7 => Expr::var(o).add(Expr::int(1)),
+            8 => it,
+            9 => it.add(Expr::var(o)),
+            10 | 11 => Expr::ReadConfig {
+                config: cfg.0,
+                field: cfg.1,
+            },
+            12 => Expr::var(o).div(Expr::int(2)),
+            13 | 17 => match rng.gen_range(0..3usize) {
+                0 => Expr::var(n),
+                1 => Expr::var(n).add(it),
+                _ => Expr::var(n).add(Expr::var(o)),
+            },
+            14 => Expr::int(1),
+            15 => Expr::var(o).add(Expr::int(2)),
+            _ if rng.gen_bool(0.5) => Expr::var(o),
+            _ if rng.gen_bool(0.5) => it.mul(Expr::var(o)),
+            _ => Expr::var(o).mul(Expr::var(o)),
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_the_exhaustive_one() {
+        const SEEDS: u64 = 800;
+        let (mut ok, mut pruned, mut mismatches) = (0u64, 0u64, Vec::new());
+        for seed in 0..SEEDS {
+            let (caller, callee) = pair(seed);
+            let p = Procedure::new(Arc::clone(&caller));
+            let want = replace_exhaustive(&p, "for ii in _: _", &callee)
+                .map(|q| q.show())
+                .map_err(|e| e.message);
+            let got = p
+                .replace("for ii in _: _", &callee)
+                .map(|q| q.show())
+                .map_err(|e| e.message);
+            ok += u64::from(got.is_ok());
+            if let Ok((_, stmts, bound)) = p.replace_site(&Pattern::from("for ii in _: _"), &callee)
+            {
+                let all = Unifier::new(&p, &callee, &bound, false).unify(&stmts);
+                let kept = Unifier::new(&p, &callee, &bound, true).unify(&stmts);
+                if let (Ok(all), Ok(kept)) = (all, kept) {
+                    pruned += u64::from(kept.len() < all.len());
+                }
+            }
+            if got != want {
+                mismatches.push(format!(
+                    "seed {seed}: pruned {got:?}, exhaustive {want:?}\n{}\n{}",
+                    proc_to_string(&caller),
+                    proc_to_string(&callee)
+                ));
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "{} of {SEEDS} seeds differ:\n{}",
+            mismatches.len(),
+            mismatches.join("\n")
+        );
+        // the pairs exercise both outcomes and the pruning itself
+        assert!(
+            ok >= SEEDS / 8 && pruned >= SEEDS / 2,
+            "{ok} of {SEEDS} accepted, {pruned} pruned"
+        );
+    }
 }

@@ -248,3 +248,50 @@ def big(X: f32[2, 8], Y: f32[8]):
         "err: replace: safety condition refuted"
     );
 }
+
+#[test]
+fn the_scope_error_names_the_first_offender() {
+    // In the last candidate both windows put `i` into a point coordinate.
+    // The error names the first offending offset in the callee's formal
+    // order, then in caller-dimension order.
+    let caller = r#"
+@proc
+def diag2(X: f32[8, 8], Y: f32[8, 8]):
+    for i in seq(0, 8):
+        Y[i, i] = X[i, i]
+"#;
+    assert_eq!(
+        outcome(caller, "for i in _: _", COPY_1D),
+        "err: replace: inferred value for off_src_0 depends on variables bound inside the \
+         replaced block"
+    );
+    let dst_first = r#"
+@instr("copy_1d_rev({dst}.data, {src}.data, {n});")
+def copy_1d_rev(n: size, dst: [f32][n] @ DRAM, src: [f32][n] @ DRAM):
+    for i in seq(0, n):
+        dst[i] = src[i]
+"#;
+    assert_eq!(
+        outcome(caller, "for i in _: _", dst_first),
+        "err: replace: inferred value for off_dst_0 depends on variables bound inside the \
+         replaced block"
+    );
+    // a scalar read at `X[i, i]`: both of its point coordinates offend
+    let scalar = r#"
+@instr("fill_1d({s}, {dst}.data, {n});")
+def fill_1d(n: size, s: f32 @ DRAM, dst: [f32][n] @ DRAM):
+    for i in seq(0, n):
+        dst[i] = s
+"#;
+    let caller = r#"
+@proc
+def diag_fill(X: f32[8, 8], Y: f32[8]):
+    for i in seq(0, 8):
+        Y[i] = X[i, i]
+"#;
+    assert_eq!(
+        outcome(caller, "for i in _: _", scalar),
+        "err: replace: inferred value for off_s_0 depends on variables bound inside the \
+         replaced block"
+    );
+}
