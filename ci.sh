@@ -14,7 +14,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget match the general loop under a limited one) =="
+echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text) =="
 cargo test -q
 
 echo "== obs / smt / analysis unit + integration tests (SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; incl. the Coeffs model test against a BTreeMap, the shared-obligation equivalence tests in effexpr.rs/locset.rs (Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs) and the verdict corpus) =="
@@ -37,7 +37,7 @@ echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential test
 cargo test -q -p gemmini-sim
 cargo test -q -p x86-sim
 
-echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity) =="
+echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs) =="
 cargo test -q -p exo-sched
 
 echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release; the column-sweep parity of store-only loops is tests/sweep_parity.rs in tier-1) =="
