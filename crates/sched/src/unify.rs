@@ -134,15 +134,16 @@ impl Procedure {
             return serr(NO_MATCH);
         }
         let args = self.query(&first, |q| {
-            let mut last_err = SchedError::new(NO_MATCH);
+            let mut result = serr(NO_MATCH);
             for cand in &candidates {
+                // each candidate lowers as it would in a query of its own
                 q.lctx = LowerCtx::new();
-                match check_candidate(q, callee, cand, &block_bound) {
-                    Ok(args) => return Ok(args),
-                    Err(e) => last_err = e,
+                result = check_candidate(q, callee, cand, &block_bound);
+                if result.is_ok() {
+                    break;
                 }
             }
-            Err(last_err)
+            result
         })?;
         self.splice_call(callee, args, &first, caller_stmts.len())
     }
