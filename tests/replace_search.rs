@@ -14,8 +14,9 @@
 use std::sync::Arc;
 
 use exo::core::ir::{ConfigDecl, Proc};
-use exo::core::types::CtrlType;
+use exo::core::types::{CtrlType, DataType};
 use exo::front::{parse_proc, ParseEnv};
+use exo::interp::{ArgVal, Machine};
 use exo::sched::Procedure;
 
 /// The configuration struct `Cfg { row: index }` some cases read.
@@ -107,11 +108,12 @@ def fill(X: f32[4, 8], Y: f32[8]):
 
 #[test]
 fn a_formal_read_twice_with_different_point_indices() {
-    // `src` is read twice. Its window into `X` walks dimension 1, and the
-    // two reads give dimension 0 the indices `i` and `j`. Elimination
-    // solves the offset of dimension 0 from each read in turn and keeps
-    // the last solution, `j`, without checking that the two agree; the
-    // search must reproduce exactly that choice, the middle one of three.
+    // `src` is read twice. A window into `X` that walks dimension 1 gives
+    // dimension 0 the indices `i` and `j`: its offset is solved from the
+    // first read, `i`, which the replaced block binds, and the second
+    // read would need `i == j`. The other two windows put `i` into a
+    // point coordinate too, so no call reads `X[i, i, 0] + X[j, i, 0]`;
+    // the last candidate's error names the first offender.
     let callee = r#"
 @instr("add_self({src}.data, {dst}.data, {n});")
 def add_self(n: size, src: [f32][n] @ DRAM, dst: [f32][n] @ DRAM):
@@ -127,10 +129,11 @@ def twice(X: f32[8, 8, 2], Y: f32[8]):
 "#;
     assert_eq!(
         outcome(caller, "for i in _: _", callee),
-        "ok: add_self(8, X[j, 0:8, 0], Y[0:8])"
+        "err: replace: inferred value for off_src_0 depends on variables bound inside the \
+         replaced block"
     );
-    // with the reads swapped, the kept solution is the iterator `i`, and
-    // the last embedding fails on it
+    // with the reads swapped, the window along dimension 1 solves the
+    // offset of dimension 0 as `j`, and the residual `j == i` is refuted
     let swapped = r#"
 @proc
 def twice_swapped(X: f32[8, 8], Y: f32[8]):
@@ -140,9 +143,42 @@ def twice_swapped(X: f32[8, 8], Y: f32[8]):
 "#;
     assert_eq!(
         outcome(swapped, "for i in _: _", callee),
-        "err: replace: inferred value for off_src_0 depends on variables bound inside the \
-         replaced block"
+        "err: replace: safety condition refuted"
     );
+}
+
+#[test]
+fn a_quotient_point_index_is_rendered_as_the_division() {
+    // lowering `o / 2` names the quotient with a fresh symbol; the
+    // argument must spell the division, not that symbol
+    let caller = r#"
+@proc
+def halves(X: f32[2, 8], Y: f32[4, 8]):
+    for o in seq(0, 4):
+        for i in seq(0, 8):
+            Y[o, i] = X[o / 2, i]
+"#;
+    assert_eq!(
+        outcome(caller, "for i in _: _", COPY_1D),
+        "ok: copy_1d(8, X[o / 2, 0:8], Y[o, 0:8])"
+    );
+    // and the call computes what the loop did
+    let before = parse(caller);
+    let after = Procedure::new(Arc::clone(&before))
+        .replace("for i in _: _", &parse(COPY_1D))
+        .expect("replace accepts the division");
+    let run = |proc: &Proc| {
+        let mut m = Machine::new();
+        let x: Vec<f64> = (0..16).map(f64::from).collect();
+        let ix = m.alloc_extern("X", DataType::F32, &[2, 8], &x);
+        let iy = m.alloc_extern("Y", DataType::F32, &[4, 8], &[0.0; 32]);
+        m.run(proc, &[ArgVal::Tensor(ix), ArgVal::Tensor(iy)])
+            .unwrap_or_else(|e| panic!("{e:?}"));
+        m.buffer_values(iy).expect("Y is allocated")
+    };
+    let want = run(&before);
+    assert_eq!(want[8..16], want[..8], "rows 0 and 1 both copy X[0]");
+    assert_eq!(run(after.proc()), want);
 }
 
 #[test]
