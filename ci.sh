@@ -75,7 +75,7 @@ cargo run --release -q -p exo-bench --bin fig5a
 echo "== fig7 bench (code-size rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig7
 
-echo "== trace exports (fig5a SGEMM schedule; validates Chrome JSON with the strict parser) =="
+echo "== trace exports (fig5a SGEMM schedule; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== perf gate (every bench/baselines line matched exactly in target/BENCH_*) =="

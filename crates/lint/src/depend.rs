@@ -422,9 +422,6 @@ pub fn classify_loop(
             proc.name.name()
         )));
     };
-    // Attribution fallback: a standalone dependence probe owns its
-    // queries as `lint`; under `parallelize` the operator is the cause.
-    let _attr = exo_obs::AttrGuard::fallback("lint", iter.name());
     let _span = exo_obs::Span::enter("lint.classify_loop")
         .with_field("iter", exo_obs::Json::Str(iter.name()));
     let mut q = SiteQuery::new(proc, path, reg, check)

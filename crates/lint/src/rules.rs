@@ -55,10 +55,6 @@ pub fn lint_proc_with(
     check: &SharedCheckCtx,
     reg: &mut GlobalReg,
 ) -> Vec<Diagnostic> {
-    // Attribution fallback: standalone lint passes own their solver and
-    // cache work as `lint`; when a scheduling operator (e.g.
-    // `parallelize`) drives the rules, the operator stays the cause.
-    let _attr = exo_obs::AttrGuard::fallback("lint", proc.name.name());
     let _span = exo_obs::Span::enter("lint.rules")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
     let mut out = Vec::new();

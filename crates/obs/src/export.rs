@@ -6,8 +6,10 @@
 //! * [`chrome_trace`] emits the object form of the Chrome trace-event
 //!   format (`{"traceEvents":[…]}`): one complete (`"ph":"X"`) event
 //!   per closed span with microsecond `ts`/`dur`, the span's thread as
-//!   `tid`, and the attribution context under `args`. Load the file in
-//!   `chrome://tracing` or Perfetto.
+//!   `tid`, and its id, parent id and fields under `args`. Load the file
+//!   in `chrome://tracing` or Perfetto, which nests each span under its
+//!   `sched.<op>` ancestor; that span's `target` arg names what the
+//!   operator rewrote.
 //! * [`collapsed_stacks`] emits one `root;child;leaf self_µs` line per
 //!   distinct stack, the input format of `flamegraph.pl` /
 //!   `inferno-flamegraph`. Stacks are reconstructed from parent links;
@@ -32,15 +34,11 @@ pub fn chrome_trace(spans: &[TraceSpan], dropped: u64) -> Json {
     let events: Vec<Json> = spans
         .iter()
         .map(|s| {
-            let mut args = Vec::new();
-            if let Some((op, target)) = &s.op {
-                args.push(("op".to_string(), Json::Str(op.to_string())));
-                args.push(("target".to_string(), Json::Str(target.clone())));
-            }
-            args.push(("span_id".to_string(), Json::uint(s.id)));
+            let mut args = vec![("span_id".to_string(), Json::uint(s.id))];
             if let Some(p) = s.parent {
                 args.push(("parent_id".to_string(), Json::uint(p)));
             }
+            args.extend(s.fields.iter().cloned());
             Json::obj(vec![
                 ("name".into(), Json::Str(s.name.clone())),
                 ("cat".into(), Json::Str(category(&s.name).into())),
@@ -145,7 +143,6 @@ mod tests {
             parent,
             tid: 1,
             name: name.into(),
-            op: (id.is_multiple_of(2)).then(|| ("split", "for i in _: _".to_string())),
             start_us: start,
             dur_us: dur,
             depth: 1,
@@ -155,10 +152,11 @@ mod tests {
 
     #[test]
     fn chrome_trace_round_trips_through_the_strict_parser() {
-        let spans = vec![
+        let mut spans = vec![
             span(1, None, "sched.split", 0, 100),
             span(2, Some(1), "smt.query", 10, 40),
         ];
+        spans[0].fields = vec![("target".into(), Json::Str("for i in _: _".into()))];
         let doc = chrome_trace(&spans, 3);
         let text = doc.to_string();
         let parsed = Json::parse(&text).unwrap();
@@ -167,6 +165,11 @@ mod tests {
             other => panic!("traceEvents missing: {other:?}"),
         };
         assert_eq!(events.len(), 2);
+        let op_args = events[0].get("args").unwrap();
+        assert_eq!(
+            op_args.get("target").and_then(Json::as_str),
+            Some("for i in _: _")
+        );
         let e = &events[1];
         assert_eq!(e.get("name").and_then(Json::as_str), Some("smt.query"));
         assert_eq!(e.get("cat").and_then(Json::as_str), Some("smt"));
@@ -174,7 +177,7 @@ mod tests {
         assert_eq!(e.get("ts").and_then(Json::as_int), Some(10));
         assert_eq!(e.get("dur").and_then(Json::as_int), Some(40));
         let args = e.get("args").unwrap();
-        assert_eq!(args.get("op").and_then(Json::as_str), Some("split"));
+        assert_eq!(args.get("span_id").and_then(Json::as_int), Some(2));
         assert_eq!(args.get("parent_id").and_then(Json::as_int), Some(1));
         assert_eq!(
             parsed

@@ -13,11 +13,10 @@
 //!
 //! * [`span::Span`] — RAII wall-clock spans forming a causal trace
 //!   tree: process-unique id, parent link, thread id, recorded into a
-//!   bounded ring buffer on the registry;
-//! * [`attr`] — the active attribution context (current scheduling
-//!   operator + target); every counter bump is filed under the
-//!   innermost operator, and flat totals are sums of those rows;
-//! * [`registry::Registry`] — a thread-safe global sink for attributed
+//!   bounded ring buffer on the registry. Attribution is ancestry: every
+//!   solver, analysis and lint span an operator causes descends from its
+//!   `sched.<op>` span, which carries the operator's `target`;
+//! * [`registry::Registry`] — a thread-safe global sink for flat
 //!   counters and the bounded trace ring that holds every closed span
 //!   and event;
 //! * [`json::Json`] — a hand-rolled JSON value (the sandbox has no
@@ -46,27 +45,23 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod attr;
 pub mod export;
 pub mod json;
 pub mod provenance;
 pub mod registry;
 pub mod span;
 
-pub use attr::AttrGuard;
 pub use json::Json;
 pub use provenance::{per_op_costs, render_transcript, OpCost, ProvenanceEvent, Verdict};
 pub use registry::{Registry, TraceSpan};
 pub use span::Span;
 
-/// Adds `delta` to the named global counter, attributed to the
-/// innermost active operator (see [`attr`]).
+/// Adds `delta` to the named global counter.
 pub fn counter_add(name: &'static str, delta: u64) {
     Registry::global().counter_add(name, delta);
 }
 
-/// Reads the named global counter, summed over operators (0 if never
-/// touched).
+/// Reads the named global counter (0 if never touched).
 pub fn counter_get(name: &str) -> u64 {
     Registry::global().counter(name)
 }

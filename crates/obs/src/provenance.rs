@@ -78,9 +78,9 @@ impl OpCost {
 /// sorted by descending query count (the "who caused these queries"
 /// ordering), ties broken by name.
 pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
-    let mut by_op: std::collections::BTreeMap<&str, OpCost> = Default::default();
+    let mut costs: std::collections::BTreeMap<&str, OpCost> = Default::default();
     for e in events {
-        let row = by_op.entry(&e.op).or_insert_with(|| OpCost {
+        let row = costs.entry(&e.op).or_insert_with(|| OpCost {
             op: e.op.clone(),
             count: 0,
             queries: 0,
@@ -94,7 +94,7 @@ pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
         row.wall_us += e.duration_us;
         row.stmt_delta += e.post_stmts as i64 - e.pre_stmts as i64;
     }
-    let mut rows: Vec<OpCost> = by_op.into_values().collect();
+    let mut rows: Vec<OpCost> = costs.into_values().collect();
     rows.sort_by(|a, b| b.queries.cmp(&a.queries).then(a.op.cmp(&b.op)));
     rows
 }

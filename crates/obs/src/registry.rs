@@ -1,20 +1,20 @@
-//! The global metrics registry: attributed counters and the bounded
-//! trace ring behind one mutex.
+//! The global metrics registry: flat counters and the bounded trace
+//! ring behind one mutex.
 //!
 //! Each fact is stored once. A counter exists only when it is the one
 //! tally of its fact: a layer that keeps its own stats struct (the
 //! solver's `SolverStats`, the checking context's `CheckStats`, the
 //! chaos plan's injection counts) is read there, never mirrored here.
-//! A counter bump is one record keyed by `(counter, innermost
-//! attribution operator)`; flat totals are sums computed at read time.
-//! A closed span or an instantaneous event is one [`TraceSpan`] in the
+//! A counter bump adds to one entry keyed by the counter's name; which
+//! operator caused the work is read from the trace tree, not from the
+//! counters. A closed span or an instantaneous event is one [`TraceSpan`] in the
 //! ring; the transcript, the JSON lines and the trace exporters all
 //! read that ring.
 //!
 //! Instrumentation sites are hot paths (every solver query, every
 //! interpreted `@instr` call), so the API is deliberately coarse: one
 //! short critical section per record, no allocation for a counter bump
-//! (names and operators are `&'static str`), and a process-wide kill
+//! (names are `&'static str`), and a process-wide kill
 //! switch ([`Registry::set_enabled`]) that reduces every call to one
 //! atomic load.
 
@@ -26,7 +26,7 @@ use crate::json::Json;
 
 /// Default capacity of the trace ring buffer (closed spans and events
 /// retained for export). At a few hundred bytes per record (the struct
-/// plus its name, target and fields) this bounds trace memory at a few
+/// plus its name and fields) this bounds trace memory at a few
 /// tens of megabytes; older records are evicted first and counted in
 /// [`Registry::dropped_traces`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
@@ -43,8 +43,6 @@ pub struct TraceSpan {
     pub tid: u64,
     /// Dotted span name, e.g. `sched.split`.
     pub name: String,
-    /// Attribution context at entry: `(operator, target)`.
-    pub op: Option<(&'static str, String)>,
     /// Start offset from the process trace epoch, µs.
     pub start_us: u64,
     /// Wall-clock duration, µs (0 for an event).
@@ -72,12 +70,9 @@ impl TraceSpan {
     }
 }
 
-/// One counter's per-operator rows.
-type OpRows = BTreeMap<&'static str, u64>;
-
 struct Inner {
-    /// Counter name → operator → value.
-    counters: BTreeMap<&'static str, OpRows>,
+    /// Counter name → value.
+    counters: BTreeMap<&'static str, u64>,
     traces: VecDeque<TraceSpan>,
     trace_capacity: usize,
     dropped_traces: u64,
@@ -136,46 +131,27 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Adds `delta` to a counter, filed under the calling thread's
-    /// innermost attribution operator (see [`crate::attr`]).
+    /// Adds `delta` to a counter.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if !self.enabled() {
             return;
         }
-        let op = crate::attr::current_op();
         let mut inner = self.lock();
-        let v = inner
-            .counters
-            .entry(name)
-            .or_default()
-            .entry(op)
-            .or_insert(0);
+        let v = inner.counters.entry(name).or_insert(0);
         *v = v.saturating_add(delta);
     }
 
-    /// Reads a counter: the sum of its per-operator rows (0 if never
-    /// touched).
+    /// Reads a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).map_or(0, total)
+        self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A counter's per-operator rows, sorted by operator. Bumps made
-    /// outside any attribution context appear as
-    /// [`crate::attr::UNATTRIBUTED`].
-    pub fn counter_by_op(&self, name: &str) -> Vec<(&'static str, u64)> {
-        self.lock()
-            .counters
-            .get(name)
-            .map(|rows| rows.iter().map(|(&op, &v)| (op, v)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Snapshot of all counters (summed over operators), sorted by name.
+    /// Snapshot of all counters, sorted by name.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         self.lock()
             .counters
             .iter()
-            .map(|(&name, rows)| (name, total(rows)))
+            .map(|(&name, &v)| (name, v))
             .collect()
     }
 
@@ -254,24 +230,15 @@ impl Registry {
         }
         if !inner.counters.is_empty() {
             out.push_str("counters:\n");
-            for (name, rows) in &inner.counters {
-                out.push_str(&format!("  {name} = {}", total(rows)));
-                let rows: Vec<String> = rows
-                    .iter()
-                    .filter(|(&op, _)| op != crate::attr::UNATTRIBUTED)
-                    .map(|(op, v)| format!("{op} {v}"))
-                    .collect();
-                if !rows.is_empty() {
-                    out.push_str(&format!(" ({})", rows.join(", ")));
-                }
-                out.push('\n');
+            for (name, v) in &inner.counters {
+                out.push_str(&format!("  {name} = {v}\n"));
             }
         }
         out
     }
 
     /// Exports everything as JSON lines: one object per retained trace
-    /// record, then one per counter (its total plus a `by_op` object).
+    /// record, then one per counter.
     pub fn json_lines(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -279,17 +246,12 @@ impl Registry {
             out.push_str(&t.to_json(inner.dropped_traces + i as u64).to_string());
             out.push('\n');
         }
-        for (&name, rows) in &inner.counters {
-            let by_op = rows
-                .iter()
-                .map(|(&op, &v)| (op.to_string(), Json::uint(v)))
-                .collect();
+        for (&name, &v) in &inner.counters {
             out.push_str(
                 &Json::obj(vec![
                     ("type".into(), Json::Str("counter".into())),
                     ("name".into(), Json::Str(name.into())),
-                    ("value".into(), Json::uint(total(rows))),
-                    ("by_op".into(), Json::Obj(by_op)),
+                    ("value".into(), Json::uint(v)),
                 ])
                 .to_string(),
             );
@@ -302,11 +264,6 @@ impl Registry {
     pub fn write_json_lines(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.json_lines())
     }
-}
-
-/// A counter's total: the sum of its per-operator rows.
-fn total(rows: &OpRows) -> u64 {
-    rows.values().fold(0, |a, &v| a.saturating_add(v))
 }
 
 /// Formats a microsecond duration for humans (`412µs`, `3.2ms`, `1.7s`).
@@ -356,7 +313,6 @@ mod tests {
             parent: None,
             tid: 1,
             name: format!("s{id}"),
-            op: None,
             start_us: id,
             dur_us: 1,
             depth: 1,
@@ -413,12 +369,5 @@ mod tests {
         assert_eq!(ev.get("cycles").and_then(Json::as_int), Some(1234));
         let counter = Json::parse(lines[1]).unwrap();
         assert_eq!(counter.get("value").and_then(Json::as_int), Some(17));
-        assert_eq!(
-            counter
-                .get("by_op")
-                .and_then(|o| o.get(crate::attr::UNATTRIBUTED))
-                .and_then(Json::as_int),
-            Some(17)
-        );
     }
 }

@@ -5,7 +5,9 @@
 //! and bumps the thread's depth; when the guard drops, the span is
 //! recorded once, as a [`TraceSpan`] in the global registry's bounded
 //! trace ring — id, parent id, thread id, depth, start offset,
-//! duration, fields, and the attribution context active at entry.
+//! duration and fields. The parent links are the attribution: the
+//! operator that caused a span is its nearest `sched.<op>` ancestor,
+//! whose `target` field names what the operator rewrote.
 //! Instantaneous events ([`crate::event`]) are zero-duration records in
 //! the same ring. The transcript, the JSON lines, and the Chrome-trace
 //! and flamegraph exporters (see [`crate::export`]) all read it.
@@ -62,8 +64,6 @@ pub struct Span {
     tid: u64,
     name: String,
     fields: Vec<(String, Json)>,
-    /// Attribution context at entry (operator, target), if any.
-    op: Option<(&'static str, String)>,
     start_us: u64,
     start: Instant,
 }
@@ -86,7 +86,6 @@ impl Span {
             tid: current_tid(),
             name: name.into(),
             fields: Vec::new(),
-            op: crate::attr::current(),
             start_us,
             start: Instant::now(),
         }
@@ -127,7 +126,6 @@ impl Drop for Span {
             parent: self.parent,
             tid: self.tid,
             name: std::mem::take(&mut self.name),
-            op: self.op.take(),
             start_us: self.start_us,
             dur_us: self.elapsed_us(),
             depth: current_depth(),
@@ -154,7 +152,6 @@ pub(crate) fn instant(name: &str, fields: Vec<(String, Json)>) -> TraceSpan {
         parent: OPEN.with(|o| o.borrow().last().copied()),
         tid: current_tid(),
         name: name.to_string(),
-        op: crate::attr::current(),
         start_us: now_us(),
         dur_us: 0,
         depth: current_depth() + 1,
@@ -201,25 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_carry_parent_links_and_attribution() {
+    fn trace_records_carry_parent_links() {
         let reg = Registry::global();
-        let (outer_id, inner_id);
-        {
-            let _attr = crate::attr::AttrGuard::enter("span_test_op", "t");
-            let outer = Span::enter("trace_span.outer");
-            outer_id = outer.id();
-            let inner = Span::enter("trace_span.inner");
-            inner_id = inner.id();
-            assert_eq!(inner.parent_id(), Some(outer_id));
-            drop(inner);
-            drop(outer);
-        }
+        let outer = Span::enter("trace_span.outer");
+        let outer_id = outer.id();
+        let inner = Span::enter("trace_span.inner");
+        let inner_id = inner.id();
+        assert_eq!(inner.parent_id(), Some(outer_id));
+        drop(inner);
+        drop(outer);
         let traces = reg.traces();
         let outer = traces.iter().find(|t| t.id == outer_id).unwrap();
         let inner = traces.iter().find(|t| t.id == inner_id).unwrap();
         assert_eq!(inner.parent, Some(outer_id));
         assert_eq!(inner.tid, outer.tid);
-        assert_eq!(inner.op.as_ref().unwrap().0, "span_test_op");
         assert!(inner.start_us >= outer.start_us);
     }
 }

@@ -448,11 +448,10 @@ impl Procedure {
             let st = lock_state(&self.state);
             (st.check.stats(), st.budget.clone())
         };
-        // Attribution: everything this operator causes downstream —
-        // solver queries, cache hits/misses, effect extraction, lint
-        // probes, simulated runs — is tagged with (op, target), and the
-        // operator's span parents theirs in the trace tree.
-        let _attr = exo_obs::AttrGuard::enter(op, &target);
+        // Attribution: the operator's span parents every span it causes
+        // downstream — solver queries, effect extraction, lint probes,
+        // simulated runs — so the trace tree names the operator and its
+        // target for each of them.
         let mut span = exo_obs::Span::enter(format!("sched.{op}"))
             .with_field("target", exo_obs::Json::Str(target.clone()));
         let start = Instant::now();
@@ -665,5 +664,53 @@ mod tests {
             field("reason").and_then(exo_obs::Json::as_str),
             Some(err.message.as_str())
         );
+    }
+
+    #[test]
+    fn solver_spans_descend_from_their_operator_span() {
+        let mut b = ProcBuilder::new("p");
+        let a = b.tensor("A", DataType::F32, vec![Expr::int(8), Expr::int(8)]);
+        let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+        let j = b.begin_for("j", Expr::int(0), Expr::int(8));
+        b.assign(a, vec![Expr::var(i), Expr::var(j)], Expr::float(0.0));
+        b.end_for();
+        b.end_for();
+        let state = Arc::new(Mutex::new(SchedState::isolated()));
+        let p = Procedure::with_state(b.finish(), state);
+        p.reorder("for i in _: _", "j").unwrap();
+
+        let tid = exo_obs::span::current_tid();
+        let traces: Vec<_> = exo_obs::Registry::global()
+            .traces()
+            .into_iter()
+            .filter(|t| t.tid == tid)
+            .collect();
+        let reorder = traces
+            .iter()
+            .rev()
+            .find(|t| t.name == "sched.reorder")
+            .expect("the reorder recorded its span");
+        // spans open after their parents, so the call's descendants
+        // have larger ids than its span
+        let decides: Vec<_> = traces
+            .iter()
+            .filter(|t| t.name == "smt.decide" && t.id > reorder.id)
+            .collect();
+        assert!(
+            !decides.is_empty(),
+            "a fresh state sends reorder's goal to the solver"
+        );
+        let parent_of = |id: u64| traces.iter().find(|t| t.id == id).and_then(|t| t.parent);
+        for d in decides {
+            let mut cursor = d.parent;
+            while cursor.is_some_and(|id| id != reorder.id) {
+                cursor = cursor.and_then(parent_of);
+            }
+            assert_eq!(
+                cursor,
+                Some(reorder.id),
+                "{d:?} does not descend from the reorder"
+            );
+        }
     }
 }

@@ -13,9 +13,11 @@
 //!
 //! The example doubles as the acceptance check for the trace export: it
 //! validates the exported Chrome trace with the strict `exo_obs::json`
-//! parser, exiting nonzero if it does not parse. It ends with the
-//! solver's own totals (`SolverStats`); the per-operator split of the
-//! checking work is the transcript's cost table.
+//! parser, and checks that the trace attributes every solver query to
+//! an operator — each `smt.decide` span in the ring reaches a `sched.*`
+//! span through its parent links. It exits 1 if either check fails. It
+//! ends with the solver's own totals (`SolverStats`); the per-operator
+//! split of the checking work is the transcript's cost table.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -35,7 +37,7 @@ fn main() {
     print!("{}", p.transcript_text());
 
     // Measure the scheduled kernel on the port-pressure core model so
-    // the trace also contains an attributed simulator invocation.
+    // the trace also contains a simulator invocation.
     let core = x86_sim::CoreModel::tiger_lake();
     let traffic = x86_sim::traffic::Traffic::default();
     if let Some((_, cycles)) = x86_sim::evaluate(p.proc(), &core, &traffic) {
@@ -86,6 +88,34 @@ fn main() {
         }
     };
     println!("trace OK: {n_events} trace events validate under the strict parser");
+
+    // ---- acceptance check: every solver query has an operator ancestor ----
+    let traces = reg.traces();
+    let by_id: std::collections::HashMap<u64, &exo::obs::TraceSpan> =
+        traces.iter().map(|t| (t.id, t)).collect();
+    let has_operator_ancestor = |t: &exo::obs::TraceSpan| {
+        let mut cursor = t.parent.and_then(|id| by_id.get(&id));
+        while let Some(p) = cursor {
+            if p.name.starts_with("sched.") {
+                return true;
+            }
+            cursor = p.parent.and_then(|id| by_id.get(&id));
+        }
+        false
+    };
+    let decides: Vec<_> = traces.iter().filter(|t| t.name == "smt.decide").collect();
+    let orphans = decides.iter().filter(|t| !has_operator_ancestor(t)).count();
+    if decides.is_empty() || orphans > 0 {
+        eprintln!(
+            "FAIL: {orphans} of {} smt.decide spans have no sched.* ancestor",
+            decides.len()
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "attribution OK: all {} smt.decide spans descend from a sched.* span",
+        decides.len()
+    );
 
     // ---- solver totals ----
     let s = st
