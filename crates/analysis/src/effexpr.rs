@@ -293,14 +293,16 @@ pub struct LInt {
 }
 
 /// Context for lowering: fresh-variable supply, accumulated side
-/// constraints (definitions of fresh variables), and the canonical-stride
-/// registry.
+/// constraints (definitions of fresh variables), the canonical-stride
+/// registry, and what each quotient symbol divides.
 #[derive(Debug, Default)]
 pub struct LowerCtx {
     /// Side constraints that must be assumed in every query using the
     /// lowered expressions.
     pub side: Vec<Formula>,
     strides: HashMap<(Sym, usize), Sym>,
+    /// Quotient symbol → (dividend, positive divisor).
+    quotients: HashMap<Sym, (LinExpr, i64)>,
 }
 
 impl LowerCtx {
@@ -325,6 +327,12 @@ impl LowerCtx {
             .iter()
             .find(|(_, &s)| s == sym)
             .map(|(&(b, d), _)| (b, d))
+    }
+
+    /// Reverse lookup: the `(dividend, divisor)` a quotient symbol
+    /// minted for `t / c` or `t % c` stands for, if any.
+    pub fn quotient_of(&self, sym: Sym) -> Option<(&LinExpr, i64)> {
+        self.quotients.get(&sym).map(|(t, c)| (t, *c))
     }
 
     fn stride_var(&mut self, buf: Sym, dim: usize) -> Sym {
@@ -441,6 +449,7 @@ impl LowerCtx {
                     };
                 };
                 let q = self.fresh("q");
+                self.quotients.insert(q, (la.val.clone(), c));
                 let qv = LinExpr::var(q);
                 // c·q ≤ t < c·q + c  (Euclidean for positive divisor)
                 self.side.push(def.clone().implies(Formula::and(vec![
