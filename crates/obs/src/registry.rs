@@ -7,16 +7,16 @@
 //! chaos plan's injection counts) is read there, never mirrored here.
 //! A counter bump adds to one entry keyed by the counter's name; which
 //! operator caused the work is read from the trace tree, not from the
-//! counters. A closed span or an instantaneous event is one [`TraceSpan`] in the
-//! ring; the transcript, the JSON lines and the trace exporters all
-//! read that ring.
+//! counters. A closed span or an instantaneous event is one
+//! [`TraceSpan`] in the ring; the transcript, the JSON lines and the
+//! trace exporters all read that ring.
 //!
 //! Instrumentation sites are hot paths (every solver query, every
 //! interpreted `@instr` call), so the API is deliberately coarse: one
 //! short critical section per record, no allocation for a counter bump
-//! (names are `&'static str`), and a process-wide kill
-//! switch ([`Registry::set_enabled`]) that reduces every call to one
-//! atomic load.
+//! (names are `&'static str`), and a process-wide kill switch
+//! ([`Registry::set_enabled`]) that reduces every call to one atomic
+//! load.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,8 +26,8 @@ use crate::json::Json;
 
 /// Default capacity of the trace ring buffer (closed spans and events
 /// retained for export). At a few hundred bytes per record (the struct
-/// plus its name and fields) this bounds trace memory at a few
-/// tens of megabytes; older records are evicted first and counted in
+/// plus its name and fields) this bounds trace memory at a few tens of
+/// megabytes; older records are evicted first and counted in
 /// [`Registry::dropped_traces`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 

@@ -179,6 +179,27 @@ def halves(X: f32[2, 8], Y: f32[4, 8]):
     let want = run(&before);
     assert_eq!(want[8..16], want[..8], "rows 0 and 1 both copy X[0]");
     assert_eq!(run(after.proc()), want);
+    // a quotient of a variable the replaced block binds is out of scope,
+    // also in a size no window shape mentions
+    let rows = r#"
+@instr("copy_rows({src}.data, {dst}.data, {n});")
+def copy_rows(n: size, src: [f32][4, 8] @ DRAM, dst: [f32][4, 8] @ DRAM):
+    for j in seq(0, 4):
+        for i in seq(0, n):
+            dst[j, i] = src[j, i]
+"#;
+    let ragged = r#"
+@proc
+def ragged(X: f32[4, 8], Y: f32[4, 8]):
+    for j in seq(0, 4):
+        for i in seq(0, j / 2):
+            Y[j, i] = X[j, i]
+"#;
+    assert_eq!(
+        outcome(ragged, "for j in _: _", rows),
+        "err: replace: inferred value for n depends on variables bound inside the replaced \
+         block"
+    );
 }
 
 #[test]
