@@ -217,7 +217,7 @@ impl LBool {
     }
 
     /// Whether the value is known everywhere (`def` is `True`).
-    fn is_known(&self) -> bool {
+    pub(crate) fn is_known(&self) -> bool {
         self.def == Formula::True
     }
 

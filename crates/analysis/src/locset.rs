@@ -73,6 +73,17 @@ impl LocSet {
         }
     }
 
+    /// Union over all values of `var` with unit elimination.
+    pub fn big_union(var: Sym, body: LocSet) -> LocSet {
+        match body {
+            LocSet::Empty => LocSet::Empty,
+            body => LocSet::BigUnion {
+                var,
+                body: Arc::new(body),
+            },
+        }
+    }
+
     /// Difference with unit elimination.
     pub fn diff(a: LocSet, b: LocSet) -> LocSet {
         match (&a, &b) {
@@ -156,6 +167,14 @@ pub enum Target {
 /// what lowering it would give, because in Kleene logic anything ∧
 /// definitely-False is definitely-False, and its conditions would push no
 /// side constraint and mint no symbol that survives.
+///
+/// Membership `p` of a loop union `⋃ₓ L` is defined where the point is
+/// definitely in `L` for some `x` or definitely out of it for every `x`:
+/// `def = (∃x. D p) ∨ (∀x. D ¬p)`. When the body's membership is defined
+/// (`def` is `True`), that is `(∃x. v) ∨ (∀x. ¬v)`, which is valid, so
+/// the union's membership is `known(∃x. v)` and the connectives around it
+/// keep their defined fast paths instead of carrying a valid but
+/// quantified `def`.
 pub fn member(set: &LocSet, target: &Target, ctx: &mut LowerCtx) -> LBool {
     match set {
         LocSet::Empty => LBool::known(Formula::False),
@@ -205,6 +224,10 @@ pub fn member(set: &LocSet, target: &Target, ctx: &mut LowerCtx) -> LBool {
             map.insert(*var, EffExpr::Var(fresh));
             let body = subst_set(body, &map);
             let m = member(&body, target, ctx);
+            if m.is_known() {
+                // `def` would be `(∃x. v) ∨ (∀x. ¬v)`, which is valid
+                return LBool::known(m.val.exists(fresh));
+            }
             let d_true = m.clone().definitely().exists(fresh);
             let d_false = m.clone().negate().definitely().forall(fresh);
             LBool {
@@ -409,9 +432,8 @@ pub fn sets_of(effect: &Effect, kinds: SetKinds) -> SetBundle {
                 Arc::new(lo.clone().le(EffExpr::Var(*var))),
                 Arc::new(EffExpr::Var(*var).lt(hi.clone())),
             );
-            sets_of(body, kinds).map(kinds, |s| LocSet::BigUnion {
-                var: *var,
-                body: Arc::new(LocSet::filter(bound.clone(), s)),
+            sets_of(body, kinds).map(kinds, |s| {
+                LocSet::big_union(*var, LocSet::filter(bound.clone(), s))
             })
         }
         Effect::GlobalRead(c, f) if kinds.has(SetKinds::RD_G) => SetBundle {
@@ -479,7 +501,7 @@ fn seq_bundles(a1: SetBundle, a2: SetBundle) -> SetBundle {
 mod tests {
     use super::*;
     use crate::check::SharedCheckCtx;
-    use exo_smt::solver::Answer;
+    use exo_smt::solver::{Answer, Solver};
 
     use crate::effexpr::testgen::{self, Rng, Vocab};
     use crate::effexpr::tests::reference;
@@ -571,26 +593,42 @@ mod tests {
         }
     }
 
-    /// `def`, `val` and the side constraints as one formula, canonically
-    /// renamed: the two constructions mint their fresh symbols separately,
-    /// so they agree up to those symbols' identities, in the same order.
-    fn canonical(m: LBool, ctx: &LowerCtx) -> Formula {
-        canonicalize(&Formula::And(vec![
-            m.def,
+    /// `val`, the side constraints and `def`, canonically renamed: the two
+    /// constructions mint their fresh symbols separately, so they agree up
+    /// to those symbols' identities, in the same order. `anchor` names the
+    /// symbols both share (the vocabulary and the target's coordinates)
+    /// first, so that each gets the same canonical name on both sides
+    /// whatever part it first occurs in.
+    fn canonical(m: LBool, ctx: &LowerCtx, anchor: &[Sym]) -> [Formula; 3] {
+        let anchor = anchor
+            .iter()
+            .map(|&s| Formula::Atom(exo_smt::formula::Atom::Eq(LinExpr::var(s))))
+            .collect();
+        let Formula::And(parts) = canonicalize(&Formula::And(vec![
+            Formula::And(anchor),
             m.val,
             Formula::And(ctx.side.clone()),
-        ]))
+            m.def,
+        ])) else {
+            unreachable!("canonicalize keeps the shape")
+        };
+        let [_, val, side, def]: [Formula; 4] =
+            parts.try_into().expect("canonicalize keeps the shape");
+        [val, side, def]
     }
 
-    /// The short-circuit and the defined fast paths give the formula and
-    /// the side constraints of the general construction on random sets
-    /// and targets.
+    /// The short-circuit and the defined fast paths give the value and the
+    /// side constraints of the general construction on random sets and
+    /// targets, and a `def` the solver proves equivalent under those side
+    /// constraints (the `BigUnion` rule writes the valid
+    /// `(∃x. v) ∨ (∀x. ¬v)` as `True`).
     #[test]
     fn member_short_circuit_matches_the_general_construction() {
         let v = Vocab::new();
         let cfg = Sym::new("Cfg");
         let globals = [(cfg, Sym::new("a")), (cfg, Sym::new("b"))];
         let mut skipped = 0;
+        let mut proved = 0;
         for seed in 0..3_000 {
             let mut rng = Rng::new(seed);
             let set = random_set(&mut rng, &v, &globals, 4);
@@ -603,19 +641,86 @@ mod tests {
                         .collect(),
                 },
             };
+            let mut anchor: Vec<Sym> = v.ints.iter().chain(&v.bools).copied().collect();
+            if let Target::Buf { coords, .. } = &target {
+                anchor.extend(coords);
+            }
             skipped += usize::from(misses(&set, &target) && set != LocSet::Empty);
             let mut fast_ctx = LowerCtx::new();
             let fast = member(&set, &target, &mut fast_ctx);
             let mut ref_ctx = LowerCtx::new();
             let general = reference_member(&set, &target, &mut ref_ctx);
-            assert_eq!(
-                canonical(fast, &fast_ctx),
-                canonical(general, &ref_ctx),
-                "seed {seed}: {set:?}"
-            );
             assert_eq!(fast_ctx.side.len(), ref_ctx.side.len(), "seed {seed}");
+            let [val, side, def] = canonical(fast, &fast_ctx, &anchor);
+            let [ref_val, ref_side, ref_def] = canonical(general, &ref_ctx, &anchor);
+            assert_eq!(val, ref_val, "seed {seed}: {set:?}");
+            assert_eq!(side, ref_side, "seed {seed}: {set:?}");
+            if def != ref_def {
+                let same = side.implies(def.clone().iff(ref_def.clone()));
+                assert_eq!(
+                    Solver::new().check_valid(&same),
+                    Answer::Yes,
+                    "seed {seed}: {set:?}\n  def {def}\n  ref {ref_def}"
+                );
+                proved += 1;
+            }
         }
         assert!(skipped > 300, "{skipped} sets short-circuited");
+        assert!(proved > 40, "{proved} defs differ in spelling");
+    }
+
+    /// A loop union over a body whose membership is known is known, with
+    /// the general construction's value.
+    #[test]
+    fn big_union_over_a_known_body_is_known() {
+        let a = Sym::new("A");
+        let i = Sym::new("i");
+        let set = LocSet::big_union(
+            i,
+            LocSet::filter(
+                EffExpr::Int(0)
+                    .le(EffExpr::Var(i))
+                    .and(EffExpr::Var(i).lt(EffExpr::Int(4))),
+                LocSet::point(a, &[EffExpr::Var(i)]),
+            ),
+        );
+        let c = Sym::new("c");
+        let tgt = Target::Buf {
+            buf: a,
+            coords: vec![c],
+        };
+        let mut ctx = LowerCtx::new();
+        let fast = member(&set, &tgt, &mut ctx);
+        let mut ref_ctx = LowerCtx::new();
+        let general = reference_member(&set, &tgt, &mut ref_ctx);
+        assert_eq!(fast.def, Formula::True);
+        assert_ne!(general.def, Formula::True, "the reference spells it out");
+        let anchor = [i, c];
+        assert_eq!(
+            canonical(fast, &ctx, &anchor)[0],
+            canonical(general, &ref_ctx, &anchor)[0]
+        );
+    }
+
+    /// A loop union over the empty set is empty, as the other
+    /// constructors' unit elimination gives.
+    #[test]
+    fn big_union_over_empty_is_empty() {
+        assert_eq!(
+            LocSet::big_union(Sym::new("i"), LocSet::Empty),
+            LocSet::Empty
+        );
+        let eff = Effect::Loop {
+            var: Sym::new("i"),
+            lo: EffExpr::Int(0),
+            hi: EffExpr::Int(4),
+            body: Box::new(Effect::Read(Sym::new("A"), vec![EffExpr::Int(0)])),
+        };
+        let sets = sets_of(&eff, SetKinds::ALL);
+        assert!(matches!(sets.rd_h, LocSet::BigUnion { .. }));
+        for s in [&sets.rd_g, &sets.wr_g, &sets.wr_h, &sets.rp_h] {
+            assert_eq!(s, &LocSet::Empty);
+        }
     }
 
     fn random_effect(rng: &mut Rng, v: &Vocab, globals: &[(Sym, Sym)], depth: usize) -> Effect {
