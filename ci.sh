@@ -14,10 +14,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text) =="
+echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text; tests/solver_work_pin.rs: queries, answers, give-ups and QE nodes of each schedule-cold schedule) =="
 cargo test -q
 
-echo "== obs / smt / analysis unit + integration tests (SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; incl. the Coeffs model test against a BTreeMap, the shared-obligation equivalence tests in effexpr.rs/locset.rs (Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs) and the verdict corpus) =="
+echo "== obs / smt / analysis unit + integration tests (SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; incl. the Coeffs model test against a BTreeMap, the shared-obligation equivalence tests in effexpr.rs/locset.rs (Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 cargo test -q --release -p exo-kernels --test verdict_corpus
 
@@ -77,6 +77,9 @@ cargo run --release -q -p exo-bench --bin fig7
 
 echo "== trace exports (fig5a SGEMM schedule; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor) =="
 cargo run --release -q --example schedule_transcript > /dev/null
+
+echo "== solver profile (every cached verdict of the schedule-cold and lint-cold subjects re-decided by a fresh solver; fails if an answer changes) =="
+cargo run --release -q --example solver_profile > /dev/null
 
 echo "== perf gate (every bench/baselines line matched exactly in target/BENCH_*) =="
 cargo run --release -q -p exo-bench --bin perf_diff
