@@ -37,7 +37,7 @@ echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential test
 cargo test -q -p gemmini-sim
 cargo test -q -p x86-sim
 
-echo "== scheduler suite (operators, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs) =="
+echo "== scheduler suite (operators, the shared transcript chain (children share their parent's events), edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs) =="
 cargo test -q -p exo-sched
 
 echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release; the column-sweep parity of store-only loops is tests/sweep_parity.rs in tier-1) =="

@@ -1,6 +1,6 @@
 //! Reproduces paper Fig. 5b: SGEMM with fixed work (K = 512,
-//! M·N = 512²) and variable output aspect ratio M/N — Exo tracks
-//! OpenBLAS; MKL's kernel family pulls ahead at extreme ratios.
+//! M·N = 512²) and variable output aspect ratio M/N — MKL's kernel
+//! family pulls ahead of Exo's one kernel at extreme ratios.
 
 use exo_bench::write_bench_json;
 use exo_kernels::x86_gemm::GemmStrategy;
@@ -9,15 +9,11 @@ use x86_sim::CoreModel;
 
 fn main() {
     let core = CoreModel::tiger_lake();
-    let strategies = [
-        GemmStrategy::exo(),
-        GemmStrategy::mkl_like(),
-        GemmStrategy::openblas_like(),
-    ];
+    let strategies = [GemmStrategy::exo(), GemmStrategy::mkl_like()];
     println!("== Fig. 5b — SGEMM GFLOP/s vs aspect ratio (K=512, M*N=512^2) ==");
     println!(
-        "{:<12} {:>7} {:>7} {:>10} {:>10} {:>10}",
-        "M/N", "M", "N", "Exo", "MKL", "OpenBLAS"
+        "{:<12} {:>7} {:>7} {:>10} {:>10}",
+        "M/N", "M", "N", "Exo", "MKL"
     );
     let mut records = Vec::new();
     for i in -5i32..=5 {
@@ -28,13 +24,12 @@ fn main() {
             .map(|st| st.gflops(m, n, 512, &core))
             .collect();
         println!(
-            "{:<12} {:>7} {:>7} {:>9.1} {:>9.1} {:>9.1}",
+            "{:<12} {:>7} {:>7} {:>9.1} {:>9.1}",
             format!("2^{}", 2 * i),
             m,
             n,
             gf[0],
-            gf[1],
-            gf[2]
+            gf[1]
         );
         records.push(Json::obj(vec![
             ("type".into(), Json::Str("gflops_row".into())),
@@ -43,7 +38,6 @@ fn main() {
             ("k".into(), Json::uint(512)),
             ("exo".into(), Json::Float(gf[0])),
             ("mkl".into(), Json::Float(gf[1])),
-            ("openblas".into(), Json::Float(gf[2])),
         ]));
     }
     println!();

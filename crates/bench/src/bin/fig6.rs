@@ -1,6 +1,7 @@
 //! Reproduces paper Fig. 6: x86 CONV performance (batch 5, 3×3 kernel,
-//! 80×100 output, 128 in/out channels, fused ReLU) — Exo vs Halide-like
-//! vs oneDNN-like, all expected within ~1 point of each other.
+//! 80×100 output, 128 in/out channels, fused ReLU) — Exo's fraction of
+//! peak. The paper's Halide and oneDNN columns are not modeled: their
+//! register blockings give the same value as Exo's under this model.
 //!
 //! The Exo column's instruction counts are cross-checked against the
 //! actual scheduled procedure before the model is evaluated.
@@ -31,24 +32,19 @@ fn main() {
 
     println!("== Fig. 6 — x86 CONV, % of peak (N=5 W=82 H=102 IC=OC=128, 3x3, ReLU) ==");
     println!("{:<10} {:>10}", "Impl.", "% of peak");
-    let mut records = Vec::new();
-    for strat in [
-        ConvStrategy::exo(),
-        ConvStrategy::halide_like(),
-        ConvStrategy::onednn_like(),
-    ] {
-        let frac = strat.fraction_of_peak(&s, &core);
-        println!("{:<10} {:>9.2}%", strat.name, frac * 100.0);
-        records.push(Json::obj(vec![
+    let strat = ConvStrategy::exo();
+    let frac = strat.fraction_of_peak(&s, &core);
+    println!("{:<10} {:>9.2}%", strat.name, frac * 100.0);
+    let records = vec![
+        Json::obj(vec![
             ("type".into(), Json::Str("peak_row".into())),
             ("impl".into(), Json::Str(strat.name.to_string())),
             ("fraction_of_peak".into(), Json::Float(frac)),
-        ]));
-    }
-    records.push(solver_stats_json(&st));
+        ]),
+        solver_stats_json(&st),
+    ];
     println!();
     println!("paper reference: Exo 40.50%, Halide 40.59%, oneDNN 40.55% (all within 0.1 pt);");
-    println!("the cost model puts the absolute level higher (see EXPERIMENTS.md) but");
-    println!("preserves the claim under test: the three implementations are equivalent.");
+    println!("the cost model puts the absolute level higher (see EXPERIMENTS.md).");
     write_bench_json("fig6", &records).expect("write BENCH_fig6.json");
 }

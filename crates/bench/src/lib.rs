@@ -7,9 +7,9 @@
 //! |---|---|
 //! | `fig4a` | Gemmini MATMUL utilization (Old-lib / Exo-lib / Hardware) |
 //! | `fig4b` | Gemmini CONV utilization |
-//! | `fig5a` | x86 SGEMM GFLOP/s on square sizes (Exo / MKL / OpenBLAS) |
+//! | `fig5a` | x86 SGEMM GFLOP/s on square sizes (Exo / MKL) |
 //! | `fig5b` | x86 SGEMM vs output aspect ratio |
-//! | `fig6`  | x86 CONV % of peak (Exo / Halide / oneDNN) |
+//! | `fig6`  | x86 CONV % of peak (Exo) |
 //! | `fig7`  | code-size table (C generated / C reference / alg / sched) |
 //! | `ablation_config` | §2.4: cost of fused vs hoisted configuration |
 //! | `ablation_overlap` | decoupled-queue overlap vs serialized issue |

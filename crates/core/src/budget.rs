@@ -111,11 +111,6 @@ impl ResourceBudget {
         ResourceBudget::new(u64::MAX, Some(dur))
     }
 
-    /// A budget with both a fuel pool and a wall-clock deadline from now.
-    pub fn with_fuel_and_deadline(fuel: u64, dur: Duration) -> ResourceBudget {
-        ResourceBudget::new(fuel, Some(dur))
-    }
-
     /// Is this the unlimited budget (no fuel limit, no deadline)?
     pub fn is_unlimited(&self) -> bool {
         !self.inner.limited

@@ -47,12 +47,11 @@ impl fmt::Display for Severity {
 
 /// Outcome of a checked rewrite or probe.
 ///
-/// This is the one verdict vocabulary shared by schedule provenance
-/// (`exo-obs`), the scheduling operators, and the lint diagnostics
-/// export: rendered output and JSON both use [`Verdict::name`]
-/// (`accepted` / `rejected`), exactly as severities use
-/// [`Severity::name`] — so machine consumers never have to reconcile
-/// two spellings of the same outcome.
+/// The scheduling operators record it on their `sched.<op>` spans as
+/// [`Verdict::name`] (`accepted` / `rejected`) plus the reason, exactly
+/// as lint diagnostics spell severities with [`Severity::name`] — so
+/// machine consumers never have to reconcile two spellings of the same
+/// outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The rewrite was applied; its checks (if any) passed.
@@ -62,11 +61,6 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Whether the rewrite went through.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, Verdict::Accepted)
-    }
-
     /// Lower-case name, as used in rendered output and JSON (the
     /// rejection reason is carried separately).
     pub fn name(&self) -> &'static str {
@@ -140,11 +134,6 @@ impl Diagnostic {
         self.notes.push(note.into());
         self
     }
-
-    /// Whether this finding should fail a CI gate.
-    pub fn is_error(&self) -> bool {
-        self.severity == Severity::Error
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -184,7 +173,6 @@ mod tests {
     #[test]
     fn verdict_names_and_reasons() {
         assert_eq!(Verdict::Accepted.name(), "accepted");
-        assert!(Verdict::Accepted.is_accepted());
         assert_eq!(Verdict::Accepted.reason(), None);
         let r = Verdict::Rejected("out of bounds".into());
         assert_eq!(r.name(), "rejected");

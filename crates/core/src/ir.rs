@@ -421,11 +421,6 @@ impl Proc {
     pub fn arg(&self, name: Sym) -> Option<&FnArg> {
         self.args.iter().find(|a| a.name == name)
     }
-
-    /// Looks up a formal parameter by spelling (first match).
-    pub fn arg_named(&self, name: &str) -> Option<&FnArg> {
-        self.args.iter().find(|a| a.name.name() == name)
-    }
 }
 
 /// A field of a configuration struct.

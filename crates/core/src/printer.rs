@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ir::{ArgType, Block, Expr, Lit, Proc, Stmt, WAccess};
+use crate::ir::{ArgType, Block, Expr, Proc, Stmt, WAccess};
 
 /// Renders an expression in surface syntax.
 pub fn expr_to_string(e: &Expr) -> String {
@@ -243,11 +243,6 @@ impl std::fmt::Display for Proc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", proc_to_string(self))
     }
-}
-
-/// Renders a literal the way the parser accepts it.
-pub fn lit_to_string(l: &Lit) -> String {
-    format!("{l}")
 }
 
 #[cfg(test)]

@@ -70,12 +70,6 @@ impl ParseEnv {
         ParseEnv::default()
     }
 
-    /// Registers a callable procedure.
-    pub fn add_proc(&mut self, p: Arc<Proc>) -> &mut Self {
-        self.procs.insert(p.name.name(), p);
-        self
-    }
-
     /// Registers a configuration struct.
     pub fn add_config(&mut self, decl: &exo_core::ConfigDecl) -> &mut Self {
         let fields = decl

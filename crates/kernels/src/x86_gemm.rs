@@ -6,11 +6,13 @@
 //! `mm512_broadcast_ss` / `mm512_fmadd_ps` / `mm512_storeu_ps`, with
 //! every vector loop mapped to an instruction by `replace()`.
 //!
-//! The comparison libraries are modeled as *strategies*: the same cost
-//! model evaluated with each library's microkernel shapes and blocking
-//! parameters (OpenBLAS-like: one fixed kernel; MKL-like: a family of
-//! specialized kernels chosen per shape — which is exactly why MKL pulls
-//! ahead at extreme aspect ratios in Fig. 5b).
+//! The comparison library is modeled as a *strategy*: the same cost
+//! model evaluated with its microkernel shapes and blocking parameters
+//! (MKL-like: a family of specialized kernels chosen per shape — which
+//! is exactly why MKL pulls ahead at extreme aspect ratios in Fig. 5b).
+//! An OpenBLAS-like strategy (Exo's 6×64 kernel with packed panels)
+//! would equal Exo at every Fig. 5 point under this model, so it is not
+//! modeled.
 
 use std::sync::Arc;
 
@@ -115,8 +117,8 @@ pub struct GemmStrategy {
     pub blocking: GemmBlocking,
 }
 
-/// The cache blocking all three strategies share around their 6×64
-/// kernel, with or without packed operand panels.
+/// The cache blocking both strategies share around their 6×64 kernel,
+/// with or without packed operand panels.
 fn blocking_6x64(packed: bool) -> GemmBlocking {
     GemmBlocking {
         mr: 6,
@@ -137,18 +139,6 @@ impl GemmStrategy {
             name: "Exo",
             kernels: vec![(6, 64)],
             blocking: blocking_6x64(false),
-        }
-    }
-
-    /// An OpenBLAS-like strategy: one hand-tuned kernel (the same 6×64
-    /// register shape as the skylakex kernel family), with packed
-    /// operand panels. Fig. 5b's "Exo matches OpenBLAS almost exactly"
-    /// follows from the matching microkernel shape.
-    pub fn openblas_like() -> GemmStrategy {
-        GemmStrategy {
-            name: "OpenBLAS",
-            kernels: vec![(6, 64)],
-            blocking: blocking_6x64(true),
         }
     }
 
@@ -299,11 +289,7 @@ mod tests {
     fn square_sizes_land_in_the_paper_band() {
         // Fig. 5a: 80–95 % of peak on large squares for every library
         let core = CoreModel::tiger_lake();
-        for strat in [
-            GemmStrategy::exo(),
-            GemmStrategy::openblas_like(),
-            GemmStrategy::mkl_like(),
-        ] {
+        for strat in [GemmStrategy::exo(), GemmStrategy::mkl_like()] {
             let gf = strat.gflops(1536, 1536, 1536, &core);
             let frac = gf / core.peak_gflops();
             assert!(
@@ -317,18 +303,11 @@ mod tests {
     #[test]
     fn mkl_wins_at_extreme_aspect_ratios() {
         // Fig. 5b: K = 512, M·N = 512², extreme M/N — the kernel-family
-        // strategy stays ahead of the fixed-kernel ones
+        // strategy stays ahead of the fixed-kernel one
         let core = CoreModel::tiger_lake();
         let (m, n, k) = (8192, 32, 512);
         let exo = GemmStrategy::exo().gflops(m, n, k, &core);
-        let openblas = GemmStrategy::openblas_like().gflops(m, n, k, &core);
         let mkl = GemmStrategy::mkl_like().gflops(m, n, k, &core);
         assert!(mkl > exo, "mkl {mkl:.1} !> exo {exo:.1}");
-        assert!(mkl > openblas, "mkl {mkl:.1} !> openblas {openblas:.1}");
-        // and Exo tracks OpenBLAS (within ~20 %)
-        assert!(
-            (exo - openblas).abs() / openblas < 0.35,
-            "exo {exo:.1} vs {openblas:.1}"
-        );
     }
 }

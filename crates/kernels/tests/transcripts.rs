@@ -19,29 +19,11 @@ fn state() -> StateRef {
     Arc::new(Mutex::new(SchedState::default()))
 }
 
-/// Compares a transcript with the recorded one. Memory names print with
-/// their process-global symbol id (`MemName(ACCUM#1)`), which depends on
-/// interning order, so the id is dropped before comparing.
+/// Compares a transcript with the recorded one.
 fn assert_transcript(p: Result<Procedure, SchedError>, want: &[(&str, &str)], directives: usize) {
     let p = p.expect("schedule");
-    let got: Vec<(String, String)> = p
-        .transcript()
-        .iter()
-        .map(|e| {
-            let target = match e.target.split_once("MemName(") {
-                Some((head, mem)) => {
-                    let name = mem.split(['#', ')']).next().unwrap_or(mem);
-                    format!("{head}MemName({name})")
-                }
-                None => e.target.clone(),
-            };
-            (e.op.clone(), target)
-        })
-        .collect();
-    let want: Vec<(String, String)> = want
-        .iter()
-        .map(|&(op, target)| (op.to_string(), target.to_string()))
-        .collect();
+    let events = p.transcript();
+    let got: Vec<(&str, &str)> = events.iter().map(|e| (e.op, e.target.as_str())).collect();
     assert_eq!(got, want);
     assert_eq!(p.directives(), directives);
 }

@@ -1,8 +1,8 @@
 //! # exo-obs
 //!
 //! Std-only structured observability for the exo-rs pipeline (no
-//! external crates; the one workspace dependency is `exo-core`, which
-//! owns the shared severity/verdict vocabulary).
+//! external crates; the one workspace dependency is `exo-core`, for its
+//! fixed hasher).
 //!
 //! The whole premise of exocompilation is that *users* drive
 //! optimization, which means users must be able to see what the system
@@ -21,12 +21,11 @@
 //!   and event;
 //! * [`json::Json`] — a hand-rolled JSON value (the sandbox has no
 //!   crates.io access, so serialization is std-only) with a strict
-//!   parser used to validate exported lines;
-//! * [`provenance::ProvenanceEvent`] — one applied
-//!   scheduling rewrite: operator, target, check verdict, statement
-//!   delta, check-query/cache-hit deltas, duration. `exo_sched::Procedure`
-//!   accumulates these into its schedule transcript, rendered with a
-//!   per-operator cost table.
+//!   parser used to validate exported lines.
+//!
+//! Schedule provenance is not kept here: the transcript of applied
+//! rewrites lives in `exo_sched::provenance`, and a rejected rewrite's
+//! verdict and reason are fields of its `sched.<op>` span.
 //!
 //! Each fact is recorded once, by one writer. A registry counter exists
 //! only when it is the one tally of its fact: solver, verdict-cache and
@@ -47,12 +46,10 @@
 
 pub mod export;
 pub mod json;
-pub mod provenance;
 pub mod registry;
 pub mod span;
 
 pub use json::Json;
-pub use provenance::{per_op_costs, render_transcript, OpCost, ProvenanceEvent, Verdict};
 pub use registry::{Registry, TraceSpan};
 pub use span::Span;
 

@@ -259,11 +259,6 @@ impl Registry {
         }
         out
     }
-
-    /// Writes [`Registry::json_lines`] to a file.
-    pub fn write_json_lines(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.json_lines())
-    }
 }
 
 /// Formats a microsecond duration for humans (`412µs`, `3.2ms`, `1.7s`).

@@ -1,5 +1,6 @@
-//! The scheduling handle: an immutable procedure plus the shared state
-//! (solver, global registry, equivalence classes) that rewrites consult.
+//! The scheduling handle: an immutable procedure, its provenance (root,
+//! polluted configuration fields, transcript), and the shared state
+//! (checking context, global registry, budget) that rewrites consult.
 //!
 //! Every scheduling operator consumes a [`Procedure`] by reference and
 //! returns a *new* `Procedure` — the original is untouched, exactly as in
@@ -11,12 +12,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use exo_obs::{ProvenanceEvent, Verdict};
-
 use exo_analysis::context::SiteQuery;
 use exo_analysis::globals::GlobalReg;
 use exo_analysis::SharedCheckCtx;
 use exo_core::budget::ResourceBudget;
+use exo_core::diag::Verdict;
 use exo_core::ir::{FnArg, Proc};
 use exo_core::path::{replace_at, stmt_at, StmtPath};
 use exo_core::{Block, Stmt, Sym};
@@ -24,6 +24,7 @@ use exo_smt::formula::Formula;
 use exo_smt::solver::Answer;
 
 use crate::pattern::Pattern;
+use crate::provenance::{render_transcript, ProvenanceEvent, Transcript};
 
 /// An error raised by a scheduling operator. Scheduling errors are
 /// always *safe*: the procedure is unchanged and no unsound rewrite was
@@ -33,7 +34,7 @@ pub struct SchedError {
     /// Human-readable description.
     pub message: String,
     /// The scheduling operator that raised the error, once attributed.
-    pub op: Option<String>,
+    pub op: Option<&'static str>,
     /// The pattern argument the operator was applied to, if any.
     pub pattern: Option<String>,
     /// The underlying cause (e.g. a [`crate::pattern::PatternError`]).
@@ -69,9 +70,9 @@ impl SchedError {
 
     /// Attributes the error to an operator and its target, keeping any
     /// attribution already made by a more deeply nested operator.
-    pub(crate) fn in_op(mut self, op: &str, target: &str) -> SchedError {
+    pub(crate) fn in_op(mut self, op: &'static str, target: &str) -> SchedError {
         if self.op.is_none() {
-            self.op = Some(op.to_string());
+            self.op = Some(op);
         }
         if self.pattern.is_none() && !target.is_empty() {
             self.pattern = Some(target.to_string());
@@ -124,9 +125,7 @@ fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
 }
 
 /// Shared scheduling state: the checking context (solver + canonical
-/// verdict cache), the global registry, and the provenance
-/// store tracking which procedures are equivalent modulo which
-/// configuration fields (§3.3, §6.2).
+/// verdict cache), the global registry and the fuel/deadline budget.
 ///
 /// `SchedState::default()` aliases the process-wide
 /// [`SharedCheckCtx::process`] context, so safety obligations discharged
@@ -144,7 +143,6 @@ pub struct SchedState {
     /// one per solver query, one per symbolic loop pass. Unlimited by
     /// default; see [`SchedState::set_budget`].
     pub budget: ResourceBudget,
-    next_class: usize,
 }
 
 impl SchedState {
@@ -154,7 +152,6 @@ impl SchedState {
             check,
             reg: GlobalReg::default(),
             budget: ResourceBudget::unlimited(),
-            next_class: 0,
         }
     }
 
@@ -205,25 +202,26 @@ pub struct ParallelMark {
 #[derive(Clone, Debug)]
 pub struct Procedure {
     proc: Arc<Proc>,
-    /// The original procedure this one was scheduled from.
+    /// The original procedure this one was scheduled from: the one
+    /// equivalence record. Two handles with the same root are equivalent
+    /// modulo the union of their pollution sets (§3.3, §6.2).
     root: Arc<Proc>,
     state: StateRef,
-    /// Equivalence class (procedures derived from the same root).
-    class: usize,
     /// Configuration fields modulo which this procedure is equivalent to
-    /// its class root.
+    /// its root.
     polluted: BTreeSet<(Sym, Sym)>,
     /// Number of scheduling directives applied since the root (the
     /// "Sched." column of paper Fig. 7).
     directives: usize,
-    /// Schedule provenance: one event per applied rewrite, in order.
-    transcript: Vec<ProvenanceEvent>,
+    /// Schedule provenance: one event per applied rewrite, shared with
+    /// the handles this one was derived from.
+    transcript: Transcript,
     /// Loops approved for parallel execution, in approval order.
     parallel: Vec<ParallelMark>,
 }
 
 impl Procedure {
-    /// Wraps a procedure as the root of a new equivalence class.
+    /// Wraps a procedure as the root of a new schedule.
     pub fn new(proc: Arc<Proc>) -> Procedure {
         Procedure::with_state(proc, Arc::new(Mutex::new(SchedState::default())))
     }
@@ -231,19 +229,13 @@ impl Procedure {
     /// Wraps a procedure sharing existing scheduling state (so solver
     /// caches and canonical global names are reused).
     pub fn with_state(proc: Arc<Proc>, state: StateRef) -> Procedure {
-        let class = {
-            let mut st = lock_state(&state);
-            st.next_class += 1;
-            st.next_class
-        };
         Procedure {
             root: Arc::clone(&proc),
             proc,
             state,
-            class,
             polluted: BTreeSet::new(),
             directives: 0,
-            transcript: Vec::new(),
+            transcript: Transcript::default(),
             parallel: Vec::new(),
         }
     }
@@ -277,13 +269,13 @@ impl Procedure {
 
     /// The schedule transcript: one [`ProvenanceEvent`] per rewrite
     /// applied since the root, in application order.
-    pub fn transcript(&self) -> &[ProvenanceEvent] {
-        &self.transcript
+    pub fn transcript(&self) -> Vec<&ProvenanceEvent> {
+        self.transcript.events()
     }
 
     /// The transcript rendered as an indented human-readable listing.
     pub fn transcript_text(&self) -> String {
-        exo_obs::render_transcript(&self.proc.name.name(), &self.transcript)
+        render_transcript(&self.proc.name.name(), &self.transcript())
     }
 
     /// Loops approved for parallel execution by
@@ -298,12 +290,6 @@ impl Procedure {
     /// the procedure it was derived from.
     pub fn polluted(&self) -> &BTreeSet<(Sym, Sym)> {
         &self.polluted
-    }
-
-    /// Whether `other` was derived from the same root (and is therefore
-    /// provably equivalent modulo the union of both pollution sets).
-    pub fn same_class(&self, other: &Procedure) -> bool {
-        Arc::ptr_eq(&self.state, &other.state) && self.class == other.class
     }
 
     /// The original (root) procedure this handle was scheduled from.
@@ -394,7 +380,6 @@ impl Procedure {
             proc: Arc::new(proc),
             root: Arc::clone(&self.root),
             state: Arc::clone(&self.state),
-            class: self.class,
             polluted: self.polluted.clone(),
             directives: self.directives + 1,
             transcript: self.transcript.clone(),
@@ -409,7 +394,6 @@ impl Procedure {
             proc: Arc::clone(&self.proc),
             root: Arc::clone(&self.root),
             state: Arc::clone(&self.state),
-            class: self.class,
             polluted: self.polluted.clone(),
             directives: self.directives + 1,
             transcript: self.transcript.clone(),
@@ -491,9 +475,8 @@ impl Procedure {
         drop(span);
         let mut derived = result?;
         derived.transcript.push(ProvenanceEvent {
-            op: op.to_string(),
+            op,
             target,
-            verdict,
             pre_stmts,
             post_stmts: derived.stmt_count(),
             queries: post_check.queries.saturating_sub(pre_check.queries),
@@ -548,7 +531,7 @@ impl Procedure {
     pub(crate) fn prove(
         &self,
         path: &StmtPath,
-        what: &str,
+        what: &'static str,
         f: impl FnOnce(&mut SiteQuery<'_>) -> Formula,
     ) -> Result<(), SchedError> {
         self.query(path, |q| {
@@ -600,20 +583,13 @@ mod tests {
             .unwrap();
         assert_eq!(q.directives(), 1);
         assert_eq!(p.directives(), 0);
-        assert!(p.same_class(&q));
+        assert!(q.root_is(p.proc()));
         // original unchanged
         let orig_for = p.find(&Pattern::from("for i in _: _")).unwrap();
         match p.stmt(&orig_for).unwrap() {
             Stmt::For { body, .. } => assert_eq!(body.len(), 1),
             other => panic!("original `for i` should survive the splice unchanged, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn separate_roots_are_different_classes() {
-        let p = simple();
-        let q = simple();
-        assert!(!p.same_class(&q));
     }
 
     #[test]
@@ -624,18 +600,36 @@ mod tests {
         assert_eq!(q.transcript().len(), 1);
         let e = &q.transcript()[0];
         assert_eq!(e.op, "split");
-        assert!(e.verdict.is_accepted());
         assert!(e.post_stmts > e.pre_stmts, "{e:?}");
         // a rejected rewrite leaves the source transcript untouched
         assert!(q.split("for z in _: _", 4, "a", "b").is_err());
         assert_eq!(q.transcript().len(), 1);
         // chained rewrites accumulate in order
         let r = q.reorder("for io in _: _", "ii").unwrap();
-        let ops: Vec<&str> = r.transcript().iter().map(|e| e.op.as_str()).collect();
+        let ops: Vec<&str> = r.transcript().iter().map(|e| e.op).collect();
         assert_eq!(ops, ["split", "reorder"]);
         assert!(r.transcript_text().contains("1. split("));
         // the original handle is untouched
         assert!(p.transcript().is_empty());
+    }
+
+    #[test]
+    fn children_share_their_parents_transcript() {
+        let parent = simple().split("for i in _: _", 4, "io", "ii").unwrap();
+        let before: Vec<ProvenanceEvent> = parent.transcript().into_iter().cloned().collect();
+        let reordered = parent.reorder("for io in _: _", "ii").unwrap();
+        let unrolled = parent.unroll("for ii in _: _").unwrap();
+        for (child, op) in [(&reordered, "reorder"), (&unrolled, "unroll")] {
+            let events = child.transcript();
+            assert_eq!(events.len(), before.len() + 1);
+            // the parent's events themselves, not copies of them
+            for (shared, own) in events.iter().zip(parent.transcript()) {
+                assert!(std::ptr::eq(*shared, own));
+            }
+            assert_eq!(events[before.len()].op, op);
+        }
+        let after: Vec<ProvenanceEvent> = parent.transcript().into_iter().cloned().collect();
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! User scheduling via composable rewrites (paper §3.3–3.4, Fig. 2).
 //!
-//! A [`Procedure`] wraps an IR procedure together with shared scheduling
-//! state (the checking context and provenance). Every operator —
+//! A [`Procedure`] wraps an IR procedure together with its provenance
+//! (root, polluted configuration fields, the transcript of applied
+//! rewrites in [`provenance`]) and shared scheduling state (the checking
+//! context). Every operator —
 //! `split`, `reorder`, `unroll`, `inline`, `replace`, `stage_mem`,
 //! `configwrite_at`, … — is an independent rewrite returning a new
 //! `Procedure`; correctness of each is checked in isolation against the
@@ -35,6 +37,7 @@ pub mod ops_data;
 pub mod ops_loops;
 pub mod ops_parallel;
 pub mod pattern;
+pub mod provenance;
 pub mod unify;
 
 pub use exo_analysis::SharedCheckCtx;
@@ -42,3 +45,4 @@ pub use exo_lint::LoopVerdict;
 pub use handle::{ParallelMark, Procedure, SchedError, SchedState, StateRef};
 pub use ops_config::Position;
 pub use pattern::{ParsedPattern, Pattern, PatternError, StmtPattern};
+pub use provenance::ProvenanceEvent;

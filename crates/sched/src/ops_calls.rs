@@ -102,11 +102,8 @@ impl Procedure {
         let Stmt::Call { proc: old, args } = self.stmt(&path)?.clone() else {
             return serr(format!("call_eqv: {call_pat:?} is not a call"));
         };
-        // provenance: the new callee must be in an equivalence class with
-        // a procedure alpha-equal to the old callee, i.e. share our state
-        // and class with a known rewrite chain. We accept either: the new
-        // callee's class root is the old callee (common case: the user
-        // scheduled `old` into `new`), or both are the same Arc.
+        // provenance: the new callee must have been scheduled from the old
+        // one (its root is the old callee), or be the old callee itself.
         if !new_callee.same_ir_signature(&old) {
             return serr("call_eqv: signatures differ");
         }

@@ -248,7 +248,7 @@ impl Procedure {
                 "delete_config: {stmt_pat:?} is not a configuration write"
             ));
         };
-        self.prove(&path, &format!("delete_config({stmt_pat})"), |q| {
+        self.prove(&path, "delete_config", |q| {
             let current = q.lift(&Expr::ReadConfig { config, field });
             let new = q.lift(&rhs);
             q.lctx.lower_bool(&current.eq(new)).definitely()
@@ -290,7 +290,7 @@ impl Procedure {
             return serr("reorder_stmts: the first statement binds a name the second uses");
         }
 
-        self.prove(&p1, &format!("reorder_stmts({first_pat})"), |q| {
+        self.prove(&p1, "reorder_stmts", |q| {
             let e1 = q.effect(std::slice::from_ref(&s1));
             let e2 = q.effect(std::slice::from_ref(&s2));
             conditions::commutes(&e1, &e2, &mut q.lctx)
@@ -329,7 +329,7 @@ impl Procedure {
         if matches!(s1, Stmt::Alloc { .. } | Stmt::WindowDef { .. }) {
             return serr("shadow_delete: cannot delete a binding statement");
         }
-        self.prove(&p1, &format!("shadow_delete({stmt_pat})"), |q| {
+        self.prove(&p1, "shadow_delete", |q| {
             let e1 = q.effect(std::slice::from_ref(&s1));
             let e2 = q.effect(std::slice::from_ref(&s2));
             conditions::shadows(&e1, &e2, &mut q.lctx)

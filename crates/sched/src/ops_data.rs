@@ -25,7 +25,7 @@ impl Procedure {
         mem: MemName,
     ) -> Result<Procedure, SchedError> {
         let alloc_pat = alloc_pat.into();
-        self.instrumented("set_memory", format!("{alloc_pat}, {mem:?}"), || {
+        self.instrumented("set_memory", format!("{alloc_pat}, MemName({mem})"), || {
             self.set_memory_impl(&alloc_pat, mem)
         })
     }
@@ -114,7 +114,7 @@ impl Procedure {
     /// `set_arg_memory(name, MEM)`: changes the memory annotation of a
     /// tensor parameter.
     pub fn set_arg_memory(&self, arg: &str, mem: MemName) -> Result<Procedure, SchedError> {
-        self.instrumented("set_arg_memory", format!("{arg}, {mem:?}"), || {
+        self.instrumented("set_arg_memory", format!("{arg}, MemName({mem})"), || {
             self.set_arg_memory_impl(arg, mem)
         })
     }
@@ -441,7 +441,7 @@ impl Procedure {
         let stmt_pat = stmt_pat.into();
         self.instrumented(
             "stage_mem",
-            format!("{stmt_pat}, {buf_name}, {new_name}, {mem:?}"),
+            format!("{stmt_pat}, {buf_name}, {new_name}, MemName({mem})"),
             || self.stage_mem_impl(&stmt_pat, buf_name, window, new_name, mem),
         )
     }

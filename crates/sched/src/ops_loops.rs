@@ -56,7 +56,7 @@ impl Procedure {
             return serr("split: only zero-based loops can be split");
         }
         // divisibility: D(hi mod c == 0) under the site assumptions
-        self.prove(&path, &format!("split({loop_pat}, {c})"), |q| {
+        self.prove(&path, "split", |q| {
             let hi_e = q.lift(&hi);
             let li = q.lctx.lower_int(&hi_e);
             Formula::and(vec![li.def, Formula::dvd(c, li.val)])
@@ -204,7 +204,7 @@ impl Procedure {
             return serr("reorder: inner loop bounds depend on the outer iterator");
         }
 
-        self.prove(&path, &format!("reorder({outer_pat}, {inner_name})"), |q| {
+        self.prove(&path, "reorder", |q| {
             let xlo_e = q.lift(&xlo);
             let xhi_e = q.lift(&xhi);
             let ylo_e = q.lift(ylo);
@@ -300,7 +300,7 @@ impl Procedure {
             return serr("fission_after: cannot fission across an allocation used later");
         }
 
-        self.prove(&loop_path, &format!("fission_after({stmt_pat})"), |q| {
+        self.prove(&loop_path, "fission_after", |q| {
             let lo_e = q.lift(&lo);
             let hi_e = q.lift(&hi);
             let [eff1, eff2] = q.body_effects(&[lp], [part1, part2]);
@@ -374,7 +374,7 @@ impl Procedure {
         };
 
         // the fission condition, posed on the fused loop
-        self.prove(&path1, &format!("fuse_loop({loop_pat})"), |q| {
+        self.prove(&path1, "fuse_loop", |q| {
             let lo_e = q.lift(&lo1);
             let hi_e = q.lift(&hi1);
             let [eff1, eff2] = q.body_effects(&[&fused], [&b1, &b2r]);
@@ -412,7 +412,7 @@ impl Procedure {
         };
         let mid = fold_expr(&lo.clone().add(Expr::int(c)));
         // provable lo + c ≤ hi
-        self.prove(&path, &format!("partition_loop({loop_pat}, {c})"), |q| {
+        self.prove(&path, "partition_loop", |q| {
             let mid_e = q.lift(&mid);
             let hi_e = q.lift(&hi);
             q.lctx.lower_bool(&mid_e.le(hi_e)).definitely()
@@ -454,7 +454,7 @@ impl Procedure {
         if free_syms_block(&body).contains(&iter) {
             return serr("remove_loop: iteration variable is used in the body");
         }
-        self.prove(&path, &format!("remove_loop({loop_pat})"), |q| {
+        self.prove(&path, "remove_loop", |q| {
             let lo_e = q.lift(&lo);
             let hi_e = q.lift(&hi);
             let [body_eff] = q.body_effects(&[lp], [&body]);
@@ -500,7 +500,7 @@ impl Procedure {
             return serr("lift_if: condition depends on the iteration variable");
         }
         // the condition's (config) reads must commute with the body
-        self.prove(&loop_path, &format!("lift_if({if_pat})"), |q| {
+        self.prove(&loop_path, "lift_if", |q| {
             let [whole_eff] = q.body_effects(&[lp], [&body]);
             conditions::commutes(&effect_of_ctrl_expr(&cond), &whole_eff, &mut q.lctx)
         })?;
@@ -546,7 +546,7 @@ impl Procedure {
 
     fn add_guard_impl(&self, stmt_pat: &Pattern, cond: Expr) -> Result<Procedure, SchedError> {
         let path = self.find(stmt_pat)?;
-        self.prove(&path, &format!("add_guard({stmt_pat})"), |q| {
+        self.prove(&path, "add_guard", |q| {
             let c_e = q.lift(&cond);
             q.lctx.lower_bool(&c_e).definitely()
         })?;

@@ -1,17 +1,14 @@
-//! Schedule provenance: one record per scheduling rewrite.
+//! Schedule provenance: one record per applied scheduling rewrite.
 //!
-//! `exo_sched::Procedure` appends a [`ProvenanceEvent`] for every
-//! operator applied to it, building the *schedule transcript* — the
-//! ordered story of how a naive kernel became the scheduled one, with
-//! each step's safety-check verdict and cost. Rejected rewrites leave
-//! the procedure untouched, so they appear only in the global registry
-//! (as the verdict and reason on their `sched.<op>` span), never in a
-//! procedure's own transcript.
+//! [`crate::Procedure`] extends its transcript with a [`ProvenanceEvent`]
+//! for every operator applied to it — the ordered story of how a naive
+//! kernel became the scheduled one, with each step's cost. Only applied
+//! rewrites are recorded: a rejected one leaves the procedure untouched,
+//! so its verdict and reason live only on its `sched.<op>` span.
 //!
-//! Verdicts use the one shared vocabulary of
-//! [`exo_core::diag::Verdict`] — the same `name()` spelling the lint
-//! diagnostics JSON uses for severities, so machine consumers of
-//! the `sched.<op>` spans and of lint exports read one dialect.
+//! A transcript is a persistent chain: a derived handle points at its
+//! source's chain plus its own event, so deriving copies nothing and
+//! every handle along a schedule shares the events it was built from.
 //!
 //! [`render_transcript`] folds a per-operator cost table under the
 //! per-rewrite listing: for each operator, how many rewrites, how many
@@ -19,19 +16,18 @@
 //! time, and the net statement delta — the attribution view of "what
 //! did my schedule cost".
 
-use crate::registry::format_us;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-pub use exo_core::diag::Verdict;
+use exo_obs::registry::format_us;
 
 /// One applied scheduling rewrite.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProvenanceEvent {
     /// Operator name (`split`, `reorder`, `stage_mem`, …).
-    pub op: String,
+    pub op: &'static str,
     /// The operator's target pattern / argument summary.
     pub target: String,
-    /// Safety-check outcome.
-    pub verdict: Verdict,
     /// Statement count before the rewrite.
     pub pre_stmts: usize,
     /// Statement count after the rewrite.
@@ -45,27 +41,68 @@ pub struct ProvenanceEvent {
     pub duration_us: u64,
 }
 
+/// The events applied since a schedule's root, newest first, each link
+/// shared by every handle derived after it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Transcript(Option<Arc<Link>>);
+
+#[derive(Debug)]
+struct Link {
+    event: ProvenanceEvent,
+    prev: Transcript,
+}
+
+impl Transcript {
+    /// Appends one event; the events before it are shared, not copied.
+    pub(crate) fn push(&mut self, event: ProvenanceEvent) {
+        let prev = std::mem::take(self);
+        self.0 = Some(Arc::new(Link { event, prev }));
+    }
+
+    /// The events in application order.
+    pub(crate) fn events(&self) -> Vec<&ProvenanceEvent> {
+        let mut events = Vec::new();
+        let mut cursor = &self.0;
+        while let Some(link) = cursor {
+            events.push(&link.event);
+            cursor = &link.prev.0;
+        }
+        events.reverse();
+        events
+    }
+}
+
+impl Drop for Link {
+    /// Unlinks the chain iteratively, so dropping the last handle of a
+    /// long schedule does not recurse once per event.
+    fn drop(&mut self) {
+        let mut next = self.prev.0.take();
+        while let Some(link) = next {
+            next = Arc::try_unwrap(link)
+                .ok()
+                .and_then(|mut link| link.prev.0.take());
+        }
+    }
+}
+
 /// One row of the per-operator cost table: the aggregate cost of every
 /// rewrite sharing an operator name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpCost {
-    /// Operator name.
-    pub op: String,
-    /// Number of rewrites.
-    pub count: usize,
+#[derive(Debug)]
+struct OpCost {
+    op: &'static str,
+    count: usize,
     /// Checking-context queries caused (incl. cache hits).
-    pub queries: usize,
+    queries: usize,
     /// Queries answered by the canonical verdict cache.
-    pub cache_hits: usize,
-    /// Total wall time, µs.
-    pub wall_us: u64,
+    cache_hits: usize,
+    wall_us: u64,
     /// Net statement delta (post − pre summed over rewrites).
-    pub stmt_delta: i64,
+    stmt_delta: i64,
 }
 
 impl OpCost {
     /// Cache hit ratio (0 when no queries ran).
-    pub fn hit_ratio(&self) -> f64 {
+    fn hit_ratio(&self) -> f64 {
         if self.queries == 0 {
             0.0
         } else {
@@ -77,11 +114,11 @@ impl OpCost {
 /// Aggregates provenance events into the per-operator cost table,
 /// sorted by descending query count (the "who caused these queries"
 /// ordering), ties broken by name.
-pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
-    let mut costs: std::collections::BTreeMap<&str, OpCost> = Default::default();
+fn per_op_costs(events: &[&ProvenanceEvent]) -> Vec<OpCost> {
+    let mut costs: BTreeMap<&str, OpCost> = BTreeMap::new();
     for e in events {
-        let row = costs.entry(&e.op).or_insert_with(|| OpCost {
-            op: e.op.clone(),
+        let row = costs.entry(e.op).or_insert_with(|| OpCost {
+            op: e.op,
             count: 0,
             queries: 0,
             cache_hits: 0,
@@ -95,14 +132,14 @@ pub fn per_op_costs(events: &[ProvenanceEvent]) -> Vec<OpCost> {
         row.stmt_delta += e.post_stmts as i64 - e.pre_stmts as i64;
     }
     let mut rows: Vec<OpCost> = costs.into_values().collect();
-    rows.sort_by(|a, b| b.queries.cmp(&a.queries).then(a.op.cmp(&b.op)));
+    rows.sort_by(|a, b| b.queries.cmp(&a.queries).then(a.op.cmp(b.op)));
     rows
 }
 
 /// Renders a human-readable schedule transcript: one numbered line per
 /// rewrite (the `proc.transcript_text()` view), then the per-operator
 /// cost table.
-pub fn render_transcript(proc_name: &str, events: &[ProvenanceEvent]) -> String {
+pub(crate) fn render_transcript(proc_name: &str, events: &[&ProvenanceEvent]) -> String {
     let total_us: u64 = events.iter().map(|e| e.duration_us).sum();
     let total_q: usize = events.iter().map(|e| e.queries).sum();
     let mut out = format!(
@@ -116,11 +153,10 @@ pub fn render_transcript(proc_name: &str, events: &[ProvenanceEvent]) -> String 
     let width = events.len().to_string().len();
     for (i, e) in events.iter().enumerate() {
         out.push_str(&format!(
-            "  {:>width$}. {}({}) {} [stmts {}→{}, checks {}, {}]\n",
+            "  {:>width$}. {}({}) accepted [stmts {}→{}, checks {}, {}]\n",
             i + 1,
             e.op,
             e.target,
-            e.verdict,
             e.pre_stmts,
             e.post_stmts,
             e.queries,
@@ -169,11 +205,10 @@ pub fn render_transcript(proc_name: &str, events: &[ProvenanceEvent]) -> String 
 mod tests {
     use super::*;
 
-    fn ev(op: &str) -> ProvenanceEvent {
+    fn ev(op: &'static str) -> ProvenanceEvent {
         ProvenanceEvent {
-            op: op.into(),
+            op,
             target: "for i in _: _".into(),
-            verdict: Verdict::Accepted,
             pre_stmts: 3,
             post_stmts: 5,
             queries: 2,
@@ -184,7 +219,7 @@ mod tests {
 
     #[test]
     fn transcript_renders_each_rewrite_in_order() {
-        let text = render_transcript("gemm", &[ev("split"), ev("reorder")]);
+        let text = render_transcript("gemm", &[&ev("split"), &ev("reorder")]);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("`gemm`") && lines[0].contains("2 directives"));
         assert!(lines[0].contains("4 checks") && lines[0].contains("3.0ms"));
@@ -197,7 +232,7 @@ mod tests {
 
     #[test]
     fn transcript_folds_a_per_operator_cost_table() {
-        let text = render_transcript("gemm", &[ev("split"), ev("split"), ev("reorder")]);
+        let text = render_transcript("gemm", &[&ev("split"), &ev("split"), &ev("reorder")]);
         assert!(text.contains("per-operator cost:"), "{text}");
         let split_row = text
             .lines()
@@ -218,9 +253,18 @@ mod tests {
         let mut cheap = ev("cheap");
         cheap.queries = 0;
         cheap.cache_hits = 0;
-        let rows = per_op_costs(&[cheap, ev("split"), ev("split")]);
+        let rows = per_op_costs(&[&cheap, &ev("split"), &ev("split")]);
         assert_eq!(rows[0].op, "split");
         assert_eq!(rows[0].queries, 4);
         assert_eq!(rows[1].op, "cheap");
+    }
+
+    #[test]
+    fn a_long_chain_drops_without_deep_recursion() {
+        let mut t = Transcript::default();
+        for _ in 0..100_000 {
+            t.push(ev("split"));
+        }
+        drop(t);
     }
 }

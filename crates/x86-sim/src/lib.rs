@@ -196,25 +196,6 @@ impl KernelProfile {
     }
 }
 
-/// JSON report for one evaluated kernel: instruction profile, predicted
-/// cycles and throughput, and the fraction of machine peak achieved —
-/// the x86 analogue of `gemmini_sim::SimReport::to_json`.
-pub fn report_json(p: &KernelProfile, cycles: f64, core: &CoreModel) -> exo_obs::Json {
-    use exo_obs::Json;
-    let gflops = core.gflops(p.flops, cycles);
-    Json::obj(vec![
-        ("type".into(), Json::Str("sim_report".into())),
-        ("sim".into(), Json::Str("x86".into())),
-        ("cycles".into(), Json::Float(cycles)),
-        ("gflops".into(), Json::Float(gflops)),
-        (
-            "utilization".into(),
-            Json::Float(gflops / core.peak_gflops()),
-        ),
-        ("profile".into(), p.to_json()),
-    ])
-}
-
 /// How the cost model counts an instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpClass {

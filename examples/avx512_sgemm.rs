@@ -1,7 +1,7 @@
 //! The x86 SGEMM case study (§7.2) as a runnable example: schedule a
 //! naive f32 GEMM into the paper's 6×64 AVX-512 microkernel, verify it
 //! against the interpreter, and evaluate it on the Tiger Lake core
-//! model next to the MKL-like and OpenBLAS-like strategies.
+//! model next to the MKL-like strategy.
 //!
 //! ```sh
 //! cargo run --release --example avx512_sgemm
@@ -39,14 +39,13 @@ fn main() {
         "\n=== GFLOP/s on square sizes (peak {:.1}) ===",
         core.peak_gflops()
     );
-    println!("{:<8} {:>9} {:>9} {:>9}", "size", "Exo", "MKL", "OpenBLAS");
+    println!("{:<8} {:>9} {:>9}", "size", "Exo", "MKL");
     for s in [384u64, 768, 1152, 1536, 1920] {
         println!(
-            "{:<8} {:>9.1} {:>9.1} {:>9.1}",
+            "{:<8} {:>9.1} {:>9.1}",
             s,
             GemmStrategy::exo().gflops(s, s, s, &core),
             GemmStrategy::mkl_like().gflops(s, s, s, &core),
-            GemmStrategy::openblas_like().gflops(s, s, s, &core),
         );
     }
 }

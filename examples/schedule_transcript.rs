@@ -1,9 +1,8 @@
 //! Prints the schedule-provenance transcript of the paper's Fig. 5a
 //! x86 SGEMM case study — every rewrite applied, in order, with its
-//! verdict, statement counts, SMT-query and cache-hit deltas, and wall
-//! time, plus the per-operator cost table — then exports the causal
-//! trace tree as Chrome `trace_event` JSON and collapsed flamegraph
-//! stacks:
+//! statement counts, check-query and cache-hit deltas, and wall time,
+//! plus the per-operator cost table — then exports the causal trace
+//! tree as Chrome `trace_event` JSON and collapsed flamegraph stacks:
 //!
 //! ```sh
 //! cargo run --example schedule_transcript

@@ -162,8 +162,8 @@ fn non_addressable_memory_enforced_end_to_end() {
 #[test]
 fn transcript_records_full_gemmini_schedule() {
     // the provenance transcript of the scheduled GEMM names every rewrite
-    // in application order, every one accepted, with consistent statement
-    // counts along the chain
+    // in application order, with consistent statement counts along the
+    // chain
     let lib = GemminiLib::new();
     let st = Arc::new(Mutex::new(SchedState::default()));
     let p = exo::kernels::gemmini_gemm::schedule_matmul(&lib, &st, 64, 64, 64).unwrap();
@@ -176,23 +176,16 @@ fn transcript_records_full_gemmini_schedule() {
         t.len(),
         p.directives()
     );
-    let ops: Vec<&str> = t.iter().map(|e| e.op.as_str()).collect();
+    let ops: Vec<&str> = t.iter().map(|e| e.op).collect();
     assert!(ops.contains(&"split"), "{ops:?}");
     assert!(ops.contains(&"replace"), "{ops:?}");
-    for (i, e) in t.iter().enumerate() {
-        assert!(
-            matches!(e.verdict, exo::obs::Verdict::Accepted),
-            "event {i} ({}) not accepted",
-            e.op
+    for (i, pair) in t.windows(2).enumerate() {
+        assert_eq!(
+            pair[1].pre_stmts,
+            pair[0].post_stmts,
+            "statement count broken between events {i} and {}",
+            i + 1
         );
-        if i > 0 {
-            assert_eq!(
-                e.pre_stmts,
-                t[i - 1].post_stmts,
-                "statement count broken between events {} and {i}",
-                i - 1
-            );
-        }
     }
 
     // the human rendering lists exactly one numbered line per event
