@@ -95,6 +95,59 @@ fn uninitialized_read_and_reduction() {
     assert_fails(&p, &[4], "reduction into uninitialized location of t", 3);
 }
 
+/// Runs `p` as [`assert_fails`] does, under the unlimited budget and
+/// under a limited one that never runs out (which runs every loop an
+/// iteration at a time).
+fn assert_fails_under_both_budgets(p: &Proc, lens: &[usize], message: &str, steps: u64) {
+    assert_fails(p, lens, message, steps);
+    let mut m = Machine::new();
+    m.set_budget(ResourceBudget::with_fuel(u64::MAX - 1));
+    let (e, got_steps) = fail_on(&mut m, p, lens);
+    assert_eq!(e.message, message);
+    assert_eq!(got_steps, steps, "limited budget: steps at {message:?}");
+}
+
+#[test]
+fn an_alloc_that_runs_again_starts_uninitialized() {
+    let _g = serial();
+    // for j < 2: t : f32[4]; if j == 1: A[0] = t[0]; for i < 4: t[i] = A[i]
+    let p = with_a(|b, a| {
+        let j = b.begin_for("j", Expr::int(0), Expr::int(2));
+        let t = b.alloc("t", DataType::F32, vec![Expr::int(4)], MemName::dram());
+        b.begin_if(Expr::var(j).eq(Expr::int(1)));
+        b.assign(a, vec![Expr::int(0)], read(t, vec![Expr::int(0)]));
+        b.end_if();
+        let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+        b.assign(t, vec![Expr::var(i)], read(a, vec![Expr::var(i)]));
+        b.end_for();
+        b.end_for();
+    });
+    assert_fails_under_both_budgets(&p, &[4], "read of uninitialized t[[0]]", 12);
+    // for j < 2: t : f32[8]; t[i] = A[i] for i < 4; if j == 0:
+    // t[i + 4] = A[i] for i < 4; A[0] = t[i] for i < 8
+    let p = with_a(|b, a| {
+        let j = b.begin_for("j", Expr::int(0), Expr::int(2));
+        let t = b.alloc("t", DataType::F32, vec![Expr::int(8)], MemName::dram());
+        let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+        b.assign(t, vec![Expr::var(i)], read(a, vec![Expr::var(i)]));
+        b.end_for();
+        b.begin_if(Expr::var(j).eq(Expr::int(0)));
+        let i = b.begin_for("i", Expr::int(0), Expr::int(4));
+        b.assign(
+            t,
+            vec![Expr::var(i).add(Expr::int(4))],
+            read(a, vec![Expr::var(i)]),
+        );
+        b.end_for();
+        b.end_if();
+        let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+        b.assign(a, vec![Expr::int(0)], read(t, vec![Expr::var(i)]));
+        b.end_for();
+        b.end_for();
+    });
+    assert_fails_under_both_budgets(&p, &[4], "read of uninitialized t[[4]]", 36);
+}
+
 #[test]
 fn unknown_symbols() {
     let _g = serial();
