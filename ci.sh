@@ -14,7 +14,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text; tests/solver_work_pin.rs: queries, answers, give-ups and QE nodes of each schedule-cold schedule) =="
+echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget, fused single stores included, match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text; tests/solver_work_pin.rs: queries, answers, give-ups and QE nodes of each schedule-cold schedule) =="
 cargo test -q
 
 echo "== obs / smt / analysis unit + integration tests (SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; incl. the Coeffs model test against a BTreeMap, the shared-obligation equivalence tests in effexpr.rs/locset.rs (Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
@@ -40,7 +40,7 @@ cargo test -q -p x86-sim
 echo "== scheduler suite (operators, the shared transcript chain (children share their parent's events), edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs) =="
 cargo test -q -p exo-sched
 
-echo "== interpreter (error-message parity, overflow, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release; the column-sweep parity of store-only loops is tests/sweep_parity.rs in tier-1) =="
+echo "== interpreter (error-message parity, overflow, a re-executed Alloc starting all-⊥, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release; the column-sweep parity of store-only loops is tests/sweep_parity.rs in tier-1) =="
 cargo test -q --release -p exo-interp
 
 echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM; the simulators' reports on these traces are pinned in tier-1 by tests/sim_report_pin.rs, library decode conformance by tests/isa_decode.rs) =="
@@ -80,6 +80,9 @@ cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== solver profile (every cached verdict of the schedule-cold and lint-cold subjects re-decided by a fresh solver; fails if an answer changes) =="
 cargo run --release -q --example solver_profile > /dev/null
+
+echo "== interpreter profile (the x86-oracle kernels naive, scheduled and bodies-off, and the sweep fit; fails if a scheduled output differs from the naive one) =="
+cargo run --release -q --example interp_profile > /dev/null
 
 echo "== perf gate (every bench/baselines line matched exactly in target/BENCH_*) =="
 cargo run --release -q -p exo-bench --bin perf_diff

@@ -11,25 +11,31 @@
 //! the typed form of the crate's `lower` module, then executes that form.
 //! An integer node yields an `i64` directly, and a loop iterator is an
 //! `i64` in the frame beside the slots of formals and views. A view is a
-//! buffer, a base offset and an inline `(len, stride)` per axis, so an
-//! element access is per-axis bounds checks plus `base + Σ i·stride` in
-//! one loop, and a window or a call argument allocates nothing. The
-//! configuration fields a run names are a table indexed by the lowered
-//! form, read from the machine's map before the run and written back
-//! after it.
+//! buffer, a base offset and a `(len, stride)` per axis, inline in the
+//! [`TensorRef`] layout, so an element access is per-axis bounds checks
+//! plus `base + Σ i·stride` in one loop, a window or a call argument
+//! allocates nothing, and a traced tensor argument is a copy of its
+//! view. A traced `@instr` call whose body is skipped binds its
+//! arguments straight into its trace event, without a frame. An `Alloc`
+//! that runs again in a frame hands the storage of the buffer it made
+//! last, which is out of scope, to the new buffer, which starts all-⊥.
+//! The configuration fields a run names are a table indexed by the
+//! lowered form, read from the machine's map before the run and written
+//! back after it.
 //!
 //! Under the unlimited budget, with no chaos plan armed, a loop that
-//! lowering marked store-only and affine runs as column sweeps: each
-//! statement in turn over every iteration, as strided gathers,
-//! elementwise operations and a quantizing store per element in
-//! iteration order. It does so only when its coordinates lie in their
-//! views at both ends, no destination overlaps another access to its
-//! buffer and every element it reads is initialized; then the result,
-//! the step count and the stores are those of the general loop, which
-//! runs otherwise (`Exec::sweep`).
+//! lowering marked store-only and affine runs without its per-iteration
+//! checks: a body of one store whose right-hand side is a literal, a
+//! read or `+ - * /` of two of them as one fused element loop, any other
+//! body as column sweeps (each statement in turn over every iteration,
+//! as strided gathers, elementwise operations and a quantizing store per
+//! element in iteration order). It does so only when its coordinates lie
+//! in their views at both ends and every element it reads is
+//! initialized, and, for column sweeps, no destination overlaps another
+//! access to its buffer; then the result, the step count and the stores
+//! are those of the general loop, which runs otherwise (`Exec::sweep`).
 
 use std::fmt;
-use std::ops::Deref;
 use std::slice;
 use std::sync::OnceLock;
 
@@ -43,7 +49,7 @@ use crate::lower::{
     lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, IExpr, IntOp, LProc, LStmt, VExpr,
     Var, WCoord,
 };
-use crate::trace::{HwOp, Instr, TensorRef, Trace, TraceArg, TraceArgs};
+use crate::trace::{HwOp, Instr, TensorRef, Trace, TraceArg, TraceArgs, INLINE_AXES};
 use crate::value::{at, cast, BufId, BufferData, CtrlVal};
 
 /// A runtime error (out-of-bounds access, failed assertion, read of
@@ -105,45 +111,62 @@ enum Slot {
     View(View),
 }
 
-/// Axes of a view stored without a heap allocation (the conv operands
-/// are 4-D).
-const INLINE_DIMS: usize = 4;
-
-/// `(len, stride)` per retained axis of a view, outermost first: up to
-/// four inline, more on the heap.
+/// `(len, stride)` per retained axis of a view, outermost first. Up to
+/// [`INLINE_AXES`] axes whose lengths and strides fit in 32 bits are
+/// inline, in the layout a [`TensorRef`] keeps them (the lengths, then
+/// the strides), so that recording the view copies them; any other list
+/// is on the heap.
 #[derive(Clone, Debug)]
 enum Dims {
-    Inline(u8, [(usize, usize); INLINE_DIMS]),
+    Inline(u8, [u32; 2 * INLINE_AXES]),
     Heap(Vec<(usize, usize)>),
 }
 
 impl Dims {
-    const EMPTY: Dims = Dims::Inline(0, [(0, 0); INLINE_DIMS]);
+    const EMPTY: Dims = Dims::Inline(0, [0; 2 * INLINE_AXES]);
 
-    #[inline]
     fn push(&mut self, axis: (usize, usize)) {
-        match self {
-            Dims::Inline(len, axes) if usize::from(*len) < INLINE_DIMS => {
-                axes[usize::from(*len)] = axis;
-                *len += 1;
+        if let Dims::Inline(rank, axes) = self {
+            let d = usize::from(*rank);
+            if let (true, Ok(len), Ok(stride)) = (
+                d < INLINE_AXES,
+                u32::try_from(axis.0),
+                u32::try_from(axis.1),
+            ) {
+                (axes[d], axes[INLINE_AXES + d]) = (len, stride);
+                *rank += 1;
+                return;
             }
-            Dims::Inline(_, axes) => {
-                *self = Dims::Heap(axes.iter().copied().chain([axis]).collect())
-            }
-            Dims::Heap(axes) => axes.push(axis),
+            *self = Dims::Heap(self.iter().collect());
+        }
+        if let Dims::Heap(axes) = self {
+            axes.push(axis);
         }
     }
-}
-
-impl Deref for Dims {
-    type Target = [(usize, usize)];
 
     #[inline]
-    fn deref(&self) -> &[(usize, usize)] {
+    fn len(&self) -> usize {
         match self {
-            Dims::Inline(len, axes) => &axes[..usize::from(*len)],
-            Dims::Heap(axes) => axes,
+            Dims::Inline(rank, _) => usize::from(*rank),
+            Dims::Heap(axes) => axes.len(),
         }
+    }
+
+    /// Axis `d`.
+    #[inline]
+    fn get(&self, d: usize) -> Option<(usize, usize)> {
+        match self {
+            Dims::Inline(rank, axes) if d < usize::from(*rank) => {
+                Some((axes[d] as usize, axes[INLINE_AXES + d] as usize))
+            }
+            Dims::Inline(..) => None,
+            Dims::Heap(axes) => axes.get(d).copied(),
+        }
+    }
+
+    #[inline]
+    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.len()).map_while(|d| self.get(d))
     }
 }
 
@@ -268,7 +291,11 @@ impl Machine {
     }
 
     /// Every buffer on this machine, external ones and the allocations of
-    /// its runs alike; buffer `id` is element `id.0`.
+    /// its runs alike; buffer `id` is element `id.0`. Each executed
+    /// `Alloc` adds one buffer. When an `Alloc` runs again in the same
+    /// frame, the buffer it made last is out of scope, and the new buffer
+    /// takes over its storage: the dead one keeps its name, type and
+    /// memory but reads as a never-written scalar (one ⊥ element).
     pub fn buffers(&self) -> &[BufferData] {
         &self.bufs
     }
@@ -352,6 +379,7 @@ impl Machine {
             ibase: 0,
             strided: Vec::new(),
             columns: Vec::new(),
+            extents: Vec::new(),
         };
         let result = exec.run_root(args);
         for (key, value) in exec.configs {
@@ -385,6 +413,8 @@ struct Exec<'a, 'p> {
     /// the columns it evaluates, kept for the next sweep of the run.
     strided: Vec<Strided>,
     columns: Vec<f64>,
+    /// Scratch of an `Alloc`: its extents.
+    extents: Vec<usize>,
 }
 
 impl<'a, 'p> Exec<'a, 'p> {
@@ -461,23 +491,23 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// should run.
     fn record_instr(&mut self, instr: Instr) -> bool {
         let frame = &self.slots[self.base..];
-        let mut args = TraceArgs::new(instr.arity());
+        let trace = &mut self.m.trace;
+        // bound in place: the event's arguments are copied once
+        trace.push(HwOp {
+            instr,
+            args: TraceArgs::new(instr.arity()),
+        });
+        let at = trace.len() - 1;
         for (i, slot) in frame.iter().take(instr.arity()).enumerate() {
             let ta = match slot {
                 Slot::Ctrl(CtrlVal::Int(v)) => TraceArg::Int(*v),
                 Slot::Ctrl(CtrlVal::Bool(v)) => TraceArg::Bool(*v),
-                Slot::View(w) => TraceArg::Tensor(self.tensor_ref(w)),
+                Slot::View(w) => TraceArg::Tensor(tensor_ref(&self.m.bufs, w)),
                 Slot::Unset => continue,
             };
-            args.set(i, ta);
+            trace.0[at].args.set(i, ta);
         }
-        self.m.trace.push(HwOp { instr, args });
         self.m.execute_instr_bodies
-    }
-
-    fn tensor_ref(&self, w: &View) -> TensorRef {
-        let buf = &self.m.bufs[w.buf.0];
-        TensorRef::new(w.buf, buf.mem, buf.dtype, w.base, &w.dims)
     }
 
     fn check_shapes_and_preds(&self, p: &LProc<'p>) -> Res<()> {
@@ -497,7 +527,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                     view.dims.len()
                 ));
             }
-            for (decl, &(real, _)) in shape.iter().zip(view.dims.iter()) {
+            for (decl, (real, _)) in shape.iter().zip(view.dims.iter()) {
                 let want = self.int(decl)?;
                 if want != real as i64 {
                     return fail(format!(
@@ -613,7 +643,8 @@ impl<'a, 'p> Exec<'a, 'p> {
                 shape,
                 mem,
             } => {
-                let mut dims = Vec::with_capacity(shape.len());
+                let mut dims = std::mem::take(&mut self.extents);
+                dims.clear();
                 for e in shape {
                     let n = self.int(e)?;
                     if n < 0 {
@@ -622,9 +653,16 @@ impl<'a, 'p> Exec<'a, 'p> {
                     dims.push(n as usize);
                 }
                 let id = BufId(self.m.bufs.len());
-                let view = View::whole(id, &dims);
-                self.m.bufs.push(BufferData::new(*name, *ty, dims, *mem));
-                self.slots[self.base + slot] = Slot::View(view);
+                // The buffer this statement allocated last in this frame
+                // went out of scope with its block: the new one takes its
+                // storage.
+                let buf = match &self.slots[self.base + slot] {
+                    Slot::View(dead) => self.m.bufs[dead.buf.0].reallocate(*name, *ty, &dims, *mem),
+                    _ => BufferData::new(*name, *ty, dims.clone(), *mem),
+                };
+                self.slots[self.base + slot] = Slot::View(View::whole(id, &dims));
+                self.m.bufs.push(buf);
+                self.extents = dims;
                 Ok(())
             }
             LStmt::WindowDef { slot, rhs } => {
@@ -641,6 +679,9 @@ impl<'a, 'p> Exec<'a, 'p> {
     fn exec_call(&mut self, callee: usize, args: &[CallArg]) -> Res<()> {
         let procs = self.procs;
         let p = &procs[callee];
+        if let (Some(instr), false) = (p.instr, self.m.execute_instr_bodies) {
+            return self.trace_call(instr, args);
+        }
         let (frame, iframe) = (self.slots.len(), self.iters.len());
         for arg in args {
             let slot = match arg {
@@ -659,6 +700,36 @@ impl<'a, 'p> Exec<'a, 'p> {
         self.slots.truncate(frame);
         self.iters.truncate(iframe);
         result
+    }
+
+    /// A call of the `@instr` `instr` whose body is skipped: binds each
+    /// argument, evaluated in order in the caller's frame, straight into
+    /// its trace event, as [`Exec::record_instr`] would from the frame.
+    fn trace_call(&mut self, instr: Instr, args: &[CallArg]) -> Res<()> {
+        // the event is bound in place, and taken back if an argument fails
+        let at = self.m.trace.len();
+        self.m.trace.push(HwOp {
+            instr,
+            args: TraceArgs::new(instr.arity()),
+        });
+        let bound = args.iter().enumerate().try_for_each(|(i, arg)| {
+            let ta = match arg {
+                CallArg::Ctrl(e) => match self.ctrl(e)? {
+                    CtrlVal::Int(v) => TraceArg::Int(v),
+                    CtrlVal::Bool(v) => TraceArg::Bool(v),
+                },
+                CallArg::View(e) => {
+                    let view = self.eval_view(e)?;
+                    TraceArg::Tensor(tensor_ref(&self.m.bufs, &view))
+                }
+            };
+            self.m.trace.0[at].args.set(i, ta);
+            Ok(())
+        });
+        if bound.is_err() {
+            self.m.trace.0.truncate(at);
+        }
+        bound
     }
 
     #[inline(always)]
@@ -723,12 +794,11 @@ impl<'a, 'p> Exec<'a, 'p> {
         let Some(view) = self.view(acc.buf) else {
             return Ok(None);
         };
-        let dims: &[(usize, usize)] = &view.dims;
-        if dims.len() != acc.idx.len() {
+        if view.dims.len() != acc.idx.len() {
             return Ok(None);
         }
         let mut off = view.base;
-        for (e, &(len, stride)) in acc.idx.iter().zip(dims) {
+        for (e, (len, stride)) in acc.idx.iter().zip(view.dims.iter()) {
             // a negative coordinate wraps past every extent
             let c = self.int(e)? as usize;
             if c >= len {
@@ -744,13 +814,13 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// coordinates are checked against the view.
     fn locate(&self, acc: &Access) -> Res<Located> {
         let view = self.view(acc.buf);
-        let dims: &[(usize, usize)] = view.map_or(&[], |v| &v.dims);
+        let dims = view.map_or(&Dims::EMPTY, |v| &v.dims);
         let mut inside = dims.len() == acc.idx.len();
         let mut off = view.map_or(0, |v| v.base);
         for (d, e) in acc.idx.iter().enumerate() {
             let c = self.index(e)?;
             match dims.get(d) {
-                Some(&(len, stride)) if c < len => off += c * stride,
+                Some((len, stride)) if c < len => off += c * stride,
                 // a rank mismatch still evaluates every coordinate
                 _ => inside = false,
             }
@@ -817,7 +887,7 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
             IExpr::Stride(buf, dim) => match self.view(*buf) {
                 Some(view) => match view.dims.get(*dim) {
-                    Some(&(_, stride)) => Ok(stride as i64),
+                    Some((_, stride)) => Ok(stride as i64),
                     None => fail(format!(
                         "stride dimension {dim} out of range for {}",
                         buf.sym
@@ -977,7 +1047,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 for (i, e) in idx.iter().enumerate() {
                     let c = self.index(e)?;
                     match view.dims.get(i) {
-                        Some(&(len, stride)) if c < len => base += c * stride,
+                        Some((len, stride)) if c < len => base += c * stride,
                         _ => inside = false,
                     }
                 }
@@ -997,7 +1067,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                     return fail(format!("window arity mismatch over {}", x.sym));
                 }
                 let mut out = View::point(view.buf, view.base);
-                for (&(len, stride), c) in view.dims.iter().zip(coords.iter()) {
+                for ((len, stride), c) in view.dims.iter().zip(coords.iter()) {
                     match c {
                         WCoord::Point(p) => {
                             let v = self.int(p)?;
@@ -1044,6 +1114,17 @@ impl<'a, 'p> Exec<'a, 'p> {
     }
 }
 
+/// The trace's copy of a view of one of `bufs`.
+fn tensor_ref(bufs: &[BufferData], w: &View) -> TensorRef {
+    let buf = &bufs[w.buf.0];
+    match &w.dims {
+        Dims::Inline(rank, axes) => {
+            TensorRef::from_inline(w.buf, buf.mem, buf.dtype, w.base, *rank, *axes)
+        }
+        Dims::Heap(axes) => TensorRef::new(w.buf, buf.mem, buf.dtype, w.base, axes),
+    }
+}
+
 /// Elements a sweep evaluates at a time, per column.
 const CHUNK: usize = 128;
 
@@ -1055,48 +1136,92 @@ enum Role {
     Reduce,
 }
 
-/// An access of a swept loop, at iteration `k` (from 0) element
-/// `first + k·step` of `buf`; `last` is the element of the last
-/// iteration.
+/// The iterations of a swept loop: its iterator's frame position `slot`
+/// runs over `lo..=last`, `n` values.
 #[derive(Clone, Copy)]
-struct Strided {
+struct Iterations {
+    slot: usize,
+    lo: i64,
+    last: i64,
+    n: usize,
+}
+
+/// The elements an access of a swept loop visits: at iteration `k`
+/// (from 0) element `first + k·step` of `buf`; `last` is the element of
+/// the last iteration.
+#[derive(Clone, Copy)]
+struct Span {
     buf: BufId,
     first: usize,
     last: usize,
     step: isize,
+}
+
+impl Span {
+    /// Whether the elements the two spans visit cannot meet.
+    fn disjoint(&self, other: &Span) -> bool {
+        let range = |a: &Span| (a.first.min(a.last), a.first.max(a.last));
+        let ((lo, hi), (olo, ohi)) = (range(self), range(other));
+        hi < olo || ohi < lo
+    }
+}
+
+/// An access of a loop run as column sweeps.
+#[derive(Clone, Copy)]
+struct Strided {
+    span: Span,
     /// The index of its statement in the loop body.
     stmt: usize,
     role: Role,
 }
 
-impl Strided {
-    /// Whether the elements the two accesses span cannot meet.
-    fn disjoint(&self, other: &Strided) -> bool {
-        let span = |a: &Strided| (a.first.min(a.last), a.first.max(a.last));
-        let ((lo, hi), (olo, ohi)) = (span(self), span(other));
-        hi < olo || ohi < lo
-    }
-}
-
 impl<'a, 'p> Exec<'a, 'p> {
     /// Runs `for i in lo..hi: body` (`lo < hi`), a loop lowering marked
-    /// with `coefs`, as column sweeps: each statement in turn over every
-    /// iteration, in chunks of [`CHUNK`] elements. Returns `false`, with
-    /// nothing written, unless every coordinate evaluates and lies in its
-    /// view at both ends and
+    /// with `coefs`, without the general loop's per-iteration checks.
+    /// Returns `false`, with nothing written, unless every coordinate
+    /// evaluates and lies in its view at both ends and
     /// - (a) each destination spans no element that another access to
     ///   its buffer spans, except a read in its own statement at exactly
     ///   its elements, with a non-zero step;
     /// - (b) every element read or reduced into is initialized, and every
     ///   element assigned lies inside its buffer.
     ///
+    /// A body of one store whose right-hand side is a literal, a read or
+    /// `+ - * /` of two of them ([`Fused`]) needs only (b): it runs as
+    /// one element loop in iteration order ([`Exec::fused`]). Any other
+    /// body needs both and runs as column sweeps: each statement in turn
+    /// over every iteration, in chunks of [`CHUNK`] elements.
+    ///
     /// The loop's only effects are its stores, its steps and its first
     /// error. (b) rules out every error; (a) makes each element's
-    /// expression read what the iteration order would give it; and an
-    /// affine index takes its extremes at the ends, so no intermediate
-    /// value of the iteration order can overflow where the ends did not.
+    /// expression read in columns what the iteration order would give
+    /// it; and an affine index takes its extremes at the ends, so no
+    /// intermediate value of the iteration order can overflow where the
+    /// ends did not.
     fn sweep(&mut self, slot: usize, lo: i64, hi: i64, body: &[LStmt], coefs: &[i64]) -> bool {
-        let n = hi.abs_diff(lo) as usize;
+        let it = Iterations {
+            slot,
+            lo,
+            last: hi - 1,
+            n: hi.abs_diff(lo) as usize,
+        };
+        let run = match body {
+            [LStmt::Store { dst, rhs, reduce }] => match Fused::of(rhs) {
+                Some(rhs) => self.fused(it, dst, *reduce, rhs, coefs),
+                None => self.columns(it, body, coefs),
+            },
+            _ => self.columns(it, body, coefs),
+        };
+        if run {
+            self.m.steps += it.n as u64 * body.len() as u64;
+        }
+        run
+    }
+
+    /// Runs a swept loop as column sweeps, if it meets rules (a) and (b)
+    /// of [`Exec::sweep`].
+    fn columns(&mut self, it: Iterations, body: &[LStmt], coefs: &[i64]) -> bool {
+        let n = it.n;
         let mut accs = std::mem::take(&mut self.strided);
         accs.clear();
         let mut coefs = coefs.iter();
@@ -1106,14 +1231,14 @@ impl<'a, 'p> Exec<'a, 'p> {
             };
             let role = if *reduce { Role::Reduce } else { Role::Assign };
             let mut resolve = |acc: &Access, role| {
-                let strided = self.strided(acc, &mut coefs, slot, lo, hi - 1);
+                let strided = self.strided(acc, &mut coefs, it);
                 strided
-                    .map(|a| accs.push(Strided { stmt, role, ..a }))
+                    .map(|span| accs.push(Strided { span, stmt, role }))
                     .is_some()
             };
             resolve(dst, role) && rhs.all_reads(&mut |acc| resolve(acc, Role::Read))
         });
-        let run = resolved && self.sweepable(&accs, n);
+        let run = resolved && self.independent(&accs) && self.ready(&accs, n);
         if run {
             let mut columns = std::mem::take(&mut self.columns);
             let mut next = accs.iter();
@@ -1128,6 +1253,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                     let out = &mut out[..CHUNK.min(n - start)];
                     reads = next.clone();
                     column(&self.m.bufs, rhs, &mut reads, start, out, tmp);
+                    let dst = dst.span;
                     self.m.bufs[dst.buf.0].scatter(
                         at(dst.first, dst.step, start),
                         dst.step,
@@ -1138,24 +1264,89 @@ impl<'a, 'p> Exec<'a, 'p> {
                 next = reads;
             }
             self.columns = columns;
-            self.m.steps += n as u64 * body.len() as u64;
         }
         self.strided = accs;
         run
     }
 
-    /// Resolves an access of a loop over `lo..=last` of the iterator in
-    /// `slot`, taking the coefficient of each axis from `coefs`, as a
-    /// read of statement 0: `None` when a coordinate fails or leaves the
+    /// Runs a swept loop whose body is the one store `dst = rhs`
+    /// (`dst += rhs` when `reduce`), if it meets rule (b) of
+    /// [`Exec::sweep`], as one loop over the iterations in order: each
+    /// reads its operands, assigns or adds, and quantizes the element it
+    /// stores, as the general loop does, without its checks.
+    fn fused<'e>(
+        &mut self,
+        it: Iterations,
+        dst: &Access,
+        reduce: bool,
+        rhs: Fused<'e>,
+        coefs: &[i64],
+    ) -> bool {
+        let n = it.n;
+        let mut coefs = coefs.iter();
+        let Some(d) = self.strided(dst, &mut coefs, it) else {
+            return false;
+        };
+        let mut resolve = |leaf: Option<&DExpr>| match leaf {
+            Some(DExpr::Read(acc)) => self.strided(acc, &mut coefs, it).map(Some),
+            _ => Some(None),
+        };
+        let Some(a) = resolve(Some(rhs.a)) else {
+            return false;
+        };
+        let Some(b) = resolve(rhs.b) else {
+            return false;
+        };
+        let bufs = &self.m.bufs;
+        let ready = |r: &Span| bufs[r.buf.0].initialized(r.first, r.last, r.step, n);
+        let stored = match reduce {
+            true => ready(&d),
+            false => d.first.max(d.last) < bufs[d.buf.0].volume(),
+        };
+        if !stored || !a.iter().all(ready) || !b.iter().all(ready) {
+            return false;
+        }
+        let buf = &mut self.m.bufs[d.buf.0];
+        let dtype = buf.dtype;
+        let mut out = buf.take_elements();
+        let bufs = &self.m.bufs;
+        let operand = |leaf: Option<&'e DExpr>, read: Option<Span>| match (leaf, read) {
+            (Some(DExpr::Lit(v)), _) => Operand::constant(slice::from_ref(v)),
+            (_, Some(r)) => Operand {
+                // the destination's storage is out of its buffer
+                src: (r.buf != d.buf).then(|| bufs[r.buf.0].elements()),
+                first: r.first,
+                step: r.step,
+            },
+            _ => Operand::constant(&[0.0]),
+        };
+        let fused = FusedLoop {
+            dst: (d.first, d.step),
+            a: operand(Some(rhs.a), a),
+            b: operand(rhs.b, b),
+            n,
+            reduce,
+        };
+        // the quantization of `cast`, resolved once per loop
+        match dtype {
+            DataType::R | DataType::F64 => fused.run(&mut out, rhs.op, |v| v),
+            DataType::F32 => fused.run(&mut out, rhs.op, |v| v as f32 as f64),
+            _ => fused.run(&mut out, rhs.op, |v| cast(dtype, v)),
+        }
+        self.m.bufs[d.buf.0].put_elements(out, d.first, d.step, n);
+        true
+    }
+
+    /// Resolves an access of a swept loop, taking the coefficient of each
+    /// axis from `coefs`: `None` when a coordinate fails or leaves the
     /// view at either end.
     fn strided(
         &mut self,
         acc: &Access,
         coefs: &mut slice::Iter<'_, i64>,
-        slot: usize,
-        lo: i64,
-        last: i64,
-    ) -> Option<Strided> {
+        it: Iterations,
+    ) -> Option<Span> {
+        let Iterations { slot, lo, last, .. } = it;
         let view = match acc.buf.slot.map(|s| &self.slots[self.base + s]) {
             Some(Slot::View(w)) => w,
             _ => return None,
@@ -1164,12 +1355,18 @@ impl<'a, 'p> Exec<'a, 'p> {
             return None;
         }
         let (mut first, mut end, mut step) = (view.base, view.base, 0isize);
-        for (e, &(len, stride)) in acc.idx.iter().zip(view.dims.iter()) {
+        for (e, (len, stride)) in acc.idx.iter().zip(view.dims.iter()) {
             let coef = isize::try_from(*coefs.next()?).ok()?;
-            self.iters[slot] = lo;
-            let c0 = self.int(e).ok()?;
-            self.iters[slot] = last;
-            let c1 = self.int(e).ok()?;
+            let (c0, c1) = match e {
+                // the iterator itself (an instruction body's `x[l]`)
+                IExpr::Iter(i) if self.ibase + i == slot => (lo, last),
+                _ => {
+                    self.iters[slot] = lo;
+                    let c0 = self.int(e).ok()?;
+                    self.iters[slot] = last;
+                    (c0, self.int(e).ok()?)
+                }
+            };
             let inside = |c: i64| usize::try_from(c).is_ok_and(|c| c < len);
             if !inside(c0) || !inside(c1) {
                 return None;
@@ -1178,36 +1375,146 @@ impl<'a, 'p> Exec<'a, 'p> {
             end += c1 as usize * stride;
             step = step.checked_add(coef.checked_mul(isize::try_from(stride).ok()?)?)?;
         }
-        Some(Strided {
+        Some(Span {
             buf: view.buf,
             first,
             last: end,
             step,
-            stmt: 0,
-            role: Role::Read,
         })
     }
 
-    /// Rules (a) and (b) of [`Exec::sweep`] over its resolved accesses.
-    fn sweepable(&self, accs: &[Strided], n: usize) -> bool {
-        let independent = accs.iter().enumerate().all(|(d, dst)| {
+    /// Rule (a) of [`Exec::sweep`] over its resolved accesses.
+    fn independent(&self, accs: &[Strided]) -> bool {
+        accs.iter().enumerate().all(|(d, dst)| {
             dst.role == Role::Read
                 || accs.iter().enumerate().all(|(x, other)| {
+                    let (span, ospan) = (&dst.span, &other.span);
                     let own_read = other.role == Role::Read
                         && other.stmt == dst.stmt
-                        && (other.first, other.step) == (dst.first, dst.step)
-                        && dst.step != 0;
-                    x == d || other.buf != dst.buf || dst.disjoint(other) || own_read
+                        && (ospan.first, ospan.step) == (span.first, span.step)
+                        && span.step != 0;
+                    x == d || ospan.buf != span.buf || span.disjoint(ospan) || own_read
                 })
-        });
-        independent
-            && accs.iter().all(|a| {
-                let buf = &self.m.bufs[a.buf.0];
-                match a.role {
-                    Role::Assign => a.first.max(a.last) < buf.volume(),
-                    Role::Read | Role::Reduce => buf.initialized(a.first, a.last, a.step, n),
-                }
-            })
+        })
+    }
+
+    /// Rule (b) of [`Exec::sweep`] over its resolved accesses.
+    fn ready(&self, accs: &[Strided], n: usize) -> bool {
+        accs.iter().all(|&Strided { span: a, role, .. }| {
+            let buf = &self.m.bufs[a.buf.0];
+            match role {
+                Role::Assign => a.first.max(a.last) < buf.volume(),
+                Role::Read | Role::Reduce => buf.initialized(a.first, a.last, a.step, n),
+            }
+        })
+    }
+}
+
+/// The right-hand side of a store that [`Exec::fused`] runs: a leaf
+/// `a`, or `a op b`, each leaf a literal or an element read.
+#[derive(Clone, Copy)]
+struct Fused<'e> {
+    op: Option<BinOp>,
+    a: &'e DExpr,
+    b: Option<&'e DExpr>,
+}
+
+impl<'e> Fused<'e> {
+    fn of(rhs: &'e DExpr) -> Option<Fused<'e>> {
+        let leaf = |e: &DExpr| matches!(e, DExpr::Lit(_) | DExpr::Read(_));
+        match rhs {
+            DExpr::Lit(_) | DExpr::Read(_) => Some(Fused {
+                op: None,
+                a: rhs,
+                b: None,
+            }),
+            DExpr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b)
+                if leaf(a) && leaf(b) =>
+            {
+                Some(Fused {
+                    op: Some(*op),
+                    a,
+                    b: Some(b),
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// An operand of a fused loop: at iteration `k`, element
+/// `first + k·step` of `src`, or of the destination's storage when `src`
+/// is `None`.
+#[derive(Clone, Copy)]
+struct Operand<'b> {
+    src: Option<&'b [f64]>,
+    first: usize,
+    step: isize,
+}
+
+impl<'b> Operand<'b> {
+    /// The operand that is `value[0]` at every iteration.
+    fn constant(value: &'b [f64]) -> Operand<'b> {
+        Operand {
+            src: Some(value),
+            first: 0,
+            step: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn get(&self, out: &[f64], k: usize) -> f64 {
+        let i = at(self.first, self.step, k);
+        match self.src {
+            Some(src) => src[i],
+            None => out[i],
+        }
+    }
+}
+
+/// The loop [`Exec::fused`] runs: at iteration `k < n`, in order, the
+/// destination element `dst.0 + k·dst.1` of the storage becomes
+/// `q(op(a, b))`, or `q(element + op(a, b))` when `reduce`.
+struct FusedLoop<'b> {
+    dst: (usize, isize),
+    a: Operand<'b>,
+    b: Operand<'b>,
+    n: usize,
+    reduce: bool,
+}
+
+impl FusedLoop<'_> {
+    /// Runs the loop with `op` (`None`: `a` alone) and the quantization
+    /// `q`, each resolved to a closure outside it.
+    fn run(&self, out: &mut [f64], op: Option<BinOp>, q: impl Fn(f64) -> f64) {
+        match op {
+            None => self.each(out, |x, _| x, q),
+            Some(BinOp::Add) => self.each(out, |x, y| x + y, q),
+            Some(BinOp::Sub) => self.each(out, |x, y| x - y, q),
+            Some(BinOp::Mul) => self.each(out, |x, y| x * y, q),
+            // `Fused::of` admits no other operator
+            Some(_) => self.each(out, |x, y| x / y, q),
+        }
+    }
+
+    #[inline(always)]
+    fn each(&self, out: &mut [f64], op: impl Fn(f64, f64) -> f64, q: impl Fn(f64) -> f64) {
+        let (first, step) = self.dst;
+        if step == 0 && self.a.src.is_some() && self.b.src.is_some() {
+            // one element that no operand reads: it stays in a register
+            let mut acc = out[first];
+            for k in 0..self.n {
+                let v = op(self.a.get(out, k), self.b.get(out, k));
+                acc = q(if self.reduce { acc + v } else { v });
+            }
+            out[first] = acc;
+            return;
+        }
+        for k in 0..self.n {
+            let v = op(self.a.get(out, k), self.b.get(out, k));
+            let i = at(first, step, k);
+            out[i] = q(if self.reduce { out[i] + v } else { v });
+        }
     }
 }
 
@@ -1233,7 +1540,7 @@ fn column(
     match e {
         DExpr::Lit(v) => out.fill(*v),
         DExpr::Read(_) => {
-            if let Some(r) = reads.next() {
+            if let Some(Strided { span: r, .. }) = reads.next() {
                 bufs[r.buf.0].gather(at(r.first, r.step, start), r.step, out);
             }
         }
@@ -1428,13 +1735,20 @@ mod tests {
     #[test]
     fn whole_view_is_row_major() {
         let v = View::whole(BufId(3), &[4, 5, 6]);
-        assert_eq!(v.dims[..], [(4, 30), (5, 6), (6, 1)]);
+        assert_eq!(v.dims.iter().collect::<Vec<_>>(), [(4, 30), (5, 6), (6, 1)]);
         assert_eq!(v.base, 0);
-        assert!(View::whole(BufId(0), &[]).dims.is_empty());
-        // past four axes the dims move to the heap
+        assert_eq!(View::whole(BufId(0), &[]).dims.len(), 0);
+        // past four axes, or past 32 bits, the dims move to the heap
         let v = View::whole(BufId(0), &[2; 8]);
+        assert!(matches!(v.dims, Dims::Heap(_)));
         let strides: Vec<usize> = v.dims.iter().map(|d| d.1).collect();
         assert_eq!(strides, [128, 64, 32, 16, 8, 4, 2, 1]);
+        let v = View::whole(BufId(0), &[2, 1 << 32]);
+        assert!(matches!(v.dims, Dims::Heap(_)));
+        assert_eq!(
+            v.dims.iter().collect::<Vec<_>>(),
+            [(2, 1 << 32), (1 << 32, 1)]
+        );
     }
 
     #[test]

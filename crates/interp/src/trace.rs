@@ -141,7 +141,7 @@ impl fmt::Debug for Instr {
 }
 
 /// Axes a [`TensorRef`] stores inline (the conv operands are 4-D).
-const INLINE_AXES: usize = 4;
+pub(crate) const INLINE_AXES: usize = 4;
 
 /// The `rank` of a [`TensorRef`] whose layout is in [`spilled_layouts`].
 const SPILLED: u8 = u8::MAX;
@@ -251,6 +251,28 @@ impl TensorRef {
             t
         } else {
             t.spill(axes)
+        }
+    }
+
+    /// A window whose `rank ≤ INLINE_AXES` axes are inline: `axes` holds
+    /// their extents, then their strides, [`INLINE_AXES`] slots each.
+    #[inline]
+    pub(crate) fn from_inline(
+        buf: BufId,
+        mem: MemName,
+        dtype: DataType,
+        base_offset: usize,
+        rank: u8,
+        axes: [u32; 2 * INLINE_AXES],
+    ) -> TensorRef {
+        debug_assert!(usize::from(rank) <= INLINE_AXES);
+        TensorRef {
+            buf,
+            mem,
+            dtype,
+            base_offset,
+            rank,
+            axes,
         }
     }
 

@@ -42,7 +42,10 @@ pub struct BufId(pub usize);
 
 /// Backing storage of one allocated buffer. Element storage is
 /// allocated on the first store (or up front for an external buffer
-/// given data): until then every element is uninitialized (⊥).
+/// given data): until then every element is uninitialized (⊥). The
+/// buffer of an `Alloc` that runs again starts from the storage of the
+/// one it made before, cleared, so it too starts all-⊥ but allocates
+/// nothing on its first store.
 #[derive(Clone, Debug)]
 pub struct BufferData {
     /// Debug name (the allocation symbol).
@@ -56,7 +59,8 @@ pub struct BufferData {
     /// Row-major element values; empty until the first store.
     data: Vec<f64>,
     /// Which elements are initialized, while some are not; empty once
-    /// every element is.
+    /// every element is (cleared, not freed, so a reallocation reuses
+    /// it).
     init: Vec<bool>,
     /// How many `false`s `init` holds.
     uninit: usize,
@@ -92,6 +96,32 @@ impl BufferData {
         }
     }
 
+    /// A new uninitialized buffer of extents `shape` in `self`'s storage:
+    /// the element vectors, emptied, and the shape vector, refilled, pass
+    /// to it, so it allocates nothing while `self`'s capacities suffice.
+    /// `self` keeps its name, type and memory, and reads as a never-written
+    /// scalar.
+    pub(crate) fn reallocate(
+        &mut self,
+        name: Sym,
+        dtype: DataType,
+        shape: &[usize],
+        mem: MemName,
+    ) -> BufferData {
+        let mut dims = std::mem::take(&mut self.shape);
+        dims.clear();
+        dims.extend_from_slice(shape);
+        let mut buf = BufferData {
+            data: std::mem::take(&mut self.data),
+            init: std::mem::take(&mut self.init),
+            ..BufferData::new(name, dtype, dims, mem)
+        };
+        buf.data.clear();
+        buf.init.clear();
+        self.uninit = 0;
+        buf
+    }
+
     /// Number of elements: the product of the extents (1 for a scalar,
     /// 0 when some extent is 0).
     pub(crate) fn volume(&self) -> usize {
@@ -119,26 +149,38 @@ impl BufferData {
     #[inline]
     pub(crate) fn set(&mut self, off: usize, v: f64) -> bool {
         if self.data.is_empty() {
-            let volume = self.volume();
-            if off >= volume {
+            if off >= self.volume() {
                 return false;
             }
-            self.data = vec![0.0; volume];
-            self.init = vec![false; volume];
-            self.uninit = volume;
+            self.allocate();
         }
         let Some(cell) = self.data.get_mut(off) else {
             return false;
         };
         *cell = v;
+        self.mark(off);
+        true
+    }
+
+    /// Allocates the element storage of a buffer that has none: every
+    /// element ⊥.
+    fn allocate(&mut self) {
+        let volume = self.volume();
+        self.data.resize(volume, 0.0);
+        self.init.resize(volume, false);
+        self.uninit = volume;
+    }
+
+    /// Marks element `off`, which has storage, initialized.
+    #[inline]
+    fn mark(&mut self, off: usize) {
         if !self.init.is_empty() && !self.init[off] {
             self.init[off] = true;
             self.uninit -= 1;
             if self.uninit == 0 {
-                self.init = Vec::new();
+                self.init.clear();
             }
         }
-        true
     }
 
     /// Whether the elements `first + k·step` for `k < n` all lie inside
@@ -149,6 +191,37 @@ impl BufferData {
         }
         let n = if step == 0 { 1 } else { n };
         self.init.is_empty() || (0..n).all(|k| self.init[at(first, step, k)])
+    }
+
+    /// The element storage, empty until the first store. An element the
+    /// buffer marks uninitialized holds an arbitrary value.
+    #[inline]
+    pub(crate) fn elements(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Takes the element storage out, allocating it first (every element
+    /// ⊥) if the buffer has none, so that it can be written while other
+    /// buffers are read; [`BufferData::put_elements`] puts it back.
+    pub(crate) fn take_elements(&mut self) -> Vec<f64> {
+        if self.data.is_empty() {
+            self.allocate();
+        }
+        std::mem::take(&mut self.data)
+    }
+
+    /// Puts back the storage [`BufferData::take_elements`] took, in which
+    /// the elements `first + k·step` for `k < n` were stored, and marks
+    /// them initialized.
+    pub(crate) fn put_elements(&mut self, data: Vec<f64>, first: usize, step: isize, n: usize) {
+        self.data = data;
+        let n = if step == 0 { n.min(1) } else { n };
+        for k in 0..n {
+            if self.init.is_empty() {
+                break;
+            }
+            self.mark(at(first, step, k));
+        }
     }
 
     /// Reads the elements `first + k·step` into `out[k]`, which must all
@@ -254,6 +327,35 @@ mod tests {
         let mut out = [0.0; 3];
         b.gather(0, 2, &mut out);
         assert_eq!(out, [-3.0, -78.0, 1.0]);
+    }
+
+    #[test]
+    fn a_reallocation_starts_bottom_in_the_dead_buffers_storage() {
+        let mut dead = BufferData::new(Sym::new("t"), DataType::F32, vec![4], MemName::dram());
+        dead.scatter(0, 1, &[1.0, 2.0, 3.0], false);
+        let storage = dead.elements().as_ptr();
+        let mut b = dead.reallocate(Sym::new("u"), DataType::I8, &[2, 2], MemName::dram());
+        assert_eq!(b.shape, [2, 2]);
+        assert_eq!(b.values().collect::<Vec<_>>(), [None; 4]);
+        assert!(!b.initialized(0, 0, 0, 1));
+        // the dead buffer reads as a never-written scalar
+        assert_eq!(dead.values().collect::<Vec<_>>(), [None]);
+        assert!(b.set(3, 5.0));
+        assert_eq!(b.elements().as_ptr(), storage);
+        assert_eq!(
+            b.values().collect::<Vec<_>>(),
+            [None, None, None, Some(5.0)]
+        );
+        // once every element is set, the flags are cleared, not freed
+        b.scatter(0, 1, &[1.0, 2.0, 3.0], false);
+        assert!(b.initialized(0, 3, 1, 4));
+        let mut c = b.reallocate(Sym::new("v"), DataType::I8, &[4], MemName::dram());
+        assert_eq!(c.values().collect::<Vec<_>>(), [None; 4]);
+        c.scatter(1, 1, &[7.0], false);
+        assert_eq!(
+            c.values().collect::<Vec<_>>(),
+            [None, Some(7.0), None, None]
+        );
     }
 
     #[test]
