@@ -409,8 +409,8 @@ struct Exec<'a, 'p> {
     /// Each named field, `(config, field)`, and its value, `None` while
     /// unset.
     configs: Vec<((Sym, Sym), Option<CtrlVal>)>,
-    /// Scratch of [`Exec::sweep`]: the accesses of the loop it runs and
-    /// the columns it evaluates, kept for the next sweep of the run.
+    /// Scratch of [`Exec::columns`]: the accesses of the loop it runs
+    /// and the columns it evaluates, kept for the next sweep of the run.
     strided: Vec<Strided>,
     columns: Vec<f64>,
     /// Scratch of an `Alloc`: its extents.

@@ -15,11 +15,11 @@
 //! prints the least-squares fit of one loop's time: a fixed part plus a
 //! part per element.
 //!
-//! Times are scaled as the benchmark scales them: each measurement sits
-//! between two runs of a fixed allocation- and hashing-heavy reference
-//! loop and is multiplied by `1 ms / mean(before, after)`, so they are
-//! in "ns at a 1 ms reference loop" and track the program rather than
-//! the load on the host.
+//! Times are scaled the way the benchmark scales them: each measurement
+//! sits between two runs of a fixed allocation- and hashing-heavy
+//! reference loop, like the benchmark's, and is multiplied by
+//! `1 ms / mean(before, after)`, so they are in "ns at a 1 ms reference
+//! loop" and track the program rather than the load on the host.
 //!
 //! Exits 1 if a scheduled output differs from the naive one.
 
