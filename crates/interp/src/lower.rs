@@ -18,12 +18,13 @@
 //! index; an `@instr` callee carries its [`Instr`] handle, resolved once
 //! per run and shared by every traced call.
 //!
-//! A `for` the machine may run as a column sweep carries the coefficient
-//! of its iterator on every axis of every access in its body: its body
-//! is non-empty and holds only stores, every index is affine in the
+//! A `for` the machine may sweep carries the coefficient of its iterator
+//! on every axis of every access in its body: its body is one store
+//! whose right-hand side is a literal, an element read or one operator
+//! that cannot fail (`+ - * /`, unary `-`, a builtin at its arity) over
+//! literals and reads ([`Fused`]), and every index is affine in the
 //! iterator (the iterator, literals, `+`, `-`, unary `-` and `*` by a
-//! literal, over subtrees that do not name it), and no data node but an
-//! element read can fail.
+//! literal, over subtrees that do not name it).
 //!
 //! Lowering never fails. A use with no binder in scope, an unknown
 //! builtin or an expression of the wrong kind is lowered to a node that
@@ -159,7 +160,7 @@ pub(crate) enum DExpr {
 impl DExpr {
     /// Calls `f` on each element read, left to right, until it returns
     /// `false`; whether it never did.
-    pub(crate) fn all_reads<'e>(&'e self, f: &mut impl FnMut(&'e Access) -> bool) -> bool {
+    fn all_reads<'e>(&'e self, f: &mut impl FnMut(&'e Access) -> bool) -> bool {
         match self {
             DExpr::Read(acc) => f(acc),
             DExpr::Bin(_, a, b) => a.all_reads(f) && b.all_reads(f),
@@ -168,26 +169,60 @@ impl DExpr {
             DExpr::Lit(_) | DExpr::Ctrl => true,
         }
     }
+}
 
-    /// Whether no node but an element read can fail: literals, reads,
-    /// `+ - * /`, unary `-` and a builtin at its arity.
-    fn infallible(&self) -> bool {
-        match self {
-            DExpr::Lit(_) | DExpr::Read(_) => true,
+/// The right-hand side of a store that a swept loop runs: a leaf `a` (a
+/// literal or an element read) or one operator that cannot fail over
+/// leaves, `op(a)` or `op(a, b)`.
+#[derive(Clone, Copy)]
+pub(crate) struct Fused<'e> {
+    pub op: FusedOp,
+    pub a: &'e DExpr,
+    pub b: Option<&'e DExpr>,
+}
+
+/// The operator of a [`Fused`] right-hand side.
+#[derive(Clone, Copy)]
+pub(crate) enum FusedOp {
+    /// `a` alone.
+    Leaf,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Neg,
+    /// A one-argument builtin.
+    Unary(fn(f64) -> f64),
+    Max,
+    Min,
+}
+
+impl<'e> Fused<'e> {
+    /// `rhs` as a [`Fused`], if it has that form.
+    pub(crate) fn of(rhs: &'e DExpr) -> Option<Fused<'e>> {
+        let (op, a, b) = match rhs {
+            DExpr::Lit(_) | DExpr::Read(_) => (FusedOp::Leaf, rhs, None),
             DExpr::Bin(op, a, b) => {
-                matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
-                    && a.infallible()
-                    && b.infallible()
+                let op = match op {
+                    BinOp::Add => FusedOp::Add,
+                    BinOp::Sub => FusedOp::Sub,
+                    BinOp::Mul => FusedOp::Mul,
+                    BinOp::Div => FusedOp::Div,
+                    _ => return None,
+                };
+                (op, &**a, Some(&**b))
             }
-            DExpr::Neg(a) => a.infallible(),
-            DExpr::BuiltIn { func, args } => {
-                matches!(
-                    (func, args.len()),
-                    (Builtin::Unary(..), 1) | (Builtin::Max | Builtin::Min, 2)
-                ) && args.iter().all(DExpr::infallible)
-            }
-            DExpr::Ctrl => false,
-        }
+            DExpr::Neg(a) => (FusedOp::Neg, &**a, None),
+            DExpr::BuiltIn { func, args } => match (func, &args[..]) {
+                (Builtin::Unary(_, f), [a]) => (FusedOp::Unary(*f), a, None),
+                (Builtin::Max, [a, b]) => (FusedOp::Max, a, Some(b)),
+                (Builtin::Min, [a, b]) => (FusedOp::Min, a, Some(b)),
+                _ => return None,
+            },
+            DExpr::Ctrl => return None,
+        };
+        let leaf = |e: &DExpr| matches!(e, DExpr::Lit(_) | DExpr::Read(_));
+        (leaf(a) && b.is_none_or(leaf)).then_some(Fused { op, a, b })
     }
 }
 
@@ -333,25 +368,21 @@ pub(crate) fn lower(root: &Proc) -> Lowered<'_> {
 }
 
 /// The coefficients that mark `for it in …: body` as a loop the
-/// interpreter may sweep: `body` holds only stores, no data node but an
-/// element read can fail, and every index is affine in `it`. One
-/// coefficient per axis of each store's destination, then of each of its
-/// reads ([`DExpr::all_reads`]).
+/// interpreter may sweep: `body` is one store whose right-hand side is a
+/// [`Fused`] and every index is affine in `it`. One coefficient per axis
+/// of the destination, then of each read, left to right.
 fn sweep_coefficients(body: &[LStmt], it: usize) -> Option<Box<[i64]>> {
+    let [LStmt::Store { dst, rhs, .. }] = body else {
+        return None;
+    };
+    Fused::of(rhs)?;
     let mut coefs = Vec::new();
     let mut affine = |acc: &Access| {
         acc.idx
             .iter()
             .all(|e| coefficient(e, it).map(|c| coefs.push(c)).is_some())
     };
-    let sweepable = !body.is_empty()
-        && body.iter().all(|s| match s {
-            LStmt::Store { dst, rhs, .. } => {
-                rhs.infallible() && affine(dst) && rhs.all_reads(&mut affine)
-            }
-            _ => false,
-        });
-    sweepable.then(|| coefs.into())
+    (affine(dst) && rhs.all_reads(&mut affine)).then(|| coefs.into())
 }
 
 /// The coefficient of iterator `it` in `e` when `e` is affine in it:

@@ -24,16 +24,13 @@
 //! back after it.
 //!
 //! Under the unlimited budget, with no chaos plan armed, a loop that
-//! lowering marked store-only and affine runs without its per-iteration
-//! checks: a body of one store whose right-hand side is a literal, a
-//! read or `+ - * /` of two of them as one fused element loop, any other
-//! body as column sweeps (each statement in turn over every iteration,
-//! as strided gathers, elementwise operations and a quantizing store per
-//! element in iteration order). It does so only when its coordinates lie
-//! in their views at both ends and every element it reads is
-//! initialized, and, for column sweeps, no destination overlaps another
-//! access to its buffer; then the result, the step count and the stores
-//! are those of the general loop, which runs otherwise (`Exec::sweep`).
+//! lowering marked (a body of one store, its right-hand side a literal,
+//! a read or one operator over them, every index affine) runs as one
+//! fused element loop in iteration order, without the general loop's
+//! per-iteration checks. It does so only when its coordinates lie in
+//! their views at both ends and every element it reads is initialized;
+//! then the result, the step count and the stores are those of the
+//! general loop, which runs otherwise (`Exec::sweep`).
 
 use std::fmt;
 use std::slice;
@@ -46,8 +43,8 @@ use exo_core::types::{DataType, MemName};
 use exo_core::Sym;
 
 use crate::lower::{
-    lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, IExpr, IntOp, LProc, LStmt, VExpr,
-    Var, WCoord,
+    lower, Access, BExpr, Builtin, CExpr, CallArg, CmpOp, DExpr, Fused, FusedOp, IExpr, IntOp,
+    LProc, LStmt, VExpr, Var, WCoord,
 };
 use crate::trace::{HwOp, Instr, TensorRef, Trace, TraceArg, TraceArgs, INLINE_AXES};
 use crate::value::{at, cast, BufId, BufferData, CtrlVal};
@@ -377,9 +374,6 @@ impl Machine {
             base: 0,
             iters: Vec::new(),
             ibase: 0,
-            strided: Vec::new(),
-            columns: Vec::new(),
-            extents: Vec::new(),
         };
         let result = exec.run_root(args);
         for (key, value) in exec.configs {
@@ -409,12 +403,6 @@ struct Exec<'a, 'p> {
     /// Each named field, `(config, field)`, and its value, `None` while
     /// unset.
     configs: Vec<((Sym, Sym), Option<CtrlVal>)>,
-    /// Scratch of [`Exec::columns`]: the accesses of the loop it runs
-    /// and the columns it evaluates, kept for the next sweep of the run.
-    strided: Vec<Strided>,
-    columns: Vec<f64>,
-    /// Scratch of an `Alloc`: its extents.
-    extents: Vec<usize>,
 }
 
 impl<'a, 'p> Exec<'a, 'p> {
@@ -643,8 +631,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 shape,
                 mem,
             } => {
-                let mut dims = std::mem::take(&mut self.extents);
-                dims.clear();
+                let mut dims = Vec::with_capacity(shape.len());
                 for e in shape {
                     let n = self.int(e)?;
                     if n < 0 {
@@ -656,13 +643,13 @@ impl<'a, 'p> Exec<'a, 'p> {
                 // The buffer this statement allocated last in this frame
                 // went out of scope with its block: the new one takes its
                 // storage.
+                let view = View::whole(id, &dims);
                 let buf = match &self.slots[self.base + slot] {
                     Slot::View(dead) => self.m.bufs[dead.buf.0].reallocate(*name, *ty, &dims, *mem),
-                    _ => BufferData::new(*name, *ty, dims.clone(), *mem),
+                    _ => BufferData::new(*name, *ty, dims, *mem),
                 };
-                self.slots[self.base + slot] = Slot::View(View::whole(id, &dims));
+                self.slots[self.base + slot] = Slot::View(view);
                 self.m.bufs.push(buf);
-                self.extents = dims;
                 Ok(())
             }
             LStmt::WindowDef { slot, rhs } => {
@@ -1125,17 +1112,6 @@ fn tensor_ref(bufs: &[BufferData], w: &View) -> TensorRef {
     }
 }
 
-/// Elements a sweep evaluates at a time, per column.
-const CHUNK: usize = 128;
-
-/// What an access of a swept loop does.
-#[derive(Clone, Copy, PartialEq)]
-enum Role {
-    Read,
-    Assign,
-    Reduce,
-}
-
 /// The iterations of a swept loop: its iterator's frame position `slot`
 /// runs over `lo..=last`, `n` values.
 #[derive(Clone, Copy)]
@@ -1157,123 +1133,50 @@ struct Span {
     step: isize,
 }
 
-impl Span {
-    /// Whether the elements the two spans visit cannot meet.
-    fn disjoint(&self, other: &Span) -> bool {
-        let range = |a: &Span| (a.first.min(a.last), a.first.max(a.last));
-        let ((lo, hi), (olo, ohi)) = (range(self), range(other));
-        hi < olo || ohi < lo
-    }
-}
-
-/// An access of a loop run as column sweeps.
-#[derive(Clone, Copy)]
-struct Strided {
-    span: Span,
-    /// The index of its statement in the loop body.
-    stmt: usize,
-    role: Role,
-}
-
 impl<'a, 'p> Exec<'a, 'p> {
     /// Runs `for i in lo..hi: body` (`lo < hi`), a loop lowering marked
-    /// with `coefs`, without the general loop's per-iteration checks.
-    /// Returns `false`, with nothing written, unless every coordinate
-    /// evaluates and lies in its view at both ends and
-    /// - (a) each destination spans no element that another access to
-    ///   its buffer spans, except a read in its own statement at exactly
-    ///   its elements, with a non-zero step;
-    /// - (b) every element read or reduced into is initialized, and every
-    ///   element assigned lies inside its buffer.
+    /// with `coefs`: a body of one store `dst = rhs` (`dst += rhs` when
+    /// it reduces) whose right-hand side is a [`Fused`]. It runs as one
+    /// loop over the iterations in order: each reads its operands,
+    /// applies the operator, assigns or adds, and quantizes the element
+    /// it stores, as the general loop does, with the operator and the
+    /// quantization resolved once per loop and without the general
+    /// loop's per-iteration checks. Returns `false`, with nothing
+    /// written, unless every coordinate evaluates and lies in its view at
+    /// both ends, every element read (or reduced into) is initialized
+    /// before the loop, and every element assigned lies inside its
+    /// buffer.
     ///
-    /// A body of one store whose right-hand side is a literal, a read or
-    /// `+ - * /` of two of them ([`Fused`]) needs only (b): it runs as
-    /// one element loop in iteration order ([`Exec::fused`]). Any other
-    /// body needs both and runs as column sweeps: each statement in turn
-    /// over every iteration, in chunks of [`CHUNK`] elements.
-    ///
-    /// The loop's only effects are its stores, its steps and its first
-    /// error. (b) rules out every error; (a) makes each element's
-    /// expression read in columns what the iteration order would give
-    /// it; and an affine index takes its extremes at the ends, so no
-    /// intermediate value of the iteration order can overflow where the
-    /// ends did not.
+    /// The loop's only effects are its store, its steps and its first
+    /// error. The checks rule out every error, the iterations run in the
+    /// general loop's order (so a read of the destination's buffer, as in
+    /// `x[i] = relu(x[i])`, sees what it would), and an affine index
+    /// takes its extremes at the ends, so no intermediate value of the
+    /// iteration order can overflow where the ends did not.
     fn sweep(&mut self, slot: usize, lo: i64, hi: i64, body: &[LStmt], coefs: &[i64]) -> bool {
+        let [LStmt::Store { dst, rhs, reduce }] = body else {
+            return false;
+        };
+        let Some(rhs) = Fused::of(rhs) else {
+            return false;
+        };
         let it = Iterations {
             slot,
             lo,
             last: hi - 1,
             n: hi.abs_diff(lo) as usize,
         };
-        let run = match body {
-            [LStmt::Store { dst, rhs, reduce }] => match Fused::of(rhs) {
-                Some(rhs) => self.fused(it, dst, *reduce, rhs, coefs),
-                None => self.columns(it, body, coefs),
-            },
-            _ => self.columns(it, body, coefs),
-        };
+        let run = self.fused(it, dst, *reduce, rhs, coefs);
         if run {
-            self.m.steps += it.n as u64 * body.len() as u64;
+            self.m.steps += it.n as u64;
         }
         run
     }
 
-    /// Runs a swept loop as column sweeps, if it meets rules (a) and (b)
-    /// of [`Exec::sweep`].
-    fn columns(&mut self, it: Iterations, body: &[LStmt], coefs: &[i64]) -> bool {
-        let n = it.n;
-        let mut accs = std::mem::take(&mut self.strided);
-        accs.clear();
-        let mut coefs = coefs.iter();
-        let resolved = body.iter().enumerate().all(|(stmt, s)| {
-            let LStmt::Store { dst, rhs, reduce } = s else {
-                return false;
-            };
-            let role = if *reduce { Role::Reduce } else { Role::Assign };
-            let mut resolve = |acc: &Access, role| {
-                let strided = self.strided(acc, &mut coefs, it);
-                strided
-                    .map(|span| accs.push(Strided { span, stmt, role }))
-                    .is_some()
-            };
-            resolve(dst, role) && rhs.all_reads(&mut |acc| resolve(acc, Role::Read))
-        });
-        let run = resolved && self.independent(&accs) && self.ready(&accs, n);
-        if run {
-            let mut columns = std::mem::take(&mut self.columns);
-            let mut next = accs.iter();
-            for s in body {
-                let (LStmt::Store { rhs, reduce, .. }, Some(dst)) = (s, next.next()) else {
-                    break;
-                };
-                columns.resize((1 + temps(rhs)) * CHUNK, 0.0);
-                let (out, tmp) = columns.split_at_mut(CHUNK);
-                let mut reads = next.clone();
-                for start in (0..n).step_by(CHUNK) {
-                    let out = &mut out[..CHUNK.min(n - start)];
-                    reads = next.clone();
-                    column(&self.m.bufs, rhs, &mut reads, start, out, tmp);
-                    let dst = dst.span;
-                    self.m.bufs[dst.buf.0].scatter(
-                        at(dst.first, dst.step, start),
-                        dst.step,
-                        out,
-                        *reduce,
-                    );
-                }
-                next = reads;
-            }
-            self.columns = columns;
-        }
-        self.strided = accs;
-        run
-    }
-
-    /// Runs a swept loop whose body is the one store `dst = rhs`
-    /// (`dst += rhs` when `reduce`), if it meets rule (b) of
-    /// [`Exec::sweep`], as one loop over the iterations in order: each
-    /// reads its operands, assigns or adds, and quantizes the element it
-    /// stores, as the general loop does, without its checks.
+    /// The loop of [`Exec::sweep`], `dst = rhs` (`dst += rhs` when
+    /// `reduce`) over `it`: resolves and checks its accesses, then runs a
+    /// [`FusedLoop`]. (Written into `sweep` itself, its closures were
+    /// compiled out of line and the x86-oracle kernels ran ~6% slower.)
     fn fused<'e>(
         &mut self,
         it: Iterations,
@@ -1382,64 +1285,6 @@ impl<'a, 'p> Exec<'a, 'p> {
             step,
         })
     }
-
-    /// Rule (a) of [`Exec::sweep`] over its resolved accesses.
-    fn independent(&self, accs: &[Strided]) -> bool {
-        accs.iter().enumerate().all(|(d, dst)| {
-            dst.role == Role::Read
-                || accs.iter().enumerate().all(|(x, other)| {
-                    let (span, ospan) = (&dst.span, &other.span);
-                    let own_read = other.role == Role::Read
-                        && other.stmt == dst.stmt
-                        && (ospan.first, ospan.step) == (span.first, span.step)
-                        && span.step != 0;
-                    x == d || ospan.buf != span.buf || span.disjoint(ospan) || own_read
-                })
-        })
-    }
-
-    /// Rule (b) of [`Exec::sweep`] over its resolved accesses.
-    fn ready(&self, accs: &[Strided], n: usize) -> bool {
-        accs.iter().all(|&Strided { span: a, role, .. }| {
-            let buf = &self.m.bufs[a.buf.0];
-            match role {
-                Role::Assign => a.first.max(a.last) < buf.volume(),
-                Role::Read | Role::Reduce => buf.initialized(a.first, a.last, a.step, n),
-            }
-        })
-    }
-}
-
-/// The right-hand side of a store that [`Exec::fused`] runs: a leaf
-/// `a`, or `a op b`, each leaf a literal or an element read.
-#[derive(Clone, Copy)]
-struct Fused<'e> {
-    op: Option<BinOp>,
-    a: &'e DExpr,
-    b: Option<&'e DExpr>,
-}
-
-impl<'e> Fused<'e> {
-    fn of(rhs: &'e DExpr) -> Option<Fused<'e>> {
-        let leaf = |e: &DExpr| matches!(e, DExpr::Lit(_) | DExpr::Read(_));
-        match rhs {
-            DExpr::Lit(_) | DExpr::Read(_) => Some(Fused {
-                op: None,
-                a: rhs,
-                b: None,
-            }),
-            DExpr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b)
-                if leaf(a) && leaf(b) =>
-            {
-                Some(Fused {
-                    op: Some(*op),
-                    a,
-                    b: Some(b),
-                })
-            }
-            _ => None,
-        }
-    }
 }
 
 /// An operand of a fused loop: at iteration `k`, element
@@ -1484,16 +1329,19 @@ struct FusedLoop<'b> {
 }
 
 impl FusedLoop<'_> {
-    /// Runs the loop with `op` (`None`: `a` alone) and the quantization
-    /// `q`, each resolved to a closure outside it.
-    fn run(&self, out: &mut [f64], op: Option<BinOp>, q: impl Fn(f64) -> f64) {
+    /// Runs the loop with `op` and the quantization `q`, each resolved
+    /// to a closure outside it.
+    fn run(&self, out: &mut [f64], op: FusedOp, q: impl Fn(f64) -> f64) {
         match op {
-            None => self.each(out, |x, _| x, q),
-            Some(BinOp::Add) => self.each(out, |x, y| x + y, q),
-            Some(BinOp::Sub) => self.each(out, |x, y| x - y, q),
-            Some(BinOp::Mul) => self.each(out, |x, y| x * y, q),
-            // `Fused::of` admits no other operator
-            Some(_) => self.each(out, |x, y| x / y, q),
+            FusedOp::Leaf => self.each(out, |x, _| x, q),
+            FusedOp::Add => self.each(out, |x, y| x + y, q),
+            FusedOp::Sub => self.each(out, |x, y| x - y, q),
+            FusedOp::Mul => self.each(out, |x, y| x * y, q),
+            FusedOp::Div => self.each(out, |x, y| x / y, q),
+            FusedOp::Neg => self.each(out, |x, _| -x, q),
+            FusedOp::Unary(f) => self.each(out, |x, _| f(x), q),
+            FusedOp::Max => self.each(out, f64::max, q),
+            FusedOp::Min => self.each(out, f64::min, q),
         }
     }
 
@@ -1515,72 +1363,6 @@ impl FusedLoop<'_> {
             let i = at(first, step, k);
             out[i] = q(if self.reduce { out[i] + v } else { v });
         }
-    }
-}
-
-/// Evaluates `e` at the iterations `start..start + out.len()` of a sweep
-/// into `out`, taking its reads from `reads` (left to right) and scratch
-/// columns from `tmp` ([`temps`] of them).
-fn column(
-    bufs: &[BufferData],
-    e: &DExpr,
-    reads: &mut slice::Iter<'_, Strided>,
-    start: usize,
-    out: &mut [f64],
-    tmp: &mut [f64],
-) {
-    let mut binary = |a: &DExpr, b: &DExpr, out: &mut [f64], f: fn(f64, f64) -> f64| {
-        column(bufs, a, reads, start, out, tmp);
-        let (t, tmp) = tmp.split_at_mut(out.len());
-        column(bufs, b, reads, start, t, tmp);
-        for (x, &y) in out.iter_mut().zip(t.iter()) {
-            *x = f(*x, y);
-        }
-    };
-    match e {
-        DExpr::Lit(v) => out.fill(*v),
-        DExpr::Read(_) => {
-            if let Some(Strided { span: r, .. }) = reads.next() {
-                bufs[r.buf.0].gather(at(r.first, r.step, start), r.step, out);
-            }
-        }
-        DExpr::Bin(op, a, b) => match op {
-            BinOp::Add => binary(a, b, out, |x, y| x + y),
-            BinOp::Sub => binary(a, b, out, |x, y| x - y),
-            BinOp::Mul => binary(a, b, out, |x, y| x * y),
-            BinOp::Div => binary(a, b, out, |x, y| x / y),
-            _ => {}
-        },
-        DExpr::Neg(a) => {
-            column(bufs, a, reads, start, out, tmp);
-            out.iter_mut().for_each(|x| *x = -*x);
-        }
-        DExpr::BuiltIn { func, args } => match (func, &args[..]) {
-            (Builtin::Unary(_, f), [a]) => {
-                column(bufs, a, reads, start, out, tmp);
-                out.iter_mut().for_each(|x| *x = f(*x));
-            }
-            (Builtin::Max, [a, b]) => binary(a, b, out, f64::max),
-            (Builtin::Min, [a, b]) => binary(a, b, out, f64::min),
-            // lowering marks no loop that holds the nodes left
-            _ => {}
-        },
-        DExpr::Ctrl => {}
-    }
-}
-
-/// The scratch columns [`column`] needs to evaluate `e`.
-fn temps(e: &DExpr) -> usize {
-    match e {
-        DExpr::Lit(_) | DExpr::Read(_) | DExpr::Ctrl => 0,
-        DExpr::Neg(a) => temps(a),
-        DExpr::Bin(_, a, b) => temps(a).max(1 + temps(b)),
-        DExpr::BuiltIn { args, .. } => args
-            .iter()
-            .enumerate()
-            .map(|(i, a)| i.min(1) + temps(a))
-            .max()
-            .unwrap_or(0),
     }
 }
 

@@ -223,30 +223,6 @@ impl BufferData {
             self.mark(at(first, step, k));
         }
     }
-
-    /// Reads the elements `first + k·step` into `out[k]`, which must all
-    /// be initialized ([`BufferData::initialized`]).
-    pub(crate) fn gather(&self, first: usize, step: isize, out: &mut [f64]) {
-        if step == 1 {
-            out.copy_from_slice(&self.data[first..first + out.len()]);
-            return;
-        }
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.data[at(first, step, k)];
-        }
-    }
-
-    /// Stores `vals[k]`, or adds it to the element when `reduce`, in
-    /// element `first + k·step`, in order of `k`; each store quantizes.
-    /// The elements must lie inside the volume and, to reduce, be
-    /// initialized.
-    pub(crate) fn scatter(&mut self, first: usize, step: isize, vals: &[f64], reduce: bool) {
-        for (k, &v) in vals.iter().enumerate() {
-            let off = at(first, step, k);
-            let v = if reduce { self.data[off] + v } else { v };
-            self.set(off, cast(self.dtype, v));
-        }
-    }
 }
 
 /// Element `first + k·step`.
@@ -310,29 +286,38 @@ mod tests {
         assert_eq!(b.get(3), None);
     }
 
+    /// Stores `vals` in order from element `first` on.
+    fn store_from(b: &mut BufferData, first: usize, vals: &[f64]) {
+        for (k, &v) in vals.iter().enumerate() {
+            assert!(b.set(first + k, v));
+        }
+    }
+
     #[test]
-    fn strided_gather_and_scatter() {
+    fn put_elements_marks_the_stored_elements() {
         let mut b = BufferData::new(Sym::new("b"), DataType::I8, vec![6], MemName::dram());
         assert!(!b.initialized(0, 4, 2, 3));
-        // elements 4, 2, 0 in that order: the first store allocates
-        b.scatter(4, -2, &[1.4, 300.0, -2.6], false);
+        // elements 4, 2, 0 in that order: taking the storage allocates it
+        let mut data = b.take_elements();
+        for (k, v) in [1.0, 127.0, -3.0].into_iter().enumerate() {
+            data[at(4, -2, k)] = v;
+        }
+        b.put_elements(data, 4, -2, 3);
         assert_eq!(
             b.values().collect::<Vec<_>>(),
             [Some(-3.0), None, Some(127.0), None, Some(1.0), None]
         );
         assert!(b.initialized(4, 0, -2, 3) && !b.initialized(0, 5, 1, 6));
-        // a zero step reduces into one element in order, each sum
-        // quantized: 127 → 27 → -73 → -128 (saturated) → -78
-        b.scatter(2, 0, &[-100.0, -100.0, -100.0, 50.0], true);
-        let mut out = [0.0; 3];
-        b.gather(0, 2, &mut out);
-        assert_eq!(out, [-3.0, -78.0, 1.0]);
+        // a zero step marks its one element
+        let data = b.take_elements();
+        b.put_elements(data, 1, 0, 4);
+        assert!(b.initialized(1, 1, 0, 4) && !b.initialized(3, 3, 0, 1));
     }
 
     #[test]
     fn a_reallocation_starts_bottom_in_the_dead_buffers_storage() {
         let mut dead = BufferData::new(Sym::new("t"), DataType::F32, vec![4], MemName::dram());
-        dead.scatter(0, 1, &[1.0, 2.0, 3.0], false);
+        store_from(&mut dead, 0, &[1.0, 2.0, 3.0]);
         let storage = dead.elements().as_ptr();
         let mut b = dead.reallocate(Sym::new("u"), DataType::I8, &[2, 2], MemName::dram());
         assert_eq!(b.shape, [2, 2]);
@@ -347,11 +332,11 @@ mod tests {
             [None, None, None, Some(5.0)]
         );
         // once every element is set, the flags are cleared, not freed
-        b.scatter(0, 1, &[1.0, 2.0, 3.0], false);
+        store_from(&mut b, 0, &[1.0, 2.0, 3.0]);
         assert!(b.initialized(0, 3, 1, 4));
         let mut c = b.reallocate(Sym::new("v"), DataType::I8, &[4], MemName::dram());
         assert_eq!(c.values().collect::<Vec<_>>(), [None; 4]);
-        c.scatter(1, 1, &[7.0], false);
+        store_from(&mut c, 1, &[7.0]);
         assert_eq!(
             c.values().collect::<Vec<_>>(),
             [None, Some(7.0), None, None]

@@ -1,15 +1,16 @@
 //! Store-only inner loops give the same result under every budget.
 //!
 //! Under the unlimited budget the interpreter may run a loop whose body
-//! holds only stores column by column; under a limited budget it always
-//! runs the loop an iteration at a time. The budget
+//! is one store as one fused element loop, without its per-iteration
+//! checks; under a limited budget it always runs the loop an iteration
+//! at a time. The budget
 //! `ResourceBudget::with_fuel(u64::MAX - 1)` is limited but never runs
 //! out, so a run under it is the reference. Each case runs once under each budget, and the two runs
 //! must agree on the `Result` text, `steps()`, every buffer's values bit
 //! for bit (uninitialized elements included) and the trace's `Debug`.
 //!
-//! The hand-written cases pin the loops whose column order would differ
-//! from the iteration order if the interpreter got it wrong: a read of
+//! The hand-written cases pin the loops whose result depends on the
+//! order of their element operations: a read of
 //! the element the previous iteration wrote, the anti-dependence, a
 //! zero-step reduce and a zero-step plain store, negative coefficients,
 //! a statement reading its own destination, first stores into a fresh
@@ -24,7 +25,9 @@
 //! `-`, `*` and `/` of two reads; i8, i32 and f32 destinations; a
 //! zero-step reduce into one element (a naive GEMM's `k` loop); a
 //! statement reading its own destination, in order and reversed; and a
-//! destination that becomes dense only through earlier statements. The
+//! destination that becomes dense only through earlier statements; and
+//! unary `-`, one-argument builtins and `max`/`min` of a read and a
+//! literal or of two reads, `x[i] = relu(x[i])` in place among them. The
 //! reallocation cases pin that an `Alloc` that runs again starts all-⊥:
 //! a read before the second iteration's first store, and a read of the
 //! half the second iteration left unwritten, both fail.
@@ -331,6 +334,7 @@ fn single_store() -> Vec<Case> {
             }
         }),
         binary_ops(),
+        unary_and_builtin_ops(),
         single_store_dtypes(),
         // y[0] += x[i] * x[i]; y[1] += x[i] * y[i] (reads y[1] at i = 1)
         two_vectors("fused_zero_step_reduce", |b, n, x, y| {
@@ -461,6 +465,54 @@ fn binary_ops() -> Case {
             f32_input(8),
             Input {
                 dtype: DataType::F32,
+                shape: vec![4, 8],
+                values: None,
+            },
+        ],
+    }
+}
+
+/// `z[o, i] = op(x[i])` into i8 for unary `-`, `relu`, `sqrt` and
+/// `max(x[i], 0.5)`; then `x[i] = relu(x[i])` in place,
+/// `y[i] = min(x[i], y[7 - i])` and the zero-step reduce
+/// `y[0] += abs(x[i])`.
+fn unary_and_builtin_ops() -> Case {
+    let mut b = ProcBuilder::new("fused_unary_and_builtin_ops");
+    let n = b.size("n");
+    let x = b.tensor("x", DataType::F32, ints(&[8]));
+    let y = b.tensor("y", DataType::F32, ints(&[8]));
+    let z = b.tensor("z", DataType::I8, ints(&[4, 8]));
+    let xi = |i: Sym| read(x, vec![Expr::var(i)]);
+    let rhs: [&dyn Fn(Sym) -> Expr; 4] = [
+        &|i| neg(xi(i)),
+        &|i| builtin("relu", vec![xi(i)]),
+        &|i| builtin("sqrt", vec![xi(i)]),
+        &|i| builtin("max", vec![xi(i), Expr::float(0.5)]),
+    ];
+    for (o, rhs) in rhs.into_iter().enumerate() {
+        let i = b.begin_for("i", Expr::int(0), Expr::var(n));
+        b.assign(z, vec![Expr::int(o as i64), Expr::var(i)], rhs(i));
+        b.end_for();
+    }
+    let i = b.begin_for("i", Expr::int(0), Expr::var(n));
+    b.assign(x, vec![Expr::var(i)], builtin("relu", vec![xi(i)]));
+    b.end_for();
+    let i = b.begin_for("i", Expr::int(0), Expr::var(n));
+    let yr = read(y, vec![Expr::int(7).sub(Expr::var(i))]);
+    b.assign(y, vec![Expr::var(i)], builtin("min", vec![xi(i), yr]));
+    b.end_for();
+    let i = b.begin_for("i", Expr::int(0), Expr::var(n));
+    b.reduce(y, ints(&[0]), builtin("abs", vec![xi(i)]));
+    b.end_for();
+    Case {
+        name: "fused_unary_and_builtin_ops".into(),
+        proc: b.finish(),
+        n: 8,
+        inputs: vec![
+            f32_input(8),
+            f32_input(8),
+            Input {
+                dtype: DataType::I8,
                 shape: vec![4, 8],
                 values: None,
             },
@@ -884,7 +936,7 @@ fn hand_written_loops_agree_under_both_budgets() {
 fn single_store_loops_agree_under_both_budgets() {
     let ok: Vec<bool> = single_store().iter().map(check).collect();
     // every case runs to the end but the two reallocation cases
-    assert_eq!(ok, [true, true, true, true, true, true, false, false]);
+    assert_eq!(ok, [true, true, true, true, true, true, true, false, false]);
 }
 
 #[test]
