@@ -50,6 +50,8 @@ struct Checker<'a> {
     /// path condition: preconditions, binder bounds, guards
     assumptions: Vec<EffExpr>,
     genv: GlobalEnv,
+    /// Proof obligations posed so far: one per [`Checker::require`].
+    obligations: u64,
     errors: Vec<CheckError>,
 }
 
@@ -63,7 +65,7 @@ impl<'a> Checker<'a> {
     }
 
     fn require(&mut self, goal: EffExpr, what: impl Fn() -> String) {
-        exo_obs::counter_add("analysis.bounds.obligations", 1);
+        self.obligations += 1;
         let mut ctx = LowerCtx::new();
         let hyp = self.assume_formula(&mut ctx);
         let g = ctx.lower_bool(&goal).definitely();
@@ -345,6 +347,7 @@ pub(crate) fn check_site(
         shapes,
         assumptions,
         genv: GlobalEnv::identity(),
+        obligations: 0,
         errors: Vec::new(),
     };
     for (s, genv) in &site.scope {
@@ -355,6 +358,7 @@ pub(crate) fn check_site(
     let mut span = exo_obs::Span::enter("analysis.check_bounds")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
     checker.check_block(site.stmts);
+    span.field("obligations", exo_obs::Json::uint(checker.obligations));
     span.field("errors", exo_obs::Json::uint(checker.errors.len() as u64));
     if checker.errors.is_empty() {
         Ok(())

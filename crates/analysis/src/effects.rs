@@ -474,7 +474,6 @@ fn effect_of_data_expr(e: &Expr, ctx: &mut ExtractCtx<'_>) -> Effect {
 pub fn effect_of_proc(proc: &Proc, reg: &mut GlobalReg) -> Effect {
     let _span = exo_obs::Span::enter("analysis.effect_of_proc")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
-    exo_obs::counter_add("analysis.effect_passes", 1);
     let mut ctx = ExtractCtx::for_proc(proc, reg);
     effect_of_block(&proc.body, &mut ctx)
 }

@@ -26,8 +26,6 @@ pub enum EffExpr {
     /// An integer-sorted variable (procedure parameter, loop iterator, or
     /// canonical global).
     Var(Sym),
-    /// A boolean-sorted variable (encoded as an integer in {0, 1}).
-    BoolVar(Sym),
     /// Integer literal.
     Int(i64),
     /// Boolean literal.
@@ -141,7 +139,6 @@ impl EffExpr {
     pub fn subst(&self, map: &HashMap<Sym, EffExpr>) -> EffExpr {
         match self {
             EffExpr::Var(x) => map.get(x).cloned().unwrap_or_else(|| self.clone()),
-            EffExpr::BoolVar(x) => map.get(x).cloned().unwrap_or_else(|| self.clone()),
             EffExpr::Int(_) | EffExpr::Bool(_) | EffExpr::Unknown | EffExpr::Stride(..) => {
                 self.clone()
             }
@@ -155,7 +152,7 @@ impl EffExpr {
     /// Free variables (excluding stride tokens).
     pub fn free_vars(&self, out: &mut std::collections::BTreeSet<Sym>) {
         match self {
-            EffExpr::Var(x) | EffExpr::BoolVar(x) => {
+            EffExpr::Var(x) => {
                 out.insert(*x);
             }
             EffExpr::Bin(_, a, b) => {
@@ -185,14 +182,7 @@ pub fn lift(e: &Expr, globals: &mut crate::globals::GlobalReg) -> EffExpr {
         Expr::BinOp(op, a, b) => EffExpr::bin(*op, lift(a, globals), lift(b, globals)),
         Expr::Neg(a) => EffExpr::neg(lift(a, globals)),
         Expr::Stride { buf, dim } => EffExpr::Stride(*buf, *dim),
-        Expr::ReadConfig { config, field } => {
-            let (sym, is_bool) = globals.canon(*config, *field);
-            if is_bool {
-                EffExpr::BoolVar(sym)
-            } else {
-                EffExpr::Var(sym)
-            }
-        }
+        Expr::ReadConfig { config, field } => EffExpr::Var(globals.canon(*config, *field)),
         // data expressions have no control value
         Expr::Read { .. } | Expr::Window { .. } | Expr::BuiltIn { .. } => EffExpr::Unknown,
     }
@@ -397,7 +387,7 @@ impl LowerCtx {
                 LInt { def, val: vv }
             }
             // boolean-sorted in an int position: treat as unknown (sound)
-            EffExpr::Bool(_) | EffExpr::BoolVar(_) | EffExpr::Not(_) => {
+            EffExpr::Bool(_) | EffExpr::Not(_) => {
                 let v = self.fresh("sortmix");
                 LInt {
                     def: Formula::False,
@@ -478,15 +468,6 @@ impl LowerCtx {
     pub fn lower_bool(&mut self, e: &EffExpr) -> LBool {
         match e {
             EffExpr::Bool(v) => LBool::known(if *v { Formula::True } else { Formula::False }),
-            EffExpr::BoolVar(x) => {
-                // encoded as an integer constrained to {0, 1}
-                let xv = LinExpr::var(*x);
-                self.side.push(Formula::and(vec![
-                    Formula::ge(xv.clone(), LinExpr::constant(0)),
-                    Formula::le(xv.clone(), LinExpr::constant(1)),
-                ]));
-                LBool::known(Formula::eq(xv, LinExpr::constant(1)))
-            }
             EffExpr::Unknown => LBool {
                 def: Formula::False,
                 val: Formula::True,
@@ -512,8 +493,8 @@ impl LowerCtx {
                 // lowered as iff; otherwise integer comparison
                 if matches!(
                     (a.as_ref(), b.as_ref()),
-                    (EffExpr::Bool(_) | EffExpr::BoolVar(_) | EffExpr::Not(_), _)
-                        | (_, EffExpr::Bool(_) | EffExpr::BoolVar(_) | EffExpr::Not(_))
+                    (EffExpr::Bool(_) | EffExpr::Not(_), _)
+                        | (_, EffExpr::Bool(_) | EffExpr::Not(_))
                 ) && *op == BinOp::Eq
                 {
                     let la = self.lower_bool(a);
@@ -597,8 +578,6 @@ pub(crate) mod testgen {
     pub(crate) struct Vocab {
         /// Integer variables.
         pub(crate) ints: Vec<Sym>,
-        /// Boolean variables.
-        pub(crate) bools: Vec<Sym>,
         /// Buffers (for strides and location sets).
         pub(crate) bufs: Vec<Sym>,
     }
@@ -607,7 +586,6 @@ pub(crate) mod testgen {
         pub(crate) fn new() -> Vocab {
             Vocab {
                 ints: ["i", "j", "n"].into_iter().map(Sym::new).collect(),
-                bools: ["flag"].into_iter().map(Sym::new).collect(),
                 bufs: ["A", "B"].into_iter().map(Sym::new).collect(),
             }
         }
@@ -663,14 +641,13 @@ pub(crate) mod testgen {
     /// A random boolean-sorted (ternary) condition.
     pub(crate) fn boolean(rng: &mut Rng, v: &Vocab, depth: usize, pure: bool) -> EffExpr {
         if depth == 0 || rng.below(4) == 0 {
-            return match rng.below(if pure { 3 } else { 4 }) {
+            return match rng.below(3) {
                 0 => EffExpr::Bool(rng.below(2) == 0),
                 1 => EffExpr::Unknown,
-                2 => {
+                _ => {
                     let op = rng.pick(&[BinOp::Le, BinOp::Lt]);
                     node(op, EffExpr::Var(rng.pick(&v.ints)), EffExpr::Int(4), rng)
                 }
-                _ => EffExpr::BoolVar(rng.pick(&v.bools)),
             };
         }
         let d = depth - 1;

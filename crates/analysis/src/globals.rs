@@ -27,7 +27,7 @@ use crate::effexpr::{lift, EffExpr};
 /// them is then rejected, never wrongly accepted).
 #[derive(Debug, Default)]
 pub struct GlobalReg {
-    canon: HashMap<(Sym, Sym), (Sym, bool)>,
+    canon: HashMap<(Sym, Sym), Sym>,
     budget: ResourceBudget,
 }
 
@@ -48,20 +48,13 @@ impl GlobalReg {
     }
 
     /// Returns the canonical variable for `config.field` (created on
-    /// first use) and whether it is boolean-sorted.
-    pub fn canon(&mut self, config: Sym, field: Sym) -> (Sym, bool) {
-        *self.canon.entry((config, field)).or_insert_with(|| {
-            (
-                Sym::new(format!("{}_{}", config.name(), field.name())),
-                false,
-            )
-        })
-    }
-
-    /// Declares a field as boolean-sorted (defaults to integer).
-    pub fn declare_bool(&mut self, config: Sym, field: Sym) {
-        let sym = self.canon(config, field).0;
-        self.canon.insert((config, field), (sym, true));
+    /// first use). Every field is integer-sorted: a boolean field read in
+    /// a boolean position lowers as unknown, which is sound.
+    pub fn canon(&mut self, config: Sym, field: Sym) -> Sym {
+        *self
+            .canon
+            .entry((config, field))
+            .or_insert_with(|| Sym::new(format!("{}_{}", config.name(), field.name())))
     }
 
     /// Reverse lookup: which configuration field a canonical symbol
@@ -69,13 +62,8 @@ impl GlobalReg {
     pub fn field_of(&self, sym: Sym) -> Option<(Sym, Sym)> {
         self.canon
             .iter()
-            .find(|(_, &(s, _))| s == sym)
+            .find(|(_, &s)| s == sym)
             .map(|(&(c, f), _)| (c, f))
-    }
-
-    /// All `(config, field) → canonical` entries.
-    pub fn entries(&self) -> impl Iterator<Item = (&(Sym, Sym), &(Sym, bool))> {
-        self.canon.iter()
     }
 }
 
@@ -96,14 +84,10 @@ impl GlobalEnv {
 
     /// The symbolic value of `config.field` (identity if untouched).
     pub fn value(&self, config: Sym, field: Sym, reg: &mut GlobalReg) -> EffExpr {
-        self.vals.get(&(config, field)).cloned().unwrap_or_else(|| {
-            let (sym, is_bool) = reg.canon(config, field);
-            if is_bool {
-                EffExpr::BoolVar(sym)
-            } else {
-                EffExpr::Var(sym)
-            }
-        })
+        self.vals
+            .get(&(config, field))
+            .cloned()
+            .unwrap_or_else(|| EffExpr::Var(reg.canon(config, field)))
     }
 
     /// Sets the symbolic value of a field.
@@ -183,7 +167,6 @@ pub(crate) fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> Globa
             // loop heuristic: one symbolic pass over the body starting from
             // the loop-entry environment; any field whose value changes (or
             // depends on the iteration variable) becomes ⊥, others persist.
-            exo_obs::counter_add("analysis.valg.loop_passes", 1);
             // Budget: one fuel unit per symbolic loop pass. Exhaustion (and
             // the chaos `analysis-bottom` fault) degrade every field the
             // body touches to ⊥ — strictly less precise than the heuristic
@@ -196,7 +179,6 @@ pub(crate) fn val_g_stmt(s: &Stmt, env: GlobalEnv, reg: &mut GlobalReg) -> Globa
             }
             let mut out = env;
             for &(c, f) in body_env.vals.keys() {
-                exo_obs::counter_add("analysis.valg.bottomed", 1);
                 out.set(c, f, EffExpr::Unknown);
             }
             out
@@ -241,7 +223,7 @@ fn val_g_call(proc: &Arc<Proc>, args: &[Expr], env: GlobalEnv, reg: &mut GlobalR
     }
     // the callee's symbolic values may reference the entry values of
     // globals — substitute the caller's current values for those too
-    let globals: Vec<((Sym, Sym), Sym)> = reg.canon.iter().map(|(&k, &(s, _))| (k, s)).collect();
+    let globals: Vec<((Sym, Sym), Sym)> = reg.canon.iter().map(|(&k, &s)| (k, s)).collect();
     for ((gc, gf), gsym) in globals {
         subst.insert(gsym, env.value(gc, gf, reg));
     }

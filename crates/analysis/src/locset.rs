@@ -272,11 +272,10 @@ fn misses(set: &LocSet, target: &Target) -> bool {
 }
 
 /// Whether lowering `e` pushes no side constraint and registers no
-/// stride: it has no `Ite`, `/`, `%`, boolean variable or stride.
+/// stride: it has no `Ite`, `/`, `%` or stride.
 fn lowers_purely(e: &EffExpr) -> bool {
     match e {
         EffExpr::Ite(..)
-        | EffExpr::BoolVar(_)
         | EffExpr::Stride(..)
         | EffExpr::Bin(exo_core::BinOp::Div | exo_core::BinOp::Mod, ..) => false,
         EffExpr::Bin(_, a, b) => lowers_purely(a) && lowers_purely(b),
@@ -641,7 +640,7 @@ mod tests {
                         .collect(),
                 },
             };
-            let mut anchor: Vec<Sym> = v.ints.iter().chain(&v.bools).copied().collect();
+            let mut anchor: Vec<Sym> = v.ints.clone();
             if let Target::Buf { coords, .. } = &target {
                 anchor.extend(coords);
             }

@@ -234,3 +234,29 @@ fn site_query_body_parts_read_the_loop_state() {
     let idx = write_index(&nested, bb).expect("B is written");
     assert!(idx.has_unknown(), "{idx:?}");
 }
+
+/// `[Cfg.flag = flag;] if Cfg.flag: A[8] = 1.0` with `A: f32[8]`.
+fn store_guarded_by_flag(flag: Option<bool>) -> Arc<Proc> {
+    let (cfg, f) = (Sym::new("Cfg"), Sym::new("flag"));
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(8)]);
+    if let Some(v) = flag {
+        b.write_config(cfg, f, Expr::bool(v));
+    }
+    b.begin_if(Expr::ReadConfig {
+        config: cfg,
+        field: f,
+    });
+    b.assign(a, vec![Expr::int(8)], Expr::float(1.0));
+    b.end_if();
+    b.finish()
+}
+
+#[test]
+fn a_boolean_config_guard_is_read_soundly() {
+    // the field's entry value is not known: the guard may hold
+    assert!(!bounds_ok(&store_guarded_by_flag(None)));
+    assert!(!bounds_ok(&store_guarded_by_flag(Some(true))));
+    // a guard known to fail makes the store unreachable
+    assert!(bounds_ok(&store_guarded_by_flag(Some(false))));
+}

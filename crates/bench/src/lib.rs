@@ -173,8 +173,8 @@ pub fn solver_stats_json(state: &StateRef) -> Json {
 }
 
 /// Writes a `BENCH_<name>.json` trajectory file: the given records, one
-/// JSON object per line, followed by the global registry's spans,
-/// events and counters. The directory defaults to `target/` (kept out
+/// JSON object per line, followed by the global registry's spans and
+/// events. The directory defaults to `target/` (kept out
 /// of version control; committed baselines live in `bench/baselines/`)
 /// and can be overridden with `EXO_BENCH_DIR`. Returns the path written.
 pub fn write_bench_json(name: &str, records: &[Json]) -> std::io::Result<PathBuf> {

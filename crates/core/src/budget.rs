@@ -2,12 +2,12 @@
 //! pipeline that bad input could make unbounded.
 //!
 //! A budget is a cheap `Arc`-backed handle: cloning shares the *same* pool,
-//! so a `SchedState`, the effect-analysis fixpoint it drives, the
-//! interpreter's step loop, and a simulator's cycle loop can all draw from
-//! one allowance. Exhaustion is sticky and always *degrades conservatively*:
-//! analyses answer `Unknown` (rejecting the rewrite), the interpreter and
-//! simulators stop with a typed [`BudgetError`] — never a hang, and never an
-//! unsound accept.
+//! so a `SchedState`, the effect-analysis fixpoint it drives and the
+//! interpreter's step loop can all draw from one allowance. Exhaustion is
+//! sticky and always *degrades conservatively*: analyses answer `Unknown`
+//! (rejecting the rewrite), the interpreter stops with a typed error —
+//! never a hang, and never an unsound accept. The simulators take no
+//! budget: they walk a finite trace once.
 //!
 //! The default budget is [`ResourceBudget::unlimited`], which never charges
 //! anything and keeps the hot paths at one atomic load.
@@ -16,20 +16,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::error::{ErrorKind, ExoError};
-
 /// Which resource ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resource {
     /// Abstract step/fuel units (interpreter steps, fixpoint passes,
-    /// simulated instructions).
+    /// check queries, scheduling operators).
     Fuel,
     /// The wall-clock deadline passed.
     Deadline,
 }
 
-/// Typed exhaustion error; converts into [`ExoError`] with
-/// [`ErrorKind::Budget`].
+/// Typed exhaustion error: which limit tripped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetError {
     /// Which limit tripped.
@@ -48,12 +45,6 @@ impl std::fmt::Display for BudgetError {
 }
 
 impl std::error::Error for BudgetError {}
-
-impl From<BudgetError> for ExoError {
-    fn from(e: BudgetError) -> ExoError {
-        ExoError::new(ErrorKind::Budget, e.to_string()).with_source(e)
-    }
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -241,14 +232,5 @@ mod tests {
         let b = ResourceBudget::with_deadline(Duration::from_millis(0));
         let err = b.charge(1).expect_err("deadline already passed");
         assert_eq!(err.resource, Resource::Deadline);
-    }
-
-    #[test]
-    fn budget_error_converts_to_exo_error() {
-        let b = ResourceBudget::with_fuel(0);
-        let err = b.charge(1).expect_err("no fuel");
-        let exo: crate::error::ExoError = err.into();
-        assert_eq!(exo.kind(), crate::error::ErrorKind::Budget);
-        assert!(std::error::Error::source(&exo).is_some());
     }
 }

@@ -20,7 +20,6 @@
 //! * [`path`] — stable statement addresses used by scheduling rewrites;
 //! * [`visit`] — traversal, substitution, renaming, alpha-equivalence;
 //! * [`printer`] — pretty-printing in the paper's surface syntax;
-//! * [`error`] — the [`ExoError`] umbrella every stage error chains into;
 //! * [`budget`] — shared fuel/wall-clock [`ResourceBudget`] limits;
 //! * [`hash`] — the one hasher every library map uses ([`hash::HashMap`],
 //!   [`hash::HashSet`]).
@@ -63,7 +62,6 @@ pub mod budget;
 pub mod build;
 pub mod check;
 pub mod diag;
-pub mod error;
 pub mod hash;
 pub mod ir;
 pub mod path;
@@ -74,7 +72,6 @@ pub mod visit;
 
 pub use budget::{BudgetError, Resource, ResourceBudget};
 pub use diag::{Diagnostic, Severity, Verdict};
-pub use error::{ErrorKind, ExoError};
 pub use ir::{
     ArgType, BinOp, Block, ConfigDecl, ConfigField, Expr, FnArg, InstrTemplate, Lit, Proc, Stmt,
     WAccess,

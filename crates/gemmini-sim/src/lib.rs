@@ -52,7 +52,6 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
 use exo_interp::{HwOp, Instr, TensorRef};
 
@@ -339,7 +338,6 @@ pub struct Simulator {
     instructions: u64,
     flushes: u64,
     bytes_moved: u64,
-    budget: ResourceBudget,
 }
 
 impl Simulator {
@@ -357,31 +355,14 @@ impl Simulator {
             instructions: 0,
             flushes: 0,
             bytes_moved: 0,
-            budget: ResourceBudget::unlimited(),
         }
-    }
-
-    /// Installs a fuel/deadline pool on the instruction loop (one unit per
-    /// trace instruction). Exhaustion stops simulation early and marks the
-    /// report [`SimReport::truncated`] instead of hanging on a runaway
-    /// trace.
-    pub fn with_budget(mut self, budget: ResourceBudget) -> Simulator {
-        self.budget = budget;
-        self
     }
 
     /// Runs a full instruction trace and produces the report.
     pub fn run(mut self, trace: &[HwOp]) -> SimReport {
         let span = exo_obs::Span::enter("gemmini_sim.run");
-        exo_obs::counter_add("gemmini_sim.runs", 1);
-        let mut truncated = false;
         let mut decoder = Decoder::default();
         for op in trace {
-            if self.budget.charge(1).is_err() {
-                exo_obs::counter_add("gemmini_sim.budget_stops", 1);
-                truncated = true;
-                break;
-            }
             self.step(op, decoder.get(op.instr));
         }
         let cycles = self.finish.max(self.cpu_time).max(1);
@@ -398,7 +379,7 @@ impl Simulator {
             instructions: self.instructions,
             flushes: self.flushes,
             bytes_moved: self.bytes_moved,
-            truncated,
+            truncated: false,
             busy: [Unit::Load, Unit::Execute, Unit::Store]
                 .into_iter()
                 .filter(|&u| self.unit_busy[u as usize] > 0)

@@ -28,9 +28,9 @@ pub struct SimReport {
     pub flushes: u64,
     /// DMA bytes moved.
     pub bytes_moved: u64,
-    /// `true` when a `ResourceBudget` stopped the run before the trace was
-    /// fully consumed — the counts above cover only the simulated prefix
-    /// and must not be compared against complete runs.
+    /// Always `false`: a trace is finite, so a run always consumes all of
+    /// it. Kept for readers of the report (and its JSON form) that check
+    /// the flag.
     pub truncated: bool,
     /// Per-unit busy cycles, in Load/Execute/Store order; units that did
     /// no work are omitted.

@@ -360,7 +360,6 @@ impl Machine {
             ));
         }
         let _span = exo_obs::Span::enter("interp.run");
-        let traced = self.trace.len();
         let lowered = lower(proc);
         let mut exec = Exec {
             configs: lowered
@@ -380,11 +379,6 @@ impl Machine {
             if let Some(value) = value {
                 self.configs.insert(key, value);
             }
-        }
-        // one registry update per run, however many instructions it traced
-        let instrs = self.trace.len() - traced;
-        if instrs > 0 {
-            exo_obs::counter_add("interp.instr", instrs as u64);
         }
         result.map_err(|e| *e)
     }
@@ -573,7 +567,6 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     #[cold]
     fn budget_stop(&self, why: &dyn fmt::Display) -> Res<()> {
-        exo_obs::counter_add("interp.budget_stops", 1);
         Err(Box::new(InterpError {
             message: format!("interpreter stopped after {} steps: {why}", self.m.steps),
             budget_exhausted: true,

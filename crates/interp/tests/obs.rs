@@ -1,7 +1,7 @@
-//! What one run reports to the `exo-obs` registry: an `interp.run` span,
-//! and the `interp.instr` counter raised by the number of instructions
-//! the run traced. This file is its own test process, so the global
-//! registry sees only these runs.
+//! What one run reports: an `interp.run` span in the `exo-obs`
+//! registry, and one trace entry per `@instr` call on the machine (the
+//! trace is the only record of the calls). This file is its own test
+//! process, so the global registry sees only these runs.
 
 use exo_core::build::{read, ProcBuilder};
 use exo_core::ir::{Expr, Stmt};
@@ -10,7 +10,7 @@ use exo_interp::{ArgVal, Machine};
 use exo_obs::Registry;
 
 #[test]
-fn run_reports_one_span_and_its_instruction_count() {
+fn run_reports_one_span_and_traces_its_instructions() {
     let mut ib = ProcBuilder::new("prefetch");
     let n = ib.size("n");
     ib.tensor("src", DataType::F32, vec![Expr::var(n)]);
@@ -33,13 +33,12 @@ fn run_reports_one_span_and_its_instruction_count() {
             .filter(|t| t.name == "interp.run")
             .count()
     };
-    let (instrs0, runs0) = (registry.counter("interp.instr"), runs());
+    let runs0 = runs();
     let mut m = Machine::new();
     let id = m.alloc_extern("A", DataType::F32, &[8], &[1.0; 8]);
     for _ in 0..2 {
         m.run(&p, &[ArgVal::Tensor(id)]).unwrap();
     }
     assert_eq!(m.trace().len(), 10);
-    assert_eq!(registry.counter("interp.instr") - instrs0, 10);
     assert_eq!(runs() - runs0, 2);
 }

@@ -164,7 +164,7 @@ impl LoopVerdict {
 /// Renders a symbolic index expression for witness messages.
 pub(crate) fn render_effexpr(e: &EffExpr) -> String {
     match e {
-        EffExpr::Var(s) | EffExpr::BoolVar(s) => s.name().to_string(),
+        EffExpr::Var(s) => s.name().to_string(),
         EffExpr::Int(i) => i.to_string(),
         EffExpr::Bool(b) => b.to_string(),
         EffExpr::Unknown => "⊥".to_string(),
@@ -451,7 +451,6 @@ pub fn classify_loop(
     let mut atoms = Vec::new();
     collect_atoms(&eff, &mut Vec::new(), &mut Vec::new(), &mut atoms);
 
-    exo_obs::counter_add("lint.depend.loops", 1);
     let mut reduction_bufs: Vec<Sym> = Vec::new();
     let mut unknown = false;
     for (n1, a1) in atoms.iter().enumerate() {
@@ -477,7 +476,6 @@ pub fn classify_loop(
                 match ans {
                     Answer::No => {}
                     Answer::Yes => {
-                        exo_obs::counter_add("lint.depend.sequential", 1);
                         return Ok(LoopVerdict::Sequential {
                             witness: Some(witness_of(a1, a2, &idx2, x)),
                         });
@@ -491,17 +489,14 @@ pub fn classify_loop(
     }
 
     if unknown {
-        exo_obs::counter_add("lint.depend.sequential", 1);
         return Ok(LoopVerdict::Sequential { witness: None });
     }
     if !reduction_bufs.is_empty() {
         reduction_bufs.sort_by_key(|b| (b.name(), b.id()));
-        exo_obs::counter_add("lint.depend.reduction_parallel", 1);
         return Ok(LoopVerdict::ReductionParallel {
             bufs: reduction_bufs,
         });
     }
-    exo_obs::counter_add("lint.depend.parallel", 1);
     Ok(LoopVerdict::Parallel)
 }
 

@@ -31,16 +31,6 @@ use exo_smt::solver::Answer;
 
 use crate::depend::render_effexpr;
 
-/// The `lint.rule.<rule id>` counter each rule's findings bump.
-const RULE_COUNTERS: [&str; 6] = [
-    "lint.rule.dead-alloc",
-    "lint.rule.uninit-read",
-    "lint.rule.config-clobber",
-    "lint.rule.window-alias",
-    "lint.rule.precision-mismatch",
-    "lint.rule.empty-loop",
-];
-
 /// Runs every lint rule over `proc` with a private global registry.
 pub fn lint_proc(proc: &Arc<Proc>, check: &SharedCheckCtx) -> Vec<Diagnostic> {
     let mut reg = GlobalReg::new();
@@ -64,15 +54,6 @@ pub fn lint_proc_with(
     rule_window_alias(proc, check, reg, &mut out);
     rule_precision_mismatch(proc, &mut out);
     rule_empty_loop(proc, check, reg, &mut out);
-    for d in &out {
-        let counter = RULE_COUNTERS
-            .iter()
-            .find(|c| c.strip_prefix("lint.rule.") == Some(d.rule.as_str()));
-        if let Some(counter) = counter {
-            exo_obs::counter_add(counter, 1);
-        }
-    }
-    exo_obs::counter_add("lint.findings", out.len() as u64);
     out
 }
 

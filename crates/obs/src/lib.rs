@@ -16,9 +16,8 @@
 //!   bounded ring buffer on the registry. Attribution is ancestry: every
 //!   solver, analysis and lint span an operator causes descends from its
 //!   `sched.<op>` span, which carries the operator's `target`;
-//! * [`registry::Registry`] — a thread-safe global sink for flat
-//!   counters and the bounded trace ring that holds every closed span
-//!   and event;
+//! * [`registry::Registry`] — a thread-safe global sink: the bounded
+//!   trace ring that holds every closed span and event;
 //! * [`json::Json`] — a hand-rolled JSON value (the sandbox has no
 //!   crates.io access, so serialization is std-only) with a strict
 //!   parser used to validate exported lines.
@@ -27,12 +26,15 @@
 //! rewrites lives in `exo_sched::provenance`, and a rejected rewrite's
 //! verdict and reason are fields of its `sched.<op>` span.
 //!
-//! Each fact is recorded once, by one writer. A registry counter exists
-//! only when it is the one tally of its fact: solver, verdict-cache and
-//! chaos-injection counts live in `exo_smt::solver::SolverStats`,
-//! `exo_analysis::CheckStats` and `exo_chaos::injection_counts`, which
-//! stay readable with the registry switched off, and are not mirrored
-//! here. The sinks are views over those records:
+//! Each fact is recorded once, by one writer, and the registry keeps
+//! spans only. A count lives in the record that produces it — solver,
+//! verdict-cache and chaos-injection counts in
+//! `exo_smt::solver::SolverStats`, `exo_analysis::CheckStats` and
+//! `exo_chaos::injection_counts`, which stay readable with the registry
+//! switched off; an interpreter's `@instr` calls in its trace; a lint's
+//! findings in its returned diagnostics — or in a field of the span
+//! that brackets the work (`analysis.check_bounds` carries its
+//! `obligations` and `errors`). The sinks are views over the ring:
 //! [`registry::Registry::transcript`] renders a human-readable indented
 //! log; [`registry::Registry::json_lines`] exports everything as
 //! machine-readable JSON lines (one object per line), the format the
@@ -52,16 +54,6 @@ pub mod span;
 pub use json::Json;
 pub use registry::{Registry, TraceSpan};
 pub use span::Span;
-
-/// Adds `delta` to the named global counter.
-pub fn counter_add(name: &'static str, delta: u64) {
-    Registry::global().counter_add(name, delta);
-}
-
-/// Reads the named global counter (0 if never touched).
-pub fn counter_get(name: &str) -> u64 {
-    Registry::global().counter(name)
-}
 
 /// Records an instantaneous structured event: a zero-duration record in
 /// the global trace ring.

@@ -1,24 +1,21 @@
-//! The global metrics registry: flat counters and the bounded trace
-//! ring behind one mutex.
+//! The global registry: the bounded trace ring behind one mutex.
 //!
-//! Each fact is stored once. A counter exists only when it is the one
-//! tally of its fact: a layer that keeps its own stats struct (the
-//! solver's `SolverStats`, the checking context's `CheckStats`, the
-//! chaos plan's injection counts) is read there, never mirrored here.
-//! A counter bump adds to one entry keyed by the counter's name; which
-//! operator caused the work is read from the trace tree, not from the
-//! counters. A closed span or an instantaneous event is one
+//! Each fact is stored once. The registry holds spans only: a count
+//! is either part of the record that produces it (the solver's
+//! `SolverStats`, the checking context's `CheckStats`, the chaos plan's
+//! injection counts, a returned diagnostic list) or a field of the span
+//! that brackets the work, and which operator caused the work is read
+//! from the trace tree. A closed span or an instantaneous event is one
 //! [`TraceSpan`] in the ring; the transcript, the JSON lines and the
 //! trace exporters all read that ring.
 //!
 //! Instrumentation sites are hot paths (every solver query, every
 //! interpreted `@instr` call), so the API is deliberately coarse: one
-//! short critical section per record, no allocation for a counter bump
-//! (names are `&'static str`), and a process-wide kill switch
+//! short critical section per record and a process-wide kill switch
 //! ([`Registry::set_enabled`]) that reduces every call to one atomic
 //! load.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -71,8 +68,6 @@ impl TraceSpan {
 }
 
 struct Inner {
-    /// Counter name → value.
-    counters: BTreeMap<&'static str, u64>,
     traces: VecDeque<TraceSpan>,
     trace_capacity: usize,
     dropped_traces: u64,
@@ -81,7 +76,6 @@ struct Inner {
 impl Default for Inner {
     fn default() -> Inner {
         Inner {
-            counters: BTreeMap::new(),
             traces: VecDeque::new(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             dropped_traces: 0,
@@ -89,7 +83,7 @@ impl Default for Inner {
     }
 }
 
-/// Thread-safe sink for counters and trace records.
+/// Thread-safe sink for trace records.
 pub struct Registry {
     inner: Mutex<Inner>,
     enabled: AtomicBool,
@@ -129,30 +123,6 @@ impl Registry {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Adds `delta` to a counter.
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        let v = inner.counters.entry(name).or_insert(0);
-        *v = v.saturating_add(delta);
-    }
-
-    /// Reads a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.lock()
-            .counters
-            .iter()
-            .map(|(&name, &v)| (name, v))
-            .collect()
     }
 
     /// Records an instantaneous event: a zero-duration leaf under the
@@ -202,7 +172,7 @@ impl Registry {
         self.lock().dropped_traces
     }
 
-    /// Drops all recorded state (counters, traces).
+    /// Drops all recorded traces and the count of dropped ones.
     /// The trace-ring capacity survives.
     pub fn clear(&self) {
         let mut inner = self.lock();
@@ -214,8 +184,7 @@ impl Registry {
     }
 
     /// Renders a human-readable indented transcript of the retained
-    /// trace records (in close order), followed by the counter
-    /// summaries.
+    /// trace records (in close order).
     pub fn transcript(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -228,33 +197,16 @@ impl Registry {
             }
             out.push('\n');
         }
-        if !inner.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &inner.counters {
-                out.push_str(&format!("  {name} = {v}\n"));
-            }
-        }
         out
     }
 
-    /// Exports everything as JSON lines: one object per retained trace
-    /// record, then one per counter.
+    /// Exports the ring as JSON lines: one object per retained trace
+    /// record.
     pub fn json_lines(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
         for (i, t) in inner.traces.iter().enumerate() {
             out.push_str(&t.to_json(inner.dropped_traces + i as u64).to_string());
-            out.push('\n');
-        }
-        for (&name, &v) in &inner.counters {
-            out.push_str(
-                &Json::obj(vec![
-                    ("type".into(), Json::Str("counter".into())),
-                    ("name".into(), Json::Str(name.into())),
-                    ("value".into(), Json::uint(v)),
-                ])
-                .to_string(),
-            );
             out.push('\n');
         }
         out
@@ -278,28 +230,13 @@ mod tests {
     use crate::json::Json;
 
     #[test]
-    fn counters_aggregate_across_threads() {
-        let reg = Registry::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        reg.counter_add("t.hits", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(reg.counter("t.hits"), 8000);
-    }
-
-    #[test]
     fn disabled_registry_records_nothing() {
         let reg = Registry::new();
         reg.set_enabled(false);
-        reg.counter_add("x", 1);
         reg.event("e", vec![]);
-        assert_eq!(reg.counter("x"), 0);
+        reg.record_trace(record(1));
         assert!(reg.traces().is_empty());
+        assert_eq!(reg.json_lines(), "");
     }
 
     fn record(id: u64) -> TraceSpan {
@@ -344,7 +281,6 @@ mod tests {
     #[test]
     fn json_lines_are_individually_parseable() {
         let reg = Registry::new();
-        reg.counter_add("t.queries", 17);
         reg.event(
             "sim.run",
             vec![
@@ -354,7 +290,7 @@ mod tests {
         );
         let dump = reg.json_lines();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 1);
         for line in &lines {
             Json::parse(line).unwrap_or_else(|e| panic!("line {line:?}: {e}"));
         }
@@ -362,7 +298,5 @@ mod tests {
         assert_eq!(ev.get("name").and_then(Json::as_str), Some("sim.run"));
         assert_eq!(ev.get("dur_us").and_then(Json::as_int), Some(0));
         assert_eq!(ev.get("cycles").and_then(Json::as_int), Some(1234));
-        let counter = Json::parse(lines[1]).unwrap();
-        assert_eq!(counter.get("value").and_then(Json::as_int), Some(17));
     }
 }

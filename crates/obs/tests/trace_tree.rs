@@ -3,9 +3,7 @@
 //! adoption) and carry distinct thread ids. This is the property the
 //! Chrome and flamegraph exporters rely on, and the one attribution
 //! reads — a parent link crossing threads would render nonsense stacks
-//! and blame the wrong operator. The same workers bump one counter
-//! inside and outside their spans: its total counts every bump from
-//! every thread.
+//! and blame the wrong operator.
 
 use std::thread;
 
@@ -29,14 +27,10 @@ fn concurrent_span_nesting_keeps_parent_links_within_threads() {
                     let mid = Span::enter(format!("tt.mid.{i}"));
                     {
                         let _leaf = Span::enter(format!("tt.leaf.{i}"));
-                        exo_obs::counter_add("tt.work", 1);
-                        exo_obs::counter_add("tt.work", 10);
                     }
-                    exo_obs::counter_add("tt.work", 100);
                     drop(mid);
                 }
                 drop(outer);
-                exo_obs::counter_add("tt.work", 1_000);
             })
         })
         .collect();
@@ -75,9 +69,4 @@ fn concurrent_span_nesting_keeps_parent_links_within_threads() {
         );
     }
     assert_eq!(tids.len(), THREADS, "each worker should get its own tid");
-
-    // the flat total counts every bump from every thread
-    let n = THREADS as u64;
-    assert_eq!(Registry::global().counter("tt.work"), 1_111 * n);
-    assert_eq!(exo_obs::counter_get("tt.work"), 1_111 * n);
 }

@@ -443,7 +443,6 @@ impl Procedure {
         // rewrite up front (conservative, transactional) instead of
         // starting work it cannot finish.
         let result = if let Err(e) = budget.charge(1) {
-            exo_obs::counter_add("sched.budget_rejected", 1);
             Err(SchedError::new(format!("schedule budget exhausted: {e}")).with_source(e))
         } else {
             // Residual internal panics must not cross the library boundary:
@@ -454,7 +453,6 @@ impl Procedure {
             // pre-rewrite handle fully usable — the chain is transactional.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
                 let msg = Self::panic_message(payload.as_ref());
-                exo_obs::counter_add("sched.panic_caught", 1);
                 Err(SchedError::new(format!("internal panic: {msg}")))
             })
         };
@@ -463,10 +461,7 @@ impl Procedure {
         let result = result.map_err(|e| e.in_op(op, &target));
         let verdict = match &result {
             Ok(_) => Verdict::Accepted,
-            Err(e) => {
-                exo_obs::counter_add("sched.rejected", 1);
-                Verdict::Rejected(e.message.clone())
-            }
+            Err(e) => Verdict::Rejected(e.message.clone()),
         };
         span.field("verdict", exo_obs::Json::Str(verdict.name().into()));
         if let Some(reason) = verdict.reason() {

@@ -304,6 +304,44 @@ fn reorder_stmts_sees_config_read_before_write_in_loop() {
     assert!(p.reorder_stmts("for i in _: _").is_err());
 }
 
+/// `[Cfg.flag = flag]` then `for j in seq(0, 1): if Cfg.flag: A[100] =
+/// 1.0`, then `A[100] = 2.0`.
+fn guarded_by_flag(flag: Option<bool>) -> Procedure {
+    let (cfg, f) = (Sym::new("Cfg"), Sym::new("flag"));
+    let mut b = ProcBuilder::new("p");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(200)]);
+    if let Some(v) = flag {
+        b.write_config(cfg, f, Expr::bool(v));
+    }
+    b.begin_for("j", Expr::int(0), Expr::int(1));
+    b.begin_if(Expr::ReadConfig {
+        config: cfg,
+        field: f,
+    });
+    b.assign(a, vec![Expr::int(100)], Expr::float(1.0));
+    b.end_if();
+    b.end_for();
+    b.assign(a, vec![Expr::int(100)], Expr::float(2.0));
+    Procedure::new(b.finish())
+}
+
+#[test]
+fn reorder_stmts_sees_a_boolean_config_guard() {
+    // a guard that holds makes the swap unsafe: it would leave
+    // A[100] = 1.0
+    let on = guarded_by_flag(Some(true));
+    assert_eq!(a100(on.proc()), 2.0);
+    assert!(on.reorder_stmts("for j in _: _").is_err());
+    // the field's entry value is not known: the guard may hold
+    assert!(guarded_by_flag(None)
+        .reorder_stmts("for j in _: _")
+        .is_err());
+    // a guard known to fail leaves the loop without effect
+    let off = guarded_by_flag(Some(false));
+    let swapped = off.reorder_stmts("for j in _: _").unwrap();
+    assert_eq!(a100(off.proc()), a100(swapped.proc()));
+}
+
 /// `Cfg.n = 0` followed by `for i in seq(0, 4)` over `A[Cfg.n] = 1.0;
 /// Cfg.n = 5`, the head shared by the two loop-state tests below.
 fn write_then_bump(b: &mut ProcBuilder, a: Sym, cfg: Sym, n: Sym) -> Sym {

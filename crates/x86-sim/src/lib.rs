@@ -329,29 +329,13 @@ pub fn profile_proc(proc: &Proc) -> Option<KernelProfile> {
 
 /// Profiles an interpreter trace (small-size validation path).
 pub fn profile_trace(trace: &[HwOp]) -> KernelProfile {
-    profile_trace_budgeted(trace, &exo_core::budget::ResourceBudget::unlimited()).0
-}
-
-/// Budgeted [`profile_trace`]: charges one fuel unit per trace instruction
-/// and stops early when the pool (or its deadline) runs out. Returns the
-/// profile of the consumed prefix and whether the run was truncated — a
-/// truncated profile undercounts work and must not be compared against
-/// complete runs.
-pub fn profile_trace_budgeted(
-    trace: &[HwOp],
-    budget: &exo_core::budget::ResourceBudget,
-) -> (KernelProfile, bool) {
     let mut p = KernelProfile::default();
     let mut decoder = Decoder::new();
     for op in trace {
-        if budget.charge(1).is_err() {
-            exo_obs::counter_add("x86_sim.budget_stops", 1);
-            return (p, true);
-        }
         // masked ops have fewer useful lanes but the same issue cost
         decoder.class(op.instr, || op.instr).count(&mut p, LANES);
     }
-    (p, false)
+    p
 }
 
 /// Simulates a trace with no cache traffic (all-resident assumption) —
@@ -371,7 +355,6 @@ pub fn evaluate(
 ) -> Option<(KernelProfile, f64)> {
     let _span = exo_obs::Span::enter("x86_sim.evaluate")
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
-    exo_obs::counter_add("x86_sim.evaluates", 1);
     let p = profile_proc(proc)?;
     let cycles = core.cycles(&p, t);
     Some((p, cycles))

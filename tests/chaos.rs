@@ -22,7 +22,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use exo::chaos::{self, FaultPlan, FaultSite};
 use exo::hwlibs::{Avx512Lib, GemminiLib};
-use exo::kernels::{gemmini_gemm, x86_gemm};
+use exo::kernels::{gemmini_gemm, schedlib, x86_gemm};
+use exo::prelude::DataType;
 use exo::sched::{Procedure, SchedError, SchedState, StateRef};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -183,15 +184,15 @@ fn interp_fuel_site_stops_run() {
     let p = fig4a_chain(&state).expect("clean schedule");
 
     let _guard = chaos::arm(FaultPlan::always(5, &[FaultSite::InterpFuel]));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        exo::kernels::gemmini_gemm::trace_matmul(p.proc(), 32, 32, 32, false)
-    }));
-    // trace_matmul panics (documented) when the machine errors — but the
-    // machine itself must have reported a typed budget error, counted
-    // by obs, rather than hanging.
-    let stops = exo::obs::counter_get("interp.budget_stops");
-    assert!(stops > 0, "InterpFuel injection did not stop the machine");
-    assert!(outcome.is_err() || chaos::injection_counts()[5].1 > 0);
+    let args = schedlib::gemm_args(32, 32, 32, DataType::I8, DataType::I32);
+    let Err(err) = schedlib::run_patterned(p.proc(), &args, false) else {
+        panic!("InterpFuel injection did not stop the machine");
+    };
+    assert!(err.budget_exhausted, "not a budget error: {err}");
+    let fired = chaos::injection_counts()
+        .into_iter()
+        .find(|&(s, _)| s == FaultSite::InterpFuel);
+    assert!(matches!(fired, Some((_, n)) if n > 0));
 }
 
 /// Env-var arming honours `EXO_CHAOS` syntax (exercised directly via

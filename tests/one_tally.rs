@@ -1,8 +1,8 @@
 //! One tally per fact: the solver's `SolverStats`, the checking context's
 //! `CheckStats` and the chaos plan's `injection_counts` are the only
 //! records of their facts. They read the same whether the global
-//! registry records or not, and the registry holds no mirror of them and
-//! no histogram.
+//! registry records or not, and the registry holds spans only: no
+//! counter, no histogram, no mirror of them.
 //!
 //! One test in its own binary, because it switches the process-wide
 //! registry off and on.
@@ -13,7 +13,7 @@ use exo::analysis::SharedCheckCtx;
 use exo::chaos::{FaultPlan, FaultSite};
 use exo::hwlibs::Avx512Lib;
 use exo::kernels::x86_gemm::schedule_sgemm;
-use exo::obs::Registry;
+use exo::obs::{Json, Registry};
 use exo::sched::SchedState;
 use exo::smt::formula::Formula;
 use exo::smt::solver::SolverStats;
@@ -57,22 +57,16 @@ fn stats_are_the_only_tally_and_read_the_same_with_the_registry_off() {
         assert_eq!(fired, Some((FaultSite::AnalysisCacheMiss, 1)));
     }
 
-    let mirrors: Vec<(&str, u64)> = reg
-        .counters()
-        .into_iter()
-        .filter(|(name, _)| {
-            name.starts_with("smt.")
-                || name.starts_with("check.")
-                || name.starts_with("chaos.injected.")
-                || *name == "sched.ops"
+    // the registry keeps spans only: no counter, histogram or other
+    // mirror of a stat lands in its export
+    let dump = reg.json_lines();
+    assert!(!dump.is_empty(), "the fig5a chain recorded no span");
+    let others: Vec<&str> = dump
+        .lines()
+        .filter(|l| {
+            let record = Json::parse(l).expect("a JSON line parses");
+            record.get("type").and_then(Json::as_str) != Some("span")
         })
         .collect();
-    assert!(mirrors.is_empty(), "registry mirrors of stats: {mirrors:?}");
-    let hists: Vec<String> = reg
-        .json_lines()
-        .lines()
-        .filter(|l| l.contains(r#""type":"hist""#))
-        .map(str::to_string)
-        .collect();
-    assert!(hists.is_empty(), "histogram lines: {hists:?}");
+    assert!(others.is_empty(), "non-span records: {others:?}");
 }
