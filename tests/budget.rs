@@ -84,3 +84,22 @@ fn schedule_chain_degrades_under_fuel() {
     gemmini_gemm::schedule_matmul(&GemminiLib::new(), &state, 32, 32, 32)
         .expect("unlimited budget accepts");
 }
+
+/// Every `SchedState::default()` checks with a context of its own: a
+/// budget installed through one schedule's root reaches no other state,
+/// and a new state starts with no verdicts and no counts.
+#[test]
+fn a_default_state_shares_nothing() {
+    let lib = GemminiLib::new();
+    let first = Arc::new(Mutex::new(SchedState::default()));
+    gemmini_gemm::schedule_matmul(&lib, &first, 32, 32, 32).expect("first schedule");
+    assert!(first.lock().unwrap().check.stats().queries > 0);
+
+    Procedure::new(gemmini_gemm::naive_matmul(32, 32, 32)).set_budget(ResourceBudget::with_fuel(1));
+
+    let second = Arc::new(Mutex::new(SchedState::default()));
+    let check = second.lock().unwrap().check.clone();
+    assert_eq!(check.stats(), Default::default());
+    gemmini_gemm::schedule_matmul(&lib, &second, 32, 32, 32).expect("second schedule");
+    assert_eq!(check.stats().budget_unknown, 0);
+}
