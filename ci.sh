@@ -21,6 +21,9 @@ echo "== obs / smt / analysis unit + integration tests (the registry records spa
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 cargo test -q --release -p exo-kernels --test verdict_corpus
 
+echo "== core / chaos / bench tests (IR, budget and diagnostics unit tests; the seeded fault plans; perf_diff's unit and binary tests and the bench helpers) =="
+cargo test -q -p exo-core -p exo-chaos -p exo-bench
+
 echo "== front-end / hardware libraries (memory resolution, @instr print/parse round trip) =="
 cargo test -q -p exo-front -p exo-hwlibs
 

@@ -377,14 +377,14 @@ mod tests {
 
     fn run(p: &Proc) -> Result<(), Vec<CheckError>> {
         let mut reg = GlobalReg::new();
-        check_bounds(p, &mut reg, &SharedCheckCtx::process())
+        check_bounds(p, &mut reg, &SharedCheckCtx::fresh())
     }
 
     /// The bounds check of the code at `path`, posed through its site;
     /// `None` if the path is invalid.
     fn run_at(p: &Proc, path: &StmtPath) -> Option<Result<(), Vec<CheckError>>> {
         let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
+        let check = SharedCheckCtx::fresh();
         let mut q = SiteQuery::new(p, path, &mut reg, &check)?;
         Some(q.check_bounds())
     }

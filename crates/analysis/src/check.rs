@@ -7,15 +7,15 @@
 //! [`exo_core::sym::Sym`]s, so a structurally keyed cache would never see
 //! a repeat. [`SharedCheckCtx`] closes that gap:
 //!
-//! * all validity/satisfiability queries funnel through one process-wide
-//!   solver instead of per-call-site `Solver::new()` throwaways;
+//! * all validity/satisfiability queries of one scheduling state funnel
+//!   through its context's one solver instead of per-call-site
+//!   `Solver::new()` throwaways;
 //! * each query is first alpha-normalized by [`exo_smt::canonicalize`]
 //!   and memoized keyed by the *canonical formula* (full structural
 //!   equality, not a hash, so collisions cannot corrupt verdicts);
 //! * the cache is bounded: when it holds `CACHE_CAP` (65 536) verdicts it is
-//!   cleared before the next one goes in, so a long-lived process (the
-//!   process-wide context lives as long as the process) cannot grow it
-//!   without limit;
+//!   cleared before the next one goes in, so a long-lived context (one
+//!   state scheduling many kernels) cannot grow it without limit;
 //! * [`CheckStats`] ([`SharedCheckCtx::stats`]) is the one record of
 //!   the context's work: queries, hits, misses, live entries, clears of
 //!   a full cache and budget refusals. No registry counter mirrors it,
@@ -28,7 +28,7 @@
 //! for the verdict-parity tests. Verdicts are identical either way
 //! because canonical renaming is semantics-preserving.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use exo_core::budget::ResourceBudget;
 use exo_core::hash::HashMap;
@@ -106,7 +106,7 @@ impl CheckCtx {
         }
         // While a chaos plan is armed, injected verdicts may flow back from
         // the solver; keep them out of the canonical cache entirely so a
-        // later clean run over the same (possibly process-shared) context
+        // later clean run over the same (possibly shared) context
         // sees pristine verdicts.
         let chaos_armed = exo_chaos::armed();
         let forced_miss =
@@ -155,14 +155,6 @@ impl SharedCheckCtx {
         SharedCheckCtx(Arc::new(Mutex::new(CheckCtx::with_cache(enabled))))
     }
 
-    /// The process-wide shared context. All `SchedState::default()`
-    /// instances alias this one, so obligations cache across every
-    /// schedule built in the process.
-    pub fn process() -> SharedCheckCtx {
-        static PROCESS: OnceLock<SharedCheckCtx> = OnceLock::new();
-        PROCESS.get_or_init(SharedCheckCtx::fresh).clone()
-    }
-
     /// Locks the context. Poisoning is ignored: the cache only ever holds
     /// sound verdicts, so a panic elsewhere cannot corrupt it.
     fn lock(&self) -> MutexGuard<'_, CheckCtx> {
@@ -196,11 +188,6 @@ impl SharedCheckCtx {
         }
     }
 
-    /// Checks validity of `hyp ⇒ goal`.
-    pub fn check_entails(&self, hyp: Formula, goal: Formula) -> Answer {
-        self.check_valid(hyp.implies(goal))
-    }
-
     /// Activity counters for this context.
     pub fn stats(&self) -> CheckStats {
         let ck = self.lock();
@@ -220,13 +207,6 @@ impl SharedCheckCtx {
     pub fn verdicts(&self) -> Vec<(Formula, Answer)> {
         let ck = self.lock();
         ck.cache.iter().map(|(f, &a)| (f.clone(), a)).collect()
-    }
-}
-
-impl Default for SharedCheckCtx {
-    /// The default handle aliases the process-wide context.
-    fn default() -> SharedCheckCtx {
-        SharedCheckCtx::process()
     }
 }
 
@@ -321,14 +301,5 @@ mod tests {
         let before = a.stats().queries;
         let _ = b.check_valid(valid_shape(2));
         assert_eq!(a.stats().queries, before + 1);
-    }
-
-    #[test]
-    fn process_context_is_a_singleton() {
-        let a = SharedCheckCtx::process();
-        let b = SharedCheckCtx::default();
-        let before = b.stats().queries;
-        let _ = a.check_valid(valid_shape(4));
-        assert!(b.stats().queries > before);
     }
 }

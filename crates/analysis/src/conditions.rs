@@ -240,7 +240,7 @@ mod tests {
     use exo_smt::solver::Answer;
 
     fn check(ctx: &LowerCtx, goal: &Formula) -> Answer {
-        let s = SharedCheckCtx::process();
+        let s = SharedCheckCtx::fresh();
         s.check_valid(ctx.assumptions().implies(goal.clone()))
     }
 
@@ -326,7 +326,7 @@ mod tests {
             exo_smt::linear::LinExpr::var(jo),
         )
         .negate();
-        let s = SharedCheckCtx::process();
+        let s = SharedCheckCtx::fresh();
         let goal = Formula::and(vec![hyp, ctx.assumptions()]).implies(f);
         assert_eq!(s.check_valid(goal), Answer::Yes);
     }

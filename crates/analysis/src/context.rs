@@ -392,7 +392,7 @@ mod tests {
         let mut reg = GlobalReg::new();
         // site = the assign inside the loop
         let path = StmtPath::top(0).child(0, 0);
-        let check = SharedCheckCtx::process();
+        let check = SharedCheckCtx::fresh();
         let post = SiteQuery::new(&p, &path, &mut reg, &check)
             .expect("valid path")
             .post_effect();
@@ -422,7 +422,7 @@ mod tests {
         b.end_if();
         let p = b.finish();
         let mut reg = GlobalReg::new();
-        let check = SharedCheckCtx::process();
+        let check = SharedCheckCtx::fresh();
         let mut q = SiteQuery::new(&p, &StmtPath::top(0), &mut reg, &check).expect("valid path");
         assert!(!q.extends_context(&[(c, f)]).is_yes());
         // polluting a *different* field is fine

@@ -803,7 +803,7 @@ pub(crate) mod tests {
         ));
         let mut ctx = LowerCtx::new();
         let lb = ctx.lower_bool(&e);
-        let solver = SharedCheckCtx::process();
+        let solver = SharedCheckCtx::fresh();
         let goal = ctx.assumptions().implies(lb.definitely());
         assert_eq!(solver.check_valid(goal), Answer::Yes);
     }
@@ -813,7 +813,7 @@ pub(crate) mod tests {
         let mut ctx = LowerCtx::new();
         let e = EffExpr::Unknown.le(EffExpr::Int(100));
         let lb = ctx.lower_bool(&e);
-        let solver = SharedCheckCtx::process();
+        let solver = SharedCheckCtx::fresh();
         // D(⊥ ≤ 100) is not valid …
         assert_eq!(solver.check_valid(lb.clone().definitely()), Answer::No);
         // … but M(⊥ ≤ 100) is
@@ -826,7 +826,7 @@ pub(crate) mod tests {
         let mut ctx = LowerCtx::new();
         let e = EffExpr::Bool(false).and(EffExpr::Unknown);
         let lb = ctx.lower_bool(&e);
-        let solver = SharedCheckCtx::process();
+        let solver = SharedCheckCtx::fresh();
         assert_eq!(solver.check_valid(lb.maybe().negate()), Answer::Yes);
     }
 

@@ -792,7 +792,7 @@ mod tests {
     }
 
     fn solve_valid(ctx: &LowerCtx, goal: Formula) -> Answer {
-        let s = SharedCheckCtx::process();
+        let s = SharedCheckCtx::fresh();
         s.check_valid(ctx.assumptions().implies(goal))
     }
 
@@ -808,7 +808,7 @@ mod tests {
         let mut ctx = LowerCtx::new();
         let m = member(&set, &tgt, &mut ctx);
         // membership holds exactly when c == 3
-        let s = SharedCheckCtx::process();
+        let s = SharedCheckCtx::fresh();
         let is_three = Formula::eq(LinExpr::var(c), LinExpr::constant(3));
         assert_eq!(s.check_valid(m.definitely().iff(is_three)), Answer::Yes);
     }
@@ -855,7 +855,7 @@ mod tests {
         };
         let mut ctx = LowerCtx::new();
         let m = member(&set, &tgt, &mut ctx);
-        let s = SharedCheckCtx::process();
+        let s = SharedCheckCtx::fresh();
         // c = 6 is in
         let at6 = m.clone().definitely().subst(c, &LinExpr::constant(6));
         assert_eq!(s.check_valid(ctx.assumptions().implies(at6)), Answer::Yes);

@@ -19,7 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use exo_bench::{isolated_state, write_bench_json};
+use exo_bench::{fresh_state, write_bench_json};
 use exo_chaos::{FaultPlan, FaultSite};
 use exo_hwlibs::{Avx512Lib, GemminiLib};
 use exo_kernels::{gemmini_gemm, x86_gemm};
@@ -68,7 +68,7 @@ fn main() {
     exo_chaos::disarm();
     let mut baseline = Vec::new();
     for (name, chain) in chains {
-        match chain(&isolated_state(true)) {
+        match chain(&fresh_state()) {
             Ok(p) => baseline.push(p.show()),
             Err(e) => {
                 eprintln!("FATAL: {name} clean chain rejected: {e}");
@@ -87,7 +87,7 @@ fn main() {
             for prob in [1.0, 0.5] {
                 for (i, (name, chain)) in chains.iter().enumerate() {
                     let guard = exo_chaos::arm(FaultPlan::new(seed).with_site(site, prob));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| chain(&isolated_state(true))));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| chain(&fresh_state())));
                     let injected: u64 = exo_chaos::injection_counts().iter().map(|&(_, n)| n).sum();
                     drop(guard);
                     injected_total += injected;
@@ -139,7 +139,7 @@ fn main() {
     // reproduce the baseline schedules exactly.
     exo_chaos::disarm();
     for (i, (name, chain)) in chains.iter().enumerate() {
-        match chain(&isolated_state(true)) {
+        match chain(&fresh_state()) {
             Ok(p) if p.show() == baseline[i] => {}
             Ok(_) => {
                 violations += 1;

@@ -7,13 +7,14 @@
 //! The binary exits nonzero if a cached run reports zero hits — the
 //! regression guard for the cache plumbing.
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use exo_bench::{isolated_state, write_bench_json};
+use exo_bench::{fresh_state, write_bench_json};
 use exo_hwlibs::Avx512Lib;
 use exo_kernels::x86_gemm::schedule_sgemm;
 use exo_obs::Json;
-use exo_sched::StateRef;
+use exo_sched::{SchedState, SharedCheckCtx, StateRef};
 
 struct Phase {
     name: &'static str,
@@ -64,10 +65,12 @@ fn main() {
 
     // cold + warm share one private cache-enabled context; nocache gets
     // its own cache-disabled context.
-    let cached = isolated_state(true);
+    let cached = fresh_state();
     let cold = run_chain(&lib, &cached, "cold");
     let warm = run_chain(&lib, &cached, "warm");
-    let nocache_state = isolated_state(false);
+    let nocache_state = Arc::new(Mutex::new(SchedState::with_check(
+        SharedCheckCtx::with_cache(false),
+    )));
     let nocache = run_chain(&lib, &nocache_state, "nocache");
 
     println!(

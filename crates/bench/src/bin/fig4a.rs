@@ -7,8 +7,6 @@ use exo_bench::{
 use exo_hwlibs::GemminiLib;
 
 fn main() {
-    // `EXO_CHAOS=site[:prob],...` arms fault injection for this run.
-    let _chaos = exo_chaos::arm_from_env();
     let lib = GemminiLib::new();
     let state = fresh_state();
     let rows: Vec<_> = fig4a_shapes()

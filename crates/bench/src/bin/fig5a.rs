@@ -8,8 +8,6 @@ use exo_obs::Json;
 use x86_sim::CoreModel;
 
 fn main() {
-    // `EXO_CHAOS=site[:prob],...` arms fault injection for this run.
-    let _chaos = exo_chaos::arm_from_env();
     let core = CoreModel::tiger_lake();
     let strategies = [GemmStrategy::exo(), GemmStrategy::mkl_like()];
     println!(

@@ -58,9 +58,6 @@ fn subjects(state: &StateRef) -> Vec<Subject> {
 }
 
 fn main() {
-    // `EXO_CHAOS=site[:prob],...` arms fault injection for this run.
-    let _chaos = exo_chaos::arm_from_env();
-
     let state = fresh_state();
     let check = state
         .lock()

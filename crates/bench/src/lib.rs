@@ -129,19 +129,11 @@ impl UtilRow {
     }
 }
 
-/// A fresh shared scheduling state (aliasing the process-wide checking
-/// context, so obligations cache across benchmark phases).
+/// A fresh scheduling state with a private, cached checking context:
+/// the phases a binary schedules on one state share its verdicts, and
+/// no other state sees them.
 pub fn fresh_state() -> StateRef {
     Arc::new(Mutex::new(SchedState::default()))
-}
-
-/// A scheduling state with a *private* checking context, canonical cache
-/// explicitly on or off — used by the cache benchmarks, where sharing
-/// the process-wide cache would contaminate the cold phase.
-pub fn isolated_state(cache: bool) -> StateRef {
-    Arc::new(Mutex::new(SchedState::with_check(
-        exo_sched::SharedCheckCtx::with_cache(cache),
-    )))
 }
 
 /// JSON summary of the checking context's activity (canonical-cache and

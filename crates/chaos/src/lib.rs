@@ -36,13 +36,6 @@
 //! No plan is armed by default. [`should_inject`] first reads one relaxed
 //! `AtomicBool`; when no plan is armed it returns `false` without locking or
 //! touching the PRNG, so production builds pay a single predictable branch.
-//!
-//! ## Environment
-//!
-//! [`arm_from_env`] arms a plan from `EXO_CHAOS` (site list with optional
-//! probabilities, e.g. `EXO_CHAOS="smt:0.5,pattern-no-match"` or
-//! `EXO_CHAOS=all`) and `EXO_CHAOS_SEED` (u64 seed, default 0). This is how
-//! the chaos bench and ad-hoc debugging arm the harness without code changes.
 
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
@@ -84,7 +77,7 @@ impl FaultSite {
         FaultSite::InterpFuel,
     ];
 
-    /// Stable lowercase name, used in env parsing and reports.
+    /// Stable lowercase name, used in reports.
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::SmtTooHard => "smt-too-hard",
@@ -93,20 +86,6 @@ impl FaultSite {
             FaultSite::PatternNoMatch => "pattern-no-match",
             FaultSite::PatternAmbiguous => "pattern-ambiguous",
             FaultSite::InterpFuel => "interp-fuel",
-        }
-    }
-
-    /// Parse a site name as produced by [`FaultSite::name`]. A few short
-    /// aliases are accepted for the env-var form.
-    pub fn parse(s: &str) -> Option<FaultSite> {
-        match s.trim() {
-            "smt-too-hard" | "smt" => Some(FaultSite::SmtTooHard),
-            "analysis-bottom" | "bottom" => Some(FaultSite::AnalysisBottom),
-            "analysis-cache-miss" | "cache-miss" => Some(FaultSite::AnalysisCacheMiss),
-            "pattern-no-match" | "no-match" => Some(FaultSite::PatternNoMatch),
-            "pattern-ambiguous" | "ambiguous" => Some(FaultSite::PatternAmbiguous),
-            "interp-fuel" | "fuel" => Some(FaultSite::InterpFuel),
-            _ => None,
         }
     }
 
@@ -183,29 +162,6 @@ impl FaultPlan {
     pub fn with_site(mut self, site: FaultSite, prob: f64) -> FaultPlan {
         self.probs[site.index()] = prob.clamp(0.0, 1.0);
         self
-    }
-
-    /// The plan's PRNG seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Sites with nonzero probability, in stable order.
-    pub fn sites(&self) -> Vec<FaultSite> {
-        FaultSite::ALL
-            .iter()
-            .copied()
-            .filter(|s| self.probs[s.index()] > 0.0)
-            .collect()
-    }
-
-    /// Human-readable summary, e.g. `seed=7 smt-too-hard:0.50 interp-fuel:1.00`.
-    pub fn describe(&self) -> String {
-        let mut out = format!("seed={}", self.seed);
-        for s in self.sites() {
-            out.push_str(&format!(" {}:{:.2}", s.name(), self.probs[s.index()]));
-        }
-        out
     }
 }
 
@@ -316,43 +272,6 @@ pub fn injection_counts() -> Vec<(FaultSite, u64)> {
     }
 }
 
-/// Arm from `EXO_CHAOS` / `EXO_CHAOS_SEED`, if set.
-///
-/// `EXO_CHAOS` is a comma-separated list of `site[:prob]` entries (site names
-/// as in [`FaultSite::name`], plus the literal `all`); `EXO_CHAOS_SEED` is a
-/// u64 (default 0). Returns `None` (and arms nothing) when `EXO_CHAOS` is
-/// unset, empty, or unparseable.
-pub fn arm_from_env() -> Option<ChaosGuard> {
-    let spec = std::env::var("EXO_CHAOS").ok()?;
-    let spec = spec.trim();
-    if spec.is_empty() {
-        return None;
-    }
-    let seed = std::env::var("EXO_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0);
-    let mut plan = FaultPlan::new(seed);
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (name, prob) = match entry.split_once(':') {
-            Some((n, p)) => (n, p.trim().parse::<f64>().ok()?),
-            None => (entry, 1.0),
-        };
-        if name.trim() == "all" {
-            for &s in &FaultSite::ALL {
-                plan = plan.with_site(s, prob);
-            }
-        } else {
-            plan = plan.with_site(FaultSite::parse(name)?, prob);
-        }
-    }
-    Some(arm(plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,21 +347,5 @@ mod tests {
             .find(|(s, _)| *s == FaultSite::InterpFuel)
             .map(|(_, n)| *n);
         assert_eq!(fuel, Some(5));
-    }
-
-    #[test]
-    fn site_names_round_trip() {
-        for &s in &FaultSite::ALL {
-            assert_eq!(FaultSite::parse(s.name()), Some(s));
-        }
-        assert_eq!(FaultSite::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn describe_lists_sites() {
-        let plan = FaultPlan::new(9).with_site(FaultSite::SmtTooHard, 0.25);
-        let d = plan.describe();
-        assert!(d.contains("seed=9") && d.contains("smt-too-hard:0.25"));
-        assert_eq!(plan.sites(), vec![FaultSite::SmtTooHard]);
     }
 }

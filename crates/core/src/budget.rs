@@ -109,9 +109,8 @@ impl ResourceBudget {
 
     /// Draw `n` fuel units and check the deadline. `Err` once exhausted
     /// (sticky: every later call also errs). The interpreter's step loop
-    /// and both simulators' instruction loops call this once per step, so
-    /// the unlimited budget's check is inlined into them; the unlimited
-    /// budget can never trip.
+    /// calls this once per step, so the unlimited budget's check is
+    /// inlined into it; the unlimited budget can never trip.
     #[inline]
     pub fn charge(&self, n: u64) -> Result<(), BudgetError> {
         if self.inner.limited {

@@ -45,49 +45,6 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Outcome of a checked rewrite or probe.
-///
-/// The scheduling operators record it on their `sched.<op>` spans as
-/// [`Verdict::name`] (`accepted` / `rejected`) plus the reason, exactly
-/// as lint diagnostics spell severities with [`Severity::name`] — so
-/// machine consumers never have to reconcile two spellings of the same
-/// outcome.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// The rewrite was applied; its checks (if any) passed.
-    Accepted,
-    /// The rewrite was refused; the payload says why.
-    Rejected(String),
-}
-
-impl Verdict {
-    /// Lower-case name, as used in rendered output and JSON (the
-    /// rejection reason is carried separately).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Verdict::Accepted => "accepted",
-            Verdict::Rejected(_) => "rejected",
-        }
-    }
-
-    /// The rejection reason, when there is one.
-    pub fn reason(&self) -> Option<&str> {
-        match self {
-            Verdict::Accepted => None,
-            Verdict::Rejected(why) => Some(why),
-        }
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Accepted => f.write_str("accepted"),
-            Verdict::Rejected(why) => write!(f, "rejected: {why}"),
-        }
-    }
-}
-
 /// One structured finding.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Diagnostic {
@@ -168,16 +125,6 @@ mod tests {
         assert!(Severity::Info < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
         assert_eq!(Severity::Error.name(), "error");
-    }
-
-    #[test]
-    fn verdict_names_and_reasons() {
-        assert_eq!(Verdict::Accepted.name(), "accepted");
-        assert_eq!(Verdict::Accepted.reason(), None);
-        let r = Verdict::Rejected("out of bounds".into());
-        assert_eq!(r.name(), "rejected");
-        assert_eq!(r.reason(), Some("out of bounds"));
-        assert_eq!(r.to_string(), "rejected: out of bounds");
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl Stmt {
             _ => vec![],
         }
     }
-
-    /// Whether this statement is a leaf (has no sub-blocks).
-    pub fn is_leaf(&self) -> bool {
-        !matches!(self, Stmt::If { .. } | Stmt::For { .. })
-    }
 }
 
 /// A formal parameter of a procedure.
@@ -465,11 +460,6 @@ impl ConfigDecl {
     pub fn field(&self, name: Sym) -> Option<&ConfigField> {
         self.fields.iter().find(|f| f.name == name)
     }
-
-    /// Looks up a field by spelling.
-    pub fn field_named(&self, name: &str) -> Option<&ConfigField> {
-        self.fields.iter().find(|f| f.name.name() == name)
-    }
 }
 
 #[cfg(test)]
@@ -504,15 +494,18 @@ mod tests {
             orelse: vec![],
         };
         assert_eq!(s.blocks().len(), 2);
-        assert!(!s.is_leaf());
-        assert!(Stmt::Pass.is_leaf());
+        assert!(Stmt::Pass.blocks().is_empty());
     }
 
     #[test]
     fn config_lookup() {
         let c = ConfigDecl::new("ConfigLoad", vec![("src_stride", CtrlType::Stride)]);
-        assert!(c.field_named("src_stride").is_some());
-        assert!(c.field_named("dst_stride").is_none());
+        let src = c.fields[0].name;
+        assert_eq!(
+            c.field(src).map(|f| f.name.name()),
+            Some("src_stride".into())
+        );
+        assert!(c.field(Sym::new("src_stride")).is_none());
         assert!(c.materialize);
     }
 

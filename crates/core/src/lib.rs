@@ -71,7 +71,7 @@ pub mod types;
 pub mod visit;
 
 pub use budget::{BudgetError, Resource, ResourceBudget};
-pub use diag::{Diagnostic, Severity, Verdict};
+pub use diag::{Diagnostic, Severity};
 pub use ir::{
     ArgType, BinOp, Block, ConfigDecl, ConfigField, Expr, FnArg, InstrTemplate, Lit, Proc, Stmt,
     WAccess,

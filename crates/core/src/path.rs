@@ -85,12 +85,6 @@ impl StmtPath {
         last.idx = idx as usize;
         Some(StmtPath(v))
     }
-
-    /// Whether `self` is a strict prefix of `other` (i.e. `other` is
-    /// nested inside the statement addressed by `self`).
-    pub fn is_prefix_of(&self, other: &StmtPath) -> bool {
-        other.0.len() > self.0.len() && other.0[..self.0.len()] == self.0[..]
-    }
 }
 
 impl fmt::Display for StmtPath {
@@ -278,8 +272,6 @@ mod tests {
     fn path_relations() {
         let p = StmtPath::top(2);
         let c = p.child(0, 1);
-        assert!(p.is_prefix_of(&c));
-        assert!(!c.is_prefix_of(&p));
         assert_eq!(c.parent(), Some(p.clone()));
         assert_eq!(p.sibling(1).unwrap(), StmtPath::top(3));
         assert!(StmtPath::top(0).sibling(-1).is_none());

@@ -64,12 +64,6 @@ impl Sym {
     pub fn id(self) -> u32 {
         self.0
     }
-
-    /// Returns a spelling guaranteed unique across all symbols
-    /// (`name_id`), for use in generated code.
-    pub fn unique_name(self) -> String {
-        format!("{}_{}", self.name(), self.0)
-    }
 }
 
 impl fmt::Display for Sym {
@@ -102,12 +96,6 @@ mod tests {
         let b = a.copy();
         assert_ne!(a, b);
         assert_eq!(b.name(), "loop_var");
-    }
-
-    #[test]
-    fn unique_name_embeds_id() {
-        let a = Sym::new("i");
-        assert_eq!(a.unique_name(), format!("i_{}", a.id()));
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl DataType {
             DataType::I8 | DataType::U8 => 1,
         }
     }
-
-    /// Whether this is an integer (fixed-point) type.
-    pub fn is_integral(self) -> bool {
-        matches!(
-            self,
-            DataType::I8 | DataType::I32 | DataType::U8 | DataType::U16
-        )
-    }
 }
 
 impl fmt::Display for DataType {
@@ -134,11 +126,6 @@ impl MemName {
         static DRAM: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
         MemName(*DRAM.get_or_init(|| Sym::new("DRAM")))
     }
-
-    /// Whether this is the default DRAM memory.
-    pub fn is_dram(self) -> bool {
-        self == MemName::dram()
-    }
 }
 
 impl fmt::Display for MemName {
@@ -167,8 +154,7 @@ mod tests {
     #[test]
     fn dram_is_singleton() {
         assert_eq!(MemName::dram(), MemName::dram());
-        assert!(MemName::dram().is_dram());
-        assert!(!MemName(Sym::new("SCRATCH")).is_dram());
+        assert_ne!(MemName(Sym::new("SCRATCH")), MemName::dram());
     }
 
     #[test]
@@ -176,12 +162,5 @@ mod tests {
         assert_eq!(DataType::F32.to_string(), "f32");
         assert_eq!(CtrlType::Size.to_string(), "size");
         assert_eq!(MemName::dram().to_string(), "DRAM");
-    }
-
-    #[test]
-    fn integral_classification() {
-        assert!(DataType::I8.is_integral());
-        assert!(!DataType::F32.is_integral());
-        assert!(!DataType::R.is_integral());
     }
 }

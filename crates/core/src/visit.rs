@@ -156,16 +156,8 @@ pub fn map_stmt_exprs(s: &Stmt, f: &mut impl FnMut(Expr) -> Expr) -> Stmt {
     }
 }
 
-/// Substitutes control variables: every `Expr::Var(x)` with `x` in `map`
-/// is replaced by the mapped expression.
-pub fn subst_expr(e: &Expr, map: &HashMap<Sym, Expr>) -> Expr {
-    map_expr(e, &mut |e| match &e {
-        Expr::Var(x) => map.get(x).cloned().unwrap_or(e),
-        _ => e,
-    })
-}
-
-/// Substitutes control variables throughout a block.
+/// Substitutes control variables throughout a block: every `Expr::Var(x)`
+/// with `x` in `map` is replaced by the mapped expression.
 pub fn subst_block(b: &[Stmt], map: &HashMap<Sym, Expr>) -> Block {
     map_block_exprs(b, &mut |e| match &e {
         Expr::Var(x) => map.get(x).cloned().unwrap_or(e),
@@ -752,11 +744,19 @@ mod tests {
     #[test]
     fn subst_replaces_vars() {
         let x = Sym::new("x");
-        let e = Expr::var(x).add(Expr::int(1));
+        let a = Sym::new("a");
+        let store = |i: Expr| Stmt::Assign {
+            buf: a,
+            idx: vec![i],
+            rhs: Expr::float(0.0),
+        };
         let mut m = HashMap::default();
         m.insert(x, Expr::int(41));
-        let e2 = subst_expr(&e, &m);
-        assert_eq!(e2, Expr::bin(BinOp::Add, Expr::int(41), Expr::int(1)));
+        let b = subst_block(&[store(Expr::var(x).add(Expr::int(1)))], &m);
+        assert_eq!(
+            b,
+            [store(Expr::bin(BinOp::Add, Expr::int(41), Expr::int(1)))]
+        );
     }
 
     #[test]

@@ -667,8 +667,14 @@ mod tests {
             trace.push(matmul((1, 0), (1, 256), (2, 0)));
         }
         let r = Simulator::new(SimConfig::software()).run(&trace);
-        let busy_load = r.busy_of(Unit::Load);
-        let busy_exec = r.busy_of(Unit::Execute);
+        let busy = |unit| {
+            r.busy
+                .iter()
+                .find(|b| b.unit == unit)
+                .map_or(0, |b| b.busy_cycles)
+        };
+        let busy_load = busy(Unit::Load);
+        let busy_exec = busy(Unit::Execute);
         assert!(
             r.cycles < busy_load + busy_exec,
             "no overlap: {} !< {} + {}",

@@ -38,15 +38,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Busy cycles of a unit (0 if never used).
-    pub fn busy_of(&self, unit: Unit) -> u64 {
-        self.busy
-            .iter()
-            .find(|b| b.unit == unit)
-            .map(|b| b.busy_cycles)
-            .unwrap_or(0)
-    }
-
     /// JSON form of the report (one object, units in a stable order).
     pub fn to_json(&self) -> Json {
         let mut busy: Vec<&UnitBusy> = self.busy.iter().collect();

@@ -269,7 +269,7 @@ mod tests {
 
     /// Checks the schedule poses on a fresh checking context.
     fn checks_posed(m: i64, k: i64) -> usize {
-        let st = Arc::new(Mutex::new(SchedState::isolated()));
+        let st = Arc::new(Mutex::new(SchedState::default()));
         schedule_sgemm(&Avx512Lib::new(), &st, m, 128, k, 6, 64).expect("schedule");
         let queries = st.lock().unwrap().check.stats().queries;
         queries

@@ -20,47 +20,47 @@ fn state() -> StateRef {
 }
 
 /// Compares a transcript with the recorded one.
-fn assert_transcript(p: Result<Procedure, SchedError>, want: &[(&str, &str)], directives: usize) {
+fn assert_transcript(p: Result<Procedure, SchedError>, want: &[(&str, &str)]) {
     let p = p.expect("schedule");
     let events = p.transcript();
     let got: Vec<(&str, &str)> = events.iter().map(|e| (e.op, e.target.as_str())).collect();
     assert_eq!(got, want);
-    assert_eq!(p.directives(), directives);
+    assert_eq!(p.directives(), want.len());
 }
 
 #[test]
 fn gemmini_matmul_resident_b() {
     let lib = GemminiLib::new();
     let p = schedule_matmul(&lib, &state(), 32, 32, 32);
-    assert_transcript(p, MATMUL_RESIDENT_B, 34);
+    assert_transcript(p, MATMUL_RESIDENT_B);
 }
 
 #[test]
 fn gemmini_matmul_panel_b() {
     let lib = GemminiLib::new();
     let p = schedule_matmul(&lib, &state(), 32, 256, 1024);
-    assert_transcript(p, MATMUL_PANEL_B, 33);
+    assert_transcript(p, MATMUL_PANEL_B);
 }
 
 #[test]
 fn gemmini_conv_one_tile_row() {
     let lib = GemminiLib::new();
     let p = schedule_conv(&lib, &state(), &ConvShape::fig4b(4, 32, 32));
-    assert_transcript(p, CONV_ONE_TILE_ROW, 46);
+    assert_transcript(p, CONV_ONE_TILE_ROW);
 }
 
 #[test]
 fn gemmini_conv_multi_tile_row() {
     let lib = GemminiLib::new();
     let p = schedule_conv(&lib, &state(), &ConvShape::fig4b(28, 32, 32));
-    assert_transcript(p, CONV_MULTI_TILE_ROW, 46);
+    assert_transcript(p, CONV_MULTI_TILE_ROW);
 }
 
 #[test]
 fn x86_sgemm() {
     let lib = Avx512Lib::new();
     let p = schedule_sgemm(&lib, &state(), 12, 128, 8, 6, 64);
-    assert_transcript(p, SGEMM, 21);
+    assert_transcript(p, SGEMM);
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn x86_conv() {
         kdim: 3,
     };
     let p = schedule_conv_avx512(&lib, &state(), &shape, 4);
-    assert_transcript(p, CONV_AVX512, 21);
+    assert_transcript(p, CONV_AVX512);
 }
 
 const MATMUL_RESIDENT_B: &[(&str, &str)] = &[

@@ -9,8 +9,7 @@ use exo_core::types::DataType;
 use exo_lint::{classify_loop, classify_loops, AccessKind, LoopVerdict};
 
 fn ctx() -> (SharedCheckCtx, GlobalReg) {
-    // Private context so these verdicts don't leak into (or depend on)
-    // other suites sharing the process-wide cache.
+    // A context per test, so no verdict depends on another test's.
     (SharedCheckCtx::fresh(), GlobalReg::new())
 }
 

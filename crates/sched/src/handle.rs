@@ -16,7 +16,6 @@ use exo_analysis::context::SiteQuery;
 use exo_analysis::globals::GlobalReg;
 use exo_analysis::SharedCheckCtx;
 use exo_core::budget::ResourceBudget;
-use exo_core::diag::Verdict;
 use exo_core::ir::{FnArg, Proc};
 use exo_core::path::{replace_at, stmt_at, StmtPath};
 use exo_core::{Block, Stmt, Sym};
@@ -127,11 +126,13 @@ fn lock_state(state: &StateRef) -> MutexGuard<'_, SchedState> {
 /// Shared scheduling state: the checking context (solver + canonical
 /// verdict cache), the global registry and the fuel/deadline budget.
 ///
-/// `SchedState::default()` aliases the process-wide
-/// [`SharedCheckCtx::process`] context, so safety obligations discharged
-/// while scheduling one kernel are cache hits while scheduling the next.
-/// Use [`SchedState::isolated`] for benchmarks or tests that need a
-/// private cache. Lock ordering is `SchedState → SharedCheckCtx`.
+/// `SchedState::default()` owns a fresh, cached context of its own, so a
+/// verdict, a count or a budget of one state never reaches another.
+/// Schedules share a context only explicitly: through one [`StateRef`]
+/// (obligations discharged while scheduling one kernel are then cache
+/// hits while scheduling the next) or by handing one [`SharedCheckCtx`]
+/// to [`SchedState::with_check`]. Lock ordering is
+/// `SchedState → SharedCheckCtx`.
 #[derive(Debug)]
 pub struct SchedState {
     /// The shared checking context (reusable solver, canonical-formula
@@ -155,12 +156,6 @@ impl SchedState {
         }
     }
 
-    /// State with a private (non-process-wide), cached checking context.
-    /// Useful for measuring cache behaviour.
-    pub fn isolated() -> SchedState {
-        SchedState::with_check(SharedCheckCtx::fresh())
-    }
-
     /// Installs one shared fuel/deadline pool across everything this state
     /// drives: operator dispatch, the checking context's solver queries,
     /// and the `ValG` effect-analysis fixpoint. Exhaustion anywhere
@@ -174,9 +169,9 @@ impl SchedState {
 }
 
 impl Default for SchedState {
-    /// Aliases the process-wide checking context.
+    /// State with a fresh, private, cached checking context.
     fn default() -> SchedState {
-        SchedState::with_check(SharedCheckCtx::process())
+        SchedState::with_check(SharedCheckCtx::fresh())
     }
 }
 
@@ -210,9 +205,6 @@ pub struct Procedure {
     /// Configuration fields modulo which this procedure is equivalent to
     /// its root.
     polluted: BTreeSet<(Sym, Sym)>,
-    /// Number of scheduling directives applied since the root (the
-    /// "Sched." column of paper Fig. 7).
-    directives: usize,
     /// Schedule provenance: one event per applied rewrite, shared with
     /// the handles this one was derived from.
     transcript: Transcript,
@@ -221,7 +213,8 @@ pub struct Procedure {
 }
 
 impl Procedure {
-    /// Wraps a procedure as the root of a new schedule.
+    /// Wraps a procedure as the root of a new schedule on a state of its
+    /// own ([`SchedState::default`]).
     pub fn new(proc: Arc<Proc>) -> Procedure {
         Procedure::with_state(proc, Arc::new(Mutex::new(SchedState::default())))
     }
@@ -234,7 +227,6 @@ impl Procedure {
             proc,
             state,
             polluted: BTreeSet::new(),
-            directives: 0,
             transcript: Transcript::default(),
             parallel: Vec::new(),
         }
@@ -262,9 +254,11 @@ impl Procedure {
         lock_state(&self.state).set_budget(budget);
     }
 
-    /// Number of scheduling directives applied so far.
+    /// Number of scheduling directives applied since the root: one per
+    /// operator call in the transcript (the "Sched." column of paper
+    /// Fig. 7).
     pub fn directives(&self) -> usize {
-        self.directives
+        self.transcript.events().len()
     }
 
     /// The schedule transcript: one [`ProvenanceEvent`] per rewrite
@@ -348,7 +342,7 @@ impl Procedure {
     }
 
     /// Splices new statements in place of the one at `path`, producing a
-    /// derived procedure (one directive applied, same pollution).
+    /// derived procedure (same pollution).
     pub(crate) fn splice(
         &self,
         path: &StmtPath,
@@ -381,21 +375,19 @@ impl Procedure {
             root: Arc::clone(&self.root),
             state: Arc::clone(&self.state),
             polluted: self.polluted.clone(),
-            directives: self.directives + 1,
             transcript: self.transcript.clone(),
             parallel: self.parallel.clone(),
         }
     }
 
     /// Derives a procedure with one more parallel-approval mark (same
-    /// body; one directive applied).
+    /// body).
     pub(crate) fn with_parallel(&self, mark: ParallelMark) -> Procedure {
         let mut derived = Procedure {
             proc: Arc::clone(&self.proc),
             root: Arc::clone(&self.root),
             state: Arc::clone(&self.state),
             polluted: self.polluted.clone(),
-            directives: self.directives + 1,
             transcript: self.transcript.clone(),
             parallel: self.parallel.clone(),
         };
@@ -459,13 +451,12 @@ impl Procedure {
         let duration_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let post_check = lock_state(&self.state).check.stats();
         let result = result.map_err(|e| e.in_op(op, &target));
-        let verdict = match &result {
-            Ok(_) => Verdict::Accepted,
-            Err(e) => Verdict::Rejected(e.message.clone()),
-        };
-        span.field("verdict", exo_obs::Json::Str(verdict.name().into()));
-        if let Some(reason) = verdict.reason() {
-            span.field("reason", exo_obs::Json::Str(reason.into()));
+        match &result {
+            Ok(_) => span.field("verdict", exo_obs::Json::Str("accepted".into())),
+            Err(e) => {
+                span.field("verdict", exo_obs::Json::Str("rejected".into()));
+                span.field("reason", exo_obs::Json::Str(e.message.clone()));
+            }
         }
         drop(span);
         let mut derived = result?;
@@ -576,8 +567,8 @@ mod tests {
         let q = p
             .splice(&path, &mut |s| vec![s.clone(), Stmt::Pass])
             .unwrap();
-        assert_eq!(q.directives(), 1);
-        assert_eq!(p.directives(), 0);
+        // a splice is one step of an operator, not a directive of its own
+        assert_eq!(q.directives(), 0);
         assert!(q.root_is(p.proc()));
         // original unchanged
         let orig_for = p.find(&Pattern::from("for i in _: _")).unwrap();
@@ -603,6 +594,7 @@ mod tests {
         let r = q.reorder("for io in _: _", "ii").unwrap();
         let ops: Vec<&str> = r.transcript().iter().map(|e| e.op).collect();
         assert_eq!(ops, ["split", "reorder"]);
+        assert_eq!(r.directives(), 2);
         assert!(r.transcript_text().contains("1. split("));
         // the original handle is untouched
         assert!(p.transcript().is_empty());
@@ -664,7 +656,7 @@ mod tests {
         b.assign(a, vec![Expr::var(i), Expr::var(j)], Expr::float(0.0));
         b.end_for();
         b.end_for();
-        let state = Arc::new(Mutex::new(SchedState::isolated()));
+        let state = Arc::new(Mutex::new(SchedState::default()));
         let p = Procedure::with_state(b.finish(), state);
         p.reorder("for i in _: _", "j").unwrap();
 

@@ -15,10 +15,11 @@
 //! Operators locate code with textual [`Pattern`]s and accept
 //! `impl Into<Pattern>`, so plain string literals work:
 //! `p.split("for i in _: _", 4, "io", "ii")`. Safety obligations are
-//! discharged through the state's [`exo_analysis::SharedCheckCtx`] —
-//! by default the process-wide context, so obligations proved while
-//! scheduling one kernel are cache hits on the next (a private
-//! context, cached or not, comes from `SharedCheckCtx::with_cache`).
+//! discharged through the state's [`exo_analysis::SharedCheckCtx`]. A
+//! default state owns a fresh context; schedules that share one state
+//! share its verdicts, so obligations proved while scheduling one kernel
+//! are cache hits on the next (a context with the cache off comes from
+//! `SharedCheckCtx::with_cache`).
 //!
 //! Operators that pollute configuration state (e.g.
 //! [`Procedure::configwrite_at`]) record the polluted fields in the

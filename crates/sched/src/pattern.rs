@@ -278,17 +278,6 @@ impl ParsedPattern {
             }
         })
     }
-
-    /// Finds all matches in a body.
-    pub fn find_all(&self, body: &Block) -> Vec<StmtPath> {
-        let mut hits = Vec::new();
-        visit_paths(body, |p, s| {
-            if self.matches(s) {
-                hits.push(p.clone());
-            }
-        });
-        hits
-    }
 }
 
 fn base_name(lhs: &str) -> Result<String, PatternError> {
@@ -392,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn find_alloc_and_stores() {
+    fn finds_alloc_and_stores() {
         let body = sample();
         assert!(ParsedPattern::parse("t : _").unwrap().find(&body).is_ok());
         assert!(ParsedPattern::parse("A[_] = _")
@@ -407,21 +396,5 @@ mod tests {
             .unwrap()
             .find(&body)
             .is_err());
-    }
-
-    #[test]
-    fn find_all_counts() {
-        let body = sample();
-        assert_eq!(
-            ParsedPattern::parse("for i in _: _")
-                .unwrap()
-                .find_all(&body)
-                .len(),
-            2
-        );
-        assert_eq!(
-            ParsedPattern::parse("pass").unwrap().find_all(&body).len(),
-            1
-        );
     }
 }

@@ -195,8 +195,8 @@ fn run_battery(state: &StateRef) -> Verdicts {
 /// verdicts with the verdict cache enabled and disabled, and running it
 /// twice over one shared cache-enabled context (fresh symbols each time)
 /// still matches — i.e. cache hits never change an answer. Two states
-/// with their own `GlobalReg`s sharing one cached context (what every
-/// `SchedState::default()` does with the process context) match too.
+/// with their own `GlobalReg`s sharing one cached context (handed to both
+/// through `SchedState::with_check`) match too.
 #[test]
 fn verdicts_identical_with_and_without_cache() {
     let cached = state_with_cache(true);

@@ -160,11 +160,6 @@ impl Solver {
         }
     }
 
-    /// Checks validity of `hyp ⇒ goal`.
-    pub fn check_entails(&mut self, hyp: &Formula, goal: &Formula) -> Answer {
-        self.check_valid(&hyp.clone().implies(goal.clone()))
-    }
-
     fn decide(&mut self, f: &Formula) -> Result<bool, TooHard> {
         let mut budget = QeBudget {
             max_size: self.max_size,
@@ -279,8 +274,14 @@ mod tests {
         // x ≥ 4 ⊢ x ≥ 2
         let hyp = Formula::ge(LinExpr::var(x), LinExpr::constant(4));
         let goal = Formula::ge(LinExpr::var(x), LinExpr::constant(2));
-        assert_eq!(s.check_entails(&hyp, &goal), Answer::Yes);
-        assert_eq!(s.check_entails(&goal, &hyp), Answer::No);
+        assert_eq!(
+            s.check_valid(&hyp.clone().implies(goal.clone())),
+            Answer::Yes
+        );
+        assert_eq!(
+            s.check_valid(&goal.clone().implies(hyp.clone())),
+            Answer::No
+        );
     }
 
     #[test]
@@ -331,7 +332,10 @@ mod tests {
             LinExpr::scaled_var(16, io).add(&LinExpr::var(ii)),
             LinExpr::var(n),
         );
-        assert_eq!(s.check_entails(&hyp, &goal), Answer::Yes);
+        assert_eq!(
+            s.check_valid(&hyp.clone().implies(goal.clone())),
+            Answer::Yes
+        );
         // without the divisibility assumption the entailment fails
         let hyp_weak = Formula::and(vec![
             Formula::ge(LinExpr::var(io), LinExpr::constant(0)),
@@ -339,6 +343,9 @@ mod tests {
             Formula::ge(LinExpr::var(ii), LinExpr::constant(0)),
             Formula::lt(LinExpr::var(ii), LinExpr::constant(16)),
         ]);
-        assert_eq!(s.check_entails(&hyp_weak, &goal), Answer::No);
+        assert_eq!(
+            s.check_valid(&hyp_weak.clone().implies(goal.clone())),
+            Answer::No
+        );
     }
 }

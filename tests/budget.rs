@@ -64,7 +64,7 @@ fn expired_deadline_stops_immediately() {
 /// succeeds with the budget lifted.
 #[test]
 fn schedule_chain_degrades_under_fuel() {
-    let state = Arc::new(Mutex::new(SchedState::isolated()));
+    let state = Arc::new(Mutex::new(SchedState::default()));
     {
         let mut st = state.lock().unwrap();
         st.set_budget(ResourceBudget::with_fuel(2));

@@ -18,11 +18,11 @@ use exo::sched::SchedState;
 use exo::smt::formula::Formula;
 use exo::smt::solver::SolverStats;
 
-/// Schedules the Fig. 5a SGEMM chain on a fresh isolated state and
+/// Schedules the Fig. 5a SGEMM chain on a fresh state and
 /// returns its checking-context and solver stats (`time_us` zeroed: wall
 /// time is the one field two runs need not share).
 fn fig5a_stats(lib: &Avx512Lib) -> (exo::analysis::CheckStats, SolverStats) {
-    let st = Arc::new(Mutex::new(SchedState::isolated()));
+    let st = Arc::new(Mutex::new(SchedState::default()));
     schedule_sgemm(lib, &st, 48, 128, 64, 6, 64).expect("the Fig. 5a schedule applies");
     let check = st.lock().unwrap().check.clone();
     let solver = SolverStats {

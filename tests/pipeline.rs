@@ -170,12 +170,7 @@ fn transcript_records_full_gemmini_schedule() {
 
     let t = p.transcript();
     assert!(!t.is_empty(), "schedule produced no provenance events");
-    assert!(
-        t.len() <= p.directives(),
-        "transcript {} vs directives {}",
-        t.len(),
-        p.directives()
-    );
+    assert_eq!(t.len(), p.directives());
     let ops: Vec<&str> = t.iter().map(|e| e.op).collect();
     assert!(ops.contains(&"split"), "{ops:?}");
     assert!(ops.contains(&"replace"), "{ops:?}");
