@@ -40,7 +40,7 @@ echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential test
 cargo test -q -p gemmini-sim
 cargo test -q -p x86-sim
 
-echo "== scheduler suite (operators, the shared transcript chain (children share their parent's events), edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs) =="
+echo "== scheduler suite (operators, the shared (op, target) transcript chain (children share their parent's events), the checks and hits of a rejected call on its sched.<op> span, edge cases incl. the stage_mem pins (re-check after folding, write-only loads) and the bind_config pins in ops_edge.rs, cache-on/off verdict parity, replace's pruned candidate search against the exhaustive one on 800 seeded caller/callee pairs in unify.rs, each accepted call run on the interpreter against the original) =="
 cargo test -q -p exo-sched
 
 echo "== interpreter (error-message parity, overflow, a re-executed Alloc starting all-⊥, the outcome corpus of 500 seeded programs, the zero-extent buffer pin, unit tests incl. the plain-data trace: interned instr handles, inline Copy arguments, the rank-5 and 64-bit layout spill; release; the column-sweep parity of store-only loops is tests/sweep_parity.rs in tier-1) =="
@@ -78,7 +78,7 @@ cargo run --release -q -p exo-bench --bin fig5a
 echo "== fig7 bench (code-size rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig7
 
-echo "== trace exports (fig5a SGEMM schedule; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor) =="
+echo "== trace exports (fig5a SGEMM schedule; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor, the sched.* spans' checks sum to the state's CheckStats queries) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== solver profile (every cached verdict of the schedule-cold and lint-cold subjects re-decided by a fresh solver; fails if an answer changes) =="

@@ -20,8 +20,8 @@
 //!   the context's work: queries, hits, misses, live entries, clears of
 //!   a full cache and budget refusals. No registry counter mirrors it,
 //!   and it reads the same with the `exo-obs` registry switched off; the
-//!   per-operator split is the `ProvenanceEvent` deltas `exo-sched`
-//!   takes of it.
+//!   per-operator split is the deltas `exo-sched` takes of it around
+//!   each operator, the `checks` and `hits` fields of its span.
 //!
 //! Contexts are cached by default; [`SharedCheckCtx::with_cache`]`(false)`
 //! sends every query to the solver, for measuring the cache's effect and

@@ -85,13 +85,34 @@ const MATMUL_RESIDENT_B: &[(&str, &str)] = &[
     ("reorder", "for ji in _: _, ko"),
     ("reorder", "for ii in _: _, ko"),
     ("reorder", "for jo in _: _, ko"),
-    ("stage_mem", "for io in _: _, B, b_s, MemName(SCRATCHPAD)"),
-    ("stage_mem", "for ko in _: _, C, res, MemName(ACCUM)"),
-    ("stage_mem", "for jo in _: _, A, a_s, MemName(SCRATCHPAD)"),
-    ("configwrite_at", "b_s : _, before, ConfigLd.src_stride"),
-    ("configwrite_at", "b_s : _, before, ConfigLd2.src_stride"),
-    ("configwrite_at", "b_s : _, before, ConfigLdAcc.src_stride"),
-    ("configwrite_at", "b_s : _, before, ConfigSt.dst_stride"),
+    (
+        "stage_mem",
+        "for io in _: _, B, [0:32, 0:32], b_s, MemName(SCRATCHPAD)",
+    ),
+    (
+        "stage_mem",
+        "for ko in _: _, C, [io * 16:io * 16 + 16, 0:32], res, MemName(ACCUM)",
+    ),
+    (
+        "stage_mem",
+        "for jo in _: _, A, [io * 16:io * 16 + 16, ko * 16:ko * 16 + 16], a_s, MemName(SCRATCHPAD)",
+    ),
+    (
+        "configwrite_at",
+        "b_s : _, before, ConfigLd.src_stride, stride(A, 0)",
+    ),
+    (
+        "configwrite_at",
+        "b_s : _, before, ConfigLd2.src_stride, stride(B, 0)",
+    ),
+    (
+        "configwrite_at",
+        "b_s : _, before, ConfigLdAcc.src_stride, stride(C, 0)",
+    ),
+    (
+        "configwrite_at",
+        "b_s : _, before, ConfigSt.dst_stride, stride(C, 0)",
+    ),
     ("split", "for ld0 in _: _, 16, bl0o, bl0i"),
     ("split", "for ld1 in _: _, 16, bl1o, bl1i"),
     ("reorder", "for bl0i in _: _, bl1o"),
@@ -121,24 +142,33 @@ const MATMUL_PANEL_B: &[(&str, &str)] = &[
     ("reorder", "for ji in _: _, ko"),
     ("reorder", "for ii in _: _, ko"),
     ("reorder", "for jo in _: _, ko"),
-    ("stage_mem", "for jo in _: _, B, b_s, MemName(SCRATCHPAD)"),
-    ("stage_mem", "for ko in _: _, C, res, MemName(ACCUM)"),
-    ("stage_mem", "for jo in _: _, A, a_s, MemName(SCRATCHPAD)"),
     (
-        "configwrite_at",
-        "for io in _: _, before, ConfigLd.src_stride",
+        "stage_mem",
+        "for jo in _: _, B, [ko * 16:ko * 16 + 16, 0:256], b_s, MemName(SCRATCHPAD)",
+    ),
+    (
+        "stage_mem",
+        "for ko in _: _, C, [io * 16:io * 16 + 16, 0:256], res, MemName(ACCUM)",
+    ),
+    (
+        "stage_mem",
+        "for jo in _: _, A, [io * 16:io * 16 + 16, ko * 16:ko * 16 + 16], a_s, MemName(SCRATCHPAD)",
     ),
     (
         "configwrite_at",
-        "for io in _: _, before, ConfigLd2.src_stride",
+        "for io in _: _, before, ConfigLd.src_stride, stride(A, 0)",
     ),
     (
         "configwrite_at",
-        "for io in _: _, before, ConfigLdAcc.src_stride",
+        "for io in _: _, before, ConfigLd2.src_stride, stride(B, 0)",
     ),
     (
         "configwrite_at",
-        "for io in _: _, before, ConfigSt.dst_stride",
+        "for io in _: _, before, ConfigLdAcc.src_stride, stride(C, 0)",
+    ),
+    (
+        "configwrite_at",
+        "for io in _: _, before, ConfigSt.dst_stride, stride(C, 0)",
     ),
     ("split", "for ld1 in _: _, 16, cl1o, cl1i"),
     ("reorder", "for ld0 in _: _, cl1o"),
@@ -177,29 +207,14 @@ const CONV_ONE_TILE_ROW: &[(&str, &str)] = &[
     ("reorder", "for oxi in _: _, ico"),
     ("reorder", "for oco in _: _, ico"),
     ("reorder", "for oxo in _: _, ico"),
-    ("stage_mem", "for ky in _: _, C, res, MemName(ACCUM)"),
-    ("stage_mem", "for oco in _: _, W, w_s, MemName(SCRATCHPAD)"),
-    (
-        "stage_mem",
-        "for oco in _: _, In, in_s, MemName(SCRATCHPAD)",
-    ),
+    ("stage_mem", "for ky in _: _, C, [b:b + 1, oy:oy + 1, 0:4, 0:32], res, MemName(ACCUM)"),
+    ("stage_mem", "for oco in _: _, W, [ky:ky + 1, kx:kx + 1, ico * 16:ico * 16 + 16, 0:32], w_s, MemName(SCRATCHPAD)"),
+    ("stage_mem", "for oco in _: _, In, [b:b + 1, oy + ky:oy + ky + 1, kx:kx + 4, ico * 16:ico * 16 + 16], in_s, MemName(SCRATCHPAD)"),
     ("simplify", ""),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLd.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLd2.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLdAcc.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigSt.dst_stride",
-    ),
+    ("configwrite_at", "for b in _: _, before, ConfigLd.src_stride, stride(In, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigLd2.src_stride, stride(W, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigLdAcc.src_stride, stride(C, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigSt.dst_stride, stride(C, 2)"),
     ("split", "for ld2 in _: _, 4, rl2o, rl2i"),
     ("split", "for ld3 in _: _, 16, rl3o, rl3i"),
     ("reorder", "for rl2i in _: _, rl3o"),
@@ -216,10 +231,7 @@ const CONV_ONE_TILE_ROW: &[(&str, &str)] = &[
     ("replace", "for rs2i in _: _, gemmini_mvout_acc"),
     ("replace", "ConfigLd.src_stride = _, gemmini_config_ld"),
     ("replace", "ConfigLd2.src_stride = _, gemmini_config_ld2"),
-    (
-        "replace",
-        "ConfigLdAcc.src_stride = _, gemmini_config_ld_acc",
-    ),
+    ("replace", "ConfigLdAcc.src_stride = _, gemmini_config_ld_acc"),
     ("replace", "ConfigSt.dst_stride = _, gemmini_config_st"),
     ("simplify", ""),
 ];
@@ -240,29 +252,14 @@ const CONV_MULTI_TILE_ROW: &[(&str, &str)] = &[
     ("reorder", "for oxi in _: _, ico"),
     ("reorder", "for oco in _: _, ico"),
     ("reorder", "for oxo in _: _, ico"),
-    ("stage_mem", "for ky in _: _, C, res, MemName(ACCUM)"),
-    ("stage_mem", "for oxo in _: _, W, w_s, MemName(SCRATCHPAD)"),
-    (
-        "stage_mem",
-        "for oxo in _: _, In, in_s, MemName(SCRATCHPAD)",
-    ),
+    ("stage_mem", "for ky in _: _, C, [b:b + 1, oy:oy + 1, 0:28, 0:32], res, MemName(ACCUM)"),
+    ("stage_mem", "for oxo in _: _, W, [ky:ky + 1, kx:kx + 1, ico * 16:ico * 16 + 16, 0:32], w_s, MemName(SCRATCHPAD)"),
+    ("stage_mem", "for oxo in _: _, In, [b:b + 1, oy + ky:oy + ky + 1, kx:kx + 28, ico * 16:ico * 16 + 16], in_s, MemName(SCRATCHPAD)"),
     ("simplify", ""),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLd.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLd2.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigLdAcc.src_stride",
-    ),
-    (
-        "configwrite_at",
-        "for b in _: _, before, ConfigSt.dst_stride",
-    ),
+    ("configwrite_at", "for b in _: _, before, ConfigLd.src_stride, stride(In, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigLd2.src_stride, stride(W, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigLdAcc.src_stride, stride(C, 2)"),
+    ("configwrite_at", "for b in _: _, before, ConfigSt.dst_stride, stride(C, 2)"),
     ("split", "for ld2 in _: _, 14, rl2o, rl2i"),
     ("split", "for ld3 in _: _, 16, rl3o, rl3i"),
     ("reorder", "for rl2i in _: _, rl3o"),
@@ -279,10 +276,7 @@ const CONV_MULTI_TILE_ROW: &[(&str, &str)] = &[
     ("replace", "for rs2i in _: _, gemmini_mvout_acc"),
     ("replace", "ConfigLd.src_stride = _, gemmini_config_ld"),
     ("replace", "ConfigLd2.src_stride = _, gemmini_config_ld2"),
-    (
-        "replace",
-        "ConfigLdAcc.src_stride = _, gemmini_config_ld_acc",
-    ),
+    ("replace", "ConfigLdAcc.src_stride = _, gemmini_config_ld_acc"),
     ("replace", "ConfigSt.dst_stride = _, gemmini_config_st"),
     ("simplify", ""),
 ];
@@ -292,11 +286,20 @@ const SGEMM: &[(&str, &str)] = &[
     ("reorder", "for ii in _: _, jo"),
     ("reorder", "for ji in _: _, k"),
     ("reorder", "for ii in _: _, k"),
-    ("stage_mem", "for k in _: _, C, c_reg, MemName(AVX512)"),
+    (
+        "stage_mem",
+        "for k in _: _, C, [io * 6:io * 6 + 6, jo * 64:jo * 64 + 64], c_reg, MemName(AVX512)",
+    ),
     ("split", "for ji in _: _, 16, jv, jl"),
-    ("stage_mem", "for ii in _: _, B, b_vec, MemName(AVX512)"),
+    (
+        "stage_mem",
+        "for ii in _: _, B, [k:k + 1, jo * 64:jo * 64 + 64], b_vec, MemName(AVX512)",
+    ),
     ("simplify", ""),
-    ("expand_scalar", "for jv in _: _, A[_], jl, a_bc"),
+    (
+        "expand_scalar",
+        "for jv in _: _, A[_], jl, a_bc, MemName(AVX512)",
+    ),
     ("replace", "for jl in _: _, mm512_fmadd_ps"),
     ("replace", "for l in _: _, mm512_broadcast_ss"),
     ("split", "for ld1 in _: _, 16, bl1o, bl1i"),
@@ -317,10 +320,10 @@ const CONV_AVX512: &[(&str, &str)] = &[
     ("reorder", "for oxi in _: _, kx"),
     ("reorder", "for ocl in _: _, ic"),
     ("reorder", "for oxi in _: _, ic"),
-    ("stage_mem", "for ky in _: _, C, c_reg, MemName(AVX512)"),
-    ("stage_mem", "for oxi in _: _, W, w_vec, MemName(AVX512)"),
+    ("stage_mem", "for ky in _: _, C, [b:b + 1, oy:oy + 1, oxo * 4:oxo * 4 + 4, oco * 16:oco * 16 + 16], c_reg, MemName(AVX512)"),
+    ("stage_mem", "for oxi in _: _, W, [ky:ky + 1, kx:kx + 1, ic:ic + 1, oco * 16:oco * 16 + 16], w_vec, MemName(AVX512)"),
     ("simplify", ""),
-    ("expand_scalar", "for ocl in _: _, In[_], ocl, in_bc"),
+    ("expand_scalar", "for ocl in _: _, In[_], ocl, in_bc, MemName(AVX512)"),
     ("replace", "for ocl in _: _, mm512_fmadd_ps"),
     ("replace", "for l in _: _, mm512_broadcast_ss"),
     ("replace", "for ld3 in _: _ #1, mm512_loadu_ps"),

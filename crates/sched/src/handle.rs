@@ -10,7 +10,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 use exo_analysis::context::SiteQuery;
 use exo_analysis::globals::GlobalReg;
@@ -396,22 +395,15 @@ impl Procedure {
         derived
     }
 
-    /// Total statement count of the current body (all nesting levels).
-    pub(crate) fn stmt_count(&self) -> usize {
-        let mut n = 0usize;
-        exo_core::visit::visit_stmts(self.body(), &mut |_| n += 1);
-        n
-    }
-
     /// Runs one scheduling operator under provenance instrumentation.
     ///
-    /// Captures the statement-count delta, the `CheckStats` query and
-    /// cache-hit deltas, and the wall-clock duration of `f`; on success
-    /// the event is appended to the derived procedure's transcript.
-    /// Either way the verdict (and a rejection's reason) is recorded on
-    /// the operator's `sched.<op>` span, the one record of each call; a
-    /// rejected rewrite leaves the procedure unchanged. Every public
-    /// operator routes through here.
+    /// The operator's `sched.<op>` span is the one record of each call:
+    /// it times `f`, and carries the target, the verdict (and a
+    /// rejection's reason) and the `CheckStats` query and cache-hit
+    /// deltas as `checks` and `hits`, for accepted and rejected calls
+    /// alike. On success the `(op, target)` event is appended to the
+    /// derived procedure's transcript; a rejected rewrite leaves the
+    /// procedure unchanged. Every public operator routes through here.
     pub(crate) fn instrumented(
         &self,
         op: &'static str,
@@ -419,7 +411,6 @@ impl Procedure {
         f: impl FnOnce() -> Result<Procedure, SchedError>,
     ) -> Result<Procedure, SchedError> {
         let target = target.into();
-        let pre_stmts = self.stmt_count();
         let (pre_check, budget) = {
             let st = lock_state(&self.state);
             (st.check.stats(), st.budget.clone())
@@ -430,7 +421,6 @@ impl Procedure {
         // target for each of them.
         let mut span = exo_obs::Span::enter(format!("sched.{op}"))
             .with_field("target", exo_obs::Json::Str(target.clone()));
-        let start = Instant::now();
         // One fuel unit per operator; an exhausted budget rejects the
         // rewrite up front (conservative, transactional) instead of
         // starting work it cannot finish.
@@ -448,8 +438,10 @@ impl Procedure {
                 Err(SchedError::new(format!("internal panic: {msg}")))
             })
         };
-        let duration_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         let post_check = lock_state(&self.state).check.stats();
+        let delta = |post: usize, pre: usize| exo_obs::Json::uint(post.saturating_sub(pre) as u64);
+        span.field("checks", delta(post_check.queries, pre_check.queries));
+        span.field("hits", delta(post_check.hits, pre_check.hits));
         let result = result.map_err(|e| e.in_op(op, &target));
         match &result {
             Ok(_) => span.field("verdict", exo_obs::Json::Str("accepted".into())),
@@ -460,15 +452,7 @@ impl Procedure {
         }
         drop(span);
         let mut derived = result?;
-        derived.transcript.push(ProvenanceEvent {
-            op,
-            target,
-            pre_stmts,
-            post_stmts: derived.stmt_count(),
-            queries: post_check.queries.saturating_sub(pre_check.queries),
-            cache_hits: post_check.hits.saturating_sub(pre_check.hits),
-            duration_us,
-        });
+        derived.transcript.push(ProvenanceEvent { op, target });
         Ok(derived)
     }
 
@@ -585,8 +569,10 @@ mod tests {
         let q = p.split("for i in _: _", 4, "io", "ii").unwrap();
         assert_eq!(q.transcript().len(), 1);
         let e = &q.transcript()[0];
-        assert_eq!(e.op, "split");
-        assert!(e.post_stmts > e.pre_stmts, "{e:?}");
+        assert_eq!(
+            (e.op, e.target.as_str()),
+            ("split", "for i in _: _, 4, io, ii")
+        );
         // a rejected rewrite leaves the source transcript untouched
         assert!(q.split("for z in _: _", 4, "a", "b").is_err());
         assert_eq!(q.transcript().len(), 1);
@@ -595,7 +581,12 @@ mod tests {
         let ops: Vec<&str> = r.transcript().iter().map(|e| e.op).collect();
         assert_eq!(ops, ["split", "reorder"]);
         assert_eq!(r.directives(), 2);
-        assert!(r.transcript_text().contains("1. split("));
+        assert_eq!(
+            r.transcript_text(),
+            "schedule transcript for `p` (2 directives)\n  \
+             1. split(for i in _: _, 4, io, ii)\n  \
+             2. reorder(for io in _: _, ii)\n"
+        );
         // the original handle is untouched
         assert!(p.transcript().is_empty());
     }
@@ -622,8 +613,9 @@ mod tests {
     #[test]
     fn rejection_is_recorded_on_the_operator_span() {
         let p = simple();
+        // 3 does not divide 8: the split is refused by a check
         let err = p
-            .split("for zz_span_test in _: _", 4, "a", "b")
+            .split("for i in _: _", 3, "zz_span_test", "b")
             .unwrap_err();
         let traces = exo_obs::Registry::global().traces();
         let span = traces
@@ -645,6 +637,13 @@ mod tests {
             field("reason").and_then(exo_obs::Json::as_str),
             Some(err.message.as_str())
         );
+        // the refused call's checking work is on its span: the state is
+        // fresh, so the span's deltas are the state's totals
+        let stats = lock_state(&p.state).check.stats();
+        assert!(stats.queries > 0, "the split posed no check");
+        let count = |key: &str| field(key).and_then(exo_obs::Json::as_int);
+        assert_eq!(count("checks"), Some(stats.queries as i64));
+        assert_eq!(count("hits"), Some(stats.hits as i64));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use exo_core::hash::HashSet;
 use exo_core::ir::{Expr, Stmt};
+use exo_core::printer::expr_to_string;
 use exo_core::visit::{visit_expr, visit_stmt_exprs, visit_stmts};
 use exo_core::Sym;
 
@@ -55,10 +56,11 @@ impl Procedure {
         self.instrumented(
             "configwrite_at",
             format!(
-                "{stmt_pat}, {}, {}.{}",
+                "{stmt_pat}, {}, {}.{}, {}",
                 pos.label(),
                 config.name(),
-                field.name()
+                field.name(),
+                expr_to_string(&value)
             ),
             || self.configwrite_at_impl(&stmt_pat, config, field, value, pos == Position::Before),
         )

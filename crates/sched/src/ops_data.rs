@@ -4,6 +4,7 @@
 use exo_core::hash::HashSet;
 use exo_core::ir::{ArgType, Expr, Stmt};
 use exo_core::path::visit_paths;
+use exo_core::printer::expr_to_string;
 use exo_core::types::{DataType, MemName};
 use exo_core::visit::{map_stmt_exprs, visit_expr, visit_stmts};
 use exo_core::Sym;
@@ -291,7 +292,7 @@ impl Procedure {
         let stmt_pat = stmt_pat.into();
         self.instrumented(
             "expand_scalar",
-            format!("{stmt_pat}, {expr_pat}, {lane_loop}, {new_name}"),
+            format!("{stmt_pat}, {expr_pat}, {lane_loop}, {new_name}, MemName({mem})"),
             || self.expand_scalar_impl(&stmt_pat, expr_pat, lane_loop, new_name, mem),
         )
     }
@@ -441,7 +442,14 @@ impl Procedure {
         let stmt_pat = stmt_pat.into();
         self.instrumented(
             "stage_mem",
-            format!("{stmt_pat}, {buf_name}, {new_name}, MemName({mem})"),
+            format!(
+                "{stmt_pat}, {buf_name}, [{}], {new_name}, MemName({mem})",
+                window
+                    .iter()
+                    .map(|(lo, hi)| format!("{}:{}", expr_to_string(lo), expr_to_string(hi)))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
             || self.stage_mem_impl(&stmt_pat, buf_name, window, new_name, mem),
         )
     }

@@ -4,6 +4,7 @@
 
 use exo_core::hash::HashMap;
 use exo_core::ir::{Expr, Stmt};
+use exo_core::printer::expr_to_string;
 use exo_core::visit::{free_syms_block, refresh_bound, subst_block, visit_stmts};
 use exo_core::Sym;
 
@@ -539,9 +540,11 @@ impl Procedure {
         cond: Expr,
     ) -> Result<Procedure, SchedError> {
         let stmt_pat = stmt_pat.into();
-        self.instrumented("add_guard", stmt_pat.as_str(), || {
-            self.add_guard_impl(&stmt_pat, cond)
-        })
+        self.instrumented(
+            "add_guard",
+            format!("{stmt_pat}, {}", expr_to_string(&cond)),
+            || self.add_guard_impl(&stmt_pat, cond),
+        )
     }
 
     fn add_guard_impl(&self, stmt_pat: &Pattern, cond: Expr) -> Result<Procedure, SchedError> {

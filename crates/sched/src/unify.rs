@@ -1041,6 +1041,7 @@ mod tests {
     use exo_core::build::{read, ProcBuilder};
     use exo_core::printer::proc_to_string;
     use exo_core::types::MemName;
+    use exo_interp::{ArgVal, InterpError, Machine};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1314,6 +1315,37 @@ mod tests {
         }
     }
 
+    /// Runs `proc` through the interpreter on seeded dyadic inputs (one
+    /// dense tensor per argument, every element a multiple of 1/4 in
+    /// [-4, 4), so sums stay exact) and returns the bits of every
+    /// argument's contents afterwards. A call runs its callee's body.
+    fn run_dyadic(proc: &Proc, seed: u64) -> Result<Vec<u64>, InterpError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = Machine::new();
+        let bufs: Vec<_> = proc
+            .args
+            .iter()
+            .map(|arg| {
+                let ArgType::Tensor { ty, shape, .. } = &arg.ty else {
+                    unreachable!("callers take dense tensors only");
+                };
+                let shape: Vec<usize> =
+                    shape.iter().map(|e| e.as_int().unwrap() as usize).collect();
+                let data: Vec<f64> = (0..shape.iter().product::<usize>())
+                    .map(|_| f64::from(rng.gen_range(-16..16i32)) / 4.0)
+                    .collect();
+                m.alloc_extern(&arg.name.name(), *ty, &shape, &data)
+            })
+            .collect();
+        let args: Vec<ArgVal> = bufs.iter().map(|&b| ArgVal::Tensor(b)).collect();
+        m.run(proc, &args)?;
+        let mut out = Vec::new();
+        for b in bufs {
+            out.extend(m.buffer_values(b)?.into_iter().map(f64::to_bits));
+        }
+        Ok(out)
+    }
+
     #[test]
     fn an_index_with_a_quotient_is_never_doomed() {
         // `i - i / 1` is 0 at every iteration, though its value mentions
@@ -1351,16 +1383,32 @@ mod tests {
     fn pruned_search_matches_the_exhaustive_one() {
         const SEEDS: u64 = 800;
         let (mut ok, mut pruned, mut mismatches) = (0u64, 0u64, Vec::new());
+        let (mut executed, mut miscompiles) = (0u64, Vec::new());
         for seed in 0..SEEDS {
             let (caller, callee) = pair(seed);
             let p = Procedure::new(Arc::clone(&caller));
             let want = replace_exhaustive(&p, "for ii in _: _", &callee)
                 .map(|q| q.show())
                 .map_err(|e| e.message);
-            let got = p
-                .replace("for ii in _: _", &callee)
+            let accepted = p.replace("for ii in _: _", &callee);
+            let got = accepted
+                .as_ref()
                 .map(|q| q.show())
-                .map_err(|e| e.message);
+                .map_err(|e| e.message.clone());
+            // an accepted call computes what the block it replaced did,
+            // wherever the block itself runs
+            if let (Ok(q), Ok(before)) = (&accepted, run_dyadic(&caller, seed)) {
+                executed += 1;
+                let after = run_dyadic(q.proc(), seed);
+                if after.as_ref() != Ok(&before) {
+                    miscompiles.push(format!(
+                        "seed {seed}: {}\n{}\n{}",
+                        after.map_or_else(|e| e.message, |_| "outputs differ".into()),
+                        proc_to_string(&caller),
+                        q.show()
+                    ));
+                }
+            }
             ok += u64::from(got.is_ok());
             // an accepted call names caller variables only: no offset
             // unknown (seed 230 once did) and no lowering's quotient
@@ -1392,10 +1440,17 @@ mod tests {
             mismatches.len(),
             mismatches.join("\n")
         );
-        // the pairs exercise both outcomes and the pruning itself
         assert!(
-            ok >= SEEDS / 8 && pruned >= SEEDS / 2,
-            "{ok} of {SEEDS} accepted, {pruned} pruned"
+            miscompiles.is_empty(),
+            "{} of {executed} executed calls miscompile:\n{}",
+            miscompiles.len(),
+            miscompiles.join("\n")
+        );
+        // the pairs exercise both outcomes, the pruning itself and the
+        // execution of accepted calls
+        assert!(
+            ok >= SEEDS / 8 && pruned >= SEEDS / 2 && executed >= SEEDS / 16,
+            "{ok} of {SEEDS} accepted ({executed} executed), {pruned} pruned"
         );
     }
 }

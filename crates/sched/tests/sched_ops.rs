@@ -368,6 +368,8 @@ fn add_guard_requires_provable_condition() {
         .add_guard("C[_,_] += _", Expr::var(i).lt(Expr::int(4)))
         .unwrap();
     assert!(q.show().contains("if i < 4:"), "{}", q.show());
+    // the transcript names the condition as well as the statement
+    assert_eq!(q.transcript()[0].target, "C[_,_] += _, i < 4");
     assert_equiv(&p, &q, &gemm_shapes(4));
     // i < 3 is not
     assert!(p

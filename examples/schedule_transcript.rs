@@ -1,8 +1,9 @@
 //! Prints the schedule-provenance transcript of the paper's Fig. 5a
-//! x86 SGEMM case study — every rewrite applied, in order, with its
-//! statement counts, check-query and cache-hit deltas, and wall time,
-//! plus the per-operator cost table — then exports the causal trace
-//! tree as Chrome `trace_event` JSON and collapsed flamegraph stacks:
+//! x86 SGEMM case study — every rewrite applied, in order, as
+//! `op(target)` — then exports the causal trace tree as Chrome
+//! `trace_event` JSON and collapsed flamegraph stacks, where each
+//! call's `sched.<op>` span carries its time and its `checks` and
+//! `hits`:
 //!
 //! ```sh
 //! cargo run --example schedule_transcript
@@ -12,11 +13,11 @@
 //!
 //! The example doubles as the acceptance check for the trace export: it
 //! validates the exported Chrome trace with the strict `exo_obs::json`
-//! parser, and checks that the trace attributes every solver query to
-//! an operator — each `smt.decide` span in the ring reaches a `sched.*`
-//! span through its parent links. It exits 1 if either check fails. It
-//! ends with the solver's own totals (`SolverStats`); the per-operator
-//! split of the checking work is the transcript's cost table.
+//! parser, and checks that the trace attributes all the checking work
+//! to operators — each `smt.decide` span in the ring reaches a `sched.*`
+//! span through its parent links, and the `checks` of the `sched.*`
+//! spans sum to the state's `CheckStats` queries. It exits 1 if any
+//! check fails. It ends with the solver's own totals (`SolverStats`).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -115,6 +116,25 @@ fn main() {
         "attribution OK: all {} smt.decide spans descend from a sched.* span",
         decides.len()
     );
+
+    // ---- acceptance check: every check is on an operator's span ----
+    let queries = st
+        .lock()
+        .expect("scheduler state poisoned")
+        .check
+        .stats()
+        .queries;
+    let attributed: i64 = traces
+        .iter()
+        .filter(|t| t.name.starts_with("sched."))
+        .filter_map(|t| t.fields.iter().find(|(k, _)| k == "checks"))
+        .filter_map(|(_, v)| v.as_int())
+        .sum();
+    if attributed != queries as i64 {
+        eprintln!("FAIL: sched.* spans carry {attributed} checks, the state counted {queries}");
+        std::process::exit(1);
+    }
+    println!("attribution OK: the sched.* spans carry all {queries} checks");
 
     // ---- solver totals ----
     let s = st
