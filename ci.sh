@@ -36,7 +36,7 @@ cargo test -q -p exo-smt --features proptest-tests
 echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state and stage_mem windows; operator fail-safety; print/parse round trip) =="
 cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
 
-echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential test of gemmini-sim's floor-cut access logs against the unpruned reference scan, which decodes by name; x86-sim's cost model and static profile) =="
+echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential tests of gemmini-sim's access journal, its logs cut at the issue floor, against the unpruned reference scan, which decodes by name; x86-sim's cost model and static profile) =="
 cargo test -q -p gemmini-sim
 cargo test -q -p x86-sim
 

@@ -17,18 +17,20 @@
 //!   instruction starts no earlier than the latest completion of every
 //!   prior access whose footprint overlaps one of its own: prior writes
 //!   for its reads (RAW), prior writes and reads for its writes (WAW,
-//!   WAR). The scoreboard keeps, per buffer and per unit, a log of the
-//!   accesses since the last flush in program order; a unit's completion
-//!   times never decrease along its log. A query starts from the floor
-//!   `T = max(issue, unit available)`, the earliest start the instruction
-//!   already has, and walks each log newest-first. It stops at the first
-//!   overlapping entry, which is that log's latest overlapping completion,
-//!   or at the first entry completing at or before `T`, since neither it
-//!   nor any older entry can raise the start above `T`. A flush clears the
-//!   logs: it completes after every noted access and every later floor is
-//!   at or past it. The result is the exact maximum over every prior
-//!   overlapping access. In the worst case a query visits every entry of
-//!   one buffer and unit that completes above the floor.
+//!   WAR). The scoreboard is one journal per run of the accesses since
+//!   the last flush; each entry links to the previous one of its log, one
+//!   log per buffer, side (reads, writes) and unit, and each operand finds
+//!   its buffer's logs once per op. Completion times never decrease along
+//!   a log. A query starts from the floor `T = max(issue, unit
+//!   available)`, the earliest start the instruction already has, and
+//!   walks each log newest-first. It stops at the first overlapping entry,
+//!   which is that log's latest overlapping completion, or at the first
+//!   entry completing at or before `T`, since neither it nor any older
+//!   entry can raise the start above `T`. A flush clears the journal: it
+//!   completes after every noted access and every later floor is at or
+//!   past it. So the result is the exact maximum over every prior
+//!   overlapping access; at worst a query visits every entry of one log
+//!   that completes above the floor.
 //! * **Configuration flushes** — `config_ld`/`config_st` wait for *all*
 //!   in-flight operations and stall the pipe (paper §2: "instructions to
 //!   configure such state usually flush the accelerator pipeline"), so
@@ -51,6 +53,8 @@
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::ops::Range;
 
 use exo_core::hash::HashMap;
 use exo_interp::{HwOp, Instr, TensorRef};
@@ -252,74 +256,88 @@ impl Decoder {
     }
 }
 
-/// A `(buffer id, lo, hi)` footprint: the linear element span `[lo, hi)`
-/// an access touches within one buffer.
+/// A `(slot, lo, hi)` footprint: the linear element span `[lo, hi)` an
+/// access touches within the buffer of one [`Board`] slot.
 type Footprint = (usize, u64, u64);
 
-/// A noted access within one buffer: `(lo, hi, completion time)`.
-type Access = (u64, u64, u64);
+/// A slot's write logs, per [`Unit`]; its read logs come first.
+const WRITES: Range<usize> = 3..6;
 
-/// The access logs of one buffer since the last flush, per [`Unit`]
-/// (indexed by `unit as usize`) and in program order. A unit's
-/// completion times never decrease, so each log is sorted by time.
-#[derive(Debug, Default)]
-struct BufLogs {
-    reads: [Vec<Access>; 3],
-    writes: [Vec<Access>; 3],
-}
+/// The end of a log: no older entry.
+const NIL: usize = usize::MAX;
 
-/// The dependence scoreboard: the access logs of every buffer, found
-/// through a `BufId → slot` map.
+/// A noted access, `(lo, hi, end, prev)`: its span `[lo, hi)`, its
+/// completion time, and the journal index of the previous entry of its
+/// log ([`NIL`] for none).
+type Entry = (u64, u64, u64, usize);
+
+/// The most journal entries a run reserves up front (2 MiB).
+const RESERVE_CAP: usize = 1 << 16;
+
+/// The dependence scoreboard since the last flush: one journal of every
+/// noted access, in program order, and per buffer slot the newest entry
+/// of each of six logs: its reads per [`Unit`], then its writes per
+/// [`Unit`]. A log is the chain of its entries through `prev`; a unit's
+/// completion times never decrease along it.
 #[derive(Debug, Default)]
 struct Board {
+    /// The slot of each buffer id.
     slots: HashMap<usize, usize>,
-    bufs: Vec<BufLogs>,
+    heads: Vec<[usize; 6]>,
+    journal: Vec<Entry>,
 }
 
 impl Board {
-    fn get(&self, buf: usize) -> Option<&BufLogs> {
-        self.slots.get(&buf).map(|&i| &self.bufs[i])
-    }
-
-    fn get_mut(&mut self, buf: usize) -> &mut BufLogs {
-        let next = self.bufs.len();
-        let i = *self.slots.entry(buf).or_insert(next);
-        if i == next {
-            self.bufs.push(BufLogs::default());
+    /// The footprint of tensor argument `t`, its buffer's slot allocated
+    /// on first sight. The arithmetic saturates, so `lo <= hi` holds for
+    /// any window.
+    fn footprint(&mut self, t: &TensorRef) -> Footprint {
+        let next = self.heads.len();
+        let slot = *self.slots.entry(t.buf.0).or_insert(next);
+        if slot == next {
+            self.heads.push([NIL; 6]);
         }
-        &mut self.bufs[i]
+        let lo = t.base_offset as u64;
+        (slot, lo, lo.saturating_add(t.span()))
     }
 
-    /// Forgets every access; the buffers keep their slots and capacity.
+    /// `floor`, raised to the latest completion in `logs` of `slot` of an
+    /// access overlapping `[lo, hi)`. Each walk runs newest-first: the
+    /// first overlapping entry is its log's latest, and once an entry's
+    /// time is at most the floor, so is every older one.
+    fn latest(&self, (slot, lo, hi): Footprint, logs: Range<usize>, mut floor: u64) -> u64 {
+        for &head in &self.heads[slot][logs] {
+            let mut i = head;
+            while let Some(&(e_lo, e_hi, end, prev)) = self.journal.get(i) {
+                if end <= floor {
+                    break;
+                }
+                if e_lo < hi && lo < e_hi {
+                    floor = end;
+                    break;
+                }
+                i = prev;
+            }
+        }
+        floor
+    }
+
+    fn push(&mut self, (slot, lo, hi): Footprint, log: usize, end: u64) {
+        let prev = self.heads[slot][log];
+        debug_assert!(
+            self.journal.get(prev).is_none_or(|&(_, _, t, _)| t <= end),
+            "a unit's completion times must not decrease"
+        );
+        self.heads[slot][log] = self.journal.len();
+        self.journal.push((lo, hi, end, prev));
+    }
+
+    /// Forgets every access; the buffers keep their slots and the journal
+    /// its capacity.
     fn clear(&mut self) {
-        for b in &mut self.bufs {
-            b.reads.iter_mut().chain(&mut b.writes).for_each(Vec::clear);
-        }
+        self.journal.clear();
+        self.heads.fill([NIL; 6]);
     }
-}
-
-/// `floor`, raised to the latest completion in `log` of an access
-/// overlapping `[lo, hi)`. The walk runs newest-first: the first
-/// overlapping entry is the latest (times never decrease along a log),
-/// and once an entry's time is at most `floor`, so is every older one.
-fn latest(log: &[Access], lo: u64, hi: u64, floor: u64) -> u64 {
-    for &(e_lo, e_hi, end) in log.iter().rev() {
-        if end <= floor {
-            break;
-        }
-        if e_lo < hi && lo < e_hi {
-            return end;
-        }
-    }
-    floor
-}
-
-fn push(log: &mut Vec<Access>, access: Access) {
-    debug_assert!(
-        log.last().is_none_or(|&(_, _, t)| t <= access.2),
-        "a unit's completion times must not decrease"
-    );
-    log.push(access);
 }
 
 /// The simulator.
@@ -362,6 +380,9 @@ impl Simulator {
     pub fn run(mut self, trace: &[HwOp]) -> SimReport {
         let span = exo_obs::Span::enter("gemmini_sim.run");
         let mut decoder = Decoder::default();
+        // an op notes at most three accesses (a matmul: two reads, a write)
+        let notes = trace.len().saturating_mul(3);
+        self.board.journal.reserve(notes.min(RESERVE_CAP));
         for op in trace {
             self.step(op, decoder.get(op.instr));
         }
@@ -440,13 +461,16 @@ impl Simulator {
 
     fn dma(&mut self, op: &HwOp, d: &Decoded, unit: Unit) {
         // operands: src, dst
-        let (reads, writes, bytes, rows) = dma_ranges(d.tensor(op, 0), d.tensor(op, 1));
+        let (src, dst) = (d.tensor(op, 0), d.tensor(op, 1));
+        let (bytes, rows) = dma_size(src.or(dst));
         self.bytes_moved = self.bytes_moved.saturating_add(bytes);
+        let reads = [src.map(|t| self.board.footprint(t))];
+        let writes = [dst.map(|t| self.board.footprint(t))];
         let issue = self.issue(1);
         let floor = issue.max(self.unit_available(unit));
         let start = self.dep_time(floor, &reads, &writes);
         let cost = self.cfg.dma_startup.saturating_add(
-            rows.saturating_mul((bytes / rows.max(1)).div_ceil(self.cfg.bus_bytes).max(1)),
+            rows.saturating_mul((bytes / rows).div_ceil(self.cfg.bus_bytes).max(1)),
         );
         let end = self.complete(unit, start, cost);
         self.note(unit, &reads, &writes, end);
@@ -454,7 +478,7 @@ impl Simulator {
 
     fn zero(&mut self, op: &HwOp, d: &Decoded) {
         // operand: dst
-        let writes = [d.tensor(op, 0).map(footprint)];
+        let writes = [d.tensor(op, 0).map(|t| self.board.footprint(t))];
         let issue = self.issue(1);
         let floor = issue.max(self.unit_available(Unit::Execute));
         let start = self.dep_time(floor, &[], &writes);
@@ -467,8 +491,8 @@ impl Simulator {
         let dim = |k| d.int(op, k).unwrap_or(DIM as i64) as u64;
         let macs = dim(0).saturating_mul(dim(1)).saturating_mul(dim(2));
         self.macs = self.macs.saturating_add(macs);
-        let reads = [3, 4].map(|k| d.tensor(op, k).map(footprint));
-        let writes = [d.tensor(op, 5).map(footprint)];
+        let reads = [3, 4].map(|k| d.tensor(op, k).map(|t| self.board.footprint(t)));
+        let writes = [d.tensor(op, 5).map(|t| self.board.footprint(t))];
         // preload + compute are two host instructions
         let issue = self.issue(2);
         let avail = self.unit_available(Unit::Execute);
@@ -495,19 +519,11 @@ impl Simulator {
         writes: &[Option<Footprint>],
     ) -> u64 {
         let mut t = floor;
-        for &(buf, lo, hi) in reads.iter().flatten() {
-            if let Some(b) = self.board.get(buf) {
-                t = b.writes.iter().fold(t, |t, log| latest(log, lo, hi, t));
-            }
+        for &f in reads.iter().flatten() {
+            t = self.board.latest(f, WRITES, t);
         }
-        for &(buf, lo, hi) in writes.iter().flatten() {
-            if let Some(b) = self.board.get(buf) {
-                t = b
-                    .writes
-                    .iter()
-                    .chain(&b.reads)
-                    .fold(t, |t, log| latest(log, lo, hi, t));
-            }
+        for &f in writes.iter().flatten() {
+            t = self.board.latest(f, 0..6, t);
         }
         t
     }
@@ -519,53 +535,24 @@ impl Simulator {
         writes: &[Option<Footprint>],
         end: u64,
     ) {
-        for &(buf, lo, hi) in reads.iter().flatten() {
-            let log = &mut self.board.get_mut(buf).reads[unit as usize];
-            push(log, (lo, hi, end));
+        for &f in reads.iter().flatten() {
+            self.board.push(f, unit as usize, end);
         }
-        for &(buf, lo, hi) in writes.iter().flatten() {
-            let log = &mut self.board.get_mut(buf).writes[unit as usize];
-            push(log, (lo, hi, end));
+        for &f in writes.iter().flatten() {
+            self.board.push(f, WRITES.start + unit as usize, end);
         }
     }
 }
 
-/// The (buffer, linear range) footprint of one tensor argument. The
-/// arithmetic saturates, so `lo <= hi` holds for any window.
-fn footprint(t: &TensorRef) -> Footprint {
-    let mut span = 1u64;
-    for (&n, &s) in t.shape().iter().zip(t.strides().iter()) {
-        if n > 0 {
-            span = span.saturating_add((n as u64 - 1).saturating_mul(s as u64));
-        }
-    }
-    let lo = t.base_offset as u64;
-    (t.buf.0, lo, lo.saturating_add(span))
-}
-
-/// Classifies a DMA op from its `src` and `dst` tensors: (reads, writes,
-/// total bytes, rows). The byte count saturates on windows too large for
-/// a `u64`.
-fn dma_ranges(
-    src: Option<&TensorRef>,
-    dst: Option<&TensorRef>,
-) -> ([Option<Footprint>; 1], [Option<Footprint>; 1], u64, u64) {
-    let reads = [src.map(footprint)];
-    let writes = [dst.map(footprint)];
-    let t = src.or(dst);
-    let elem = t.map(|t| t.dtype.size_bytes() as u64).unwrap_or(1);
-    let volume: u64 = t
-        .map(|t| {
-            t.shape()
-                .iter()
-                .fold(1u64, |v, &n| v.saturating_mul(n as u64))
-        })
-        .unwrap_or(0);
-    let rows = t
-        .and_then(|t| t.shape().first().copied())
-        .unwrap_or(1)
-        .max(1) as u64;
-    (reads, writes, volume.saturating_mul(elem), rows)
+/// The bytes and rows a DMA of `t` moves: its volume times its element
+/// size (saturating on windows too large for a `u64`), and its first
+/// extent (at least 1).
+fn dma_size(t: Option<&TensorRef>) -> (u64, u64) {
+    let Some(t) = t else { return (0, 1) };
+    let shape = t.shape();
+    let volume = shape.iter().fold(1u64, |v, &n| v.saturating_mul(n as u64));
+    let rows = shape.first().map_or(1, |&n| n.max(1) as u64);
+    (volume.saturating_mul(t.dtype.size_bytes() as u64), rows)
 }
 
 #[cfg(test)]

@@ -3,9 +3,13 @@
 //! it linearly, never pruning. Both must produce identical reports on
 //! seeded random traces: short ones over a few shared buffers, ones that
 //! allocate a fresh buffer per tile, ones with buffer ids near
-//! `usize::MAX`, and long ones, some with no dispatch cost. The reference
-//! keeps its own decoding: it finds each op's kind from the instruction's
-//! name and each operand by its formal's name.
+//! `usize::MAX`, and long ones, some with no dispatch cost. A second test
+//! aims at the journal the scoreboard keeps its accesses in: small, large
+//! and near-`usize::MAX` ids in one trace, flushes in mid-run after
+//! thousands of accesses, and long chains of matmuls, each noting three
+//! accesses. The reference keeps its own decoding: it finds each op's
+//! kind from the instruction's name and each operand by its formal's
+//! name.
 
 use std::collections::HashMap;
 
@@ -244,6 +248,9 @@ enum Ids {
     Small,
     /// The same four buffers, numbered down from `usize::MAX`.
     High,
+    /// The four buffers under ids of three kinds in one trace: small (0
+    /// and 3), near `usize::MAX` (1) and past a million (2).
+    Mixed,
     /// DRAM as in `Small`; every on-chip slot is a buffer of its own,
     /// allocated afresh under the next id by each tile written into it
     /// (as exo's per-iteration allocations are), so a trace names
@@ -261,6 +268,7 @@ impl Ids {
         match self {
             Ids::Small => buf,
             Ids::High => usize::MAX - buf,
+            Ids::Mixed => [buf, usize::MAX - buf, buf + (1 << 20)][buf % 3],
             Ids::Fresh { .. } if DRAM.contains(&buf) => buf,
             Ids::Fresh { live, next } => {
                 let id = live.entry((buf, slot)).or_insert(0);
@@ -427,9 +435,40 @@ fn random_config(rng: &mut Rng) -> SimConfig {
     }
 }
 
+/// The number of accesses `trace` notes.
+fn noted(trace: &[HwOp]) -> usize {
+    trace
+        .iter()
+        .map(|op| ranges(op, &["src", "dst", "a", "b", "c"]).len())
+        .sum()
+}
+
+/// Checks that the simulator and the reference report `trace` alike
+/// under the software, hardware-unroller and `random` timing models.
+fn assert_same_reports(trace: &[HwOp], random: SimConfig, seed: u64) {
+    for cfg in [
+        SimConfig::software(),
+        SimConfig::hardware_unroller(),
+        random,
+    ] {
+        let got = Simulator::new(cfg.clone()).run(trace);
+        assert_eq!(got, Reference::run(cfg, trace), "seed {seed}");
+    }
+}
+
 #[test]
 fn scoreboard_matches_the_unpruned_scan() {
+    // the long mix without its flushes, and matmuls alone over 16 slots
+    let unflushed = Mix {
+        weights: [0, 5, 700, 60, 20, 214],
+        ..LONG
+    };
+    let chain = Mix {
+        slots: 16,
+        weights: [0, 0, 0, 0, 0, 1],
+    };
     let (mut noted_max, mut ids_max) = (0, 0);
+    let (mut flushed_after, mut chained) = (usize::MAX, 0);
     for seed in 1..=200u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut ids = match seed % 10 {
@@ -438,43 +477,67 @@ fn scoreboard_matches_the_unpruned_scan() {
                 next: 3,
             },
             2 => Ids::High,
+            5 => Ids::Mixed,
             _ => Ids::Small,
         };
-        // every 25th trace is long: more than 4096 noted accesses, and at
-        // odd multiples of 25 no dispatch cost, so that cpu_time stands
-        // still between the rare flushes while the logs run deep
-        let (len, mix) = if seed % 25 == 0 {
-            (2500, LONG)
-        } else if matches!(ids, Ids::Fresh { .. }) {
-            (300 + rng.below(300), short_mix(&mut rng))
-        } else {
-            (1 + rng.below(300), short_mix(&mut rng))
-        };
         let isa = Isa::new();
-        let trace: Vec<HwOp> = (0..len)
-            .map(|_| random_op(&isa, &mut rng, mix, &mut ids))
-            .collect();
-        let noted: usize = trace
-            .iter()
-            .map(|op| ranges(op, &["src", "dst", "a", "b", "c"]).len())
-            .sum();
-        noted_max = noted_max.max(noted);
+        // every 25th trace is long: more than 4096 noted accesses; so are
+        // the 5th and 15th past it, 3000 ops flushed only at ops 1000 and
+        // 2000, and a chain of 2000 matmuls. Long traces at odd seeds get
+        // no dispatch cost, so that cpu_time stands still between the rare
+        // flushes while the logs run deep
+        let (trace, long): (Vec<HwOp>, bool) = match seed % 25 {
+            0 => (
+                (0..2500)
+                    .map(|_| random_op(&isa, &mut rng, LONG, &mut ids))
+                    .collect(),
+                true,
+            ),
+            5 => {
+                let trace: Vec<HwOp> = (0..3000)
+                    .map(|i| match i {
+                        1000 | 2000 => HwOp::new(isa.config_ld, [TraceArg::Int(128)]),
+                        _ => random_op(&isa, &mut rng, unflushed, &mut ids),
+                    })
+                    .collect();
+                flushed_after = flushed_after.min(noted(&trace[..1000]));
+                (trace, true)
+            }
+            15 => {
+                let trace: Vec<HwOp> = (0..2000)
+                    .map(|_| random_op(&isa, &mut rng, chain, &mut ids))
+                    .collect();
+                assert_eq!(noted(&trace), 3 * trace.len(), "seed {seed}");
+                chained += 1;
+                (trace, true)
+            }
+            _ => {
+                let (len, mix) = if matches!(ids, Ids::Fresh { .. }) {
+                    (300 + rng.below(300), short_mix(&mut rng))
+                } else {
+                    (1 + rng.below(300), short_mix(&mut rng))
+                };
+                let trace = (0..len)
+                    .map(|_| random_op(&isa, &mut rng, mix, &mut ids))
+                    .collect();
+                (trace, false)
+            }
+        };
+        noted_max = noted_max.max(noted(&trace));
         if let Ids::Fresh { next, .. } = ids {
             ids_max = ids_max.max(next);
         }
         let mut random = random_config(&mut rng);
-        if seed % 50 == 25 {
+        if long && seed % 2 == 1 {
             random.dispatch_cost = 0;
         }
-        for cfg in [
-            SimConfig::software(),
-            SimConfig::hardware_unroller(),
-            random,
-        ] {
-            let got = Simulator::new(cfg.clone()).run(&trace);
-            assert_eq!(got, Reference::run(cfg, &trace), "seed {seed}");
-        }
+        assert_same_reports(&trace, random, seed);
     }
     assert!(noted_max > 4096, "longest trace noted only {noted_max}");
     assert!(ids_max > 256, "fresh-id traces named at most {ids_max} ids");
+    assert!(
+        flushed_after > 1500,
+        "first flush after {flushed_after} accesses"
+    );
+    assert_eq!(chained, 8);
 }

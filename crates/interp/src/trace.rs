@@ -346,6 +346,38 @@ impl TensorRef {
         }
     }
 
+    /// The linear element span of the window: from its first element to
+    /// one past its last, `1 + Σ (extent − 1)·stride` over the axes of
+    /// nonzero extent, saturating at `u64::MAX`. Inline axes are read as
+    /// stored, without widening them into [`Axes`].
+    #[inline]
+    pub fn span(&self) -> u64 {
+        fn fold(axes: impl Iterator<Item = (u64, u64)>) -> u64 {
+            axes.filter(|&(n, _)| n > 0).fold(1, |span, (n, s)| {
+                span.saturating_add((n - 1).saturating_mul(s))
+            })
+        }
+        if self.rank == SPILLED {
+            let layout = self.spilled();
+            let (shape, strides) = layout.split_at(layout.len() / 2);
+            fold(
+                shape
+                    .iter()
+                    .zip(strides)
+                    .map(|(&n, &s)| (n as u64, s as u64)),
+            )
+        } else {
+            let (shape, strides) = self.axes.split_at(INLINE_AXES);
+            let rank = usize::from(self.rank);
+            fold(
+                shape[..rank]
+                    .iter()
+                    .zip(strides)
+                    .map(|(&n, &s)| (n.into(), s.into())),
+            )
+        }
+    }
+
     /// Total number of elements addressed: the product of the extents
     /// (1 for a scalar, 0 when some extent is 0).
     pub fn len(&self) -> usize {
@@ -803,6 +835,51 @@ mod tests {
         assert_ne!(tensor(&[(1, 1), (2, 1)]), tensor(&[(1, 1), (2, 1), (0, 1)]));
         assert_ne!(tensor(&[(1, 1); 5]), tensor(&[(1, 1); 6]));
         assert_eq!(tensor(&[(3, 1 << 32)]).strides(), [1 << 32]);
+    }
+
+    #[test]
+    fn span_folds_the_axes_as_the_widened_shape_and_strides_do() {
+        // the fold over `shape()` and `strides()` that `span` replaces
+        let widened = |t: &TensorRef| {
+            let (shape, strides) = (t.shape(), t.strides());
+            let axes = shape.iter().zip(strides.iter());
+            axes.filter(|&(&n, _)| n > 0).fold(1u64, |span, (&n, &s)| {
+                span.saturating_add((n as u64 - 1).saturating_mul(s as u64))
+            })
+        };
+        let big = u32::MAX as usize;
+        let layouts: [&[(usize, usize)]; 9] = [
+            &[],
+            &[(16, 128), (16, 1)],
+            &[(4, 0), (0, 3), (3, 1)],
+            &[(big, big), (big, big), (big, big), (big, big)],
+            &[(2, 1), (3, 2), (4, 6), (5, 24), (6, 120)],
+            &[(3, 1 << 32), (2, 1)],
+            &[(big + 1, 1)],
+            &[(2, usize::MAX), (2, 1)],
+            &[(1 << 40, 1 << 40), (1 << 40, 1)],
+        ];
+        let spans: Vec<u64> = layouts.iter().map(|axes| tensor(axes).span()).collect();
+        for (axes, &span) in layouts.iter().zip(&spans) {
+            assert_eq!(span, widened(&tensor(axes)), "{axes:?}");
+        }
+        let big = big as u64;
+        let exact = [
+            1,
+            1936,
+            3,
+            u64::MAX,
+            720,
+            (2 << 32) + 2,
+            big + 1,
+            u64::MAX,
+            u64::MAX,
+        ];
+        assert_eq!(spans, exact);
+        // rank 5 and 32-bit overflow spill; four axes of 32-bit extents
+        // and strides stay inline and saturate
+        assert_eq!(tensor(layouts[3]).rank, 4);
+        assert!(layouts[4..].iter().all(|axes| tensor(axes).rank == SPILLED));
     }
 
     #[test]

@@ -290,8 +290,6 @@ impl Formula {
 /// sign-and-gcd-canonical direction `dir`; a direction with `l > u` makes
 /// the conjunction false.
 fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
-    use exo_core::hash::HashMap;
-    type Bounds = (Option<i64>, Option<i64>);
     fn bounded(f: &Formula) -> Option<(&LinExpr, bool)> {
         match f {
             Formula::Atom(Atom::Le(e)) if !e.coeffs.is_empty() => Some((e, false)),
@@ -302,18 +300,9 @@ fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
     // one bound alone cannot conflict: with fewer than two, only an
     // equation's divisibility is left to check
     let compare = fs.iter().filter_map(bounded).nth(1).is_some();
-    // direction → (max lower bound, min upper bound)
-    let mut bounds: HashMap<Coeffs, Bounds> = HashMap::default();
-    let mut note = |dir: Coeffs, lower: Option<i64>, upper: Option<i64>| -> bool {
-        let entry = bounds.entry(dir).or_insert((None, None));
-        if let Some(l) = lower {
-            entry.0 = Some(entry.0.map_or(l, |x| x.max(l)));
-        }
-        if let Some(u) = upper {
-            entry.1 = Some(entry.1.map_or(u, |x| x.min(u)));
-        }
-        matches!(*entry, (Some(l), Some(u)) if l > u)
-    };
+    // per atom: (direction, lower bound, upper bound), `i64::MIN` and
+    // `i64::MAX` standing for none (neither can take part in `l > u`)
+    let mut bounds: Vec<(Coeffs, i64, i64)> = Vec::new();
     for (e, is_eq) in fs.iter().filter_map(bounded) {
         let g = e.coeffs.values().fold(0, |g, &c| crate::linear::gcd(g, c));
         let Some(&lead) = e.coeffs.values().next() else {
@@ -328,21 +317,25 @@ fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
         }
         let dir: Coeffs = e.coeffs.iter().map(|(&v, &c)| (v, sign * c / g)).collect();
         // e ≤ 0 ⇔ sign·g·(dir·x) + c ≤ 0
-        let conflict = if is_eq {
+        let (lower, upper) = if is_eq {
             let v = -sign * e.constant / g;
-            note(dir, Some(v), Some(v))
+            (v, v)
         } else if sign > 0 {
             // g·(dir·x) ≤ -c  ⇒  dir·x ≤ floor(-c / g)
-            note(dir, None, Some((-e.constant).div_euclid(g)))
+            (i64::MIN, (-e.constant).div_euclid(g))
         } else {
             // -g·(dir·x) + c ≤ 0  ⇒  dir·x ≥ ceil(c / g)
-            note(dir, Some(-(-e.constant).div_euclid(g)), None)
+            (-(-e.constant).div_euclid(g), i64::MAX)
         };
-        if conflict {
-            return true;
-        }
+        bounds.push((dir, lower, upper));
     }
-    false
+    // per direction: its greatest lower bound against its least upper one
+    bounds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    bounds.chunk_by(|a, b| a.0 == b.0).any(|same| {
+        let lower = same.iter().map(|b| b.1).max();
+        let upper = same.iter().map(|b| b.2).min();
+        lower > upper
+    })
 }
 
 impl fmt::Display for Formula {
