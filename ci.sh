@@ -17,7 +17,7 @@ cargo build --release
 echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget, fused single stores included, match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text; tests/solver_work_pin.rs: queries, answers, give-ups and QE nodes of each schedule-cold schedule and of each lint-cold subject, linted and loop-classified on a fresh context) =="
 cargo test -q
 
-echo "== obs / smt / analysis unit + integration tests (the registry records spans only and SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; the analysis.check_bounds span's obligations field equals its check queries; incl. the Coeffs model test against a BTreeMap, the shared-obligation equivalence tests in effexpr.rs/locset.rs (Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
+echo "== obs / smt / analysis unit + integration tests (the registry records spans only and SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; the analysis.check_bounds span's obligations field equals its check queries; incl. the Coeffs model test against a BTreeMap, formula.rs's checked_conjunctions_match_the_reference (Formula::and and subst, each conjunction checked once, byte for byte against the construction that compares every atom on every call, on seeded random conjunctions of 0-40 atoms), the shared-obligation equivalence tests in effexpr.rs/locset.rs (flat conjunction chains against the nested Kleene rule, Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 cargo test -q --release -p exo-kernels --test verdict_corpus
 

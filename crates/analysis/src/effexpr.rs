@@ -400,7 +400,7 @@ impl LowerCtx {
     fn lower_int_bin(&mut self, op: BinOp, a: &EffExpr, b: &EffExpr) -> LInt {
         let la = self.lower_int(a);
         let lb = self.lower_int(b);
-        let def = Formula::and(vec![la.def.clone(), lb.def.clone()]);
+        let def = both_defined(la.def.clone(), lb.def.clone());
         match op {
             BinOp::Add => LInt {
                 def,
@@ -473,11 +473,7 @@ impl LowerCtx {
                 val: Formula::True,
             },
             EffExpr::Not(a) => self.lower_bool(a).negate(),
-            EffExpr::Bin(BinOp::And, a, b) => {
-                let la = self.lower_bool(a);
-                let lb = self.lower_bool(b);
-                la.and(lb)
-            }
+            EffExpr::Bin(BinOp::And, ..) => self.lower_chain(e).lowered(),
             EffExpr::Bin(BinOp::Or, a, b) => {
                 let la = self.lower_bool(a);
                 let lb = self.lower_bool(b);
@@ -500,13 +496,13 @@ impl LowerCtx {
                     let la = self.lower_bool(a);
                     let lb = self.lower_bool(b);
                     return LBool {
-                        def: Formula::and(vec![la.def, lb.def]),
+                        def: both_defined(la.def, lb.def),
                         val: la.val.iff(lb.val),
                     };
                 }
                 let la = self.lower_int(a);
                 let lb = self.lower_int(b);
-                let def = Formula::and(vec![la.def, lb.def]);
+                let def = both_defined(la.def, lb.def);
                 let val = match op {
                     BinOp::Eq => Formula::eq(la.val, lb.val),
                     BinOp::Lt => Formula::lt(la.val, lb.val),
@@ -539,6 +535,60 @@ impl LowerCtx {
                 def: Formula::False,
                 val: Formula::True,
             },
+        }
+    }
+
+    /// Lowers the left-nested conjunction chain `e` part by part, left to
+    /// right as the nested rule does, so side constraints and fresh
+    /// symbols come in the same order; runs of known parts make one
+    /// conjunction instead of one per link.
+    fn lower_chain(&mut self, e: &EffExpr) -> Chain {
+        match e {
+            EffExpr::Bin(BinOp::And, a, b) => {
+                let chain = self.lower_chain(a);
+                chain.and(self.lower_bool(b))
+            }
+            e => Chain::Lowered(self.lower_bool(e)),
+        }
+    }
+}
+
+/// `a ∧ b` for two definedness conditions: `True ∧ True` is `True`.
+fn both_defined(a: Formula, b: Formula) -> Formula {
+    if a == Formula::True && b == Formula::True {
+        return Formula::True;
+    }
+    Formula::and(vec![a, b])
+}
+
+/// A left-nested chain `p₀ ∧ p₁ ∧ …` lowered so far.
+enum Chain {
+    /// As the Kleene rule builds it.
+    Lowered(LBool),
+    /// Two or more known parts' values, to be joined by one
+    /// `Formula::and`: `and([and([u, v]), w])` is `and([u, v, w])`.
+    Known(Vec<Formula>),
+}
+
+impl Chain {
+    /// `self ∧ p`.
+    fn and(self, p: LBool) -> Chain {
+        match self {
+            Chain::Known(mut vals) if p.is_known() => {
+                vals.push(p.val);
+                Chain::Known(vals)
+            }
+            Chain::Lowered(acc) if acc.is_known() && p.is_known() => {
+                Chain::Known(vec![acc.val, p.val])
+            }
+            chain => Chain::Lowered(chain.lowered().and(p)),
+        }
+    }
+
+    fn lowered(self) -> LBool {
+        match self {
+            Chain::Lowered(l) => l,
+            Chain::Known(vals) => LBool::known(Formula::and(vals)),
         }
     }
 }
@@ -772,6 +822,71 @@ pub(crate) mod tests {
         }
         // both branches of every fast path are exercised
         assert!((200..1_800).contains(&known), "{known} known pairs");
+    }
+
+    /// Lowers `e` as the nested rule does: a conjunction lowers both
+    /// sides, then joins them with `LBool::and`.
+    fn lower_nested(ctx: &mut LowerCtx, e: &EffExpr) -> LBool {
+        match e {
+            EffExpr::Bin(BinOp::And, a, b) => {
+                let la = lower_nested(ctx, a);
+                la.and(lower_nested(ctx, b))
+            }
+            e => ctx.lower_bool(e),
+        }
+    }
+
+    /// `val`, the side constraints and `def`, canonically renamed after
+    /// the vocabulary: two lowerings mint their fresh symbols separately.
+    fn canonical(l: LBool, ctx: &LowerCtx, v: &testgen::Vocab) -> Formula {
+        let anchor = v
+            .ints
+            .iter()
+            .map(|&s| Formula::eq(LinExpr::var(s), LinExpr::constant(0)));
+        exo_smt::canon::canonicalize(&Formula::And(vec![
+            Formula::And(anchor.collect()),
+            l.val,
+            Formula::And(ctx.side.clone()),
+            l.def,
+        ]))
+    }
+
+    /// A left-nested chain of conjunctions lowers to the `val`, `def` and
+    /// side constraints of the nested construction, on random chains of
+    /// known parts, ⊥ parts and parts with `Ite`, `/` and `%`.
+    #[test]
+    fn flat_chains_match_the_nested_construction() {
+        let v = testgen::Vocab::new();
+        let (mut known, mut mixed, mut sided) = (0, 0, 0);
+        for seed in 0..2_000 {
+            let mut rng = testgen::Rng::new(seed);
+            let part = |rng: &mut testgen::Rng| match rng.below(6) {
+                0 => EffExpr::Unknown,
+                1 | 2 => testgen::boolean(rng, &v, 2, true),
+                _ => testgen::boolean(rng, &v, 3, false),
+            };
+            let first = part(&mut rng);
+            let chain = (0..1 + rng.below(7)).fold(first, |chain, _| {
+                EffExpr::Bin(BinOp::And, Arc::new(chain), Arc::new(part(&mut rng)))
+            });
+            let (mut flat, mut nested) = (LowerCtx::new(), LowerCtx::new());
+            let got = flat.lower_bool(&chain);
+            let want = lower_nested(&mut nested, &chain);
+            match got.is_known() {
+                true => known += 1,
+                false => mixed += 1,
+            }
+            sided += usize::from(!flat.side.is_empty());
+            assert_eq!(
+                canonical(got, &flat, &v),
+                canonical(want, &nested, &v),
+                "seed {seed}: {chain:?}"
+            );
+        }
+        assert!(
+            known > 200 && mixed > 200 && sided > 200,
+            "{known} known, {mixed} mixed, {sided} with side constraints"
+        );
     }
 
     #[test]

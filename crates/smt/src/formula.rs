@@ -7,10 +7,12 @@
 //! elimination in [`crate::qe`].
 
 use std::fmt;
+use std::hash::Hasher;
 
+use exo_core::hash::FxHasher;
 use exo_core::sym::Sym;
 
-use crate::linear::{Coeffs, LinExpr};
+use crate::linear::LinExpr;
 
 /// An atomic constraint.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -101,18 +103,51 @@ impl Formula {
     /// bound-conflict pruning (a conjunction implying both `t ≤ u` and
     /// `t ≥ l` with `l > u` along the same linear direction collapses to
     /// `False` — this keeps Cooper-elimination disjunct counts down).
+    ///
+    /// Each conjunction is checked once: the parts of the largest `And`
+    /// in `fs` count as checked against each other, and only the other
+    /// atoms are compared, each with the whole conjunction. Every `And`
+    /// the library builds comes from this check or from
+    /// [`crate::canon::canonicalize`], whose bijective renaming keeps a
+    /// checked conjunction free of conflicts. An `And` built by hand only
+    /// loses pruning: the check turns nothing but an unsatisfiable
+    /// conjunction into `False`, so no verdict changes.
     pub fn and(fs: Vec<Formula>) -> Formula {
+        let checked = (0..fs.len())
+            .filter(|&i| matches!(fs[i], Formula::And(_)))
+            .max_by_key(|&i| fs[i].conjuncts().len());
+        Formula::and_checked(
+            fs.into_iter()
+                .enumerate()
+                .map(|(i, f)| (f, Some(i) == checked)),
+        )
+    }
+
+    /// [`Formula::and`] of `parts`, each flagged whether it is (or, for an
+    /// `And`, its parts are) unchanged from a conjunction already checked:
+    /// flagged atoms are not compared with each other again, so all of
+    /// them must come from the same checked conjunction.
+    pub(crate) fn and_checked(parts: impl IntoIterator<Item = (Formula, bool)>) -> Formula {
         let mut out = Vec::new();
-        for f in fs {
+        // the bounds of the atoms new to the conjunction
+        let mut fresh = Vec::new();
+        let mut push = |f: Formula, checked: bool, out: &mut Vec<Formula>| {
+            if out.last() != Some(&f) {
+                if !checked {
+                    fresh.extend(Bound::of(&f, out.len()));
+                }
+                out.push(f);
+            }
+        };
+        for (f, checked) in parts {
             match f {
                 Formula::True => {}
                 Formula::False => return Formula::False,
-                Formula::And(inner) => out.extend(inner),
-                f => out.push(f),
+                Formula::And(inner) => inner.into_iter().for_each(|g| push(g, checked, &mut out)),
+                f => push(f, checked, &mut out),
             }
         }
-        out.dedup();
-        if conj_has_bound_conflict(&out) {
+        if has_bound_conflict(&out, &fresh) {
             return Formula::False;
         }
         match out.len() {
@@ -236,8 +271,6 @@ impl Formula {
     /// entered (bound occurrences shadow).
     pub fn subst(&self, x: Sym, e: &LinExpr) -> Formula {
         match self {
-            Formula::True => Formula::True,
-            Formula::False => Formula::False,
             Formula::Atom(a) => {
                 let f = match a {
                     Atom::Le(t) => Formula::Atom(Atom::Le(t.subst(x, e))),
@@ -247,12 +280,32 @@ impl Formula {
                 f.simplify_shallow()
             }
             Formula::Not(f) => f.subst(x, e).negate(),
-            Formula::And(fs) => Formula::and(fs.iter().map(|f| f.subst(x, e)).collect()),
+            Formula::And(fs) => {
+                Formula::and_checked(fs.iter().map(|f| (f.subst(x, e), f.is_atom_free_of(x))))
+            }
             Formula::Or(fs) => Formula::or(fs.iter().map(|f| f.subst(x, e)).collect()),
             Formula::Exists(y, f) if *y != x => f.subst(x, e).exists(*y),
             Formula::Forall(y, f) if *y != x => f.subst(x, e).forall(*y),
             q => q.clone(),
         }
+    }
+
+    /// Whether `x` occurs free in the formula.
+    pub(crate) fn mentions(&self, x: Sym) -> bool {
+        match self {
+            Formula::True | Formula::False => false,
+            Formula::Atom(Atom::Le(e) | Atom::Eq(e) | Atom::Dvd(_, e)) => e.mentions(x),
+            Formula::Not(f) => f.mentions(x),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().any(|f| f.mentions(x)),
+            Formula::Exists(y, f) | Formula::Forall(y, f) => *y != x && f.mentions(x),
+        }
+    }
+
+    /// Whether the formula is an atom without `x`: a part of a
+    /// conjunction that substituting, rescaling or projecting `x` leaves
+    /// unchanged.
+    pub(crate) fn is_atom_free_of(&self, x: Sym) -> bool {
+        matches!(self, Formula::Atom(_)) && !self.mentions(x)
     }
 
     /// The top-level conjuncts: the parts of an `And`, else the formula
@@ -261,16 +314,6 @@ impl Formula {
         match self {
             Formula::And(fs) => fs,
             f => std::slice::from_ref(f),
-        }
-    }
-
-    /// Whether the formula contains quantifiers.
-    pub fn has_quantifiers(&self) -> bool {
-        match self {
-            Formula::True | Formula::False | Formula::Atom(_) => false,
-            Formula::Not(f) => f.has_quantifiers(),
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().any(Formula::has_quantifiers),
-            Formula::Exists(..) | Formula::Forall(..) => true,
         }
     }
 
@@ -285,57 +328,74 @@ impl Formula {
     }
 }
 
-/// Detects pairs of linear bounds in one conjunction that are jointly
-/// infeasible: atoms are normalized to `dir·x ≤ u` / `dir·x ≥ l` along a
-/// sign-and-gcd-canonical direction `dir`; a direction with `l > u` makes
-/// the conjunction false.
-fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
-    fn bounded(f: &Formula) -> Option<(&LinExpr, bool)> {
-        match f {
-            Formula::Atom(Atom::Le(e)) if !e.coeffs.is_empty() => Some((e, false)),
-            Formula::Atom(Atom::Eq(e)) if !e.coeffs.is_empty() => Some((e, true)),
-            _ => None,
-        }
-    }
-    // one bound alone cannot conflict: with fewer than two, only an
-    // equation's divisibility is left to check
-    let compare = fs.iter().filter_map(bounded).nth(1).is_some();
-    // per atom: (direction, lower bound, upper bound), `i64::MIN` and
-    // `i64::MAX` standing for none (neither can take part in `l > u`)
-    let mut bounds: Vec<(Coeffs, i64, i64)> = Vec::new();
-    for (e, is_eq) in fs.iter().filter_map(bounded) {
+/// The atom `e ≤ 0` or `e = 0` at `at` of a conjunction, as bounds
+/// `lower ≤ dir·x ≤ upper` (`i64::MIN`, `i64::MAX` for none) on its
+/// direction: `e`'s terms divided by `unit`, their gcd signed so the
+/// first term is positive. An equation `unit` does not divide gets an
+/// empty range.
+struct Bound {
+    at: usize,
+    /// Hash of the direction.
+    hash: u64,
+    unit: i64,
+    lower: i64,
+    upper: i64,
+}
+
+impl Bound {
+    fn of(f: &Formula, at: usize) -> Option<Bound> {
+        let (e, is_eq) = match f {
+            Formula::Atom(Atom::Le(e)) if !e.coeffs.is_empty() => (e, false),
+            Formula::Atom(Atom::Eq(e)) if !e.coeffs.is_empty() => (e, true),
+            _ => return None,
+        };
         let g = e.coeffs.values().fold(0, |g, &c| crate::linear::gcd(g, c));
-        let Some(&lead) = e.coeffs.values().next() else {
-            continue;
-        };
-        let sign = if lead > 0 { 1 } else { -1 };
-        if is_eq && e.constant.rem_euclid(g) != 0 {
-            return true;
+        let lead = e.coeffs.values().next().copied().unwrap_or(0);
+        let unit = if lead > 0 { g } else { -g };
+        let mut hash = FxHasher::default();
+        for (x, &c) in &e.coeffs {
+            hash.write_u32(x.id());
+            hash.write_i64(c / unit);
         }
-        if !compare {
-            continue;
-        }
-        let dir: Coeffs = e.coeffs.iter().map(|(&v, &c)| (v, sign * c / g)).collect();
-        // e ≤ 0 ⇔ sign·g·(dir·x) + c ≤ 0
-        let (lower, upper) = if is_eq {
-            let v = -sign * e.constant / g;
-            (v, v)
-        } else if sign > 0 {
-            // g·(dir·x) ≤ -c  ⇒  dir·x ≤ floor(-c / g)
-            (i64::MIN, (-e.constant).div_euclid(g))
-        } else {
-            // -g·(dir·x) + c ≤ 0  ⇒  dir·x ≥ ceil(c / g)
-            (-(-e.constant).div_euclid(g), i64::MAX)
+        // e ≤ 0  ⇔  unit·(dir·x) ≤ c
+        let c = -e.constant;
+        let (lower, upper) = match (is_eq, unit > 0) {
+            (true, _) if c % unit == 0 => (c / unit, c / unit),
+            (true, _) => (i64::MAX, i64::MIN),
+            (false, true) => (i64::MIN, c.div_euclid(unit)),
+            (false, false) => (-c.div_euclid(-unit), i64::MAX),
         };
-        bounds.push((dir, lower, upper));
+        Some(Bound {
+            at,
+            hash: hash.finish(),
+            unit,
+            lower,
+            upper,
+        })
     }
-    // per direction: its greatest lower bound against its least upper one
-    bounds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    bounds.chunk_by(|a, b| a.0 == b.0).any(|same| {
-        let lower = same.iter().map(|b| b.1).max();
-        let upper = same.iter().map(|b| b.2).min();
-        lower > upper
-    })
+}
+
+/// Whether the conjunction `conj` bounds one direction with an empty
+/// range, given the bounds of its `fresh` atoms: the other atoms were
+/// checked against each other already, so only pairs with a fresh one
+/// are compared (by hash first).
+fn has_bound_conflict(conj: &[Formula], fresh: &[Bound]) -> bool {
+    let disjoint = |a: &Bound, b: &Bound| a.lower > b.upper || b.lower > a.upper;
+    let dir = |&Bound { at, unit, .. }: &Bound| match &conj[at] {
+        Formula::Atom(Atom::Le(e) | Atom::Eq(e)) => {
+            e.coeffs.iter().map(move |(&x, &c)| (x, c / unit))
+        }
+        _ => unreachable!("a bound comes from an atom"),
+    };
+    !fresh.is_empty()
+        && (fresh.iter().any(|b| disjoint(b, b))
+            || (conj.iter().enumerate())
+                .filter_map(|(at, f)| Bound::of(f, at))
+                .any(|b| {
+                    fresh
+                        .iter()
+                        .any(|n| n.hash == b.hash && disjoint(n, &b) && dir(n).eq(dir(&b)))
+                }))
 }
 
 impl fmt::Display for Formula {
@@ -347,30 +407,21 @@ impl fmt::Display for Formula {
             Formula::Atom(Atom::Eq(e)) => write!(f, "({e} == 0)"),
             Formula::Atom(Atom::Dvd(m, e)) => write!(f, "({m} | {e})"),
             Formula::Not(g) => write!(f, "¬{g}"),
-            Formula::And(fs) => {
-                write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{g}")?;
-                }
-                write!(f, ")")
-            }
-            Formula::Or(fs) => {
-                write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∨ ")?;
-                    }
-                    write!(f, "{g}")?;
-                }
-                write!(f, ")")
-            }
+            Formula::And(fs) => write_joined(f, fs, " ∧ "),
+            Formula::Or(fs) => write_joined(f, fs, " ∨ "),
             Formula::Exists(x, g) => write!(f, "∃{x}. {g}"),
             Formula::Forall(x, g) => write!(f, "∀{x}. {g}"),
         }
     }
+}
+
+/// `(g₀ sep g₁ sep …)`.
+fn write_joined(f: &mut fmt::Formatter<'_>, fs: &[Formula], sep: &str) -> fmt::Result {
+    write!(f, "(")?;
+    for (i, g) in fs.iter().enumerate() {
+        write!(f, "{}{g}", if i > 0 { sep } else { "" })?;
+    }
+    write!(f, ")")
 }
 
 #[cfg(test)]
@@ -458,5 +509,235 @@ mod tests {
         let x = Sym::new("x");
         let a = Formula::le(LinExpr::var(x), LinExpr::constant(0));
         assert_eq!(a.clone().negate().negate(), a);
+    }
+
+    /// `Formula::and` and `Formula::subst` as built before each
+    /// conjunction was checked once: every call flattens its inputs and
+    /// compares all their atoms. The reference the checked construction
+    /// must match byte for byte.
+    mod reference {
+        use super::*;
+        use crate::linear::Coeffs;
+
+        pub(super) fn and(fs: Vec<Formula>) -> Formula {
+            let mut out = Vec::new();
+            for f in fs {
+                match f {
+                    Formula::True => {}
+                    Formula::False => return Formula::False,
+                    Formula::And(inner) => out.extend(inner),
+                    f => out.push(f),
+                }
+            }
+            out.dedup();
+            if conj_has_bound_conflict(&out) {
+                return Formula::False;
+            }
+            match out.len() {
+                0 => Formula::True,
+                1 => out.pop().unwrap_or(Formula::True),
+                _ => Formula::And(out),
+            }
+        }
+
+        fn conj_has_bound_conflict(fs: &[Formula]) -> bool {
+            fn bounded(f: &Formula) -> Option<(&LinExpr, bool)> {
+                match f {
+                    Formula::Atom(Atom::Le(e)) if !e.coeffs.is_empty() => Some((e, false)),
+                    Formula::Atom(Atom::Eq(e)) if !e.coeffs.is_empty() => Some((e, true)),
+                    _ => None,
+                }
+            }
+            let compare = fs.iter().filter_map(bounded).nth(1).is_some();
+            let mut bounds: Vec<(Coeffs, i64, i64)> = Vec::new();
+            for (e, is_eq) in fs.iter().filter_map(bounded) {
+                let g = e.coeffs.values().fold(0, |g, &c| crate::linear::gcd(g, c));
+                let Some(&lead) = e.coeffs.values().next() else {
+                    continue;
+                };
+                let sign = if lead > 0 { 1 } else { -1 };
+                if is_eq && e.constant.rem_euclid(g) != 0 {
+                    return true;
+                }
+                if !compare {
+                    continue;
+                }
+                let dir: Coeffs = e.coeffs.iter().map(|(&v, &c)| (v, sign * c / g)).collect();
+                let (lower, upper) = if is_eq {
+                    let v = -sign * e.constant / g;
+                    (v, v)
+                } else if sign > 0 {
+                    (i64::MIN, (-e.constant).div_euclid(g))
+                } else {
+                    (-(-e.constant).div_euclid(g), i64::MAX)
+                };
+                bounds.push((dir, lower, upper));
+            }
+            bounds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            bounds.chunk_by(|a, b| a.0 == b.0).any(|same| {
+                let lower = same.iter().map(|b| b.1).max();
+                let upper = same.iter().map(|b| b.2).min();
+                lower > upper
+            })
+        }
+
+        pub(super) fn subst(f: &Formula, x: Sym, e: &LinExpr) -> Formula {
+            match f {
+                Formula::And(fs) => and(fs.iter().map(|g| subst(g, x, e)).collect()),
+                Formula::Or(fs) => Formula::or(fs.iter().map(|g| subst(g, x, e)).collect()),
+                Formula::Not(g) => subst(g, x, e).negate(),
+                g => g.subst(x, e),
+            }
+        }
+    }
+
+    /// SplitMix64: a small deterministic generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// Random conjunction parts over a few directions, so that bounds on
+    /// one direction (at different scales and signs) meet often.
+    struct Gen {
+        vars: [Sym; 3],
+        dirs: Vec<LinExpr>,
+    }
+
+    impl Gen {
+        fn new() -> Gen {
+            let vars = [Sym::new("x"), Sym::new("y"), Sym::new("z")];
+            let [x, y, z] = vars.map(LinExpr::var);
+            let dirs = vec![
+                x.clone(),
+                y.clone(),
+                x.add(&y.scale(2)),
+                y.sub(&z),
+                x.scale(3).add(&z).sub(&y.scale(2)),
+            ];
+            Gen { vars, dirs }
+        }
+
+        /// A direction, scaled by ±1..3, plus a small constant.
+        fn lin(&self, rng: &mut Rng) -> LinExpr {
+            let d = &self.dirs[rng.below(self.dirs.len() as u64) as usize];
+            let k = [1, -1, 2, -2, 3, -3][rng.below(6) as usize];
+            d.scale(k).offset(rng.int(-10, 10))
+        }
+
+        /// An atom: normalized through the constructors, or raw (not
+        /// divided by its gcd, as a rebuild may leave it).
+        fn atom(&self, rng: &mut Rng) -> Formula {
+            let e = self.lin(rng);
+            match rng.below(24) {
+                0..=9 => Formula::le(e, LinExpr::constant(0)),
+                10..=12 => Formula::Atom(Atom::Le(e)),
+                13..=16 => Formula::eq(e, LinExpr::constant(0)),
+                // often an equation whose gcd does not divide its constant
+                17 => Formula::Atom(Atom::Eq(e)),
+                18..=20 => Formula::dvd(rng.int(2, 4), e),
+                _ => Formula::dvd(rng.int(2, 4), e).negate(),
+            }
+        }
+
+        /// A conjunction input: mostly atoms, sometimes a checked
+        /// conjunction, a disjunction or a constant.
+        fn part(&self, rng: &mut Rng) -> Formula {
+            match rng.below(12) {
+                0 => {
+                    let n = rng.below(12) as usize;
+                    reference::and((0..n).map(|_| self.atom(rng)).collect())
+                }
+                1 => Formula::or(vec![self.atom(rng), self.atom(rng)]),
+                2 if rng.below(8) == 0 => Formula::True,
+                3 if rng.below(16) == 0 => Formula::False,
+                _ => self.atom(rng),
+            }
+        }
+
+        /// A checked conjunction of up to 40 inputs: each input that
+        /// would make it false is left out.
+        fn conj(&self, rng: &mut Rng) -> Formula {
+            let n = rng.below(41) as usize;
+            (0..n).fold(Formula::True, |conj, _| {
+                match reference::and(vec![conj.clone(), self.part(rng)]) {
+                    Formula::False => conj,
+                    f => f,
+                }
+            })
+        }
+
+        /// 0–40 inputs, with repeats.
+        fn parts(&self, rng: &mut Rng) -> Vec<Formula> {
+            let n = rng.below(41) as usize;
+            let mut fs: Vec<Formula> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let f = match fs.last() {
+                    Some(f) if rng.below(6) == 0 => f.clone(),
+                    _ => self.part(rng),
+                };
+                fs.push(f);
+            }
+            fs
+        }
+    }
+
+    /// `and` and `subst` equal the construction that compares every atom
+    /// on every call, on seeded random conjunctions.
+    #[test]
+    fn checked_conjunctions_match_the_reference() {
+        let gen = Gen::new();
+        let (mut pruned, mut kept, mut subst_pruned, mut subst_kept) = (0, 0, 0, 0);
+        for seed in 0..4_000 {
+            let mut rng = Rng(seed);
+            let mut fs = gen.parts(&mut rng);
+            if rng.below(2) == 0 {
+                let at = rng.below(fs.len() as u64 + 1) as usize;
+                fs.insert(at, gen.conj(&mut rng));
+            }
+            let got = Formula::and(fs.clone());
+            assert_eq!(got, reference::and(fs.clone()), "seed {seed}: {fs:?}");
+            match got {
+                Formula::False => pruned += 1,
+                _ => kept += 1,
+            }
+            // a checked conjunction, rebuilt with one variable replaced
+            let conj = gen.conj(&mut rng);
+            let x = gen.vars[rng.below(3) as usize];
+            let e = match rng.below(3) {
+                0 => LinExpr::constant(rng.int(-6, 6)),
+                _ => gen.lin(&mut rng),
+            };
+            let got = conj.subst(x, &e);
+            assert_eq!(
+                got,
+                reference::subst(&conj, x, &e),
+                "seed {seed}: {conj} [{x} := {e}]"
+            );
+            match got {
+                Formula::False => subst_pruned += 1,
+                _ => subst_kept += 1,
+            }
+        }
+        // both outcomes, of both constructions, are exercised
+        assert!(
+            pruned > 300 && kept > 300,
+            "and: {pruned} pruned, {kept} kept"
+        );
+        assert!(
+            subst_pruned > 300 && subst_kept > 300,
+            "subst: {subst_pruned} pruned, {subst_kept} kept"
+        );
     }
 }

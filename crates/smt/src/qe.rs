@@ -37,53 +37,21 @@ impl std::error::Error for TooHard {}
 /// disjunction of two inequalities.
 fn nnf(f: &Formula, neg: bool) -> Formula {
     match f {
-        Formula::True => {
-            if neg {
-                Formula::False
-            } else {
-                Formula::True
-            }
-        }
-        Formula::False => {
-            if neg {
-                Formula::True
-            } else {
-                Formula::False
-            }
-        }
+        Formula::True | Formula::False if neg => f.clone().negate(),
+        Formula::True | Formula::False => f.clone(),
         Formula::Not(g) => nnf(g, !neg),
-        Formula::And(fs) => {
-            let parts = fs.iter().map(|g| nnf(g, neg)).collect();
-            if neg {
-                Formula::or(parts)
-            } else {
-                Formula::and(parts)
-            }
-        }
-        Formula::Or(fs) => {
-            let parts = fs.iter().map(|g| nnf(g, neg)).collect();
-            if neg {
-                Formula::and(parts)
-            } else {
-                Formula::or(parts)
-            }
-        }
-        Formula::Exists(x, g) => {
-            let body = nnf(g, neg);
-            if neg {
-                body.forall(*x)
-            } else {
-                body.exists(*x)
-            }
-        }
-        Formula::Forall(x, g) => {
-            let body = nnf(g, neg);
-            if neg {
-                body.exists(*x)
-            } else {
-                body.forall(*x)
-            }
-        }
+        // positive atoms come through unchanged
+        Formula::And(fs) if !neg => Formula::and_checked(
+            fs.iter()
+                .map(|g| (nnf(g, false), matches!(g, Formula::Atom(_)))),
+        ),
+        Formula::And(fs) => Formula::or(fs.iter().map(|g| nnf(g, true)).collect()),
+        Formula::Or(fs) if neg => Formula::and(fs.iter().map(|g| nnf(g, true)).collect()),
+        Formula::Or(fs) => Formula::or(fs.iter().map(|g| nnf(g, false)).collect()),
+        Formula::Exists(x, g) if neg => nnf(g, true).forall(*x),
+        Formula::Exists(x, g) => nnf(g, false).exists(*x),
+        Formula::Forall(x, g) if neg => nnf(g, true).exists(*x),
+        Formula::Forall(x, g) => nnf(g, false).forall(*x),
         Formula::Atom(a) => match (a, neg) {
             (Atom::Le(e), false) => Formula::Atom(Atom::Le(e.clone())),
             // ¬(e ≤ 0) ⇔ e ≥ 1 ⇔ 1 - e ≤ 0
@@ -149,13 +117,14 @@ fn qe(f: &Formula, budget: &mut QeBudget) -> Result<Formula, TooHard> {
         Formula::And(fs) => {
             let mut parts = Vec::with_capacity(fs.len());
             for g in fs {
-                let g = qe(g, budget)?;
-                if g == Formula::False {
+                let q = qe(g, budget)?;
+                if q == Formula::False {
                     return Ok(Formula::False);
                 }
-                parts.push(g);
+                // atoms come through unchanged
+                parts.push((q, matches!(g, Formula::Atom(_))));
             }
-            Formula::and(parts)
+            Formula::and_checked(parts)
         }
         Formula::Or(fs) => {
             let mut parts = Vec::with_capacity(fs.len());
@@ -185,9 +154,7 @@ fn qe(f: &Formula, budget: &mut QeBudget) -> Result<Formula, TooHard> {
 /// Eliminates `∃x` from a quantifier-free NNF formula.
 pub fn eliminate_exists(x: Sym, f: &Formula, budget: &mut QeBudget) -> Result<Formula, TooHard> {
     // Fast path: x does not occur.
-    let mut fv = std::collections::BTreeSet::new();
-    f.free_vars(&mut fv);
-    if !fv.contains(&x) {
+    if !f.mentions(x) {
         return Ok(f.clone());
     }
 
@@ -305,7 +272,10 @@ fn rescale(f: &Formula, x: Sym, lam: i64) -> Formula {
             Formula::Atom(a) => rescale_atom(a, x, lam, true),
             _ => f.clone(),
         },
-        Formula::And(fs) => Formula::and(fs.iter().map(|g| rescale(g, x, lam)).collect()),
+        Formula::And(fs) => Formula::and_checked(
+            fs.iter()
+                .map(|g| (rescale(g, x, lam), g.is_atom_free_of(x))),
+        ),
         Formula::Or(fs) => Formula::or(fs.iter().map(|g| rescale(g, x, lam)).collect()),
         other => other.clone(),
     }
@@ -323,16 +293,10 @@ fn rescale_atom(a: &Atom, x: Sym, lam: i64, negated: bool) -> Formula {
     let k = lam / c.abs();
     debug_assert!(k > 0);
     match a {
-        Atom::Le(e) => {
-            // multiply through by k (positive): k·e ≤ 0; then coefficient
-            // of x is ±λ; rename λ·x → x (unit coefficient).
-            let scaled = e.scale(k);
-            wrap(Formula::Atom(Atom::Le(unitize(scaled, x))))
-        }
-        Atom::Eq(e) => {
-            let scaled = e.scale(k);
-            wrap(Formula::Atom(Atom::Eq(unitize(scaled, x))))
-        }
+        // multiply through by k (positive): k·e ≤ 0; then coefficient
+        // of x is ±λ; rename λ·x → x (unit coefficient).
+        Atom::Le(e) => wrap(Formula::Atom(Atom::Le(unitize(e.scale(k), x)))),
+        Atom::Eq(e) => wrap(Formula::Atom(Atom::Eq(unitize(e.scale(k), x)))),
         Atom::Dvd(m, e) => {
             let mut scaled = e.scale(k);
             let mut modulus = m * k;
@@ -382,19 +346,14 @@ fn collect_bounds(
                 c => unreachable!("unrescaled coefficient {c}"),
             }
         }
-        Formula::Atom(Atom::Eq(e)) => {
-            // an equality not substituted away (e.g. one nested under a
-            // disjunction) pins x to one point, reachable from either side.
-            match e.coeff(x) {
-                0 => {}
-                _ => {
-                    let mut r = e.clone();
-                    let c = r.coeffs.remove(&x).unwrap_or(0);
-                    let r = if c > 0 { r.scale(-1) } else { r };
-                    lowers.push(r.offset(-1));
-                    uppers.push(r.offset(1));
-                }
-            }
+        // an equality not substituted away (e.g. one nested under a
+        // disjunction) pins x to one point, reachable from either side.
+        Formula::Atom(Atom::Eq(e)) if e.coeff(x) != 0 => {
+            let mut r = e.clone();
+            let c = r.coeffs.remove(&x).unwrap_or(0);
+            let r = if c > 0 { r.scale(-1) } else { r };
+            lowers.push(r.offset(-1));
+            uppers.push(r.offset(1));
         }
         Formula::Atom(Atom::Dvd(m, e)) if e.coeff(x) != 0 => {
             *delta = lcm(*delta, *m);
@@ -415,33 +374,19 @@ fn project_inf(f: &Formula, x: Sym, minus: bool) -> Formula {
     match f {
         Formula::Atom(Atom::Le(e)) => match e.coeff(x) {
             0 => f.clone(),
-            // x ≤ -r : true at -∞, false at +∞
-            1 => {
-                if minus {
-                    Formula::True
-                } else {
-                    Formula::False
-                }
-            }
-            // x ≥ r : false at -∞, true at +∞
-            -1 => {
-                if minus {
-                    Formula::False
-                } else {
-                    Formula::True
-                }
-            }
+            // x ≤ -r is true at -∞ and false at +∞; x ≥ r the reverse
+            1 if minus => Formula::True,
+            -1 if !minus => Formula::True,
+            1 | -1 => Formula::False,
             c => unreachable!("unrescaled coefficient {c}"),
         },
-        Formula::Atom(Atom::Eq(e)) => {
-            if e.coeff(x) == 0 {
-                f.clone()
-            } else {
-                Formula::False
-            }
-        }
+        Formula::Atom(Atom::Eq(e)) if e.coeff(x) == 0 => f.clone(),
+        Formula::Atom(Atom::Eq(_)) => Formula::False,
         Formula::Atom(Atom::Dvd(..)) | Formula::Not(_) => f.clone(),
-        Formula::And(fs) => Formula::and(fs.iter().map(|g| project_inf(g, x, minus)).collect()),
+        Formula::And(fs) => Formula::and_checked(
+            fs.iter()
+                .map(|g| (project_inf(g, x, minus), g.is_atom_free_of(x))),
+        ),
         Formula::Or(fs) => Formula::or(fs.iter().map(|g| project_inf(g, x, minus)).collect()),
         other => other.clone(),
     }

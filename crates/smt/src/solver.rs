@@ -12,7 +12,6 @@
 //! verdict cache plus the provenance "simplest equivalent definition"
 //! optimization in `exo-sched` are the two levers.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 use exo_core::sym::Sym;
@@ -201,10 +200,10 @@ fn sat_qf(f: &Formula, budget: &mut QeBudget) -> Result<bool, TooHard> {
     let x = match unit_eq {
         Some(x) => x,
         None => {
-            let mut fv = BTreeSet::new();
-            f.free_vars(&mut fv);
-            match fv.into_iter().min_by_key(|&v| elimination_cost(f, v)) {
-                Some(x) => x,
+            let mut costs = Vec::new();
+            elimination_costs(f, &mut costs);
+            match costs.into_iter().min_by_key(|&(v, lam, n)| (lam, n, v)) {
+                Some((x, ..)) => x,
                 // ground: atoms mostly fold at construction, but a few paths
                 // (e.g. Cooper rescaling) build atoms directly — evaluate here.
                 None => return Ok(eval_ground(f)),
@@ -235,21 +234,26 @@ fn eval_ground(f: &Formula) -> bool {
     }
 }
 
-/// Heuristic elimination cost of `x`: the lcm of its coefficients'
-/// magnitudes (saturating), then the number of atoms mentioning it.
-fn elimination_cost(f: &Formula, x: Sym) -> (i64, usize) {
+/// Heuristic elimination cost of every variable of the quantifier-free
+/// `f`, in one walk: `(x, λ, n)` with λ the lcm of `x`'s coefficients'
+/// magnitudes (saturating) and `n` the number of atoms mentioning it.
+fn elimination_costs(f: &Formula, costs: &mut Vec<(Sym, i64, usize)>) {
     match f {
-        Formula::Atom(Atom::Le(e) | Atom::Eq(e) | Atom::Dvd(_, e)) => match e.coeff(x).abs() {
-            0 => (1, 0),
-            c => (c, 1),
-        },
-        Formula::Not(g) => elimination_cost(g, x),
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().fold((1, 0), |(lam, n), g| {
-            let (l, m) = elimination_cost(g, x);
-            let lam = (lam / gcd(lam, l)).saturating_mul(l);
-            (lam, n + m)
-        }),
-        _ => (1, 0),
+        Formula::Atom(Atom::Le(e) | Atom::Eq(e) | Atom::Dvd(_, e)) => {
+            for (&x, &c) in &e.coeffs {
+                let (l, m) = if c == 0 { (1, 0) } else { (c.abs(), 1) };
+                match costs.iter_mut().find(|(v, ..)| *v == x) {
+                    Some((_, lam, n)) => {
+                        *lam = (*lam / gcd(*lam, l)).saturating_mul(l);
+                        *n += m;
+                    }
+                    None => costs.push((x, l, m)),
+                }
+            }
+        }
+        Formula::Not(g) => elimination_costs(g, costs),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| elimination_costs(g, costs)),
+        _ => {}
     }
 }
 
