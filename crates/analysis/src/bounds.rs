@@ -12,6 +12,12 @@
 //! from the site — preconditions, enclosing loop bounds and guards,
 //! `PreValG` and the shapes in scope — and walks only the statement at
 //! the site.
+//!
+//! Each obligation is first put to `interval::proves`: most bounds
+//! goals follow from the enclosing loop bounds by interval arithmetic,
+//! and those are discharged with nothing lowered. The rest are lowered
+//! and decided by the solver through the shared checking context, so
+//! every rejection is still the solver's.
 
 use std::fmt;
 
@@ -25,6 +31,7 @@ use crate::check::SharedCheckCtx;
 use crate::context::SiteCtx;
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
+use crate::interval;
 
 /// A bounds or assertion violation (or a solver give-up, which is
 /// reported as a failure — the checks fail safe).
@@ -42,6 +49,16 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
+/// The validity query of the obligation `goal` under the path condition
+/// `hyp`: each hypothesis read as its `maybe`, the goal as its
+/// `definitely`.
+pub(crate) fn obligation_query(hyp: &[EffExpr], goal: &EffExpr) -> Formula {
+    let mut ctx = LowerCtx::new();
+    let hyp = Formula::and(hyp.iter().map(|a| ctx.lower_bool(a).maybe()).collect());
+    let g = ctx.lower_bool(goal).definitely();
+    Formula::and(vec![hyp, ctx.assumptions()]).implies(g)
+}
+
 struct Checker<'a> {
     reg: &'a mut GlobalReg,
     check: &'a SharedCheckCtx,
@@ -52,25 +69,23 @@ struct Checker<'a> {
     genv: GlobalEnv,
     /// Proof obligations posed so far: one per [`Checker::require`].
     obligations: u64,
+    /// Of those, the ones [`interval::proves`] discharged; the rest were
+    /// check queries.
+    decided: u64,
     errors: Vec<CheckError>,
 }
 
 impl<'a> Checker<'a> {
-    fn assume_formula(&mut self, ctx: &mut LowerCtx) -> Formula {
-        let mut parts = Vec::new();
-        for a in &self.assumptions {
-            parts.push(ctx.lower_bool(a).maybe());
-        }
-        Formula::and(parts)
-    }
-
     fn require(&mut self, goal: EffExpr, what: impl Fn() -> String) {
         self.obligations += 1;
-        let mut ctx = LowerCtx::new();
-        let hyp = self.assume_formula(&mut ctx);
-        let g = ctx.lower_bool(&goal).definitely();
-        let query = Formula::and(vec![hyp, ctx.assumptions()]).implies(g);
-        match self.check.check_valid(query) {
+        if interval::proves(&self.assumptions, &goal) {
+            self.decided += 1;
+            return;
+        }
+        match self
+            .check
+            .check_valid(obligation_query(&self.assumptions, &goal))
+        {
             Answer::Yes => {}
             Answer::No => self.errors.push(CheckError { message: what() }),
             Answer::Unknown => self.errors.push(CheckError {
@@ -348,6 +363,7 @@ pub(crate) fn check_site(
         assumptions,
         genv: GlobalEnv::identity(),
         obligations: 0,
+        decided: 0,
         errors: Vec::new(),
     };
     for (s, genv) in &site.scope {
@@ -359,6 +375,7 @@ pub(crate) fn check_site(
         .with_field("proc", exo_obs::Json::Str(proc.name.to_string()));
     checker.check_block(site.stmts);
     span.field("obligations", exo_obs::Json::uint(checker.obligations));
+    span.field("decided", exo_obs::Json::uint(checker.decided));
     span.field("errors", exo_obs::Json::uint(checker.errors.len() as u64));
     if checker.errors.is_empty() {
         Ok(())

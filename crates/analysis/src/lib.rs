@@ -24,12 +24,15 @@
 //!   context-extension rule (§6.2);
 //! * [`bounds`] — static bounds checking and call-site assertion
 //!   checking: one checker, run on a whole procedure ([`check_bounds`])
-//!   or seeded from a site and run on its statement;
+//!   or seeded from a site and run on its statement, which puts each
+//!   obligation to a sound, incomplete interval prover over the loop
+//!   bounds before it lowers it for the solver;
 //! * [`check`] — the shared checking context: one reusable solver plus a
 //!   canonical (alpha-normalized) verdict cache.
 //!
 //! All conditions bottom out in Presburger validity queries discharged
-//! through [`SharedCheckCtx`]; an `Unknown` answer always fails safe.
+//! through [`SharedCheckCtx`] (bounds obligations the interval prover
+//! proves never become one); an `Unknown` answer always fails safe.
 
 // Panic-free library surface: input-reachable failures must be typed
 // errors, not aborts. Unit tests may unwrap freely.
@@ -42,6 +45,7 @@ pub mod context;
 pub mod effects;
 pub mod effexpr;
 pub mod globals;
+mod interval;
 pub mod locset;
 
 pub use bounds::{check_bounds, CheckError};

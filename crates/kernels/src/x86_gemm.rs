@@ -267,22 +267,40 @@ mod tests {
         assert!(microkernel_profile_matches(&lib, &st, 6, 64).unwrap());
     }
 
-    /// Checks the schedule poses on a fresh checking context.
-    fn checks_posed(m: i64, k: i64) -> usize {
+    /// The check queries the schedule poses on a fresh checking context,
+    /// and the bounds obligations its `analysis.check_bounds` spans
+    /// record.
+    fn checks_posed(m: i64, k: i64) -> (usize, i64) {
+        // the spans this thread opens inside `root` are the schedule's
+        let root = exo_obs::Span::enter("test.checks_posed");
         let st = Arc::new(Mutex::new(SchedState::default()));
         schedule_sgemm(&Avx512Lib::new(), &st, m, 128, k, 6, 64).expect("schedule");
         let queries = st.lock().unwrap().check.stats().queries;
-        queries
+        let tid = exo_obs::span::current_tid();
+        let obligations = exo_obs::Registry::global()
+            .traces()
+            .iter()
+            .filter(|t| t.tid == tid && t.id > root.id() && t.name == "analysis.check_bounds")
+            .map(|t| {
+                t.fields
+                    .iter()
+                    .find(|(k, _)| k == "obligations")
+                    .and_then(|(_, v)| v.as_int())
+                    .unwrap()
+            })
+            .sum();
+        (queries, obligations)
     }
 
     #[test]
     fn one_row_tile_stages_c_reg_with_every_check() {
         // With m = mr the `io` loop has one iteration and folds away once
         // c_reg is staged; the staged block is still re-checked, so the
-        // one-tile schedule poses the same checks as the larger ones.
-        assert_eq!(checks_posed(6, 64), 42);
-        assert_eq!(checks_posed(12, 32), 42);
-        assert_eq!(checks_posed(24, 32), 42);
+        // one-tile schedule poses the same checks, and the same bounds
+        // obligations, as the larger ones.
+        assert_eq!(checks_posed(6, 64), (14, 28));
+        assert_eq!(checks_posed(12, 32), (14, 28));
+        assert_eq!(checks_posed(24, 32), (14, 28));
     }
 
     #[test]
