@@ -17,7 +17,7 @@ cargo build --release
 echo "== tier-1: cargo test -q (incl. tests/warm_schedule_pin.rs: the Fig. 4a chain scheduled a second time on one SchedState has 0 cache misses, check queries and bounds obligations per shape pinned; tests/sweep_parity.rs: store-only loops swept under the unlimited budget, fused single stores included, match the general loop under a limited one; tests/replace_search.rs: which window embedding replace accepts and the last candidate's error text; tests/solver_work_pin.rs: queries, answers, give-ups and QE nodes of each schedule-cold schedule and of each lint-cold subject, linted and loop-classified on a fresh context) =="
 cargo test -q
 
-echo "== obs / smt / analysis unit + integration tests (the registry records spans only and SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; the analysis.check_bounds span's obligations field equals its decided field plus its check queries; interval.rs's soundness oracle: every bounds goal the interval prover proves on seeded random path conditions and goals, and on the case-study shapes, is proved by the solver on a fresh context; incl. the Coeffs model test against a BTreeMap, formula.rs's checked_conjunctions_match_the_reference (Formula::and and subst, each conjunction checked once, byte for byte against the construction that compares every atom on every call, on seeded random conjunctions of 0-40 atoms), the shared-obligation equivalence tests in effexpr.rs/locset.rs (flat conjunction chains against the nested Kleene rule, Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
+echo "== obs / smt / analysis unit + integration tests (the registry records spans only and SolverStats/CheckStats are the only tally, pinned by tests/one_tally.rs in tier-1; the analysis.check_bounds span's obligations field equals its decided field plus its check queries; interval.rs's soundness oracle: every bounds goal the interval prover proves on seeded random path conditions and goals, and on the case-study shapes, is proved by the solver on a fresh context; conditions.rs's reorder oracle: every reorder the dependence test decides on seeded random nests, and on the case-study shapes, is proved valid by the solver from the full §5.8 formula; incl. the Coeffs model test against a BTreeMap, formula.rs's checked_conjunctions_match_the_reference (Formula::and and subst, each conjunction checked once, byte for byte against the construction that compares every atom on every call, on seeded random conjunctions of 0-40 atoms), the shared-obligation equivalence tests in effexpr.rs/locset.rs (flat conjunction chains against the nested Kleene rule, Kleene fast paths, sharing substitution, membership short-circuit, set kinds against the general construction on seeded random inputs; a BigUnion over a defined body is known, its def proved equivalent by the solver) and the verdict corpus) =="
 cargo test -q -p exo-obs -p exo-smt -p exo-analysis
 cargo test -q --release -p exo-kernels --test verdict_corpus
 
@@ -33,7 +33,7 @@ cargo test -q -p exo-codegen
 echo "== smt property suite (QE vs brute-force enumeration; the Coeffs model over 5 000 seeded sequences; ~4 s in debug) =="
 cargo test -q -p exo-smt --features proptest-tests
 
-echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state and stage_mem windows; operator fail-safety; print/parse round trip) =="
+echo "== root property suites (accepted random schedules preserve semantics, incl. configuration state, stage_mem windows and reorders of writes by i, j, i + j, 2i + j, i - j and inner binders, decided by the dependence test or by the solver; operator fail-safety; print/parse round trip) =="
 cargo test -q --features proptest-tests --test prop_schedule --test prop_failsafe --test prop_roundtrip
 
 echo "== gemmini-sim / x86-sim (decode-once opcode tables; the differential tests of gemmini-sim's access journal, its logs cut at the issue floor, against the unpruned reference scan, which decodes by name; x86-sim's cost model and static profile) =="
@@ -49,7 +49,7 @@ cargo test -q --release -p exo-interp
 echo "== case-study schedules (release; incl. the interpreter golden traces and the check count of the one-row-tile SGEMM; the simulators' reports on these traces are pinned in tier-1 by tests/sim_report_pin.rs, library decode conformance by tests/isa_decode.rs) =="
 cargo test -q --release -p exo-kernels
 
-echo "== check-cache bench (fails on zero cache hits) =="
+echo "== check-cache bench (the Gemmini matmul chain's configwrite_at checks cold, warm and uncached; fails on zero cache hits, and if the fig5a chain, whose reorders and bounds are all decided before the solver, poses a query) =="
 cargo run --release -q -p exo-bench --bin check_cache
 
 echo "== lint suite (classifier matrix + rule pack + chaos degradation) =="
@@ -58,7 +58,7 @@ cargo test -q -p exo-lint
 echo "== lint bench (fails on error-severity findings) =="
 cargo run --release -q -p exo-bench --bin lint
 
-echo "== chaos suite (seeded fault-injection matrix) =="
+echo "== chaos suite (seeded fault-injection matrix; always-SmtTooHard rejects every chain that poses a solver query, and the fig5a chain, which poses none, keeps its clean schedule) =="
 cargo test -q --test chaos --test budget
 
 echo "== chaos bench (fails on escaped panic or monotonicity violation) =="
@@ -78,7 +78,7 @@ cargo run --release -q -p exo-bench --bin fig5a
 echo "== fig7 bench (code-size rows for the perf gate) =="
 cargo run --release -q -p exo-bench --bin fig7
 
-echo "== trace exports (fig5a SGEMM schedule; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor, the sched.* spans' checks sum to the state's CheckStats queries) =="
+echo "== trace exports (fig5a SGEMM schedule plus one solver-decided reorder; Chrome JSON parses strictly, every smt.decide span has a sched.* ancestor, the sched.* spans' checks sum to the state's CheckStats queries) =="
 cargo run --release -q --example schedule_transcript > /dev/null
 
 echo "== solver profile (every cached verdict of the schedule-cold and lint-cold subjects re-decided by a fresh solver; fails if an answer changes) =="

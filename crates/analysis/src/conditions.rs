@@ -7,6 +7,7 @@
 //! safe: the rewrite is rejected.
 
 use exo_core::hash::HashMap;
+use exo_core::ir::BinOp;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 
@@ -157,7 +158,27 @@ pub fn bd(var: Sym, lo: &EffExpr, hi: &EffExpr) -> EffExpr {
 /// `for x do for y do s ~> for y do for x do s` (§5.8): the loop bounds
 /// must commute with the body, and any iteration pair that changes
 /// relative order must commute.
+///
+/// When [`reorder_commutes`] proves the condition from the body's
+/// location sets, the goal is the literal `True` and nothing is lowered;
+/// otherwise it is the full formula, which the solver decides.
 pub fn loop_reorder(
+    x: Sym,
+    x_bounds: (&EffExpr, &EffExpr),
+    y: Sym,
+    y_bounds: (&EffExpr, &EffExpr),
+    bounds_effect: &Effect,
+    body: &Effect,
+    ctx: &mut LowerCtx,
+) -> Formula {
+    if reorder_commutes(x, y, bounds_effect, body) {
+        return Formula::True;
+    }
+    reorder_formula(x, x_bounds, y, y_bounds, bounds_effect, body, ctx)
+}
+
+/// The §5.8 reordering condition as a formula, built in full.
+pub(crate) fn reorder_formula(
     x: Sym,
     x_bounds: (&EffExpr, &EffExpr),
     y: Sym,
@@ -186,6 +207,245 @@ pub fn loop_reorder(
     let c2 = hyp.implies(commutes(body, &body2, ctx));
 
     Formula::and(vec![c1, c2])
+}
+
+/// A sound, incomplete dependence test for [`loop_reorder`]: `true` only
+/// if the §5.8 condition holds, `false` for "don't know".
+///
+/// Condition 1 holds when the bounds effect names no buffer or global
+/// the body names. Condition 2 asks that the body at `(x, y)` commute
+/// with the body at `(x′, y′)` whenever `x < x′` and `y′ < y`: each
+/// conflicting pair of points (`Wr × All` and `R+ × Rd`, both ways)
+/// must differ. Two points on different buffers always differ. Two
+/// points on one buffer differ if some coordinate reads the same affine
+/// form `a·x + b·y + …` in both (so their difference across the two
+/// iterations is `a(x − x′) + b(y − y′)`), mentions no loop-union binder
+/// of its set, and has `(a, b) ≠ (0, 0)` with `a·b ≤ 0`: then
+/// `x − x′ < 0 < y − y′` makes the difference non-zero. The form is the
+/// same for both orders of a pair, so one test covers both directions.
+///
+/// Membership reads a point as possibly everywhere when one of its
+/// coordinates may be undefined (⊥, `Ite`, a non-literal factor or
+/// divisor) or its rank differs from the largest rank its buffer has in
+/// the sets compared, so such a point, or any point on a buffer seen at
+/// two ranks, differs from nothing here.
+///
+/// A global write in the body leaves the test undecided: it is a
+/// conflict of its own, and it could change a global an index reads.
+/// Filters and the subtrahend of a difference are dropped, which only
+/// adds points; a buffer mask drops its buffers' points, as membership
+/// does.
+fn reorder_commutes(x: Sym, y: Sym, bounds_effect: &Effect, body: &Effect) -> bool {
+    let sets = sets_of(body, SetKinds::ALL);
+    if sets.wr_g != LocSet::Empty {
+        return false;
+    }
+    let bounds = sets_of(bounds_effect, SetKinds::ALL);
+    if shares_name(&bounds.all(), &sets.all()) {
+        return false;
+    }
+    let points = |set: &LocSet| {
+        let mut out = Vec::new();
+        collect_points(set, &mut Vec::new(), &mut Vec::new(), &mut out);
+        out
+    };
+    let wr = points(&sets.wr_h);
+    let rd = points(&sets.rd_h);
+    let rp = points(&sets.rp_h);
+    let all: Vec<&Point> = rd.iter().chain(&wr).chain(&rp).collect();
+    let mut ranks = HashMap::default();
+    for set in [&sets.rd_h, &sets.wr_h, &sets.rp_h] {
+        note_ranks(set, &mut ranks);
+    }
+    let apart = |p: &Point, q: &Point| {
+        p.buf != q.buf || (ranks.get(&p.buf).is_some_and(Option::is_some) && differs(p, q, x, y))
+    };
+    wr.iter().all(|p| all.iter().all(|q| apart(p, q)))
+        && rp.iter().all(|p| rd.iter().all(|q| apart(p, q)))
+}
+
+/// Whether two sets name a common buffer or global.
+fn shares_name(a: &LocSet, b: &LocSet) -> bool {
+    let (mut bufs_a, mut globals_a) = (HashMap::default(), Vec::new());
+    a.collect_targets(&mut bufs_a, &mut globals_a);
+    if bufs_a.is_empty() && globals_a.is_empty() {
+        return false;
+    }
+    let (mut bufs_b, mut globals_b) = (HashMap::default(), Vec::new());
+    b.collect_targets(&mut bufs_b, &mut globals_b);
+    bufs_a.keys().any(|buf| bufs_b.contains_key(buf))
+        || globals_a.iter().any(|g| globals_b.contains(g))
+}
+
+/// Records the rank of every buffer point of `set`, subtracted and
+/// masked ones included (they count towards the rank of a membership
+/// target); `None` marks a buffer seen at two ranks.
+fn note_ranks(set: &LocSet, ranks: &mut HashMap<Sym, Option<usize>>) {
+    match set {
+        LocSet::Empty | LocSet::Global(..) => {}
+        LocSet::BufPoint { buf, idx } => {
+            let r = ranks.entry(*buf).or_insert(Some(idx.len()));
+            if *r != Some(idx.len()) {
+                *r = None;
+            }
+        }
+        LocSet::Union(parts) => parts.iter().for_each(|p| note_ranks(p, ranks)),
+        LocSet::BigUnion { body, .. } | LocSet::Filter(_, body) | LocSet::DiffBufs(body, _) => {
+            note_ranks(body, ranks)
+        }
+        LocSet::Diff(a, b) => {
+            note_ranks(a, ranks);
+            note_ranks(b, ranks);
+        }
+    }
+}
+
+/// A buffer point of a set: whether every coordinate lowers defined,
+/// and each coordinate as its affine form, or `None` where it is not
+/// affine or mentions a binder of a loop union around the point.
+struct Point {
+    buf: Sym,
+    defined: bool,
+    coords: Vec<Option<Affine>>,
+}
+
+/// Collects the buffer points of `set` that survive the masks around
+/// them, with the loop-union `binders` around each.
+fn collect_points(
+    set: &LocSet,
+    binders: &mut Vec<Sym>,
+    masks: &mut Vec<Sym>,
+    out: &mut Vec<Point>,
+) {
+    match set {
+        LocSet::Empty | LocSet::Global(..) => {}
+        LocSet::BufPoint { buf, idx } => {
+            if masks.contains(buf) {
+                return;
+            }
+            let coords = idx
+                .iter()
+                .map(|e| affine(e).filter(|a| !binders.iter().any(|&v| a.coef(v) != 0)))
+                .collect();
+            out.push(Point {
+                buf: *buf,
+                defined: idx.iter().all(defined),
+                coords,
+            });
+        }
+        LocSet::Union(parts) => {
+            for p in parts.iter() {
+                collect_points(p, binders, masks, out);
+            }
+        }
+        LocSet::BigUnion { var, body } => {
+            binders.push(*var);
+            collect_points(body, binders, masks, out);
+            binders.pop();
+        }
+        LocSet::Filter(_, body) | LocSet::Diff(body, _) => {
+            collect_points(body, binders, masks, out)
+        }
+        LocSet::DiffBufs(body, bufs) => {
+            let depth = masks.len();
+            masks.extend(bufs.iter());
+            collect_points(body, binders, masks, out);
+            masks.truncate(depth);
+        }
+    }
+}
+
+/// Whether `p` at `(x, y)` and `q` at `(x′, y′)` provably differ for all
+/// `x < x′` and `y′ < y` (see [`reorder_commutes`]).
+fn differs(p: &Point, q: &Point, x: Sym, y: Sym) -> bool {
+    p.defined
+        && q.defined
+        && p.coords.len() == q.coords.len()
+        && p.coords.iter().zip(&q.coords).any(|(a, b)| match (a, b) {
+            (Some(a), Some(b)) if a == b => {
+                let (cx, cy) = (a.coef(x), a.coef(y));
+                (cx, cy) != (0, 0) && cx.checked_mul(cy).is_some_and(|c| c <= 0)
+            }
+            _ => false,
+        })
+}
+
+/// Whether lowering `e` as an integer gives a defined value: it is made
+/// of variables, literals, strides, `+`, `−`, negation, products with a
+/// literal and `/`, `%` by a positive literal.
+fn defined(e: &EffExpr) -> bool {
+    match e {
+        EffExpr::Var(_) | EffExpr::Int(_) | EffExpr::Stride(..) => true,
+        EffExpr::Neg(a) => defined(a),
+        EffExpr::Bin(BinOp::Add | BinOp::Sub, a, b) => defined(a) && defined(b),
+        EffExpr::Bin(BinOp::Mul, a, b) => {
+            defined(a)
+                && defined(b)
+                && matches!((&**a, &**b), (EffExpr::Int(_), _) | (_, EffExpr::Int(_)))
+        }
+        EffExpr::Bin(BinOp::Div | BinOp::Mod, a, b) => {
+            defined(a) && matches!(**b, EffExpr::Int(c) if c > 0)
+        }
+        _ => false,
+    }
+}
+
+/// An affine index `Σ cᵥ·v + k`: terms sorted by symbol, no zero
+/// coefficient.
+#[derive(PartialEq, Debug)]
+struct Affine {
+    terms: Vec<(Sym, i64)>,
+    k: i64,
+}
+
+impl Affine {
+    fn coef(&self, v: Sym) -> i64 {
+        self.terms
+            .iter()
+            .find_map(|&(s, c)| (s == v).then_some(c))
+            .unwrap_or(0)
+    }
+}
+
+/// The affine form of `e` built from variables, literals, `+`, `−`,
+/// negation and products with a literal; `None` for anything else or on
+/// `i64` overflow, where lowering would panic.
+fn affine(e: &EffExpr) -> Option<Affine> {
+    fn go(e: &EffExpr, scale: i64, terms: &mut Vec<(Sym, i64)>, k: &mut i64) -> Option<()> {
+        match e {
+            EffExpr::Var(v) => terms.push((*v, scale)),
+            EffExpr::Int(c) => *k = k.checked_add(scale.checked_mul(*c)?)?,
+            EffExpr::Neg(a) => go(a, scale.checked_neg()?, terms, k)?,
+            EffExpr::Bin(BinOp::Add, a, b) => {
+                go(a, scale, terms, k)?;
+                go(b, scale, terms, k)?;
+            }
+            EffExpr::Bin(BinOp::Sub, a, b) => {
+                go(a, scale, terms, k)?;
+                go(b, scale.checked_neg()?, terms, k)?;
+            }
+            EffExpr::Bin(BinOp::Mul, a, b) => match (&**a, &**b) {
+                (EffExpr::Int(c), e) | (e, EffExpr::Int(c)) => {
+                    go(e, scale.checked_mul(*c)?, terms, k)?
+                }
+                _ => return None,
+            },
+            _ => return None,
+        }
+        Some(())
+    }
+    let (mut terms, mut k) = (Vec::new(), 0);
+    go(e, 1, &mut terms, &mut k)?;
+    terms.sort_unstable_by_key(|&(v, _)| v);
+    let mut merged: Vec<(Sym, i64)> = Vec::with_capacity(terms.len());
+    for (v, c) in terms {
+        match merged.last_mut() {
+            Some((w, d)) if *w == v => *d = d.checked_add(c)?,
+            _ => merged.push((v, c)),
+        }
+    }
+    merged.retain(|&(_, c)| c != 0);
+    Some(Affine { terms: merged, k })
 }
 
 /// Condition for loop fission/fusion
@@ -447,6 +707,316 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(check(&ctx, &f), Answer::No);
+    }
+
+    use crate::effexpr::testgen::Rng;
+
+    fn v(x: Sym) -> EffExpr {
+        EffExpr::Var(x)
+    }
+
+    fn mul(c: i64, e: EffExpr) -> EffExpr {
+        EffExpr::bin(exo_core::BinOp::Mul, EffExpr::Int(c), e)
+    }
+
+    /// The names a random nest draws from: the two loops, an inner loop
+    /// binder, a variable shared by both iterations (an enclosing loop or
+    /// a size), a canonical global, three buffers and a configuration
+    /// field.
+    struct Nest {
+        x: Sym,
+        y: Sym,
+        k: Sym,
+        z: Sym,
+        cfg: Sym,
+        bufs: [Sym; 3],
+        field: (Sym, Sym),
+    }
+
+    impl Nest {
+        fn new() -> Nest {
+            Nest {
+                x: Sym::new("x"),
+                y: Sym::new("y"),
+                k: Sym::new("k"),
+                z: Sym::new("z"),
+                cfg: Sym::new("Cfg_s"),
+                bufs: ["A", "B", "C"].map(Sym::new),
+                field: (Sym::new("Cfg"), Sym::new("s")),
+            }
+        }
+
+        /// One index coordinate: mostly an affine form over `x`, `y`,
+        /// the binder (inside an inner loop), `z` and an offset, with
+        /// coefficients of either sign and in several spellings;
+        /// sometimes a form the test cannot read.
+        fn coord(&self, rng: &mut Rng, in_loop: bool) -> EffExpr {
+            let odd = match rng.below(16) {
+                0 => Some(EffExpr::Unknown),
+                1 => Some(EffExpr::Stride(self.bufs[0], 0)),
+                2 => Some(EffExpr::bin(
+                    exo_core::BinOp::Div,
+                    v(self.x),
+                    EffExpr::Int(2),
+                )),
+                3 => Some(EffExpr::bin(
+                    exo_core::BinOp::Mod,
+                    v(self.x).add(v(self.y)),
+                    EffExpr::Int(2),
+                )),
+                4 => Some(EffExpr::ite(v(self.x).lt(v(self.y)), v(self.x), v(self.y))),
+                5 => Some(EffExpr::bin(exo_core::BinOp::Mul, v(self.x), v(self.y))),
+                _ => None,
+            };
+            if let Some(e) = odd {
+                return e;
+            }
+            let mut terms = Vec::new();
+            let coef = |rng: &mut Rng| [-2, -1, 0, 0, 1, 1, 2][rng.below(7)];
+            for (var, c) in [
+                (self.x, coef(rng)),
+                (self.y, coef(rng)),
+                (self.k, if in_loop { coef(rng) } else { 0 }),
+                (self.z, i64::from(rng.below(4) == 0)),
+                (self.cfg, i64::from(rng.below(6) == 0)),
+            ] {
+                let term = match (c, rng.below(3)) {
+                    (0, _) => continue,
+                    (1, _) => v(var),
+                    (-1, 0) => EffExpr::neg(v(var)),
+                    (c, 0) => EffExpr::bin(exo_core::BinOp::Mul, v(var), EffExpr::Int(c)),
+                    (c, _) => mul(c, v(var)),
+                };
+                terms.push(term);
+            }
+            let off = rng.below(3) as i64 - 1;
+            let mut e = EffExpr::Int(off);
+            for t in terms {
+                e = if rng.below(4) == 0 {
+                    EffExpr::bin(exo_core::BinOp::Sub, e, EffExpr::neg(t))
+                } else {
+                    e.add(t)
+                };
+            }
+            e
+        }
+
+        /// One access on one of the first `nbufs` buffers, of rank 1 or 2
+        /// by buffer (`A` and `C` rank 1, `B` rank 2), sometimes the
+        /// other rank.
+        fn access(&self, rng: &mut Rng, nbufs: usize, in_loop: bool) -> Effect {
+            let b = rng.below(nbufs);
+            let rank = if b == 1 { 2 } else { 1 };
+            let rank = if rng.below(12) == 0 { 3 - rank } else { rank };
+            let idx = (0..rank).map(|_| self.coord(rng, in_loop)).collect();
+            match rng.below(3) {
+                0 => Effect::Read(self.bufs[b], idx),
+                1 => Effect::Write(self.bufs[b], idx),
+                _ => Effect::Reduce(self.bufs[b], idx),
+            }
+        }
+
+        /// A body of one to four parts: accesses, guarded accesses, an
+        /// inner loop over `k ∈ [0, 2)`, configuration reads and writes,
+        /// and allocations that mask the accesses after them.
+        fn body(&self, rng: &mut Rng) -> Effect {
+            let nbufs = 1 + rng.below(3);
+            let parts = (0..1 + rng.below(4))
+                .map(|_| match rng.below(12) {
+                    0 => Effect::Loop {
+                        var: self.k,
+                        lo: EffExpr::Int(0),
+                        hi: EffExpr::Int(2),
+                        body: Box::new(self.access(rng, nbufs, true)),
+                    },
+                    1 => Effect::Guard(
+                        v(self.x).lt(v(self.y).add(EffExpr::Int(1))),
+                        Box::new(self.access(rng, nbufs, false)),
+                    ),
+                    2 => Effect::GlobalRead(self.field.0, self.field.1),
+                    3 if rng.below(2) == 0 => Effect::GlobalWrite(self.field.0, self.field.1),
+                    4 => Effect::Alloc(self.bufs[rng.below(nbufs)]),
+                    _ => self.access(rng, nbufs, false),
+                })
+                .collect();
+            Effect::Seq(parts)
+        }
+
+        /// The effect of the inner loop's bounds: usually none, sometimes
+        /// a configuration read or a read of a buffer.
+        fn bounds_effect(&self, rng: &mut Rng) -> Effect {
+            match rng.below(8) {
+                0 => Effect::GlobalRead(self.field.0, self.field.1),
+                1 => Effect::Read(self.bufs[2], vec![EffExpr::Int(0)]),
+                _ => Effect::Empty,
+            }
+        }
+
+        /// Decides one reorder both ways: the dependence test, and the
+        /// full formula on a fresh context.
+        fn decide(
+            &self,
+            hi: (&EffExpr, &EffExpr),
+            bounds: &Effect,
+            body: &Effect,
+        ) -> (bool, Answer) {
+            let mut ctx = LowerCtx::new();
+            let zero = EffExpr::Int(0);
+            let f = reorder_formula(
+                self.x,
+                (&zero, hi.0),
+                self.y,
+                (&zero, hi.1),
+                bounds,
+                body,
+                &mut ctx,
+            );
+            (
+                reorder_commutes(self.x, self.y, bounds, body),
+                check(&ctx, &f),
+            )
+        }
+    }
+
+    /// Whenever the dependence test decides a reorder, the full §5.8
+    /// formula, decided by the solver, is valid too.
+    #[test]
+    fn every_decided_reorder_is_confirmed_by_the_solver() {
+        let nest = Nest::new();
+        let extents = [EffExpr::Int(2), EffExpr::Int(3), v(Sym::new("n"))];
+        let mut decided = 0;
+        let cases = 3000;
+        for seed in 0..cases {
+            let mut rng = Rng::new(seed);
+            let hx = extents[rng.below(3)].clone();
+            let hy = extents[rng.below(3)].clone();
+            let bounds = nest.bounds_effect(&mut rng);
+            let body = nest.body(&mut rng);
+            if !reorder_commutes(nest.x, nest.y, &bounds, &body) {
+                continue;
+            }
+            decided += 1;
+            let (_, answer) = nest.decide((&hx, &hy), &bounds, &body);
+            assert_eq!(
+                answer,
+                Answer::Yes,
+                "seed {seed}: decided over x < {hx:?}, y < {hy:?}\nbounds {bounds:?}\nbody {body:?}"
+            );
+        }
+        // the oracle tests something: a fair share of the cases is decided
+        assert!(decided * 10 > cases, "{decided} of {cases} decided");
+    }
+
+    /// The shapes the case-study reorders pose, each decided, and near
+    /// misses the test leaves to the solver, which refutes or proves them.
+    #[test]
+    fn case_study_reorders_and_near_misses() {
+        let nest = Nest::new();
+        let (x, y, k, z) = (nest.x, nest.y, nest.k, nest.z);
+        let [a, b, c] = nest.bufs;
+        let (two, four) = (EffExpr::Int(2), EffExpr::Int(4));
+        let hi = (&four, &two);
+        let tile = |o: Sym, i: Sym| mul(16, v(o)).add(v(i));
+        let decided = [
+            // a Gemmini stage-loop copy: res[ld0, 16*cl1o + cl1i] = src[…]
+            Effect::seq(
+                Effect::Read(b, vec![v(x), tile(z, y)]),
+                Effect::Write(a, vec![v(x), tile(z, y)]),
+            ),
+            // a matmul body: reads, one reduction into another buffer
+            Effect::seq(
+                Effect::seq(Effect::Read(a, vec![v(x)]), Effect::Read(c, vec![v(y)])),
+                Effect::Reduce(b, vec![v(x), v(y)]),
+            ),
+            // an inner loop writes a row of its own iteration
+            Effect::Loop {
+                var: k,
+                lo: EffExpr::Int(0),
+                hi: EffExpr::Int(2),
+                body: Box::new(Effect::Write(b, vec![v(y).add(v(z)), v(k)])),
+            },
+            // x − y separates the iterations, whatever z is
+            Effect::Write(a, vec![v(x).add(EffExpr::neg(v(y))).add(v(z))]),
+            // a write to a buffer allocated earlier in the body
+            Effect::seq(Effect::Alloc(c), Effect::Write(c, vec![EffExpr::Int(0)])),
+        ];
+        for body in &decided {
+            let (test, answer) = nest.decide(hi, &Effect::Empty, body);
+            assert!(test, "{body:?}");
+            assert_eq!(answer, Answer::Yes, "{body:?}");
+        }
+        let refuted = [
+            // a·b > 0: x + y meets x′ + y′
+            Effect::Write(a, vec![v(x).add(v(y))]),
+            // the binder does not cancel: x + k meets x′ + k′
+            Effect::Loop {
+                var: k,
+                lo: EffExpr::Int(0),
+                hi: EffExpr::Int(2),
+                body: Box::new(Effect::Write(a, vec![v(x).add(v(k))])),
+            },
+            // a configuration write conflicts with itself
+            Effect::seq(
+                Effect::GlobalWrite(nest.field.0, nest.field.1),
+                Effect::Write(a, vec![v(x), v(y)]),
+            ),
+            // a write read back across iterations: A[x] meets A[y′]
+            Effect::seq(Effect::Write(a, vec![v(x)]), Effect::Read(a, vec![v(y)])),
+            // a masked write of another rank widens the membership
+            // target, so A[x] reads as possibly everywhere
+            Effect::Seq(vec![
+                Effect::Write(a, vec![v(x)]),
+                Effect::Alloc(a),
+                Effect::Write(a, vec![v(x), v(y)]),
+            ]),
+            // a reduction read at the same point: the forms differ in ⊥
+            Effect::seq(
+                Effect::Reduce(b, vec![v(x), v(y)]),
+                Effect::Read(b, vec![v(x), EffExpr::Unknown]),
+            ),
+        ];
+        for body in &refuted {
+            let (test, answer) = nest.decide(hi, &Effect::Empty, body);
+            assert!(!test, "{body:?}");
+            assert_eq!(answer, Answer::No, "{body:?}");
+        }
+        let proved = [
+            // 2x + y with y ∈ [0, 2): a·b > 0, yet the solver proves it
+            Effect::Write(a, vec![mul(2, v(x)).add(v(y))]),
+            // the bounds read C[0]; the body writes C[x − y + 8] only
+            Effect::Write(c, vec![v(x).add(EffExpr::neg(v(y))).add(EffExpr::Int(8))]),
+        ];
+        let bounds = [Effect::Empty, Effect::Read(c, vec![EffExpr::Int(0)])];
+        for (body, bounds) in proved.iter().zip(&bounds) {
+            let (test, answer) = nest.decide(hi, bounds, body);
+            assert!(!test, "{body:?}");
+            assert_eq!(answer, Answer::Yes, "{body:?}");
+        }
+    }
+
+    #[test]
+    fn affine_forms_cancel_and_refuse_what_they_cannot_read() {
+        let [x, y] = ["x", "y"].map(Sym::new);
+        let e = mul(3, v(x))
+            .add(EffExpr::neg(v(y)))
+            .add(EffExpr::bin(exo_core::BinOp::Sub, v(y), mul(3, v(x))))
+            .add(EffExpr::Int(5));
+        assert_eq!(
+            affine(&e),
+            Some(Affine {
+                terms: Vec::new(),
+                k: 5
+            })
+        );
+        for e in [
+            EffExpr::Unknown,
+            EffExpr::Stride(x, 0),
+            EffExpr::bin(exo_core::BinOp::Mul, v(x), v(y)),
+            EffExpr::bin(exo_core::BinOp::Mod, v(x), EffExpr::Int(2)),
+            mul(i64::MAX, mul(i64::MAX, mul(i64::MAX, v(x)))),
+        ] {
+            assert_eq!(affine(&e), None, "{e:?}");
+        }
     }
 
     #[test]

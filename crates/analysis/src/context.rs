@@ -257,8 +257,12 @@ impl<'a> SiteQuery<'a> {
 
     /// Whether `goal` (lowered in [`Self::lctx`]) is valid under the
     /// site's hypothesis: its assumptions and the lowering's side
-    /// constraints.
+    /// constraints. A goal that is literally `True` is valid without a
+    /// query: the hypothesis is not lowered and nothing is counted.
     pub fn valid(&mut self, goal: Formula) -> Answer {
+        if goal == Formula::True {
+            return Answer::Yes;
+        }
         let hyp = self.hypothesis();
         self.check.check_valid(hyp.implies(goal))
     }

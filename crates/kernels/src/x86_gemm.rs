@@ -298,9 +298,9 @@ mod tests {
         // c_reg is staged; the staged block is still re-checked, so the
         // one-tile schedule poses the same checks, and the same bounds
         // obligations, as the larger ones.
-        assert_eq!(checks_posed(6, 64), (14, 28));
-        assert_eq!(checks_posed(12, 32), (14, 28));
-        assert_eq!(checks_posed(24, 32), (14, 28));
+        assert_eq!(checks_posed(6, 64), (0, 28));
+        assert_eq!(checks_posed(12, 32), (0, 28));
+        assert_eq!(checks_posed(24, 32), (0, 28));
     }
 
     #[test]

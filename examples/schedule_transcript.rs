@@ -18,6 +18,12 @@
 //! span through its parent links, and the `checks` of the `sched.*`
 //! spans sum to the state's `CheckStats` queries. It exits 1 if any
 //! check fails. It ends with the solver's own totals (`SolverStats`).
+//!
+//! The Fig. 5a chain poses no solver query (the dependence test decides
+//! its reorders, the interval prover its bounds), so the example then
+//! reorders, on the same state, a nest writing `A[2·i + j]` with
+//! `j ∈ [0, 2)`, which only the solver proves: that query is the one the
+//! attribution check follows.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -25,7 +31,8 @@ use std::sync::{Arc, Mutex};
 use exo::hwlibs::Avx512Lib;
 use exo::kernels::x86_gemm::schedule_sgemm;
 use exo::obs::{Json, Registry};
-use exo::sched::SchedState;
+use exo::prelude::{DataType, Expr, ProcBuilder};
+use exo::sched::{Procedure, SchedState};
 
 fn main() {
     let lib = Avx512Lib::new();
@@ -35,6 +42,18 @@ fn main() {
     let (m, n, k) = (48, 128, 64);
     let p = schedule_sgemm(&lib, &st, m, n, k, 6, 64).expect("the paper's SGEMM schedule applies");
     print!("{}", p.transcript_text());
+
+    // A reorder the solver decides, for the attribution checks below.
+    let mut b = ProcBuilder::new("interleave");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(16)]);
+    let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+    let j = b.begin_for("j", Expr::int(0), Expr::int(2));
+    let idx = Expr::int(2).mul(Expr::var(i)).add(Expr::var(j));
+    b.assign(a, vec![idx], Expr::float(0.0));
+    b.end_for().end_for();
+    Procedure::with_state(b.finish(), Arc::clone(&st))
+        .reorder("for i in _: _", "j")
+        .expect("the interleaved nest reorders");
 
     // Measure the scheduled kernel on the port-pressure core model so
     // the trace also contains a simulator invocation.

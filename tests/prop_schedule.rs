@@ -13,6 +13,19 @@ use exo::core::build::read;
 use exo::prelude::*;
 use proptest::prelude::*;
 
+/// The writes of [`RandStmt::Loop2`], each with the extent of its `j`
+/// loop: `m[i, j]`, `m[j, i]`, `x[i + j]`, `x[2·i + j]`, `x[i − j + 7]`,
+/// `for k in 0..2: m[i, 4·k + j]` and `for k in 0..2: x[2·i + k]`.
+const LOOP2_WRITES: [&str; 7] = [
+    "m[i, j]",
+    "m[j, i]",
+    "x[i + j]",
+    "x[2i + j]",
+    "x[i - j + 7]",
+    "m[i, 4k + j]",
+    "x[2i + k]",
+];
+
 /// A tiny random program over a size argument `n`, two 1-D buffers, one
 /// 2-D buffer and one configuration field `Cfg.k`.
 #[derive(Clone, Debug)]
@@ -30,8 +43,15 @@ enum RandStmt {
         scale: i64,
         offset: i64,
     },
-    /// 2-D loop nest writing the matrix buffer
-    Loop2 { reduce: bool, transpose: bool },
+    /// `for i in 0..8: for j in 0..hi: W (=|+=) m[i, j] * 0.5 (+ dst)`,
+    /// the write `W` chosen by `write` (see [`LOOP2_WRITES`]), so a
+    /// reorder of `i` and `j` meets writes the dependence test decides
+    /// and writes only the solver can judge
+    Loop2 {
+        reduce: bool,
+        write: u8,
+        self_read: bool,
+    },
     /// `for o in 0..reps: for i in 0..8: X[i+offset] (=|+=) Y[(i+o) % 16]`
     /// — the `i` loop nested in another statement, so a directive aimed
     /// at it rewrites a nested block (with `reps = 1` the outer loop
@@ -70,8 +90,13 @@ fn arb_program() -> impl Strategy<Value = RandProgram> {
                 offset
             }
         ),
-        (any::<bool>(), any::<bool>())
-            .prop_map(|(reduce, transpose)| RandStmt::Loop2 { reduce, transpose }),
+        (any::<bool>(), 0..LOOP2_WRITES.len() as u8, any::<bool>()).prop_map(
+            |(reduce, write, self_read)| RandStmt::Loop2 {
+                reduce,
+                write,
+                self_read
+            }
+        ),
         (0u8..2, 0u8..2, any::<bool>(), 1i64..3, 0i64..8).prop_map(
             |(dst, src, reduce, reps, offset)| RandStmt::Nest {
                 dst,
@@ -127,22 +152,57 @@ fn build(p: &RandProgram) -> Arc<Proc> {
                 }
                 b.end_for();
             }
-            RandStmt::Loop2 { reduce, transpose } => {
-                let i = b.begin_for("i", Expr::int(0), Expr::int(8));
-                let j = b.begin_for("j", Expr::int(0), Expr::int(8));
-                let (r, c) = if *transpose {
-                    (Expr::var(j), Expr::var(i))
-                } else {
-                    (Expr::var(i), Expr::var(j))
+            RandStmt::Loop2 {
+                reduce,
+                write,
+                self_read,
+            } => {
+                let w = LOOP2_WRITES[*write as usize];
+                let hi = match w {
+                    "x[2i + j]" => 2,
+                    "m[i, 4k + j]" => 4,
+                    _ => 8,
                 };
-                let rhs = read(mat, vec![Expr::var(i), Expr::var(j)]).mul(Expr::float(0.5));
+                let i = b.begin_for("i", Expr::int(0), Expr::int(8));
+                let j = b.begin_for("j", Expr::int(0), Expr::int(hi));
+                let (vi, vj) = (Expr::var(i), Expr::var(j));
+                let (dst, idx) = match w {
+                    "m[i, j]" => (mat, vec![vi.clone(), vj.clone()]),
+                    "m[j, i]" => (mat, vec![vj.clone(), vi.clone()]),
+                    "x[i + j]" => (bufs[0], vec![vi.clone().add(vj.clone())]),
+                    "x[2i + j]" => (bufs[0], vec![Expr::int(2).mul(vi.clone()).add(vj.clone())]),
+                    "x[i - j + 7]" => (bufs[0], vec![vi.clone().sub(vj.clone()).add(Expr::int(7))]),
+                    "m[i, 4k + j]" => {
+                        let k = b.begin_for("k", Expr::int(0), Expr::int(2));
+                        let col = Expr::int(4).mul(Expr::var(k)).add(vj.clone());
+                        (mat, vec![vi.clone(), col])
+                    }
+                    _ => {
+                        let k = b.begin_for("k", Expr::int(0), Expr::int(2));
+                        let cell = Expr::int(2).mul(vi.clone()).add(Expr::var(k));
+                        (bufs[0], vec![cell])
+                    }
+                };
+                let mut rhs = read(mat, vec![vi, vj.clone()]).mul(Expr::float(0.5));
+                if *self_read {
+                    let at = if dst == mat {
+                        vec![vj.clone(), vj]
+                    } else {
+                        vec![vj]
+                    };
+                    rhs = rhs.add(read(dst, at));
+                }
                 if *reduce {
-                    b.reduce(mat, vec![r, c], rhs);
-                } else {
+                    b.reduce(dst, idx, rhs);
+                } else if w == "m[j, i]" {
                     // avoid self-racing transposed writes reading the same
                     // cell: write a constant instead
-                    let rhs = if *transpose { Expr::float(2.0) } else { rhs };
-                    b.assign(mat, vec![r, c], rhs);
+                    b.assign(dst, idx, Expr::float(2.0));
+                } else {
+                    b.assign(dst, idx, rhs);
+                }
+                if w.contains('k') {
+                    b.end_for();
                 }
                 b.end_for().end_for();
             }
@@ -358,4 +418,50 @@ proptest! {
             .unwrap_or_else(|e| panic!("scheduled program failed ({applied:?}): {e}"));
         prop_assert_eq!(want, got, "directives applied: {:?}\n{}", applied, scheduled.show());
     }
+}
+
+/// Each [`RandStmt::Loop2`] write, assigned, under `reorder(i, j)`: the
+/// dependence test decides the writes one coordinate separates (no check
+/// query), and the solver judges the rest, accepting `x[2i + j]` and
+/// `x[2i + k]` and refuting `x[i + j]`. Each accepted reorder runs like
+/// the original.
+#[test]
+fn loop2_reorders_reach_both_deciders() {
+    let mut seen = Vec::new();
+    for write in 0..LOOP2_WRITES.len() as u8 {
+        let prog = RandProgram {
+            stmts: vec![RandStmt::Loop2 {
+                reduce: false,
+                write,
+                self_read: false,
+            }],
+        };
+        let original = build(&prog);
+        let p = Procedure::new(original.clone());
+        let reordered = p.reorder("for i in _: _", "j");
+        let queries = p.state().lock().unwrap().check.stats().queries;
+        if let Ok(q) = &reordered {
+            for seed in 0..4 {
+                assert_eq!(
+                    run_program(&original, seed).unwrap(),
+                    run_program(q.proc(), seed).unwrap(),
+                    "{}",
+                    LOOP2_WRITES[write as usize]
+                );
+            }
+        }
+        seen.push((LOOP2_WRITES[write as usize], reordered.is_ok(), queries));
+    }
+    assert_eq!(
+        seen,
+        [
+            ("m[i, j]", true, 0),
+            ("m[j, i]", true, 0),
+            ("x[i + j]", false, 1),
+            ("x[2i + j]", true, 1),
+            ("x[i - j + 7]", true, 0),
+            ("m[i, 4k + j]", true, 0),
+            ("x[2i + k]", true, 1),
+        ]
+    );
 }

@@ -22,18 +22,18 @@ use exo::sched::{SchedState, StateRef};
 type Shape = ((i64, i64, i64), usize, i64);
 
 const SHAPES: [Shape; 12] = [
-    ((784, 64, 64), 27, 40),
-    ((784, 64, 256), 27, 40),
-    ((784, 256, 64), 27, 40),
-    ((192, 128, 128), 27, 40),
-    ((192, 128, 512), 27, 40),
-    ((192, 512, 128), 27, 40),
-    ((48, 256, 256), 27, 40),
-    ((48, 256, 1024), 26, 52),
-    ((48, 1024, 256), 26, 52),
-    ((32, 512, 512), 26, 52),
-    ((32, 512, 2048), 26, 52),
-    ((32, 2048, 512), 26, 52),
+    ((784, 64, 64), 4, 40),
+    ((784, 64, 256), 4, 40),
+    ((784, 256, 64), 4, 40),
+    ((192, 128, 128), 4, 40),
+    ((192, 128, 512), 4, 40),
+    ((192, 512, 128), 4, 40),
+    ((48, 256, 256), 4, 40),
+    ((48, 256, 1024), 4, 52),
+    ((48, 1024, 256), 4, 52),
+    ((32, 512, 512), 4, 52),
+    ((32, 512, 2048), 4, 52),
+    ((32, 2048, 512), 4, 52),
 ];
 
 /// The summed `obligations` of the `analysis.check_bounds` spans in the
