@@ -52,7 +52,7 @@ cargo test -q --release -p exo-kernels
 echo "== check-cache bench (the Gemmini matmul chain's configwrite_at checks cold, warm and uncached; fails on zero cache hits, and if the fig5a chain, whose reorders and bounds are all decided before the solver, poses a query) =="
 cargo run --release -q -p exo-bench --bin check_cache
 
-echo "== lint suite (classifier matrix + rule pack + chaos degradation) =="
+echo "== lint suite (classifier matrix + rule pack + chaos degradation + the probe decider's soundness oracle, depend::tests::every_decided_probe_is_confirmed_by_the_solver: every refutation and every model confirmed by the solver on 2 000+ seeded probes) =="
 cargo test -q -p exo-lint
 
 echo "== lint bench (fails on error-severity findings) =="

@@ -38,9 +38,9 @@ use exo_smt::solver::{Answer, Solver, SolverStats};
 
 /// The most verdicts one cache holds. A full cache is cleared before the
 /// next insert, and each clear counts as one [`CheckStats::evictions`].
-/// The benchmark workloads stay far below it: linting the scheduled
-/// x86 CONV on a fresh context leaves 15 entries, the largest measured
-/// (a cold schedule of the Fig. 4a chain leaves 1).
+/// The benchmark workloads stay far below it: a cold schedule of the
+/// Fig. 4a chain leaves 1 entry, the largest measured, and linting the
+/// case-study kernels leaves none.
 const CACHE_CAP: usize = 1 << 16;
 
 /// Counters describing checking-context activity.

@@ -7,10 +7,10 @@
 //! safe: the rewrite is rejected.
 
 use exo_core::hash::HashMap;
-use exo_core::ir::BinOp;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
 
+use crate::affine::{affine, defined, Affine};
 use crate::effects::Effect;
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::locset::{member, sets_of, LocSet, SetBundle, SetKinds, Target};
@@ -368,84 +368,6 @@ fn differs(p: &Point, q: &Point, x: Sym, y: Sym) -> bool {
             }
             _ => false,
         })
-}
-
-/// Whether lowering `e` as an integer gives a defined value: it is made
-/// of variables, literals, strides, `+`, `−`, negation, products with a
-/// literal and `/`, `%` by a positive literal.
-fn defined(e: &EffExpr) -> bool {
-    match e {
-        EffExpr::Var(_) | EffExpr::Int(_) | EffExpr::Stride(..) => true,
-        EffExpr::Neg(a) => defined(a),
-        EffExpr::Bin(BinOp::Add | BinOp::Sub, a, b) => defined(a) && defined(b),
-        EffExpr::Bin(BinOp::Mul, a, b) => {
-            defined(a)
-                && defined(b)
-                && matches!((&**a, &**b), (EffExpr::Int(_), _) | (_, EffExpr::Int(_)))
-        }
-        EffExpr::Bin(BinOp::Div | BinOp::Mod, a, b) => {
-            defined(a) && matches!(**b, EffExpr::Int(c) if c > 0)
-        }
-        _ => false,
-    }
-}
-
-/// An affine index `Σ cᵥ·v + k`: terms sorted by symbol, no zero
-/// coefficient.
-#[derive(PartialEq, Debug)]
-struct Affine {
-    terms: Vec<(Sym, i64)>,
-    k: i64,
-}
-
-impl Affine {
-    fn coef(&self, v: Sym) -> i64 {
-        self.terms
-            .iter()
-            .find_map(|&(s, c)| (s == v).then_some(c))
-            .unwrap_or(0)
-    }
-}
-
-/// The affine form of `e` built from variables, literals, `+`, `−`,
-/// negation and products with a literal; `None` for anything else or on
-/// `i64` overflow, where lowering would panic.
-fn affine(e: &EffExpr) -> Option<Affine> {
-    fn go(e: &EffExpr, scale: i64, terms: &mut Vec<(Sym, i64)>, k: &mut i64) -> Option<()> {
-        match e {
-            EffExpr::Var(v) => terms.push((*v, scale)),
-            EffExpr::Int(c) => *k = k.checked_add(scale.checked_mul(*c)?)?,
-            EffExpr::Neg(a) => go(a, scale.checked_neg()?, terms, k)?,
-            EffExpr::Bin(BinOp::Add, a, b) => {
-                go(a, scale, terms, k)?;
-                go(b, scale, terms, k)?;
-            }
-            EffExpr::Bin(BinOp::Sub, a, b) => {
-                go(a, scale, terms, k)?;
-                go(b, scale.checked_neg()?, terms, k)?;
-            }
-            EffExpr::Bin(BinOp::Mul, a, b) => match (&**a, &**b) {
-                (EffExpr::Int(c), e) | (e, EffExpr::Int(c)) => {
-                    go(e, scale.checked_mul(*c)?, terms, k)?
-                }
-                _ => return None,
-            },
-            _ => return None,
-        }
-        Some(())
-    }
-    let (mut terms, mut k) = (Vec::new(), 0);
-    go(e, 1, &mut terms, &mut k)?;
-    terms.sort_unstable_by_key(|&(v, _)| v);
-    let mut merged: Vec<(Sym, i64)> = Vec::with_capacity(terms.len());
-    for (v, c) in terms {
-        match merged.last_mut() {
-            Some((w, d)) if *w == v => *d = d.checked_add(c)?,
-            _ => merged.push((v, c)),
-        }
-    }
-    merged.retain(|&(_, c)| c != 0);
-    Some(Affine { terms: merged, k })
 }
 
 /// Condition for loop fission/fusion
@@ -991,31 +913,6 @@ mod tests {
             let (test, answer) = nest.decide(hi, bounds, body);
             assert!(!test, "{body:?}");
             assert_eq!(answer, Answer::Yes, "{body:?}");
-        }
-    }
-
-    #[test]
-    fn affine_forms_cancel_and_refuse_what_they_cannot_read() {
-        let [x, y] = ["x", "y"].map(Sym::new);
-        let e = mul(3, v(x))
-            .add(EffExpr::neg(v(y)))
-            .add(EffExpr::bin(exo_core::BinOp::Sub, v(y), mul(3, v(x))))
-            .add(EffExpr::Int(5));
-        assert_eq!(
-            affine(&e),
-            Some(Affine {
-                terms: Vec::new(),
-                k: 5
-            })
-        );
-        for e in [
-            EffExpr::Unknown,
-            EffExpr::Stride(x, 0),
-            EffExpr::bin(exo_core::BinOp::Mul, v(x), v(y)),
-            EffExpr::bin(exo_core::BinOp::Mod, v(x), EffExpr::Int(2)),
-            mul(i64::MAX, mul(i64::MAX, mul(i64::MAX, v(x)))),
-        ] {
-            assert_eq!(affine(&e), None, "{e:?}");
         }
     }
 

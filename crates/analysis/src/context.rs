@@ -12,11 +12,14 @@
 //! rule (§6.2), which lifts a local equivalence to an equivalence of
 //! whole procedures.
 
+use std::collections::BTreeSet;
+
 use exo_core::hash::HashMap;
 use exo_core::ir::{ArgType, Block, Expr, Proc, Stmt};
 use exo_core::path::StmtPath;
 use exo_core::Sym;
 use exo_smt::formula::Formula;
+use exo_smt::linear::LinExpr;
 use exo_smt::solver::Answer;
 
 use crate::bounds::{check_site, CheckError};
@@ -24,6 +27,7 @@ use crate::check::SharedCheckCtx;
 use crate::effects::{effect_of_block, Effect, ExtractCtx, SymView};
 use crate::effexpr::{EffExpr, LowerCtx};
 use crate::globals::{lift_in_env, val_g_stmt, GlobalEnv, GlobalReg};
+use crate::interval::Env;
 use crate::locset::{member, sets_of, SetKinds, Target};
 
 /// Everything known about a rewrite site.
@@ -154,6 +158,8 @@ pub struct SiteQuery<'a> {
     pub lctx: LowerCtx,
     /// Canonical global names.
     pub reg: &'a mut GlobalReg,
+    /// [`Self::sat`] calls a model answered.
+    models: usize,
 }
 
 impl<'a> SiteQuery<'a> {
@@ -172,6 +178,7 @@ impl<'a> SiteQuery<'a> {
             views: None,
             lctx: LowerCtx::new(),
             reg,
+            models: 0,
         })
     }
 
@@ -269,12 +276,37 @@ impl<'a> SiteQuery<'a> {
 
     /// Whether `f` (lowered in [`Self::lctx`]) is satisfiable together
     /// with the site's hypothesis.
-    pub fn sat(&mut self, f: Formula) -> Answer {
-        let hyp = self.hypothesis();
-        self.check.check_sat(&Formula::and(vec![hyp, f]))
+    ///
+    /// A model decides first: the conjunction is evaluated at a few
+    /// ground points of the box `near` (see [`holds_somewhere`]), and if
+    /// one satisfies it the answer is `Yes` with no query: nothing is
+    /// canonicalized, looked up or counted, and no budget is charged.
+    /// `pair` names the iterators of a probe over two distinct
+    /// iterations. Otherwise the solver decides the same conjunction.
+    pub fn sat(&mut self, f: Formula, near: &Env, pair: Option<(Sym, Sym)>) -> Answer {
+        let conj = Formula::and(vec![self.hypothesis(), f]);
+        if holds_somewhere(&conj, near, pair) {
+            self.models += 1;
+            return Answer::Yes;
+        }
+        self.check.check_sat(&conj)
     }
 
-    fn hypothesis(&mut self) -> Formula {
+    /// How many [`Self::sat`] calls a model answered.
+    pub fn models(&self) -> usize {
+        self.models
+    }
+
+    /// The box of the site's hypotheses (the preconditions, then
+    /// `CtrlPred`, outermost first) and then `extra`; `None` when it is
+    /// empty, so that they have no model.
+    pub fn narrowed(&self, extra: &[EffExpr]) -> Option<Env> {
+        Env::narrowed(self.site.preds.iter().chain(&self.site.ctrl).chain(extra))
+    }
+
+    /// The site's hypothesis as a formula, lowered in [`Self::lctx`]:
+    /// its assumptions and the lowering's side constraints.
+    pub fn hypothesis(&mut self) -> Formula {
         Formula::and(vec![
             self.site.assumptions(&mut self.lctx),
             self.lctx.assumptions(),
@@ -297,6 +329,79 @@ impl<'a> SiteQuery<'a> {
         let out = f(&mut ctx);
         self.views = Some(ctx.views);
         out
+    }
+}
+
+/// Whether `conj` holds at one of a few ground points of `env`: every
+/// variable at the lower end of its interval, or every one at the upper
+/// end (a variable with one finite end takes it both times). With
+/// `pair = (x, x′)`, `x` and `x′` take `x`'s end and that end plus one,
+/// either way round. Each point is substituted with [`Formula::subst`],
+/// whose ground atoms evaluate as they go; a formula with a quantifier,
+/// or a variable with no finite end (a stride, a quotient, an
+/// unconstrained global), has no point, and the answer is `false`.
+///
+/// A `true` answer is a model: the conjunction is satisfiable.
+fn holds_somewhere(conj: &Formula, env: &Env, pair: Option<(Sym, Sym)>) -> bool {
+    if !quantifier_free(conj) {
+        return false;
+    }
+    let mut vars = BTreeSet::new();
+    conj.free_vars(&mut vars);
+    let mut ends = Vec::with_capacity(vars.len());
+    for v in vars {
+        let [lo, hi] = env.get(v).ends();
+        let (Some(lo), Some(hi)) = (lo.or(hi), hi.or(lo)) else {
+            return false;
+        };
+        ends.push((v, [lo, hi]));
+    }
+    // `x`'s end, the base of the pair's two values
+    let base = pair
+        .and_then(|(x, _)| ends.iter().find(|&&(v, _)| v == x))
+        .map(|&(_, [lo, _])| lo);
+    let shifts: &[[i64; 2]] = match base {
+        Some(_) => &[[0, 1], [1, 0]],
+        None => &[[0, 0]],
+    };
+    for side in 0..2 {
+        for shift in shifts {
+            let value = |v: Sym, e: [i64; 2]| match (pair, base) {
+                (Some((x, _)), Some(b)) if v == x => b.checked_add(shift[0]),
+                (Some((_, x2)), Some(b)) if v == x2 => b.checked_add(shift[1]),
+                _ => Some(e[side]),
+            };
+            let point: Option<Vec<(Sym, i64)>> =
+                ends.iter().map(|&(v, e)| Some((v, value(v, e)?))).collect();
+            if point.is_some_and(|p| holds_at(conj, &p)) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Whether `f` is `True` once every variable of `point` is replaced by
+/// its value.
+fn holds_at(f: &Formula, point: &[(Sym, i64)]) -> bool {
+    let mut g: Option<Formula> = None;
+    for &(v, c) in point {
+        let next = g.as_ref().unwrap_or(f).subst(v, &LinExpr::constant(c));
+        let done = matches!(next, Formula::True | Formula::False);
+        g = Some(next);
+        if done {
+            break;
+        }
+    }
+    g.as_ref().unwrap_or(f) == &Formula::True
+}
+
+fn quantifier_free(f: &Formula) -> bool {
+    match f {
+        Formula::True | Formula::False | Formula::Atom(_) => true,
+        Formula::Not(g) => quantifier_free(g),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().all(quantifier_free),
+        Formula::Exists(..) | Formula::Forall(..) => false,
     }
 }
 

@@ -1,5 +1,8 @@
 //! A small interval prover for bounds obligations: sound, incomplete,
-//! and run before any formula is lowered.
+//! and run before any formula is lowered. Its box ([`Env`]) also bounds
+//! the loop classifier's dependence tests ([`crate::affine::never_equal`])
+//! and supplies the ground points [`crate::context::SiteQuery::sat`]
+//! tries before the solver.
 //!
 //! Most bounds goals — `0 ≤ 16·jo + ji < 64` under `0 ≤ jo < 4`,
 //! `0 ≤ ji < 16`, or a literal `1 ≤ 16` — follow from the enclosing loop
@@ -29,7 +32,7 @@ use crate::effexpr::EffExpr;
 /// `i128` so products of `i64` literals never wrap; an end whose
 /// arithmetic overflows even there becomes unbounded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Interval {
+pub(crate) struct Interval {
     lo: Option<i128>,
     hi: Option<i128>,
 }
@@ -46,6 +49,21 @@ impl Interval {
 
     fn is_empty(self) -> bool {
         matches!((self.lo, self.hi), (Some(l), Some(h)) if l > h)
+    }
+
+    /// Whether `v` lies outside the interval.
+    pub(crate) fn excludes(self, v: i128) -> bool {
+        self.lo.is_some_and(|l| v < l) || self.hi.is_some_and(|h| h < v)
+    }
+
+    /// Whether the interval lies within `[lo, hi]`.
+    pub(crate) fn within(self, lo: i128, hi: i128) -> bool {
+        self.lo.is_some_and(|l| lo <= l) && self.hi.is_some_and(|h| h <= hi)
+    }
+
+    /// The finite ends that fit an `i64`, lower first.
+    pub(crate) fn ends(self) -> [Option<i64>; 2] {
+        [self.lo, self.hi].map(|e| e.and_then(|v| i64::try_from(v).ok()))
     }
 
     /// The intersection of `self` and `other`.
@@ -138,11 +156,25 @@ fn min_end(a: Option<i128>, b: Option<i128>) -> Option<i128> {
 
 /// The box: one interval per variable a hypothesis narrowed; any other
 /// variable is unbounded.
-#[derive(Default)]
-struct Env(Vec<(Sym, Interval)>);
+#[derive(Clone, Default, Debug)]
+pub struct Env(Vec<(Sym, Interval)>);
 
 impl Env {
-    fn get(&self, x: Sym) -> Interval {
+    /// The box of the conjunction of `hyps`, each read as its `maybe` and
+    /// narrowed in turn, outermost first; `None` when the box is empty,
+    /// so that the hypotheses have no model. Every model of them lies in
+    /// the box.
+    pub fn narrowed<'e>(hyps: impl IntoIterator<Item = &'e EffExpr>) -> Option<Env> {
+        let mut env = Env::default();
+        for h in hyps {
+            if env.assume(h) {
+                return None;
+            }
+        }
+        Some(env)
+    }
+
+    pub(crate) fn get(&self, x: Sym) -> Interval {
         self.0
             .iter()
             .find(|(y, _)| *y == x)
@@ -162,7 +194,7 @@ impl Env {
     /// The values `e` takes in the box, or `None` when `e` may be
     /// undefined or is not quasi-affine with literal factors and
     /// divisors.
-    fn eval(&self, e: &EffExpr) -> Option<Interval> {
+    pub(crate) fn eval(&self, e: &EffExpr) -> Option<Interval> {
         match e {
             EffExpr::Var(x) => Some(self.get(*x)),
             EffExpr::Int(v) => Some(Interval::point(*v)),
@@ -252,13 +284,7 @@ impl Env {
 /// arithmetic: `hyp` read as the `maybe` of each hypothesis, outermost
 /// first, and `goal` as its `definitely`. `false` means "don't know".
 pub(crate) fn proves(hyp: &[EffExpr], goal: &EffExpr) -> bool {
-    let mut env = Env::default();
-    for h in hyp {
-        if env.assume(h) {
-            return true;
-        }
-    }
-    env.holds(goal)
+    Env::narrowed(hyp).is_none_or(|env| env.holds(goal))
 }
 
 #[cfg(test)]

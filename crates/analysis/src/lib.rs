@@ -16,6 +16,8 @@
 //!   definitely/maybe collapses (§5.4);
 //! * [`conditions`] — `Commutes`, `Shadows`, and the loop-rewrite
 //!   conditions (§5.7–5.8);
+//! * [`affine`] — affine index forms and the dependence tests on them,
+//!   read by `reorder`'s test and by `exo-lint`'s loop classifier;
 //! * [`context`] — one-holed-context quantities `CtrlPred` / `PreValG` /
 //!   `PostEff`, all read from one descent of the site's path
 //!   ([`context::site_ctx`]), and [`context::SiteQuery`], through which
@@ -27,6 +29,8 @@
 //!   or seeded from a site and run on its statement, which puts each
 //!   obligation to a sound, incomplete interval prover over the loop
 //!   bounds before it lowers it for the solver;
+//! * [`interval`] — that prover's box: one interval per variable,
+//!   narrowed by a path condition;
 //! * [`check`] — the shared checking context: one reusable solver plus a
 //!   canonical (alpha-normalized) verdict cache.
 //!
@@ -38,6 +42,7 @@
 // errors, not aborts. Unit tests may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod affine;
 pub mod bounds;
 pub mod check;
 pub mod conditions;
@@ -45,7 +50,7 @@ pub mod context;
 pub mod effects;
 pub mod effexpr;
 pub mod globals;
-mod interval;
+pub mod interval;
 pub mod locset;
 
 pub use bounds::{check_bounds, CheckError};

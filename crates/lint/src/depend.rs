@@ -20,22 +20,40 @@
 //!   the loop parallelizes with an OpenMP `reduction(+:…)` clause over
 //!   the conflicting buffers.
 //! * **`Sequential`** — some pair was *confirmed* (it comes with a
-//!   concrete [`Witness`]: the pair of accesses the solver proved can
-//!   collide) or could not be refuted. `Unknown` answers always land
-//!   here — the lattice only ever degrades toward `Sequential`, never
-//!   toward `Parallel` (fail-safe, chaos-tested).
+//!   concrete [`Witness`]: the pair of accesses shown to collide) or
+//!   could not be refuted. `Unknown` answers always land here — the
+//!   lattice only ever degrades toward `Sequential`, never toward
+//!   `Parallel` (fail-safe, chaos-tested).
+//!
+//! Each probe is decided by the cheapest of three steps, every one of
+//! which answers exactly what the solver would:
+//!
+//! 1. **Refuted before lowering.** The probe's hypotheses (the site's,
+//!    the pair hypothesis, both access contexts) narrow one interval per
+//!    variable ([`exo_analysis::interval::Env`]). An empty box, or a
+//!    coordinate whose two affine forms differ at every point of it
+//!    ([`never_equal`]: ZIV, strong SIV with a bounded residual, GCD),
+//!    answers `No`.
+//! 2. **Confirmed by a model.** Otherwise the probe is lowered, and
+//!    [`SiteQuery::sat`] evaluates the whole conjunction at `x = lo`,
+//!    `x′ = lo + 1` (either way round) with every other variable at an
+//!    end of its interval; a point that satisfies it answers `Yes`.
+//! 3. **Decided by the solver.** Whatever is left is canonicalized and
+//!    cached through [`SharedCheckCtx`], shared with the scheduler.
 //!
 //! Decomposing into per-pair probes (instead of one monolithic
-//! `Commutes` validity goal over the whole body effect) keeps every
-//! query within the solver's work limits even for fully scheduled
-//! kernels, and each probe is canonicalized and cached through
-//! [`SharedCheckCtx`]: linting a kernel warms the very cache that
-//! scheduling (and `parallelize`) will hit later in the process.
+//! `Commutes` validity goal over the whole body effect) keeps each probe
+//! small enough for the first two steps, and the solver's within its
+//! work limits even for fully scheduled kernels. On the case-study
+//! kernels the first two steps decide every probe, so linting them poses
+//! no check query.
 
 use std::fmt;
 
+use exo_analysis::affine::never_equal;
 use exo_analysis::conditions::bd;
 use exo_analysis::context::SiteQuery;
+use exo_analysis::interval::Env;
 use exo_analysis::{EffExpr, Effect, GlobalReg, LowerCtx, SharedCheckCtx};
 use exo_core::hash::{HashMap, HashSet};
 use exo_core::ir::{BinOp, Stmt};
@@ -345,47 +363,101 @@ fn conflicting(a: AccessKind, b: AccessKind) -> bool {
     )
 }
 
-/// The distinct-iteration-pair hypothesis `Bd(x) ∧ Bd(x′) ∧ x ≠ x′`.
-fn pair_hypothesis(x: Sym, x2: Sym, lo: &EffExpr, hi: &EffExpr) -> EffExpr {
-    bd(x, lo, hi)
-        .and(bd(x2, lo, hi))
-        .and(EffExpr::not(EffExpr::Var(x).eq(EffExpr::Var(x2))))
+/// The probe of `a1` in iteration `x` against `a2` in a distinct
+/// iteration `x′`, with `a2`'s copy alpha-freshened (`x ↦ x′`, inner
+/// effect-loop binders renamed) so the two iterations are unrelated.
+struct Pair {
+    /// `a2`'s substituted index.
+    idx2: Vec<EffExpr>,
+    /// The pair hypothesis `Bd(x) ∧ Bd(x′) ∧ x ≠ x′`, then both access
+    /// contexts, as conjuncts.
+    hyps: Vec<EffExpr>,
 }
 
-/// Asks the solver whether `a1` in iteration `x` and `a2` in a distinct
-/// iteration `x′` can touch the same location: one *satisfiability*
-/// query — site assumptions ∧ pair hypothesis ∧ both access contexts ∧
-/// index equality — with `a2`'s copy alpha-freshened (`x ↦ x′`, inner
-/// effect-loop binders renamed) so the two iterations are unrelated.
-/// Returns the answer plus `a2`'s substituted index (for rendering).
+impl Pair {
+    fn new(a1: &Atom, a2: &Atom, x: Sym, x2: Sym, (lo, hi): (&EffExpr, &EffExpr)) -> Pair {
+        let mut map: HashMap<Sym, EffExpr> = HashMap::default();
+        map.insert(x, EffExpr::Var(x2));
+        for b in &a2.binders {
+            map.insert(*b, EffExpr::Var(b.copy()));
+        }
+        let mut hyps = vec![
+            bd(x, lo, hi),
+            bd(x2, lo, hi),
+            EffExpr::not(EffExpr::Var(x).eq(EffExpr::Var(x2))),
+        ];
+        hyps.extend(a1.ctx.iter().cloned());
+        hyps.extend(a2.ctx.iter().map(|e| e.subst(&map)));
+        Pair {
+            idx2: a2.idx.iter().map(|e| e.subst(&map)).collect(),
+            hyps,
+        }
+    }
+
+    /// The probe as one ternary conjunction: the hypotheses and the
+    /// equality of the two indices.
+    fn conj(&self, a1: &Atom) -> EffExpr {
+        let eqs = a1.idx.iter().zip(&self.idx2);
+        self.hyps
+            .iter()
+            .cloned()
+            .chain(eqs.map(|(e1, e2)| e1.clone().eq(e2.clone())))
+            .reduce(EffExpr::and)
+            .unwrap_or(EffExpr::Bool(true))
+    }
+}
+
+/// How a probe was answered.
+struct Probe {
+    answer: Answer,
+    /// `a2`'s substituted index (for rendering).
+    idx2: Vec<EffExpr>,
+    /// Whether the answer came without a check query: refuted by the
+    /// dependence tests, or confirmed by a model.
+    decided: bool,
+}
+
+/// Whether `a1` in iteration `x` and `a2` in a distinct iteration `x′`
+/// can touch the same location: one *satisfiability* question — site
+/// assumptions ∧ [`Pair`]'s hypotheses ∧ index equality.
+///
+/// It is refuted before anything is lowered when the box of those
+/// hypotheses is empty, or when some coordinate differs in every point
+/// of it ([`never_equal`]). Otherwise it is lowered and posed through
+/// [`SiteQuery::sat`], which tries a model at `x = lo`, `x′ = lo + 1`
+/// (either way round) before the solver.
 fn pair_collides(
     a1: &Atom,
     a2: &Atom,
     x: Sym,
     x2: Sym,
-    (lo, hi): (&EffExpr, &EffExpr),
+    bounds: (&EffExpr, &EffExpr),
     q: &mut SiteQuery<'_>,
-) -> (Answer, Vec<EffExpr>) {
-    let mut map: HashMap<Sym, EffExpr> = HashMap::default();
-    map.insert(x, EffExpr::Var(x2));
-    for b in &a2.binders {
-        map.insert(*b, EffExpr::Var(b.copy()));
-    }
-    let idx2: Vec<EffExpr> = a2.idx.iter().map(|e| e.subst(&map)).collect();
-    let ctx2: Vec<EffExpr> = a2.ctx.iter().map(|e| e.subst(&map)).collect();
-
-    let mut conj = pair_hypothesis(x, x2, lo, hi);
-    for c in a1.ctx.iter().chain(ctx2.iter()) {
-        conj = conj.and(c.clone());
-    }
-    for (e1, e2) in a1.idx.iter().zip(idx2.iter()) {
-        conj = conj.and(e1.clone().eq(e2.clone()));
-    }
-
+) -> Probe {
+    let pair = Pair::new(a1, a2, x, x2, bounds);
+    let refuted = |env: &Env| {
+        a1.idx
+            .iter()
+            .zip(&pair.idx2)
+            .any(|(e1, e2)| never_equal(e1, e2, (x, x2), env))
+    };
+    let Some(env) = q.narrowed(&pair.hyps).filter(|env| !refuted(env)) else {
+        return Probe {
+            answer: Answer::No,
+            idx2: pair.idx2,
+            decided: true,
+        };
+    };
     // each pair is its own probe: start from a fresh lowering
     q.lctx = LowerCtx::new();
-    let m_conflict = q.lctx.lower_bool(&conj).maybe();
-    (q.sat(m_conflict), idx2)
+    let m_conflict = q.lctx.lower_bool(&pair.conj(a1)).maybe();
+    let models = q.models();
+    let answer = q.sat(m_conflict, &env, Some((x, x2)));
+    Probe {
+        answer,
+        idx2: pair.idx2,
+        decided: q.models() > models,
+    }
 }
 
 /// Builds the witness record for a confirmed colliding pair.
@@ -407,9 +479,12 @@ fn witness_of(a1: &Atom, a2: &Atom, idx2: &[EffExpr], x: Sym) -> Witness {
 
 /// Classifies the loop at `path` in `proc`.
 ///
-/// Queries go through `check` (canonicalized and cached) and `reg`
-/// supplies canonical names for configuration fields — pass the
-/// scheduler's own context/registry to share its caches.
+/// Probes the dependence tests and a model do not decide go through
+/// `check` (canonicalized and cached), and `reg` supplies canonical
+/// names for configuration fields — pass the scheduler's own
+/// context/registry to share them. The `lint.classify_loop` span records
+/// the probes posed (`pairs`) and how many were `decided` without a
+/// check query.
 pub fn classify_loop(
     proc: &Proc,
     path: &StmtPath,
@@ -422,7 +497,7 @@ pub fn classify_loop(
             proc.name.name()
         )));
     };
-    let _span = exo_obs::Span::enter("lint.classify_loop")
+    let mut span = exo_obs::Span::enter("lint.classify_loop")
         .with_field("iter", exo_obs::Json::Str(iter.name()));
     let mut q = SiteQuery::new(proc, path, reg, check)
         .ok_or_else(|| lerr(format!("classify_loop: invalid path {path}")))?;
@@ -436,21 +511,37 @@ pub fn classify_loop(
     allocated_in(&eff, &mut private);
     let eff = privatize(&eff, &private);
 
-    // The dependence question, decomposed: any cross-iteration conflict
-    // is between one access of iteration x and one access of iteration
-    // x′, so we enumerate conflicting access pairs and pose each as one
-    // *small* satisfiability probe. All pairs refuted → Parallel; only
-    // reduce/reduce pairs can collide → ReductionParallel; a confirmed
-    // pair → Sequential with that pair as the witness; an unprovable
-    // pair → Sequential (fail safe). Unlike one monolithic Commutes
-    // validity goal over the whole body effect, each probe is tiny and
-    // independently cacheable — scheduled kernels with dozens of nested
-    // accesses stay within the solver's work limits.
-    let x = *iter;
-    let x2 = x.copy();
     let mut atoms = Vec::new();
     collect_atoms(&eff, &mut Vec::new(), &mut Vec::new(), &mut atoms);
+    let mut tally = Tally::default();
+    let verdict = classify_atoms(&atoms, *iter, (&lo_e, &hi_e), &mut q, &mut tally);
+    span.field("pairs", exo_obs::Json::uint(tally.pairs));
+    span.field("decided", exo_obs::Json::uint(tally.decided));
+    Ok(verdict)
+}
 
+/// Probes posed by one classification, and those decided without a
+/// check query.
+#[derive(Default)]
+struct Tally {
+    pairs: u64,
+    decided: u64,
+}
+
+/// The dependence question, decomposed: any cross-iteration conflict is
+/// between one access of iteration `x` and one access of iteration `x′`,
+/// so each conflicting access pair is one *small* satisfiability probe.
+/// All pairs refuted → Parallel; only reduce/reduce pairs can collide →
+/// ReductionParallel; a confirmed pair → Sequential with that pair as
+/// the witness; an unprovable pair → Sequential (fail safe).
+fn classify_atoms(
+    atoms: &[Atom],
+    x: Sym,
+    bounds: (&EffExpr, &EffExpr),
+    q: &mut SiteQuery<'_>,
+    tally: &mut Tally,
+) -> LoopVerdict {
+    let x2 = x.copy();
     let mut reduction_bufs: Vec<Sym> = Vec::new();
     let mut unknown = false;
     for (n1, a1) in atoms.iter().enumerate() {
@@ -464,21 +555,23 @@ pub fn classify_loop(
             if !reduce_pair && !conflicting(a1.kind, a2.kind) {
                 continue; // read/read
             }
-            let (ans, idx2) = pair_collides(a1, a2, x, x2, (&lo_e, &hi_e), &mut q);
+            let probe = pair_collides(a1, a2, x, x2, bounds, q);
+            tally.pairs += 1;
+            tally.decided += u64::from(probe.decided);
             if reduce_pair {
                 // Yes or Unknown: cover the buffer with a reduction
                 // clause — sound either way, a clause over a location
                 // that never collides is merely redundant.
-                if ans != Answer::No && !reduction_bufs.contains(&a1.buf) {
+                if probe.answer != Answer::No && !reduction_bufs.contains(&a1.buf) {
                     reduction_bufs.push(a1.buf);
                 }
             } else {
-                match ans {
+                match probe.answer {
                     Answer::No => {}
                     Answer::Yes => {
-                        return Ok(LoopVerdict::Sequential {
-                            witness: Some(witness_of(a1, a2, &idx2, x)),
-                        });
+                        return LoopVerdict::Sequential {
+                            witness: Some(witness_of(a1, a2, &probe.idx2, x)),
+                        };
                     }
                     // The solver gave up: keep scanning for a provable
                     // witness, but the verdict can no longer be Parallel.
@@ -489,15 +582,15 @@ pub fn classify_loop(
     }
 
     if unknown {
-        return Ok(LoopVerdict::Sequential { witness: None });
+        return LoopVerdict::Sequential { witness: None };
     }
     if !reduction_bufs.is_empty() {
         reduction_bufs.sort_by_key(|b| (b.name(), b.id()));
-        return Ok(LoopVerdict::ReductionParallel {
+        return LoopVerdict::ReductionParallel {
             bufs: reduction_bufs,
-        });
+        };
     }
-    Ok(LoopVerdict::Parallel)
+    LoopVerdict::Parallel
 }
 
 /// Classifies every `for` loop in `proc`, outermost first (pre-order).
@@ -520,4 +613,376 @@ pub fn classify_loops(
                 .map(|v| (path, iter, v))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    use exo_core::build::ProcBuilder;
+    use exo_core::ir::Expr;
+    use exo_smt::formula::Formula;
+
+    /// SplitMix64: a small deterministic generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// A value in `lo..=hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo + 1) as usize) as i64
+        }
+    }
+
+    fn v(x: Sym) -> EffExpr {
+        EffExpr::Var(x)
+    }
+
+    fn int(c: i64) -> EffExpr {
+        EffExpr::Int(c)
+    }
+
+    fn bin(op: BinOp, a: EffExpr, b: EffExpr) -> EffExpr {
+        EffExpr::bin(op, a, b)
+    }
+
+    /// A site guard over `n` and `o`.
+    type Guard = fn(Expr, Expr) -> Expr;
+
+    /// The loop `for x in [lo, hi)` a probe is posed at, in
+    /// `for o in [0, n): [if guard:] for x in [lo, hi): pass`.
+    struct Site {
+        proc: Arc<Proc>,
+        path: StmtPath,
+        n: Sym,
+        o: Sym,
+        x: Sym,
+    }
+
+    impl Site {
+        /// `guard` and the loop's bounds are built from `n` and `o`.
+        fn new(guard: Option<Guard>, bounds: impl Fn(Expr, Expr) -> (Expr, Expr)) -> Site {
+            let mut b = ProcBuilder::new("site");
+            let n = b.size("n");
+            let o = b.begin_for("o", Expr::int(0), Expr::var(n));
+            let mut path = StmtPath::top(0);
+            if let Some(g) = guard {
+                b.begin_if(g(Expr::var(n), Expr::var(o)));
+                path = path.child(0, 0);
+            }
+            let (lo, hi) = bounds(Expr::var(n), Expr::var(o));
+            let x = b.begin_for("x", lo, hi);
+            b.stmt(Stmt::Pass);
+            b.end_for();
+            if guard.is_some() {
+                b.end_if();
+            }
+            b.end_for();
+            Site {
+                proc: b.finish(),
+                path: path.child(0, 0),
+                n,
+                o,
+                x,
+            }
+        }
+
+        /// Sizes, literal and outer-dependent extents, and guards the
+        /// box narrows, guards no candidate point meets, and guards no
+        /// point meets at all (`n < o` under `o < n`, `2·o = 1`).
+        fn random(rng: &mut Rng) -> Site {
+            let guards: [Option<Guard>; 8] = [
+                None,
+                None,
+                None,
+                Some(|_, o| o.lt(Expr::int(2))),
+                Some(|_, o| o.rem(Expr::int(2)).eq(Expr::int(1))),
+                Some(|n, o| n.lt(o)),
+                Some(|_, o| Expr::int(2).mul(o).eq(Expr::int(1))),
+                Some(|n, o| o.add(Expr::int(2)).le(n)),
+            ];
+            let guard = guards[rng.below(guards.len())];
+            let e = rng.range(1, 3);
+            match rng.below(5) {
+                0 => Site::new(guard, |n, _| (Expr::int(0), n)),
+                1 => Site::new(guard, move |_, o| (o.clone(), o.add(Expr::int(e)))),
+                _ => Site::new(guard, move |_, _| (Expr::int(0), Expr::int(e))),
+            }
+        }
+
+        /// Decides the probe of `a1` against `a2` as the classifier does,
+        /// on a fresh context, and returns its answer, whether it was
+        /// decided without a check query, and the solver's answer to the
+        /// full probe on another fresh context.
+        fn decide(&self, a1: &Atom, a2: &Atom) -> (Answer, bool, Answer) {
+            let Some(Stmt::For { lo, hi, .. }) = stmt_at(&self.proc.body, &self.path) else {
+                panic!("the site is a loop");
+            };
+            let x2 = self.x.copy();
+            let (check, mut reg) = (SharedCheckCtx::fresh(), GlobalReg::new());
+            let mut q = SiteQuery::new(&self.proc, &self.path, &mut reg, &check).unwrap();
+            let (lo, hi) = (q.lift(lo), q.lift(hi));
+            let probe = pair_collides(a1, a2, self.x, x2, (&lo, &hi), &mut q);
+            assert_eq!(
+                check.stats().queries,
+                usize::from(!probe.decided),
+                "a decided probe poses no query"
+            );
+
+            let check = SharedCheckCtx::fresh();
+            let mut q = SiteQuery::new(&self.proc, &self.path, &mut reg, &check).unwrap();
+            let pair = Pair::new(a1, a2, self.x, x2, (&lo, &hi));
+            let m = q.lctx.lower_bool(&pair.conj(a1)).maybe();
+            let full = check.check_sat(&Formula::and(vec![q.hypothesis(), m]));
+            (probe.answer, probe.decided, full)
+        }
+    }
+
+    /// The names an access draws on: the site's, a configuration field
+    /// read as a control value, and the access's own inner binders.
+    struct Names {
+        n: Sym,
+        o: Sym,
+        x: Sym,
+        cfg: Sym,
+        buf: Sym,
+    }
+
+    impl Names {
+        /// One coordinate: mostly an affine form with coefficients in
+        /// −3…3 and an offset; sometimes ⊥, `/` or `%` by a literal,
+        /// `Ite`, a stride or a product of two variables.
+        fn coord(&self, rng: &mut Rng, binders: &[Sym]) -> EffExpr {
+            let mut vars = vec![self.x, self.x, self.x, self.o, self.o, self.n, self.cfg];
+            vars.extend(binders);
+            vars.extend(binders);
+            vars.extend(binders);
+            let mut e = int(rng.range(-2, 2));
+            for _ in 0..1 + rng.below(3) {
+                let var = vars[rng.below(vars.len())];
+                let term = match rng.range(-3, 3) {
+                    0 => continue,
+                    1 => v(var),
+                    -1 => EffExpr::neg(v(var)),
+                    c => bin(BinOp::Mul, int(c), v(var)),
+                };
+                e = if rng.below(4) == 0 {
+                    bin(BinOp::Sub, e, EffExpr::neg(term))
+                } else {
+                    e.add(term)
+                };
+            }
+            match rng.below(16) {
+                0 => EffExpr::Unknown,
+                1 => e.add(EffExpr::Stride(self.buf, 0)),
+                2 => bin(BinOp::Div, e, int(rng.range(1, 3))),
+                3 => bin(BinOp::Mod, e, int(rng.range(2, 3))),
+                4 => EffExpr::ite(v(self.x).lt(v(self.o)), e, int(0)),
+                5 => bin(BinOp::Mul, v(self.x), v(self.o)),
+                _ => e,
+            }
+        }
+
+        /// The bound of an inner binder: literal, symbolic, or dependent
+        /// on an enclosing variable.
+        fn bounds(&self, rng: &mut Rng) -> (EffExpr, EffExpr) {
+            let e = int(rng.range(1, 3));
+            match rng.below(5) {
+                0 => (int(0), v(self.n)),
+                1 => (v(self.o), v(self.o).add(e)),
+                2 => (v(self.x), v(self.x).add(e)),
+                _ => (int(0), e),
+            }
+        }
+
+        /// One access: a buffer point of rank 1 or 2 inside up to two
+        /// inner loops, sometimes under a guard; or a configuration
+        /// field.
+        fn atom(&self, rng: &mut Rng) -> Atom {
+            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Reduce][rng.below(3)];
+            if rng.below(16) == 0 {
+                return Atom {
+                    kind,
+                    buf: self.cfg,
+                    field: Some(self.cfg),
+                    idx: Vec::new(),
+                    ctx: Vec::new(),
+                    binders: Vec::new(),
+                };
+            }
+            let mut ctx = Vec::new();
+            let mut binders = Vec::new();
+            for _ in 0..rng.below(3) {
+                let k = Sym::new("k");
+                let (lo, hi) = self.bounds(rng);
+                ctx.push(bd(k, &lo, &hi));
+                binders.push(k);
+            }
+            match rng.below(8) {
+                0 => ctx.push(v(self.x).lt(v(self.o).add(int(1)))),
+                1 => ctx.push(v(self.x).lt(EffExpr::Unknown)),
+                2 => ctx.push(bin(BinOp::Mod, v(self.x), int(2)).eq(int(0))),
+                _ => {}
+            }
+            let idx = (0..1 + rng.below(2))
+                .map(|_| self.coord(rng, &binders))
+                .collect();
+            Atom {
+                kind,
+                buf: self.buf,
+                field: None,
+                idx,
+                ctx,
+                binders,
+            }
+        }
+
+        /// `a` with one coordinate moved by a small offset.
+        fn nudged(&self, rng: &mut Rng, a: &Atom) -> Atom {
+            let mut b = a.clone();
+            let d = rng.below(b.idx.len().max(1));
+            if let Some(e) = b.idx.get_mut(d) {
+                *e = e.clone().add(int(rng.range(-3, 3)));
+            }
+            b
+        }
+    }
+
+    /// Whenever the dependence tests refute a probe, the solver refutes
+    /// the full probe; whenever a model confirms one, the solver confirms
+    /// it. A fair share of the probes is decided either way.
+    #[test]
+    fn every_decided_probe_is_confirmed_by_the_solver() {
+        let (mut pairs, mut refuted, mut modelled) = (0, 0, 0);
+        for seed in 0..2500 {
+            let mut rng = Rng(seed);
+            let site = Site::random(&mut rng);
+            let names = Names {
+                n: site.n,
+                o: site.o,
+                x: site.x,
+                cfg: Sym::new("Cfg_s"),
+                buf: Sym::new("A"),
+            };
+            let a1 = names.atom(&mut rng);
+            let a2 = match rng.below(3) {
+                0 => a1.clone(),
+                1 => names.nudged(&mut rng, &a1),
+                _ => names.atom(&mut rng),
+            };
+            if a1.idx.len() != a2.idx.len() || a1.field != a2.field {
+                continue;
+            }
+            let (answer, decided, full) = site.decide(&a1, &a2);
+            pairs += 1;
+            if decided {
+                assert_eq!(
+                    answer,
+                    full,
+                    "seed {seed}: {} {:?}\n  a1 {a1:?}\n  a2 {a2:?}",
+                    if answer == Answer::No {
+                        "refuted"
+                    } else {
+                        "modelled"
+                    },
+                    site.proc,
+                );
+                match answer {
+                    Answer::No => refuted += 1,
+                    _ => modelled += 1,
+                }
+            } else {
+                assert_eq!(answer, full, "seed {seed}: the solver answers the probe");
+            }
+        }
+        let decided = refuted + modelled;
+        assert!(pairs >= 2000, "{pairs} pairs");
+        assert!(
+            decided * 3 > pairs,
+            "{decided} of {pairs} decided ({refuted} refuted, {modelled} modelled)"
+        );
+        // both deciders are exercised
+        assert!(
+            refuted * 10 > pairs && modelled * 20 > pairs,
+            "{refuted} refuted, {modelled} modelled of {pairs}"
+        );
+    }
+
+    /// An access to `buf` at `idx` inside inner loops `k ∈ [lo, hi)`.
+    fn access(kind: AccessKind, buf: Sym, idx: Vec<EffExpr>, loops: &[(Sym, i64, i64)]) -> Atom {
+        Atom {
+            kind,
+            buf,
+            field: None,
+            idx,
+            ctx: loops
+                .iter()
+                .map(|&(k, lo, hi)| bd(k, &int(lo), &int(hi)))
+                .collect(),
+            binders: loops.iter().map(|&(k, ..)| k).collect(),
+        }
+    }
+
+    /// The shapes the case-study kernels pose, each decided without a
+    /// query and confirmed by the solver, and near misses the deciders
+    /// leave to the solver.
+    #[test]
+    fn case_study_probes() {
+        let [a, c, i, j] = ["A", "C", "i", "j"].map(Sym::new);
+        let tiles = Site::new(None, |_, _| (Expr::int(0), Expr::int(4)));
+        let (x, o) = (tiles.x, tiles.o);
+        let tile = |i: EffExpr| bin(BinOp::Mul, int(16), v(x)).add(i);
+        let write =
+            |idx: Vec<EffExpr>, loops: &[(Sym, i64, i64)]| access(AccessKind::Write, a, idx, loops);
+        // `16·(x − x′) + (i − i″)` with `i, i″ ∈ [0, 16)`: refuted
+        let tiled = write(vec![tile(v(i))], &[(i, 0, 16)]);
+        let read = access(AccessKind::Read, a, vec![tile(v(i))], &[(i, 0, 16)]);
+        for (a1, a2) in [(&tiled, &tiled), (&tiled, &read)] {
+            assert_eq!(tiles.decide(a1, a2), (Answer::No, true, Answer::No));
+        }
+        // a reduction whose index does not mention `x`: confirmed
+        let reduce = access(AccessKind::Reduce, c, vec![v(o), v(j)], &[(j, 0, 16)]);
+        assert_eq!(
+            tiles.decide(&reduce, &reduce),
+            (Answer::Yes, true, Answer::Yes)
+        );
+
+        // `r`'s interval touches `±|c|`: `i ∈ [0, 17)` reaches the next
+        // tile (`x = 0, i = 16` meets `x′ = 1, i″ = 0`)
+        let wide = write(vec![tile(v(i))], &[(i, 0, 17)]);
+        // unequal coefficients of `x`: `2·3` meets `3·2`
+        let twice = write(vec![bin(BinOp::Mul, int(2), v(x))], &[]);
+        let thrice = access(
+            AccessKind::Read,
+            a,
+            vec![bin(BinOp::Mul, int(3), v(x))],
+            &[],
+        );
+        // a ⊥ coordinate has no affine form, and lowers to a variable no
+        // point assigns
+        let unknown = write(vec![tile(EffExpr::Unknown)], &[]);
+        for (a1, a2) in [(&wide, &wide), (&twice, &thrice), (&unknown, &unknown)] {
+            assert_eq!(
+                tiles.decide(a1, a2),
+                (Answer::Yes, false, Answer::Yes),
+                "{a1:?} against {a2:?}"
+            );
+        }
+        // with one iteration there is no distinct pair, but only the
+        // solver can tell through ⊥
+        let single = Site::new(None, |_, _| (Expr::int(0), Expr::int(1)));
+        let unknown = access(AccessKind::Write, a, vec![EffExpr::Unknown], &[]);
+        assert_eq!(
+            single.decide(&unknown, &unknown),
+            (Answer::No, false, Answer::No)
+        );
+    }
 }

@@ -13,7 +13,7 @@
 //!   independent), `ReductionParallel` (iterations conflict only via
 //!   `+=` into the same locations), or `Sequential` (a dependence
 //!   exists or could not be ruled out — with a concrete [`Witness`]
-//!   pair when the solver confirms a collision). `exo-sched`'s
+//!   pair when a collision is confirmed). `exo-sched`'s
 //!   `parallelize` operator is gated on this verdict.
 //! * [`lint_proc`] — the rule pack (`dead-alloc`, `uninit-read`,
 //!   `config-clobber`, `window-alias`, `precision-mismatch`,
@@ -21,12 +21,14 @@
 //!   spans into the AST and machine-readable JSON via
 //!   [`diagnostics_json`].
 //!
-//! Every solver query is posed through
-//! [`exo_analysis::SharedCheckCtx`], so obligations are canonicalized
-//! (alpha-renamed) and memoized: a lint pass warms the same verdict
-//! cache scheduling uses, and vice versa. `Unknown` answers — budget
-//! exhaustion, chaos-injected give-ups — only ever degrade verdicts
-//! toward `Sequential` / "no finding"; they never promote a loop to
+//! A probe is first put to sound, incomplete deciders that need no
+//! solver: affine dependence tests over interval bounds refute it, or a
+//! ground point of the loop bounds that satisfies it confirms it. Only
+//! what they leave is posed through [`exo_analysis::SharedCheckCtx`],
+//! canonicalized (alpha-renamed) and memoized in the verdict cache
+//! scheduling uses. `Unknown` answers — budget exhaustion,
+//! chaos-injected give-ups — only ever degrade verdicts toward
+//! `Sequential` / "no finding"; they never promote a loop to
 //! `Parallel`.
 
 // Panic-free library surface: input-reachable failures must be typed

@@ -12,9 +12,11 @@
 //!
 //! Syntactic rules (`dead-alloc`, `uninit-read`, `config-clobber`,
 //! `precision-mismatch`) are conservative walks of the IR; the symbolic
-//! rules (`window-alias`, `empty-loop`) pose their obligations through
-//! the shared [`SharedCheckCtx`], so they are canonicalized and cached
-//! alongside scheduling obligations.
+//! rules (`window-alias`, `empty-loop`) each pose one satisfiability
+//! question through [`SiteQuery::sat`]: a ground point of the site's
+//! loop bounds that satisfies it answers `Yes` without a query, and
+//! anything else goes to the shared [`SharedCheckCtx`], canonicalized
+//! and cached alongside scheduling obligations.
 
 use std::sync::Arc;
 
@@ -393,7 +395,8 @@ fn rule_window_alias(
                     .and(lo2.clone().lt(hi1.clone()));
             }
             let m_overlap = q.lctx.lower_bool(&overlap).maybe();
-            if q.sat(m_overlap) == Answer::Yes {
+            let near = q.narrowed(&[]).unwrap_or_default();
+            if q.sat(m_overlap, &near, None) == Answer::Yes {
                 out.push(
                     diag(
                         "window-alias",
@@ -507,11 +510,11 @@ fn rule_empty_loop(
         };
         let lo_e = q.lift(lo);
         let hi_e = q.lift(hi);
-        let empty = q
-            .lctx
-            .lower_bool(&hi_e.clone().le(lo_e.clone()))
-            .definitely();
-        if q.valid(empty) == Answer::Yes {
+        // `D(hi ≤ lo)` is valid exactly when `M(lo < hi)` is
+        // unsatisfiable, and a model of the latter needs no solver
+        let nonempty = q.lctx.lower_bool(&lo_e.clone().lt(hi_e.clone())).maybe();
+        let near = q.narrowed(&[]).unwrap_or_default();
+        if q.sat(nonempty, &near, None) == Answer::No {
             out.push(diag(
                 "empty-loop",
                 Severity::Warning,

@@ -14,6 +14,14 @@ fn findings(p: &Arc<Proc>) -> Vec<Diagnostic> {
     lint_proc(p, &SharedCheckCtx::fresh())
 }
 
+/// The findings and the check queries the rules posed on a fresh
+/// context.
+fn findings_and_queries(p: &Arc<Proc>) -> (Vec<Diagnostic>, usize) {
+    let check = SharedCheckCtx::fresh();
+    let diags = lint_proc(p, &check);
+    (diags, check.stats().queries)
+}
+
 fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
     diags.iter().map(|d| d.rule.as_str()).collect()
 }
@@ -133,6 +141,19 @@ fn config_clobber_silent_when_read_intervenes() {
 
 // --------------------------------------------------------- window-alias
 
+/// `for o in [0, 4): w1 = A[8·o : 8·o + 8]; w2 = A[8·o + shift : 8·o +
+/// shift + 8]` over `A: f32[48]`.
+fn tiled_windows(shift: i64) -> Arc<Proc> {
+    let mut b = ProcBuilder::new("tiled_windows");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(48)]);
+    let o = b.begin_for("o", Expr::int(0), Expr::int(4));
+    let at = |off: i64| Expr::int(8).mul(Expr::var(o)).add(Expr::int(off));
+    b.window("w1", a, vec![WAccess::Interval(at(0), at(8))]);
+    b.window("w2", a, vec![WAccess::Interval(at(shift), at(shift + 8))]);
+    b.end_for();
+    b.finish()
+}
+
 #[test]
 fn window_alias_fires_on_overlapping_windows() {
     let mut b = ProcBuilder::new("alias");
@@ -145,6 +166,10 @@ fn window_alias_fires_on_overlapping_windows() {
     );
     let p = b.finish();
     assert_fires(&findings(&p), "window-alias");
+    // inside a loop, a model at `o = 0` shows the overlap: no query
+    let (diags, queries) = findings_and_queries(&tiled_windows(4));
+    assert_fires(&diags, "window-alias");
+    assert_eq!(queries, 0, "the overlap was confirmed without the solver");
 }
 
 #[test]
@@ -159,6 +184,10 @@ fn window_alias_silent_on_disjoint_windows() {
     );
     let p = b.finish();
     assert_silent(&findings(&p), "window-alias");
+    // no model exists, so the solver refutes the overlap
+    let (diags, queries) = findings_and_queries(&tiled_windows(8));
+    assert_silent(&diags, "window-alias");
+    assert_eq!(queries, 1, "the solver refuted the overlap");
 }
 
 // --------------------------------------------------- precision-mismatch
@@ -222,6 +251,42 @@ fn empty_loop_silent_on_symbolic_nonempty_range() {
     b.end_for();
     let p = b.finish();
     assert_silent(&findings(&p), "empty-loop");
+}
+
+/// `if n + 1 < n: for i in [0, n): …` never runs. No ground point of
+/// the box meets the guard, so the solver answers, and the loop is
+/// reported as empty.
+#[test]
+fn empty_loop_fires_under_an_unsatisfiable_guard() {
+    let mut b = ProcBuilder::new("guarded");
+    let n = b.size("n");
+    let a = b.tensor("A", DataType::F32, vec![Expr::var(n)]);
+    b.begin_if(Expr::var(n).add(Expr::int(1)).lt(Expr::var(n)));
+    let i = b.begin_for("i", Expr::int(0), Expr::var(n));
+    b.assign(a, vec![Expr::var(i)], Expr::int(1));
+    b.end_for();
+    b.end_if();
+    let p = b.finish();
+    let (diags, queries) = findings_and_queries(&p);
+    assert_fires(&diags, "empty-loop");
+    assert_eq!(queries, 1, "the solver decided the guarded loop");
+}
+
+/// A loop with literal ends, nested in another: a model of the site shows
+/// that it runs, without the solver.
+#[test]
+fn empty_loop_silent_on_literal_nonempty_range_without_a_query() {
+    let mut b = ProcBuilder::new("nonempty");
+    let a = b.tensor("A", DataType::F32, vec![Expr::int(8), Expr::int(16)]);
+    let o = b.begin_for("o", Expr::int(0), Expr::int(8));
+    let i = b.begin_for("i", Expr::int(0), Expr::int(16));
+    b.assign(a, vec![Expr::var(o), Expr::var(i)], Expr::int(1));
+    b.end_for();
+    b.end_for();
+    let p = b.finish();
+    let (diags, queries) = findings_and_queries(&p);
+    assert_silent(&diags, "empty-loop");
+    assert_eq!(queries, 0, "both loops were shown to run by a model");
 }
 
 // ------------------------------------------------------------- plumbing

@@ -38,6 +38,28 @@ fn gemm(n: i64) -> Arc<Proc> {
     b.finish()
 }
 
+/// [`gemm`] reducing into `C[(2·i) / 2, j]`: `(2·i) / 2` is `i`, but it
+/// has no affine form and lowers to a quotient, so the `i` loop's
+/// dependence probes reach the checking context.
+fn halved_gemm(n: i64) -> Arc<Proc> {
+    let mut b = ProcBuilder::new("halved_gemm");
+    let ne = Expr::int(n);
+    let a = b.tensor("A", DataType::F32, vec![ne.clone(), ne.clone()]);
+    let bb = b.tensor("B", DataType::F32, vec![ne.clone(), ne.clone()]);
+    let c = b.tensor("C", DataType::F32, vec![ne.clone(), ne.clone()]);
+    let i = b.begin_for("i", Expr::int(0), ne.clone());
+    let j = b.begin_for("j", Expr::int(0), ne.clone());
+    let k = b.begin_for("k", Expr::int(0), ne);
+    let row = Expr::int(2).mul(Expr::var(i)).div(Expr::int(2));
+    b.reduce(
+        c,
+        vec![row, Expr::var(j)],
+        read(a, vec![Expr::var(i), Expr::var(k)]).mul(read(bb, vec![Expr::var(k), Expr::var(j)])),
+    );
+    b.end_for().end_for().end_for();
+    b.finish()
+}
+
 /// `for i in 0..hi: A[i] = 0.0` with `A : f32[len]`.
 fn fill_loop(len: i64, hi: i64) -> Arc<Proc> {
     let mut b = ProcBuilder::new("fill");
@@ -314,6 +336,8 @@ fn repeat_scheduling_hits_cache_across_fresh_symbols() {
 /// cache: classifying two alpha-variant builds of one kernel through a
 /// single context hits the cache on the second pass, and a subsequent
 /// `parallelize` on a third build replays the same obligations for free.
+/// The kernel indexes through a quotient, so its probes reach the
+/// cache; plain `gemm`'s are all decided before it.
 #[test]
 fn dependence_queries_hit_canonical_cache_across_runs() {
     let state = state_with_cache(true);
@@ -325,13 +349,13 @@ fn dependence_queries_hit_canonical_cache_across_runs() {
     let mut reg = exo_analysis::GlobalReg::new();
     let top = exo_core::path::StmtPath::top(0);
 
-    let v1 = exo_lint::classify_loop(&gemm(8), &top, &check, &mut reg).expect("classify");
+    let v1 = exo_lint::classify_loop(&halved_gemm(8), &top, &check, &mut reg).expect("classify");
     assert_eq!(v1, exo_lint::LoopVerdict::Parallel);
     let cold = check.stats();
 
     // A fresh build has fresh symbols — only the canonicalizer can match
     // these obligations to the first run's cache lines.
-    let v2 = exo_lint::classify_loop(&gemm(8), &top, &check, &mut reg).expect("classify");
+    let v2 = exo_lint::classify_loop(&halved_gemm(8), &top, &check, &mut reg).expect("classify");
     assert_eq!(v1, v2, "cache hits must not change the verdict");
     let warm = check.stats();
     assert!(
@@ -341,12 +365,21 @@ fn dependence_queries_hit_canonical_cache_across_runs() {
 
     // `parallelize` re-poses the classifier's queries through the state's
     // own context — sharing that context makes the gate nearly free.
-    let p = Procedure::with_state(gemm(8), Arc::clone(&state));
+    let p = Procedure::with_state(halved_gemm(8), Arc::clone(&state));
     let before = check.stats();
     p.parallelize("for i in _: _").expect("provably parallel");
     let after = check.stats();
     assert!(
         after.hits > before.hits,
         "parallelize after classification produced no cache hits: {after:?}"
+    );
+
+    // `gemm`'s `i` loop is decided by the dependence tests alone
+    let v = exo_lint::classify_loop(&gemm(8), &top, &check, &mut reg).expect("classify");
+    assert_eq!(v, exo_lint::LoopVerdict::Parallel);
+    assert_eq!(
+        check.stats().queries,
+        after.queries,
+        "classifying gemm's i loop posed check queries"
     );
 }

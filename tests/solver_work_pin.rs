@@ -37,13 +37,13 @@ const PINNED: [(&str, Work); 5] = [
 /// `(subject, work)` of each `lint-cold` subject, in the benchmark's
 /// order: three naive procedures, then four scheduled ones.
 const LINT_PINNED: [(&str, Work); 7] = [
-    ("naive_sgemm_6x128x8", (6, 4, 2, 0, 96)),
-    ("naive_matmul_32", (6, 4, 2, 0, 96)),
-    ("naive_gemmini_conv_4", (14, 10, 4, 0, 710)),
-    ("scheduled_matmul_32", (7, 4, 3, 0, 1088)),
-    ("scheduled_sgemm_6x128x8", (12, 6, 6, 0, 957)),
-    ("scheduled_x86_conv_8", (15, 10, 5, 0, 1698)),
-    ("scheduled_gemmini_conv_4", (14, 9, 5, 0, 2029)),
+    ("naive_sgemm_6x128x8", (0, 0, 0, 0, 0)),
+    ("naive_matmul_32", (0, 0, 0, 0, 0)),
+    ("naive_gemmini_conv_4", (0, 0, 0, 0, 0)),
+    ("scheduled_matmul_32", (0, 0, 0, 0, 0)),
+    ("scheduled_sgemm_6x128x8", (0, 0, 0, 0, 0)),
+    ("scheduled_x86_conv_8", (0, 0, 0, 0, 0)),
+    ("scheduled_gemmini_conv_4", (0, 0, 0, 0, 0)),
 ];
 
 /// Schedules on a fresh context and reads its solver's totals.
